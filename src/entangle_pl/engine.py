@@ -2,7 +2,7 @@
 builtins, and the per-query reset of program-wide variables.
 
 The machine keeps the current goal list as a persistent linked stack of
-``(term, cut_barrier, rest, depth)`` tuples and the choice points in a
+``(term, cut_barrier, rest)`` tuples and the choice points in a
 Python list.  A cut barrier is the choice-point stack height at entry to
 the predicate the goal belongs to; ``!`` truncates the stack down to it.
 Every binding is trailed, so abandoning or exhausting a query undoes all
@@ -13,7 +13,6 @@ what makes them reusable between queries.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from importlib import resources
 
@@ -24,6 +23,7 @@ from .errors import (
     InstantiationError,
     ResourceLimitError,
     TypeMismatchError,
+    nesting_limit,
 )
 from .kernel import (
     NIL,
@@ -40,31 +40,9 @@ from .kernel import (
     make_list,
     unify,
 )
-from .reader import DEFAULT_OPS, read_program, read_query, write_clause, write_term
+from .reader import read_program, read_query, write_clause, write_term
 
 _FAIL = object()
-
-
-@dataclass
-class Clause:
-    head: object
-    body: object
-
-
-class ClauseDB:
-    """functor/arity -> clauses in source order; insertion order preserved."""
-
-    def __init__(self):
-        self.preds = {}
-        self.order = []
-
-    def add(self, key, clause: Clause):
-        bucket = self.preds.get(key)
-        if bucket is None:
-            bucket = []
-            self.preds[key] = bucket
-            self.order.append(key)
-        bucket.append(clause)
 
 
 class Solution:
@@ -133,10 +111,6 @@ class _AltCP:
         self.mark = mark
 
 
-def _cons(term, barrier, rest):
-    return (term, barrier, rest)
-
-
 @lru_cache(maxsize=1)
 def prelude_text() -> str:
     return resources.files(__package__).joinpath("assumptions.pl").read_text(
@@ -155,8 +129,9 @@ class Engine:
         out=None,
     ):
         self.store = Store()
-        self.db = ClauseDB()
-        self.ops = DEFAULT_OPS
+        # (name, arity) -> [(head, body), ...] in source order; the dict's
+        # insertion order is the order listing/1 prints predicates in
+        self.db = {}
         self.occurs_check = occurs_check
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
@@ -171,10 +146,10 @@ class Engine:
 
     def consult_text(self, text: str):
         """Parse and add clauses; a parse error adds nothing at all."""
-        pairs = read_program(text, self.store, self.ops, self.allow_evars)
+        pairs = read_program(text, self.store, self.allow_evars)
         for head, body in pairs:
             arity = len(head.args) if isinstance(head, Struct) else 0
-            self.db.add((head.name, arity), Clause(head, body))
+            self.db.setdefault((head.name, arity), []).append((head, body))
 
     def consult_file(self, path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -184,7 +159,7 @@ class Engine:
 
     def query(self, text: str):
         """Parse a query and return its lazy solution sequence."""
-        goal, varmap = read_query(text, self.store, self.ops, self.allow_evars)
+        goal, varmap = read_query(text, self.store, self.allow_evars)
         return self.solve(goal, varmap)
 
     def solve(self, goal, varmap=None):
@@ -198,17 +173,18 @@ class Engine:
             varmap = {}
         start = self.store.mark()
         self._steps = 0  # frame budget covers the whole solution sequence
-        gen = self._run(_cons(goal, 0, None), [])
+        gen = self._run((goal, 0, None), [])
         try:
-            for _ in gen:
-                yield Solution(
-                    {
-                        # argument priority: bare control operators like ;/2
-                        # would be ambiguous inside a comma-joined display
-                        name: write_term(deref(v), use_names=False, priority=999)
-                        for name, v in varmap.items()
-                    }
-                )
+            with nesting_limit():
+                for _ in gen:
+                    yield Solution(
+                        {
+                            # argument priority: bare control operators like
+                            # ;/2 would be ambiguous in a comma-joined display
+                            name: write_term(deref(v), use_names=False, priority=999)
+                            for name, v in varmap.items()
+                        }
+                    )
         finally:
             gen.close()
             self.store.undo_to(start)
@@ -259,7 +235,7 @@ class Engine:
                 )
 
             if name == "," and arity == 2:
-                goals = _cons(args[0], barrier, _cons(args[1], barrier, goals))
+                goals = (args[0], barrier, (args[1], barrier, goals))
                 continue
             if name == "true" and arity == 0:
                 continue
@@ -280,22 +256,18 @@ class Engine:
                     cond, then = first.args
                     h = len(cps)
                     cps.append(_AltCP(args[1], barrier, goals, store.mark()))
-                    goals = _cons(
-                        cond, h + 1, _cons(_CutTo(h), 0, _cons(then, barrier, goals))
-                    )
+                    goals = (cond, h + 1, (_CutTo(h), 0, (then, barrier, goals)))
                 else:
                     cps.append(_AltCP(args[1], barrier, goals, store.mark()))
-                    goals = _cons(args[0], barrier, goals)
+                    goals = (args[0], barrier, goals)
                 continue
             if name == "->" and arity == 2:
                 h = len(cps)
-                goals = _cons(
-                    args[0], h, _cons(_CutTo(h), 0, _cons(args[1], barrier, goals))
-                )
+                goals = (args[0], h, (_CutTo(h), 0, (args[1], barrier, goals)))
                 continue
             if name == "\\+" and arity == 1:
                 mark = store.mark()
-                sub = self._run(_cons(args[0], 0, None), [])
+                sub = self._run((args[0], 0, None), [])
                 found = False
                 try:
                     next(sub)
@@ -312,13 +284,13 @@ class Engine:
                 g = deref(args[0])
                 if isinstance(g, Var):
                     raise InstantiationError("call/1: unbound goal")
-                goals = _cons(g, len(cps), goals)
+                goals = (g, len(cps), goals)
                 continue
             if name == "findall" and arity == 3:
                 template, subgoal, result = args
                 mark = store.mark()
                 acc = []
-                sub = self._run(_cons(subgoal, 0, None), [])
+                sub = self._run((subgoal, 0, None), [])
                 try:
                     for _ in sub:
                         acc.append(copy_term(template, store))
@@ -332,7 +304,7 @@ class Engine:
                 s0 = args[1]
                 s = args[2] if arity == 3 else NIL
                 g = translate_goal(args[0], s0, s, store)
-                goals = _cons(g, len(cps), goals)
+                goals = (g, len(cps), goals)
                 continue
             if name == "listing" and arity == 1:
                 self._listing(args[0])
@@ -342,7 +314,7 @@ class Engine:
                 if not builtin(self, args):
                     failing = True
                 continue
-            clauses = self.db.preds.get((name, arity))
+            clauses = self.db.get((name, arity))
             if clauses is None:
                 if self.unknown_fail:
                     failing = True
@@ -359,13 +331,12 @@ class Engine:
             store.undo_to(cp.mark)
             if type(cp) is _AltCP:
                 cps.pop()
-                return _cons(cp.alt, cp.alt_barrier, cp.cont)
+                return cp.alt, cp.alt_barrier, cp.cont
             clauses = cp.clauses
             idx = cp.idx
             while idx < len(clauses):
-                clause = clauses[idx]
+                head, body = copy_terms(clauses[idx], store)
                 idx += 1
-                head, body = copy_terms((clause.head, clause.body), store)
                 if unify(head, cp.goal, store, occ):
                     cp.idx = idx
                     cont = cp.cont
@@ -373,7 +344,7 @@ class Engine:
                         cps.pop()
                     if isinstance(body, Atom) and body.name == "true":
                         return cont
-                    return _cons(body, cp.barrier, cont)
+                    return body, cp.barrier, cont
             cps.pop()
         return _FAIL
 
@@ -387,19 +358,19 @@ class Engine:
         if isinstance(a, Var):
             raise InstantiationError("listing/1: unbound argument")
         if isinstance(a, Atom):
-            keys = [k for k in self.db.order if k[0] == a.name]
+            keys = [k for k in self.db if k[0] == a.name]
         elif isinstance(a, Struct) and a.name == "/" and len(a.args) == 2:
             nm = deref(a.args[0])
             ar = deref(a.args[1])
             if not (isinstance(nm, Atom) and isinstance(ar, Int)):
                 raise TypeMismatchError("listing/1: expected Name or Name/Arity")
-            keys = [(nm.name, ar.value)] if (nm.name, ar.value) in self.db.preds else []
+            keys = [(nm.name, ar.value)] if (nm.name, ar.value) in self.db else []
         else:
             raise TypeMismatchError("listing/1: expected Name or Name/Arity")
         out = self._out_stream()
         for key in keys:
-            for clause in self.db.preds[key]:
-                out.write(write_clause(clause.head, clause.body) + "\n")
+            for head, body in self.db[key]:
+                out.write(write_clause(head, body) + "\n")
 
     def _eval(self, t):
         t = deref(t)
@@ -440,6 +411,15 @@ class Engine:
 
 def _bi_unify(e: Engine, args):
     return unify(args[0], args[1], e.store, e.occurs_check)
+
+
+def _bi_not_unify(e: Engine, args):
+    store = e.store
+    mark = store.mark()
+    if unify(args[0], args[1], store, e.occurs_check):
+        store.undo_to(mark)
+        return False
+    return True
 
 
 def _bi_struct_eq(e: Engine, args):
@@ -547,6 +527,7 @@ def _bi_sort(e: Engine, args):
 
 _BUILTINS = {
     ("=", 2): _bi_unify,
+    ("\\=", 2): _bi_not_unify,
     ("==", 2): _bi_struct_eq,
     ("\\==", 2): _bi_struct_neq,
     ("var", 1): _bi_var,

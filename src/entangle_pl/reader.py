@@ -1,7 +1,7 @@
-"""Tokenizer, operator-precedence parser, program/query reading, and the
-term writer.
+"""Regex tokenizer, operator-precedence parser, program/query reading, and
+the term writer.
 
-The accepted syntax is a fixed subset of Prolog: the seeded operator table
+The accepted syntax is a fixed subset of Prolog: the operator tables
 below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
 bodies only.
@@ -10,17 +10,13 @@ bodies only.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import PrologSyntaxError
+from .errors import PrologSyntaxError, nesting_limit
 from .kernel import Atom, EVar, Int, Struct, TRUE, Var, deref, make_list
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=:?@#&")
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
-_VAR_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*")
-_EVAR_RE = re.compile(r"~[A-Z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 _QUOTE_ESCAPES = {
     "\\": "\\",
@@ -34,11 +30,40 @@ _QUOTE_ESCAPES = {
     "f": "\f",
     "v": "\v",
     "0": "\0",
+    "\n": "",  # a backslash-newline continues the atom on the next line
+}
+
+# name -> (priority, type)
+INFIX_OPS = {
+    ":-": (1200, "xfx"),
+    "-->": (1200, "xfx"),
+    ";": (1100, "xfy"),
+    "->": (1050, "xfy"),
+    ",": (1000, "xfy"),
+    "=": (700, "xfx"),
+    "\\=": (700, "xfx"),
+    "==": (700, "xfx"),
+    "\\==": (700, "xfx"),
+    "is": (700, "xfx"),
+    "<": (700, "xfx"),
+    ">": (700, "xfx"),
+    "=<": (700, "xfx"),
+    ">=": (700, "xfx"),
+    "=:=": (700, "xfx"),
+    "=\\=": (700, "xfx"),
+    "+": (500, "yfx"),
+    "-": (500, "yfx"),
+    "*": (400, "yfx"),
+    "/": (400, "yfx"),
+    "mod": (400, "yfx"),
+}
+PREFIX_OPS = {
+    "\\+": (900, "fy"),
+    "-": (200, "fy"),  # unary minus on numeric literals only
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # atom | qatom | var | evar | int | punct | end | eof
     text: str
     start: int
@@ -47,178 +72,91 @@ class Token:
     col: int
 
 
-class OpTable:
-    """Operator table: name -> (priority, type). Fixed at construction."""
-
-    def __init__(self, infix: dict, prefix: dict):
-        self.infix = infix
-        self.prefix = prefix
-
-    @classmethod
-    def default(cls) -> "OpTable":
-        infix = {
-            ":-": (1200, "xfx"),
-            "-->": (1200, "xfx"),
-            ";": (1100, "xfy"),
-            "->": (1050, "xfy"),
-            ",": (1000, "xfy"),
-            "=": (700, "xfx"),
-            "\\=": (700, "xfx"),
-            "==": (700, "xfx"),
-            "\\==": (700, "xfx"),
-            "is": (700, "xfx"),
-            "<": (700, "xfx"),
-            ">": (700, "xfx"),
-            "=<": (700, "xfx"),
-            ">=": (700, "xfx"),
-            "=:=": (700, "xfx"),
-            "=\\=": (700, "xfx"),
-            "+": (500, "yfx"),
-            "-": (500, "yfx"),
-            "*": (400, "yfx"),
-            "/": (400, "yfx"),
-            "mod": (400, "yfx"),
-        }
-        prefix = {
-            "\\+": (900, "fy"),
-            "-": (200, "fy"),  # unary minus on numeric literals only
-        }
-        return cls(infix, prefix)
+# A quoted atom up to its closing quote, which is the first quote not
+# doubled: the token pattern adds it as '(?!').
+_QATOM_BODY = r"""'(?:[^'\\\n]|''|\\[\\'"ntrabfv0\n])*"""
+# One alternative per token kind, tried in order.  Every character matches
+# some group, ``error`` last, so the loop never skips text; an ``error``
+# match only marks where the slow path must name the syntax error.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<layout>[ \t\r\n]+|%[^\n]*|/\*.*?\*/)
+  | (?P<atom>[a-z][A-Za-z0-9_]*|[!;]|(?!/\*)[-+*/\\^<>=:?@#&]+)
+  | (?P<var>[A-Z_][A-Za-z0-9_]*)
+  | (?P<punct>[()\[\]{},|])
+  | (?P<int>[0-9]+)
+  | (?P<end>\.(?![^ \t\r\n%]))
+  | (?P<evar>~[A-Z_][A-Za-z0-9_]*)
+  | (?P<qatom>"""
+    + _QATOM_BODY
+    + r"""'(?!'))
+  | (?P<error>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_QATOM_PREFIX_RE = re.compile(_QATOM_BODY)
+_QUOTE_ESCAPE_RE = re.compile(r"''|\\(.)", re.DOTALL)
 
 
-DEFAULT_OPS = OpTable.default()
+def _unescape(m) -> str:
+    esc = m.group(1)
+    return "'" if esc is None else _QUOTE_ESCAPES[esc]
 
 
-def _line_starts(text: str) -> list:
-    starts = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            starts.append(i + 1)
-    return starts
+def _syntax_error(text: str, i: int, allow_evar: bool):
+    """Raise the lexical error at ``text[i]``, where no token kind matched."""
+    c = text[i]
+    if c == "/":  # a '/' no token takes opens a block comment never closed
+        msg = "unterminated block comment"
+    elif c == "~":
+        if allow_evar:
+            msg = "expected an uppercase name after ~"
+        else:
+            msg = "interclausal variable syntax (~Name) is disabled"
+    elif c == "'":
+        msg = "unterminated quoted atom"
+        j = _QATOM_PREFIX_RE.match(text, i).end()
+        if text.startswith("\\", j):
+            msg = f"unknown escape sequence \\{text[j + 1:j + 2]}"
+            i = j
+    else:
+        msg = f"unexpected character {c!r}"
+    line = text.count("\n", 0, i) + 1
+    raise PrologSyntaxError(msg, line, i - text.rfind("\n", 0, i))
 
 
 def tokenize(text: str, allow_evar: bool = True) -> list:
     """Longest-match tokenization of a whole program or query."""
-    starts = _line_starts(text)
-
-    def pos(i: int):
-        ln = bisect_right(starts, i) - 1
-        return ln + 1, i - starts[ln] + 1
-
-    def err(msg: str, i: int):
-        ln, col = pos(i)
-        raise PrologSyntaxError(msg, ln, col)
-
-    def tok(kind: str, s: int, e: int, txt=None):
-        ln, col = pos(s)
-        tokens.append(Token(kind, text[s:e] if txt is None else txt, s, e, ln, col))
-
     tokens = []
-    n = len(text)
-    i = 0
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "%":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                err("unterminated block comment", i)
-            i = j + 2
-            continue
-        if c == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    err("unterminated quoted atom", i)
-                ch = text[j]
-                if ch == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                if ch == "\\":
-                    esc = text[j + 1] if j + 1 < n else ""
-                    if esc == "\n":
-                        j += 2
-                        continue
-                    if esc in _QUOTE_ESCAPES:
-                        buf.append(_QUOTE_ESCAPES[esc])
-                        j += 2
-                        continue
-                    err(f"unknown escape sequence \\{esc}", j)
-                if ch == "\n":
-                    err("unterminated quoted atom", i)
-                buf.append(ch)
-                j += 1
-            tok("qatom", i, j, "".join(buf))
-            i = j
-            continue
-        if c == ".":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "" or nxt in " \t\r\n%":
-                tok("end", i, i + 1)
-                i += 1
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        s, e = m.span()
+        if kind != "layout":
+            if kind == "error" or (kind == "evar" and not allow_evar):
+                _syntax_error(text, s, allow_evar)
+            tok = m.group()
+            if kind == "qatom":
+                tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
+            append(Token(kind, tok, s, e, line, s - line_start + 1))
+            if kind != "qatom":
                 continue
-            err("unexpected character '.'", i)
-        if c == "~":
-            m = _EVAR_RE.match(text, i)
-            if not allow_evar:
-                err("interclausal variable syntax (~Name) is disabled", i)
-            if not m:
-                err("expected an uppercase name after ~", i)
-            tok("evar", i, m.end())
-            i = m.end()
-            continue
-        if c.isdigit():
-            m = _INT_RE.match(text, i)
-            tok("int", i, m.end())
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tok("atom", i, m.end())
-            i = m.end()
-            continue
-        m = _VAR_RE.match(text, i)
-        if m:
-            tok("var", i, m.end())
-            i = m.end()
-            continue
-        if c in "()[]{},|":
-            tok("punct", i, i + 1)
-            i += 1
-            continue
-        if c in "!;":
-            tok("atom", i, i + 1)
-            i += 1
-            continue
-        if c in _SYMBOL_CHARS:
-            j = i + 1
-            while j < n and text[j] in _SYMBOL_CHARS:
-                j += 1
-            tok("atom", i, j)
-            i = j
-            continue
-        err(f"unexpected character {c!r}", i)
-    ln, col = pos(n)
-    tokens.append(Token("eof", "", n, n, ln, col))
+        # layout, or a quoted atom continued by a backslash-newline
+        newlines = text.count("\n", s, e)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", s, e) + 1
+    n = len(text)
+    append(Token("eof", "", n, n, line, n - line_start + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, store, ops, varmap=None, pos=0):
+    def __init__(self, tokens, store, varmap=None, pos=0):
         self.tokens = tokens
         self.store = store
-        self.ops = ops
         self.varmap = {} if varmap is None else varmap
         self.pos = pos
 
@@ -248,26 +186,41 @@ class _Parser:
         t = self.peek()
         return t.kind == "punct" and t.text == "(" and t.start == prev.end
 
+    def _infix(self):
+        """The infix operator the next token names, or None."""
+        t = self.tokens[self.pos]
+        if t.kind == "atom" and t.text in INFIX_OPS:
+            return t.text
+        if t.kind == "punct" and t.text == ",":
+            return ","
+        return None
+
     def parse(self, maxp: int):
         left, lp = self.primary(maxp)
         while True:
-            t = self.peek()
-            if t.kind == "atom" and t.text in self.ops.infix:
-                name = t.text
-            elif t.kind == "punct" and t.text == ",":
-                name = ","
-            else:
+            name = self._infix()
+            if name is None:
                 break
-            p, typ = self.ops.infix[name]
+            p, typ = INFIX_OPS[name]
             if p > maxp:
                 break
             lmax = p if typ == "yfx" else p - 1
             if lp > lmax:
                 break
             self.next()
-            rmax = p if typ == "xfy" else p - 1
-            right, _ = self.parse(rmax)
-            left = Struct(name, (left, right))
+            operands = [left, self.parse(p - 1)[0]]
+            if typ == "xfy":
+                # The right operand of an xfy operator may hold the same
+                # operator again: gather the whole chain here, one loop turn
+                # per operand, so a long clause body costs no Python stack.
+                # Each operator priority has one xfy operator, so this reads
+                # what parse(p) would.
+                while self._infix() == name:
+                    self.next()
+                    operands.append(self.parse(p - 1)[0])
+            left = operands.pop()  # fold from the right: a,b,c is a,(b,c)
+            while operands:
+                left = Struct(name, (operands.pop(), left))
             lp = p
         return left, lp
 
@@ -293,8 +246,8 @@ class _Parser:
             name = t.text
             if self._attached_paren(t):
                 return self.compound(name), 0
-            if name in self.ops.prefix:
-                p, typ = self.ops.prefix[name]
+            if name in PREFIX_OPS:
+                p, typ = PREFIX_OPS[name]
                 if p <= maxp and self._starts_term(self.peek()):
                     if name == "-":
                         nt = self.peek()
@@ -356,9 +309,9 @@ class _Parser:
         return make_list(items, tail)
 
 
-def parse_term(tokens, store, ops=DEFAULT_OPS, varmap=None, pos=0):
+def parse_term(tokens, store, varmap=None, pos=0):
     """Parse one term up to its `.` terminator; returns (term, varmap, next_pos)."""
-    p = _Parser(tokens, store, ops, varmap=varmap, pos=pos)
+    p = _Parser(tokens, store, varmap=varmap, pos=pos)
     term, _ = p.parse(1200)
     t = p.next()
     if t.kind != "end":
@@ -390,7 +343,7 @@ def _check_head(head, line: int, col: int):
         raise PrologSyntaxError(f"clause head cannot be {name!r}", line, col)
 
 
-def read_program(text: str, store, ops=DEFAULT_OPS, allow_evar: bool = True):
+def read_program(text: str, store, allow_evar: bool = True):
     """Read a whole program; returns a list of (head, body) pairs.
 
     `H :- B` splits; a bare term is a fact with body `true`; `H --> B` is
@@ -402,35 +355,37 @@ def read_program(text: str, store, ops=DEFAULT_OPS, allow_evar: bool = True):
     tokens = tokenize(text, allow_evar)
     clauses = []
     pos = 0
-    while tokens[pos].kind != "eof":
-        first = tokens[pos]
-        term, _, pos = parse_term(tokens, store, ops, varmap={}, pos=pos)
-        is_dcg = False
-        if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
-            head, body = term.args
-        elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
-            head, body = dcg_translate(term.args[0], term.args[1], store)
-            is_dcg = True
-        else:
-            head, body = term, TRUE
-        _check_head(head, first.line, first.col)
-        if not is_dcg and (_contains_braces(head) or _contains_braces(body)):
-            raise PrologSyntaxError(
-                "braces {} are only allowed inside DCG rule bodies",
-                first.line,
-                first.col,
-            )
-        clauses.append((head, body))
+    with nesting_limit():
+        while tokens[pos].kind != "eof":
+            first = tokens[pos]
+            term, _, pos = parse_term(tokens, store, varmap={}, pos=pos)
+            is_dcg = False
+            if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
+                head, body = term.args
+            elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
+                head, body = dcg_translate(term.args[0], term.args[1], store)
+                is_dcg = True
+            else:
+                head, body = term, TRUE
+            _check_head(head, first.line, first.col)
+            if not is_dcg and (_contains_braces(head) or _contains_braces(body)):
+                raise PrologSyntaxError(
+                    "braces {} are only allowed inside DCG rule bodies",
+                    first.line,
+                    first.col,
+                )
+            clauses.append((head, body))
     return clauses
 
 
-def read_query(text: str, store, ops=DEFAULT_OPS, allow_evar: bool = True):
+def read_query(text: str, store, allow_evar: bool = True):
     """Read one query; the trailing `.` is optional.  Returns (goal, varmap)."""
     tokens = tokenize(text, allow_evar)
-    p = _Parser(tokens, store, ops)
+    p = _Parser(tokens, store)
     if p.peek().kind == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
-    goal, _ = p.parse(1200)
+    with nesting_limit():
+        goal, _ = p.parse(1200)
     if p.peek().kind == "end":
         p.next()
     t = p.peek()
@@ -485,7 +440,6 @@ def write_term(t, use_names: bool = True, priority: int = 1200,
     """
     pieces = []
     stack = [(t, priority, 0)]
-    infix = DEFAULT_OPS.infix
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -531,8 +485,8 @@ def write_term(t, use_names: bool = True, priority: int = 1200,
             out.append("]")
         elif name == "{}" and len(args) == 1:
             out = ["{", (args[0], 1200, depth + 1), "}"]
-        elif len(args) == 2 and name in infix:
-            p, typ = infix[name]
+        elif len(args) == 2 and name in INFIX_OPS:
+            p, typ = INFIX_OPS[name]
             lmax = p if typ == "yfx" else p - 1
             rmax = p if typ == "xfy" else p - 1
             if name in _SPACED_OPS or name[0].isalpha():

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .errors import TranspileError
+from .errors import TranspileError, nesting_limit
 from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
-from .reader import DEFAULT_OPS, read_program, read_query, write_clause, write_term
+from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
 _RESERVED = ("_Env", "_IV")
@@ -57,7 +57,7 @@ def _layout_of(pairs) -> list:
 def collect_evars(text: str) -> list:
     """Names of all ~ variables in the program, first-occurrence order."""
     store = Store()
-    pairs = read_program(text, store, DEFAULT_OPS, allow_evar=True)
+    pairs = read_program(text, store, allow_evar=True)
     return _layout_of(pairs)
 
 
@@ -174,7 +174,7 @@ class _Rewriter:
 
 def transpile(text: str) -> TranspileResult:
     store = Store()
-    pairs = read_program(text, store, DEFAULT_OPS, allow_evar=True)
+    pairs = read_program(text, store, allow_evar=True)
     layout = _layout_of(pairs)
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = []
@@ -195,7 +195,8 @@ def transpile(text: str) -> TranspileResult:
         else:
             new_head = Struct(h.name, h.args + (env,))
         goals = rw.arg_reads(env, ivs)
-        rewritten = rw.rewrite_goal(b, env)
+        with nesting_limit():
+            rewritten = rw.rewrite_goal(b, env)
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else Atom("true")
@@ -243,7 +244,7 @@ def _helper_clauses(store: Store, predicates) -> list:
 def transform_query(text: str, result: TranspileResult) -> str:
     """Rewrite a query for a transpiled program; returns plain query text."""
     store = Store()
-    goal, _ = read_query(text, store, DEFAULT_OPS, allow_evar=True)
+    goal, _ = read_query(text, store, allow_evar=True)
     slots = {name: i + 1 for i, name in enumerate(result.layout)}
     rw = _Rewriter(store, slots, set(result.predicates))
     ivs, renames = rw.fresh_maps()
@@ -254,5 +255,6 @@ def transform_query(text: str, result: TranspileResult) -> str:
         slots_vars = tuple(store.new_var("_") for _ in result.layout)
         goals.append(Struct("=", (env, Struct("evs", slots_vars))))
     goals.extend(rw.arg_reads(env, ivs))
-    goals.append(rw.rewrite_goal(g, env))
+    with nesting_limit():
+        goals.append(rw.rewrite_goal(g, env))
     return write_term(_conj_fold(goals))

@@ -268,9 +268,9 @@ def test_09_property_suites():
     sources.append(PRELUDE.read_text(encoding="utf-8"))
     for src in sources:
         eng = Engine()
-        for head, body in read_program(src, eng.store, eng.ops, True):
+        for head, body in read_program(src, eng.store, True):
             once = write_clause(head, body)
-            reparsed = read_program(once, eng.store, eng.ops, True)
+            reparsed = read_program(once, eng.store, True)
             assert len(reparsed) == 1
             twice = write_clause(*reparsed[0])
             assert once == twice

@@ -77,6 +77,44 @@ def test_parse_error_in_file_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_ascii_digit_is_a_syntax_error_exit_2(tmp_path, capsys):
+    bad = tmp_path / "digit.pl"
+    bad.write_text("p(\u0663).\n", encoding="utf-8")
+    code, _, err = run_main([str(bad), "-q", "p(X)"], capsys)
+    assert code == 2
+    assert err.startswith("error: unexpected character")
+
+
+def test_long_clause_body_runs(tmp_path, capsys):
+    f = tmp_path / "long.pl"
+    f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")
+    code, out, err = run_main([str(f), "-q", "p"], capsys)
+    assert (code, out, err) == (0, "true.\n", "")
+
+
+def _deep_error(argv, capsys):
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: term nested too deeply\n"
+
+
+def test_deep_sum_exit_2(pair_file, capsys):
+    _deep_error([pair_file, "-q", "X is " + "+".join(["1"] * 5000)], capsys)
+
+
+def test_deep_term_exit_2(tmp_path, capsys):
+    f = tmp_path / "deep.pl"
+    f.write_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").\n")
+    _deep_error([str(f), "-q", "p(X)"], capsys)
+
+
+def test_transpile_long_body_exit_2(tmp_path, capsys):
+    f = tmp_path / "long.pl"
+    f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")
+    _deep_error([str(f), "--transpile", "-"], capsys)
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_main(["/nonexistent/prog.pl", "-q", "a"], capsys)
     assert code == 2

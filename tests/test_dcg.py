@@ -4,12 +4,12 @@ import pytest
 
 from entangle_pl import Engine, InstantiationError, PrologSyntaxError, TypeMismatchError
 from entangle_pl.kernel import Store
-from entangle_pl.reader import DEFAULT_OPS, read_program, write_clause
+from entangle_pl.reader import read_program, write_clause
 from conftest import answers
 
 
 def translate(text):
-    pairs = read_program(text, Store(), DEFAULT_OPS, True)
+    pairs = read_program(text, Store(), True)
     return [write_clause(h, b) for h, b in pairs]
 
 

@@ -12,7 +12,10 @@ from entangle_pl import (
     PrologSyntaxError,
     ResourceLimitError,
     TypeMismatchError,
+    transpile,
 )
+from entangle_pl.engine import _BUILTINS
+from entangle_pl.kernel import Struct
 from conftest import answers
 
 
@@ -176,6 +179,19 @@ def test_unify_and_compare_builtins(eng):
     assert answers(eng, "nonvar(f(_)).") == ["true"]
 
 
+def test_not_unifiable_builtin(eng):
+    assert answers(eng, "a \\= b.") == ["true"]
+    assert answers(eng, "X \\= a.") == []
+    assert answers(eng, "f(X) \\= f(Y).") == []
+    # the bindings of the unification it tried are gone again
+    store = eng.store
+    x, y = store.new_var("X"), store.new_var("Y")
+    not_unifiable = _BUILTINS[("\\=", 2)]
+    assert not not_unifiable(eng, (Struct("f", (x,)), Struct("f", (y,))))
+    assert x.ref is None and y.ref is None
+    assert answers(eng, "f(_X, a) \\= f(b, c), var(_X).") == ["true"]
+
+
 def test_arithmetic(eng):
     assert answers(eng, "X is 2+3*4.") == ["X = 14"]
     assert answers(eng, "X is 7 / 2, Y is -7 / 2.") == ["X = 3, Y = -3"]
@@ -273,6 +289,17 @@ def test_no_prelude_flag():
         list(bare.query("new_assumption_db(Db)."))
     with_prelude = Engine()
     assert len(answers(with_prelude, "new_assumption_db(Db).")) == 1
+
+
+def test_deep_input_raises_prolog_error(eng):
+    # deeper than the Python stack: an error the caller can handle, not a
+    # RecursionError
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        list(eng.query("X is " + "+".join(["1"] * 5000) + "."))
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        eng.consult_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").")
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        transpile("p :- " + ", ".join(["true"] * 3000) + ".")
 
 
 def test_frame_budget():

@@ -7,7 +7,6 @@ import pytest
 from entangle_pl.errors import PrologSyntaxError
 from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var
 from entangle_pl.reader import (
-    DEFAULT_OPS,
     parse_term,
     read_program,
     read_query,
@@ -20,7 +19,7 @@ from entangle_pl.reader import (
 def parse_one(text):
     store = Store()
     tokens = tokenize(text + " .")
-    term, varmap, _ = parse_term(tokens, store, DEFAULT_OPS, {}, 0)
+    term, varmap, _ = parse_term(tokens, store, {}, 0)
     return term, varmap
 
 
@@ -74,13 +73,21 @@ def test_end_token_requires_whitespace():
     with pytest.raises(PrologSyntaxError, match="unexpected character"):
         tokenize("a.b.")
     with pytest.raises(PrologSyntaxError):
-        read_program("a. b", Store(), DEFAULT_OPS, True)  # missing final end
+        read_program("a. b", Store(), True)  # missing final end
 
 
 def test_error_coordinates():
     with pytest.raises(PrologSyntaxError) as err:
         tokenize("a :-\n  'unterminated.")
     assert "line 2" in str(err.value)
+    # an unclosed comment is an error, not the symbol atom '/*'
+    with pytest.raises(PrologSyntaxError) as err:
+        tokenize("x /* open")
+    assert "unterminated block comment" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, 3)
+    # only ASCII digits make numbers
+    with pytest.raises(PrologSyntaxError, match="unexpected character"):
+        read_program("p(\u0663).", Store(), True)
 
 
 # --- parser ---------------------------------------------------------------
@@ -155,7 +162,7 @@ def test_varmap_sharing_and_anonymous():
 
 def test_evars_interned_across_clauses():
     store = Store()
-    pairs = read_program("a(~X). b(~X). c(~Y).", store, DEFAULT_OPS, True)
+    pairs = read_program("a(~X). b(~X). c(~Y).", store, True)
     ax = pairs[0][0].args[0]
     bx = pairs[1][0].args[0]
     cy = pairs[2][0].args[0]
@@ -166,19 +173,19 @@ def test_read_program_head_validation():
     store = Store()
     for bad in ["(a,b) :- c.", "(a ; b).", "3 :- a.", "X :- a.", "\\+(a) :- b."]:
         with pytest.raises(PrologSyntaxError):
-            read_program(bad, store, DEFAULT_OPS, True)
+            read_program(bad, store, True)
     # '[]' is an ordinary (if odd) callable atom, so it may head a clause
-    assert read_program("[] :- a.", store, DEFAULT_OPS, True)
+    assert read_program("[] :- a.", store, True)
 
 
 def test_read_query_forms():
     store = Store()
-    goal, varmap = read_query("a(X), b(Y)", store, DEFAULT_OPS, True)
+    goal, varmap = read_query("a(X), b(Y)", store, True)
     assert goal.name == "," and list(varmap) == ["X", "Y"]
-    goal2, _ = read_query("a(1).", store, DEFAULT_OPS, True)
+    goal2, _ = read_query("a(1).", store, True)
     assert goal2.name == "a"
     with pytest.raises(PrologSyntaxError, match="unexpected text"):
-        read_query("a(1). b(2).", store, DEFAULT_OPS, True)
+        read_query("a(1). b(2).", store, True)
 
 
 # --- writer ---------------------------------------------------------------
@@ -236,7 +243,7 @@ def test_writer_unary_structs_functional():
 
 def test_write_clause_forms():
     store = Store()
-    pairs = read_program("g(S,S). h :- a, b.", store, DEFAULT_OPS, True)
+    pairs = read_program("g(S,S). h :- a, b.", store, True)
     assert write_clause(*pairs[1]) == "h :- a,b."
     head, body = pairs[0]
     text = write_clause(head, body)

@@ -4,7 +4,7 @@ import pytest
 
 from entangle_pl import Engine, TranspileError, collect_evars, transform_query, transpile
 from entangle_pl.kernel import Store, Struct, deref
-from entangle_pl.reader import DEFAULT_OPS, read_program
+from entangle_pl.reader import read_program
 from conftest import answers
 
 
@@ -97,7 +97,7 @@ def test_output_contains_no_tilde_and_reparses():
 
 def test_reserved_names_in_source_are_renamed():
     r = transpile("keep(~K). p(_Env) :- q(_Env). q(7).")
-    pairs = read_program(r.text, Store(), DEFAULT_OPS, False)
+    pairs = read_program(r.text, Store(), False)
     p_head = next(h for h, _ in pairs if h.name == "p")
     first, env = p_head.args
     assert deref(first) is not deref(env)  # user _Env must not capture the env
