@@ -10,7 +10,7 @@ usual DCG scheme.
 from __future__ import annotations
 
 from .errors import InstantiationError, PrologSyntaxError, TypeMismatchError
-from .kernel import Atom, Int, Struct, TRUE, Var, deref, make_list
+from .kernel import Atom, Int, Struct, TRUE, Var, deref, list_parts, make_list
 
 _NON_NONTERMINAL = frozenset((":-", "-->", ",", ";", "->", "\\+", "{}", "."))
 
@@ -46,9 +46,15 @@ def _trans(body, s0, store):
     name = b.name
     args = b.args
     if name == "," and len(args) == 2:
-        g1, s1 = _trans(args[0], s0, store)
-        g2, s2 = _trans(args[1], s1, store)
-        return _conj(g1, g2), s2
+        goals = []
+        while isinstance(b, Struct) and b.name == "," and len(b.args) == 2:
+            g, s0 = _trans(b.args[0], s0, store)
+            goals.append(g)
+            b = deref(b.args[1])
+        goal, s0 = _trans(b, s0, store)
+        for g in reversed(goals):
+            goal = _conj(g, goal)
+        return goal, s0
     if name == ";" and len(args) == 2:
         ga, sa = _trans(args[0], s0, store)
         gb, sb = _trans(args[1], s0, store)
@@ -65,12 +71,8 @@ def _trans(body, s0, store):
     if name == "{}" and len(args) == 1:
         return args[0], s0
     if name == "." and len(args) == 2:
-        items = []
-        cur = b
-        while isinstance(cur, Struct) and cur.name == "." and len(cur.args) == 2:
-            items.append(cur.args[0])
-            cur = deref(cur.args[1])
-        if not (isinstance(cur, Atom) and cur.name == "[]"):
+        items, tail = list_parts(b)
+        if not (isinstance(tail, Atom) and tail.name == "[]"):
             raise TypeMismatchError("DCG terminal list must be a proper list")
         s1 = store.new_var()
         return Struct("=", (s0, make_list(items, s1))), s1

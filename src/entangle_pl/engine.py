@@ -1,19 +1,25 @@
 """Depth-first SLD resolution with chronological backtracking, cut,
 builtins, and the per-query reset of program-wide variables.
 
-The machine keeps the current goal list as a persistent linked stack of
-``(term, cut_barrier, rest)`` tuples and the choice points in a
-Python list.  A cut barrier is the choice-point stack height at entry to
-the predicate the goal belongs to; ``!`` truncates the stack down to it.
-Every binding is trailed, so abandoning or exhausting a query undoes all
-of its work, including bindings of ``~Name`` variables; that reset is
-what makes them reusable between queries.
+One loop, ``Engine._run``, runs a whole query.  It keeps the current goal
+list as a persistent linked stack of ``(term, cut_barrier, rest)`` tuples
+and the choice points in a Python list.  A cut barrier is the choice-point
+stack height at entry to the predicate the goal belongs to; ``!``
+truncates the stack down to it.  No construct re-enters the loop:
+``\\+ G`` runs as ``(G -> fail ; true)`` and ``(C -> T)`` as
+``(C -> T ; fail)``, whose else branch is a choice point that a marker
+goal after ``C`` cuts away; findall/3 copies each solution of its goal at
+a marker that then fails, and a choice point below the goal unifies the
+collected list.  Every binding is trailed, so abandoning or exhausting a
+query undoes all of its work, including bindings of ``~Name`` variables;
+that reset is what makes them reusable between queries.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, partial
 from importlib import resources
 
 from .dcg import translate_goal
@@ -27,6 +33,7 @@ from .errors import (
 )
 from .kernel import (
     NIL,
+    TRUE,
     Atom,
     Int,
     Store,
@@ -43,6 +50,7 @@ from .kernel import (
 from .reader import read_program, read_query, write_clause, write_term
 
 _FAIL = object()
+_FAIL_GOAL = Atom("fail")
 
 
 class Solution:
@@ -80,13 +88,25 @@ class Solution:
         return f"Solution({self.bindings!r})"
 
 
-class _CutTo:
-    """Goal-stack marker: commit an if-then-else by truncating choice points."""
+# Goal-stack markers are machine-internal steps: partials of the functions
+# below, called as ``marker(engine, cps)``; a false result fails.
 
-    __slots__ = ("height",)
 
-    def __init__(self, height: int):
-        self.height = height
+def _cut_to(height, e, cps):
+    """Commit an if-then-else: drop the else branch and the condition's
+    choice points."""
+    del cps[height:]
+    return True
+
+
+def _collect(template, acc, e, cps):
+    """Copy one findall/3 solution, then fail into the next."""
+    acc.append(copy_term(template, e.store))
+    return False
+
+
+def _found_all(acc, result, e, cps):
+    return unify(result, make_list(acc), e.store, e.occurs_check)
 
 
 class _ClauseCP:
@@ -173,7 +193,7 @@ class Engine:
             varmap = {}
         start = self.store.mark()
         self._steps = 0  # frame budget covers the whole solution sequence
-        gen = self._run((goal, 0, None), [])
+        gen = self._run(goal)
         try:
             with nesting_limit():
                 for _ in gen:
@@ -191,9 +211,10 @@ class Engine:
 
     # --- machine ---------------------------------------------------------
 
-    def _run(self, goals, cps):
+    def _run(self, goal):
         store = self.store
-        occ = self.occurs_check
+        cps = []
+        goals = (goal, 0, None)
         failing = False
         while True:
             if failing:
@@ -213,8 +234,9 @@ class Engine:
                     f"frame budget exceeded ({self.max_frames})"
                 )
             goals = rest
-            if type(term) is _CutTo:
-                del cps[term.height :]
+            if type(term) is partial:
+                if not term(self, cps):
+                    failing = True
                 continue
             goal = deref(term)
             if goal is not term and isinstance(term, Var):
@@ -246,6 +268,7 @@ class Engine:
                 if not self._ignore_cuts:
                     del cps[barrier:]
                 continue
+            ite = None
             if name == ";" and arity == 2:
                 first = deref(args[0])
                 if (
@@ -253,32 +276,21 @@ class Engine:
                     and first.name == "->"
                     and len(first.args) == 2
                 ):
-                    cond, then = first.args
-                    h = len(cps)
-                    cps.append(_AltCP(args[1], barrier, goals, store.mark()))
-                    goals = (cond, h + 1, (_CutTo(h), 0, (then, barrier, goals)))
+                    ite = first.args + (args[1],)
                 else:
                     cps.append(_AltCP(args[1], barrier, goals, store.mark()))
                     goals = (args[0], barrier, goals)
-                continue
-            if name == "->" and arity == 2:
+                    continue
+            elif name == "->" and arity == 2:
+                ite = args + (_FAIL_GOAL,)
+            elif name == "\\+" and arity == 1:
+                ite = (args[0], _FAIL_GOAL, TRUE)
+            if ite is not None:
+                cond, then, otherwise = ite
                 h = len(cps)
-                goals = (args[0], h, (_CutTo(h), 0, (args[1], barrier, goals)))
-                continue
-            if name == "\\+" and arity == 1:
-                mark = store.mark()
-                sub = self._run((args[0], 0, None), [])
-                found = False
-                try:
-                    next(sub)
-                    found = True
-                except StopIteration:
-                    pass
-                finally:
-                    sub.close()
-                store.undo_to(mark)
-                if found:
-                    failing = True
+                cps.append(_AltCP(otherwise, barrier, goals, store.mark()))
+                commit = (partial(_cut_to, h), 0, (then, barrier, goals))
+                goals = (cond, h + 1, commit)
                 continue
             if name == "call" and arity == 1:
                 g = deref(args[0])
@@ -288,17 +300,10 @@ class Engine:
                 continue
             if name == "findall" and arity == 3:
                 template, subgoal, result = args
-                mark = store.mark()
                 acc = []
-                sub = self._run((subgoal, 0, None), [])
-                try:
-                    for _ in sub:
-                        acc.append(copy_term(template, store))
-                finally:
-                    sub.close()
-                store.undo_to(mark)
-                if not unify(result, make_list(acc), store, occ):
-                    failing = True
+                found = partial(_found_all, acc, result)
+                cps.append(_AltCP(found, 0, goals, store.mark()))
+                goals = (subgoal, len(cps), (partial(_collect, template, acc), 0, None))
                 continue
             if name == "phrase" and arity in (2, 3):
                 s0 = args[1]
@@ -422,14 +427,6 @@ def _bi_not_unify(e: Engine, args):
     return True
 
 
-def _bi_struct_eq(e: Engine, args):
-    return compare_terms(args[0], args[1]) == 0
-
-
-def _bi_struct_neq(e: Engine, args):
-    return compare_terms(args[0], args[1]) != 0
-
-
 def _bi_var(e: Engine, args):
     return isinstance(deref(args[0]), Var)
 
@@ -442,28 +439,12 @@ def _bi_is(e: Engine, args):
     return unify(args[0], Int(e._eval(args[1])), e.store, e.occurs_check)
 
 
-def _bi_lt(e: Engine, args):
-    return e._eval(args[0]) < e._eval(args[1])
+def _bi_compare(op, e: Engine, args):
+    return op(e._eval(args[0]), e._eval(args[1]))
 
 
-def _bi_gt(e: Engine, args):
-    return e._eval(args[0]) > e._eval(args[1])
-
-
-def _bi_le(e: Engine, args):
-    return e._eval(args[0]) <= e._eval(args[1])
-
-
-def _bi_ge(e: Engine, args):
-    return e._eval(args[0]) >= e._eval(args[1])
-
-
-def _bi_num_eq(e: Engine, args):
-    return e._eval(args[0]) == e._eval(args[1])
-
-
-def _bi_num_neq(e: Engine, args):
-    return e._eval(args[0]) != e._eval(args[1])
+def _bi_term_compare(op, e: Engine, args):
+    return op(compare_terms(args[0], args[1]), 0)
 
 
 def _bi_arg(e: Engine, args):
@@ -528,17 +509,17 @@ def _bi_sort(e: Engine, args):
 _BUILTINS = {
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
-    ("==", 2): _bi_struct_eq,
-    ("\\==", 2): _bi_struct_neq,
+    ("==", 2): partial(_bi_term_compare, operator.eq),
+    ("\\==", 2): partial(_bi_term_compare, operator.ne),
     ("var", 1): _bi_var,
     ("nonvar", 1): _bi_nonvar,
     ("is", 2): _bi_is,
-    ("<", 2): _bi_lt,
-    (">", 2): _bi_gt,
-    ("=<", 2): _bi_le,
-    (">=", 2): _bi_ge,
-    ("=:=", 2): _bi_num_eq,
-    ("=\\=", 2): _bi_num_neq,
+    ("<", 2): partial(_bi_compare, operator.lt),
+    (">", 2): partial(_bi_compare, operator.gt),
+    ("=<", 2): partial(_bi_compare, operator.le),
+    (">=", 2): partial(_bi_compare, operator.ge),
+    ("=:=", 2): partial(_bi_compare, operator.eq),
+    ("=\\=", 2): partial(_bi_compare, operator.ne),
     ("arg", 3): _bi_arg,
     ("functor", 3): _bi_functor,
     ("copy_term", 2): _bi_copy_term,

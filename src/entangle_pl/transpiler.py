@@ -136,7 +136,14 @@ class _Rewriter:
         name = t.name
         args = t.args
         arity = len(args)
-        if name in (",", ";", "->") and arity == 2:
+        if name == "," and arity == 2:
+            goals = []
+            while isinstance(t, Struct) and t.name == "," and len(t.args) == 2:
+                goals.append(self.rewrite_goal(t.args[0], env))
+                t = deref(t.args[1])
+            goals.append(self.rewrite_goal(t, env))
+            return _conj_fold(goals)
+        if name in (";", "->") and arity == 2:
             return Struct(
                 name,
                 (self.rewrite_goal(args[0], env), self.rewrite_goal(args[1], env)),

@@ -1,10 +1,13 @@
 """Command-line behavior: modes, output, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import entangle_pl
 from entangle_pl import corpus_dir
 from entangle_pl.cli import main
 
@@ -90,6 +93,9 @@ def test_long_clause_body_runs(tmp_path, capsys):
     f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")
     code, out, err = run_main([str(f), "-q", "p"], capsys)
     assert (code, out, err) == (0, "true.\n", "")
+    code, out, err = run_main([str(f), "--transpile", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("p(_Env) :- true,") and out.count("true") == 3000
 
 
 def _deep_error(argv, capsys):
@@ -110,8 +116,9 @@ def test_deep_term_exit_2(tmp_path, capsys):
 
 
 def test_transpile_long_body_exit_2(tmp_path, capsys):
+    # the engine runs this body; the transpiler still recurses on ;/2
     f = tmp_path / "long.pl"
-    f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")
+    f.write_text("a.\np :- " + " ; ".join(["a"] * 3000) + ".\n")
     _deep_error([str(f), "--transpile", "-"], capsys)
 
 
@@ -218,12 +225,16 @@ def test_oracle_check_mismatch_exit_1(monkeypatch, capsys):
 
 
 def repl(program_args, stdin_text):
+    # the child imports the package this process imported, installed or not
+    src = str(Path(entangle_pl.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "entangle_pl.cli", *program_args],
         input=stdin_text,
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

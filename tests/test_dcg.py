@@ -123,6 +123,9 @@ def test_phrase_generates(gram):
 
 def test_phrase_recursion(gram):
     assert answers(gram, "phrase(maybe_a(T), [a,a,a]).") == ["T = [a,a,a]"]
+    gram.consult_text("long --> " + ", ".join(["[a]"] * 3000) + ".")
+    assert answers(gram, "phrase(long, [" + ",".join(["a"] * 3000) + "]).") == ["true"]
+    assert answers(gram, "phrase(long, [a,a]).") == []
 
 
 def test_phrase_errors(gram):

@@ -134,6 +134,20 @@ def test_negation_scopes_bindings(eng):
     # so the first branch fails and Y comes from the second branch
     assert sol["Y"] == "3"
     assert eng.store.bound_cells() == []
+    eng.consult_text("e(~C).")
+    with pytest.raises(EvaluationError):
+        list(eng.query("e(1), \\+ (t(X), e(X), X is foo)."))
+    assert eng.store.bound_cells() == []
+
+
+def test_deep_recursion_through_negation_and_findall(eng):
+    # \+ and findall/3 run in the one machine loop: no Python frame per level
+    eng.consult_text(
+        "n(0). n(N) :- N > 0, N1 is N - 1, \\+ \\+ n(N1)."
+        " f(0, a). f(N, L) :- N > 0, N1 is N - 1, findall(x, f(N1, _), L)."
+    )
+    assert answers(eng, "n(20000).") == ["true"]
+    assert answers(eng, "f(20000, L).") == ["L = [x]"]
 
 
 def test_metavariable_goals(eng):
@@ -154,7 +168,12 @@ def test_findall(eng):
     assert len(sols) == 1 and "L = [1,2,3]" in sols[0]
     assert "L = []" in answers(eng, "findall(X, t(9), L).")[0]
     assert "L = [1-a,2-a]" in answers(eng, "findall(X-Y, (t(X), X < 3, Y = a), L).")[0]
-    # inner bindings are undone afterwards
+    assert answers(eng, "findall(_Y, (t(_Y), !), L).") == ["L = [1]"]  # local cut
+    # inner bindings are undone afterwards, after an error as well
+    assert eng.store.bound_cells() == []
+    eng.consult_text("e(~C).")
+    with pytest.raises(EvaluationError):
+        list(eng.query("e(1), findall(X, (t(X), e(X), X is foo), L)."))
     assert eng.store.bound_cells() == []
 
 
@@ -299,7 +318,9 @@ def test_deep_input_raises_prolog_error(eng):
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
         eng.consult_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").")
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
-        transpile("p :- " + ", ".join(["true"] * 3000) + ".")
+        transpile("p :- " + " ; ".join(["a"] * 3000) + ".")
+    # a long conjunction is walked in a loop, not recursed into
+    assert transpile("p :- " + ", ".join(["true"] * 3000) + ".").text.count(",") == 2999
 
 
 def test_frame_budget():
@@ -309,6 +330,8 @@ def test_frame_budget():
         list(e.query("loop."))
     with pytest.raises(ResourceLimitError):
         list(e.query("grow."))
+    with pytest.raises(ResourceLimitError):
+        list(e.query("findall(x, loop, L)."))
     # the budget is per query, not cumulative across queries
     assert answers(e, "X = 1.") == ["X = 1"]
 

@@ -46,6 +46,8 @@ def test_check_program_reports_per_query():
     results = check_program("a(~X). b(~X).", ["a(10),b(V).", "a(1),b(2)."], "demo")
     assert [r.ok for r in results] == [True, True]
     assert results[0].native == 1 and results[1].native == 0
+    long_body = "a(~X). p :- " + ", ".join(["a(1)"] * 3000) + "."
+    assert [r.ok for r in check_program(long_body, ["p.", "a(2), p."])] == [True, True]
 
 
 def test_listing_queries_are_skipped():
