@@ -13,6 +13,16 @@ a marker that then fails, and a choice point below the goal unifies the
 collected list.  Every binding is trailed, so abandoning or exhausting a
 query undoes all of its work, including bindings of ``~Name`` variables;
 that reset is what makes them reusable between queries.
+
+Clauses are selected through an argument index built at first use.  A
+call to a predicate of several clauses looks up its first argument that is
+bound at an indexable position, one where no clause head holds a variable
+(a ``~Name`` cell counts: a query may bind it and the reset unbinds it),
+and tries only the clauses with the same principal functor there, in
+source order.  The lookup is exact, so the clause choice point goes at the
+last candidate and a deterministic call leaves none.  Queries never change
+the clause database, so each ``(name, arity, pos)`` table stays valid
+until the next consult drops them all.
 """
 
 from __future__ import annotations
@@ -109,6 +119,28 @@ def _found_all(acc, result, e, cps):
     return unify(result, make_list(acc), e.store, e.occurs_check)
 
 
+def _functor_key(t):
+    """Principal functor of a non-variable term, as an index key."""
+    if isinstance(t, Atom):
+        return t.name
+    if isinstance(t, Int):
+        return t.value
+    return t.name, len(t.args)
+
+
+def _arg_table(clauses, pos):
+    """Clauses by the principal functor of head argument ``pos``, in source
+    order; None when some head has a variable (``~Name`` cells included)
+    there."""
+    table = {}
+    for clause in clauses:
+        arg = clause[0].args[pos]
+        if isinstance(arg, Var):
+            return None
+        table.setdefault(_functor_key(arg), []).append(clause)
+    return table
+
+
 class _ClauseCP:
     __slots__ = ("goal", "clauses", "idx", "cont", "mark", "barrier")
 
@@ -152,6 +184,8 @@ class Engine:
         # (name, arity) -> [(head, body), ...] in source order; the dict's
         # insertion order is the order listing/1 prints predicates in
         self.db = {}
+        # (name, arity, pos) -> _arg_table(...), built at first use
+        self._index = {}
         self.occurs_check = occurs_check
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
@@ -170,6 +204,7 @@ class Engine:
         for head, body in pairs:
             arity = len(head.args) if isinstance(head, Struct) else 0
             self.db.setdefault((head.name, arity), []).append((head, body))
+        self._index.clear()
 
     def consult_file(self, path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -325,6 +360,8 @@ class Engine:
                     failing = True
                     continue
                 raise ExistenceError(name, arity)
+            if len(clauses) > 1:
+                clauses = self._candidates(name, arity, args, clauses)
             cps.append(_ClauseCP(goal, clauses, 0, goals, store.mark(), len(cps)))
             failing = True  # the backtracker drives clause selection
 
@@ -353,6 +390,22 @@ class Engine:
             cps.pop()
         return _FAIL
 
+    def _candidates(self, name, arity, args, clauses):
+        """The clauses a call with ``args`` can match, as far as the index
+        on its first bound, indexable argument tells."""
+        index = self._index
+        for pos, arg in enumerate(args):
+            arg = deref(arg)
+            if isinstance(arg, Var):
+                continue
+            key = (name, arity, pos)
+            if key not in index:
+                index[key] = _arg_table(clauses, pos)
+            table = index[key]
+            if table is not None:
+                return table.get(_functor_key(arg), ())
+        return clauses
+
     # --- builtin helpers ---------------------------------------------------
 
     def _out_stream(self):
@@ -378,40 +431,64 @@ class Engine:
                 out.write(write_clause(head, body) + "\n")
 
     def _eval(self, t):
-        t = deref(t)
-        if isinstance(t, Int):
-            return t.value
-        if isinstance(t, Var):
-            raise InstantiationError("arithmetic: unbound variable")
-        if isinstance(t, Struct):
-            name = t.name
-            args = t.args
-            if len(args) == 2:
-                x = self._eval(args[0])
-                y = self._eval(args[1])
-                if name == "+":
-                    return x + y
-                if name == "-":
-                    return x - y
-                if name == "*":
-                    return x * y
-                if name == "/":
-                    if y == 0:
-                        raise EvaluationError("division by zero")
-                    q = abs(x) // abs(y)
-                    return q if (x < 0) == (y < 0) else -q
-                if name == "mod":
-                    if y == 0:
-                        raise EvaluationError("division by zero")
-                    return x % y
-            elif len(args) == 1 and name == "-":
-                return -self._eval(args[0])
-        raise EvaluationError(
-            f"unknown arithmetic expression: {write_term(t)}"
-        )
+        # an explicit stack, so an expression of any depth evaluates; the
+        # left operand goes first, so the first error met is the one a
+        # recursive left-to-right walk would meet
+        todo = [t]
+        vals = []
+        while todo:
+            t = todo.pop()
+            if type(t) is tuple:  # (term,): its operands are on vals
+                t = t[0]
+                n = len(t.args)
+                fn = _ARITH.get((t.name, n))
+                if fn is None:
+                    raise _not_evaluable(t)
+                vals[-n:] = (fn(*vals[-n:]),)
+                continue
+            t = deref(t)
+            if isinstance(t, Int):
+                vals.append(t.value)
+            elif isinstance(t, Var):
+                raise InstantiationError("arithmetic: unbound variable")
+            elif isinstance(t, Struct) and len(t.args) == 2:
+                todo += ((t,), t.args[1], t.args[0])
+            elif isinstance(t, Struct) and len(t.args) == 1 and t.name == "-":
+                todo += ((t,), t.args[0])
+            else:
+                raise _not_evaluable(t)
+        return vals[0]
 
 
 # --- deterministic builtins ------------------------------------------------
+
+
+def _int_div(x, y):
+    if y == 0:
+        raise EvaluationError("division by zero")
+    q = abs(x) // abs(y)
+    return q if (x < 0) == (y < 0) else -q
+
+
+def _int_mod(x, y):
+    if y == 0:
+        raise EvaluationError("division by zero")
+    return x % y
+
+
+def _not_evaluable(t):
+    return EvaluationError(f"unknown arithmetic expression: {write_term(t)}")
+
+
+# (name, arity) -> integer function, for is/2 and the comparisons
+_ARITH = {
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("*", 2): operator.mul,
+    ("/", 2): _int_div,
+    ("mod", 2): _int_mod,
+    ("-", 1): operator.neg,
+}
 
 
 def _bi_unify(e: Engine, args):

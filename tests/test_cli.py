@@ -105,8 +105,10 @@ def _deep_error(argv, capsys):
     assert err == "error: term nested too deeply\n"
 
 
-def test_deep_sum_exit_2(pair_file, capsys):
-    _deep_error([pair_file, "-q", "X is " + "+".join(["1"] * 5000)], capsys)
+def test_deep_sum_answers(pair_file, capsys):
+    # is/2 walks the expression with a stack, not the Python one
+    code, out, err = run_main([pair_file, "-q", "X is " + "+".join(["1"] * 5000)], capsys)
+    assert (code, out, err) == (0, "X = 5000\n", "")
 
 
 def test_deep_term_exit_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from entangle_pl import (
     TypeMismatchError,
     transpile,
 )
+import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
 from entangle_pl.kernel import Struct
 from conftest import answers
@@ -284,6 +285,85 @@ def test_listing(eng):
     assert answers(eng, "listing(zzz).") == ["true"]  # nothing to print, succeeds
 
 
+# --- clause index --------------------------------------------------------------
+
+
+def tried(eng, query, monkeypatch):
+    """Answers to ``query`` and the number of clauses tried for them."""
+    calls = []
+    real = engine_module.copy_terms
+
+    def counting(clause, store):
+        calls.append(clause)
+        return real(clause, store)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine_module, "copy_terms", counting)
+        result = answers(eng, query)
+    return result, len(calls)
+
+
+def test_index_keys_keep_types_apart(eng, monkeypatch):
+    eng.consult_text("p('1', atom). p(1, int). q(f(a), one). q(f(a,b), two). "
+                     "r([], nil). r([_|_], cons). r(x, atom).")
+    assert tried(eng, "p('1', T).", monkeypatch) == (["T = atom"], 1)
+    assert tried(eng, "p(1, T).", monkeypatch) == (["T = int"], 1)
+    assert tried(eng, "q(f(X), T).", monkeypatch) == (["X = a, T = one"], 1)
+    assert tried(eng, "q(f(X,Y), T).", monkeypatch) == (["X = a, Y = b, T = two"], 1)
+    assert tried(eng, "r([], T).", monkeypatch) == (["T = nil"], 1)
+    assert tried(eng, "r([a,b], T).", monkeypatch) == (["T = cons"], 1)
+    assert tried(eng, "r(y, T).", monkeypatch) == ([], 0)
+    # an unbound first argument: every clause, in source order
+    assert tried(eng, "r(X, T).", monkeypatch)[1] == 3
+
+
+def test_index_keeps_source_order(eng, monkeypatch):
+    eng.consult_text("p(a,1). p(b,2). p(a,3). p(c,4). p(b,5). p(a,6).")
+    assert tried(eng, "p(a,N).", monkeypatch) == (["N = 1", "N = 3", "N = 6"], 3)
+    # the first argument is unbound, so the second one selects
+    assert tried(eng, "p(K,5).", monkeypatch) == (["K = b"], 1)
+
+
+def test_index_is_exact_for_deterministic_calls(eng, monkeypatch):
+    eng.consult_text("app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R).")
+    # one clause tried per call: the index rules the other clause out
+    assert tried(eng, "app([1,2,3],[4],R).", monkeypatch) == (["R = [1,2,3,4]"], 4)
+
+
+def test_goal_argument_bound_to_program_variable_uses_index(eng, monkeypatch):
+    eng.consult_text("k(1,one). k(2,two). k(3,three). "
+                     "set(X) :- ~N = X. get(V) :- k(~N, V).")
+    # set/1 and get/1 each try their one clause, k/2 only the matching one
+    assert tried(eng, "set(2), get(V).", monkeypatch) == (["V = two"], 3)
+
+
+def test_program_variable_in_head_is_not_indexed(eng):
+    eng.consult_text("v(a, ~C). v(b, red). v(c, ~C).")
+    # the second call builds the index on argument 2 while ~C is bound
+    assert answers(eng, "v(a, green), v(X, green).") == ["X = a", "X = c"]
+    assert eng.store.bound_cells() == []
+    assert answers(eng, "v(X, blue).") == ["X = a", "X = c"]
+    assert answers(eng, "v(X, red).") == ["X = a", "X = b", "X = c"]
+
+
+def test_consult_after_query_drops_index(eng):
+    eng.consult_text("p(1). p(2).")
+    assert answers(eng, "p(3).") == []
+    eng.consult_text("p(3).")
+    assert answers(eng, "p(3).") == ["true"]
+    assert answers(eng, "p(5).") == []
+    eng.consult_text("p(_).")  # the argument is no longer indexable
+    assert answers(eng, "p(5).") == ["true"]
+    assert answers(eng, "p(1).") == ["true", "true"]
+
+
+def test_mixed_position_keeps_every_answer(eng):
+    eng.consult_text("m(a, 1). m(X, 2). m(b, 3).")
+    assert answers(eng, "m(a, N).") == ["N = 1", "N = 2"]
+    assert answers(eng, "m(b, N).") == ["N = 2", "N = 3"]
+    assert answers(eng, "m(c, N).") == ["N = 2"]
+
+
 # --- configuration flags -----------------------------------------------------
 
 
@@ -311,10 +391,10 @@ def test_no_prelude_flag():
 
 
 def test_deep_input_raises_prolog_error(eng):
-    # deeper than the Python stack: an error the caller can handle, not a
+    # is/2 walks a sum deeper than the Python stack with its own stack
+    assert answers(eng, "X is " + "+".join(["1"] * 5000) + ".") == ["X = 5000"]
+    # other input that deep: an error the caller can handle, not a
     # RecursionError
-    with pytest.raises(ResourceLimitError, match="nested too deeply"):
-        list(eng.query("X is " + "+".join(["1"] * 5000) + "."))
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
         eng.consult_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").")
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
