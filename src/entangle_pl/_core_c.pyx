@@ -193,8 +193,9 @@ cpdef bint unify(Term a, Term b, Store store, bint occurs_check=False):
 def copy_terms(terms, Store store, mapping=None):
     """Copy terms with one shared fresh-variable mapping.
 
-    Plain variables are replaced by fresh cells; EVar cells are returned
-    as-is so the copy still shares them.  Bound variables copy their value.
+    Plain variables are replaced by fresh cells; unbound EVar cells are
+    returned as-is so the copy still shares them.  Bound variables, EVar
+    cells included, copy their value.
     """
     if mapping is None:
         mapping = {}

@@ -8,9 +8,15 @@ Terms are immutable except for variable cells.  A ``Var`` is a single
 assignment cell: ``ref`` is None while unbound and is written exactly once
 per binding epoch (every write is trailed, so backtracking resets it to
 None).  ``EVar`` cells behave identically under unification but are global
-to a program: the reader interns them by name and ``copy_terms`` returns
-them unchanged instead of freshening them, which is what lets one binding
-travel across clause boundaries until the query that produced it is undone.
+to a program: the reader interns them by name, and the engine's clause
+templates keep them as cells instead of freshening them, which is what lets
+one binding travel across clause boundaries until the query that produced
+it is undone.
+
+``copy_term``/``copy_terms`` dereference first, so an unbound ``EVar`` comes
+back as itself but a bound one is copied by value, its variables renamed.
+That is right for copy_term/2 and findall/3, which call ``copy_term``;
+clauses are not renamed through either.
 """
 
 from __future__ import annotations
@@ -191,8 +197,9 @@ def unify(a: Term, b: Term, store: Store, occurs_check: bool = False) -> bool:
 def copy_terms(terms, store: Store, mapping=None) -> list:
     """Copy terms with one shared fresh-variable mapping.
 
-    Plain variables are replaced by fresh cells; EVar cells are returned
-    as-is so the copy still shares them.  Bound variables copy their value.
+    Plain variables are replaced by fresh cells; unbound EVar cells are
+    returned as-is so the copy still shares them.  Bound variables, EVar
+    cells included, copy their value.
     """
     if mapping is None:
         mapping = {}

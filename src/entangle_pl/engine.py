@@ -23,6 +23,17 @@ source order.  The lookup is exact, so the clause choice point goes at the
 last candidate and a deterministic call leaves none.  Queries never change
 the clause database, so each ``(name, arity, pos)`` table stays valid
 until the next consult drops them all.
+
+A clause is renamed from a template compiled at its first try, not by a
+generic copy.  The template is postfix code for ``[head, body]``: one slot
+per ordinary variable, numbered by first occurrence, so fresh cells get
+the serials a copy would give them; subterms without variables are shared,
+not rebuilt; and a ``~Name`` cell is kept as the cell itself, read without
+``deref``, so a template compiled while a query has the cell bound still
+sees that binding and every later one.  Templates live beside the index
+and the next consult drops them too.  The instantiator is the module-level
+``copy_terms``, called once per clause try and followed by the head
+``unify``: that pair is where the benchmark's tracer counts clause tries.
 """
 
 from __future__ import annotations
@@ -45,13 +56,13 @@ from .kernel import (
     NIL,
     TRUE,
     Atom,
+    EVar,
     Int,
     Store,
     Struct,
     Var,
     compare_terms,
     copy_term,
-    copy_terms,
     deref,
     list_parts,
     make_list,
@@ -141,6 +152,59 @@ def _arg_table(clauses, pos):
     return table
 
 
+def _compile(clause):
+    """Template code for a stored ``(head, body)`` clause: its terms in
+    postfix, where an int is a slot (one per ordinary variable, numbered by
+    first occurrence), ``(name, n)`` builds a Struct from the last ``n``
+    values, and anything else is used as it is.  The stored terms are read
+    without ``deref``, so a ``~Name`` cell stays a cell even while a query
+    has it bound."""
+    slots = {}
+    code = []
+    todo = [clause[1], clause[0]]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # (compound, start): its arguments' code ends here
+            t, start = t
+            n = len(t.args)
+            if len(code) - start == n and not any(type(c) is int for c in code[start:]):
+                code[start:] = (t,)  # no slot below: share the stored subterm
+            else:
+                code.append((t.name, n))
+        elif isinstance(t, EVar):
+            code.append(t)
+        elif isinstance(t, Var):
+            code.append(slots.setdefault(t, len(slots)))
+        elif isinstance(t, Struct):
+            todo.append((t, len(code)))
+            todo.extend(reversed(t.args))
+        else:
+            code.append(t)
+    return code, len(slots)
+
+
+def copy_terms(template, store):
+    """Instantiate a clause template as a fresh ``[head, body]``; the slot
+    cells are made in slot order, so their serials match a generic copy's."""
+    code, nslots = template
+    new_var = store.new_var
+    frame = [new_var() for _ in range(nslots)]
+    vals = []
+    push = vals.append
+    for op in code:
+        kind = type(op)
+        if kind is int:
+            push(frame[op])
+        elif kind is tuple:
+            n = op[1]
+            args = tuple(vals[-n:])
+            del vals[-n:]
+            push(Struct(op[0], args))
+        else:
+            push(op)
+    return vals
+
+
 class _ClauseCP:
     __slots__ = ("goal", "clauses", "idx", "cont", "mark", "barrier")
 
@@ -186,6 +250,9 @@ class Engine:
         self.db = {}
         # (name, arity, pos) -> _arg_table(...), built at first use
         self._index = {}
+        # id(clause) -> _compile(clause), built at its first try; the ids
+        # stay unique because self.db keeps every clause alive
+        self._templates = {}
         self.occurs_check = occurs_check
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
@@ -205,6 +272,7 @@ class Engine:
             arity = len(head.args) if isinstance(head, Struct) else 0
             self.db.setdefault((head.name, arity), []).append((head, body))
         self._index.clear()
+        self._templates.clear()
 
     def consult_file(self, path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -368,6 +436,7 @@ class Engine:
     def _backtrack(self, cps):
         store = self.store
         occ = self.occurs_check
+        templates = self._templates
         while cps:
             cp = cps[-1]
             store.undo_to(cp.mark)
@@ -377,7 +446,11 @@ class Engine:
             clauses = cp.clauses
             idx = cp.idx
             while idx < len(clauses):
-                head, body = copy_terms(clauses[idx], store)
+                clause = clauses[idx]
+                template = templates.get(id(clause))
+                if template is None:
+                    template = templates[id(clause)] = _compile(clause)
+                head, body = copy_terms(template, store)
                 idx += 1
                 if unify(head, cp.goal, store, occ):
                     cp.idx = idx

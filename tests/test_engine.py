@@ -1,6 +1,7 @@
 """Solver behavior: control constructs, builtins, errors, store hygiene."""
 
 import io
+import itertools
 
 import pytest
 
@@ -362,6 +363,70 @@ def test_mixed_position_keeps_every_answer(eng):
     assert answers(eng, "m(a, N).") == ["N = 1", "N = 2"]
     assert answers(eng, "m(b, N).") == ["N = 2", "N = 3"]
     assert answers(eng, "m(c, N).") == ["N = 2"]
+
+
+# --- clause templates ------------------------------------------------------
+
+
+def test_program_variable_binding_reaches_later_clauses(eng):
+    # once ~C holds f(Y), later clauses see that same Y, not a renamed copy
+    eng.consult_text("p :- ~C = f(_). q(Z) :- ~C = f(Z). r(W) :- ~C = f(W).")
+    assert answers(eng, "p, q(a), r(W).") == ["W = a"]
+    assert len(answers(eng, "p, q(Z), r(W), Z == W.")) == 1
+    assert eng.store.bound_cells() == []
+
+
+def test_template_compiled_while_program_variable_bound(eng):
+    eng.consult_text("k(V) :- ~S = V. g(X) :- X = ~S. h(t(~S, a)).")
+    # g/1 and h/1 are first tried while ~S holds a term with a variable
+    assert answers(eng, "k(m(A)), g(X), h(T).") == [
+        "A = _G70, X = m(_G70), T = t(m(_G70),a)"]
+    assert eng.store.bound_cells() == []
+    # their templates still hold the cell, unbound again after the reset
+    assert len(answers(eng, "g(X), var(X), h(t(Y, a)), X == Y.")) == 1
+    assert answers(eng, "k(2), g(X), h(T).") == ["X = 2, T = t(2,a)"]
+
+
+def test_repeated_head_variables(eng):
+    eng.consult_text("eq(X, X).")
+    assert answers(eng, "eq(a, B).") == ["B = a"]
+    assert answers(eng, "eq(f(A), f(b)).") == ["A = b"]
+    assert answers(eng, "eq(a, b).") == []
+    assert len(answers(eng, "eq(A, B), A == B.")) == 1
+
+
+def test_ground_subterms_are_shared(eng):
+    eng.consult_text("gc(f(g(a), [1,2]), X) :- X = h(k).")
+    assert answers(eng, "gc(f(G, L), X).") == ["G = g(a), L = [1,2], X = h(k)"]
+    assert answers(eng, "gc(f(g(b), L), X).") == []
+    clause = eng.db[("gc", 2)][0]
+    head, body = engine_module.copy_terms(engine_module._compile(clause), eng.store)
+    assert head.args[0] is clause[0].args[0]
+    assert body.args[1] is clause[1].args[1]
+    assert head.args[1] is body.args[0] and head.args[1] is not clause[0].args[1]
+
+
+def test_consult_after_templates_are_built(eng):
+    eng.consult_text("c(1). c(X) :- X = one.")
+    assert answers(eng, "c(X).") == ["X = 1", "X = one"]
+    eng.consult_text("c(2). c(Y) :- Y = two.")
+    assert answers(eng, "c(X).") == ["X = 1", "X = one", "X = 2", "X = two"]
+
+
+def test_fresh_variable_serials_are_stable(eng):
+    # the renderings of unbound answers are pinned: templates make fresh
+    # cells in the order a generic copy of the clause makes them in
+    eng.consult_text("app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R). "
+                     "pair(X, p(X, Y, g(a)), Y).")
+    assert answers(eng, "app(X, Y, [1,2]).") == [
+        "X = [], Y = [1,2]", "X = [1], Y = [2]", "X = [1,2], Y = []"]
+    assert [str(s) for s in itertools.islice(eng.query("app(X, [a], Z)."), 3)] == [
+        "X = [], Z = [a]",
+        "X = [_G94], Z = [_G94,a]",
+        "X = [_G94,_G99], Z = [_G94,_G99,a]",
+    ]
+    assert answers(eng, "pair(A, P, B).") == [
+        "A = _G104, P = p(_G104,_G106,g(a)), B = _G106"]
 
 
 # --- configuration flags -----------------------------------------------------

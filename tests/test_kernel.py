@@ -10,15 +10,20 @@ def test_kernel_selection_env(monkeypatch):
 
     import entangle_pl.kernel as K
 
-    monkeypatch.setenv("ENTANGLE_PL_KERNEL", "py")
-    mod = importlib.reload(K)
-    assert mod.IMPL == "py"
-    monkeypatch.setenv("ENTANGLE_PL_KERNEL", "bogus")
-    with pytest.raises(ImportError):
+    try:
+        monkeypatch.setenv("ENTANGLE_PL_KERNEL", "py")
+        mod = importlib.reload(K)
+        assert mod.IMPL == "py"
+        monkeypatch.setenv("ENTANGLE_PL_KERNEL", "bogus")
+        with pytest.raises(ImportError):
+            importlib.reload(K)
+        monkeypatch.delenv("ENTANGLE_PL_KERNEL")
+        mod = importlib.reload(K)
+        assert mod.IMPL in ("py", "c")
+    finally:
+        # later tests build terms through the kernel the session selected
+        monkeypatch.undo()
         importlib.reload(K)
-    monkeypatch.delenv("ENTANGLE_PL_KERNEL")
-    mod = importlib.reload(K)
-    assert mod.IMPL in ("py", "c")
 
 
 def test_var_serials_increase(kernel):

@@ -48,6 +48,10 @@ def test_check_program_reports_per_query():
     assert results[0].native == 1 and results[1].native == 0
     long_body = "a(~X). p :- " + ", ".join(["a(1)"] * 3000) + "."
     assert [r.ok for r in check_program(long_body, ["p.", "a(2), p."])] == [True, True]
+    # a ~Name cell bound to a term with a variable: later clauses share it
+    shared = "p :- ~C = f(_). q(Z) :- ~C = f(Z). r(W) :- ~C = f(W)."
+    results = check_program(shared, ["p, q(a), r(W).", "p, q(Z), r(W), Z == W."])
+    assert [(r.ok, r.native) for r in results] == [(True, 1), (True, 1)]
 
 
 def test_listing_queries_are_skipped():
