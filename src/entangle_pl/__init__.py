@@ -23,10 +23,11 @@ from .errors import (
     TranspileError,
     TypeMismatchError,
 )
-from .kernel import IMPL as KERNEL_IMPL
 from .transpiler import TranspileResult, collect_evars, transform_query, transpile
 
 __version__ = "0.1.0"
+# name of the term kernel, which is pure Python; perfbench records it
+KERNEL_IMPL = "py"
 
 __all__ = [
     "Engine",

@@ -206,6 +206,8 @@ def main(argv=None) -> int:
         parser.error("--transpile requires at least one program file")
     if args.oracle_check is not None and args.files:
         parser.error("--oracle-check does not take program files")
+    if args.max_solutions is not None and args.max_solutions < 1:
+        parser.error("--max-solutions must be at least 1")
 
     try:
         if args.oracle_check is not None:

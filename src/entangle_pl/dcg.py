@@ -56,11 +56,18 @@ def _trans(body, s0, store):
             goal = _conj(g, goal)
         return goal, s0
     if name == ";" and len(args) == 2:
-        ga, sa = _trans(args[0], s0, store)
-        gb, sb = _trans(args[1], s0, store)
-        if sb is not sa:
-            gb = _conj(gb, Struct("=", (sb, sa)))
-        return Struct(";", (_or_true(ga), _or_true(gb))), sa
+        # alternatives translate left to right, then fold right to left;
+        # each right branch links its end state to its left neighbour's
+        alts = []
+        while isinstance(b, Struct) and b.name == ";" and len(b.args) == 2:
+            alts.append(_trans(b.args[0], s0, store))
+            b = deref(b.args[1])
+        goal, s_end = _trans(b, s0, store)
+        for g, s in reversed(alts):
+            if s_end is not s:
+                goal = _conj(goal, Struct("=", (s_end, s)))
+            goal, s_end = Struct(";", (_or_true(g), _or_true(goal))), s
+        return goal, s_end
     if name == "->" and len(args) == 2:
         gc, s1 = _trans(args[0], s0, store)
         gt, s2 = _trans(args[1], s1, store)

@@ -259,7 +259,6 @@ class Engine:
         self.max_frames = max_frames
         self.out = out
         self._steps = 0
-        self._ignore_cuts = False  # regression hook: cut transparency checks
         if load_prelude:
             self.consult_text(prelude_text())
 
@@ -368,8 +367,7 @@ class Engine:
                 failing = True
                 continue
             if name == "!" and arity == 0:
-                if not self._ignore_cuts:
-                    del cps[barrier:]
+                del cps[barrier:]
                 continue
             ite = None
             if name == ";" and arity == 2:

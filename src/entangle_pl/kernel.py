@@ -1,44 +1,271 @@
-"""Selects the term kernel at import time.
+"""Term kernel: term types, binding store, trail, unification, term copying
+and the standard order of terms.
 
-Set ``ENTANGLE_PL_KERNEL=c`` or ``=py`` to force one implementation; by
-default the compiled kernel is used when it imported successfully and the
-pure-Python kernel otherwise.  Both expose the same names and semantics.
+Terms are immutable except for variable cells.  A ``Var`` is a single
+assignment cell: ``ref`` is None while unbound and is written exactly once
+per binding epoch (every write is trailed, so backtracking resets it to
+None).  ``EVar`` cells behave identically under unification but are global
+to a program: the reader interns them by name, and the engine's clause
+templates keep them as cells instead of freshening them, which is what lets
+one binding travel across clause boundaries until the query that produced
+it is undone.
+
+``copy_term`` dereferences first, so an unbound ``EVar`` comes back as
+itself but a bound one is copied by value, its variables renamed.  That is
+right for copy_term/2 and findall/3, which call it; clauses are not renamed
+through it.
 """
 
 from __future__ import annotations
 
-import os
 
-_requested = os.environ.get("ENTANGLE_PL_KERNEL", "").strip().lower()
+class Term:
+    __slots__ = ()
 
-if _requested == "py":
-    from . import _core_py as _impl
-elif _requested == "c":
-    from . import _core_c as _impl  # type: ignore[attr-defined]
-elif _requested in ("", "auto"):
-    try:
-        from . import _core_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as _impl
-else:
-    raise ImportError(
-        f"ENTANGLE_PL_KERNEL={_requested!r} is not one of 'c', 'py', 'auto'"
-    )
 
-IMPL = _impl.IMPL
-Term = _impl.Term
-Atom = _impl.Atom
-Int = _impl.Int
-Var = _impl.Var
-EVar = _impl.EVar
-Struct = _impl.Struct
-Store = _impl.Store
-deref = _impl.deref
-occurs = _impl.occurs
-unify = _impl.unify
-copy_term = _impl.copy_term
-copy_terms = _impl.copy_terms
-compare_terms = _impl.compare_terms
+class Atom(Term):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self):
+        return f"Atom({self.name!r})"
+
+
+class Int(Term):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __repr__(self):
+        return f"Int({self.value})"
+
+
+class Var(Term):
+    __slots__ = ("ref", "serial", "name")
+
+    def __init__(self, serial: int, name=None):
+        self.ref = None
+        self.serial = serial
+        self.name = name
+
+    def __repr__(self):
+        state = "unbound" if self.ref is None else "bound"
+        return f"Var({self.serial}, {self.name!r}, {state})"
+
+
+class EVar(Var):
+    """Interned, program-wide variable cell (written ``~Name`` in source)."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        state = "unbound" if self.ref is None else "bound"
+        return f"EVar({self.serial}, {self.name!r}, {state})"
+
+
+class Struct(Term):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
+
+    def __repr__(self):
+        return f"Struct({self.name!r}, {self.args!r})"
+
+
+class Store:
+    """Owns every variable cell, the trail, and the EVar intern table."""
+
+    __slots__ = ("cells", "trail", "evars", "_serial")
+
+    def __init__(self):
+        self.cells = []
+        self.trail = []
+        self.evars = {}
+        self._serial = 0
+
+    def new_var(self, name=None) -> Var:
+        v = Var(self._serial, name)
+        self._serial += 1
+        self.cells.append(v)
+        return v
+
+    def evar(self, name: str) -> EVar:
+        """Return the one cell for ``name`` (e.g. ``~X``), creating it once."""
+        v = self.evars.get(name)
+        if v is None:
+            v = EVar(self._serial, name)
+            self._serial += 1
+            self.cells.append(v)
+            self.evars[name] = v
+        return v
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def bind(self, cell: Var, value: Term):
+        assert cell.ref is None, "attempt to rebind a bound cell"
+        cell.ref = value
+        self.trail.append(cell)
+
+    def undo_to(self, mark: int):
+        trail = self.trail
+        assert mark <= len(trail), "undo past an invalidated trail mark"
+        while len(trail) > mark:
+            trail.pop().ref = None
+
+    def bound_cells(self):
+        """Full-store scan; used by the reset invariant and by tests."""
+        return [c for c in self.cells if c.ref is not None]
+
+
+def deref(t: Term) -> Term:
+    while isinstance(t, Var):
+        r = t.ref
+        if r is None:
+            return t
+        t = r
+    return t
+
+
+def occurs(v: Var, t: Term) -> bool:
+    stack = [t]
+    while stack:
+        x = deref(stack.pop())
+        if x is v:
+            return True
+        if isinstance(x, Struct):
+            stack.extend(x.args)
+    return False
+
+
+def unify(a: Term, b: Term, store: Store, occurs_check: bool = False) -> bool:
+    """Unify two terms; on failure the store is exactly as it was before."""
+    start = store.mark()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x = deref(x)
+        y = deref(y)
+        if x is y:
+            continue
+        if isinstance(x, Var):
+            if isinstance(y, Var):
+                if y.serial < x.serial:
+                    x, y = y, x
+                store.bind(y, x)
+                continue
+            if occurs_check and occurs(x, y):
+                store.undo_to(start)
+                return False
+            store.bind(x, y)
+            continue
+        if isinstance(y, Var):
+            if occurs_check and occurs(y, x):
+                store.undo_to(start)
+                return False
+            store.bind(y, x)
+            continue
+        if isinstance(x, Atom):
+            if isinstance(y, Atom) and x.name == y.name:
+                continue
+        elif isinstance(x, Int):
+            if isinstance(y, Int) and x.value == y.value:
+                continue
+        elif isinstance(x, Struct):
+            if (
+                isinstance(y, Struct)
+                and x.name == y.name
+                and len(x.args) == len(y.args)
+            ):
+                stack.extend(zip(x.args, y.args))
+                continue
+        store.undo_to(start)
+        return False
+    return True
+
+
+def copy_term(t: Term, store: Store) -> Term:
+    """Copy a term with fresh variables.
+
+    Plain variables are replaced by fresh cells, shared where the original
+    shares them; unbound EVar cells are returned as-is so the copy still
+    shares them.  Bound variables, EVar cells included, copy their value.
+    """
+    mapping = {}
+    out = []
+    stack = [t]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            name, n = item
+            args = tuple(out[len(out) - n :])
+            del out[len(out) - n :]
+            out.append(Struct(name, args))
+            continue
+        x = deref(item)
+        if isinstance(x, EVar):
+            out.append(x)
+        elif isinstance(x, Var):
+            nv = mapping.get(x)
+            if nv is None:
+                nv = store.new_var()
+                mapping[x] = nv
+            out.append(nv)
+        elif isinstance(x, Struct):
+            stack.append((x.name, len(x.args)))
+            for i in range(len(x.args) - 1, -1, -1):
+                stack.append(x.args[i])
+        else:
+            out.append(x)
+    return out[0]
+
+
+def _rank(t: Term) -> int:
+    if isinstance(t, Var):
+        return 0
+    if isinstance(t, Int):
+        return 1
+    if isinstance(t, Atom):
+        return 2
+    return 3
+
+
+def compare_terms(a: Term, b: Term) -> int:
+    """Standard order: Var < Int < Atom < Compound; -1, 0 or 1."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x = deref(x)
+        y = deref(y)
+        if x is y:
+            continue
+        rx = _rank(x)
+        ry = _rank(y)
+        if rx != ry:
+            return -1 if rx < ry else 1
+        if rx == 0:
+            if x.serial != y.serial:
+                return -1 if x.serial < y.serial else 1
+        elif rx == 1:
+            if x.value != y.value:
+                return -1 if x.value < y.value else 1
+        elif rx == 2:
+            if x.name != y.name:
+                return -1 if x.name < y.name else 1
+        else:
+            if len(x.args) != len(y.args):
+                return -1 if len(x.args) < len(y.args) else 1
+            if x.name != y.name:
+                return -1 if x.name < y.name else 1
+            for i in range(len(x.args) - 1, -1, -1):
+                stack.append((x.args[i], y.args[i]))
+    return 0
+
 
 NIL = Atom("[]")
 TRUE = Atom("true")

@@ -61,10 +61,11 @@ def collect_evars(text: str) -> list:
     return _layout_of(pairs)
 
 
-def _conj_fold(goals):
+def _conj_fold(goals, op=","):
+    """Join goals into a right-nested ``op/2`` chain (a conjunction by default)."""
     acc = goals[-1]
     for g in reversed(goals[:-1]):
-        acc = Struct(",", (g, acc))
+        acc = Struct(op, (g, acc))
     return acc
 
 
@@ -136,14 +137,14 @@ class _Rewriter:
         name = t.name
         args = t.args
         arity = len(args)
-        if name == "," and arity == 2:
+        if name in (",", ";") and arity == 2:
             goals = []
-            while isinstance(t, Struct) and t.name == "," and len(t.args) == 2:
+            while isinstance(t, Struct) and t.name == name and len(t.args) == 2:
                 goals.append(self.rewrite_goal(t.args[0], env))
                 t = deref(t.args[1])
             goals.append(self.rewrite_goal(t, env))
-            return _conj_fold(goals)
-        if name in (";", "->") and arity == 2:
+            return _conj_fold(goals, name)
+        if name == "->" and arity == 2:
             return Struct(
                 name,
                 (self.rewrite_goal(args[0], env), self.rewrite_goal(args[1], env)),

@@ -17,8 +17,8 @@ import re
 
 import pytest
 
-from conftest import KERNELS, answers
-from entangle_pl import Engine, InstantiationError, corpus_dir
+from conftest import answers
+from entangle_pl import Engine, InstantiationError, corpus_dir, kernel
 from entangle_pl.cli import main
 from entangle_pl.oracle import check_directory, read_queries
 from entangle_pl.reader import read_program, write_clause
@@ -218,7 +218,7 @@ def test_08_transpiled_corpus_equivalent_and_cli_check_passes(capsys):
 # --- criterion 9: property suites -------------------------------------------
 
 
-def _random_term(kernel, rng, vars_pool, depth=0):
+def _random_term(rng, vars_pool, depth=0):
     if depth >= 3 or rng.random() < 0.25:
         leaf = rng.random()
         if leaf < 0.4:
@@ -230,28 +230,27 @@ def _random_term(kernel, rng, vars_pool, depth=0):
     arity = rng.randrange(1, 4)
     return kernel.Struct(
         name,
-        tuple(_random_term(kernel, rng, vars_pool, depth + 1) for _ in range(arity)),
+        tuple(_random_term(rng, vars_pool, depth + 1) for _ in range(arity)),
     )
 
 
 def test_09_property_suites():
     # (a) a failed unification restores the store completely
-    for kernel in KERNELS:
-        rng = random.Random(20260814)
-        store = kernel.Store()
-        pool = [store.new_var() for _ in range(6)]
-        mark = store.mark()
-        failures = 0
-        for _ in range(200):
-            a = _random_term(kernel, rng, pool)
-            b = _random_term(kernel, rng, pool)
-            if kernel.unify(a, b, store, False):
-                store.undo_to(mark)  # discard the successful experiment
-            else:
-                failures += 1
-                assert store.mark() == mark
-                assert store.bound_cells() == []
-        assert failures >= 40, "the random stream must actually exercise failures"
+    rng = random.Random(20260814)
+    store = kernel.Store()
+    pool = [store.new_var() for _ in range(6)]
+    mark = store.mark()
+    failures = 0
+    for _ in range(200):
+        a = _random_term(rng, pool)
+        b = _random_term(rng, pool)
+        if kernel.unify(a, b, store, False):
+            store.undo_to(mark)  # discard the successful experiment
+        else:
+            failures += 1
+            assert store.mark() == mark
+            assert store.bound_cells() == []
+    assert failures >= 40, "the random stream must actually exercise failures"
 
     # (b) every binding made while answering a query is trailed: after each
     # corpus query runs to exhaustion, a full store scan finds nothing bound
@@ -276,15 +275,14 @@ def test_09_property_suites():
             assert once == twice
 
     # (d) term comparison is a total order on randomized triples
-    for kernel in KERNELS:
-        rng = random.Random(417)
-        store = kernel.Store()
-        pool = [store.new_var() for _ in range(4)]
-        terms = [_random_term(kernel, rng, pool) for _ in range(40)]
-        cmp = kernel.compare_terms
-        for _ in range(150):
-            a, b, c = rng.choice(terms), rng.choice(terms), rng.choice(terms)
-            assert cmp(a, b) == -cmp(b, a)
-            assert cmp(a, a) == 0
-            if cmp(a, b) <= 0 and cmp(b, c) <= 0:
-                assert cmp(a, c) <= 0
+    rng = random.Random(417)
+    store = kernel.Store()
+    pool = [store.new_var() for _ in range(4)]
+    terms = [_random_term(rng, pool) for _ in range(40)]
+    cmp = kernel.compare_terms
+    for _ in range(150):
+        a, b, c = rng.choice(terms), rng.choice(terms), rng.choice(terms)
+        assert cmp(a, b) == -cmp(b, a)
+        assert cmp(a, a) == 0
+        if cmp(a, b) <= 0 and cmp(b, c) <= 0:
+            assert cmp(a, c) <= 0

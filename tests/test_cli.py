@@ -10,6 +10,7 @@ import pytest
 import entangle_pl
 from entangle_pl import corpus_dir
 from entangle_pl.cli import main
+from entangle_pl.oracle import check_program
 
 
 @pytest.fixture
@@ -117,10 +118,18 @@ def test_deep_term_exit_2(tmp_path, capsys):
     _deep_error([str(f), "-q", "p(X)"], capsys)
 
 
-def test_transpile_long_body_exit_2(tmp_path, capsys):
-    # the engine runs this body; the transpiler still recurses on ;/2
+def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
+    # a ;/2 chain is walked in a loop, so the oracle can check it
+    text = "a.\np :- " + " ; ".join(["a"] * 3000) + ".\n"
     f = tmp_path / "long.pl"
-    f.write_text("a.\np :- " + " ; ".join(["a"] * 3000) + ".\n")
+    f.write_text(text)
+    code, out, err = run_main([str(f), "--transpile", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count(";") == 2999
+    results = check_program(text, ["p.", "a, p."])
+    assert [r.ok for r in results] == [True, True]
+    # ->/2 nesting still recurses: too deep is one error line, exit 2
+    f.write_text("a.\np :- " + " -> ".join(["a"] * 3000) + ".\n")
     _deep_error([str(f), "--transpile", "-"], capsys)
 
 
@@ -165,6 +174,16 @@ def test_transpile_requires_files(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--transpile", "-"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_max_solutions_below_one_exit_2(coloring_file, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([coloring_file, "-q", "color(C)", "--max-solutions", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-solutions must be at least 1" in captured.err
 
 
 # --- transpile mode --------------------------------------------------------------

@@ -3,7 +3,7 @@
 Each ``<name>.pl`` program in the corpus has a sibling ``<name>.queries``
 file and a ``<name>.expected`` transcript.  The transcript is the canonical
 rendering of every solution to every query, with variable serial numbers
-renumbered per query block so the text is stable across runs and kernels.
+renumbered per query block so the text is stable across runs.
 These tests freeze end-to-end behaviour: any change to the reader, engine,
 prelude, or solution printer that alters observable answers shows up as a
 byte-level diff here.

@@ -126,6 +126,9 @@ def test_phrase_recursion(gram):
     gram.consult_text("long --> " + ", ".join(["[a]"] * 3000) + ".")
     assert answers(gram, "phrase(long, [" + ",".join(["a"] * 3000) + "]).") == ["true"]
     assert answers(gram, "phrase(long, [a,a]).") == []
+    gram.consult_text("alt --> " + " ; ".join(f"[x{i}]" for i in range(3000)) + ".")
+    assert answers(gram, "phrase(alt, [x2999]).") == ["true"]
+    assert answers(gram, "phrase(alt, [x0, x1]).") == []
 
 
 def test_phrase_errors(gram):

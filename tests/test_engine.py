@@ -463,9 +463,10 @@ def test_deep_input_raises_prolog_error(eng):
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
         eng.consult_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").")
     with pytest.raises(ResourceLimitError, match="nested too deeply"):
-        transpile("p :- " + " ; ".join(["a"] * 3000) + ".")
-    # a long conjunction is walked in a loop, not recursed into
+        transpile("p :- " + " -> ".join(["a"] * 3000) + ".")
+    # long conjunctions and disjunctions are walked in a loop, not recursed into
     assert transpile("p :- " + ", ".join(["true"] * 3000) + ".").text.count(",") == 2999
+    assert transpile("p :- " + " ; ".join(["true"] * 3000) + ".").text.count(";") == 2999
 
 
 def test_frame_budget():
@@ -486,14 +487,3 @@ def test_evars_reset_between_queries_but_not_within(eng):
     assert answers(eng, "two(1,B).") == ["B = 1"]
     assert answers(eng, "two(2,B).") == ["B = 2"]  # fresh again after reset
 
-
-def test_cut_transparency_hook(eng):
-    eng.consult_text("t(1). t(2). s(X) :- t(X), !.")
-    assert answers(eng, "s(X).") == ["X = 1"]
-    eng._ignore_cuts = True
-    # with user cuts neutralized the clause enumerates freely...
-    assert answers(eng, "s(X).") == ["X = 1", "X = 2"]
-    # ...but if-then-else commitment is engine-level and stays intact
-    assert answers(eng, "(t(X) -> R = yes ; R = no).") == ["X = 1, R = yes"]
-    eng._ignore_cuts = False
-    assert answers(eng, "s(X).") == ["X = 1"]
