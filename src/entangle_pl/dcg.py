@@ -4,7 +4,8 @@ A rule ``H --> B`` becomes a plain clause whose head gets two extra
 arguments threading the token state; terminal lists become unifications
 against the state, ``{G}`` escapes pass G through untouched, and control
 constructs (``,``, ``;``, ``->``, ``\\+``, ``!``) are threaded per the
-usual DCG scheme.
+usual DCG scheme.  The translation walks a body with one explicit stack,
+so bodies of any length or nesting translate.
 """
 
 from __future__ import annotations
@@ -28,63 +29,80 @@ def _or_true(g):
 
 
 def _trans(body, s0, store):
-    """Translate one DCG body item; returns (goal or None, end-state term)."""
-    b = deref(body)
-    if isinstance(b, Var):
-        # variable nonterminal: expanded at call time
-        s1 = store.new_var()
-        return Struct("phrase", (b, s0, s1)), s1
-    if isinstance(b, Int):
-        raise TypeMismatchError(f"DCG body item is not callable: {b.value}")
-    if isinstance(b, Atom):
-        if b.name == "[]":
-            return None, s0
-        if b.name == "!":
-            return b, s0
-        s1 = store.new_var()
-        return Struct(b.name, (s0, s1)), s1
-    name = b.name
-    args = b.args
-    if name == "," and len(args) == 2:
-        goals = []
-        while isinstance(b, Struct) and b.name == "," and len(b.args) == 2:
-            g, s0 = _trans(b.args[0], s0, store)
-            goals.append(g)
-            b = deref(b.args[1])
-        goal, s0 = _trans(b, s0, store)
-        for g in reversed(goals):
-            goal = _conj(g, goal)
-        return goal, s0
-    if name == ";" and len(args) == 2:
-        # alternatives translate left to right, then fold right to left;
-        # each right branch links its end state to its left neighbour's
-        alts = []
-        while isinstance(b, Struct) and b.name == ";" and len(b.args) == 2:
-            alts.append(_trans(b.args[0], s0, store))
-            b = deref(b.args[1])
-        goal, s_end = _trans(b, s0, store)
-        for g, s in reversed(alts):
-            if s_end is not s:
-                goal = _conj(goal, Struct("=", (s_end, s)))
-            goal, s_end = Struct(";", (_or_true(g), _or_true(goal))), s
-        return goal, s_end
-    if name == "->" and len(args) == 2:
-        gc, s1 = _trans(args[0], s0, store)
-        gt, s2 = _trans(args[1], s1, store)
-        return Struct("->", (_or_true(gc), _or_true(gt))), s2
-    if name == "\\+" and len(args) == 1:
-        g, _ = _trans(args[0], s0, store)
-        return Struct("\\+", (_or_true(g),)), s0
-    if name == "{}" and len(args) == 1:
-        return args[0], s0
-    if name == "." and len(args) == 2:
-        items, tail = list_parts(b)
-        if not (isinstance(tail, Atom) and tail.name == "[]"):
-            raise TypeMismatchError("DCG terminal list must be a proper list")
-        s1 = store.new_var()
-        return Struct("=", (s0, make_list(items, s1))), s1
-    s1 = store.new_var()
-    return Struct(name, args + (s0, s1)), s1
+    """Translate a DCG body from state ``s0``; returns (goal or None,
+    end-state term).
+
+    One stack holds body items and combine markers ``(name, state)``, and
+    ``s`` is the state the next item starts at.  ``,`` and ``->`` start
+    the right operand where the left one ended; ``;`` starts both at its
+    own state (``(None, state)`` resets ``s``) and links the right end to
+    the left one's; ``\\+`` ends where it started."""
+    todo = [body]
+    done = []
+    s = s0
+    while todo:
+        b = todo.pop()
+        if type(b) is tuple:
+            name, at = b
+            if name is None:
+                s = at
+                continue
+            g, s = done.pop()
+            if name == "\\+":
+                g, s = Struct(name, (_or_true(g),)), at
+            else:
+                left, s_left = done.pop()
+                if name == ",":
+                    g = _conj(left, g)
+                elif name == "->":
+                    g = Struct(name, (_or_true(left), _or_true(g)))
+                else:  # ;
+                    if s is not s_left:
+                        g = _conj(g, Struct("=", (s, s_left)))
+                    g, s = Struct(name, (_or_true(left), _or_true(g))), s_left
+            done.append((g, s))
+            continue
+        b = deref(b)
+        if isinstance(b, Struct):
+            name = b.name
+            args = b.args
+            if len(args) == 2 and name in (",", "->", ";"):
+                todo += ((name, s), args[1])
+                if name == ";":
+                    todo.append((None, s))
+                todo.append(args[0])
+                continue
+            if name == "\\+" and len(args) == 1:
+                todo += ((name, s), args[0])
+                continue
+        if isinstance(b, Var):
+            # variable nonterminal: expanded at call time
+            s1 = store.new_var()
+            g = Struct("phrase", (b, s, s1))
+        elif isinstance(b, Int):
+            raise TypeMismatchError(f"DCG body item is not callable: {b.value}")
+        elif isinstance(b, Atom):
+            if b.name == "[]":
+                g, s1 = None, s
+            elif b.name == "!":
+                g, s1 = b, s
+            else:
+                s1 = store.new_var()
+                g = Struct(b.name, (s, s1))
+        elif b.name == "{}" and len(b.args) == 1:
+            g, s1 = b.args[0], s
+        elif b.name == "." and len(b.args) == 2:
+            items, tail = list_parts(b)
+            if not (isinstance(tail, Atom) and tail.name == "[]"):
+                raise TypeMismatchError("DCG terminal list must be a proper list")
+            s1 = store.new_var()
+            g = Struct("=", (s, make_list(items, s1)))
+        else:
+            s1 = store.new_var()
+            g = Struct(b.name, b.args + (s, s1))
+        done.append((g, s1))
+        s = s1
+    return done[0]
 
 
 def dcg_translate(head, body, store):

@@ -50,7 +50,6 @@ from .errors import (
     InstantiationError,
     ResourceLimitError,
     TypeMismatchError,
-    nesting_limit,
 )
 from .kernel import (
     NIL,
@@ -273,10 +272,6 @@ class Engine:
         self._index.clear()
         self._templates.clear()
 
-    def consult_file(self, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.consult_text(fh.read())
-
     # --- queries ---------------------------------------------------------
 
     def query(self, text: str):
@@ -297,16 +292,15 @@ class Engine:
         self._steps = 0  # frame budget covers the whole solution sequence
         gen = self._run(goal)
         try:
-            with nesting_limit():
-                for _ in gen:
-                    yield Solution(
-                        {
-                            # argument priority: bare control operators like
-                            # ;/2 would be ambiguous in a comma-joined display
-                            name: write_term(deref(v), use_names=False, priority=999)
-                            for name, v in varmap.items()
-                        }
-                    )
+            for _ in gen:
+                yield Solution(
+                    {
+                        # argument priority: bare control operators like
+                        # ;/2 would be ambiguous in a comma-joined display
+                        name: write_term(deref(v), use_names=False, priority=999)
+                        for name, v in varmap.items()
+                    }
+                )
         finally:
             gen.close()
             self.store.undo_to(start)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 
 class PrologError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -42,19 +40,9 @@ class EvaluationError(PrologError):
 
 
 class ResourceLimitError(PrologError):
-    """The engine exceeded its frame budget, or a term nested deeper than
-    the Python stack allows."""
+    """The engine exceeded its frame budget."""
 
 
 class TranspileError(PrologError):
     """The source-to-source rewriter could not handle the input."""
 
-
-@contextmanager
-def nesting_limit():
-    """Report Python's recursion limit, reached by walking a deeply nested
-    term, as a ResourceLimitError."""
-    try:
-        yield
-    except RecursionError:
-        raise ResourceLimitError("term nested too deeply") from None

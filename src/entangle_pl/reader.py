@@ -4,7 +4,8 @@ the term writer.
 The accepted syntax is a fixed subset of Prolog: the operator tables
 below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
-bodies only.
+bodies only.  The parser and the writer walk terms with explicit stacks,
+so a term may nest as deeply as memory allows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import PrologSyntaxError, nesting_limit
+from .errors import PrologSyntaxError
 from .kernel import Atom, EVar, Int, Struct, TRUE, Var, deref, make_list
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=:?@#&")
@@ -153,6 +154,11 @@ def tokenize(text: str, allow_evar: bool = True) -> list:
     return tokens
 
 
+# The token that closes each bracketed parser frame: "args" is a compound's
+# argument list, "[" a list's items and "|" its tail.
+_CLOSERS = {"(": ")", "{": "}", "args": ")", "[": "]", "|": "]"}
+
+
 class _Parser:
     def __init__(self, tokens, store, varmap=None, pos=0):
         self.tokens = tokens
@@ -172,147 +178,125 @@ class _Parser:
     def err(self, msg: str, tok: Token):
         raise PrologSyntaxError(msg, tok.line, tok.col)
 
-    def expect_punct(self, text: str):
-        t = self.next()
-        if t.kind != "punct" or t.text != text:
-            self.err(f"expected {text!r} but found {t.text!r}", t)
-
     def _starts_term(self, t: Token) -> bool:
         if t.kind in ("atom", "qatom", "var", "evar", "int"):
             return True
         return t.kind == "punct" and t.text in "([{"
 
-    def _attached_paren(self, prev: Token) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == "(" and t.start == prev.end
+    def parse(self):
+        """Read one term of priority at most 1200.
 
-    def _infix(self):
-        """The infix operator the next token names, or None."""
-        t = self.tokens[self.pos]
-        if t.kind == "atom" and t.text in INFIX_OPS:
-            return t.text
-        if t.kind == "punct" and t.text == ",":
-            return ","
-        return None
-
-    def parse(self, maxp: int):
-        left, lp = self.primary(maxp)
+        One loop over a stack of frames, each a construct waiting for an
+        operand: an operator (infix, with its left operand, or prefix),
+        ``(``, ``{``, compound arguments, list items or the list tail.  A
+        frame keeps the priority bound to resume at once the operand is
+        read, so nesting costs no Python stack.  The right operand of an
+        ``xfy`` operator is read at its own priority: ``a,b,c`` is ``a,(b,c)``.
+        """
+        tokens = self.tokens
+        store = self.store
+        varmap = self.varmap
+        pos = self.pos
+        frames = []
+        maxp = 1200
         while True:
-            name = self._infix()
-            if name is None:
-                break
-            p, typ = INFIX_OPS[name]
-            if p > maxp:
-                break
-            lmax = p if typ == "yfx" else p - 1
-            if lp > lmax:
-                break
-            self.next()
-            operands = [left, self.parse(p - 1)[0]]
-            if typ == "xfy":
-                # The right operand of an xfy operator may hold the same
-                # operator again: gather the whole chain here, one loop turn
-                # per operand, so a long clause body costs no Python stack.
-                # Each operator priority has one xfy operator, so this reads
-                # what parse(p) would.
-                while self._infix() == name:
-                    self.next()
-                    operands.append(self.parse(p - 1)[0])
-            left = operands.pop()  # fold from the right: a,b,c is a,(b,c)
-            while operands:
-                left = Struct(name, (operands.pop(), left))
-            lp = p
-        return left, lp
-
-    def primary(self, maxp: int):
-        t = self.next()
-        if t.kind == "int":
-            return Int(int(t.text)), 0
-        if t.kind == "var":
-            if t.text == "_":
-                return self.store.new_var("_"), 0
-            v = self.varmap.get(t.text)
-            if v is None:
-                v = self.store.new_var(t.text)
-                self.varmap[t.text] = v
-            return v, 0
-        if t.kind == "evar":
-            return self.store.evar(t.text), 0
-        if t.kind == "qatom":
-            if self._attached_paren(t):
-                return self.compound(t.text), 0
-            return Atom(t.text), 0
-        if t.kind == "atom":
-            name = t.text
-            if self._attached_paren(t):
-                return self.compound(name), 0
-            if name in PREFIX_OPS:
-                p, typ = PREFIX_OPS[name]
-                if p <= maxp and self._starts_term(self.peek()):
-                    if name == "-":
-                        nt = self.peek()
-                        if nt.kind != "int":
-                            self.err("unary - expects an integer literal", nt)
-                        self.next()
-                        return Int(-int(nt.text)), 0
-                    operand, _ = self.parse(p if typ == "fy" else p - 1)
-                    return Struct(name, (operand,)), p
-            return Atom(name), 0
-        if t.kind == "punct":
-            if t.text == "(":
-                inner, _ = self.parse(1200)
-                self.expect_punct(")")
-                return inner, 0
-            if t.text == "[":
-                return self.list_term(), 0
-            if t.text == "{":
-                nt = self.peek()
-                if nt.kind == "punct" and nt.text == "}":
-                    self.next()
-                    return Atom("{}"), 0
-                inner, _ = self.parse(1200)
-                self.expect_punct("}")
-                return Struct("{}", (inner,)), 0
-        self.err(f"unexpected token {t.text!r}", t)
-
-    def compound(self, name: str) -> Struct:
-        self.expect_punct("(")
-        args = [self.parse(999)[0]]
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == ",":
-                self.next()
-                args.append(self.parse(999)[0])
-                continue
-            break
-        self.expect_punct(")")
-        return Struct(name, tuple(args))
-
-    def list_term(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text == "]":
-            self.next()
-            return Atom("[]")
-        items = [self.parse(999)[0]]
-        tail = None
-        while True:
-            t = self.peek()
-            if t.kind == "punct" and t.text == ",":
-                self.next()
-                items.append(self.parse(999)[0])
-                continue
-            if t.kind == "punct" and t.text == "|":
-                self.next()
-                tail = self.parse(999)[0]
-            break
-        self.expect_punct("]")
-        return make_list(items, tail)
+            # a primary term, or a frame opened before its first operand
+            t = tokens[pos]
+            kind = t.kind
+            if kind != "eof":
+                pos += 1
+            if kind == "int":
+                term = Int(int(t.text))
+            elif kind == "var":
+                if t.text == "_":
+                    term = store.new_var("_")
+                else:
+                    term = varmap.get(t.text)
+                    if term is None:
+                        term = varmap[t.text] = store.new_var(t.text)
+            elif kind == "evar":
+                term = store.evar(t.text)
+            elif kind == "atom" or kind == "qatom":
+                nt = tokens[pos]
+                if nt.kind == "punct" and nt.text == "(" and nt.start == t.end:
+                    pos += 1
+                    frames.append(("args", maxp, [], t.text))
+                    maxp = 999
+                    continue
+                op = PREFIX_OPS.get(t.text) if kind == "atom" else None
+                if op is None or op[0] > maxp or not self._starts_term(nt):
+                    term = Atom(t.text)
+                elif t.text == "-":
+                    if nt.kind != "int":
+                        self.err("unary - expects an integer literal", nt)
+                    pos += 1
+                    term = Int(-int(nt.text))
+                else:
+                    p, typ = op
+                    frames.append(("op", maxp, t.text, (), p))
+                    maxp = p if typ == "fy" else p - 1
+                    continue
+            elif kind == "punct" and t.text in ("(", "[", "{"):
+                nt = tokens[pos]
+                if t.text != "(" and nt.kind == "punct" and nt.text == _CLOSERS[t.text]:
+                    pos += 1
+                    term = Atom(t.text + nt.text)  # [] or {}
+                else:
+                    frames.append((t.text, maxp, []))
+                    maxp = 999 if t.text == "[" else 1200
+                    continue
+            else:
+                self.err(f"unexpected token {t.text!r}", t)
+            # infix operators after the term, and the frames it completes
+            lp = 0
+            while True:
+                t = tokens[pos]
+                if t.kind == "atom" or t.kind == "punct" and t.text == ",":
+                    op = INFIX_OPS.get(t.text)
+                    if op is not None:
+                        p, typ = op
+                        if p <= maxp and lp <= (p if typ == "yfx" else p - 1):
+                            pos += 1
+                            frames.append(("op", maxp, t.text, (term,), p))
+                            maxp = p if typ == "xfy" else p - 1
+                            break
+                if not frames:
+                    self.pos = pos
+                    return term
+                frame = frames.pop()
+                tag = frame[0]
+                maxp = frame[1]
+                if tag == "op":
+                    term = Struct(frame[2], frame[3] + (term,))
+                    lp = frame[4]
+                    continue
+                lp = 0
+                if tag == "args" or tag == "[":
+                    frame[2].append(term)
+                    sep = t.text if t.kind == "punct" else None
+                    if sep == "," or sep == "|" and tag == "[":
+                        pos += 1
+                        frames.append(frame if sep == "," else ("|", maxp, frame[2]))
+                        maxp = 999
+                        break
+                close = _CLOSERS[tag]
+                if t.kind != "punct" or t.text != close:
+                    self.err(f"expected {close!r} but found {t.text!r}", t)
+                pos += 1
+                if tag == "args":
+                    term = Struct(frame[3], tuple(frame[2]))
+                elif tag == "[":
+                    term = make_list(frame[2])
+                elif tag == "|":
+                    term = make_list(frame[2], term)
+                elif tag == "{":
+                    term = Struct("{}", (term,))
 
 
 def parse_term(tokens, store, varmap=None, pos=0):
     """Parse one term up to its `.` terminator; returns (term, varmap, next_pos)."""
     p = _Parser(tokens, store, varmap=varmap, pos=pos)
-    term, _ = p.parse(1200)
+    term = p.parse()
     t = p.next()
     if t.kind != "end":
         p.err(f"expected '.' to end the clause but found {t.text!r}", t)
@@ -355,26 +339,25 @@ def read_program(text: str, store, allow_evar: bool = True):
     tokens = tokenize(text, allow_evar)
     clauses = []
     pos = 0
-    with nesting_limit():
-        while tokens[pos].kind != "eof":
-            first = tokens[pos]
-            term, _, pos = parse_term(tokens, store, varmap={}, pos=pos)
-            is_dcg = False
-            if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
-                head, body = term.args
-            elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
-                head, body = dcg_translate(term.args[0], term.args[1], store)
-                is_dcg = True
-            else:
-                head, body = term, TRUE
-            _check_head(head, first.line, first.col)
-            if not is_dcg and (_contains_braces(head) or _contains_braces(body)):
-                raise PrologSyntaxError(
-                    "braces {} are only allowed inside DCG rule bodies",
-                    first.line,
-                    first.col,
-                )
-            clauses.append((head, body))
+    while tokens[pos].kind != "eof":
+        first = tokens[pos]
+        term, _, pos = parse_term(tokens, store, varmap={}, pos=pos)
+        is_dcg = False
+        if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
+            head, body = term.args
+        elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
+            head, body = dcg_translate(term.args[0], term.args[1], store)
+            is_dcg = True
+        else:
+            head, body = term, TRUE
+        _check_head(head, first.line, first.col)
+        if not is_dcg and (_contains_braces(head) or _contains_braces(body)):
+            raise PrologSyntaxError(
+                "braces {} are only allowed inside DCG rule bodies",
+                first.line,
+                first.col,
+            )
+        clauses.append((head, body))
     return clauses
 
 
@@ -384,8 +367,7 @@ def read_query(text: str, store, allow_evar: bool = True):
     p = _Parser(tokens, store)
     if p.peek().kind == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
-    with nesting_limit():
-        goal, _ = p.parse(1200)
+    goal = p.parse()
     if p.peek().kind == "end":
         p.next()
     t = p.peek()
@@ -430,13 +412,14 @@ def _smart_join(pieces) -> str:
 
 
 def write_term(t, use_names: bool = True, priority: int = 1200,
-               max_depth: int = 10_000) -> str:
+               max_depth: float = 10_000) -> str:
     """Render a term; dereferences as it goes.
 
     EVars print as `~Name`; named Vars print their source name when
     `use_names` is set (listing, transpiled output), otherwise `_G<k>`
     (answer rendering); lists print in bracket sugar; operators print
-    infix with minimal parenthesization.
+    infix with minimal parenthesization.  A subterm deeper than
+    `max_depth` prints as `...`, which keeps a cyclic binding finite.
     """
     pieces = []
     stack = [(t, priority, 0)]
@@ -508,8 +491,8 @@ def write_term(t, use_names: bool = True, priority: int = 1200,
     return _smart_join(pieces)
 
 
-def write_clause(head, body, use_names: bool = True) -> str:
+def write_clause(head, body, max_depth: float = 10_000) -> str:
     body = deref(body)
     if isinstance(body, Atom) and body.name == "true":
-        return write_term(head, use_names=use_names) + "."
-    return write_term(Struct(":-", (head, body)), use_names=use_names) + "."
+        return write_term(head, max_depth=max_depth) + "."
+    return write_term(Struct(":-", (head, body)), max_depth=max_depth) + "."

@@ -5,19 +5,25 @@ argument appended; the environment is one compound ``evs/N`` holding a slot
 per distinct ``~Name`` of the program (first-occurrence order).  Each
 clause reads the slots it uses with arg/3 and threads the environment into
 every user-predicate call.  The output is plain syntax (no ``~`` tokens)
-and serves as an independent oracle for the native engine.
+and serves as an independent oracle for the native engine.  Clause bodies
+are rewritten with one explicit stack and written whole, so the oracle
+checks programs of any body length or term depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .errors import TranspileError, nesting_limit
+from .errors import TranspileError
 from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
+# The rewritten terms come from the reader unbound, so none is cyclic and
+# the output writes them whole, past the writer's depth cap for answers.
+_WHOLE = math.inf
 _RESERVED = ("_Env", "_IV")
 
 
@@ -61,12 +67,23 @@ def collect_evars(text: str) -> list:
     return _layout_of(pairs)
 
 
-def _conj_fold(goals, op=","):
-    """Join goals into a right-nested ``op/2`` chain (a conjunction by default)."""
+def _conj_fold(goals):
+    """Join goals into a right-nested conjunction."""
     acc = goals[-1]
     for g in reversed(goals[:-1]):
-        acc = Struct(op, (g, acc))
+        acc = Struct(",", (g, acc))
     return acc
+
+
+# (name, arity) -> positions of the arguments that are goals to rewrite
+_GOAL_ARGS = {
+    (",", 2): (0, 1),
+    (";", 2): (0, 1),
+    ("->", 2): (0, 1),
+    ("\\+", 1): (0,),
+    ("call", 1): (0,),
+    ("findall", 3): (1,),
+}
 
 
 class _Rewriter:
@@ -123,55 +140,50 @@ class _Rewriter:
         return out[0]
 
     def rewrite_goal(self, g, env):
-        t = deref(g)
-        if isinstance(t, Var):
-            # injected goal: dispatched through the runtime helper
-            self.uses_helper = True
-            return Struct(_HELPER, (t, env))
-        if isinstance(t, Int):
-            return t
-        if isinstance(t, Atom):
-            if (t.name, 0) in self.predset:
-                return Struct(t.name, (env,))
-            return t
-        name = t.name
-        args = t.args
-        arity = len(args)
-        if name in (",", ";") and arity == 2:
-            goals = []
-            while isinstance(t, Struct) and t.name == name and len(t.args) == 2:
-                goals.append(self.rewrite_goal(t.args[0], env))
-                t = deref(t.args[1])
-            goals.append(self.rewrite_goal(t, env))
-            return _conj_fold(goals, name)
-        if name == "->" and arity == 2:
-            return Struct(
-                name,
-                (self.rewrite_goal(args[0], env), self.rewrite_goal(args[1], env)),
-            )
-        if name == "\\+" and arity == 1:
-            return Struct(name, (self.rewrite_goal(args[0], env),))
-        if name == "call" and arity == 1:
-            inner = deref(args[0])
-            if isinstance(inner, Var):
+        """Thread ``env`` into every user-predicate call of a goal, on one
+        stack of goals and ``(term, positions)`` markers that rebuild a
+        control construct from its rewritten goal arguments."""
+        todo = [g]
+        done = []
+        while todo:
+            t = todo.pop()
+            if type(t) is tuple:
+                t, positions = t
+                args = list(t.args)
+                for i in reversed(positions):
+                    args[i] = done.pop()
+                done.append(Struct(t.name, tuple(args)))
+                continue
+            t = deref(t)
+            if isinstance(t, Struct):
+                name = t.name
+                args = t.args
+                key = (name, len(args))
+                if key == ("call", 1) and isinstance(deref(args[0]), Var):
+                    t = deref(args[0])
+                elif key in _GOAL_ARGS:
+                    positions = _GOAL_ARGS[key]
+                    todo.append((t, positions))
+                    todo.extend(args[i] for i in reversed(positions))
+                    continue
+                elif name == "phrase" and len(args) in (2, 3):
+                    # a variable grammar is expanded at run time, so it
+                    # must be library-only
+                    body = deref(args[0])
+                    if not isinstance(body, Var):
+                        s = args[2] if len(args) == 3 else NIL
+                        todo.append(translate_goal(body, args[1], s, self.store))
+                        continue
+                elif key in self.predset:
+                    t = Struct(name, args + (env,))
+            if isinstance(t, Var):
+                # injected goal: dispatched through the runtime helper
                 self.uses_helper = True
-                return Struct(_HELPER, (inner, env))
-            return Struct("call", (self.rewrite_goal(inner, env),))
-        if name == "findall" and arity == 3:
-            return Struct(
-                name, (args[0], self.rewrite_goal(args[1], env), args[2])
-            )
-        if name == "phrase" and arity in (2, 3):
-            body = deref(args[0])
-            if isinstance(body, Var):
-                return t  # expanded at run time; grammar must be library-only
-            s0 = args[1]
-            s = args[2] if arity == 3 else NIL
-            expanded = translate_goal(body, s0, s, self.store)
-            return self.rewrite_goal(expanded, env)
-        if (name, arity) in self.predset:
-            return Struct(name, args + (env,))
-        return t
+                t = Struct(_HELPER, (t, env))
+            elif isinstance(t, Atom) and (t.name, 0) in self.predset:
+                t = Struct(t.name, (env,))
+            done.append(t)
+        return done[0]
 
     def arg_reads(self, env, ivs: dict) -> list:
         used = sorted(ivs.items(), key=lambda kv: self.slots[kv[0]])
@@ -203,12 +215,11 @@ def transpile(text: str) -> TranspileResult:
         else:
             new_head = Struct(h.name, h.args + (env,))
         goals = rw.arg_reads(env, ivs)
-        with nesting_limit():
-            rewritten = rw.rewrite_goal(b, env)
+        rewritten = rw.rewrite_goal(b, env)
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else Atom("true")
-        lines.append(write_clause(new_head, new_body))
+        lines.append(write_clause(new_head, new_body, max_depth=_WHOLE))
 
     if rw.uses_helper:
         lines.extend(_helper_clauses(store, predicates))
@@ -263,6 +274,5 @@ def transform_query(text: str, result: TranspileResult) -> str:
         slots_vars = tuple(store.new_var("_") for _ in result.layout)
         goals.append(Struct("=", (env, Struct("evs", slots_vars))))
     goals.extend(rw.arg_reads(env, ivs))
-    with nesting_limit():
-        goals.append(rw.rewrite_goal(g, env))
-    return write_term(_conj_fold(goals))
+    goals.append(rw.rewrite_goal(g, env))
+    return write_term(_conj_fold(goals), max_depth=_WHOLE)

@@ -99,23 +99,19 @@ def test_long_clause_body_runs(tmp_path, capsys):
     assert out.startswith("p(_Env) :- true,") and out.count("true") == 3000
 
 
-def _deep_error(argv, capsys):
-    code, out, err = run_main(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: term nested too deeply\n"
-
-
 def test_deep_sum_answers(pair_file, capsys):
     # is/2 walks the expression with a stack, not the Python one
     code, out, err = run_main([pair_file, "-q", "X is " + "+".join(["1"] * 5000)], capsys)
     assert (code, out, err) == (0, "X = 5000\n", "")
 
 
-def test_deep_term_exit_2(tmp_path, capsys):
+def test_deep_term_answers(tmp_path, capsys):
+    # the reader nests with its own stack, not the Python one
+    deep = "f(" * 3000 + "a" + ")" * 3000
     f = tmp_path / "deep.pl"
-    f.write_text("p(" + "f(" * 3000 + "a" + ")" * 3000 + ").\n")
-    _deep_error([str(f), "-q", "p(X)"], capsys)
+    f.write_text("p(" + deep + ").\n")
+    code, out, err = run_main([str(f), "-q", "p(X)"], capsys)
+    assert (code, out, err) == (0, "X = " + deep + "\n", "")
 
 
 def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
@@ -128,9 +124,14 @@ def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     assert out.count(";") == 2999
     results = check_program(text, ["p.", "a, p."])
     assert [r.ok for r in results] == [True, True]
-    # ->/2 nesting still recurses: too deep is one error line, exit 2
-    f.write_text("a.\np :- " + " -> ".join(["a"] * 3000) + ".\n")
-    _deep_error([str(f), "--transpile", "-"], capsys)
+    # so is ->/2 nesting
+    text = "a.\np :- " + " -> ".join(["a"] * 3000) + ".\n"
+    f.write_text(text)
+    code, out, err = run_main([str(f), "--transpile", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count("->") == 2999
+    results = check_program(text, ["p.", "a, p."])
+    assert [r.ok for r in results] == [True, True]
 
 
 def test_missing_file_exit_2(capsys):
@@ -156,9 +157,46 @@ def test_unknown_fail_flag(pair_file, capsys):
 def test_max_frames_flag(tmp_path, capsys):
     f = tmp_path / "loop.pl"
     f.write_text("loop :- loop.\n")
-    code, _, err = run_main([str(f), "-q", "loop", "--max-frames", "100"], capsys)
-    assert code == 2
-    assert "frame budget" in err
+    code, out, err = run_main([str(f), "-q", "loop", "--max-frames", "100"], capsys)
+    assert (code, out, err) == (2, "", "error: frame budget exceeded (100)\n")
+
+
+def test_deep_input_under_low_recursion_limit(tmp_path):
+    # Nothing recurses on term depth: the reader, the DCG translation, the
+    # transpiler, the engine and the writer all keep explicit stacks, so
+    # the oracle checks these programs with almost no Python stack.
+    deep = "f(" * 10_000 + "a" + ")" * 10_000
+    programs = {
+        "deep": ("deep(" + deep + ").", ["deep(" + deep.replace("a", "X") + ").",
+                                         "deep(X)."]),
+        "ite": ("a.\np :- " + " -> ".join(["a"] * 3000) + ".", ["p."]),
+        "neg": ("a.\np :- " + "\\+ " * 3000 + "a.", ["p."]),
+        "conj": ("a.\nq(~X).\np :- " + "(a, " * 3000 + "~X = 1" + ")" * 3000 + ".",
+                 ["p, q(V)."]),
+        "dcg": ("s --> " + " -> ".join(["[a]"] * 3000) + ".",
+                ["phrase(s, L).", "phrase(s, [b])."]),
+    }
+    for name, (text, queries) in programs.items():
+        (tmp_path / f"{name}.pl").write_text(text + "\n")
+        (tmp_path / f"{name}.queries").write_text("\n".join(queries) + "\n")
+    src = str(Path(entangle_pl.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from entangle_pl.cli import main\n"
+        "sys.setrecursionlimit(100)\n"
+        f"sys.exit(main(['--oracle-check', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7 and all(l.startswith("OK") for l in lines)
 
 
 # --- usage validation -----------------------------------------------------------

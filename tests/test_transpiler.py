@@ -4,6 +4,7 @@ import pytest
 
 from entangle_pl import Engine, TranspileError, collect_evars, transform_query, transpile
 from entangle_pl.kernel import Store, Struct, deref
+from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
 from conftest import answers
 
@@ -65,7 +66,7 @@ def test_control_constructs_rewritten():
 def test_dynamic_call_uses_helper():
     r = transpile("p(G) :- call(G). q :- ~V. r(1).")
     assert r.uses_helper
-    assert "'$call_ev'(G,_Env)" in r.text or "'$call_ev'(G" in r.text
+    assert "p(G,_Env) :- '$call_ev'(G,_Env)." in r.text
     assert "'$call_ev'(G,_) :- var(G),!,call(G)." in r.text
     assert "'$call_ev'(r(V1),E) :- !,r(V1,E)." in r.text
     assert r.text.rstrip().endswith("'$call_ev'(G,_) :- call(G).")
@@ -148,3 +149,17 @@ def test_transpile_rejects_nothing_valid(tmp_path):
     r = transpile(src)
     assert "~" not in r.text
     Engine(allow_evars=False).consult_text(r.text)
+
+
+def test_deep_fact_transpiles_whole():
+    # past the writer's 10,000-level cap for answers: transpiled text is
+    # written whole, so the oracle reads back the program it was given
+    deep = "f(" * 12_000 + "a" + ")" * 12_000
+    text = "p(" + deep + ", ~X).\nq(~X).\n"
+    r = transpile(text)
+    assert "..." not in r.text
+    assert r.text.count("f(") == 12_000
+    query = "p(" + deep.replace("a", "Y") + ", 1), q(V)."
+    assert "..." not in transform_query(query, r)
+    results = check_program(text, [query, "p(T, Z), q(Z)."])
+    assert [res.ok for res in results] == [True, True]
