@@ -208,6 +208,8 @@ def main(argv=None) -> int:
         parser.error("--oracle-check does not take program files")
     if args.max_solutions is not None and args.max_solutions < 1:
         parser.error("--max-solutions must be at least 1")
+    if args.max_frames < 1:
+        parser.error("--max-frames must be at least 1")
 
     try:
         if args.oracle_check is not None:

@@ -297,7 +297,7 @@ class Engine:
                     {
                         # argument priority: bare control operators like
                         # ;/2 would be ambiguous in a comma-joined display
-                        name: write_term(deref(v), use_names=False, priority=999)
+                        name: write_term(v, use_names=False, priority=999)
                         for name, v in varmap.items()
                     }
                 )

@@ -1,11 +1,12 @@
 """Cross-check: native engine vs transpiled program.
 
-For every program/queries pair the checker runs each query twice — once
-natively (``~`` syntax enabled) and once against the transpiled program
-with the transformed query (``~`` syntax disabled) — and compares the two
-solution multisets.  Solutions are compared after alpha-normalising
-machine-generated variable names, since the two runs allocate different
-serial numbers.
+For every program the checker builds two engines, one native (``~`` syntax
+enabled) and one holding the transpiled program (``~`` syntax disabled),
+runs each query on both (the transformed query on the second) and compares
+the two solution multisets.  After each query both engines must have every
+cell unbound again, since the next query reuses them.  Solutions are
+compared after alpha-normalising machine-generated variable names, since
+the two runs allocate different serial numbers.
 """
 
 from __future__ import annotations
@@ -97,29 +98,33 @@ def check_program(
     options = dict(engine_options or {})
     options.pop("allow_evars", None)
     result = transpile(program_text)
+    native = Engine(allow_evars=True, **options)
+    native.consult_text(program_text)
+    oracle = Engine(allow_evars=False, **options)
+    oracle.consult_text(result.text)
     out = []
     for query in queries:
         if _LISTING.search(query):
             continue  # output inspection, not a solution set
-        native = Engine(allow_evars=True, **options)
-        native.consult_text(program_text)
         native_set = solution_multiset(native, query, limit)
-
-        oracle = Engine(allow_evars=False, **options)
-        oracle.consult_text(result.text)
         oracle_set = solution_multiset(oracle, transform_query(query, result), limit)
 
         ok = native_set == oracle_set
-        detail = ""
+        bits = []
         if not ok:
             missing = list((native_set - oracle_set).keys())[:1]
             extra = list((oracle_set - native_set).keys())[:1]
-            bits = []
             if missing:
                 bits.append(f"native-only e.g. {missing[0]}")
             if extra:
                 bits.append(f"transpiled-only e.g. {extra[0]}")
-            detail = "; ".join(bits)
+        # both engines serve the next query, so each must end this one
+        # with every cell unbound again
+        for side, engine in (("native", native), ("transpiled", oracle)):
+            left = len(engine.store.bound_cells())
+            if left:
+                ok = False
+                bits.append(f"{side} left {left} cell(s) bound")
         out.append(
             PairResult(
                 label,
@@ -127,7 +132,7 @@ def check_program(
                 ok,
                 sum(native_set.values()),
                 sum(oracle_set.values()),
-                detail,
+                "; ".join(bits),
             )
         )
     return out
@@ -154,10 +159,10 @@ def canonical_transcript(program_text: str, queries) -> str:
     none.  Generated variable serials are renumbered per block so the text
     is stable across unrelated engine changes.
     """
+    engine = Engine()
+    engine.consult_text(program_text)
     blocks = []
     for query in queries:
-        engine = Engine()
-        engine.consult_text(program_text)
         lines = []
         for sol in engine.query(query):
             text = str(sol)

@@ -5,7 +5,9 @@ The accepted syntax is a fixed subset of Prolog: the operator tables
 below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
 bodies only.  The parser and the writer walk terms with explicit stacks,
-so a term may nest as deeply as memory allows.
+so a term may nest as deeply as memory allows.  The writer prints every
+term whole; only a cyclic binding, which unification without the occurs
+check can make, prints ``...`` where it closes.
 """
 
 from __future__ import annotations
@@ -411,33 +413,48 @@ def _smart_join(pieces) -> str:
     return "".join(out)
 
 
-def write_term(t, use_names: bool = True, priority: int = 1200,
-               max_depth: float = 10_000) -> str:
-    """Render a term; dereferences as it goes.
+def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
+    """Render a term whole; dereferences as it goes.
 
     EVars print as `~Name`; named Vars print their source name when
     `use_names` is set (listing, transpiled output), otherwise `_G<k>`
     (answer rendering); lists print in bracket sugar; operators print
-    infix with minimal parenthesization.  A subterm deeper than
-    `max_depth` prints as `...`, which keeps a cyclic binding finite.
+    infix with minimal parenthesization.  A bound cell met again while its
+    own value is still being written closes a cycle (unification without
+    the occurs check makes such terms) and prints as `...`; a cell shared
+    by two arguments prints whole in both.
     """
     pieces = []
-    stack = [(t, priority, 0)]
+    inside = set()  # bound cells whose value is being written
+    # stack items: a str piece; (term, priority); (tail, None), the rest of
+    # a list whose "[" and earlier elements are out; or a bound cell, popped
+    # once its value is written
+    stack = [(t, priority)]
     while stack:
         item = stack.pop()
         if type(item) is str:
             pieces.append(item)
             continue
-        term, maxp, depth = item
-        term = deref(term)
-        if depth > max_depth:
-            pieces.append("...")
+        if type(item) is not tuple:
+            inside.remove(item)
             continue
-        if isinstance(term, EVar):
-            pieces.append(term.name)
+        term, maxp = item
+        while isinstance(term, Var) and term.ref is not None and term not in inside:
+            inside.add(term)
+            stack.append(term)
+            term = term.ref
+        if maxp is None:
+            if isinstance(term, Struct) and term.name == "." and len(term.args) == 2:
+                stack.extend(((term.args[1], None), (term.args[0], 999), ","))
+            elif isinstance(term, Atom) and term.name == "[]":
+                pieces.append("]")
+            else:
+                stack.extend(("]", (term, 999), "|"))
             continue
         if isinstance(term, Var):
-            if use_names and term.name:
+            if term.ref is not None:
+                pieces.append("...")  # a cycle closes here
+            elif isinstance(term, EVar) or (use_names and term.name):
                 pieces.append(term.name)
             else:
                 pieces.append(f"_G{term.serial}")
@@ -450,24 +467,10 @@ def write_term(t, use_names: bool = True, priority: int = 1200,
             continue
         name = term.name
         args = term.args
-        out = []
         if name == "." and len(args) == 2:
-            elems = [args[0]]
-            tail = deref(args[1])
-            while isinstance(tail, Struct) and tail.name == "." and len(tail.args) == 2:
-                elems.append(tail.args[0])
-                tail = deref(tail.args[1])
-            out.append("[")
-            for k, e in enumerate(elems):
-                if k:
-                    out.append(",")
-                out.append((e, 999, depth + 1))
-            if not (isinstance(tail, Atom) and tail.name == "[]"):
-                out.append("|")
-                out.append((tail, 999, depth + 1))
-            out.append("]")
+            out = ["[", (args[0], 999), (args[1], None)]
         elif name == "{}" and len(args) == 1:
-            out = ["{", (args[0], 1200, depth + 1), "}"]
+            out = ["{", (args[0], 1200), "}"]
         elif len(args) == 2 and name in INFIX_OPS:
             p, typ = INFIX_OPS[name]
             lmax = p if typ == "yfx" else p - 1
@@ -476,23 +479,22 @@ def write_term(t, use_names: bool = True, priority: int = 1200,
                 sep = f" {name} "
             else:
                 sep = name
-            out = [(args[0], lmax, depth + 1), sep, (args[1], rmax, depth + 1)]
+            out = [(args[0], lmax), sep, (args[1], rmax)]
             if p > maxp:
                 out = ["("] + out + [")"]
         else:
-            out.append(_atom_text(name))
-            out.append("(")
+            out = [_atom_text(name), "("]
             for k, a in enumerate(args):
                 if k:
                     out.append(",")
-                out.append((a, 999, depth + 1))
+                out.append((a, 999))
             out.append(")")
         stack.extend(reversed(out))
     return _smart_join(pieces)
 
 
-def write_clause(head, body, max_depth: float = 10_000) -> str:
+def write_clause(head, body) -> str:
     body = deref(body)
     if isinstance(body, Atom) and body.name == "true":
-        return write_term(head, max_depth=max_depth) + "."
-    return write_term(Struct(":-", (head, body)), max_depth=max_depth) + "."
+        return write_term(head) + "."
+    return write_term(Struct(":-", (head, body))) + "."

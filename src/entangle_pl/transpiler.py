@@ -12,7 +12,6 @@ checks programs of any body length or term depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dcg import translate_goal
@@ -21,9 +20,6 @@ from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
-# The rewritten terms come from the reader unbound, so none is cyclic and
-# the output writes them whole, past the writer's depth cap for answers.
-_WHOLE = math.inf
 _RESERVED = ("_Env", "_IV")
 
 
@@ -38,33 +34,11 @@ class TranspileResult:
         return self.layout.index(evar_name) + 1
 
 
-def _walk(term):
-    stack = [term]
-    while stack:
-        t = deref(stack.pop())
-        yield t
-        if isinstance(t, Struct):
-            for i in range(len(t.args) - 1, -1, -1):
-                stack.append(t.args[i])
-
-
-def _layout_of(pairs) -> list:
-    names = []
-    seen = set()
-    for head, body in pairs:
-        for part in (head, body):
-            for t in _walk(part):
-                if isinstance(t, EVar) and t.name not in seen:
-                    seen.add(t.name)
-                    names.append(t.name)
-    return names
-
-
 def collect_evars(text: str) -> list:
     """Names of all ~ variables in the program, first-occurrence order."""
     store = Store()
-    pairs = read_program(text, store, allow_evar=True)
-    return _layout_of(pairs)
+    read_program(text, store, allow_evar=True)
+    return list(store.evars)
 
 
 def _conj_fold(goals):
@@ -195,7 +169,7 @@ class _Rewriter:
 def transpile(text: str) -> TranspileResult:
     store = Store()
     pairs = read_program(text, store, allow_evar=True)
-    layout = _layout_of(pairs)
+    layout = list(store.evars)  # the reader interns them in text order
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = []
     for head, _ in pairs:
@@ -219,7 +193,7 @@ def transpile(text: str) -> TranspileResult:
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else Atom("true")
-        lines.append(write_clause(new_head, new_body, max_depth=_WHOLE))
+        lines.append(write_clause(new_head, new_body))
 
     if rw.uses_helper:
         lines.extend(_helper_clauses(store, predicates))
@@ -275,4 +249,4 @@ def transform_query(text: str, result: TranspileResult) -> str:
         goals.append(Struct("=", (env, Struct("evs", slots_vars))))
     goals.extend(rw.arg_reads(env, ivs))
     goals.append(rw.rewrite_goal(g, env))
-    return write_term(_conj_fold(goals), max_depth=_WHOLE)
+    return write_term(_conj_fold(goals))

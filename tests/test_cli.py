@@ -114,6 +114,30 @@ def test_deep_term_answers(tmp_path, capsys):
     assert (code, out, err) == (0, "X = " + deep + "\n", "")
 
 
+def test_answer_deeper_than_ten_thousand_prints_whole(tmp_path, capsys):
+    deep = "f(" * 10_005 + "a" + ")" * 10_005
+    f = tmp_path / "deep.pl"
+    f.write_text("p(" + deep + ").\n")
+    code, out, err = run_main([str(f), "-q", "p(X)"], capsys)
+    assert (code, out, err) == (0, "X = " + deep + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "query, answer",
+    [
+        ("X = [a|X].", "X = [a|...]"),
+        ("X = f(X,X).", "X = f(...,...)"),
+        ("X = f(Y), Y = g(X).", "X = f(g(...)), Y = g(f(...))"),
+        ("L = [1,2,3], X = f(L,L).", "L = [1,2,3], X = f([1,2,3],[1,2,3])"),
+    ],
+    ids=["list", "twice", "mutual", "shared"],
+)
+def test_cyclic_answer_prints_dots_where_it_closes(query, answer):
+    # in a child with a timeout: a writer that misses a cycle never returns
+    proc = repl(["-q", query], "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
+
+
 def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     # a ;/2 chain is walked in a loop, so the oracle can check it
     text = "a.\np :- " + " ; ".join(["a"] * 3000) + ".\n"
@@ -222,6 +246,16 @@ def test_max_solutions_below_one_exit_2(coloring_file, n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-solutions must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_max_frames_below_one_exit_2(pair_file, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([pair_file, "-q", "true.", "--max-frames", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-frames must be at least 1" in captured.err
 
 
 # --- transpile mode --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The native-vs-transpiled equivalence checker."""
 
 from entangle_pl import Engine, corpus_dir
+from entangle_pl.kernel import Atom
 from entangle_pl.oracle import (
     check_directory,
     check_program,
@@ -29,6 +30,16 @@ def test_normalization_equates_evar_and_var_display():
     assert normalize_solution(native) == normalize_solution(plain)
 
 
+def test_normalization_sees_differences_at_any_depth():
+    answers = []
+    for leaf in ("a", "b"):
+        e = Engine()
+        e.consult_text("p(" + "f(" * 10_005 + leaf + ")" * 10_005 + ").")
+        answers.append(normalize_solution(next(iter(e.query("p(X).")))))
+    assert answers[0] != answers[1]
+    assert "..." not in answers[0][0][1]
+
+
 def test_multiset_counts_duplicates():
     e = Engine()
     e.consult_text("d(1). d(1). d(2).")
@@ -52,6 +63,23 @@ def test_check_program_reports_per_query():
     shared = "p :- ~C = f(_). q(Z) :- ~C = f(Z). r(W) :- ~C = f(W)."
     results = check_program(shared, ["p, q(a), r(W).", "p, q(Z), r(W), Z == W."])
     assert [(r.ok, r.native) for r in results] == [(True, 1), (True, 1)]
+
+
+def test_cell_left_bound_fails_the_pair(monkeypatch):
+    from entangle_pl import oracle
+
+    real = oracle.solution_multiset
+
+    def leaky(engine, query, limit=None):
+        counter = real(engine, query, limit)
+        if engine.allow_evars:
+            engine.store.bind(engine.store.evars["~X"], Atom("leak"))
+        return counter
+
+    monkeypatch.setattr(oracle, "solution_multiset", leaky)
+    (result,) = check_program("a(~X).", ["a(1)."], "demo")
+    assert not result.ok
+    assert result.detail == "native left 1 cell(s) bound"
 
 
 def test_listing_queries_are_skipped():
