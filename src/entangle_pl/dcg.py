@@ -10,10 +10,8 @@ so bodies of any length or nesting translate.
 
 from __future__ import annotations
 
-from .errors import InstantiationError, PrologSyntaxError, TypeMismatchError
+from .errors import InstantiationError, TypeMismatchError
 from .kernel import Atom, Int, Struct, TRUE, Var, deref, list_parts, make_list
-
-_NON_NONTERMINAL = frozenset((":-", "-->", ",", ";", "->", "\\+", "{}", "."))
 
 
 def _conj(a, b):
@@ -106,14 +104,10 @@ def _trans(body, s0, store):
 
 
 def dcg_translate(head, body, store):
-    """Translate ``head --> body`` into a plain (head, body) clause pair."""
+    """Translate ``head --> body`` into a plain (head, body) clause pair.
+
+    The reader has already checked that ``head`` is a nonterminal."""
     h = deref(head)
-    if isinstance(h, Var):
-        raise PrologSyntaxError("DCG rule head is a variable")
-    if isinstance(h, Int):
-        raise PrologSyntaxError("DCG rule head is not callable")
-    if isinstance(h, Struct) and h.name in _NON_NONTERMINAL:
-        raise PrologSyntaxError(f"DCG rule head cannot be {h.name!r}")
     s0 = store.new_var()
     goal, s_end = _trans(body, s0, store)
     if isinstance(h, Atom):

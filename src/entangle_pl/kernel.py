@@ -280,10 +280,16 @@ def make_list(items, tail=None):
 
 
 def list_parts(t):
-    """Walk a ``'.'/2`` chain; returns (elements, tail) with tail deref'd."""
+    """Walk a ``'.'/2`` chain; returns (elements, tail) with tail deref'd.
+    A cyclic chain stops at the cell kept at the last power-of-two length
+    when the walk meets it again (Brent's method); that cell is the tail."""
     items = []
-    t = deref(t)
+    t = kept = deref(t)
     while isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
         items.append(t.args[0])
         t = deref(t.args[1])
+        if t is kept:
+            break
+        if len(items) & (len(items) - 1) == 0:
+            kept = t
     return items, t

@@ -4,10 +4,14 @@ the term writer.
 The accepted syntax is a fixed subset of Prolog: the operator tables
 below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
-bodies only.  The parser and the writer walk terms with explicit stacks,
-so a term may nest as deeply as memory allows.  The writer prints every
-term whole; only a cyclic binding, which unification without the occurs
-check can make, prints ``...`` where it closes.
+bodies only.  A token keeps only its offsets in the text; a syntax error
+turns its offset into a line and column.  Each clause is read in one
+pass: the parser reports whether it built a ``{}``/1, and the clause and
+DCG rule head checks run on the term it returns.  The parser and the
+writer walk terms with explicit stacks, so a term may nest as deeply as
+memory allows.  The writer prints every term whole, in a form that reads
+back as the same term; only a cyclic binding, which unification without
+the occurs check can make, prints ``...`` where it closes.
 """
 
 from __future__ import annotations
@@ -69,10 +73,8 @@ PREFIX_OPS = {
 class Token(NamedTuple):
     kind: str  # atom | qatom | var | evar | int | punct | end | eof
     text: str
-    start: int
+    start: int  # offsets into the source text
     end: int
-    line: int
-    col: int
 
 
 # A quoted atom up to its closing quote, which is the first quote not
@@ -106,6 +108,12 @@ def _unescape(m) -> str:
     return "'" if esc is None else _QUOTE_ESCAPES[esc]
 
 
+def _error(msg: str, text: str, offset: int) -> PrologSyntaxError:
+    """The syntax error ``msg`` at ``text[offset]``, with its line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return PrologSyntaxError(msg, line, offset - text.rfind("\n", 0, offset))
+
+
 def _syntax_error(text: str, i: int, allow_evar: bool):
     """Raise the lexical error at ``text[i]``, where no token kind matched."""
     c = text[i]
@@ -124,209 +132,164 @@ def _syntax_error(text: str, i: int, allow_evar: bool):
             i = j
     else:
         msg = f"unexpected character {c!r}"
-    line = text.count("\n", 0, i) + 1
-    raise PrologSyntaxError(msg, line, i - text.rfind("\n", 0, i))
+    raise _error(msg, text, i)
 
 
 def tokenize(text: str, allow_evar: bool = True) -> list:
-    """Longest-match tokenization of a whole program or query."""
+    """Longest-match tokenization of a whole program or query; the list
+    ends with an ``eof`` token."""
     tokens = []
     append = tokens.append
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "layout":
+            continue
         s, e = m.span()
-        if kind != "layout":
-            if kind == "error" or (kind == "evar" and not allow_evar):
-                _syntax_error(text, s, allow_evar)
-            tok = m.group()
-            if kind == "qatom":
-                tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
-            append(Token(kind, tok, s, e, line, s - line_start + 1))
-            if kind != "qatom":
-                continue
-        # layout, or a quoted atom continued by a backslash-newline
-        newlines = text.count("\n", s, e)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", s, e) + 1
+        if kind == "error" or (kind == "evar" and not allow_evar):
+            _syntax_error(text, s, allow_evar)
+        tok = m.group()
+        if kind == "qatom":
+            tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
+        append(Token(kind, tok, s, e))
     n = len(text)
-    append(Token("eof", "", n, n, line, n - line_start + 1))
+    append(Token("eof", "", n, n))
     return tokens
 
 
 # The token that closes each bracketed parser frame: "args" is a compound's
 # argument list, "[" a list's items and "|" its tail.
 _CLOSERS = {"(": ")", "{": "}", "args": ")", "[": "]", "|": "]"}
+_OPERAND_KINDS = frozenset(("atom", "qatom", "var", "evar", "int"))
 
 
-class _Parser:
-    def __init__(self, tokens, store, varmap=None, pos=0):
-        self.tokens = tokens
-        self.store = store
-        self.varmap = {} if varmap is None else varmap
-        self.pos = pos
+def _parse(text, tokens, pos, store, varmap):
+    """Read one term of priority at most 1200 from ``tokens[pos]``.
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    Returns ``(term, pos, braces)``: ``pos`` is the first token after the
+    term, and ``braces`` tells whether the term holds a ``{}``/1, written
+    ``{G}`` or ``'{}'(G)``.  Named variables are looked up in and added to
+    ``varmap``.
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def err(self, msg: str, tok: Token):
-        raise PrologSyntaxError(msg, tok.line, tok.col)
-
-    def _starts_term(self, t: Token) -> bool:
-        if t.kind in ("atom", "qatom", "var", "evar", "int"):
-            return True
-        return t.kind == "punct" and t.text in "([{"
-
-    def parse(self):
-        """Read one term of priority at most 1200.
-
-        One loop over a stack of frames, each a construct waiting for an
-        operand: an operator (infix, with its left operand, or prefix),
-        ``(``, ``{``, compound arguments, list items or the list tail.  A
-        frame keeps the priority bound to resume at once the operand is
-        read, so nesting costs no Python stack.  The right operand of an
-        ``xfy`` operator is read at its own priority: ``a,b,c`` is ``a,(b,c)``.
-        """
-        tokens = self.tokens
-        store = self.store
-        varmap = self.varmap
-        pos = self.pos
-        frames = []
-        maxp = 1200
-        while True:
-            # a primary term, or a frame opened before its first operand
-            t = tokens[pos]
-            kind = t.kind
-            if kind != "eof":
-                pos += 1
-            if kind == "int":
-                term = Int(int(t.text))
-            elif kind == "var":
-                if t.text == "_":
-                    term = store.new_var("_")
-                else:
-                    term = varmap.get(t.text)
-                    if term is None:
-                        term = varmap[t.text] = store.new_var(t.text)
-            elif kind == "evar":
-                term = store.evar(t.text)
-            elif kind == "atom" or kind == "qatom":
-                nt = tokens[pos]
-                if nt.kind == "punct" and nt.text == "(" and nt.start == t.end:
-                    pos += 1
-                    frames.append(("args", maxp, [], t.text))
-                    maxp = 999
-                    continue
-                op = PREFIX_OPS.get(t.text) if kind == "atom" else None
-                if op is None or op[0] > maxp or not self._starts_term(nt):
-                    term = Atom(t.text)
-                elif t.text == "-":
-                    if nt.kind != "int":
-                        self.err("unary - expects an integer literal", nt)
-                    pos += 1
-                    term = Int(-int(nt.text))
-                else:
-                    p, typ = op
-                    frames.append(("op", maxp, t.text, (), p))
-                    maxp = p if typ == "fy" else p - 1
-                    continue
-            elif kind == "punct" and t.text in ("(", "[", "{"):
-                nt = tokens[pos]
-                if t.text != "(" and nt.kind == "punct" and nt.text == _CLOSERS[t.text]:
-                    pos += 1
-                    term = Atom(t.text + nt.text)  # [] or {}
-                else:
-                    frames.append((t.text, maxp, []))
-                    maxp = 999 if t.text == "[" else 1200
-                    continue
+    One loop over a stack of frames, each a construct waiting for an
+    operand: an operator (infix, with its left operand, or prefix), ``(``,
+    ``{``, compound arguments, list items or the list tail.  A frame keeps
+    the priority bound to resume at once the operand is read, so nesting
+    costs no Python stack.  The right operand of an ``xfy`` operator is read
+    at its own priority: ``a,b,c`` is ``a,(b,c)``.
+    """
+    frames = []
+    maxp = 1200
+    braces = False
+    while True:
+        # a primary term, or a frame opened before its first operand
+        t = tokens[pos]
+        kind = t.kind
+        if kind != "eof":
+            pos += 1
+        if kind == "int":
+            term = Int(int(t.text))
+        elif kind == "var":
+            if t.text == "_":
+                term = store.new_var("_")
             else:
-                self.err(f"unexpected token {t.text!r}", t)
-            # infix operators after the term, and the frames it completes
-            lp = 0
-            while True:
-                t = tokens[pos]
-                if t.kind == "atom" or t.kind == "punct" and t.text == ",":
-                    op = INFIX_OPS.get(t.text)
-                    if op is not None:
-                        p, typ = op
-                        if p <= maxp and lp <= (p if typ == "yfx" else p - 1):
-                            pos += 1
-                            frames.append(("op", maxp, t.text, (term,), p))
-                            maxp = p if typ == "xfy" else p - 1
-                            break
-                if not frames:
-                    self.pos = pos
-                    return term
-                frame = frames.pop()
-                tag = frame[0]
-                maxp = frame[1]
-                if tag == "op":
-                    term = Struct(frame[2], frame[3] + (term,))
-                    lp = frame[4]
-                    continue
-                lp = 0
-                if tag == "args" or tag == "[":
-                    frame[2].append(term)
-                    sep = t.text if t.kind == "punct" else None
-                    if sep == "," or sep == "|" and tag == "[":
-                        pos += 1
-                        frames.append(frame if sep == "," else ("|", maxp, frame[2]))
-                        maxp = 999
-                        break
-                close = _CLOSERS[tag]
-                if t.kind != "punct" or t.text != close:
-                    self.err(f"expected {close!r} but found {t.text!r}", t)
+                term = varmap.get(t.text)
+                if term is None:
+                    term = varmap[t.text] = store.new_var(t.text)
+        elif kind == "evar":
+            term = store.evar(t.text)
+        elif kind == "atom" or kind == "qatom":
+            nt = tokens[pos]
+            if nt.kind == "punct" and nt.text == "(" and nt.start == t.end:
                 pos += 1
-                if tag == "args":
-                    term = Struct(frame[3], tuple(frame[2]))
-                elif tag == "[":
-                    term = make_list(frame[2])
-                elif tag == "|":
-                    term = make_list(frame[2], term)
-                elif tag == "{":
-                    term = Struct("{}", (term,))
+                frames.append(("args", maxp, [], t.text))
+                maxp = 999
+                continue
+            op = PREFIX_OPS.get(t.text) if kind == "atom" else None
+            starts = nt.kind in _OPERAND_KINDS or nt.kind == "punct" and nt.text in "([{"
+            if op is None or op[0] > maxp or not starts:
+                term = Atom(t.text)
+            elif t.text == "-":
+                if nt.kind != "int":
+                    raise _error("unary - expects an integer literal", text, nt.start)
+                pos += 1
+                term = Int(-int(nt.text))
+            else:
+                p, typ = op
+                frames.append(("op", maxp, t.text, (), p))
+                maxp = p if typ == "fy" else p - 1
+                continue
+        elif kind == "punct" and t.text in ("(", "[", "{"):
+            nt = tokens[pos]
+            if t.text != "(" and nt.kind == "punct" and nt.text == _CLOSERS[t.text]:
+                pos += 1
+                term = Atom(t.text + nt.text)  # [] or {}
+            else:
+                frames.append((t.text, maxp, []))
+                maxp = 999 if t.text == "[" else 1200
+                continue
+        else:
+            raise _error(f"unexpected token {t.text!r}", text, t.start)
+        # infix operators after the term, and the frames it completes
+        lp = 0
+        while True:
+            t = tokens[pos]
+            if t.kind == "atom" or t.kind == "punct" and t.text == ",":
+                op = INFIX_OPS.get(t.text)
+                if op is not None:
+                    p, typ = op
+                    if p <= maxp and lp <= (p if typ == "yfx" else p - 1):
+                        pos += 1
+                        frames.append(("op", maxp, t.text, (term,), p))
+                        maxp = p if typ == "xfy" else p - 1
+                        break
+            if not frames:
+                return term, pos, braces
+            frame = frames.pop()
+            tag = frame[0]
+            maxp = frame[1]
+            if tag == "op":
+                term = Struct(frame[2], frame[3] + (term,))
+                lp = frame[4]
+                continue
+            lp = 0
+            if tag == "args" or tag == "[":
+                frame[2].append(term)
+                sep = t.text if t.kind == "punct" else None
+                if sep == "," or sep == "|" and tag == "[":
+                    pos += 1
+                    frames.append(frame if sep == "," else ("|", maxp, frame[2]))
+                    maxp = 999
+                    break
+            close = _CLOSERS[tag]
+            if t.kind != "punct" or t.text != close:
+                raise _error(f"expected {close!r} but found {t.text!r}", text, t.start)
+            pos += 1
+            if tag == "args":
+                args = frame[2]
+                if frame[3] == "{}" and len(args) == 1:
+                    braces = True
+                term = Struct(frame[3], tuple(args))
+            elif tag == "[":
+                term = make_list(frame[2])
+            elif tag == "|":
+                term = make_list(frame[2], term)
+            elif tag == "{":
+                braces = True
+                term = Struct("{}", (term,))
 
 
-def parse_term(tokens, store, varmap=None, pos=0):
-    """Parse one term up to its `.` terminator; returns (term, varmap, next_pos)."""
-    p = _Parser(tokens, store, varmap=varmap, pos=pos)
-    term = p.parse()
-    t = p.next()
-    if t.kind != "end":
-        p.err(f"expected '.' to end the clause but found {t.text!r}", t)
-    return term, p.varmap, p.pos
+# Functors that cannot head a clause, and those that cannot head a DCG rule
+_NOT_CLAUSE_HEADS = frozenset((",", ";", "->", ":-", "-->", "\\+"))
+_NOT_DCG_HEADS = _NOT_CLAUSE_HEADS | {"{}", "."}
 
 
-_HEAD_BLACKLIST = frozenset((",", ";", "->", ":-", "-->", "\\+"))
-
-
-def _contains_braces(term) -> bool:
-    stack = [term]
-    while stack:
-        x = deref(stack.pop())
-        if isinstance(x, Struct):
-            if x.name == "{}" and len(x.args) == 1:
-                return True
-            stack.extend(x.args)
-    return False
-
-
-def _check_head(head, line: int, col: int):
+def _check_head(head, label: str, forbidden, text: str, offset: int):
     if isinstance(head, Var):
-        raise PrologSyntaxError("clause head is a variable", line, col)
+        raise _error(f"{label} head is a variable", text, offset)
     if isinstance(head, Int):
-        raise PrologSyntaxError("clause head is not callable", line, col)
-    name = head.name
-    if isinstance(head, Struct) and name in _HEAD_BLACKLIST:
-        raise PrologSyntaxError(f"clause head cannot be {name!r}", line, col)
+        raise _error(f"{label} head is not callable", text, offset)
+    if isinstance(head, Struct) and head.name in forbidden:
+        raise _error(f"{label} head cannot be {head.name!r}", text, offset)
 
 
 def read_program(text: str, store, allow_evar: bool = True):
@@ -342,23 +305,24 @@ def read_program(text: str, store, allow_evar: bool = True):
     clauses = []
     pos = 0
     while tokens[pos].kind != "eof":
-        first = tokens[pos]
-        term, _, pos = parse_term(tokens, store, varmap={}, pos=pos)
-        is_dcg = False
+        start = tokens[pos].start
+        term, pos, braces = _parse(text, tokens, pos, store, {})
+        t = tokens[pos]
+        if t.kind != "end":
+            raise _error(f"expected '.' to end the clause but found {t.text!r}", text, t.start)
+        pos += 1
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
             head, body = term.args
         elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
+            _check_head(deref(term.args[0]), "DCG rule", _NOT_DCG_HEADS, text, start)
             head, body = dcg_translate(term.args[0], term.args[1], store)
-            is_dcg = True
+            braces = False  # a rule may hold {} anywhere
         else:
             head, body = term, TRUE
-        _check_head(head, first.line, first.col)
-        if not is_dcg and (_contains_braces(head) or _contains_braces(body)):
-            raise PrologSyntaxError(
-                "braces {} are only allowed inside DCG rule bodies",
-                first.line,
-                first.col,
-            )
+        # a translated DCG head is checked too: the atom head ';' becomes ;/2
+        _check_head(head, "clause", _NOT_CLAUSE_HEADS, text, start)
+        if braces:
+            raise _error("braces {} are only allowed inside DCG rule bodies", text, start)
         clauses.append((head, body))
     return clauses
 
@@ -366,16 +330,16 @@ def read_program(text: str, store, allow_evar: bool = True):
 def read_query(text: str, store, allow_evar: bool = True):
     """Read one query; the trailing `.` is optional.  Returns (goal, varmap)."""
     tokens = tokenize(text, allow_evar)
-    p = _Parser(tokens, store)
-    if p.peek().kind == "eof":
+    if tokens[0].kind == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
-    goal = p.parse()
-    if p.peek().kind == "end":
-        p.next()
-    t = p.peek()
+    varmap = {}
+    goal, pos, _ = _parse(text, tokens, 0, store, varmap)
+    if tokens[pos].kind == "end":
+        pos += 1
+    t = tokens[pos]
     if t.kind != "eof":
-        p.err(f"unexpected text after query: {t.text!r}", t)
-    return goal, p.varmap
+        raise _error(f"unexpected text after query: {t.text!r}", text, t.start)
+    return goal, varmap
 
 
 # --- term writer ---------------------------------------------------------
@@ -389,7 +353,7 @@ def _atom_text(name: str) -> str:
         return name
     if _NAME_RE.fullmatch(name):
         return name
-    if name and all(c in _SYMBOL_CHARS for c in name):
+    if name and all(c in _SYMBOL_CHARS for c in name) and not name.startswith("/*"):
         return name
     esc = (
         name.replace("\\", "\\\\")
@@ -411,6 +375,15 @@ def _smart_join(pieces) -> str:
         out.append(p)
         prev = p
     return "".join(out)
+
+
+def _operand(t, maxp):
+    """An operator's operand to write; a prefix operator atom goes in
+    parentheses, or the reader would apply it to the term after it."""
+    a = deref(t)
+    if isinstance(a, Atom) and a.name in PREFIX_OPS:
+        return f"({a.name})"
+    return (t, maxp)
 
 
 def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
@@ -479,11 +452,12 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
                 sep = f" {name} "
             else:
                 sep = name
-            out = [(args[0], lmax), sep, (args[1], rmax)]
+            out = [_operand(args[0], lmax), sep, _operand(args[1], rmax)]
             if p > maxp:
                 out = ["("] + out + [")"]
         else:
-            out = [_atom_text(name), "("]
+            # the reader takes [] and {} before "(" as brackets, not a functor
+            out = [f"'{name}'(" if name in ("[]", "{}") else _atom_text(name) + "("]
             for k, a in enumerate(args):
                 if k:
                     out.append(",")

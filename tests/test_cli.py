@@ -138,6 +138,20 @@ def test_cyclic_answer_prints_dots_where_it_closes(query, answer):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
 
 
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ("X = [a|X], sort(X, L).", "sort/2: first argument must be a proper list"),
+        ("X = [a,b|X], phrase(X, L).", "DCG terminal list must be a proper list"),
+    ],
+    ids=["sort", "phrase"],
+)
+def test_cyclic_list_is_a_type_error(query, error):
+    # in a child with a timeout: a list walk that misses the cycle never ends
+    proc = repl(["-q", query], "", timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
 def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     # a ;/2 chain is walked in a loop, so the oracle can check it
     text = "a.\np :- " + " ; ".join(["a"] * 3000) + ".\n"
@@ -317,7 +331,7 @@ def test_oracle_check_mismatch_exit_1(monkeypatch, capsys):
 # --- REPL (subprocess: exercises the real stdin protocol) -------------------------
 
 
-def repl(program_args, stdin_text):
+def repl(program_args, stdin_text, timeout=60):
     # the child imports the package this process imported, installed or not
     src = str(Path(entangle_pl.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -326,7 +340,7 @@ def repl(program_args, stdin_text):
         input=stdin_text,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc

@@ -76,6 +76,23 @@ def test_bad_grammar_heads_and_bodies():
         translate("g --> [a|_].")  # terminal lists must be proper
 
 
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        ("X", "DCG rule head is a variable"),
+        ("3", "DCG rule head is not callable"),
+        ("'{}'(x)", "DCG rule head cannot be '{}'"),
+        # atom heads that pass as nonterminals but translate to ;/2 and :-/2
+        (";", "clause head cannot be ';'"),
+        (":-", "clause head cannot be ':-'"),
+    ],
+)
+def test_bad_grammar_head_errors_carry_position(head, message):
+    with pytest.raises(PrologSyntaxError) as err:
+        translate(f"a.\n{head} --> -.")
+    assert str(err.value) == f"{message} (line 2, column 1)"
+
+
 def test_braces_rejected_outside_rules():
     with pytest.raises(PrologSyntaxError, match="DCG rule bodies"):
         translate("f({a}).")

@@ -179,3 +179,18 @@ def test_order_totality_randomized(kernel):
         assert cmp(a, a) == 0
         if cmp(a, b) <= 0 and cmp(b, c) <= 0:
             assert cmp(a, c) <= 0
+
+
+def test_list_parts_stops_on_a_cycle(kernel):
+    s = kernel.Store()
+    items, tail = kernel.list_parts(kernel.make_list([kernel.Int(i) for i in range(9)]))
+    assert [i.value for i in items] == list(range(9)) and tail is kernel.NIL
+    for prefix in range(6):
+        for period in range(1, 10):
+            end = s.new_var()
+            loop = kernel.make_list([kernel.Int(i) for i in range(period)], end)
+            s.bind(end, loop)
+            t = kernel.make_list([kernel.Atom("p")] * prefix, loop)
+            items, tail = kernel.list_parts(t)
+            assert isinstance(tail, kernel.Struct) and tail.name == "."
+            assert prefix + period <= len(items) <= 4 * (prefix + period)

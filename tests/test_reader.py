@@ -1,13 +1,17 @@
 """Tokenizer, parser, and writer tests."""
 
+import random
 import re
 
 import pytest
 
+from entangle_pl import corpus_dir
+from entangle_pl.engine import prelude_text
 from entangle_pl.errors import PrologSyntaxError
-from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var
+from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var, deref, make_list
 from entangle_pl.reader import (
-    parse_term,
+    INFIX_OPS,
+    PREFIX_OPS,
     read_program,
     read_query,
     tokenize,
@@ -17,10 +21,7 @@ from entangle_pl.reader import (
 
 
 def parse_one(text):
-    store = Store()
-    tokens = tokenize(text + " .")
-    term, varmap, _ = parse_term(tokens, store, {}, 0)
-    return term, varmap
+    return read_query(text, Store())
 
 
 def rendered(text):
@@ -41,10 +42,11 @@ def test_token_kinds():
 
 
 def test_comments_and_positions():
-    toks = tokenize("% line comment\na /* block\ncomment */ b.\n")
-    assert [t.text for t in toks[:2]] == ["a", "b"]
-    assert toks[0].line == 2 and toks[0].col == 1
-    assert toks[1].line == 3 and toks[1].col == 12
+    text = "% line comment\na /* block\ncomment */ b.\n"
+    assert [t.text for t in tokenize(text)[:2]] == ["a", "b"]
+    with pytest.raises(PrologSyntaxError) as err:
+        read_program(text, Store())
+    assert (err.value.line, err.value.col) == (3, 12)
 
 
 def test_quoted_atom_escapes():
@@ -220,6 +222,91 @@ def test_round_trip_is_fixpoint(text):
     assert first == second
 
 
+# Operator, quoted, symbol and bracket atoms, including those the writer
+# must quote or parenthesise to read back the same
+_ATOM_NAMES = (
+    "a", "foo_Bar1", "[]", "{}", "!", ";", "+", "-", "*", "=..", "\\+", "mod", "is",
+    "-->", ":-", "->", ",", "|", "", "A", "1x", "it's", "a b", "\\", "\n\t", ".",
+    "/*", "\u00e9",
+)
+
+
+def _random_term(rng, store, names, depth):
+    """A term the reader could build: each ``_`` is its own cell, and
+    infix operators of every priority, prefix operators, ``{}`` and lists
+    with any tail appear at any depth."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Atom(rng.choice(_ATOM_NAMES))
+        if kind == 1:
+            return Int(rng.randrange(-20, 20))
+        if kind == 2:
+            return store.new_var("_")
+        if kind == 3:
+            name = rng.choice(("X", "Y", "_Z", "Long_name9"))
+            if name not in names:
+                names[name] = store.new_var(name)
+            return names[name]
+        return store.evar(rng.choice(("~A", "~B", "~Gate")))
+    kind = rng.randrange(6)
+    n = 2 if kind <= 1 else 1 if kind <= 3 else rng.randrange(1, 4)
+    sub = tuple(_random_term(rng, store, names, depth - 1) for _ in range(n))
+    if kind <= 1:
+        return Struct(rng.choice(list(INFIX_OPS)), sub)
+    if kind == 2:
+        return Struct(rng.choice(list(PREFIX_OPS)), sub)
+    if kind == 3:
+        return Struct("{}", sub)
+    if kind == 4:
+        tail = _random_term(rng, store, names, depth - 1) if rng.random() < 0.4 else Atom("[]")
+        return make_list(sub, tail)
+    return Struct(rng.choice(_ATOM_NAMES), sub)
+
+
+def _is_variant(a, b) -> bool:
+    """Equal up to a one-to-one renaming of ordinary variables; ``~Name``
+    cells must be the same cell."""
+    to_b, to_a = {}, {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x, y = deref(x), deref(y)
+        if isinstance(x, Var) and not isinstance(x, EVar) and type(y) is Var:
+            if to_b.setdefault(x, y) is not y or to_a.setdefault(y, x) is not x:
+                return False
+        elif type(x) is not type(y):
+            return False
+        elif isinstance(x, EVar):
+            if x is not y:
+                return False
+        elif isinstance(x, Int):
+            if x.value != y.value:
+                return False
+        elif isinstance(x, Atom):
+            if x.name != y.name:
+                return False
+        elif x.name != y.name or len(x.args) != len(y.args):
+            return False
+        else:
+            stack.extend(zip(x.args, y.args))
+    return True
+
+
+def test_reading_what_the_writer_wrote_gives_a_variant():
+    store = Store()
+    texts = [prelude_text()] + [p.read_text() for p in sorted(corpus_dir().glob("*.pl"))]
+    for text in texts:
+        for pair in read_program(text, store):
+            clause = Struct(":-", pair)
+            written = write_term(clause, use_names=True)
+            assert _is_variant(clause, read_query(written, store)[0]), written
+    for seed in range(1500):
+        term = _random_term(random.Random(seed), store, {}, 4)
+        written = write_term(term, use_names=True)
+        assert _is_variant(term, read_query(written, store)[0]), (seed, written)
+
+
 def test_writer_spacing_rules():
     # clause/alphabetic operators keep spaces, symbolic ones are tight
     assert rendered("a :- b , c") == "a :- b,c"
@@ -233,6 +320,11 @@ def test_writer_quotes_when_needed():
     assert rendered("'It''s'") == "'It\\'s'"  # both quotings reparse equally
     assert rendered("+") == "+"
     assert rendered("f(';', '[]', '{}', !)") == "f(;,[],{},!)"
+    # each of these would read back differently if written bare
+    assert rendered("'/*'") == "'/*'"
+    assert rendered("'[]'(a)") == "'[]'(a)"
+    assert rendered("'{}'(a,b)") == "'{}'(a,b)"
+    assert rendered("(-) = (\\+)") == "(-)=(\\+)"
 
 
 def test_writer_unary_structs_functional():
