@@ -39,7 +39,6 @@ and the next consult drops them too.  The instantiator is the module-level
 from __future__ import annotations
 
 import operator
-import sys
 from functools import cmp_to_key, lru_cache, partial
 from importlib import resources
 
@@ -73,39 +72,17 @@ _FAIL = object()
 _FAIL_GOAL = Atom("fail")
 
 
-class Solution:
+class Solution(dict):
     """Ordered name -> rendered-term-text mapping for one answer."""
 
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: dict):
-        self.bindings = bindings
-
-    def __getitem__(self, name: str) -> str:
-        return self.bindings[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def items(self):
-        return self.bindings.items()
-
     def visible_items(self):
-        return [(n, v) for n, v in self.bindings.items() if not n.startswith("_")]
+        return [(n, v) for n, v in self.items() if not n.startswith("_")]
 
     def __str__(self):
         vis = self.visible_items()
         if not vis:
             return "true"
         return ", ".join(f"{n} = {v}" for n, v in vis)
-
-    def __eq__(self, other):
-        if isinstance(other, Solution):
-            return self.bindings == other.bindings
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Solution({self.bindings!r})"
 
 
 # Goal-stack markers are machine-internal steps: partials of the functions
@@ -406,9 +383,6 @@ class Engine:
                 g = translate_goal(args[0], s0, s, store)
                 goals = (g, len(cps), goals)
                 continue
-            if name == "listing" and arity == 1:
-                self._listing(args[0])
-                continue
             builtin = _BUILTINS.get((name, arity))
             if builtin is not None:
                 if not builtin(self, args):
@@ -472,28 +446,6 @@ class Engine:
         return clauses
 
     # --- builtin helpers ---------------------------------------------------
-
-    def _out_stream(self):
-        return self.out if self.out is not None else sys.stdout
-
-    def _listing(self, spec):
-        a = deref(spec)
-        if isinstance(a, Var):
-            raise InstantiationError("listing/1: unbound argument")
-        if isinstance(a, Atom):
-            keys = [k for k in self.db if k[0] == a.name]
-        elif isinstance(a, Struct) and a.name == "/" and len(a.args) == 2:
-            nm = deref(a.args[0])
-            ar = deref(a.args[1])
-            if not (isinstance(nm, Atom) and isinstance(ar, Int)):
-                raise TypeMismatchError("listing/1: expected Name or Name/Arity")
-            keys = [(nm.name, ar.value)] if (nm.name, ar.value) in self.db else []
-        else:
-            raise TypeMismatchError("listing/1: expected Name or Name/Arity")
-        out = self._out_stream()
-        for key in keys:
-            for head, body in self.db[key]:
-                out.write(write_clause(head, body) + "\n")
 
     def _eval(self, t):
         # an explicit stack, so an expression of any depth evaluates; the
@@ -648,6 +600,26 @@ def _bi_sort(e: Engine, args):
     return unify(args[1], make_list(deduped), e.store, e.occurs_check)
 
 
+def _bi_listing(e: Engine, args):
+    a = deref(args[0])
+    if isinstance(a, Var):
+        raise InstantiationError("listing/1: unbound argument")
+    if isinstance(a, Atom):
+        keys = [k for k in e.db if k[0] == a.name]
+    elif isinstance(a, Struct) and a.name == "/" and len(a.args) == 2:
+        nm = deref(a.args[0])
+        ar = deref(a.args[1])
+        if not (isinstance(nm, Atom) and isinstance(ar, Int)):
+            raise TypeMismatchError("listing/1: expected Name or Name/Arity")
+        keys = [(nm.name, ar.value)] if (nm.name, ar.value) in e.db else []
+    else:
+        raise TypeMismatchError("listing/1: expected Name or Name/Arity")
+    for key in keys:
+        for head, body in e.db[key]:
+            print(write_clause(head, body), file=e.out)
+    return True
+
+
 _BUILTINS = {
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
@@ -666,4 +638,5 @@ _BUILTINS = {
     ("functor", 3): _bi_functor,
     ("copy_term", 2): _bi_copy_term,
     ("sort", 2): _bi_sort,
+    ("listing", 1): _bi_listing,
 }

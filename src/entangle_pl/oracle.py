@@ -27,20 +27,21 @@ _VAR_TOKEN = re.compile(r"_G\d+|~[A-Z_]\w*")
 _LISTING = re.compile(r"\blisting\b")
 
 
+def _renumber(pattern, text: str, prefix: str, mapping: dict) -> str:
+    """Replace each token ``pattern`` matches by ``prefix`` and its number
+    in first-occurrence order; ``mapping`` carries the numbering on."""
+    return pattern.sub(
+        lambda m: mapping.setdefault(m.group(0), f"{prefix}{len(mapping)}"), text
+    )
+
+
 def normalize_solution(solution) -> tuple:
     mapping = {}
-
-    def canon(match):
-        tok = match.group(0)
-        if tok not in mapping:
-            mapping[tok] = f"_A{len(mapping)}"
-        return mapping[tok]
-
     # Sort by variable name first: the transformed query may mention the
     # same variables in a different order, and the alpha-numbering must
     # not depend on that order.
     return tuple(
-        (name, _VAR_TOKEN.sub(canon, value))
+        (name, _renumber(_VAR_TOKEN, value, "_A", mapping))
         for name, value in sorted(solution.visible_items(), key=lambda nv: nv[0])
     )
 
@@ -169,15 +170,7 @@ def canonical_transcript(program_text: str, queries) -> str:
             lines.append("true." if text == "true" else text)
         if not lines:
             lines.append("false.")
-        mapping = {}
-
-        def renumber(match):
-            tok = match.group(0)
-            if tok not in mapping:
-                mapping[tok] = f"_G{len(mapping)}"
-            return mapping[tok]
-
-        body = _GSERIAL.sub(renumber, "\n".join(lines))
+        body = _renumber(_GSERIAL, "\n".join(lines), "_G", {})
         blocks.append(f"?- {query}\n{body}\n")
     return "\n".join(blocks)
 

@@ -5,9 +5,16 @@ argument appended; the environment is one compound ``evs/N`` holding a slot
 per distinct ``~Name`` of the program (first-occurrence order).  Each
 clause reads the slots it uses with arg/3 and threads the environment into
 every user-predicate call.  The output is plain syntax (no ``~`` tokens)
-and serves as an independent oracle for the native engine.  Clause bodies
-are rewritten with one explicit stack and written whole, so the oracle
-checks programs of any body length or term depth.
+and serves as an independent oracle for the native engine.
+
+Substitution works by binding, as the engine's cells do: one read-only walk
+over a clause (or query) binds each ``~Name`` cell to a fresh ``_IV<slot>``
+variable and each variable named ``_Env…``, ``_IV…`` or ``_G…`` to a fresh
+unnamed one, so no source variable captures a machine-made name.  The
+rewritten goal and the writer dereference through those bindings, and
+``store.undo_to`` unbinds them before the next clause.  Clause bodies are
+rewritten with one explicit stack and written whole, so the oracle checks
+programs of any body length or term depth.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
-_RESERVED = ("_Env", "_IV")
+_RESERVED = ("_Env", "_IV", "_G")
 
 
 @dataclass
@@ -60,110 +67,81 @@ _GOAL_ARGS = {
 }
 
 
-class _Rewriter:
-    """Per-program rewriting state shared by clause and query transforms."""
-
-    def __init__(self, store: Store, slots: dict, predset: set):
-        self.store = store
-        self.slots = slots
-        self.predset = predset
-        self.uses_helper = False
-
-    def fresh_maps(self):
-        return {}, {}  # evar name -> iv Var, reserved-name Var cell -> fresh Var
-
-    def substitute(self, term, ivs: dict, renames: dict):
-        """Replace EVars with slot variables and rename captured user vars."""
-        out = []
-        stack = [term]
-        while stack:
-            item = stack.pop()
-            if type(item) is tuple:
-                name, n = item
-                args = tuple(out[len(out) - n :])
-                del out[len(out) - n :]
-                out.append(Struct(name, args))
-                continue
-            x = deref(item)
+def _bind_cells(store: Store, slots: dict, terms):
+    """Substitute by binding: walk ``terms`` in preorder, binding each
+    ``~Name`` cell to a fresh ``_IV<slot>`` variable and each variable with
+    a reserved name to a fresh unnamed one; a cell bound here is skipped
+    when met again.  Returns a fresh ``_Env`` and the arg/3 goals reading
+    the used slots from it, in slot order."""
+    ivs = {}
+    stack = list(reversed(terms))
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Struct):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, Var) and x.ref is None:
             if isinstance(x, EVar):
-                iv = ivs.get(x.name)
-                if iv is None:
-                    slot = self.slots.get(x.name)
-                    if slot is None:
-                        raise TranspileError(
-                            f"{x.name} does not occur in the program layout"
-                        )
-                    iv = self.store.new_var(f"_IV{slot}")
-                    ivs[x.name] = iv
-                out.append(iv)
-            elif isinstance(x, Var):
-                if x.name and x.name.startswith(_RESERVED):
-                    fresh = renames.get(x)
-                    if fresh is None:
-                        fresh = self.store.new_var()
-                        renames[x] = fresh
-                    out.append(fresh)
-                else:
-                    out.append(x)
-            elif isinstance(x, Struct):
-                stack.append((x.name, len(x.args)))
-                for i in range(len(x.args) - 1, -1, -1):
-                    stack.append(x.args[i])
-            else:
-                out.append(x)
-        return out[0]
+                slot = slots.get(x.name)
+                if slot is None:
+                    raise TranspileError(
+                        f"{x.name} does not occur in the program layout"
+                    )
+                ivs[slot] = store.new_var(f"_IV{slot}")
+                store.bind(x, ivs[slot])
+            elif x.name and x.name.startswith(_RESERVED):
+                store.bind(x, store.new_var())
+    env = store.new_var("_Env")
+    reads = [Struct("arg", (Int(slot), env, ivs[slot])) for slot in sorted(ivs)]
+    return env, reads
 
-    def rewrite_goal(self, g, env):
-        """Thread ``env`` into every user-predicate call of a goal, on one
-        stack of goals and ``(term, positions)`` markers that rebuild a
-        control construct from its rewritten goal arguments."""
-        todo = [g]
-        done = []
-        while todo:
-            t = todo.pop()
-            if type(t) is tuple:
-                t, positions = t
-                args = list(t.args)
-                for i in reversed(positions):
-                    args[i] = done.pop()
-                done.append(Struct(t.name, tuple(args)))
+
+def rewrite_goal(g, env, predset, store):
+    """Thread ``env`` into every user-predicate call of a goal, on one
+    stack of goals and ``(term, positions)`` markers that rebuild a
+    control construct from its rewritten goal arguments.  Returns the
+    goal and whether it dispatches through the runtime helper."""
+    uses_helper = False
+    todo = [g]
+    done = []
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t, positions = t
+            args = list(t.args)
+            for i in reversed(positions):
+                args[i] = done.pop()
+            done.append(Struct(t.name, tuple(args)))
+            continue
+        t = deref(t)
+        if isinstance(t, Struct):
+            name = t.name
+            args = t.args
+            key = (name, len(args))
+            if key == ("call", 1) and isinstance(deref(args[0]), Var):
+                t = deref(args[0])
+            elif key in _GOAL_ARGS:
+                positions = _GOAL_ARGS[key]
+                todo.append((t, positions))
+                todo.extend(args[i] for i in reversed(positions))
                 continue
-            t = deref(t)
-            if isinstance(t, Struct):
-                name = t.name
-                args = t.args
-                key = (name, len(args))
-                if key == ("call", 1) and isinstance(deref(args[0]), Var):
-                    t = deref(args[0])
-                elif key in _GOAL_ARGS:
-                    positions = _GOAL_ARGS[key]
-                    todo.append((t, positions))
-                    todo.extend(args[i] for i in reversed(positions))
+            elif name == "phrase" and len(args) in (2, 3):
+                # a variable grammar is expanded at run time, so it
+                # must be library-only
+                body = deref(args[0])
+                if not isinstance(body, Var):
+                    s = args[2] if len(args) == 3 else NIL
+                    todo.append(translate_goal(body, args[1], s, store))
                     continue
-                elif name == "phrase" and len(args) in (2, 3):
-                    # a variable grammar is expanded at run time, so it
-                    # must be library-only
-                    body = deref(args[0])
-                    if not isinstance(body, Var):
-                        s = args[2] if len(args) == 3 else NIL
-                        todo.append(translate_goal(body, args[1], s, self.store))
-                        continue
-                elif key in self.predset:
-                    t = Struct(name, args + (env,))
-            if isinstance(t, Var):
-                # injected goal: dispatched through the runtime helper
-                self.uses_helper = True
-                t = Struct(_HELPER, (t, env))
-            elif isinstance(t, Atom) and (t.name, 0) in self.predset:
-                t = Struct(t.name, (env,))
-            done.append(t)
-        return done[0]
-
-    def arg_reads(self, env, ivs: dict) -> list:
-        used = sorted(ivs.items(), key=lambda kv: self.slots[kv[0]])
-        return [
-            Struct("arg", (Int(self.slots[name]), env, iv)) for name, iv in used
-        ]
+            elif key in predset:
+                t = Struct(name, args + (env,))
+        if isinstance(t, Var):
+            # injected goal: dispatched through the runtime helper
+            uses_helper = True
+            t = Struct(_HELPER, (t, env))
+        elif isinstance(t, Atom) and (t.name, 0) in predset:
+            t = Struct(t.name, (env,))
+        done.append(t)
+    return done[0], uses_helper
 
 
 def transpile(text: str) -> TranspileResult:
@@ -171,37 +149,33 @@ def transpile(text: str) -> TranspileResult:
     pairs = read_program(text, store, allow_evar=True)
     layout = list(store.evars)  # the reader interns them in text order
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    predicates = []
-    for head, _ in pairs:
-        key = (head.name, len(head.args) if isinstance(head, Struct) else 0)
-        if key not in predicates:
-            predicates.append(key)
-    rw = _Rewriter(store, slots, set(predicates))
+    predicates = list(dict.fromkeys(
+        (h.name, len(h.args) if isinstance(h, Struct) else 0) for h, _ in pairs
+    ))
+    predset = set(predicates)
 
     lines = []
+    uses_helper = False
     for head, body in pairs:
-        ivs, renames = rw.fresh_maps()
-        h = rw.substitute(head, ivs, renames)
-        b = rw.substitute(body, ivs, renames)
-        env = store.new_var("_Env")
-        if isinstance(h, Atom):
-            new_head = Struct(h.name, (env,))
-        else:
-            new_head = Struct(h.name, h.args + (env,))
-        goals = rw.arg_reads(env, ivs)
-        rewritten = rw.rewrite_goal(b, env)
+        mark = store.mark()
+        env, goals = _bind_cells(store, slots, (head, body))
+        args = head.args if isinstance(head, Struct) else ()
+        new_head = Struct(head.name, args + (env,))
+        rewritten, helper = rewrite_goal(body, env, predset, store)
+        uses_helper |= helper
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else Atom("true")
         lines.append(write_clause(new_head, new_body))
+        store.undo_to(mark)
 
-    if rw.uses_helper:
+    if uses_helper:
         lines.extend(_helper_clauses(store, predicates))
 
     out = "\n".join(lines)
     if out:
         out += "\n"
-    return TranspileResult(out, layout, predicates, rw.uses_helper)
+    return TranspileResult(out, layout, predicates, uses_helper)
 
 
 def _helper_clauses(store: Store, predicates) -> list:
@@ -239,14 +213,11 @@ def transform_query(text: str, result: TranspileResult) -> str:
     store = Store()
     goal, _ = read_query(text, store, allow_evar=True)
     slots = {name: i + 1 for i, name in enumerate(result.layout)}
-    rw = _Rewriter(store, slots, set(result.predicates))
-    ivs, renames = rw.fresh_maps()
-    g = rw.substitute(goal, ivs, renames)
-    env = store.new_var("_Env")
+    env, reads = _bind_cells(store, slots, (goal,))
     goals = []
     if result.layout:
         slots_vars = tuple(store.new_var("_") for _ in result.layout)
         goals.append(Struct("=", (env, Struct("evs", slots_vars))))
-    goals.extend(rw.arg_reads(env, ivs))
-    goals.append(rw.rewrite_goal(g, env))
+    goals += reads
+    goals.append(rewrite_goal(goal, env, set(result.predicates), store)[0])
     return write_term(_conj_fold(goals))

@@ -104,6 +104,22 @@ def test_reserved_names_in_source_are_renamed():
     assert deref(first) is not deref(env)  # user _Env must not capture the env
 
 
+@pytest.mark.parametrize(
+    "program, query",
+    [
+        ("p(_Env, _G2) :- q(_G2). q(1).", "p(a, X)."),
+        ("s(_G1) --> [a], t. t --> [b].", "s(X, [a,b], [])."),
+        ("g --> [x]. p(L, _G6) :- phrase(g, L, []), q(_G6). q(1).", "p([x], Y)."),
+        ("q(1). p(A,B).", "p(_Env, _G2), _Env = a, _G2 = b."),
+    ],
+)
+def test_source_g_variables_do_not_capture_machine_variables(program, query):
+    # machine-made variables print as _G<serial>; a source variable of
+    # that name must stay a variable of its own
+    [result] = check_program(program, [query])
+    assert result.ok, result.detail
+
+
 def test_transform_query_examples():
     r = transpile("a(~X). b(~X).")
     assert transform_query("a(10), b(V).", r) == "_Env=evs(_),a(10,_Env),b(V,_Env)"
