@@ -34,6 +34,12 @@ sees that binding and every later one.  Templates live beside the index
 and the next consult drops them too.  The instantiator is the module-level
 ``copy_terms``, called once per clause try and followed by the head
 ``unify``: that pair is where the benchmark's tracer counts clause tries.
+
+The prelude is read once per process, into a store of its own, and every
+engine appends the same clause objects to its own predicate lists.  That
+sharing is safe because a stored clause is never bound: each try renames
+it from a template.  The prelude is read with ``~`` syntax off, so no
+``~Name`` cell can be shared between engines.
 """
 
 from __future__ import annotations
@@ -203,11 +209,16 @@ class _AltCP:
         self.mark = mark
 
 
-@lru_cache(maxsize=1)
 def prelude_text() -> str:
     return resources.files(__package__).joinpath("assumptions.pl").read_text(
         encoding="utf-8"
     )
+
+
+@lru_cache(maxsize=1)
+def _prelude_clauses() -> tuple:
+    """The prelude's ``(head, body)`` pairs, shared by every engine."""
+    return tuple(read_program(prelude_text(), Store(), allow_evar=False))
 
 
 class Engine:
@@ -236,16 +247,19 @@ class Engine:
         self.out = out
         self._steps = 0
         if load_prelude:
-            self.consult_text(prelude_text())
+            self._add(_prelude_clauses())
 
     # --- loading ---------------------------------------------------------
 
     def consult_text(self, text: str):
         """Parse and add clauses; a parse error adds nothing at all."""
-        pairs = read_program(text, self.store, self.allow_evars)
-        for head, body in pairs:
+        self._add(read_program(text, self.store, self.allow_evars))
+
+    def _add(self, clauses):
+        for clause in clauses:
+            head = clause[0]
             arity = len(head.args) if isinstance(head, Struct) else 0
-            self.db.setdefault((head.name, arity), []).append((head, body))
+            self.db.setdefault((head.name, arity), []).append(clause)
         self._index.clear()
         self._templates.clear()
 

@@ -4,10 +4,11 @@ the term writer.
 The accepted syntax is a fixed subset of Prolog: the operator tables
 below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
-bodies only.  A token keeps only its offsets in the text; a syntax error
-turns its offset into a line and column.  Each clause is read in one
-pass: the parser reports whether it built a ``{}``/1, and the clause and
-DCG rule head checks run on the term it returns.  The parser and the
+bodies only.  A token is a plain ``(kind, text, start, end)`` tuple that
+keeps only its offsets in the source; a syntax error turns its offset into
+a line and column.  Each clause is read in one pass: the parser reports
+whether it built a ``{}``/1, and the clause and DCG rule head checks run on
+the term it returns.  The parser and the
 writer walk terms with explicit stacks, so a term may nest as deeply as
 memory allows.  The writer prints every term whole, in a form that reads
 back as the same term; only a cyclic binding, which unification without
@@ -17,7 +18,6 @@ the occurs check can make, prints ``...`` where it closes.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import PrologSyntaxError
 from .kernel import Atom, EVar, Int, Struct, TRUE, Var, deref, make_list
@@ -68,13 +68,6 @@ PREFIX_OPS = {
     "\\+": (900, "fy"),
     "-": (200, "fy"),  # unary minus on numeric literals only
 }
-
-
-class Token(NamedTuple):
-    kind: str  # atom | qatom | var | evar | int | punct | end | eof
-    text: str
-    start: int  # offsets into the source text
-    end: int
 
 
 # A quoted atom up to its closing quote, which is the first quote not
@@ -136,8 +129,12 @@ def _syntax_error(text: str, i: int, allow_evar: bool):
 
 
 def tokenize(text: str, allow_evar: bool = True) -> list:
-    """Longest-match tokenization of a whole program or query; the list
-    ends with an ``eof`` token."""
+    """Longest-match tokenization of a whole program or query.
+
+    Each token is a plain ``(kind, text, start, end)`` tuple: ``kind`` is
+    atom, qatom, var, evar, int, punct, end or eof, ``text`` is the token's
+    text (a quoted atom's unescaped name) and ``start``/``end`` are offsets
+    into the source.  The list ends with an ``eof`` token."""
     tokens = []
     append = tokens.append
     for m in _TOKEN_RE.finditer(text):
@@ -150,9 +147,9 @@ def tokenize(text: str, allow_evar: bool = True) -> list:
         tok = m.group()
         if kind == "qatom":
             tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
-        append(Token(kind, tok, s, e))
+        append((kind, tok, s, e))
     n = len(text)
-    append(Token("eof", "", n, n))
+    append(("eof", "", n, n))
     return tokens
 
 
@@ -182,64 +179,63 @@ def _parse(text, tokens, pos, store, varmap):
     braces = False
     while True:
         # a primary term, or a frame opened before its first operand
-        t = tokens[pos]
-        kind = t.kind
+        kind, tok, start, end = tokens[pos]
         if kind != "eof":
             pos += 1
         if kind == "int":
-            term = Int(int(t.text))
+            term = Int(int(tok))
         elif kind == "var":
-            if t.text == "_":
+            if tok == "_":
                 term = store.new_var("_")
             else:
-                term = varmap.get(t.text)
+                term = varmap.get(tok)
                 if term is None:
-                    term = varmap[t.text] = store.new_var(t.text)
+                    term = varmap[tok] = store.new_var(tok)
         elif kind == "evar":
-            term = store.evar(t.text)
+            term = store.evar(tok)
         elif kind == "atom" or kind == "qatom":
-            nt = tokens[pos]
-            if nt.kind == "punct" and nt.text == "(" and nt.start == t.end:
+            nkind, ntok, nstart, _ = tokens[pos]
+            if nkind == "punct" and ntok == "(" and nstart == end:
                 pos += 1
-                frames.append(("args", maxp, [], t.text))
+                frames.append(("args", maxp, [], tok))
                 maxp = 999
                 continue
-            op = PREFIX_OPS.get(t.text) if kind == "atom" else None
-            starts = nt.kind in _OPERAND_KINDS or nt.kind == "punct" and nt.text in "([{"
+            op = PREFIX_OPS.get(tok) if kind == "atom" else None
+            starts = nkind in _OPERAND_KINDS or nkind == "punct" and ntok in "([{"
             if op is None or op[0] > maxp or not starts:
-                term = Atom(t.text)
-            elif t.text == "-":
-                if nt.kind != "int":
-                    raise _error("unary - expects an integer literal", text, nt.start)
+                term = Atom(tok)
+            elif tok == "-":
+                if nkind != "int":
+                    raise _error("unary - expects an integer literal", text, nstart)
                 pos += 1
-                term = Int(-int(nt.text))
+                term = Int(-int(ntok))
             else:
                 p, typ = op
-                frames.append(("op", maxp, t.text, (), p))
+                frames.append(("op", maxp, tok, (), p))
                 maxp = p if typ == "fy" else p - 1
                 continue
-        elif kind == "punct" and t.text in ("(", "[", "{"):
-            nt = tokens[pos]
-            if t.text != "(" and nt.kind == "punct" and nt.text == _CLOSERS[t.text]:
+        elif kind == "punct" and tok in ("(", "[", "{"):
+            nkind, ntok, _, _ = tokens[pos]
+            if tok != "(" and nkind == "punct" and ntok == _CLOSERS[tok]:
                 pos += 1
-                term = Atom(t.text + nt.text)  # [] or {}
+                term = Atom(tok + ntok)  # [] or {}
             else:
-                frames.append((t.text, maxp, []))
-                maxp = 999 if t.text == "[" else 1200
+                frames.append((tok, maxp, []))
+                maxp = 999 if tok == "[" else 1200
                 continue
         else:
-            raise _error(f"unexpected token {t.text!r}", text, t.start)
+            raise _error(f"unexpected token {tok!r}", text, start)
         # infix operators after the term, and the frames it completes
         lp = 0
         while True:
-            t = tokens[pos]
-            if t.kind == "atom" or t.kind == "punct" and t.text == ",":
-                op = INFIX_OPS.get(t.text)
+            kind, tok, start, _ = tokens[pos]
+            if kind == "atom" or kind == "punct" and tok == ",":
+                op = INFIX_OPS.get(tok)
                 if op is not None:
                     p, typ = op
                     if p <= maxp and lp <= (p if typ == "yfx" else p - 1):
                         pos += 1
-                        frames.append(("op", maxp, t.text, (term,), p))
+                        frames.append(("op", maxp, tok, (term,), p))
                         maxp = p if typ == "xfy" else p - 1
                         break
             if not frames:
@@ -254,15 +250,15 @@ def _parse(text, tokens, pos, store, varmap):
             lp = 0
             if tag == "args" or tag == "[":
                 frame[2].append(term)
-                sep = t.text if t.kind == "punct" else None
+                sep = tok if kind == "punct" else None
                 if sep == "," or sep == "|" and tag == "[":
                     pos += 1
                     frames.append(frame if sep == "," else ("|", maxp, frame[2]))
                     maxp = 999
                     break
             close = _CLOSERS[tag]
-            if t.kind != "punct" or t.text != close:
-                raise _error(f"expected {close!r} but found {t.text!r}", text, t.start)
+            if kind != "punct" or tok != close:
+                raise _error(f"expected {close!r} but found {tok!r}", text, start)
             pos += 1
             if tag == "args":
                 args = frame[2]
@@ -304,12 +300,12 @@ def read_program(text: str, store, allow_evar: bool = True):
     tokens = tokenize(text, allow_evar)
     clauses = []
     pos = 0
-    while tokens[pos].kind != "eof":
-        start = tokens[pos].start
+    while tokens[pos][0] != "eof":
+        start = tokens[pos][2]
         term, pos, braces = _parse(text, tokens, pos, store, {})
-        t = tokens[pos]
-        if t.kind != "end":
-            raise _error(f"expected '.' to end the clause but found {t.text!r}", text, t.start)
+        kind, tok, at, _ = tokens[pos]
+        if kind != "end":
+            raise _error(f"expected '.' to end the clause but found {tok!r}", text, at)
         pos += 1
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
             head, body = term.args
@@ -330,15 +326,15 @@ def read_program(text: str, store, allow_evar: bool = True):
 def read_query(text: str, store, allow_evar: bool = True):
     """Read one query; the trailing `.` is optional.  Returns (goal, varmap)."""
     tokens = tokenize(text, allow_evar)
-    if tokens[0].kind == "eof":
+    if tokens[0][0] == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
     varmap = {}
     goal, pos, _ = _parse(text, tokens, 0, store, varmap)
-    if tokens[pos].kind == "end":
+    if tokens[pos][0] == "end":
         pos += 1
-    t = tokens[pos]
-    if t.kind != "eof":
-        raise _error(f"unexpected text after query: {t.text!r}", text, t.start)
+    kind, tok, start, _ = tokens[pos]
+    if kind != "eof":
+        raise _error(f"unexpected text after query: {tok!r}", text, start)
     return goal, varmap
 
 

@@ -380,7 +380,7 @@ def test_template_compiled_while_program_variable_bound(eng):
     eng.consult_text("k(V) :- ~S = V. g(X) :- X = ~S. h(t(~S, a)).")
     # g/1 and h/1 are first tried while ~S holds a term with a variable
     assert answers(eng, "k(m(A)), g(X), h(T).") == [
-        "A = _G70, X = m(_G70), T = t(m(_G70),a)"]
+        "A = _G3, X = m(_G3), T = t(m(_G3),a)"]
     assert eng.store.bound_cells() == []
     # their templates still hold the cell, unbound again after the reset
     assert len(answers(eng, "g(X), var(X), h(t(Y, a)), X == Y.")) == 1
@@ -422,11 +422,15 @@ def test_fresh_variable_serials_are_stable(eng):
         "X = [], Y = [1,2]", "X = [1], Y = [2]", "X = [1,2], Y = []"]
     assert [str(s) for s in itertools.islice(eng.query("app(X, [a], Z)."), 3)] == [
         "X = [], Z = [a]",
-        "X = [_G94], Z = [_G94,a]",
-        "X = [_G94,_G99], Z = [_G94,_G99,a]",
+        "X = [_G27], Z = [_G27,a]",
+        "X = [_G27,_G32], Z = [_G27,_G32,a]",
     ]
     assert answers(eng, "pair(A, P, B).") == [
-        "A = _G104, P = p(_G104,_G106,g(a)), B = _G106"]
+        "A = _G37, P = p(_G37,_G39,g(a)), B = _G39"]
+    # the prelude's cells live in a store of their own, so an engine's
+    # serials start at 0 with the prelude or without it
+    for engine in (Engine(), Engine(load_prelude=False)):
+        assert answers(engine, "functor(T, f, 2).") == ["T = f(_G1,_G2)"]
 
 
 # --- configuration flags -----------------------------------------------------
@@ -453,6 +457,45 @@ def test_no_prelude_flag():
         list(bare.query("new_assumption_db(Db)."))
     with_prelude = Engine()
     assert len(answers(with_prelude, "new_assumption_db(Db).")) == 1
+
+
+def test_prelude_is_read_once_and_shared_read_only(monkeypatch):
+    first = Engine(out=io.StringIO())
+    reads = []
+    read_program = engine_module.read_program
+
+    def counted(*args):
+        reads.append(args)
+        return read_program(*args)
+
+    monkeypatch.setattr(engine_module, "read_program", counted)
+    second = Engine(out=io.StringIO())
+    assert reads == []
+    # a consult appends to its own engine's predicate lists only
+    first.consult_text("nonvar_member(extra, _).")
+    list(first.query("listing(nonvar_member/2)."))
+    list(second.query("listing(nonvar_member/2)."))
+    assert "extra" in first.out.getvalue()
+    assert "extra" not in second.out.getvalue()
+    assert answers(second, "nonvar_member(X, [a|_]).") == ["X = a"]
+    # the shared clauses keep their source variable names
+    list(second.query("listing(equate_assumption)."))
+    assert "equate_assumption(X,Xs/Ys,XsZs) :- " in second.out.getvalue()
+
+
+def test_prelude_with_program_variable_is_rejected(monkeypatch):
+    # the shared prelude is read with ~ syntax off, whatever the engine
+    # allows: a ~Name cell in it would be one cell in every engine
+    monkeypatch.setattr(engine_module, "prelude_text", lambda: "p(~X).\n")
+    engine_module._prelude_clauses.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(PrologSyntaxError, match="disabled"):
+                Engine(allow_evars=True)
+        assert engine_module._prelude_clauses.cache_info().currsize == 0
+        assert answers(Engine(load_prelude=False), "X = 1.") == ["X = 1"]
+    finally:
+        engine_module._prelude_clauses.cache_clear()
 
 
 def test_deep_input_reads_runs_and_transpiles(eng):

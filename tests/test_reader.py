@@ -34,7 +34,7 @@ def rendered(text):
 
 def test_token_kinds():
     toks = tokenize("foo(Bar, ~Baz, 42, 'q x') :- true.")
-    kinds = [t.kind for t in toks]
+    kinds = [kind for kind, _, _, _ in toks]
     assert kinds == [
         "atom", "punct", "var", "punct", "evar", "punct", "int",
         "punct", "qatom", "punct", "atom", "atom", "end", "eof",
@@ -43,7 +43,7 @@ def test_token_kinds():
 
 def test_comments_and_positions():
     text = "% line comment\na /* block\ncomment */ b.\n"
-    assert [t.text for t in tokenize(text)[:2]] == ["a", "b"]
+    assert [tok for _, tok, _, _ in tokenize(text)[:2]] == ["a", "b"]
     with pytest.raises(PrologSyntaxError) as err:
         read_program(text, Store())
     assert (err.value.line, err.value.col) == (3, 12)
@@ -61,7 +61,7 @@ def test_quoted_atom_raw_newline_rejected():
 
 def test_evar_tokens():
     toks = tokenize("~X ~Foo_9 ~_Hidden.")
-    assert [t.text for t in toks[:3]] == ["~X", "~Foo_9", "~_Hidden"]
+    assert [tok for _, tok, _, _ in toks[:3]] == ["~X", "~Foo_9", "~_Hidden"]
     with pytest.raises(PrologSyntaxError, match="uppercase"):
         tokenize("~foo.")
     with pytest.raises(PrologSyntaxError, match="disabled"):
@@ -70,7 +70,7 @@ def test_evar_tokens():
 
 def test_end_token_requires_whitespace():
     toks = tokenize("a. ")
-    assert toks[0].kind == "atom" and toks[1].kind == "end"
+    assert toks[0][0] == "atom" and toks[1][0] == "end"
     # a dot that is not followed by layout is not a clause end
     with pytest.raises(PrologSyntaxError, match="unexpected character"):
         tokenize("a.b.")
