@@ -23,7 +23,7 @@ from .errors import (
     TranspileError,
     TypeMismatchError,
 )
-from .transpiler import TranspileResult, collect_evars, transform_query, transpile
+from .transpiler import TranspileResult, transform_query, transpile
 
 __version__ = "0.1.0"
 # name of the term kernel, which is pure Python; perfbench records it
@@ -42,7 +42,6 @@ __all__ = [
     "TypeMismatchError",
     "KERNEL_IMPL",
     "TranspileResult",
-    "collect_evars",
     "transform_query",
     "transpile",
     "corpus_dir",

@@ -24,15 +24,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("files", nargs="*", help="program files to consult")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "-q", "--query", metavar="QUERY", help="run one query, print all solutions"
     )
-    parser.add_argument(
+    mode.add_argument(
         "--transpile",
         metavar="OUT",
         help="write a ~-free transpilation of the consulted files to OUT ('-' for stdout)",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--oracle-check",
         nargs="?",
         const=_CORPUS_DEFAULT,
@@ -71,14 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _engine_options(args) -> dict:
+    """Engine options from the flags; ``allow_evars`` is not among them,
+    since the oracle sets it on each of its two engines."""
+    return {
+        "occurs_check": args.occurs_check,
+        "unknown_fail": args.unknown_fail,
+        "load_prelude": not args.no_prelude,
+        "max_frames": args.max_frames,
+    }
+
+
 def _make_engine(args) -> Engine:
-    engine = Engine(
-        occurs_check=args.occurs_check,
-        unknown_fail=args.unknown_fail,
-        allow_evars=not args.no_evar,
-        load_prelude=not args.no_prelude,
-        max_frames=args.max_frames,
-    )
+    engine = Engine(allow_evars=not args.no_evar, **_engine_options(args))
     for name in args.files:
         engine.consult_text(Path(name).read_text(encoding="utf-8"))
     return engine
@@ -170,14 +176,8 @@ def _run_oracle(args) -> int:
         directory = corpus_dir()
     else:
         directory = Path(args.oracle_check)
-    engine_options = {
-        "occurs_check": args.occurs_check,
-        "unknown_fail": args.unknown_fail,
-        "load_prelude": not args.no_prelude,
-        "max_frames": args.max_frames,
-    }
     report = check_directory(
-        directory, limit=args.max_solutions, engine_options=engine_options
+        directory, limit=args.max_solutions, engine_options=_engine_options(args)
     )
     for line in report.lines():
         print(line)
@@ -190,18 +190,6 @@ def _run_oracle(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    modes = sum(
-        1
-        for active in (
-            args.query is not None,
-            args.transpile is not None,
-            args.oracle_check is not None,
-        )
-        if active
-    )
-    if modes > 1:
-        parser.error("choose one of -q, --transpile, --oracle-check")
     if args.transpile is not None and not args.files:
         parser.error("--transpile requires at least one program file")
     if args.oracle_check is not None and args.files:

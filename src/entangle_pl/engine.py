@@ -1,18 +1,21 @@
 """Depth-first SLD resolution with chronological backtracking, cut,
 builtins, and the per-query reset of program-wide variables.
 
-One loop, ``Engine._run``, runs a whole query.  It keeps the current goal
-list as a persistent linked stack of ``(term, cut_barrier, rest)`` tuples
-and the choice points in a Python list.  A cut barrier is the choice-point
-stack height at entry to the predicate the goal belongs to; ``!``
-truncates the stack down to it.  No construct re-enters the loop:
-``\\+ G`` runs as ``(G -> fail ; true)`` and ``(C -> T)`` as
-``(C -> T ; fail)``, whose else branch is a choice point that a marker
-goal after ``C`` cuts away; findall/3 copies each solution of its goal at
-a marker that then fails, and a choice point below the goal unifies the
-collected list.  Every binding is trailed, so abandoning or exhausting a
-query undoes all of its work, including bindings of ``~Name`` variables;
-that reset is what makes them reusable between queries.
+One generator, ``Engine.solve``, runs a whole query and backtracks
+inline.  It keeps the current goal list as a persistent linked stack of
+``(term, cut_barrier, rest)`` tuples and the choice points in a Python
+list.  A choice point is a tuple ``(mark, goals)`` for an alternative,
+which resumes the goal node ``goals``, or a list ``[mark, goal, clauses,
+next_idx, cont, barrier]`` for the clauses of a call not yet tried.  A cut
+barrier is the choice-point stack height at entry to the predicate the
+goal belongs to; ``!`` truncates the stack down to it.  No construct
+re-enters the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and
+``(C -> T)`` as ``(C -> T ; fail)``, whose else branch is a choice point
+that a marker goal after ``C`` cuts away; findall/3 copies each solution
+of its goal at a marker that then fails, and a choice point below the goal
+unifies the collected list.  Every binding is trailed, so abandoning or
+exhausting a query undoes all of its work, including bindings of ``~Name``
+variables; that reset is what makes them reusable between queries.
 
 Clauses are selected through an argument index built at first use.  A
 call to a predicate of several clauses looks up its first argument that is
@@ -74,7 +77,6 @@ from .kernel import (
 )
 from .reader import read_program, read_query, write_clause, write_term
 
-_FAIL = object()
 _FAIL_GOAL = Atom("fail")
 
 
@@ -187,28 +189,6 @@ def copy_terms(template, store):
     return vals
 
 
-class _ClauseCP:
-    __slots__ = ("goal", "clauses", "idx", "cont", "mark", "barrier")
-
-    def __init__(self, goal, clauses, idx, cont, mark, barrier):
-        self.goal = goal
-        self.clauses = clauses
-        self.idx = idx
-        self.cont = cont
-        self.mark = mark
-        self.barrier = barrier
-
-
-class _AltCP:
-    __slots__ = ("alt", "alt_barrier", "cont", "mark")
-
-    def __init__(self, alt, alt_barrier, cont, mark):
-        self.alt = alt
-        self.alt_barrier = alt_barrier
-        self.cont = cont
-        self.mark = mark
-
-
 def prelude_text() -> str:
     return resources.files(__package__).joinpath("assumptions.pl").read_text(
         encoding="utf-8"
@@ -229,7 +209,6 @@ class Engine:
         allow_evars: bool = True,
         load_prelude: bool = True,
         max_frames: int = 1_000_000,
-        out=None,
     ):
         self.store = Store()
         # (name, arity) -> [(head, body), ...] in source order; the dict's
@@ -244,8 +223,6 @@ class Engine:
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
         self.max_frames = max_frames
-        self.out = out
-        self._steps = 0
         if load_prelude:
             self._add(_prelude_clauses())
 
@@ -279,169 +256,163 @@ class Engine:
         """
         if varmap is None:
             varmap = {}
-        start = self.store.mark()
-        self._steps = 0  # frame budget covers the whole solution sequence
-        gen = self._run(goal)
-        try:
-            for _ in gen:
-                yield Solution(
-                    {
-                        # argument priority: bare control operators like
-                        # ;/2 would be ambiguous in a comma-joined display
-                        name: write_term(v, use_names=False, priority=999)
-                        for name, v in varmap.items()
-                    }
-                )
-        finally:
-            gen.close()
-            self.store.undo_to(start)
-
-    # --- machine ---------------------------------------------------------
-
-    def _run(self, goal):
-        store = self.store
-        cps = []
-        goals = (goal, 0, None)
-        failing = False
-        while True:
-            if failing:
-                goals = self._backtrack(cps)
-                if goals is _FAIL:
-                    return
-                failing = False
-                continue
-            if goals is None:
-                yield None
-                failing = True
-                continue
-            term, barrier, rest = goals
-            self._steps += 1
-            if self._steps > self.max_frames:
-                raise ResourceLimitError(
-                    f"frame budget exceeded ({self.max_frames})"
-                )
-            goals = rest
-            if type(term) is partial:
-                if not term(self, cps):
-                    failing = True
-                continue
-            goal = deref(term)
-            if goal is not term and isinstance(term, Var):
-                barrier = len(cps)  # metavariable call gets a fresh barrier
-            if isinstance(goal, Var):
-                raise InstantiationError("unbound variable called as a goal")
-            if isinstance(goal, Atom):
-                name = goal.name
-                args = ()
-                arity = 0
-            elif isinstance(goal, Struct):
-                name = goal.name
-                args = goal.args
-                arity = len(args)
-            else:
-                raise TypeMismatchError(
-                    f"goal is not callable: {write_term(goal)}"
-                )
-
-            if name == "," and arity == 2:
-                goals = (args[0], barrier, (args[1], barrier, goals))
-                continue
-            if name == "true" and arity == 0:
-                continue
-            if name == "fail" and arity == 0:
-                failing = True
-                continue
-            if name == "!" and arity == 0:
-                del cps[barrier:]
-                continue
-            ite = None
-            if name == ";" and arity == 2:
-                first = deref(args[0])
-                if (
-                    isinstance(first, Struct)
-                    and first.name == "->"
-                    and len(first.args) == 2
-                ):
-                    ite = first.args + (args[1],)
-                else:
-                    cps.append(_AltCP(args[1], barrier, goals, store.mark()))
-                    goals = (args[0], barrier, goals)
-                    continue
-            elif name == "->" and arity == 2:
-                ite = args + (_FAIL_GOAL,)
-            elif name == "\\+" and arity == 1:
-                ite = (args[0], _FAIL_GOAL, TRUE)
-            if ite is not None:
-                cond, then, otherwise = ite
-                h = len(cps)
-                cps.append(_AltCP(otherwise, barrier, goals, store.mark()))
-                commit = (partial(_cut_to, h), 0, (then, barrier, goals))
-                goals = (cond, h + 1, commit)
-                continue
-            if name == "call" and arity == 1:
-                g = deref(args[0])
-                if isinstance(g, Var):
-                    raise InstantiationError("call/1: unbound goal")
-                goals = (g, len(cps), goals)
-                continue
-            if name == "findall" and arity == 3:
-                template, subgoal, result = args
-                acc = []
-                found = partial(_found_all, acc, result)
-                cps.append(_AltCP(found, 0, goals, store.mark()))
-                goals = (subgoal, len(cps), (partial(_collect, template, acc), 0, None))
-                continue
-            if name == "phrase" and arity in (2, 3):
-                s0 = args[1]
-                s = args[2] if arity == 3 else NIL
-                g = translate_goal(args[0], s0, s, store)
-                goals = (g, len(cps), goals)
-                continue
-            builtin = _BUILTINS.get((name, arity))
-            if builtin is not None:
-                if not builtin(self, args):
-                    failing = True
-                continue
-            clauses = self.db.get((name, arity))
-            if clauses is None:
-                if self.unknown_fail:
-                    failing = True
-                    continue
-                raise ExistenceError(name, arity)
-            if len(clauses) > 1:
-                clauses = self._candidates(name, arity, args, clauses)
-            cps.append(_ClauseCP(goal, clauses, 0, goals, store.mark(), len(cps)))
-            failing = True  # the backtracker drives clause selection
-
-    def _backtrack(self, cps):
         store = self.store
         occ = self.occurs_check
         templates = self._templates
-        while cps:
-            cp = cps[-1]
-            store.undo_to(cp.mark)
-            if type(cp) is _AltCP:
-                cps.pop()
-                return cp.alt, cp.alt_barrier, cp.cont
-            clauses = cp.clauses
-            idx = cp.idx
-            while idx < len(clauses):
-                clause = clauses[idx]
-                template = templates.get(id(clause))
-                if template is None:
-                    template = templates[id(clause)] = _compile(clause)
-                head, body = copy_terms(template, store)
-                idx += 1
-                if unify(head, cp.goal, store, occ):
-                    cp.idx = idx
-                    cont = cp.cont
-                    if idx >= len(clauses):
+        max_frames = self.max_frames
+        # A choice point is either an alternative, the tuple (mark, goals)
+        # whose goals node resumes after undoing to mark, or a clause choice
+        # point, the list [mark, goal, clauses, next_idx, cont, barrier].
+        cps = []
+        goals = (goal, 0, None)
+        failing = False
+        steps = 0  # the frame budget covers the whole solution sequence
+        start = store.mark()
+        try:
+            while True:
+                if failing:
+                    if not cps:
+                        return
+                    cp = cps[-1]
+                    store.undo_to(cp[0])
+                    if type(cp) is tuple:
                         cps.pop()
+                        goals = cp[1]
+                        failing = False
+                        continue
+                    _, goal, clauses, idx, cont, barrier = cp
+                    while idx < len(clauses):
+                        clause = clauses[idx]
+                        template = templates.get(id(clause))
+                        if template is None:
+                            template = templates[id(clause)] = _compile(clause)
+                        head, body = copy_terms(template, store)
+                        idx += 1
+                        if unify(head, goal, store, occ):
+                            break
+                    else:
+                        cps.pop()
+                        continue
+                    if idx < len(clauses):
+                        cp[3] = idx
+                    else:
+                        cps.pop()
+                    failing = False
                     if isinstance(body, Atom) and body.name == "true":
-                        return cont
-                    return body, cp.barrier, cont
-            cps.pop()
-        return _FAIL
+                        goals = cont
+                    else:
+                        goals = (body, barrier, cont)
+                    continue
+                if goals is None:
+                    yield Solution(
+                        {
+                            # argument priority: bare control operators like
+                            # ;/2 would be ambiguous in a comma-joined display
+                            name: write_term(v, use_names=False, priority=999)
+                            for name, v in varmap.items()
+                        }
+                    )
+                    failing = True
+                    continue
+                term, barrier, rest = goals
+                steps += 1
+                if steps > max_frames:
+                    raise ResourceLimitError(f"frame budget exceeded ({max_frames})")
+                goals = rest
+                if type(term) is partial:
+                    if not term(self, cps):
+                        failing = True
+                    continue
+                goal = deref(term)
+                if goal is not term and isinstance(term, Var):
+                    barrier = len(cps)  # metavariable call gets a fresh barrier
+                if isinstance(goal, Var):
+                    raise InstantiationError("unbound variable called as a goal")
+                if isinstance(goal, Atom):
+                    name = goal.name
+                    args = ()
+                    arity = 0
+                elif isinstance(goal, Struct):
+                    name = goal.name
+                    args = goal.args
+                    arity = len(args)
+                else:
+                    raise TypeMismatchError(
+                        f"goal is not callable: {write_term(goal)}"
+                    )
+
+                if name == "," and arity == 2:
+                    goals = (args[0], barrier, (args[1], barrier, goals))
+                    continue
+                if name == "true" and arity == 0:
+                    continue
+                if name == "fail" and arity == 0:
+                    failing = True
+                    continue
+                if name == "!" and arity == 0:
+                    del cps[barrier:]
+                    continue
+                ite = None
+                if name == ";" and arity == 2:
+                    first = deref(args[0])
+                    if (
+                        isinstance(first, Struct)
+                        and first.name == "->"
+                        and len(first.args) == 2
+                    ):
+                        ite = first.args + (args[1],)
+                    else:
+                        cps.append((store.mark(), (args[1], barrier, goals)))
+                        goals = (args[0], barrier, goals)
+                        continue
+                elif name == "->" and arity == 2:
+                    ite = args + (_FAIL_GOAL,)
+                elif name == "\\+" and arity == 1:
+                    ite = (args[0], _FAIL_GOAL, TRUE)
+                if ite is not None:
+                    cond, then, otherwise = ite
+                    h = len(cps)
+                    cps.append((store.mark(), (otherwise, barrier, goals)))
+                    commit = (partial(_cut_to, h), 0, (then, barrier, goals))
+                    goals = (cond, h + 1, commit)
+                    continue
+                if name == "call" and arity == 1:
+                    g = deref(args[0])
+                    if isinstance(g, Var):
+                        raise InstantiationError("call/1: unbound goal")
+                    goals = (g, len(cps), goals)
+                    continue
+                if name == "findall" and arity == 3:
+                    template, subgoal, result = args
+                    acc = []
+                    found = partial(_found_all, acc, result)
+                    cps.append((store.mark(), (found, 0, goals)))
+                    collect = partial(_collect, template, acc)
+                    goals = (subgoal, len(cps), (collect, 0, None))
+                    continue
+                if name == "phrase" and arity in (2, 3):
+                    s0 = args[1]
+                    s = args[2] if arity == 3 else NIL
+                    g = translate_goal(args[0], s0, s, store)
+                    goals = (g, len(cps), goals)
+                    continue
+                builtin = _BUILTINS.get((name, arity))
+                if builtin is not None:
+                    if not builtin(self, args):
+                        failing = True
+                    continue
+                clauses = self.db.get((name, arity))
+                if clauses is None:
+                    if self.unknown_fail:
+                        failing = True
+                        continue
+                    raise ExistenceError(name, arity)
+                if len(clauses) > 1:
+                    clauses = self._candidates(name, arity, args, clauses)
+                cps.append([store.mark(), goal, clauses, 0, goals, len(cps)])
+                failing = True  # backtracking drives clause selection
+        finally:
+            store.undo_to(start)
 
     def _candidates(self, name, arity, args, clauses):
         """The clauses a call with ``args`` can match, as far as the index
@@ -630,7 +601,7 @@ def _bi_listing(e: Engine, args):
         raise TypeMismatchError("listing/1: expected Name or Name/Arity")
     for key in keys:
         for head, body in e.db[key]:
-            print(write_clause(head, body), file=e.out)
+            print(write_clause(head, body))
     return True
 
 

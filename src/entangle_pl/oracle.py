@@ -96,8 +96,7 @@ def check_program(
     limit: int | None = None,
     engine_options: dict | None = None,
 ) -> list:
-    options = dict(engine_options or {})
-    options.pop("allow_evars", None)
+    options = engine_options or {}
     result = transpile(program_text)
     native = Engine(allow_evars=True, **options)
     native.consult_text(program_text)

@@ -37,16 +37,6 @@ class TranspileResult:
     predicates: list  # (name, arity) of source predicates, definition order
     uses_helper: bool
 
-    def slot(self, evar_name: str) -> int:
-        return self.layout.index(evar_name) + 1
-
-
-def collect_evars(text: str) -> list:
-    """Names of all ~ variables in the program, first-occurrence order."""
-    store = Store()
-    read_program(text, store, allow_evar=True)
-    return list(store.evars)
-
 
 def _conj_fold(goals):
     """Join goals into a right-nested conjunction."""

@@ -10,6 +10,7 @@ share no code with the engine.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import random
@@ -88,12 +89,11 @@ def test_02_graph_coloring_first_last_and_count():
 # --- criterion 3: interclausal cells come back unbound after a query -------
 
 
-def test_03_interclausal_cells_reset_after_exhaustion():
-    buf = io.StringIO()
-    eng = load("coloring.pl", out=buf)
+def test_03_interclausal_cells_reset_after_exhaustion(capsys):
+    eng = load("coloring.pl")
     assert len(answers(eng, "coloring(Vs).")) == 12
     assert answers(eng, "listing(vertex).") == ["true"]
-    assert buf.getvalue().splitlines() == [
+    assert capsys.readouterr().out.splitlines() == [
         f"vertex({n},~C{n})." for n in range(1, 7)
     ]
     assert eng.store.bound_cells() == []
@@ -255,11 +255,12 @@ def test_09_property_suites():
     # (b) every binding made while answering a query is trailed: after each
     # corpus query runs to exhaustion, a full store scan finds nothing bound
     for program in sorted(CORPUS.glob("*.pl")):
-        eng = Engine(out=io.StringIO())
+        eng = Engine()
         eng.consult_text(program.read_text(encoding="utf-8"))
         for query in read_queries(program.with_suffix(".queries")):
-            for _ in eng.query(query):
-                pass
+            with contextlib.redirect_stdout(io.StringIO()):
+                for _ in eng.query(query):
+                    pass
             assert eng.store.bound_cells() == [], (program.name, query)
 
     # (c) render(parse(clause)) is a fixpoint for every shipped clause

@@ -1,6 +1,5 @@
 """Solver behavior: control constructs, builtins, errors, store hygiene."""
 
-import io
 import itertools
 
 import pytest
@@ -273,16 +272,12 @@ def test_sort_builtin(eng):
         list(eng.query("sort(foo, S)."))
 
 
-def test_listing(eng):
-    out = io.StringIO()
-    eng.out = out
+def test_listing(eng, capsys):
     eng.consult_text("m(1) :- true. m(X) :- m(X). n(a).")
     list(eng.query("listing(m)."))
-    assert out.getvalue() == "m(1).\nm(X) :- m(X).\n"
-    out.truncate(0)
-    out.seek(0)
+    assert capsys.readouterr().out == "m(1).\nm(X) :- m(X).\n"
     list(eng.query("listing(n/1)."))
-    assert out.getvalue() == "n(a).\n"
+    assert capsys.readouterr().out == "n(a).\n"
     assert answers(eng, "listing(zzz).") == ["true"]  # nothing to print, succeeds
 
 
@@ -459,8 +454,8 @@ def test_no_prelude_flag():
     assert len(answers(with_prelude, "new_assumption_db(Db).")) == 1
 
 
-def test_prelude_is_read_once_and_shared_read_only(monkeypatch):
-    first = Engine(out=io.StringIO())
+def test_prelude_is_read_once_and_shared_read_only(monkeypatch, capsys):
+    first = Engine()
     reads = []
     read_program = engine_module.read_program
 
@@ -469,18 +464,18 @@ def test_prelude_is_read_once_and_shared_read_only(monkeypatch):
         return read_program(*args)
 
     monkeypatch.setattr(engine_module, "read_program", counted)
-    second = Engine(out=io.StringIO())
+    second = Engine()
     assert reads == []
     # a consult appends to its own engine's predicate lists only
     first.consult_text("nonvar_member(extra, _).")
     list(first.query("listing(nonvar_member/2)."))
+    assert "extra" in capsys.readouterr().out
     list(second.query("listing(nonvar_member/2)."))
-    assert "extra" in first.out.getvalue()
-    assert "extra" not in second.out.getvalue()
+    assert "extra" not in capsys.readouterr().out
     assert answers(second, "nonvar_member(X, [a|_]).") == ["X = a"]
     # the shared clauses keep their source variable names
     list(second.query("listing(equate_assumption)."))
-    assert "equate_assumption(X,Xs/Ys,XsZs) :- " in second.out.getvalue()
+    assert "equate_assumption(X,Xs/Ys,XsZs) :- " in capsys.readouterr().out
 
 
 def test_prelude_with_program_variable_is_rejected(monkeypatch):
@@ -521,6 +516,26 @@ def test_frame_budget():
         list(e.query("findall(x, loop, L)."))
     # the budget is per query, not cumulative across queries
     assert answers(e, "X = 1.") == ["X = 1"]
+
+
+def test_frame_budget_spans_the_solution_sequence():
+    # the first answer costs five frames and each later one three more, so
+    # a budget of 12 yields three answers and runs out in the fourth
+    e = Engine(max_frames=12)
+    e.consult_text(" ".join(f"n({i})." for i in range(1, 11)))
+    query = "n(X), Y is X + 1, Y > 0."
+    seen = []
+    with pytest.raises(ResourceLimitError):
+        for solution in e.query(query):
+            seen.append(str(solution))
+            assert e.store.bound_cells() != []
+    assert seen == ["X = 1, Y = 2", "X = 2, Y = 3", "X = 3, Y = 4"]
+    assert e.store.bound_cells() == []
+    # the next query on the same engine starts with a fresh budget
+    gen = e.query(query)
+    assert [str(s) for s in itertools.islice(gen, 3)] == seen
+    gen.close()
+    assert e.store.bound_cells() == []
 
 
 def test_evars_reset_between_queries_but_not_within(eng):

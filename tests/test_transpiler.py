@@ -2,7 +2,7 @@
 
 import pytest
 
-from entangle_pl import Engine, TranspileError, collect_evars, transform_query, transpile
+from entangle_pl import Engine, TranspileError, transform_query, transpile
 from entangle_pl.kernel import Store, Struct, deref
 from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
@@ -10,11 +10,10 @@ from conftest import answers
 
 
 def test_layout_first_occurrence_order():
-    text = "a(~B, ~A). b(~C) :- c(~A)."
-    assert collect_evars(text) == ["~B", "~A", "~C"]
-    r = transpile(text)
+    r = transpile("a(~B, ~A). b(~C) :- c(~A).")
     assert r.layout == ["~B", "~A", "~C"]
-    assert r.slot("~A") == 2
+    # ~A is read from slot 2 and ~C from slot 3
+    assert "b(_IV3,_Env) :- arg(2,_Env,_IV2),arg(3,_Env,_IV3),c(_IV2)." in r.text
 
 
 def test_simple_fact_transform():
