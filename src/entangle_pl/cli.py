@@ -158,10 +158,8 @@ def _run_repl(engine: Engine) -> int:
 
 
 def _run_transpile(args) -> int:
-    text = "\n".join(
-        Path(name).read_text(encoding="utf-8") for name in args.files
-    )
-    result = transpile(text)
+    texts = [Path(name).read_text(encoding="utf-8") for name in args.files]
+    result = transpile(*texts)
     if args.transpile == "-":
         sys.stdout.write(result.text)
     else:
@@ -176,15 +174,15 @@ def _run_oracle(args) -> int:
         directory = corpus_dir()
     else:
         directory = Path(args.oracle_check)
-    report = check_directory(
+    results = check_directory(
         directory, limit=args.max_solutions, engine_options=_engine_options(args)
     )
-    for line in report.lines():
-        print(line)
-    if not report.results:
+    for result in results:
+        print(result)
+    if not results:
         print(f"error: no program/queries pairs under {directory}", file=sys.stderr)
         return 2
-    return 0 if report.ok else 1
+    return 0 if all(r.ok for r in results) else 1
 
 
 def main(argv=None) -> int:
@@ -194,6 +192,8 @@ def main(argv=None) -> int:
         parser.error("--transpile requires at least one program file")
     if args.oracle_check is not None and args.files:
         parser.error("--oracle-check does not take program files")
+    if args.no_evar and (args.transpile is not None or args.oracle_check is not None):
+        parser.error("--no-evar does not apply to --transpile or --oracle-check")
     if args.max_solutions is not None and args.max_solutions < 1:
         parser.error("--max-solutions must be at least 1")
     if args.max_frames < 1:

@@ -11,11 +11,12 @@ barrier is the choice-point stack height at entry to the predicate the
 goal belongs to; ``!`` truncates the stack down to it.  No construct
 re-enters the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and
 ``(C -> T)`` as ``(C -> T ; fail)``, whose else branch is a choice point
-that a marker goal after ``C`` cuts away; findall/3 copies each solution
-of its goal at a marker that then fails, and a choice point below the goal
-unifies the collected list.  Every binding is trailed, so abandoning or
-exhausting a query undoes all of its work, including bindings of ``~Name``
-variables; that reset is what makes them reusable between queries.
+that a ``!`` carrying the construct's height drops when ``C`` succeeds;
+findall/3 copies each solution of its goal at a marker goal that then
+fails, and a choice point below the goal unifies the collected list.
+Every binding is trailed, so abandoning or exhausting a query undoes all
+of its work, including bindings of ``~Name`` variables; that reset is what
+makes them reusable between queries.
 
 Clauses are selected through an argument index built at first use.  A
 call to a predicate of several clauses looks up its first argument that is
@@ -78,30 +79,22 @@ from .kernel import (
 from .reader import read_program, read_query, write_clause, write_term
 
 _FAIL_GOAL = Atom("fail")
+_CUT = Atom("!")
 
 
 class Solution(dict):
-    """Ordered name -> rendered-term-text mapping for one answer."""
-
-    def visible_items(self):
-        return [(n, v) for n, v in self.items() if not n.startswith("_")]
+    """Ordered name -> rendered-term-text mapping for one answer; query
+    variables whose names start with ``_`` are left out."""
 
     def __str__(self):
-        vis = self.visible_items()
-        if not vis:
+        if not self:
             return "true"
-        return ", ".join(f"{n} = {v}" for n, v in vis)
+        return ", ".join(f"{n} = {v}" for n, v in self.items())
 
 
-# Goal-stack markers are machine-internal steps: partials of the functions
-# below, called as ``marker(engine, cps)``; a false result fails.
-
-
-def _cut_to(height, e, cps):
-    """Commit an if-then-else: drop the else branch and the condition's
-    choice points."""
-    del cps[height:]
-    return True
+# findall/3's two goal-stack markers are machine-internal steps: partials of
+# the functions below, called as ``marker(engine, cps)``; a false result
+# fails.
 
 
 def _collect(template, acc, e, cps):
@@ -111,7 +104,7 @@ def _collect(template, acc, e, cps):
 
 
 def _found_all(acc, result, e, cps):
-    return unify(result, make_list(acc), e.store, e.occurs_check)
+    return unify(result, make_list(acc), e.store)
 
 
 def _functor_key(t):
@@ -210,7 +203,7 @@ class Engine:
         load_prelude: bool = True,
         max_frames: int = 1_000_000,
     ):
-        self.store = Store()
+        self.store = Store(occurs_check)
         # (name, arity) -> [(head, body), ...] in source order; the dict's
         # insertion order is the order listing/1 prints predicates in
         self.db = {}
@@ -219,7 +212,6 @@ class Engine:
         # id(clause) -> _compile(clause), built at its first try; the ids
         # stay unique because self.db keeps every clause alive
         self._templates = {}
-        self.occurs_check = occurs_check
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
         self.max_frames = max_frames
@@ -247,17 +239,15 @@ class Engine:
         goal, varmap = read_query(text, self.store, self.allow_evars)
         return self.solve(goal, varmap)
 
-    def solve(self, goal, varmap=None):
+    def solve(self, goal, varmap):
         """Run a goal term; yields eagerly rendered Solutions.
 
         When the sequence is exhausted or abandoned the trail is undone to
         the query-start mark, so every variable bound by this query (the
         program-wide ones included) is unbound again.
         """
-        if varmap is None:
-            varmap = {}
         store = self.store
-        occ = self.occurs_check
+        shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         templates = self._templates
         max_frames = self.max_frames
         # A choice point is either an alternative, the tuple (mark, goals)
@@ -288,7 +278,7 @@ class Engine:
                             template = templates[id(clause)] = _compile(clause)
                         head, body = copy_terms(template, store)
                         idx += 1
-                        if unify(head, goal, store, occ):
+                        if unify(head, goal, store):
                             break
                     else:
                         cps.pop()
@@ -309,7 +299,7 @@ class Engine:
                             # argument priority: bare control operators like
                             # ;/2 would be ambiguous in a comma-joined display
                             name: write_term(v, use_names=False, priority=999)
-                            for name, v in varmap.items()
+                            for name, v in shown
                         }
                     )
                     failing = True
@@ -373,14 +363,10 @@ class Engine:
                     cond, then, otherwise = ite
                     h = len(cps)
                     cps.append((store.mark(), (otherwise, barrier, goals)))
-                    commit = (partial(_cut_to, h), 0, (then, barrier, goals))
-                    goals = (cond, h + 1, commit)
+                    goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                     continue
                 if name == "call" and arity == 1:
-                    g = deref(args[0])
-                    if isinstance(g, Var):
-                        raise InstantiationError("call/1: unbound goal")
-                    goals = (g, len(cps), goals)
+                    goals = (args[0], len(cps), goals)
                     continue
                 if name == "findall" and arity == 3:
                     template, subgoal, result = args
@@ -494,13 +480,13 @@ _ARITH = {
 
 
 def _bi_unify(e: Engine, args):
-    return unify(args[0], args[1], e.store, e.occurs_check)
+    return unify(args[0], args[1], e.store)
 
 
 def _bi_not_unify(e: Engine, args):
     store = e.store
     mark = store.mark()
-    if unify(args[0], args[1], store, e.occurs_check):
+    if unify(args[0], args[1], store):
         store.undo_to(mark)
         return False
     return True
@@ -515,7 +501,7 @@ def _bi_nonvar(e: Engine, args):
 
 
 def _bi_is(e: Engine, args):
-    return unify(args[0], Int(e._eval(args[1])), e.store, e.occurs_check)
+    return unify(args[0], Int(e._eval(args[1])), e.store)
 
 
 def _bi_compare(op, e: Engine, args):
@@ -537,20 +523,18 @@ def _bi_arg(e: Engine, args):
         raise TypeMismatchError("arg/3: second argument must be compound")
     i = n.value
     if 1 <= i <= len(t.args):
-        return unify(args[2], t.args[i - 1], e.store, e.occurs_check)
+        return unify(args[2], t.args[i - 1], e.store)
     return False
 
 
 def _bi_functor(e: Engine, args):
     t = deref(args[0])
     if isinstance(t, Struct):
-        return unify(args[1], Atom(t.name), e.store, e.occurs_check) and unify(
-            args[2], Int(len(t.args)), e.store, e.occurs_check
+        return unify(args[1], Atom(t.name), e.store) and unify(
+            args[2], Int(len(t.args)), e.store
         )
     if isinstance(t, (Atom, Int)):
-        return unify(args[1], t, e.store, e.occurs_check) and unify(
-            args[2], Int(0), e.store, e.occurs_check
-        )
+        return unify(args[1], t, e.store) and unify(args[2], Int(0), e.store)
     name = deref(args[1])
     arity = deref(args[2])
     if isinstance(name, Var) or isinstance(arity, Var):
@@ -559,16 +543,16 @@ def _bi_functor(e: Engine, args):
         raise TypeMismatchError("functor/3: arity must be a non-negative integer")
     if arity.value == 0:
         if isinstance(name, (Atom, Int)):
-            return unify(t, name, e.store, e.occurs_check)
+            return unify(t, name, e.store)
         raise TypeMismatchError("functor/3: name must be atomic")
     if not isinstance(name, Atom):
         raise TypeMismatchError("functor/3: name must be an atom")
     fresh = tuple(e.store.new_var() for _ in range(arity.value))
-    return unify(t, Struct(name.name, fresh), e.store, e.occurs_check)
+    return unify(t, Struct(name.name, fresh), e.store)
 
 
 def _bi_copy_term(e: Engine, args):
-    return unify(args[1], copy_term(args[0], e.store), e.store, e.occurs_check)
+    return unify(args[1], copy_term(args[0], e.store), e.store)
 
 
 def _bi_sort(e: Engine, args):
@@ -582,7 +566,7 @@ def _bi_sort(e: Engine, args):
     for x in ordered:
         if not deduped or compare_terms(deduped[-1], x) != 0:
             deduped.append(x)
-    return unify(args[1], make_list(deduped), e.store, e.occurs_check)
+    return unify(args[1], make_list(deduped), e.store)
 
 
 def _bi_listing(e: Engine, args):

@@ -8,7 +8,8 @@ None).  ``EVar`` cells behave identically under unification but are global
 to a program: the reader interns them by name, and the engine's clause
 templates keep them as cells instead of freshening them, which is what lets
 one binding travel across clause boundaries until the query that produced
-it is undone.
+it is undone.  The store also holds the occurs-check policy, so every
+``unify`` on one store follows the same rule.
 
 ``copy_term`` dereferences first, so an unbound ``EVar`` comes back as
 itself but a bound one is copied by value, its variables renamed.  That is
@@ -78,14 +79,16 @@ class Struct(Term):
 
 
 class Store:
-    """Owns every variable cell, the trail, and the EVar intern table."""
+    """Owns every variable cell, the trail, the EVar intern table, and the
+    occurs-check policy that ``unify`` follows on this store."""
 
-    __slots__ = ("cells", "trail", "evars", "_serial")
+    __slots__ = ("cells", "trail", "evars", "occurs_check", "_serial")
 
-    def __init__(self):
+    def __init__(self, occurs_check: bool = False):
         self.cells = []
         self.trail = []
         self.evars = {}
+        self.occurs_check = occurs_check
         self._serial = 0
 
     def new_var(self, name=None) -> Var:
@@ -143,8 +146,10 @@ def occurs(v: Var, t: Term) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, store: Store, occurs_check: bool = False) -> bool:
-    """Unify two terms; on failure the store is exactly as it was before."""
+def unify(a: Term, b: Term, store: Store) -> bool:
+    """Unify two terms, with the store's occurs-check policy; on failure the
+    store is exactly as it was before."""
+    occurs_check = store.occurs_check
     start = store.mark()
     stack = [(a, b)]
     while stack:

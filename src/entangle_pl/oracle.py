@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import Engine
@@ -42,7 +42,7 @@ def normalize_solution(solution) -> tuple:
     # not depend on that order.
     return tuple(
         (name, _renumber(_VAR_TOKEN, value, "_A", mapping))
-        for name, value in sorted(solution.visible_items(), key=lambda nv: nv[0])
+        for name, value in sorted(solution.items(), key=lambda nv: nv[0])
     )
 
 
@@ -68,25 +68,14 @@ class PairResult:
     transpiled: int
     detail: str = ""
 
-
-@dataclass
-class OracleReport:
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    def lines(self):
-        for r in self.results:
-            if r.ok:
-                yield f"OK        {r.program} :: {r.query}"
-            else:
-                yield (
-                    f"MISMATCH  {r.program} :: {r.query}"
-                    f" (native {r.native}, transpiled {r.transpiled})"
-                    + (f" {r.detail}" if r.detail else "")
-                )
+    def __str__(self):
+        if self.ok:
+            return f"OK        {self.program} :: {self.query}"
+        return (
+            f"MISMATCH  {self.program} :: {self.query}"
+            f" (native {self.native}, transpiled {self.transpiled})"
+            + (f" {self.detail}" if self.detail else "")
+        )
 
 
 def check_program(
@@ -176,14 +165,14 @@ def canonical_transcript(program_text: str, queries) -> str:
 
 def check_directory(
     directory, limit: int | None = None, engine_options: dict | None = None
-) -> OracleReport:
+) -> list:
     directory = Path(directory)
-    report = OracleReport()
+    results = []
     for program_path in sorted(directory.glob("*.pl")):
         queries_path = program_path.with_suffix(".queries")
         if not queries_path.exists():
             continue
-        report.results.extend(
+        results.extend(
             check_program(
                 program_path.read_text(),
                 read_queries(queries_path),
@@ -192,4 +181,4 @@ def check_directory(
                 engine_options=engine_options,
             )
         )
-    return report
+    return results

@@ -35,7 +35,6 @@ class TranspileResult:
     text: str
     layout: list  # EVar names (with ~) in first-occurrence order
     predicates: list  # (name, arity) of source predicates, definition order
-    uses_helper: bool
 
 
 def _conj_fold(goals):
@@ -134,9 +133,14 @@ def rewrite_goal(g, env, predset, store):
     return done[0], uses_helper
 
 
-def transpile(text: str) -> TranspileResult:
+def transpile(*texts: str) -> TranspileResult:
+    """Transpile the program made of ``texts``, each read in turn as a text
+    of its own into one store, so the layout and the predicates span them
+    all."""
     store = Store()
-    pairs = read_program(text, store, allow_evar=True)
+    pairs = []
+    for text in texts:
+        pairs += read_program(text, store, allow_evar=True)
     layout = list(store.evars)  # the reader interns them in text order
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys(
@@ -165,7 +169,7 @@ def transpile(text: str) -> TranspileResult:
     out = "\n".join(lines)
     if out:
         out += "\n"
-    return TranspileResult(out, layout, predicates, uses_helper)
+    return TranspileResult(out, layout, predicates)
 
 
 def _helper_clauses(store: Store, predicates) -> list:

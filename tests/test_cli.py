@@ -252,6 +252,20 @@ def test_transpile_requires_files(capsys):
     assert exc.value.code == 2
 
 
+def test_no_evar_with_transpile_exit_2(pair_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([pair_file, "--no-evar", "--transpile", "-"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_no_evar_with_oracle_check_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--oracle-check", "--no-evar"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_max_solutions_below_one_exit_2(coloring_file, n, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -280,6 +294,16 @@ def test_transpile_to_stdout(pair_file, capsys):
     assert code == 0
     assert "~" not in out
     assert "a(_IV1,_Env) :- arg(1,_Env,_IV1)." in out
+
+
+def test_transpile_reads_each_file_as_its_own_text(tmp_path, capsys):
+    first = tmp_path / "a.pl"
+    first.write_text("x(1).\nx(2).\nx(3).\n")
+    second = tmp_path / "b.pl"
+    second.write_text("y(1).\ny(2 .\n")
+    code, out, err = run_main([str(first), str(second), "--transpile", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert "(line 2, column 5)" in err
 
 
 def test_transpile_to_file_reruns(pair_file, tmp_path, capsys):
@@ -319,9 +343,9 @@ def test_oracle_check_empty_directory(tmp_path, capsys):
 
 def test_oracle_check_mismatch_exit_1(monkeypatch, capsys):
     from entangle_pl import cli as cli_mod
-    from entangle_pl.oracle import OracleReport, PairResult
+    from entangle_pl.oracle import PairResult
 
-    fake = OracleReport([PairResult("p.pl", "q.", False, 2, 1)])
+    fake = [PairResult("p.pl", "q.", False, 2, 1)]
     monkeypatch.setattr(cli_mod, "check_directory", lambda *a, **k: fake)
     code, out, _ = run_main(["--oracle-check", "ignored"], capsys)
     assert code == 1

@@ -47,8 +47,8 @@ def test_solution_api(eng):
     assert sol["X"] == "1"
     assert sol["Y"] == "foo(1)"
     assert "X" in sol and "Zed" not in sol
-    assert dict(sol.visible_items()) == {"X": "1", "Y": "foo(1)"}
-    assert "_Hidden" in sol  # present, only suppressed from display
+    assert dict(sol) == {"X": "1", "Y": "foo(1)"}
+    assert "_Hidden" not in sol  # a _ name is never rendered
     assert str(sol) == "X = 1, Y = foo(1)"
 
 
@@ -120,6 +120,17 @@ def test_if_then_else(eng):
 def test_ite_condition_cut_is_local(eng):
     eng.consult_text("t(1). t(2).")
     assert answers(eng, "((t(X), !) -> R = yes ; R = no).") == ["X = 1, R = yes"]
+
+
+def test_cut_in_ite_branches_cuts_the_clause(eng):
+    eng.consult_text(
+        "t(1). t(2). "
+        "p(X) :- (true -> t(X), ! ; true). p(9). "
+        "q(X) :- (fail -> true ; t(X), !). q(9). "
+        "r(X) :- (t(X) -> true), !. r(9)."
+    )
+    for goal in ("p(X).", "q(X).", "r(X)."):
+        assert answers(eng, goal) == ["X = 1"], goal
 
 
 def test_disjunction(eng):

@@ -58,17 +58,17 @@ def test_deref_chain(kernel):
 def test_unify_basics(kernel):
     s = kernel.Store()
     A, I, St = kernel.Atom, kernel.Int, kernel.Struct
-    assert kernel.unify(A("a"), A("a"), s, False)
-    assert not kernel.unify(A("a"), A("b"), s, False)
-    assert kernel.unify(I(3), I(3), s, False)
-    assert not kernel.unify(I(3), I(4), s, False)
-    assert not kernel.unify(I(3), A("3"), s, False)
+    assert kernel.unify(A("a"), A("a"), s)
+    assert not kernel.unify(A("a"), A("b"), s)
+    assert kernel.unify(I(3), I(3), s)
+    assert not kernel.unify(I(3), I(4), s)
+    assert not kernel.unify(I(3), A("3"), s)
     x, y = s.new_var(), s.new_var()
-    assert kernel.unify(St("f", (x, I(2))), St("f", (A("a"), y)), s, False)
+    assert kernel.unify(St("f", (x, I(2))), St("f", (A("a"), y)), s)
     assert kernel.deref(x).name == "a"
     assert kernel.deref(y).value == 2
-    assert not kernel.unify(St("f", (x,)), St("g", (x,)), s, False)
-    assert not kernel.unify(St("f", (x,)), St("f", (x, x)), s, False)
+    assert not kernel.unify(St("f", (x,)), St("g", (x,)), s)
+    assert not kernel.unify(St("f", (x,)), St("f", (x, x)), s)
 
 
 def test_var_var_binding_direction(kernel):
@@ -77,12 +77,12 @@ def test_var_var_binding_direction(kernel):
     s = kernel.Store()
     old = s.new_var()
     young = s.new_var()
-    assert kernel.unify(young, old, s, False)
+    assert kernel.unify(young, old, s)
     assert young.ref is old and old.ref is None
     s2 = kernel.Store()
     old2 = s2.new_var()
     young2 = s2.new_var()
-    assert kernel.unify(old2, young2, s2, False)  # argument order irrelevant
+    assert kernel.unify(old2, young2, s2)  # argument order irrelevant
     assert young2.ref is old2 and old2.ref is None
 
 
@@ -93,22 +93,21 @@ def test_unify_failure_restores_store(kernel):
     before = s.mark()
     # x gets bound while matching the first argument, then the clash on
     # the second argument must undo it
-    assert not kernel.unify(
-        St("f", (x, I(1))), St("f", (A("a"), I(2))), s, False
-    )
+    assert not kernel.unify(St("f", (x, I(1))), St("f", (A("a"), I(2))), s)
     assert s.mark() == before
     assert x.ref is None and y.ref is None
 
 
 def test_occurs_check(kernel):
-    s = kernel.Store()
+    s = kernel.Store(occurs_check=True)
     x = s.new_var()
     fx = kernel.Struct("f", (x,))
     assert kernel.occurs(x, fx)
     assert not kernel.occurs(x, kernel.Struct("f", (s.new_var(),)))
-    assert not kernel.unify(x, fx, s, True)
+    assert not kernel.unify(x, fx, s)
     assert x.ref is None
-    assert kernel.unify(x, fx, s, False)  # rational-tree bind when disabled
+    s.occurs_check = False
+    assert kernel.unify(x, fx, s)  # rational-tree bind when disabled
 
 
 def test_copy_term_freshens_vars_only(kernel):

@@ -102,14 +102,13 @@ def test_corpus_queries_files_parse():
 
 
 def test_full_corpus_equivalence():
-    report = check_directory(corpus_dir())
-    assert report.results, "no corpus pairs found"
-    failures = [line for line in report.lines() if not line.startswith("OK")]
-    assert report.ok, "\n".join(failures)
+    results = check_directory(corpus_dir())
+    assert results, "no corpus pairs found"
+    failures = [str(r) for r in results if not r.ok]
+    assert all(r.ok for r in results), "\n".join(failures)
 
 
 def test_report_lines_format():
-    report = check_directory(corpus_dir())
-    lines = list(report.lines())
+    lines = [str(r) for r in check_directory(corpus_dir())]
     assert all(l.startswith("OK") for l in lines)
     assert any(":: test_mst(M)." in l for l in lines)
