@@ -79,14 +79,10 @@ def _trans(body, s0, store):
             g = Struct("phrase", (b, s, s1))
         elif isinstance(b, Int):
             raise TypeMismatchError(f"DCG body item is not callable: {b.value}")
-        elif isinstance(b, Atom):
-            if b.name == "[]":
-                g, s1 = None, s
-            elif b.name == "!":
-                g, s1 = b, s
-            else:
-                s1 = store.new_var()
-                g = Struct(b.name, (s, s1))
+        elif isinstance(b, Atom) and b.name == "[]":
+            g, s1 = None, s
+        elif isinstance(b, Atom) and b.name == "!":
+            g, s1 = b, s
         elif b.name == "{}" and len(b.args) == 1:
             g, s1 = b.args[0], s
         elif b.name == "." and len(b.args) == 2:
@@ -110,11 +106,7 @@ def dcg_translate(head, body, store):
     h = deref(head)
     s0 = store.new_var()
     goal, s_end = _trans(body, s0, store)
-    if isinstance(h, Atom):
-        new_head = Struct(h.name, (s0, s_end))
-    else:
-        new_head = Struct(h.name, h.args + (s0, s_end))
-    return new_head, _or_true(goal)
+    return Struct(h.name, h.args + (s0, s_end)), _or_true(goal)
 
 
 def translate_goal(body, s0, s, store):

@@ -34,16 +34,17 @@ per ordinary variable, numbered by first occurrence, so fresh cells get
 the serials a copy would give them; subterms without variables are shared,
 not rebuilt; and a ``~Name`` cell is kept as the cell itself, read without
 ``deref``, so a template compiled while a query has the cell bound still
-sees that binding and every later one.  Templates live beside the index
-and the next consult drops them too.  The instantiator is the module-level
-``copy_terms``, called once per clause try and followed by the head
-``unify``: that pair is where the benchmark's tracer counts clause tries.
+sees that binding and every later one.  A clause record is the list
+``[head, body, template]``; the template is stored there at the first try
+and kept across consults.  ``try_clause`` calls the module-level
+``copy_terms`` and then the head ``unify``: that pair is where the
+benchmark's tracer counts clause tries.
 
 The prelude is read once per process, into a store of its own, and every
-engine appends the same clause objects to its own predicate lists.  That
-sharing is safe because a stored clause is never bound: each try renames
-it from a template.  The prelude is read with ``~`` syntax off, so no
-``~Name`` cell can be shared between engines.
+engine appends the same clause records, templates included, to its own
+predicate lists.  That sharing is safe because a stored clause is never
+bound: each try renames it from a template.  The prelude is read with
+``~`` syntax off, so no ``~Name`` cell can be shared between engines.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
     EvaluationError,
     ExistenceError,
     InstantiationError,
+    PrologError,
     ResourceLimitError,
     TypeMismatchError,
 )
@@ -130,7 +132,7 @@ def _arg_table(clauses, pos):
 
 
 def _compile(clause):
-    """Template code for a stored ``(head, body)`` clause: its terms in
+    """Template code for a stored ``[head, body, _]`` clause: its terms in
     postfix, where an int is a slot (one per ordinary variable, numbered by
     first occurrence), ``(name, n)`` builds a Struct from the last ``n``
     values, and anything else is used as it is.  The stored terms are read
@@ -182,6 +184,16 @@ def copy_terms(template, store):
     return vals
 
 
+def try_clause(clause, goal, store):
+    """Rename a clause, compiling its template at the first try, and unify
+    its head with ``goal``: the renamed body, or None on a mismatch."""
+    template = clause[2]
+    if template is None:
+        template = clause[2] = _compile(clause)
+    head, body = copy_terms(template, store)
+    return body if unify(head, goal, store) else None
+
+
 def prelude_text() -> str:
     return resources.files(__package__).joinpath("assumptions.pl").read_text(
         encoding="utf-8"
@@ -190,8 +202,9 @@ def prelude_text() -> str:
 
 @lru_cache(maxsize=1)
 def _prelude_clauses() -> tuple:
-    """The prelude's ``(head, body)`` pairs, shared by every engine."""
-    return tuple(read_program(prelude_text(), Store(), allow_evar=False))
+    """The prelude's clause records, shared by every engine."""
+    pairs = read_program(prelude_text(), Store(), allow_evar=False)
+    return tuple([head, body, None] for head, body in pairs)
 
 
 class Engine:
@@ -204,14 +217,11 @@ class Engine:
         max_frames: int = 1_000_000,
     ):
         self.store = Store(occurs_check)
-        # (name, arity) -> [(head, body), ...] in source order; the dict's
-        # insertion order is the order listing/1 prints predicates in
+        # (name, arity) -> [[head, body, template], ...] in source order;
+        # the dict's insertion order is the order listing/1 prints them in
         self.db = {}
         # (name, arity, pos) -> _arg_table(...), built at first use
         self._index = {}
-        # id(clause) -> _compile(clause), built at its first try; the ids
-        # stay unique because self.db keeps every clause alive
-        self._templates = {}
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
         self.max_frames = max_frames
@@ -221,16 +231,17 @@ class Engine:
     # --- loading ---------------------------------------------------------
 
     def consult_text(self, text: str):
-        """Parse and add clauses; a parse error adds nothing at all."""
-        self._add(read_program(text, self.store, self.allow_evars))
+        """Parse and add clauses; a parse error, or a clause for a predicate
+        the engine runs itself, adds nothing at all."""
+        pairs = read_program(text, self.store, self.allow_evars)
+        check_heads(head for head, _ in pairs)
+        self._add([[head, body, None] for head, body in pairs])
 
     def _add(self, clauses):
         for clause in clauses:
             head = clause[0]
-            arity = len(head.args) if isinstance(head, Struct) else 0
-            self.db.setdefault((head.name, arity), []).append(clause)
+            self.db.setdefault((head.name, len(head.args)), []).append(clause)
         self._index.clear()
-        self._templates.clear()
 
     # --- queries ---------------------------------------------------------
 
@@ -248,7 +259,6 @@ class Engine:
         """
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
-        templates = self._templates
         max_frames = self.max_frames
         # A choice point is either an alternative, the tuple (mark, goals)
         # whose goals node resumes after undoing to mark, or a clause choice
@@ -272,13 +282,9 @@ class Engine:
                         continue
                     _, goal, clauses, idx, cont, barrier = cp
                     while idx < len(clauses):
-                        clause = clauses[idx]
-                        template = templates.get(id(clause))
-                        if template is None:
-                            template = templates[id(clause)] = _compile(clause)
-                        head, body = copy_terms(template, store)
+                        body = try_clause(clauses[idx], goal, store)
                         idx += 1
-                        if unify(head, goal, store):
+                        if body is not None:
                             break
                     else:
                         cps.pop()
@@ -318,18 +324,11 @@ class Engine:
                     barrier = len(cps)  # metavariable call gets a fresh barrier
                 if isinstance(goal, Var):
                     raise InstantiationError("unbound variable called as a goal")
-                if isinstance(goal, Atom):
-                    name = goal.name
-                    args = ()
-                    arity = 0
-                elif isinstance(goal, Struct):
-                    name = goal.name
-                    args = goal.args
-                    arity = len(args)
-                else:
-                    raise TypeMismatchError(
-                        f"goal is not callable: {write_term(goal)}"
-                    )
+                if not isinstance(goal, (Atom, Struct)):
+                    raise TypeMismatchError(f"goal is not callable: {write_term(goal)}")
+                name = goal.name
+                args = goal.args
+                arity = len(args)
 
                 if name == "," and arity == 2:
                     goals = (args[0], barrier, (args[1], barrier, goals))
@@ -584,7 +583,7 @@ def _bi_listing(e: Engine, args):
     else:
         raise TypeMismatchError("listing/1: expected Name or Name/Arity")
     for key in keys:
-        for head, body in e.db[key]:
+        for head, body, _ in e.db[key]:
             print(write_clause(head, body))
     return True
 
@@ -609,3 +608,16 @@ _BUILTINS = {
     ("sort", 2): _bi_sort,
     ("listing", 1): _bi_listing,
 }
+
+# (name, arity) of the control constructs ``solve`` runs before the database;
+# the reader already refuses ``,``, ``;``, ``->`` and ``\+`` heads
+_CONTROL = frozenset({("true", 0), ("fail", 0), ("!", 0), ("call", 1),
+                      ("findall", 3), ("phrase", 2), ("phrase", 3)})
+
+
+def check_heads(heads):
+    """Refuse a clause for a predicate ``solve`` would never look up."""
+    for head in heads:
+        key = (head.name, len(head.args))
+        if key in _CONTROL or key in _BUILTINS:
+            raise PrologError(f"cannot redefine {key[0]}/{key[1]}")

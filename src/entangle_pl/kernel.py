@@ -26,6 +26,7 @@ class Term:
 
 class Atom(Term):
     __slots__ = ("name",)
+    args = ()  # so every callable term has a name and an args tuple
 
     def __init__(self, name: str):
         self.name = name
@@ -54,17 +55,13 @@ class Var(Term):
 
     def __repr__(self):
         state = "unbound" if self.ref is None else "bound"
-        return f"Var({self.serial}, {self.name!r}, {state})"
+        return f"{type(self).__name__}({self.serial}, {self.name!r}, {state})"
 
 
 class EVar(Var):
     """Interned, program-wide variable cell (written ``~Name`` in source)."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        state = "unbound" if self.ref is None else "bound"
-        return f"EVar({self.serial}, {self.name!r}, {state})"
 
 
 class Struct(Term):
@@ -91,8 +88,9 @@ class Store:
         self.occurs_check = occurs_check
         self._serial = 0
 
-    def new_var(self, name=None) -> Var:
-        v = Var(self._serial, name)
+    def new_var(self, name=None, cls=Var) -> Var:
+        """Allocate a cell: the only place a serial is assigned."""
+        v = cls(self._serial, name)
         self._serial += 1
         self.cells.append(v)
         return v
@@ -101,10 +99,7 @@ class Store:
         """Return the one cell for ``name`` (e.g. ``~X``), creating it once."""
         v = self.evars.get(name)
         if v is None:
-            v = EVar(self._serial, name)
-            self._serial += 1
-            self.cells.append(v)
-            self.evars[name] = v
+            v = self.evars[name] = self.new_var(name, EVar)
         return v
 
     def mark(self) -> int:

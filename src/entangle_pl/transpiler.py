@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
+from .engine import check_heads
 from .errors import TranspileError
 from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
@@ -102,7 +103,7 @@ def rewrite_goal(g, env, predset, store):
             done.append(Struct(t.name, tuple(args)))
             continue
         t = deref(t)
-        if isinstance(t, Struct):
+        if isinstance(t, (Atom, Struct)):
             name = t.name
             args = t.args
             key = (name, len(args))
@@ -127,8 +128,6 @@ def rewrite_goal(g, env, predset, store):
             # injected goal: dispatched through the runtime helper
             uses_helper = True
             t = Struct(_HELPER, (t, env))
-        elif isinstance(t, Atom) and (t.name, 0) in predset:
-            t = Struct(t.name, (env,))
         done.append(t)
     return done[0], uses_helper
 
@@ -143,9 +142,8 @@ def transpile(*texts: str) -> TranspileResult:
         pairs += read_program(text, store, allow_evar=True)
     layout = list(store.evars)  # the reader interns them in text order
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    predicates = list(dict.fromkeys(
-        (h.name, len(h.args) if isinstance(h, Struct) else 0) for h, _ in pairs
-    ))
+    check_heads(h for h, _ in pairs)
+    predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
     predset = set(predicates)
 
     lines = []
@@ -153,8 +151,7 @@ def transpile(*texts: str) -> TranspileResult:
     for head, body in pairs:
         mark = store.mark()
         env, goals = _bind_cells(store, slots, (head, body))
-        args = head.args if isinstance(head, Struct) else ()
-        new_head = Struct(head.name, args + (env,))
+        new_head = Struct(head.name, head.args + (env,))
         rewritten, helper = rewrite_goal(body, env, predset, store)
         uses_helper |= helper
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):

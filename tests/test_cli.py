@@ -172,6 +172,21 @@ def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     assert [r.ok for r in results] == [True, True]
 
 
+@pytest.mark.parametrize("mode", [
+    ["-q", "p.", "{dir}/p.pl"],
+    ["--transpile", "-", "{dir}/p.pl"],
+    ["--oracle-check", "{dir}"],
+], ids=["query", "transpile", "oracle-check"])
+def test_clause_for_a_control_construct_exit_2(tmp_path, mode, capsys):
+    (tmp_path / "p.pl").write_text("true :- fail.\np :- true.\n")
+    (tmp_path / "p.queries").write_text("p.\n")
+    argv = [arg.format(dir=tmp_path) for arg in mode]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot redefine true/0\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_main(["/nonexistent/prog.pl", "-q", "a"], capsys)
     assert code == 2

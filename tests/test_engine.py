@@ -1,6 +1,7 @@
 """Solver behavior: control constructs, builtins, errors, store hygiene."""
 
 import itertools
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from entangle_pl import (
     EvaluationError,
     ExistenceError,
     InstantiationError,
+    PrologError,
     PrologSyntaxError,
     ResourceLimitError,
     TypeMismatchError,
@@ -78,6 +80,23 @@ def test_consult_is_atomic(eng):
         eng.consult_text("ok(1). broken(] :- x.")
     with pytest.raises(ExistenceError):
         list(eng.query("ok(1)."))
+
+
+@pytest.mark.parametrize("program, key", [
+    ("ok. true :- fail. p :- true.", "true/0"),
+    ("ok. ! :- fail.", "!/0"),
+    ("ok. X = Y :- fail.", "=/2"),
+    ("ok. phrase(G, L) :- fail.", "phrase/2"),
+], ids=["true", "cut", "unify", "phrase"])
+def test_predicates_the_engine_runs_cannot_be_redefined(eng, program, key):
+    # solve runs these before it looks at the database, so a clause for
+    # one would never run natively, yet the transpiled program calls it
+    before = {k: list(v) for k, v in eng.db.items()}
+    with pytest.raises(PrologError, match=f"^cannot redefine {re.escape(key)}$"):
+        eng.consult_text(program)
+    assert eng.db == before
+    with pytest.raises(PrologError, match=f"^cannot redefine {re.escape(key)}$"):
+        transpile(program)
 
 
 def test_clause_order_and_duplicates(eng):
@@ -412,11 +431,41 @@ def test_ground_subterms_are_shared(eng):
     assert head.args[1] is body.args[0] and head.args[1] is not clause[0].args[1]
 
 
-def test_consult_after_templates_are_built(eng):
+def counting_compiles(monkeypatch):
+    """A list that gets each clause the engine compiles a template for."""
+    compiled = []
+    real = engine_module._compile
+
+    def counting(clause):
+        compiled.append(clause)
+        return real(clause)
+
+    monkeypatch.setattr(engine_module, "_compile", counting)
+    return compiled
+
+
+def test_consult_after_templates_are_built(eng, monkeypatch):
     eng.consult_text("c(1). c(X) :- X = one.")
     assert answers(eng, "c(X).") == ["X = 1", "X = one"]
     eng.consult_text("c(2). c(Y) :- Y = two.")
+    compiled = counting_compiles(monkeypatch)
     assert answers(eng, "c(X).") == ["X = 1", "X = one", "X = 2", "X = two"]
+    # the clauses tried before the consult keep their templates
+    assert compiled == eng.db[("c", 1)][2:]
+
+
+def test_prelude_templates_are_compiled_once_per_process(monkeypatch):
+    query = "phrase(('#<'([a]),'#+'(x),'#-'(x),'#:'(a),'#>'([])),_,_)."
+    engine_module._prelude_clauses.cache_clear()
+    try:
+        compiled = counting_compiles(monkeypatch)
+        assert answers(Engine(), query) == ["true"]
+        first = len(compiled)
+        assert first > 0
+        assert answers(Engine(), query) == ["true"]
+        assert len(compiled) == first  # the second engine compiles none
+    finally:
+        engine_module._prelude_clauses.cache_clear()
 
 
 def test_fresh_variable_serials_are_stable(eng):

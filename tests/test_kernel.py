@@ -28,6 +28,15 @@ def test_evar_interning(kernel):
     assert isinstance(x1, kernel.EVar)
     assert isinstance(x1, kernel.Var)  # EVars behave as ordinary variables
     assert x1.name == "~X"
+    # interned cells come from the one allocator every cell comes from
+    a = s.new_var()
+    assert s.cells == [x1, y, a] and a.serial == y.serial + 1
+    assert repr(x1) == "EVar(0, '~X', unbound)"
+
+
+def test_atom_has_empty_args(kernel):
+    # every callable term has a name and an args tuple
+    assert kernel.Atom("a").args == ()
 
 
 def test_bind_trail_undo(kernel):

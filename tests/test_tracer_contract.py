@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer must still see every clause try.
 
 ``perfbench/tracing.py`` counts a clause try as a module-level
-``copy_terms`` call followed by ``unify`` in ``entangle_pl.engine``; a
+``copy_terms`` call followed by ``unify`` in ``entangle_pl.engine``;
+``try_clause`` makes that pair, looking both up as module globals.  A
 clause-selection change that bypasses either would silently blind the
 layer attribution.  ``perfbench/`` is put on the path only to import the
 tracer.
