@@ -211,10 +211,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: no such file", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrologError as exc:
+    except (OSError, PrologError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,16 @@ goal belongs to; ``!`` truncates the stack down to it.  No construct
 re-enters the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and
 ``(C -> T)`` as ``(C -> T ; fail)``, whose else branch is a choice point
 that a ``!`` carrying the construct's height drops when ``C`` succeeds;
-findall/3 copies each solution of its goal at a marker goal that then
-fails, and a choice point below the goal unifies the collected list.
-Every binding is trailed, so abandoning or exhausting a query undoes all
-of its work, including bindings of ``~Name`` variables; that reset is what
-makes them reusable between queries.
+findall/3 copies each solution of its goal at a marker goal, called as
+``marker(engine)``, that then fails, and a choice point below the goal
+unifies the collected list.  A variable goal is the metacall case: it
+gets a fresh cut barrier, and, like the goals of call/1 and findall/3, its
+control skeleton is checked for callability before it runs.  ``CONTROL``
+lists the control constructs and their goal arguments; the transpiler
+rewrites goals through the same table.  Every binding is trailed, so
+abandoning or exhausting a query undoes all of its work, including
+bindings of ``~Name`` variables; that reset is what makes them
+reusable between queries.
 
 Clauses are selected through an argument index built at first use.  A
 call to a predicate of several clauses looks up its first argument that is
@@ -95,17 +100,16 @@ class Solution(dict):
 
 
 # findall/3's two goal-stack markers are machine-internal steps: partials of
-# the functions below, called as ``marker(engine, cps)``; a false result
-# fails.
+# the functions below, called as ``marker(engine)``; a false result fails.
 
 
-def _collect(template, acc, e, cps):
+def _collect(template, acc, e):
     """Copy one findall/3 solution, then fail into the next."""
     acc.append(copy_term(template, e.store))
     return False
 
 
-def _found_all(acc, result, e, cps):
+def _found_all(acc, result, e):
     return unify(result, make_list(acc), e.store)
 
 
@@ -316,14 +320,16 @@ class Engine:
                     raise ResourceLimitError(f"frame budget exceeded ({max_frames})")
                 goals = rest
                 if type(term) is partial:
-                    if not term(self, cps):
+                    if not term(self):
                         failing = True
                     continue
-                goal = deref(term)
-                if goal is not term and isinstance(term, Var):
-                    barrier = len(cps)  # metavariable call gets a fresh barrier
-                if isinstance(goal, Var):
-                    raise InstantiationError("unbound variable called as a goal")
+                goal = term
+                if isinstance(goal, Var):  # a metacall, with a fresh barrier
+                    goal = deref(goal)
+                    if isinstance(goal, Var):
+                        raise InstantiationError("unbound variable called as a goal")
+                    check_goal(goal)
+                    barrier = len(cps)
                 if not isinstance(goal, (Atom, Struct)):
                     raise TypeMismatchError(f"goal is not callable: {write_term(goal)}")
                 name = goal.name
@@ -365,15 +371,17 @@ class Engine:
                     goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                     continue
                 if name == "call" and arity == 1:
-                    goals = (args[0], len(cps), goals)
+                    check_goal(args[0])
+                    goals = (deref(args[0]), len(cps), goals)
                     continue
                 if name == "findall" and arity == 3:
                     template, subgoal, result = args
+                    check_goal(subgoal)
                     acc = []
                     found = partial(_found_all, acc, result)
                     cps.append((store.mark(), (found, 0, goals)))
                     collect = partial(_collect, template, acc)
-                    goals = (subgoal, len(cps), (collect, 0, None))
+                    goals = (deref(subgoal), len(cps), (collect, 0, None))
                     continue
                 if name == "phrase" and arity in (2, 3):
                     s0 = args[1]
@@ -609,15 +617,40 @@ _BUILTINS = {
     ("listing", 1): _bi_listing,
 }
 
-# (name, arity) of the control constructs ``solve`` runs before the database;
-# the reader already refuses ``,``, ``;``, ``->`` and ``\+`` heads
-_CONTROL = frozenset({("true", 0), ("fail", 0), ("!", 0), ("call", 1),
-                      ("findall", 3), ("phrase", 2), ("phrase", 3)})
+# (name, arity) of each control construct ``solve`` runs before the database
+# -> the positions of its goal arguments, the ones the transpiler rewrites.
+# A grammar body is not a goal.
+CONTROL = {
+    (",", 2): (0, 1), (";", 2): (0, 1), ("->", 2): (0, 1), ("\\+", 1): (0,),
+    ("call", 1): (0,), ("findall", 3): (1,), ("true", 0): (), ("fail", 0): (),
+    ("!", 0): (), ("phrase", 2): (), ("phrase", 3): (),
+}
+
+# The constructs a metacall's check walks into.  CONTROL's positions also
+# reach into call/1 and findall/3, but their goals are checked when they
+# start, so ``call((fail, call(1)))`` fails, as in ISO.
+_SKELETON = frozenset({(",", 2), (";", 2), ("->", 2), ("\\+", 1)})
+
+
+def check_goal(goal):
+    """Raise the type error ``solve`` would meet at the first leaf of a
+    goal's control skeleton that is neither a variable nor callable; a
+    compound already walked is skipped, so a cyclic goal is walked once."""
+    todo = [goal]
+    seen = set()
+    while todo:
+        t = deref(todo.pop())
+        if isinstance(t, Struct) and (t.name, len(t.args)) in _SKELETON:
+            if t not in seen:
+                seen.add(t)
+                todo.extend(reversed(t.args))
+        elif not isinstance(t, (Var, Atom, Struct)):
+            raise TypeMismatchError(f"goal is not callable: {write_term(t)}")
 
 
 def check_heads(heads):
     """Refuse a clause for a predicate ``solve`` would never look up."""
     for head in heads:
         key = (head.name, len(head.args))
-        if key in _CONTROL or key in _BUILTINS:
+        if key in CONTROL or key in _BUILTINS:
             raise PrologError(f"cannot redefine {key[0]}/{key[1]}")

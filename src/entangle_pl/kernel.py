@@ -153,22 +153,14 @@ def unify(a: Term, b: Term, store: Store) -> bool:
         y = deref(y)
         if x is y:
             continue
+        # make x the cell to bind: the younger of two cells, or the only one
+        if isinstance(y, Var) and (not isinstance(x, Var) or y.serial >= x.serial):
+            x, y = y, x
         if isinstance(x, Var):
-            if isinstance(y, Var):
-                if y.serial < x.serial:
-                    x, y = y, x
-                store.bind(y, x)
-                continue
             if occurs_check and occurs(x, y):
                 store.undo_to(start)
                 return False
             store.bind(x, y)
-            continue
-        if isinstance(y, Var):
-            if occurs_check and occurs(y, x):
-                store.undo_to(start)
-                return False
-            store.bind(y, x)
             continue
         if isinstance(x, Atom):
             if isinstance(y, Atom) and x.name == y.name:

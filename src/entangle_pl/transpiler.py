@@ -14,7 +14,9 @@ unnamed one, so no source variable captures a machine-made name.  The
 rewritten goal and the writer dereference through those bindings, and
 ``store.undo_to`` unbinds them before the next clause.  Clause bodies are
 rewritten with one explicit stack and written whole, so the oracle checks
-programs of any body length or term depth.
+programs of any body length or term depth.  The goal arguments of a
+control construct are the positions ``engine.CONTROL`` gives, the table
+the engine dispatches on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import check_heads
+from .engine import CONTROL, check_heads
 from .errors import TranspileError
 from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
@@ -44,17 +46,6 @@ def _conj_fold(goals):
     for g in reversed(goals[:-1]):
         acc = Struct(",", (g, acc))
     return acc
-
-
-# (name, arity) -> positions of the arguments that are goals to rewrite
-_GOAL_ARGS = {
-    (",", 2): (0, 1),
-    (";", 2): (0, 1),
-    ("->", 2): (0, 1),
-    ("\\+", 1): (0,),
-    ("call", 1): (0,),
-    ("findall", 3): (1,),
-}
 
 
 def _bind_cells(store: Store, slots: dict, terms):
@@ -107,10 +98,10 @@ def rewrite_goal(g, env, predset, store):
             name = t.name
             args = t.args
             key = (name, len(args))
+            positions = CONTROL.get(key)
             if key == ("call", 1) and isinstance(deref(args[0]), Var):
                 t = deref(args[0])
-            elif key in _GOAL_ARGS:
-                positions = _GOAL_ARGS[key]
+            elif positions:
                 todo.append((t, positions))
                 todo.extend(args[i] for i in reversed(positions))
                 continue

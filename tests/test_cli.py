@@ -193,6 +193,18 @@ def test_missing_file_exit_2(capsys):
     assert "no such file" in err
 
 
+def test_directory_as_program_file_exit_2(tmp_path, capsys):
+    code, out, err = run_main([str(tmp_path), "-q", "true."], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_metacall_of_a_non_callable_goal_exit_2(pair_file, capsys):
+    code, out, err = run_main([pair_file, "-q", "call((fail, 1))."], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: goal is not callable: 1\n"
+
+
 def test_no_evar_flag_rejects_tilde(pair_file, capsys):
     code, _, err = run_main(["--no-evar", pair_file, "-q", "a(X)"], capsys)
     assert code == 2
@@ -272,6 +284,15 @@ def test_no_evar_with_transpile_exit_2(pair_file, capsys):
         main([pair_file, "--no-evar", "--transpile", "-"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_oracle_check_with_program_files_exit_2(pair_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--oracle-check", str(tmp_path), pair_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-check does not take program files" in captured.err
 
 
 def test_no_evar_with_oracle_check_exit_2(capsys):

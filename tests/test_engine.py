@@ -18,7 +18,7 @@ from entangle_pl import (
 )
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
-from entangle_pl.kernel import Struct
+from entangle_pl.kernel import Struct, deref
 from conftest import answers
 
 
@@ -193,6 +193,32 @@ def test_metavariable_goals(eng):
         list(eng.query("G = 3, G."))
 
 
+@pytest.mark.parametrize("query", [
+    "call((fail, 1)).", "G = (fail, 1), G.", "findall(X, (fail, 1), L).",
+    "call((fail -> \\+ 2 ; fail)).",
+])
+def test_metacall_checks_its_goal_before_running_it(eng, query):
+    with pytest.raises(TypeMismatchError, match="goal is not callable"):
+        list(eng.query(query))
+
+
+def test_metacall_raises_before_any_answer(eng):
+    solutions = eng.query("call((true ; 1)).")
+    with pytest.raises(TypeMismatchError, match="goal is not callable: 1"):
+        next(solutions)
+
+
+def test_metacall_check_stops_at_call_and_at_cycles():
+    # the check walks , ; -> and \+ only: call/1 checks its own goal when
+    # it starts, so this fails before it gets there, as in ISO
+    assert answers(Engine(), "call((fail, call(1))).") == []
+    # a cyclic goal is walked once, then runs into the frame budget
+    e = Engine(max_frames=10_000)
+    e.consult_text("a.")
+    with pytest.raises(ResourceLimitError):
+        list(e.query("X = (a, X), call(X)."))
+
+
 def test_findall(eng):
     eng.consult_text("t(1). t(2). t(3).")
     sols = answers(eng, "findall(X, t(X), L).")
@@ -317,14 +343,14 @@ def test_listing(eng, capsys):
 def tried(eng, query, monkeypatch):
     """Answers to ``query`` and the number of clauses tried for them."""
     calls = []
-    real = engine_module.copy_terms
+    real = engine_module.try_clause
 
-    def counting(clause, store):
+    def counting(clause, goal, store):
         calls.append(clause)
-        return real(clause, store)
+        return real(clause, goal, store)
 
     with monkeypatch.context() as m:
-        m.setattr(engine_module, "copy_terms", counting)
+        m.setattr(engine_module, "try_clause", counting)
         result = answers(eng, query)
     return result, len(calls)
 
@@ -425,45 +451,44 @@ def test_ground_subterms_are_shared(eng):
     assert answers(eng, "gc(f(G, L), X).") == ["G = g(a), L = [1,2], X = h(k)"]
     assert answers(eng, "gc(f(g(b), L), X).") == []
     clause = eng.db[("gc", 2)][0]
-    head, body = engine_module.copy_terms(engine_module._compile(clause), eng.store)
-    assert head.args[0] is clause[0].args[0]
+    g, x = eng.store.new_var(), eng.store.new_var()
+    body = engine_module.try_clause(clause, Struct("gc", (g, x)), eng.store)
+    # the ground head argument and body argument are the stored subterms
+    assert deref(g) is clause[0].args[0]
     assert body.args[1] is clause[1].args[1]
-    assert head.args[1] is body.args[0] and head.args[1] is not clause[0].args[1]
+    # the clause variable is a fresh cell, bound to the goal's
+    assert deref(body.args[0]) is x and body.args[0] is not clause[0].args[1]
 
 
-def counting_compiles(monkeypatch):
-    """A list that gets each clause the engine compiles a template for."""
-    compiled = []
-    real = engine_module._compile
-
-    def counting(clause):
-        compiled.append(clause)
-        return real(clause)
-
-    monkeypatch.setattr(engine_module, "_compile", counting)
-    return compiled
+def templates(records):
+    return [record[2] for record in records]
 
 
-def test_consult_after_templates_are_built(eng, monkeypatch):
+def test_consult_after_templates_are_built(eng):
     eng.consult_text("c(1). c(X) :- X = one.")
     assert answers(eng, "c(X).") == ["X = 1", "X = one"]
     eng.consult_text("c(2). c(Y) :- Y = two.")
-    compiled = counting_compiles(monkeypatch)
+    records = eng.db[("c", 1)]
+    before = templates(records)
+    assert before[2:] == [None, None] and None not in before[:2]
     assert answers(eng, "c(X).") == ["X = 1", "X = one", "X = 2", "X = two"]
+    after = templates(records)
     # the clauses tried before the consult keep their templates
-    assert compiled == eng.db[("c", 1)][2:]
+    assert all(a is b for a, b in zip(after[:2], before[:2]))
+    assert None not in after[2:]
 
 
-def test_prelude_templates_are_compiled_once_per_process(monkeypatch):
+def test_prelude_templates_are_compiled_once_per_process():
     query = "phrase(('#<'([a]),'#+'(x),'#-'(x),'#:'(a),'#>'([])),_,_)."
     engine_module._prelude_clauses.cache_clear()
     try:
-        compiled = counting_compiles(monkeypatch)
         assert answers(Engine(), query) == ["true"]
-        first = len(compiled)
-        assert first > 0
+        records = engine_module._prelude_clauses()
+        first = templates(records)
+        assert any(t is not None for t in first)
         assert answers(Engine(), query) == ["true"]
-        assert len(compiled) == first  # the second engine compiles none
+        # the second engine compiles none: every slot holds what it held
+        assert all(a is b for a, b in zip(templates(records), first))
     finally:
         engine_module._prelude_clauses.cache_clear()
 

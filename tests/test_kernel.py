@@ -93,6 +93,10 @@ def test_var_var_binding_direction(kernel):
     young2 = s2.new_var()
     assert kernel.unify(old2, young2, s2)  # argument order irrelevant
     assert young2.ref is old2 and old2.ref is None
+    # equal serials (cells of two stores): the second argument is bound
+    first, second = kernel.Store().new_var(), kernel.Store().new_var()
+    assert kernel.unify(first, second, s)
+    assert second.ref is first and first.ref is None
 
 
 def test_unify_failure_restores_store(kernel):
@@ -114,6 +118,7 @@ def test_occurs_check(kernel):
     assert kernel.occurs(x, fx)
     assert not kernel.occurs(x, kernel.Struct("f", (s.new_var(),)))
     assert not kernel.unify(x, fx, s)
+    assert not kernel.unify(fx, x, s)
     assert x.ref is None
     s.occurs_check = False
     assert kernel.unify(x, fx, s)  # rational-tree bind when disabled

@@ -1,6 +1,8 @@
 """The native-vs-transpiled equivalence checker."""
 
-from entangle_pl import Engine, corpus_dir
+import pytest
+
+from entangle_pl import Engine, corpus_dir, oracle
 from entangle_pl.kernel import Atom
 from entangle_pl.oracle import (
     check_directory,
@@ -112,3 +114,17 @@ def test_report_lines_format():
     lines = [str(r) for r in check_directory(corpus_dir())]
     assert all(l.startswith("OK") for l in lines)
     assert any(":: test_mst(M)." in l for l in lines)
+
+
+@pytest.mark.parametrize("change, detail", [
+    ("{}, X \\== 2", "(native 2, transpiled 1) native-only e.g. (('X', '2'),)"),
+    ("({} ; X = 3)", "(native 2, transpiled 3) transpiled-only e.g. (('X', '3'),)"),
+])
+def test_mismatch_names_a_solution_only_one_side_gives(monkeypatch, change, detail):
+    # the transpiled side drops a solution, or adds one
+    real = oracle.transform_query
+    monkeypatch.setattr(
+        oracle, "transform_query", lambda query, result: change.format(real(query, result))
+    )
+    [result] = check_program("t(1). t(2).", ["t(X)."], "p.pl")
+    assert str(result) == f"MISMATCH  p.pl :: t(X). {detail}"
