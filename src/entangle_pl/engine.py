@@ -235,11 +235,12 @@ class Engine:
     # --- loading ---------------------------------------------------------
 
     def consult_text(self, text: str):
-        """Parse and add clauses; a parse error, or a clause for a predicate
-        the engine runs itself, adds nothing at all."""
+        """Parse, add and return ``(head, body)`` clauses; a parse error, or a
+        clause for a predicate the engine runs itself, adds nothing at all."""
         pairs = read_program(text, self.store, self.allow_evars)
         check_heads(head for head, _ in pairs)
         self._add([[head, body, None] for head, body in pairs])
+        return pairs
 
     def _add(self, clauses):
         for clause in clauses:

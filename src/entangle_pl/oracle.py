@@ -3,10 +3,12 @@
 For every program the checker builds two engines, one native (``~`` syntax
 enabled) and one holding the transpiled program (``~`` syntax disabled),
 runs each query on both (the transformed query on the second) and compares
-the two solution multisets.  After each query both engines must have every
-cell unbound again, since the next query reuses them.  Solutions are
-compared after alpha-normalising machine-generated variable names, since
-the two runs allocate different serial numbers.
+the two solution multisets.  The program and each query are read once, by
+the native engine; the transpiled engine runs copies of the rewritten
+terms, the ones ``--transpile`` writes.  After each query both engines must
+have every cell unbound again, since the next query reuses them.  Solutions
+are compared after alpha-normalising machine-generated variable names,
+since the two runs allocate different serial numbers.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+# perfbench's tracer patches names here, even unused ones, and in _engine
+from . import engine as _engine
 from .engine import Engine
-from .transpiler import transpile, transform_query
+from .kernel import Struct
+from .transpiler import rewrite_program, rewrite_query, transform_query, transpile
 
 # Unbound cells render as _G<serial>; an unbound interclausal variable
 # renders as its ~Name.  Both stand for "some unconstrained variable" and
@@ -46,9 +51,10 @@ def normalize_solution(solution) -> tuple:
     )
 
 
-def solution_multiset(engine: Engine, query: str, limit: int | None = None) -> Counter:
+def solution_multiset(engine: Engine, query, limit: int | None = None) -> Counter:
+    """``query`` is a text, or a ``(goal, varmap)`` pair already read."""
     counter = Counter()
-    gen = engine.query(query)
+    gen = engine.query(query) if isinstance(query, str) else engine.solve(*query)
     try:
         for i, sol in enumerate(gen):
             counter[normalize_solution(sol)] += 1
@@ -86,17 +92,28 @@ def check_program(
     engine_options: dict | None = None,
 ) -> list:
     options = engine_options or {}
-    result = transpile(program_text)
     native = Engine(allow_evars=True, **options)
-    native.consult_text(program_text)
+    pairs = native.consult_text(program_text)
     oracle = Engine(allow_evars=False, **options)
-    oracle.consult_text(result.text)
+
+    def copy(*terms):  # as one term, so that the copies share variables
+        return _engine.copy_term(Struct("", terms), oracle.store).args
+
+    program, clauses = rewrite_program(native.store, pairs, lambda *c: [*copy(*c), None])
+    oracle._add(clauses)
     out = []
     for query in queries:
         if _LISTING.search(query):
             continue  # output inspection, not a solution set
-        native_set = solution_multiset(native, query, limit)
-        oracle_set = solution_multiset(oracle, transform_query(query, result), limit)
+        goal, varmap = _engine.read_query(query, native.store)
+        native_set = solution_multiset(native, (goal, varmap), limit)
+        mark = native.store.mark()
+        try:
+            rewritten = rewrite_query(goal, native.store, program)
+            goal, *values = copy(rewritten, *varmap.values())
+        finally:
+            native.store.undo_to(mark)
+        oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
 
         ok = native_set == oracle_set
         bits = []

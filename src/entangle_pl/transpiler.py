@@ -10,10 +10,11 @@ and serves as an independent oracle for the native engine.
 Substitution works by binding, as the engine's cells do: one read-only walk
 over a clause (or query) binds each ``~Name`` cell to a fresh ``_IV<slot>``
 variable and each variable named ``_Env…``, ``_IV…`` or ``_G…`` to a fresh
-unnamed one, so no source variable captures a machine-made name.  The
-rewritten goal and the writer dereference through those bindings, and
-``store.undo_to`` unbinds them before the next clause.  Clause bodies are
-rewritten with one explicit stack and written whole, so the oracle checks
+unnamed one, so no source variable captures a machine-made name.  Each
+rewritten clause goes to the caller's sink while those bindings hold:
+``transpile`` writes it, the oracle copies it into its transpiled engine,
+and ``store.undo_to`` unbinds them before the next clause.  Bodies are
+rewritten with one explicit stack, so the oracle and ``--transpile`` take
 programs of any body length or term depth.  The goal arguments of a
 control construct are the positions ``engine.CONTROL`` gives, the table
 the engine dispatches on.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from .dcg import translate_goal
 from .engine import CONTROL, check_heads
 from .errors import TranspileError
-from .kernel import NIL, Atom, EVar, Int, Store, Struct, Var, deref
+from .kernel import NIL, TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
@@ -35,7 +36,7 @@ _RESERVED = ("_Env", "_IV", "_G")
 
 @dataclass
 class TranspileResult:
-    text: str
+    text: str  # the written clauses; empty when the caller copies the terms
     layout: list  # EVar names (with ~) in first-occurrence order
     predicates: list  # (name, arity) of source predicates, definition order
 
@@ -131,75 +132,71 @@ def transpile(*texts: str) -> TranspileResult:
     pairs = []
     for text in texts:
         pairs += read_program(text, store, allow_evar=True)
+    check_heads(h for h, _ in pairs)
+    result, lines = rewrite_program(store, pairs, write_clause)
+    result.text = "".join(line + "\n" for line in lines)
+    return result
+
+
+def rewrite_program(store: Store, pairs, emit):
+    """Rewrite the program ``pairs``, read into ``store`` with no other
+    ``~Name`` cells, calling ``emit(head, body)`` on each clause while its
+    bindings hold.  Returns its result, text empty, and ``emit``'s values."""
     layout = list(store.evars)  # the reader interns them in text order
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    check_heads(h for h, _ in pairs)
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
     predset = set(predicates)
-
-    lines = []
+    out = []
     uses_helper = False
     for head, body in pairs:
         mark = store.mark()
         env, goals = _bind_cells(store, slots, (head, body))
-        new_head = Struct(head.name, head.args + (env,))
         rewritten, helper = rewrite_goal(body, env, predset, store)
         uses_helper |= helper
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
-        new_body = _conj_fold(goals) if goals else Atom("true")
-        lines.append(write_clause(new_head, new_body))
+        new_body = _conj_fold(goals) if goals else TRUE
+        out.append(emit(Struct(head.name, head.args + (env,)), new_body))
         store.undo_to(mark)
-
     if uses_helper:
-        lines.extend(_helper_clauses(store, predicates))
-
-    out = "\n".join(lines)
-    if out:
-        out += "\n"
-    return TranspileResult(out, layout, predicates)
+        out += [emit(h, b) for h, b in _helper_clauses(store, predicates)]
+    return TranspileResult("", layout, predicates), out
 
 
-def _helper_clauses(store: Store, predicates) -> list:
-    """Dispatch clauses for goals injected at run time.
+def _helper_clauses(store: Store, predicates):
+    """Yield the dispatch clauses for goals injected at run time.
 
     An unbound goal must keep raising an instantiation error (a clause-head
     match would quietly enumerate the bridged predicates instead), hence
     the leading var/1 guard.
     """
-    lines = []
     g = store.new_var("G")
-    guard = _conj_fold(
-        [Struct("var", (g,)), Atom("!"), Struct("call", (g,))]
-    )
-    lines.append(write_clause(Struct(_HELPER, (g, store.new_var("_"))), guard))
+    guard = _conj_fold([Struct("var", (g,)), Atom("!"), Struct("call", (g,))])
+    yield Struct(_HELPER, (g, store.new_var("_"))), guard
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
         env = store.new_var("E")
         inner = Atom(name) if arity == 0 else Struct(name, vs)
         target = Struct(name, vs + (env,))
-        lines.append(
-            write_clause(
-                Struct(_HELPER, (inner, env)), Struct(",", (Atom("!"), target))
-            )
-        )
+        yield Struct(_HELPER, (inner, env)), Struct(",", (Atom("!"), target))
     g2 = store.new_var("G")
-    lines.append(
-        write_clause(Struct(_HELPER, (g2, store.new_var("_"))), Struct("call", (g2,)))
-    )
-    return lines
+    yield Struct(_HELPER, (g2, store.new_var("_"))), Struct("call", (g2,))
+
+
+def rewrite_query(goal, store: Store, program: TranspileResult):
+    """Rewrite a query goal read into ``store`` for ``program``; the
+    bindings it needs hold until the caller undoes them."""
+    slots = {name: i + 1 for i, name in enumerate(program.layout)}
+    env, goals = _bind_cells(store, slots, (goal,))
+    if program.layout:
+        slots_vars = tuple(store.new_var("_") for _ in program.layout)
+        goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
+    goals.append(rewrite_goal(goal, env, set(program.predicates), store)[0])
+    return _conj_fold(goals)
 
 
 def transform_query(text: str, result: TranspileResult) -> str:
     """Rewrite a query for a transpiled program; returns plain query text."""
     store = Store()
     goal, _ = read_query(text, store, allow_evar=True)
-    slots = {name: i + 1 for i, name in enumerate(result.layout)}
-    env, reads = _bind_cells(store, slots, (goal,))
-    goals = []
-    if result.layout:
-        slots_vars = tuple(store.new_var("_") for _ in result.layout)
-        goals.append(Struct("=", (env, Struct("evs", slots_vars))))
-    goals += reads
-    goals.append(rewrite_goal(goal, env, set(result.predicates), store)[0])
-    return write_term(_conj_fold(goals))
+    return write_term(rewrite_query(goal, store, result))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from entangle_pl import Engine, corpus_dir, oracle
-from entangle_pl.kernel import Atom
+from entangle_pl import Engine, TranspileError, corpus_dir, oracle, reader
+from entangle_pl.kernel import Atom, EVar, Struct, Var
 from entangle_pl.oracle import (
     check_directory,
     check_program,
@@ -11,6 +11,7 @@ from entangle_pl.oracle import (
     read_queries,
     solution_multiset,
 )
+from entangle_pl.reader import read_query
 
 
 def test_normalization_is_alpha_and_order_insensitive():
@@ -121,10 +122,67 @@ def test_report_lines_format():
     ("({} ; X = 3)", "(native 2, transpiled 3) transpiled-only e.g. (('X', '3'),)"),
 ])
 def test_mismatch_names_a_solution_only_one_side_gives(monkeypatch, change, detail):
-    # the transpiled side drops a solution, or adds one
-    real = oracle.transform_query
-    monkeypatch.setattr(
-        oracle, "transform_query", lambda query, result: change.format(real(query, result))
-    )
+    # the transpiled side drops a solution, or adds one: its rewritten
+    # goal G is run as the change, with {} standing for G
+    real = oracle.rewrite_query
+
+    def changed(goal, store, program):
+        term, names = read_query(change.format("G"), store)
+        store.bind(names["G"], real(goal, store, program))
+        store.bind(names["X"], goal.args[0])
+        return term
+
+    monkeypatch.setattr(oracle, "rewrite_query", changed)
     [result] = check_program("t(1). t(2).", ["t(X)."], "p.pl")
     assert str(result) == f"MISMATCH  p.pl :: t(X). {detail}"
+
+
+def _holds_evar(term) -> bool:
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, EVar):
+            return True
+        if isinstance(t, Var) and t.ref is not None:
+            todo.append(t.ref)
+        elif isinstance(t, Struct):
+            todo.extend(t.args)
+    return False
+
+
+def test_check_program_reads_each_text_once(monkeypatch, oracle_engines):
+    Engine()  # the prelude is read once per process; read it before counting
+    program = "a(~X). b(~X). c(Y) :- a(Y), b(Y). p(G) :- call(G)."
+    queries = ["a(1), b(V).", "c(Z).", "p(a(W))."]
+    texts = []
+    real_tokenize = reader.tokenize
+
+    def tokenize(text, *args):
+        texts.append(text)
+        return real_tokenize(text, *args)
+
+    monkeypatch.setattr(reader, "tokenize", tokenize)
+    bound_at_start = []
+    real_multiset = oracle.solution_multiset
+
+    def multiset(engine, query, limit=None):
+        if engine.allow_evars:
+            bound_at_start.append(engine.store.bound_cells())
+        return real_multiset(engine, query, limit)
+
+    monkeypatch.setattr(oracle, "solution_multiset", multiset)
+    assert all(r.ok for r in check_program(program, queries))
+    assert texts == [program] + queries  # 1 + len(queries) texts
+    assert bound_at_start == [[], [], []]
+    _, transpiled = oracle_engines
+    assert transpiled.store.evars == {}
+    assert transpiled.added
+    assert not any(_holds_evar(t) for clause in transpiled.added for t in clause[:2])
+
+    # a ~Name missing from the layout is found after the native run, and the
+    # cells the rewrite bound before it are unbound again
+    with pytest.raises(TranspileError, match="~Zed"):
+        check_program(program, ["a(1), ~X = 1, ~Zed = 2."])
+    native = oracle_engines[2]
+    assert len(bound_at_start) == 4
+    assert native.store.bound_cells() == []

@@ -1,0 +1,36 @@
+"""The benchmark's per-layer tracer must still see the oracle's reading.
+
+``check_program`` reads a program once and each query once, through the
+``read_program`` and ``read_query`` names the tracer patches in
+``entangle_pl.engine``; a read through a name bound elsewhere would leave
+``reader.parse_s`` at 0 on the ``oracle`` workload.  ``perfbench/`` is put
+on the path only to import the tracer.
+"""
+
+import sys
+from pathlib import Path
+
+from entangle_pl import Engine, oracle
+from entangle_pl.reader import tokenize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracing import Tracer  # noqa: E402
+
+
+def test_oracle_reads_program_and_queries_once_under_the_tracer():
+    program = "a(~X). b(~X). c(Y) :- a(Y), b(Y)."
+    queries = ["a(1), b(V).", "c(Z)."]
+    Engine()  # the prelude is read once per process: not under the tracer
+    tracer = Tracer()
+    tracer.install()
+    try:
+        results = oracle.check_program(program, queries)
+    finally:
+        tracer.uninstall()
+    assert [r.ok for r in results] == [True, True]
+    texts = [program] + queries
+    assert tracer.counts["reader.tokens"] == sum(len(tokenize(t)) for t in texts)
+    assert tracer.counts["reader.clauses"] == 3
+    assert tracer.calls["reader.read_program"] == 1
+    assert tracer.calls["reader.read_query"] == 2
+    assert tracer.counts["oracle.pairs"] == 2

@@ -2,8 +2,8 @@
 
 import pytest
 
-from entangle_pl import Engine, TranspileError, transform_query, transpile
-from entangle_pl.kernel import Store, Struct, deref
+from entangle_pl import Engine, TranspileError, corpus_dir, transform_query, transpile
+from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref
 from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
 from conftest import answers
@@ -104,20 +104,71 @@ def test_reserved_names_in_source_are_renamed():
     assert deref(first) is not deref(env)  # user _Env must not capture the env
 
 
-@pytest.mark.parametrize(
-    "program, query",
-    [
-        ("p(_Env, _G2) :- q(_G2). q(1).", "p(a, X)."),
-        ("s(_G1) --> [a], t. t --> [b].", "s(X, [a,b], [])."),
-        ("g --> [x]. p(L, _G6) :- phrase(g, L, []), q(_G6). q(1).", "p([x], Y)."),
-        ("q(1). p(A,B).", "p(_Env, _G2), _Env = a, _G2 = b."),
-    ],
-)
+# source variables named like machine-made ones, with a query each
+CAPTURE = [
+    ("p(_Env, _G2) :- q(_G2). q(1).", "p(a, X)."),
+    ("s(_G1) --> [a], t. t --> [b].", "s(X, [a,b], [])."),
+    ("g --> [x]. p(L, _G6) :- phrase(g, L, []), q(_G6). q(1).", "p([x], Y)."),
+    ("q(1). p(A,B).", "p(_Env, _G2), _Env = a, _G2 = b."),
+]
+
+
+@pytest.mark.parametrize("program, query", CAPTURE)
 def test_source_g_variables_do_not_capture_machine_variables(program, query):
     # machine-made variables print as _G<serial>; a source variable of
     # that name must stay a variable of its own
     [result] = check_program(program, [query])
     assert result.ok, result.detail
+
+
+def is_variant(a, b) -> bool:
+    """Whether two terms are equal up to a one-to-one renaming of their
+    variables."""
+    forward, back = {}, {}
+    todo = [(a, b)]
+    while todo:
+        x, y = map(deref, todo.pop())
+        if isinstance(x, Var) and isinstance(y, Var):
+            if forward.setdefault(x, y) is not y or back.setdefault(y, x) is not x:
+                return False
+        elif isinstance(x, Struct) and isinstance(y, Struct):
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif not (
+            isinstance(x, Atom) and isinstance(y, Atom) and x.name == y.name
+            or isinstance(x, Int) and isinstance(y, Int) and x.value == y.value
+        ):
+            return False
+    return True
+
+
+def test_is_variant():
+    store = Store()
+    [(t1, _), (t2, _), (t3, _), (t4, _)] = read_program(
+        "f(X, Y, X, a, 1). f(A, B, A, a, 1). f(A, A, A, a, 1). f(A, B, A, a, 2).",
+        store,
+    )
+    assert is_variant(t1, t2) and not is_variant(t1, t3)
+    assert not is_variant(t3, t1) and not is_variant(t1, t4)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [pytest.param(p.read_text(), id=p.name) for p in sorted(corpus_dir().glob("*.pl"))]
+    + [pytest.param(text, id=f"capture{i}") for i, (text, _) in enumerate(CAPTURE)],
+)
+def test_transpiled_text_reads_back_as_the_clauses_the_oracle_runs(
+    oracle_engines, program
+):
+    # the oracle copies the rewritten terms instead of writing and reading
+    # them back, so the writer is checked on the transpiled text here
+    check_program(program, [])
+    _, transpiled = oracle_engines
+    read_back = read_program(transpile(program).text, Store(), allow_evar=False)
+    assert len(read_back) == len(transpiled.added)
+    for (head, body), ran in zip(read_back, transpiled.added):
+        assert is_variant(Struct("-", (head, body)), Struct("-", tuple(ran[:2])))
 
 
 def test_transform_query_examples():
