@@ -4,11 +4,13 @@ For every program the checker builds two engines, one native (``~`` syntax
 enabled) and one holding the transpiled program (``~`` syntax disabled),
 runs each query on both (the transformed query on the second) and compares
 the two solution multisets.  The program and each query are read once, by
-the native engine; the transpiled engine runs copies of the rewritten
-terms, the ones ``--transpile`` writes.  After each query both engines must
-have every cell unbound again, since the next query reuses them.  Solutions
-are compared after alpha-normalising machine-generated variable names,
-since the two runs allocate different serial numbers.
+the native engine; the transpiled engine runs the rewritten clauses
+themselves, the ones ``--transpile`` writes, and a copy of each rewritten
+query.  After each query both engines must have every cell unbound again,
+since the next query reuses them.  Solutions are compared after
+alpha-normalising machine-generated variable names, since the two runs
+allocate different serial numbers; a query that raises counts its error's
+class as one more outcome.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 # perfbench's tracer patches names here, even unused ones, and in _engine
 from . import engine as _engine
 from .engine import Engine
+from .errors import PrologError
 from .kernel import Struct
 from .transpiler import rewrite_program, rewrite_query, transform_query, transpile
 
@@ -52,7 +55,9 @@ def normalize_solution(solution) -> tuple:
 
 
 def solution_multiset(engine: Engine, query, limit: int | None = None) -> Counter:
-    """``query`` is a text, or a ``(goal, varmap)`` pair already read."""
+    """``query`` is a text, or a ``(goal, varmap)`` pair already read.  A
+    ``PrologError`` raised while solving counts as one ``("error", <class
+    name>)`` entry, after the solutions that came before it."""
     counter = Counter()
     gen = engine.query(query) if isinstance(query, str) else engine.solve(*query)
     try:
@@ -60,6 +65,8 @@ def solution_multiset(engine: Engine, query, limit: int | None = None) -> Counte
             counter[normalize_solution(sol)] += 1
             if limit is not None and i + 1 >= limit:
                 break
+    except PrologError as e:
+        counter[("error", type(e).__name__)] += 1
     finally:
         gen.close()
     return counter
@@ -95,24 +102,24 @@ def check_program(
     native = Engine(allow_evars=True, **options)
     pairs = native.consult_text(program_text)
     oracle = Engine(allow_evars=False, **options)
-
-    def copy(*terms):  # as one term, so that the copies share variables
-        return _engine.copy_term(Struct("", terms), oracle.store).args
-
-    program, clauses = rewrite_program(native.store, pairs, lambda *c: [*copy(*c), None])
-    oracle._add(clauses)
+    # The transpiled engine runs the rewritten clauses themselves, sharing
+    # the native store's variables: that is safe, as for the shared
+    # prelude, because a stored clause is never bound; each try renames it.
+    program, clauses = rewrite_program(pairs, list(native.store.evars), native.store)
+    oracle._add([[head, body, None] for head, body in clauses])
     out = []
     for query in queries:
         if _LISTING.search(query):
             continue  # output inspection, not a solution set
         goal, varmap = _engine.read_query(query, native.store)
         native_set = solution_multiset(native, (goal, varmap), limit)
-        mark = native.store.mark()
-        try:
-            rewritten = rewrite_query(goal, native.store, program)
-            goal, *values = copy(rewritten, *varmap.values())
-        finally:
-            native.store.undo_to(mark)
+        # A query's variables are bound at run time, and compare_terms
+        # orders unbound cells by a serial unique only within one store, so
+        # the rewritten query moves into the transpiled store, as one term
+        # so that the goal and the answer variables share their copies.
+        rewritten = rewrite_query(goal, native.store, program)
+        copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
+        goal, *values = copied.args
         oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
 
         ok = native_set == oracle_set

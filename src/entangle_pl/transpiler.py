@@ -7,17 +7,16 @@ clause reads the slots it uses with arg/3 and threads the environment into
 every user-predicate call.  The output is plain syntax (no ``~`` tokens)
 and serves as an independent oracle for the native engine.
 
-Substitution works by binding, as the engine's cells do: one read-only walk
-over a clause (or query) binds each ``~Name`` cell to a fresh ``_IV<slot>``
-variable and each variable named ``_Env…``, ``_IV…`` or ``_G…`` to a fresh
-unnamed one, so no source variable captures a machine-made name.  Each
-rewritten clause goes to the caller's sink while those bindings hold:
-``transpile`` writes it, the oracle copies it into its transpiled engine,
-and ``store.undo_to`` unbinds them before the next clause.  Bodies are
-rewritten with one explicit stack, so the oracle and ``--transpile`` take
-programs of any body length or term depth.  The goal arguments of a
-control construct are the positions ``engine.CONTROL`` gives, the table
-the engine dispatches on.
+Substitution works by building, not binding: one postfix walk over a clause
+(or query) returns it with each ``~Name`` cell replaced by a fresh
+``_IV<slot>`` variable and each variable named ``_Env…``, ``_IV…`` or
+``_G…`` by a fresh unnamed one, so no source variable captures a
+machine-made name; ordinary variables, and subterms holding neither kind,
+are shared.  Nothing is bound, so ``transpile`` writes the rewritten
+clauses and the oracle runs them as they are.  Bodies are rewritten with
+one explicit stack, so the oracle and ``--transpile`` take programs of any
+body length or term depth.  The goal arguments of a control construct are
+the positions ``engine.CONTROL`` gives, the table the engine dispatches on.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ _RESERVED = ("_Env", "_IV", "_G")
 
 @dataclass
 class TranspileResult:
-    text: str  # the written clauses; empty when the caller copies the terms
+    text: str  # the written clauses; empty when the caller takes the terms
     layout: list  # EVar names (with ~) in first-occurrence order
     predicates: list  # (name, arity) of source predicates, definition order
 
@@ -49,32 +48,40 @@ def _conj_fold(goals):
     return acc
 
 
-def _bind_cells(store: Store, slots: dict, terms):
-    """Substitute by binding: walk ``terms`` in preorder, binding each
-    ``~Name`` cell to a fresh ``_IV<slot>`` variable and each variable with
-    a reserved name to a fresh unnamed one; a cell bound here is skipped
-    when met again.  Returns a fresh ``_Env`` and the arg/3 goals reading
-    the used slots from it, in slot order."""
-    ivs = {}
-    stack = list(reversed(terms))
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Struct):
-            stack.extend(reversed(x.args))
-        elif isinstance(x, Var) and x.ref is None:
+def _substitute(store: Store, slots: dict, terms):
+    """Rewrite ``terms`` in one postfix walk, making each ``~Name`` cell a
+    fresh ``_IV<slot>`` variable and each variable with a reserved name a
+    fresh unnamed one, at first occurrence in preorder.  Returns the new
+    terms, a fresh ``_Env`` and the arg/3 goals reading the used slots from
+    it, in slot order."""
+    new = {}  # cell -> its replacement
+    out = []
+    todo = list(reversed(terms))
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # (compound, start): its arguments end here
+            x, start = x
+            args = tuple(out[start:])
+            del out[start:]
+            if any(a is not b for a, b in zip(args, x.args)):
+                x = Struct(x.name, args)
+        elif isinstance(x, Struct):
+            todo.append((x, len(out)))
+            todo.extend(reversed(x.args))
+            continue
+        elif isinstance(x, Var) and x not in new:
             if isinstance(x, EVar):
-                slot = slots.get(x.name)
-                if slot is None:
+                if x.name not in slots:
                     raise TranspileError(
                         f"{x.name} does not occur in the program layout"
                     )
-                ivs[slot] = store.new_var(f"_IV{slot}")
-                store.bind(x, ivs[slot])
+                new[x] = store.new_var(f"_IV{slots[x.name]}")
             elif x.name and x.name.startswith(_RESERVED):
-                store.bind(x, store.new_var())
+                new[x] = store.new_var()
+        out.append(new.get(x, x))
     env = store.new_var("_Env")
-    reads = [Struct("arg", (Int(slot), env, ivs[slot])) for slot in sorted(ivs)]
-    return env, reads
+    ivs = sorted((slots[c.name], v) for c, v in new.items() if isinstance(c, EVar))
+    return out, env, [Struct("arg", (Int(slot), env, iv)) for slot, iv in ivs]
 
 
 def rewrite_goal(g, env, predset, store):
@@ -133,33 +140,30 @@ def transpile(*texts: str) -> TranspileResult:
     for text in texts:
         pairs += read_program(text, store, allow_evar=True)
     check_heads(h for h, _ in pairs)
-    result, lines = rewrite_program(store, pairs, write_clause)
-    result.text = "".join(line + "\n" for line in lines)
+    result, clauses = rewrite_program(pairs, list(store.evars), store)
+    result.text = "".join(write_clause(h, b) + "\n" for h, b in clauses)
     return result
 
 
-def rewrite_program(store: Store, pairs, emit):
-    """Rewrite the program ``pairs``, read into ``store`` with no other
-    ``~Name`` cells, calling ``emit(head, body)`` on each clause while its
-    bindings hold.  Returns its result, text empty, and ``emit``'s values."""
-    layout = list(store.evars)  # the reader interns them in text order
+def rewrite_program(pairs, layout, store: Store):
+    """Rewrite the program ``pairs``, read into ``store``, whose ``~Name``
+    cells are ``layout`` in first-occurrence order.  Returns its result,
+    text empty, and the rewritten ``(head, body)`` clauses."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
     predset = set(predicates)
     out = []
     uses_helper = False
     for head, body in pairs:
-        mark = store.mark()
-        env, goals = _bind_cells(store, slots, (head, body))
+        (head, body), env, goals = _substitute(store, slots, (head, body))
         rewritten, helper = rewrite_goal(body, env, predset, store)
         uses_helper |= helper
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else TRUE
-        out.append(emit(Struct(head.name, head.args + (env,)), new_body))
-        store.undo_to(mark)
+        out.append((Struct(head.name, head.args + (env,)), new_body))
     if uses_helper:
-        out += [emit(h, b) for h, b in _helper_clauses(store, predicates)]
+        out += _helper_clauses(store, predicates)
     return TranspileResult("", layout, predicates), out
 
 
@@ -184,10 +188,9 @@ def _helper_clauses(store: Store, predicates):
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):
-    """Rewrite a query goal read into ``store`` for ``program``; the
-    bindings it needs hold until the caller undoes them."""
+    """Rewrite a query goal read into ``store`` for ``program``."""
     slots = {name: i + 1 for i, name in enumerate(program.layout)}
-    env, goals = _bind_cells(store, slots, (goal,))
+    (goal,), env, goals = _substitute(store, slots, (goal,))
     if program.layout:
         slots_vars = tuple(store.new_var("_") for _ in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))

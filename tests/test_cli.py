@@ -371,6 +371,18 @@ def test_oracle_check_explicit_directory(tmp_path, capsys):
     assert out.startswith("OK")
 
 
+def test_oracle_check_compares_errors(tmp_path, capsys):
+    # the README's inject example raises on p(X). while ~G is unbound
+    (tmp_path / "g.pl").write_text("p(X) :- ~G, q(X). q(1).\n")
+    (tmp_path / "g.queries").write_text("p(X).\n~G = true, p(X).\n")
+    code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "OK        g.pl :: p(X).",
+        "OK        g.pl :: ~G = true, p(X).",
+    ]
+
+
 def test_oracle_check_empty_directory(tmp_path, capsys):
     code, _, err = run_main(["--oracle-check", str(tmp_path)], capsys)
     assert code == 2

@@ -1,9 +1,11 @@
 """The native-vs-transpiled equivalence checker."""
 
+from collections import Counter
+
 import pytest
 
 from entangle_pl import Engine, TranspileError, corpus_dir, oracle, reader
-from entangle_pl.kernel import Atom, EVar, Struct, Var
+from entangle_pl.kernel import Atom, EVar, Store, Struct, Var
 from entangle_pl.oracle import (
     check_directory,
     check_program,
@@ -11,7 +13,8 @@ from entangle_pl.oracle import (
     read_queries,
     solution_multiset,
 )
-from entangle_pl.reader import read_query
+from entangle_pl.reader import read_program, read_query
+from entangle_pl.transpiler import rewrite_program, rewrite_query
 
 
 def test_normalization_is_alpha_and_order_insensitive():
@@ -123,14 +126,20 @@ def test_report_lines_format():
 ])
 def test_mismatch_names_a_solution_only_one_side_gives(monkeypatch, change, detail):
     # the transpiled side drops a solution, or adds one: its rewritten
-    # goal G is run as the change, with {} standing for G
+    # goal G is run as the change, with {} standing for G; the changed goal
+    # is built, since the oracle undoes no binding a rewrite makes
     real = oracle.rewrite_query
 
     def changed(goal, store, program):
         term, names = read_query(change.format("G"), store)
-        store.bind(names["G"], real(goal, store, program))
-        store.bind(names["X"], goal.args[0])
-        return term
+        put = {names["G"]: real(goal, store, program), names["X"]: goal.args[0]}
+
+        def build(t):
+            if isinstance(t, Struct):
+                return Struct(t.name, tuple(map(build, t.args)))
+            return put.get(t, t)
+
+        return build(term)
 
     monkeypatch.setattr(oracle, "rewrite_query", changed)
     [result] = check_program("t(1). t(2).", ["t(X)."], "p.pl")
@@ -179,10 +188,62 @@ def test_check_program_reads_each_text_once(monkeypatch, oracle_engines):
     assert transpiled.added
     assert not any(_holds_evar(t) for clause in transpiled.added for t in clause[:2])
 
-    # a ~Name missing from the layout is found after the native run, and the
-    # cells the rewrite bound before it are unbound again
+    # a ~Name missing from the layout is found after the native run, and no
+    # cell is left bound
     with pytest.raises(TranspileError, match="~Zed"):
         check_program(program, ["a(1), ~X = 1, ~Zed = 2."])
     native = oracle_engines[2]
     assert len(bound_at_start) == 4
     assert native.store.bound_cells() == []
+
+
+def test_an_error_is_an_outcome(tmp_path, monkeypatch):
+    e = Engine()
+    e.consult_text("q(1). q(2) :- call(_).")
+    assert solution_multiset(e, "q(X).") == Counter(
+        {(("X", "1"),): 1, ("error", "InstantiationError"): 1}
+    )
+    (tmp_path / "g.pl").write_text("p(X) :- ~G, q(X). q(1).\n")
+    (tmp_path / "g.queries").write_text("p(X).\n~G = true, p(X).\n")
+    # p(X) raises on both sides: the same error class is a match
+    assert [str(r) for r in check_directory(tmp_path)] == [
+        "OK        g.pl :: p(X).",
+        "OK        g.pl :: ~G = true, p(X).",
+    ]
+    # only the transpiled side raises: its rewritten goal ends in call(_)
+    real = oracle.rewrite_query
+
+    def raising(goal, store, program):
+        unbound = Struct("call", (store.new_var(),))
+        return Struct(",", (real(goal, store, program), unbound))
+
+    monkeypatch.setattr(oracle, "rewrite_query", raising)
+    assert str(check_directory(tmp_path)[1]) == (
+        "MISMATCH  g.pl :: ~G = true, p(X). (native 1, transpiled 1)"
+        " native-only e.g. (('X', '1'),);"
+        " transpiled-only e.g. ('error', 'InstantiationError')"
+    )
+
+
+def test_rewriting_binds_nothing(monkeypatch):
+    store = Store()
+    text = "p(_G1, X) :- ~A, q(X, ~B), phrase(g, X). q(_, _). g --> [a]."
+    pairs = read_program(text, store, allow_evar=True)
+    goal, _ = read_query("~B = 1, p(_Env, Y).", store, allow_evar=True)
+    binds = []
+    real_bind = Store.bind
+    monkeypatch.setattr(
+        Store, "bind", lambda s, cell, value: binds.append(cell) or real_bind(s, cell, value)
+    )
+    program, clauses = rewrite_program(pairs, list(store.evars), store)
+    rewrite_query(goal, store, program)
+    assert len(clauses) == len(pairs) + 2 + len(program.predicates)  # helper too
+    assert binds == []
+
+
+def test_query_variables_stay_in_their_own_store():
+    # compare_terms orders unbound cells by serial, unique only in one store,
+    # so sharing the query's cells across the two stores would misorder them
+    queries = ["Y = Y, p0(X), X \\== Y.", "Y = Y, p0(X), sort([X,Y], L)."]
+    results = check_program("p0(_).", queries)
+    assert [r.ok for r in results] == [True, True], [str(r) for r in results]
