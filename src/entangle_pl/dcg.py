@@ -30,21 +30,27 @@ def _trans(body, s0, store):
     """Translate a DCG body from state ``s0``; returns (goal or None,
     end-state term).
 
-    One stack holds body items and combine markers ``(name, state)``, and
-    ``s`` is the state the next item starts at.  ``,`` and ``->`` start
-    the right operand where the left one ended; ``;`` starts both at its
-    own state (``(None, state)`` resets ``s``) and links the right end to
-    the left one's; ``\\+`` ends where it started."""
+    One stack holds body items and combine markers ``(construct, state)``,
+    and ``s`` is the state the next item starts at.  ``,`` and ``->``
+    start the right operand where the left one ended; ``;`` starts both at
+    its own state (``(None, state)`` resets ``s``) and links the right end
+    to the left one's; ``\\+`` ends where it started.  ``path`` holds the
+    constructs whose markers are on the stack: meeting one again means the
+    body is cyclic, while a body shared by two branches is left before it
+    is met again."""
     todo = [body]
     done = []
+    path = set()
     s = s0
     while todo:
         b = todo.pop()
         if type(b) is tuple:
-            name, at = b
-            if name is None:
+            b, at = b
+            if b is None:
                 s = at
                 continue
+            path.remove(b)
+            name = b.name
             g, s = done.pop()
             if name == "\\+":
                 g, s = Struct(name, (_or_true(g),)), at
@@ -61,17 +67,21 @@ def _trans(body, s0, store):
             done.append((g, s))
             continue
         b = deref(b)
+        if b in path:
+            raise TypeMismatchError("DCG body is cyclic")
         if isinstance(b, Struct):
             name = b.name
             args = b.args
             if len(args) == 2 and name in (",", "->", ";"):
-                todo += ((name, s), args[1])
+                path.add(b)
+                todo += ((b, s), args[1])
                 if name == ";":
                     todo.append((None, s))
                 todo.append(args[0])
                 continue
             if name == "\\+" and len(args) == 1:
-                todo += ((name, s), args[0])
+                path.add(b)
+                todo += ((b, s), args[0])
                 continue
         if isinstance(b, Var):
             # variable nonterminal: expanded at call time

@@ -23,6 +23,17 @@ abandoning or exhausting a query undoes all of its work, including
 bindings of ``~Name`` variables; that reset is what makes them
 reusable between queries.
 
+A cell lives as long as the query that made it.  The store's registry
+keeps the cells made before ``solve`` starts (the query's variables, the
+``~Name`` and clause cells), because their owners hold them.  When the
+query ends its own cells are unbound again, and nothing outside it can
+reach them: clause records hold read terms, and answers are rendered text.
+So ``solve`` drops them from the registry, and an engine's memory stays
+flat across queries; a query suspended between answers keeps its cells.
+Two open ``solve`` generators on one store are unsupported: resuming one
+after the other has backtracked past its marks trips the assertion in
+``Store.undo_to``.
+
 Clauses are selected through an argument index built at first use.  A
 call to a predicate of several clauses looks up its first argument that is
 bound at an indexable position, one where no clause head holds a variable
@@ -260,7 +271,8 @@ class Engine:
 
         When the sequence is exhausted or abandoned the trail is undone to
         the query-start mark, so every variable bound by this query (the
-        program-wide ones included) is unbound again.
+        program-wide ones included) is unbound again, and the cells it made
+        leave the store's registry.
         """
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
@@ -273,6 +285,7 @@ class Engine:
         failing = False
         steps = 0  # the frame budget covers the whole solution sequence
         start = store.mark()
+        born = len(store.cells)
         try:
             while True:
                 if failing:
@@ -407,6 +420,10 @@ class Engine:
                 failing = True  # backtracking drives clause selection
         finally:
             store.undo_to(start)
+            # a cell made here is unbound again and unreachable, unless the
+            # reset missed it: keep that one, so bound_cells() reports it
+            cells = store.cells
+            cells[born:] = [c for c in cells[born:] if c.ref is not None]
 
     def _candidates(self, name, arity, args, clauses):
         """The clauses a call with ``args`` can match, as far as the index
@@ -429,13 +446,18 @@ class Engine:
     def _eval(self, t):
         # an explicit stack, so an expression of any depth evaluates; the
         # left operand goes first, so the first error met is the one a
-        # recursive left-to-right walk would meet
+        # recursive left-to-right walk would meet.  ``path`` holds the
+        # compounds whose operands are being evaluated: meeting one again
+        # means the expression is cyclic, while a subterm shared by two
+        # operands is left before it is met again
         todo = [t]
         vals = []
+        path = set()
         while todo:
             t = todo.pop()
             if type(t) is tuple:  # (term,): its operands are on vals
                 t = t[0]
+                path.remove(t)
                 n = len(t.args)
                 fn = _ARITH.get((t.name, n))
                 if fn is None:
@@ -447,9 +469,13 @@ class Engine:
                 vals.append(t.value)
             elif isinstance(t, Var):
                 raise InstantiationError("arithmetic: unbound variable")
+            elif t in path:
+                raise TypeMismatchError("arithmetic: cyclic expression")
             elif isinstance(t, Struct) and len(t.args) == 2:
+                path.add(t)
                 todo += ((t,), t.args[1], t.args[0])
             elif isinstance(t, Struct) and len(t.args) == 1 and t.name == "-":
+                path.add(t)
                 todo += ((t,), t.args[0])
             else:
                 raise _not_evaluable(t)

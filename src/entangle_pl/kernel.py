@@ -76,22 +76,26 @@ class Struct(Term):
 
 
 class Store:
-    """Owns every variable cell, the trail, the EVar intern table, and the
-    occurs-check policy that ``unify`` follows on this store."""
+    """Owns the cell registry, the trail, the EVar intern table, and the
+    occurs-check policy that ``unify`` follows on this store.
 
-    __slots__ = ("cells", "trail", "evars", "occurs_check", "_serial")
+    ``cells`` registers every cell that can outlive the running query (the
+    engine drops a query's cells when it ends); ``allocated`` counts every
+    cell ever made, and is the next serial."""
+
+    __slots__ = ("cells", "trail", "evars", "occurs_check", "allocated")
 
     def __init__(self, occurs_check: bool = False):
         self.cells = []
         self.trail = []
         self.evars = {}
         self.occurs_check = occurs_check
-        self._serial = 0
+        self.allocated = 0
 
     def new_var(self, name=None, cls=Var) -> Var:
         """Allocate a cell: the only place a serial is assigned."""
-        v = cls(self._serial, name)
-        self._serial += 1
+        v = cls(self.allocated, name)
+        self.allocated += 1
         self.cells.append(v)
         return v
 
@@ -117,7 +121,8 @@ class Store:
             trail.pop().ref = None
 
     def bound_cells(self):
-        """Full-store scan; used by the reset invariant and by tests."""
+        """Scan of the registry, so of every cell a later query can see;
+        used by the reset invariant and by tests."""
         return [c for c in self.cells if c.ref is not None]
 
 

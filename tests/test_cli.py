@@ -143,11 +143,19 @@ def test_cyclic_answer_prints_dots_where_it_closes(query, answer):
     [
         ("X = [a|X], sort(X, L).", "sort/2: first argument must be a proper list"),
         ("X = [a,b|X], phrase(X, L).", "DCG terminal list must be a proper list"),
+        ("X = X+1, Y is X.", "arithmetic: cyclic expression"),
+        ("X = -(X), Y is X.", "arithmetic: cyclic expression"),
+        ("X = (a, X), phrase(X, L).", "DCG body is cyclic"),
+        ("X = (a ; X), phrase(X, L).", "DCG body is cyclic"),
+        ("X = (a -> X), phrase(X, L).", "DCG body is cyclic"),
+        ("X = (\\+ X), phrase(X, L).", "DCG body is cyclic"),
     ],
-    ids=["sort", "phrase"],
+    ids=["sort", "phrase", "is", "is-neg", "phrase-and", "phrase-or", "phrase-if",
+         "phrase-not"],
 )
 def test_cyclic_list_is_a_type_error(query, error):
-    # in a child with a timeout: a list walk that misses the cycle never ends
+    # in a child with a timeout: a walk that misses the cycle never ends; a
+    # cyclic arithmetic expression or grammar body is a type error too
     proc = repl(["-q", query], "", timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
 

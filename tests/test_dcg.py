@@ -155,6 +155,13 @@ def test_phrase_errors(gram):
         list(gram.query("phrase(7, [a])."))
 
 
+def test_phrase_shared_body_is_no_cycle(gram):
+    # both branches of ;/2 translate the one body, one after the other
+    assert answers(gram, "X = ([a],[a]), phrase((X;X), L).") == [
+        "X = ([a],[a]), L = [a,a]"
+    ] * 2
+
+
 def test_phrase_on_metavariable_body(gram):
     assert answers(gram, "G = greeting, phrase(G, [hello,world]).") == [
         "G = greeting"

@@ -1,7 +1,12 @@
 """Solver behavior: control constructs, builtins, errors, store hygiene."""
 
 import itertools
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,7 @@ from entangle_pl import (
 )
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
-from entangle_pl.kernel import Struct, deref
+from entangle_pl.kernel import Store, Struct, deref
 from conftest import answers
 
 
@@ -285,6 +290,8 @@ def test_arithmetic(eng):
         list(eng.query("X is foo."))
     with pytest.raises(EvaluationError):
         list(eng.query("1 < foo."))
+    # a subterm shared by two operands is no cycle
+    assert answers(eng, "X = 1+1, Y is X+X.") == ["X = 1+1, Y = 4"]
 
 
 def test_functor_and_arg(eng):
@@ -628,3 +635,73 @@ def test_evars_reset_between_queries_but_not_within(eng):
     assert answers(eng, "two(1,B).") == ["B = 1"]
     assert answers(eng, "two(2,B).") == ["B = 2"]  # fresh again after reset
 
+
+# --- cell lifetime ----------------------------------------------------------
+
+COUNT = "count(N,N) :- !. count(I,N) :- I1 is I+1, count(I1,N)."
+
+
+def test_query_cells_leave_the_registry_when_it_ends():
+    e = Engine(max_frames=100)
+    e.consult_text(COUNT + " n(1). n(2).")
+    cells = e.store.cells
+    # exhausted; query() reads the query's own cells before solve starts
+    gen = e.query("count(0,10), n(Y).")
+    before = len(cells)
+    assert [str(s) for s in gen] == ["Y = 1", "Y = 2"]
+    assert len(cells) == before
+    # suspended between answers, then abandoned
+    gen = e.query("n(Y), count(0,10).")
+    before = len(cells)
+    next(gen)
+    assert len(cells) > before  # a suspended query keeps its cells
+    gen.close()
+    assert len(cells) == before
+    # raised
+    for query, error in (("count(0,1000).", ResourceLimitError),
+                         ("count(0,10), nope.", ExistenceError)):
+        gen = e.query(query)
+        before = len(cells)
+        with pytest.raises(error):
+            list(gen)
+        assert len(cells) == before
+    assert e.store.bound_cells() == []
+
+
+def test_reset_check_sees_the_cells_a_query_made(eng, monkeypatch):
+    # with a reset that undoes nothing, the clause's renamed A and B stay
+    # bound; the registry keeps them, so the check still sees them
+    eng.consult_text("p(f(A,B)) :- A = 1, B = 2.")
+    gen = eng.query("p(X).")
+    born = eng.store.allocated
+    monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
+    assert [str(s) for s in gen] == ["X = f(1,2)"]
+    assert any(c.serial >= born for c in eng.store.bound_cells())
+
+
+def test_memory_stays_flat_across_queries():
+    # in a child, so the peak resident size is this engine's alone
+    script = textwrap.dedent(f"""
+        import resource, sys
+        from entangle_pl import Engine
+        e = Engine()
+        e.consult_text({COUNT!r})
+        peaks = []
+        for _ in range(10):
+            assert [str(s) for s in e.query("count(0,20000).")] == ["true"]
+            peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        unit = 2**20 if sys.platform == "darwin" else 2**10  # bytes or KiB
+        print(peaks[1] / unit, peaks[9] / unit)
+    """)
+    src = str(Path(engine_module.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    second, tenth = map(float, proc.stdout.split())
+    assert tenth - second <= 5, (second, tenth)  # MiB

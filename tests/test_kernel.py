@@ -34,6 +34,22 @@ def test_evar_interning(kernel):
     assert repr(x1) == "EVar(0, '~X', unbound)"
 
 
+def test_allocated_counts_cells_the_registry_dropped(kernel):
+    from entangle_pl import Engine
+
+    e = Engine()
+    e.consult_text("n(1). n(2). p :- n(X), n(Y).")
+    store = e.store
+    assert isinstance(store, kernel.Store)
+    registered, allocated = len(store.cells), store.allocated
+    for _ in range(3):
+        assert [str(s) for s in e.query("p.")] == ["true"] * 4
+        # each query renames p's clause, then drops the cells it made
+        assert store.allocated == allocated + 2
+        assert len(store.cells) == registered
+        allocated = store.allocated
+
+
 def test_atom_has_empty_args(kernel):
     # every callable term has a name and an args tuple
     assert kernel.Atom("a").args == ()
