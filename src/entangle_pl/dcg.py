@@ -11,7 +11,7 @@ so bodies of any length or nesting translate.
 from __future__ import annotations
 
 from .errors import InstantiationError, TypeMismatchError
-from .kernel import Atom, Int, Struct, TRUE, Var, deref, list_parts, make_list
+from .kernel import NIL, Atom, Int, Struct, TRUE, Var, deref, list_parts, make_list
 
 
 def _conj(a, b):
@@ -119,12 +119,14 @@ def dcg_translate(head, body, store):
     return Struct(h.name, h.args + (s0, s_end)), _or_true(goal)
 
 
-def translate_goal(body, s0, s, store):
-    """Expand a grammar body for phrase/2,3 against the given state terms."""
-    b = deref(body)
+def translate_goal(args, store):
+    """Expand the grammar body of a phrase/2,3 call with arguments ``args``
+    against its state arguments; phrase/2 is phrase/3 ending at ``[]``."""
+    b = deref(args[0])
     if isinstance(b, Var):
         raise InstantiationError("phrase: unbound grammar body")
-    goal, s_end = _trans(b, s0, store)
+    s = args[2] if len(args) == 3 else NIL
+    goal, s_end = _trans(b, args[1], store)
     if s_end is not s:
         goal = _conj(goal, Struct("=", (s_end, s)))
     return _or_true(goal)

@@ -15,13 +15,21 @@ that a ``!`` carrying the construct's height drops when ``C`` succeeds;
 findall/3 copies each solution of its goal at a marker goal, called as
 ``marker(engine)``, that then fails, and a choice point below the goal
 unifies the collected list.  A variable goal is the metacall case: it
-gets a fresh cut barrier, and, like the goals of call/1 and findall/3, its
-control skeleton is checked for callability before it runs.  ``CONTROL``
-lists the control constructs and their goal arguments; the transpiler
-rewrites goals through the same table.  Every binding is trailed, so
+gets a fresh cut barrier.  ``CONTROL`` lists the control constructs and
+their goal arguments; the transpiler rewrites goals through the same
+table.  Every binding is trailed, so
 abandoning or exhausting a query undoes all of its work, including
 bindings of ``~Name`` variables; that reset is what makes them
 reusable between queries.
+
+A goal is checked for callability once, where it enters the machine, not
+at each step: ``check_clauses`` checks each clause body at consult (and
+the prelude's), ``solve`` checks its query before the first step, and a
+metacall, call/1, findall/3 and phrase/2,3 check their goal when they
+start.  A ``(C -> T)`` that ``;`` finds through a bound variable was bound
+after any of these checks, so it is checked where it is found.  Every goal
+``solve`` dispatches is then a variable, which takes the checked metacall
+branch, or a part of a checked control skeleton.
 
 A cell lives as long as the query that made it.  The store's registry
 keeps the cells made before ``solve`` starts (the query's variables, the
@@ -79,7 +87,6 @@ from .errors import (
     TypeMismatchError,
 )
 from .kernel import (
-    NIL,
     TRUE,
     Atom,
     EVar,
@@ -219,6 +226,7 @@ def prelude_text() -> str:
 def _prelude_clauses() -> tuple:
     """The prelude's clause records, shared by every engine."""
     pairs = read_program(prelude_text(), Store(), allow_evar=False)
+    check_clauses(pairs)
     return tuple([head, body, None] for head, body in pairs)
 
 
@@ -246,10 +254,11 @@ class Engine:
     # --- loading ---------------------------------------------------------
 
     def consult_text(self, text: str):
-        """Parse, add and return ``(head, body)`` clauses; a parse error, or a
-        clause for a predicate the engine runs itself, adds nothing at all."""
+        """Parse, add and return ``(head, body)`` clauses; a parse error, a
+        clause for a predicate the engine runs itself, or a body that is not
+        callable adds nothing at all."""
         pairs = read_program(text, self.store, self.allow_evars)
-        check_heads(head for head, _ in pairs)
+        check_clauses(pairs)
         self._add([[head, body, None] for head, body in pairs])
         return pairs
 
@@ -272,8 +281,10 @@ class Engine:
         When the sequence is exhausted or abandoned the trail is undone to
         the query-start mark, so every variable bound by this query (the
         program-wide ones included) is unbound again, and the cells it made
-        leave the store's registry.
+        leave the store's registry.  A goal that is not callable raises
+        before the first step.
         """
+        check_goal(goal)
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
@@ -344,8 +355,6 @@ class Engine:
                         raise InstantiationError("unbound variable called as a goal")
                     check_goal(goal)
                     barrier = len(cps)
-                if not isinstance(goal, (Atom, Struct)):
-                    raise TypeMismatchError(f"goal is not callable: {write_term(goal)}")
                 name = goal.name
                 args = goal.args
                 arity = len(args)
@@ -369,6 +378,8 @@ class Engine:
                         and first.name == "->"
                         and len(first.args) == 2
                     ):
+                        if first is not args[0]:  # bound since it was checked
+                            check_goal(first)
                         ite = first.args + (args[1],)
                     else:
                         cps.append((store.mark(), (args[1], barrier, goals)))
@@ -398,9 +409,8 @@ class Engine:
                     goals = (deref(subgoal), len(cps), (collect, 0, None))
                     continue
                 if name == "phrase" and arity in (2, 3):
-                    s0 = args[1]
-                    s = args[2] if arity == 3 else NIL
-                    g = translate_goal(args[0], s0, s, store)
+                    g = translate_goal(args, store)
+                    check_goal(g)
                     goals = (g, len(cps), goals)
                     continue
                 builtin = _BUILTINS.get((name, arity))
@@ -660,9 +670,11 @@ _SKELETON = frozenset({(",", 2), (";", 2), ("->", 2), ("\\+", 1)})
 
 
 def check_goal(goal):
-    """Raise the type error ``solve`` would meet at the first leaf of a
-    goal's control skeleton that is neither a variable nor callable; a
-    compound already walked is skipped, so a cyclic goal is walked once."""
+    """The one callability rule: raise a type error at the first leaf of a
+    goal's control skeleton that is neither a variable nor callable.  It
+    runs where a goal enters ``solve`` (see the module docstring), so
+    ``solve`` itself tests no goal; a compound already walked is skipped,
+    so a cyclic goal is walked once."""
     todo = [goal]
     seen = set()
     while todo:
@@ -675,9 +687,13 @@ def check_goal(goal):
             raise TypeMismatchError(f"goal is not callable: {write_term(t)}")
 
 
-def check_heads(heads):
-    """Refuse a clause for a predicate ``solve`` would never look up."""
-    for head in heads:
+def check_clauses(pairs):
+    """Refuse a ``(head, body)`` clause for a predicate ``solve`` would
+    never look up, or one whose body is not callable; a fact's body is the
+    shared ``TRUE``, which needs no walk."""
+    for head, body in pairs:
         key = (head.name, len(head.args))
         if key in CONTROL or key in _BUILTINS:
             raise PrologError(f"cannot redefine {key[0]}/{key[1]}")
+        if body is not TRUE:
+            check_goal(body)

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import CONTROL, check_heads
+from .engine import CONTROL, check_clauses
 from .errors import TranspileError
-from .kernel import NIL, TRUE, Atom, EVar, Int, Store, Struct, Var, deref
+from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _HELPER = "$call_ev"
@@ -116,10 +116,8 @@ def rewrite_goal(g, env, predset, store):
             elif name == "phrase" and len(args) in (2, 3):
                 # a variable grammar is expanded at run time, so it
                 # must be library-only
-                body = deref(args[0])
-                if not isinstance(body, Var):
-                    s = args[2] if len(args) == 3 else NIL
-                    todo.append(translate_goal(body, args[1], s, store))
+                if not isinstance(deref(args[0]), Var):
+                    todo.append(translate_goal(args, store))
                     continue
             elif key in predset:
                 t = Struct(name, args + (env,))
@@ -139,7 +137,7 @@ def transpile(*texts: str) -> TranspileResult:
     pairs = []
     for text in texts:
         pairs += read_program(text, store, allow_evar=True)
-    check_heads(h for h, _ in pairs)
+    check_clauses(pairs)
     result, clauses = rewrite_program(pairs, list(store.evars), store)
     result.text = "".join(write_clause(h, b) + "\n" for h, b in clauses)
     return result

@@ -195,6 +195,22 @@ def test_clause_for_a_control_construct_exit_2(tmp_path, mode, capsys):
     assert err == "error: cannot redefine true/0\n"
 
 
+@pytest.mark.parametrize("mode", [
+    ["-q", "true.", "{dir}/p.pl"],
+    ["--transpile", "-", "{dir}/p.pl"],
+    ["--oracle-check", "{dir}"],
+], ids=["query", "transpile", "oracle-check"])
+def test_clause_body_that_is_not_callable_exit_2(tmp_path, mode, capsys):
+    # refused where the program is read, before any query runs
+    (tmp_path / "p.pl").write_text("p :- fail, 1.\n")
+    (tmp_path / "p.queries").write_text("p.\n")
+    argv = [arg.format(dir=tmp_path) for arg in mode]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: goal is not callable: 1\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_main(["/nonexistent/prog.pl", "-q", "a"], capsys)
     assert code == 2

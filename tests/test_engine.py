@@ -224,6 +224,38 @@ def test_metacall_check_stops_at_call_and_at_cycles():
         list(e.query("X = (a, X), call(X)."))
 
 
+def test_clause_body_that_is_not_callable_is_refused(eng):
+    before = {k: list(v) for k, v in eng.db.items()}
+    with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
+        eng.consult_text("ok. p :- fail, 1.")
+    assert eng.db == before
+    # a DCG rule's body is checked as translated
+    with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
+        eng.consult_text("g --> [a], {1}.")
+
+
+@pytest.mark.parametrize("query", [
+    "fail, 1.", "true ; 1.", "phrase({1}, L).", "phrase(({true} ; {1}), L).",
+])
+def test_query_that_is_not_callable_raises_before_any_answer(eng, query):
+    solutions = eng.query(query)
+    with pytest.raises(TypeMismatchError, match="goal is not callable"):
+        next(solutions)
+    assert eng.store.bound_cells() == []
+
+
+def test_if_then_found_through_a_variable_is_checked_where_it_is_found(eng):
+    # the query-start check saw X unbound; ; finds (C -> T) through it
+    with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
+        list(eng.query("X = (true -> 1), (X ; true)."))
+    assert eng.store.bound_cells() == []
+    # ; still runs the (C -> T) it finds through a variable as if-then-else
+    assert answers(eng, "X = (true -> fail), call((X ; true)).") == []
+    assert answers(eng, "X = (fail -> fail), (X ; Y = e).") == [
+        "X = (fail->fail), Y = e"
+    ]
+
+
 def test_findall(eng):
     eng.consult_text("t(1). t(2). t(3).")
     sols = answers(eng, "findall(X, t(X), L).")
