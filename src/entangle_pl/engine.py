@@ -26,7 +26,8 @@ A goal is checked for callability once, where it enters the machine, not
 at each step: ``check_clauses`` checks each clause body at consult (and
 the prelude's), ``solve`` checks its query before the first step, and a
 metacall, call/1, findall/3 and phrase/2,3 check their goal when they
-start.  A ``(C -> T)`` that ``;`` finds through a bound variable was bound
+start (the transpiler, which expands phrase/2,3 in place, wraps an
+expansion that fails the check in call/1).  A ``(C -> T)`` that ``;`` finds through a bound variable was bound
 after any of these checks, so it is checked where it is found.  Every goal
 ``solve`` dispatches is then a variable, which takes the checked metacall
 branch, or a part of a checked control skeleton.

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import CONTROL, check_clauses
-from .errors import TranspileError
+from .engine import CONTROL, check_clauses, check_goal
+from .errors import TranspileError, TypeMismatchError
 from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
@@ -117,7 +117,14 @@ def rewrite_goal(g, env, predset, store):
                 # a variable grammar is expanded at run time, so it
                 # must be library-only
                 if not isinstance(deref(args[0]), Var):
-                    todo.append(translate_goal(args, store))
+                    g = translate_goal(args, store)
+                    try:
+                        check_goal(g)
+                    except TypeMismatchError:
+                        # phrase checks its goal when it starts; so
+                        # does call/1, before any part of it runs
+                        g = Struct("call", (g,))
+                    todo.append(g)
                     continue
             elif key in predset:
                 t = Struct(name, args + (env,))

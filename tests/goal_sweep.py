@@ -1,4 +1,4 @@
-"""A seeded sweep of random goals through one engine.
+"""A seeded sweep of random goals, through one engine per block of seeds.
 
 Each seed makes one query that nests ``,``, ``;``, ``->``, ``\\+``,
 call/1, findall/3 and ``phrase({...}, [])``, puts integers and variables
@@ -12,7 +12,8 @@ frame budget, so none runs away.
     PYTHONPATH=src python tests/goal_sweep.py
 
 runs seeds 0 to 49,999, prints a tally and exits 1 on any fault;
-``tests/test_goal_sweep.py`` runs the first 2,000 of them.
+``tests/test_goal_sweep.py`` runs the first block, 2,000 seeds on one
+engine.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from entangle_pl import Engine
 from entangle_pl.errors import PrologError
 
 SEEDS = range(50_000)
+# An engine keeps each query's variables in its store's registry, which
+# ``bound_cells()`` scans, so one engine per block keeps the sweep linear.
+BLOCK = 2_000
 
 PROGRAM = """
 a. b. m(1). m(2).
@@ -79,13 +83,15 @@ def outcome(engine: Engine, text: str, limit: int = 20):
 
 
 def sweep(seeds):
-    """Run the query of each seed on one engine.  Returns a tally of the
-    outcomes and the faults, as ``(seed, query, fault)`` triples."""
-    engine = Engine(occurs_check=True, max_frames=2_000)
-    engine.consult_text(PROGRAM)
+    """Run the query of each seed, on one engine for each block of
+    ``BLOCK`` seeds.  Returns a tally of the outcomes and the faults, as
+    ``(seed, query, fault)`` triples."""
     tally = Counter()
     faults = []
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        if i % BLOCK == 0:
+            engine = Engine(occurs_check=True, max_frames=2_000)
+            engine.consult_text(PROGRAM)
         text = query(seed)
         try:
             answers, error = outcome(engine, text)

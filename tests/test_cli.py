@@ -407,6 +407,18 @@ def test_oracle_check_compares_errors(tmp_path, capsys):
     ]
 
 
+def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
+    # both sides raise when phrase starts, before `fail` could run
+    (tmp_path / "g.pl").write_text("g --> {phrase(({fail}, {1}), L)}.\n")
+    (tmp_path / "g.queries").write_text("g(S, S0).\nfail, phrase({1}, L).\n")
+    code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "OK        g.pl :: g(S, S0).",
+        "OK        g.pl :: fail, phrase({1}, L).",
+    ]
+
+
 def test_oracle_check_empty_directory(tmp_path, capsys):
     code, _, err = run_main(["--oracle-check", str(tmp_path)], capsys)
     assert code == 2

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from entangle_pl import Engine, TranspileError, corpus_dir, transform_query, transpile
+from entangle_pl.errors import TypeMismatchError
 from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref
 from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
@@ -84,6 +85,18 @@ def test_phrase_expanded_statically():
     r = transpile("g --> [x]. p(L) :- phrase(g, L).")
     assert "phrase" not in r.text
     assert "g(L," in r.text
+
+
+def test_phrase_with_a_goal_that_is_not_callable_raises_when_it_starts():
+    # expanded inline, `fail` would run before the check met `1`
+    src = "g --> {phrase(({fail}, {1}), L)}."
+    r = transpile(src)
+    assert "call(" in r.text
+    oracle = Engine(allow_evars=False)
+    oracle.consult_text(r.text)  # the expansion does not refuse the program
+    with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
+        list(oracle.query(transform_query("g(S, S0).", r)))
+    assert answers(oracle, transform_query("fail, phrase({1}, L).", r)) == []
 
 
 def test_output_contains_no_tilde_and_reparses():
