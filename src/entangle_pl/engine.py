@@ -27,18 +27,21 @@ at each step: ``check_clauses`` checks each clause body at consult (and
 the prelude's), ``solve`` checks its query before the first step, and a
 metacall, call/1, findall/3 and phrase/2,3 check their goal when they
 start (the transpiler, which expands phrase/2,3 in place, wraps an
-expansion that fails the check in call/1).  A ``(C -> T)`` that ``;`` finds through a bound variable was bound
-after any of these checks, so it is checked where it is found.  Every goal
-``solve`` dispatches is then a variable, which takes the checked metacall
-branch, or a part of a checked control skeleton.
+expansion that fails the check in call/1, and leaves a grammar it cannot
+expand to phrase).  A ``(C -> T)`` that ``;`` finds through a bound
+variable was bound after any of these checks, so it is checked where it is
+found.  Every goal ``solve`` dispatches is then a variable, which takes the
+checked metacall branch, or a part of a checked control skeleton.
 
 A cell lives as long as the query that made it.  The store's registry
-keeps the cells made before ``solve`` starts (the query's variables, the
-``~Name`` and clause cells), because their owners hold them.  When the
-query ends its own cells are unbound again, and nothing outside it can
-reach them: clause records hold read terms, and answers are rendered text.
-So ``solve`` drops them from the registry, and an engine's memory stays
-flat across queries; a query suspended between answers keeps its cells.
+keeps the cells made before ``solve`` starts (the ``~Name`` and clause
+cells, and the variables of a goal its caller read), because their owners
+hold them.  When the query ends its own cells are unbound again, and
+nothing outside it can reach them: clause records hold read terms, and
+answers are rendered text.  So ``solve`` drops them from the registry, and
+``query``, which read the goal itself, drops the goal's variables too; an
+engine's memory stays flat across queries, and a query suspended between
+answers keeps its cells.
 Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
@@ -272,9 +275,22 @@ class Engine:
     # --- queries ---------------------------------------------------------
 
     def query(self, text: str):
-        """Parse a query and return its lazy solution sequence."""
+        """Parse a query and return its lazy solution sequence; when the
+        sequence ends, the query's variables leave the registry too."""
+        born = len(self.store.cells)
         goal, varmap = read_query(text, self.store, self.allow_evars)
-        return self.solve(goal, varmap)
+        return self._drop_cells(self.solve(goal, varmap), born)
+
+    def _drop_cells(self, solutions, born):
+        try:
+            yield from solutions  # closing this closes solutions first
+        finally:
+            # as solve drops its own: keep a cell the reset missed, and a
+            # ~Name the query named first, which the store keeps interned
+            cells = self.store.cells
+            cells[born:] = [
+                c for c in cells[born:] if c.ref is not None or type(c) is EVar
+            ]
 
     def solve(self, goal, varmap):
         """Run a goal term; yields eagerly rendered Solutions.

@@ -6,13 +6,16 @@ below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
 bodies only.  A token is a plain ``(kind, text, start, end)`` tuple that
 keeps only its offsets in the source; a syntax error turns its offset into
-a line and column.  Each clause is read in one pass: the parser reports
-whether it built a ``{}``/1, and the clause and DCG rule head checks run on
-the term it returns.  The parser and the
-writer walk terms with explicit stacks, so a term may nest as deeply as
-memory allows.  The writer prints every term whole, in a form that reads
-back as the same term; only a cyclic binding, which unification without
-the occurs check can make, prints ``...`` where it closes.
+a line and column.  A program is read one clause at a time: the tokenizer
+lexes up to the clause's end token, the parser reports whether it built a
+``{}``/1, and the clause and DCG rule head checks run on the term it
+returns, all before the next clause is lexed.  So reading holds one
+clause's tokens, not the whole program's, and the first error in the text
+is the one reported.  The parser and the writer walk terms with explicit
+stacks, so a term may nest as deeply as memory allows.  The writer prints
+every term whole, in a form that reads back as the same term; only a cyclic
+binding, which unification without the occurs check can make, prints
+``...`` where it closes.
 """
 
 from __future__ import annotations
@@ -73,12 +76,16 @@ PREFIX_OPS = {
 # A quoted atom up to its closing quote, which is the first quote not
 # doubled: the token pattern adds it as '(?!').
 _QATOM_BODY = r"""'(?:[^'\\\n]|''|\\[\\'"ntrabfv0\n])*"""
+# Layout: blanks, a line comment, a block comment closed at its first */.
+_LAYOUT = r"[ \t\r\n]+|%[^\n]*|/\*.*?\*/"
 # One alternative per token kind, tried in order.  Every character matches
 # some group, ``error`` last, so the loop never skips text; an ``error``
 # match only marks where the slow path must name the syntax error.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<layout>[ \t\r\n]+|%[^\n]*|/\*.*?\*/)
+    (?P<layout>"""
+    + _LAYOUT
+    + r""")
   | (?P<atom>[a-z][A-Za-z0-9_]*|[!;]|(?!/\*)[-+*/\\^<>=:?@#&]+)
   | (?P<var>[A-Z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\]{},|])
@@ -93,6 +100,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _QATOM_PREFIX_RE = re.compile(_QATOM_BODY)
+# Greedy and not anchored at the end, so it never backtracks: the text
+# after an end token is only layout when this match reaches the end.
+_LAYOUT_RE = re.compile(f"(?:{_LAYOUT})*", re.DOTALL)
 _QUOTE_ESCAPE_RE = re.compile(r"''|\\(.)", re.DOTALL)
 
 
@@ -128,16 +138,20 @@ def _syntax_error(text: str, i: int, allow_evar: bool):
     raise _error(msg, text, i)
 
 
-def tokenize(text: str, allow_evar: bool = True) -> list:
-    """Longest-match tokenization of a whole program or query.
+def tokenize(text: str, allow_evar: bool = True, start: int = 0) -> list:
+    """Longest-match tokenization of one clause: the tokens of ``text`` from
+    offset ``start`` up to and including the first ``end`` token.
 
     Each token is a plain ``(kind, text, start, end)`` tuple: ``kind`` is
     atom, qatom, var, evar, int, punct, end or eof, ``text`` is the token's
     text (a quoted atom's unescaped name) and ``start``/``end`` are offsets
-    into the source.  The list ends with an ``eof`` token."""
+    into the source.  An ``eof`` token ends the list when nothing but layout
+    is left after it, so a text without an ``end`` token, such as a query,
+    is read whole; a list that stops at its ``end`` token leaves the rest to
+    a call from that token's ``end`` offset."""
     tokens = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         if kind == "layout":
             continue
@@ -148,6 +162,10 @@ def tokenize(text: str, allow_evar: bool = True) -> list:
         if kind == "qatom":
             tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
         append((kind, tok, s, e))
+        if kind == "end":
+            if _LAYOUT_RE.match(text, e).end() < len(text):
+                return tokens
+            break
     n = len(text)
     append(("eof", "", n, n))
     return tokens
@@ -291,22 +309,22 @@ def _check_head(head, label: str, forbidden, text: str, offset: int):
 def read_program(text: str, store, allow_evar: bool = True):
     """Read a whole program; returns a list of (head, body) pairs.
 
+    Each clause is lexed, parsed and checked before the next is lexed.
     `H :- B` splits; a bare term is a fact with body `true`; `H --> B` is
     routed through the DCG translation before storage.  Raises on the first
-    error, leaving the caller free to treat the consult as atomic.
+    error in the text, leaving the caller free to treat the consult as
+    atomic.
     """
     from .dcg import dcg_translate
 
-    tokens = tokenize(text, allow_evar)
     clauses = []
-    pos = 0
-    while tokens[pos][0] != "eof":
-        start = tokens[pos][2]
-        term, pos, braces = _parse(text, tokens, pos, store, {})
-        kind, tok, at, _ = tokens[pos]
+    tokens = tokenize(text, allow_evar)
+    while tokens[0][0] != "eof":
+        start = tokens[0][2]
+        term, pos, braces = _parse(text, tokens, 0, store, {})
+        kind, tok, at, end = tokens[pos]
         if kind != "end":
             raise _error(f"expected '.' to end the clause but found {tok!r}", text, at)
-        pos += 1
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
             head, body = term.args
         elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
@@ -320,6 +338,8 @@ def read_program(text: str, store, allow_evar: bool = True):
         if braces:
             raise _error("braces {} are only allowed inside DCG rule bodies", text, start)
         clauses.append((head, body))
+        # the eof after this clause, or the next clause's tokens
+        tokens = tokens[pos + 1:] or tokenize(text, allow_evar, end)
     return clauses
 
 
@@ -330,9 +350,11 @@ def read_query(text: str, store, allow_evar: bool = True):
         raise PrologSyntaxError("empty query", 1, 1)
     varmap = {}
     goal, pos, _ = _parse(text, tokens, 0, store, varmap)
-    if tokens[pos][0] == "end":
-        pos += 1
-    kind, tok, start, _ = tokens[pos]
+    kind, tok, start, end = tokens[pos]
+    if kind == "end":
+        # the list stops at its end token when text follows: lex on from there
+        rest = tokens[pos + 1:] or tokenize(text, allow_evar, end)
+        kind, tok, start, _ = rest[0]
     if kind != "eof":
         raise _error(f"unexpected text after query: {tok!r}", text, start)
     return goal, varmap

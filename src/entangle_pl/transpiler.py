@@ -117,15 +117,19 @@ def rewrite_goal(g, env, predset, store):
                 # a variable grammar is expanded at run time, so it
                 # must be library-only
                 if not isinstance(deref(args[0]), Var):
-                    g = translate_goal(args, store)
                     try:
-                        check_goal(g)
+                        g = translate_goal(args, store)
                     except TypeMismatchError:
-                        # phrase checks its goal when it starts; so
-                        # does call/1, before any part of it runs
-                        g = Struct("call", (g,))
-                    todo.append(g)
-                    continue
+                        pass  # left to phrase, which raises it when it starts
+                    else:
+                        try:
+                            check_goal(g)
+                        except TypeMismatchError:
+                            # phrase checks its goal when it starts; so
+                            # does call/1, before any part of it runs
+                            g = Struct("call", (g,))
+                        todo.append(g)
+                        continue
             elif key in predset:
                 t = Struct(name, args + (env,))
         if isinstance(t, Var):

@@ -419,6 +419,21 @@ def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
     ]
 
 
+def test_phrase_the_transpiler_cannot_expand_is_left_for_run_time(tmp_path, capsys):
+    # natively the grammar is refused only when g runs; so it is transpiled
+    (tmp_path / "g.pl").write_text("g --> {phrase(1, L)}.\n")
+    (tmp_path / "g.queries").write_text("g(S,S0).\nfail, g(S,S0).\n")
+    code, out, err = run_main([str(tmp_path / "g.pl"), "--transpile", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert "phrase(1,L" in out
+    code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "OK        g.pl :: g(S,S0).",
+        "OK        g.pl :: fail, g(S,S0).",
+    ]
+
+
 def test_oracle_check_empty_directory(tmp_path, capsys):
     code, _, err = run_main(["--oracle-check", str(tmp_path)], capsys)
     assert code == 2

@@ -677,14 +677,14 @@ def test_query_cells_leave_the_registry_when_it_ends():
     e = Engine(max_frames=100)
     e.consult_text(COUNT + " n(1). n(2).")
     cells = e.store.cells
-    # exhausted; query() reads the query's own cells before solve starts
-    gen = e.query("count(0,10), n(Y).")
+    # exhausted; the query's own variables leave with the cells it made
     before = len(cells)
+    gen = e.query("count(0,10), n(Y).")
     assert [str(s) for s in gen] == ["Y = 1", "Y = 2"]
     assert len(cells) == before
     # suspended between answers, then abandoned
-    gen = e.query("n(Y), count(0,10).")
     before = len(cells)
+    gen = e.query("n(Y), count(0,10).")
     next(gen)
     assert len(cells) > before  # a suspended query keeps its cells
     gen.close()
@@ -692,8 +692,8 @@ def test_query_cells_leave_the_registry_when_it_ends():
     # raised
     for query, error in (("count(0,1000).", ResourceLimitError),
                          ("count(0,10), nope.", ExistenceError)):
-        gen = e.query(query)
         before = len(cells)
+        gen = e.query(query)
         with pytest.raises(error):
             list(gen)
         assert len(cells) == before
@@ -709,6 +709,31 @@ def test_reset_check_sees_the_cells_a_query_made(eng, monkeypatch):
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = f(1,2)"]
     assert any(c.serial >= born for c in eng.store.bound_cells())
+
+
+def test_many_queries_leave_the_registry_as_it_was(eng):
+    cells = eng.store.cells
+    before = len(cells)
+    for _ in range(10_000):
+        assert [str(s) for s in eng.query("X = f(Y), Y = 1.")] == ["X = f(1), Y = 1"]
+    assert len(cells) == before
+    # a ~Name a query names first stays: the store keeps it interned
+    assert len(list(eng.query("~New = 1, X = 2."))) == 1
+    assert len(cells) == before + 1
+    assert eng.store.evars["~New"] is cells[-1]
+    assert eng.store.bound_cells() == []
+    # query() still reads eagerly: a parse error raises from the call itself
+    with pytest.raises(PrologSyntaxError):
+        eng.query("X = .")
+
+
+def test_reset_check_sees_a_query_variable_left_bound(eng, monkeypatch):
+    # with a reset that undoes nothing, the query's X stays bound; the
+    # registry keeps it, so the check still sees it
+    gen = eng.query("X = 1.")
+    monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
+    assert [str(s) for s in gen] == ["X = 1"]
+    assert [c.name for c in eng.store.bound_cells()] == ["X"]
 
 
 def test_memory_stays_flat_across_queries():

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from entangle_pl import Engine, TranspileError, corpus_dir, oracle, reader
+import entangle_pl.engine as engine_module
+from entangle_pl import Engine, TranspileError, corpus_dir, oracle
 from entangle_pl.kernel import Atom, EVar, Store, Struct, Var
 from entangle_pl.oracle import (
     check_directory,
@@ -164,13 +165,14 @@ def test_check_program_reads_each_text_once(monkeypatch, oracle_engines):
     program = "a(~X). b(~X). c(Y) :- a(Y), b(Y). p(G) :- call(G)."
     queries = ["a(1), b(V).", "c(Z).", "p(a(W))."]
     texts = []
-    real_tokenize = reader.tokenize
+    for name in ("read_program", "read_query"):
+        real = getattr(engine_module, name)
 
-    def tokenize(text, *args):
-        texts.append(text)
-        return real_tokenize(text, *args)
+        def read(text, *args, real=real):
+            texts.append(text)
+            return real(text, *args)
 
-    monkeypatch.setattr(reader, "tokenize", tokenize)
+        monkeypatch.setattr(engine_module, name, read)
     bound_at_start = []
     real_multiset = oracle.solution_multiset
 

@@ -2,10 +2,11 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
-from entangle_pl import corpus_dir
+from entangle_pl import Engine, corpus_dir
 from entangle_pl.engine import prelude_text
 from entangle_pl.errors import PrologSyntaxError
 from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var, deref, make_list
@@ -90,6 +91,59 @@ def test_error_coordinates():
     # only ASCII digits make numbers
     with pytest.raises(PrologSyntaxError, match="unexpected character"):
         read_program("p(\u0663).", Store(), True)
+
+
+def test_tokenize_lexes_one_clause():
+    text = "a. b(X).  % the last\n"
+    first = tokenize(text)
+    assert [kind for kind, _, _, _ in first] == ["atom", "end"]
+    rest = tokenize(text, True, first[-1][3])
+    assert [kind for kind, _, _, _ in rest] == [
+        "atom", "punct", "var", "punct", "end", "eof",
+    ]
+    assert rest[-1][2] == len(text)
+    # layout alone is left after the first end: the list ends in eof
+    assert [kind for kind, _, _, _ in tokenize("a. /* x */ % y\n")] == [
+        "atom", "end", "eof",
+    ]
+
+
+def test_errors_are_reported_in_text_order():
+    # a parse error in clause 1 is found before clause 3's bad character
+    with pytest.raises(PrologSyntaxError, match="unexpected token") as err:
+        read_program("p(.\nq.\nr $.\n", Store())
+    assert (err.value.line, err.value.col) == (1, 3)
+    with pytest.raises(PrologSyntaxError, match="unexpected character") as err:
+        read_program("p.\nq.\nr $.\n", Store())
+    assert (err.value.line, err.value.col) == (3, 3)
+    # a lexical error in the last clause adds none of the earlier ones
+    eng = Engine()
+    with pytest.raises(PrologSyntaxError, match="unexpected character"):
+        eng.consult_text("a. b. c $.")
+    assert ("a", 0) not in eng.db and ("b", 0) not in eng.db
+    # text after a query is named at its first token, or lexed as before
+    with pytest.raises(PrologSyntaxError, match="after query: 'b'") as err:
+        read_query("a. b. $", Store())
+    assert (err.value.line, err.value.col) == (1, 4)
+    with pytest.raises(PrologSyntaxError, match="unexpected character"):
+        read_query("a. $", Store())
+
+
+def test_consult_holds_one_clauses_tokens_at_a_time():
+    # reading the whole text's tokens first peaked at about 3.5 times
+    # what the engine keeps; one clause's tokens at a time add little
+    text = "".join(f"fact({i},v{i % 500},{i * 7 % 1000},~T{i % 300}).\n"
+                   for i in range(5000))
+    eng = Engine()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eng.consult_text(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(eng.db[("fact", 4)]) == 5000
+    assert peak - base < 1.5 * (kept - base)
 
 
 # --- parser ---------------------------------------------------------------
