@@ -6,8 +6,9 @@ inline.  It keeps the current goal list as a persistent linked stack of
 ``(term, cut_barrier, rest)`` tuples and the choice points in a Python
 list.  A choice point is a tuple ``(mark, goals)`` for an alternative,
 which resumes the goal node ``goals``, or a list ``[mark, goal, clauses,
-next_idx, cont, barrier]`` for the clauses of a call not yet tried.  A cut
-barrier is the choice-point stack height at entry to the predicate the
+next_idx, cont, barrier]`` for the clauses of a call not yet tried; a call
+gets one only when the index leaves it more than one candidate clause.  A
+cut barrier is the choice-point stack height at entry to the predicate the
 goal belongs to; ``!`` truncates the stack down to it.  No construct
 re-enters the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and
 ``(C -> T)`` as ``(C -> T ; fail)``, whose else branch is a choice point
@@ -39,7 +40,9 @@ cells, and the variables of a goal its caller read), because their owners
 hold them.  When the query ends its own cells are unbound again, and
 nothing outside it can reach them: clause records hold read terms, and
 answers are rendered text.  So ``solve`` drops them from the registry, and
-``query``, which read the goal itself, drops the goal's variables too; an
+``query``, which read the goal itself, drops the goal's variables too, even
+when the query is closed before its first answer; a read that raises, of a
+query or of a program, drops the cells and ``~Name`` interns it made.  An
 engine's memory stays flat across queries, and a query suspended between
 answers keeps its cells.
 Two open ``solve`` generators on one store are unsupported: resuming one
@@ -52,9 +55,13 @@ bound at an indexable position, one where no clause head holds a variable
 (a ``~Name`` cell counts: a query may bind it and the reset unbinds it),
 and tries only the clauses with the same principal functor there, in
 source order.  The lookup is exact, so the clause choice point goes at the
-last candidate and a deterministic call leaves none.  Queries never change
-the clause database, so each ``(name, arity, pos)`` table stays valid
-until the next consult drops them all.
+last candidate and a deterministic call leaves none.  A call left with one
+candidate pushes no choice point at all: ``solve`` tries that clause at
+once, and its body runs with the current stack height as its cut barrier,
+as it would under a choice point already popped (Warren's rule that only a
+call with alternatives gets one); a call left with none fails at once.
+Queries never change the clause database, so each ``(name, arity, pos)``
+table stays valid until the next consult drops them all.
 
 A clause is renamed from a template compiled at its first try, not by a
 generic copy.  The template is postfix code for ``[head, body]``: one slot
@@ -190,10 +197,10 @@ def _compile(clause):
 
 def copy_terms(template, store):
     """Instantiate a clause template as a fresh ``[head, body]``; the slot
-    cells are made in slot order, so their serials match a generic copy's."""
+    cells are made in slot order, in one ``Store.new_vars`` call, so their
+    serials match a generic copy's."""
     code, nslots = template
-    new_var = store.new_var
-    frame = [new_var() for _ in range(nslots)]
+    frame = store.new_vars(nslots)
     vals = []
     push = vals.append
     for op in code:
@@ -218,6 +225,13 @@ def try_clause(clause, goal, store):
         template = clause[2] = _compile(clause)
     head, body = copy_terms(template, store)
     return body if unify(head, goal, store) else None
+
+
+def _read_checked(text, store, allow_evars):
+    """Read a program and check its clauses: what a consult reads."""
+    pairs = read_program(text, store, allow_evars)
+    check_clauses(pairs)
+    return pairs
 
 
 def prelude_text() -> str:
@@ -260,11 +274,23 @@ class Engine:
     def consult_text(self, text: str):
         """Parse, add and return ``(head, body)`` clauses; a parse error, a
         clause for a predicate the engine runs itself, or a body that is not
-        callable adds nothing at all."""
-        pairs = read_program(text, self.store, self.allow_evars)
-        check_clauses(pairs)
+        callable adds nothing at all, not even a cell or a ``~Name``."""
+        pairs = self._read(_read_checked, text)
         self._add([[head, body, None] for head, body in pairs])
         return pairs
+
+    def _read(self, read, text):
+        """``read(text, store, allow_evars)``; when it raises, the cells and
+        ``~Name`` interns it made leave the store again."""
+        store = self.store
+        born, interned = len(store.cells), len(store.evars)
+        try:
+            return read(text, store, self.allow_evars)
+        except BaseException:
+            del store.cells[born:]
+            for name in list(store.evars)[interned:]:
+                del store.evars[name]
+            raise
 
     def _add(self, clauses):
         for clause in clauses:
@@ -276,13 +302,17 @@ class Engine:
 
     def query(self, text: str):
         """Parse a query and return its lazy solution sequence; when the
-        sequence ends, the query's variables leave the registry too."""
+        sequence ends, even unstarted, the query's variables leave the
+        registry too.  A query that fails to parse leaves nothing."""
         born = len(self.store.cells)
-        goal, varmap = read_query(text, self.store, self.allow_evars)
-        return self._drop_cells(self.solve(goal, varmap), born)
+        goal, varmap = self._read(read_query, text)
+        solutions = self._drop_cells(self.solve(goal, varmap), born)
+        next(solutions)  # into its try, so that closing it runs the finally
+        return solutions
 
     def _drop_cells(self, solutions, born):
         try:
+            yield
             yield from solutions  # closing this closes solutions first
         finally:
             # as solve drops its own: keep a cell the reset missed, and a
@@ -443,6 +473,16 @@ class Engine:
                     raise ExistenceError(name, arity)
                 if len(clauses) > 1:
                     clauses = self._candidates(name, arity, args, clauses)
+                if len(clauses) == 1:
+                    body = try_clause(clauses[0], goal, store)
+                    if body is None:
+                        failing = True
+                    elif not (isinstance(body, Atom) and body.name == "true"):
+                        goals = (body, len(cps), goals)
+                    continue
+                if not clauses:
+                    failing = True
+                    continue
                 cps.append([store.mark(), goal, clauses, 0, goals, len(cps)])
                 failing = True  # backtracking drives clause selection
         finally:

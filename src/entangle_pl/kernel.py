@@ -9,7 +9,7 @@ to a program: the reader interns them by name, and the engine's clause
 templates keep them as cells instead of freshening them, which is what lets
 one binding travel across clause boundaries until the query that produced
 it is undone.  The store also holds the occurs-check policy, so every
-``unify`` on one store follows the same rule.
+``unify`` on one store follows the same rule, and it alone assigns serials.
 
 ``copy_term`` dereferences first, so an unbound ``EVar`` comes back as
 itself but a bound one is copied by value, its variables renamed.  That is
@@ -81,7 +81,8 @@ class Store:
 
     ``cells`` registers every cell that can outlive the running query (the
     engine drops a query's cells when it ends); ``allocated`` counts every
-    cell ever made, and is the next serial."""
+    cell ever made, and is the next serial; ``new_var`` and ``new_vars``
+    are the only places that assign one."""
 
     __slots__ = ("cells", "trail", "evars", "occurs_check", "allocated")
 
@@ -93,11 +94,20 @@ class Store:
         self.allocated = 0
 
     def new_var(self, name=None, cls=Var) -> Var:
-        """Allocate a cell: the only place a serial is assigned."""
+        """Allocate a cell, with the next serial."""
         v = cls(self.allocated, name)
         self.allocated += 1
         self.cells.append(v)
         return v
+
+    def new_vars(self, n: int) -> list:
+        """Allocate ``n`` unnamed cells at once, with the serials and
+        registry order that ``n`` calls of ``new_var()`` would give."""
+        start = self.allocated
+        self.allocated = start + n
+        cells = list(map(Var, range(start, start + n)))
+        self.cells += cells
+        return cells
 
     def evar(self, name: str) -> EVar:
         """Return the one cell for ``name`` (e.g. ``~X``), creating it once."""
@@ -148,41 +158,54 @@ def occurs(v: Var, t: Term) -> bool:
 
 def unify(a: Term, b: Term, store: Store) -> bool:
     """Unify two terms, with the store's occurs-check policy; on failure the
-    store is exactly as it was before."""
+    store is exactly as it was before.  It dispatches on exact types, since
+    no term class but ``EVar`` is subclassed, and binds through
+    ``Store.bind``."""
     occurs_check = store.occurs_check
-    start = store.mark()
+    bind = store.bind
+    start = len(store.trail)
     stack = [(a, b)]
+    pop = stack.pop
     while stack:
-        x, y = stack.pop()
-        x = deref(x)
-        y = deref(y)
+        x, y = pop()
+        tx = type(x)
+        while tx is Var or tx is EVar:
+            r = x.ref
+            if r is None:
+                break
+            x = r
+            tx = type(x)
+        ty = type(y)
+        while ty is Var or ty is EVar:
+            r = y.ref
+            if r is None:
+                break
+            y = r
+            ty = type(y)
         if x is y:
             continue
-        # make x the cell to bind: the younger of two cells, or the only one
-        if isinstance(y, Var) and (not isinstance(x, Var) or y.serial >= x.serial):
-            x, y = y, x
-        if isinstance(x, Var):
-            if occurs_check and occurs(x, y):
-                store.undo_to(start)
-                return False
-            store.bind(x, y)
-            continue
-        if isinstance(x, Atom):
-            if isinstance(y, Atom) and x.name == y.name:
-                continue
-        elif isinstance(x, Int):
-            if isinstance(y, Int) and x.value == y.value:
-                continue
-        elif isinstance(x, Struct):
-            if (
-                isinstance(y, Struct)
-                and x.name == y.name
-                and len(x.args) == len(y.args)
-            ):
-                stack.extend(zip(x.args, y.args))
-                continue
-        store.undo_to(start)
-        return False
+        # make x the cell to bind: the younger of two cells, or the only
+        # one; two other terms match here or fail
+        if ty is Var or ty is EVar:
+            if (tx is not Var and tx is not EVar) or y.serial >= x.serial:
+                x, y = y, x
+        elif tx is not Var and tx is not EVar:
+            if tx is ty:
+                if tx is Struct:
+                    if x.name == y.name and len(x.args) == len(y.args):
+                        stack.extend(zip(x.args, y.args))
+                        continue
+                elif tx is Atom:
+                    if x.name == y.name:
+                        continue
+                elif tx is Int and x.value == y.value:
+                    continue
+            store.undo_to(start)
+            return False
+        if occurs_check and occurs(x, y):
+            store.undo_to(start)
+            return False
+        bind(x, y)
     return True
 
 

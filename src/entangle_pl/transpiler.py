@@ -29,7 +29,7 @@ from .errors import TranspileError, TypeMismatchError
 from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
-_HELPER = "$call_ev"
+HELPER = "$call_ev"
 _RESERVED = ("_Env", "_IV", "_G")
 
 
@@ -135,7 +135,7 @@ def rewrite_goal(g, env, predset, store):
         if isinstance(t, Var):
             # injected goal: dispatched through the runtime helper
             uses_helper = True
-            t = Struct(_HELPER, (t, env))
+            t = Struct(HELPER, (t, env))
         done.append(t)
     return done[0], uses_helper
 
@@ -172,11 +172,11 @@ def rewrite_program(pairs, layout, store: Store):
         new_body = _conj_fold(goals) if goals else TRUE
         out.append((Struct(head.name, head.args + (env,)), new_body))
     if uses_helper:
-        out += _helper_clauses(store, predicates)
+        out += helper_clauses(store, predicates)
     return TranspileResult("", layout, predicates), out
 
 
-def _helper_clauses(store: Store, predicates):
+def helper_clauses(store: Store, predicates):
     """Yield the dispatch clauses for goals injected at run time.
 
     An unbound goal must keep raising an instantiation error (a clause-head
@@ -185,30 +185,33 @@ def _helper_clauses(store: Store, predicates):
     """
     g = store.new_var("G")
     guard = _conj_fold([Struct("var", (g,)), Atom("!"), Struct("call", (g,))])
-    yield Struct(_HELPER, (g, store.new_var("_"))), guard
+    yield Struct(HELPER, (g, store.new_var("_"))), guard
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
         env = store.new_var("E")
         inner = Atom(name) if arity == 0 else Struct(name, vs)
         target = Struct(name, vs + (env,))
-        yield Struct(_HELPER, (inner, env)), Struct(",", (Atom("!"), target))
+        yield Struct(HELPER, (inner, env)), Struct(",", (Atom("!"), target))
     g2 = store.new_var("G")
-    yield Struct(_HELPER, (g2, store.new_var("_"))), Struct("call", (g2,))
+    yield Struct(HELPER, (g2, store.new_var("_"))), Struct("call", (g2,))
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):
-    """Rewrite a query goal read into ``store`` for ``program``."""
+    """Rewrite a query goal read into ``store`` for ``program``.  Returns
+    the goal and whether it dispatches through the runtime helper, whose
+    clauses the program has only if one of its own clauses does."""
     slots = {name: i + 1 for i, name in enumerate(program.layout)}
     (goal,), env, goals = _substitute(store, slots, (goal,))
     if program.layout:
         slots_vars = tuple(store.new_var("_") for _ in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
-    goals.append(rewrite_goal(goal, env, set(program.predicates), store)[0])
-    return _conj_fold(goals)
+    goal, uses_helper = rewrite_goal(goal, env, set(program.predicates), store)
+    goals.append(goal)
+    return _conj_fold(goals), uses_helper
 
 
 def transform_query(text: str, result: TranspileResult) -> str:
     """Rewrite a query for a transpiled program; returns plain query text."""
     store = Store()
     goal, _ = read_query(text, store, allow_evar=True)
-    return write_term(rewrite_query(goal, store, result))
+    return write_term(rewrite_query(goal, store, result)[0])

@@ -119,6 +119,15 @@ def test_cut_commits_clause_and_alternatives(eng):
     assert answers(eng, "t(X), !.") == ["X = 1"]  # cut in a query body
 
 
+def test_cut_through_one_candidate_predicates(eng):
+    # one/1 has one clause, so its call pushes no choice point: the cut
+    # in its body must still cut m/1's and nothing below the call
+    eng.consult_text("m(1). m(2). one(X) :- m(X), !.")
+    assert answers(eng, "one(X).") == ["X = 1"]
+    assert answers(eng, "(one(X) ; X = 3).") == ["X = 1", "X = 3"]
+    assert answers(eng, "m(Y), one(X).") == ["Y = 1, X = 1", "Y = 2, X = 1"]
+
+
 def test_cut_is_local_to_call_and_naf(eng):
     eng.consult_text("t(1). t(2). w(X) :- call((t(X), !)). n :- \\+((t(_), !, fail)).")
     assert answers(eng, "w(X).") == ["X = 1"]
@@ -698,6 +707,38 @@ def test_query_cells_leave_the_registry_when_it_ends():
             list(gen)
         assert len(cells) == before
     assert e.store.bound_cells() == []
+
+
+def test_failed_reads_leave_nothing_behind(eng):
+    cells, evars = eng.store.cells, eng.store.evars
+    before = len(cells)
+    for _ in range(1000):
+        with pytest.raises(PrologSyntaxError):
+            eng.query("f(X, Y, Z) = .")
+    with pytest.raises(PrologSyntaxError):
+        eng.query("f(X, ~Q) = .")
+    assert len(cells) == before and evars == {}
+    for program, error in (("a(X, ~P). b(Y). c $.", PrologSyntaxError),
+                           ("a(X, ~P). b(Y). c :- 1.", TypeMismatchError),
+                           ("a(X, ~P). b(Y) :- true. ! :- b(Y).", PrologError)):
+        with pytest.raises(error):
+            eng.consult_text(program)
+        assert len(cells) == before and evars == {}
+    # a ~Name the store knew before the failed read stays interned
+    eng.consult_text("k(~P).")
+    with pytest.raises(PrologSyntaxError):
+        eng.consult_text("a(~P, ~Q). b $.")
+    assert list(evars) == ["~P"] and cells[-1] is evars["~P"]
+
+
+def test_query_closed_before_its_first_answer_leaves_nothing(eng):
+    cells = eng.store.cells
+    before = len(cells)
+    for _ in range(1000):
+        eng.query("X = f(Y).").close()
+    assert len(cells) == before
+    eng.query("X = f(Y).")  # dropped unstarted, so closed when collected
+    assert len(cells) == before
 
 
 def test_reset_check_sees_the_cells_a_query_made(eng, monkeypatch):

@@ -96,6 +96,36 @@ def test_unify_basics(kernel):
     assert not kernel.unify(St("f", (x,)), St("f", (x, x)), s)
 
 
+def test_unify_dispatches_on_exact_types(kernel):
+    s = kernel.Store()
+    A, I, St = kernel.Atom, kernel.Int, kernel.Struct
+    f = St("f", (A("a"),))
+    for x, y in ((A("1"), I(1)), (f, St("f", (A("a"), A("b")))), (A("[]"), f),
+                 (St("1", (A("a"),)), I(1)), (A("f"), f)):
+        assert not kernel.unify(x, y, s) and not kernel.unify(y, x, s)
+    assert s.trail == []
+    # cells are read through their bindings, an EVar's too
+    e, v = s.evar("~E"), s.new_var()
+    s.bind(v, e)
+    s.bind(e, I(1))
+    assert kernel.unify(St("g", (v, e)), St("g", (I(1), v)), s)
+    assert not kernel.unify(v, A("1"), s)
+    assert len(s.trail) == 2
+
+
+def test_new_vars_matches_new_var_calls(kernel):
+    one_by_one, at_once = kernel.Store(), kernel.Store()
+    for s in (one_by_one, at_once):
+        s.evar("~X")
+    made = [one_by_one.new_var() for _ in range(3)]
+    frame = at_once.new_vars(3)
+    assert [c.serial for c in frame] == [c.serial for c in made] == [1, 2, 3]
+    assert [type(c) for c in frame] == [kernel.Var] * 3
+    assert all(c.name is None and c.ref is None for c in frame)
+    assert at_once.cells[1:] == frame and at_once.allocated == one_by_one.allocated
+    assert at_once.new_var().serial == 4 and at_once.new_vars(0) == []
+
+
 def test_var_var_binding_direction(kernel):
     # the younger variable must point at the older one, so that undoing a
     # query never leaves an older cell referencing a recycled younger cell

@@ -15,7 +15,7 @@ from entangle_pl.oracle import (
     solution_multiset,
 )
 from entangle_pl.reader import read_program, read_query
-from entangle_pl.transpiler import rewrite_program, rewrite_query
+from entangle_pl.transpiler import rewrite_program, rewrite_query, transpile
 
 
 def test_normalization_is_alpha_and_order_insensitive():
@@ -133,14 +133,14 @@ def test_mismatch_names_a_solution_only_one_side_gives(monkeypatch, change, deta
 
     def changed(goal, store, program):
         term, names = read_query(change.format("G"), store)
-        put = {names["G"]: real(goal, store, program), names["X"]: goal.args[0]}
+        put = {names["G"]: real(goal, store, program)[0], names["X"]: goal.args[0]}
 
         def build(t):
             if isinstance(t, Struct):
                 return Struct(t.name, tuple(map(build, t.args)))
             return put.get(t, t)
 
-        return build(term)
+        return build(term), False
 
     monkeypatch.setattr(oracle, "rewrite_query", changed)
     [result] = check_program("t(1). t(2).", ["t(X)."], "p.pl")
@@ -217,7 +217,8 @@ def test_an_error_is_an_outcome(tmp_path, monkeypatch):
 
     def raising(goal, store, program):
         unbound = Struct("call", (store.new_var(),))
-        return Struct(",", (real(goal, store, program), unbound))
+        rewritten, uses_helper = real(goal, store, program)
+        return Struct(",", (rewritten, unbound)), uses_helper
 
     monkeypatch.setattr(oracle, "rewrite_query", raising)
     assert str(check_directory(tmp_path)[1]) == (
@@ -225,6 +226,15 @@ def test_an_error_is_an_outcome(tmp_path, monkeypatch):
         " native-only e.g. (('X', '1'),);"
         " transpiled-only e.g. ('error', 'InstantiationError')"
     )
+
+
+def test_a_query_may_call_a_variable_goal_where_no_clause_does():
+    # the transpiled engine holds the '$call_ev' dispatch clauses even
+    # when no clause of the program calls a variable goal
+    results = check_program("m(1). m(2).", ["G = m(Y), G.", "X = !, call((m(Y), X))."])
+    assert [r.ok for r in results] == [True, True]
+    assert (results[0].native, results[0].transpiled) == (2, 2)
+    assert "$call_ev" not in transpile("m(1). m(2).").text
 
 
 def test_rewriting_binds_nothing(monkeypatch):
