@@ -1,27 +1,35 @@
 """Depth-first SLD resolution with chronological backtracking, cut,
 builtins, and the per-query reset of program-wide variables.
 
-One generator, ``Engine.solve``, runs a whole query and backtracks
-inline.  It keeps the current goal list as a persistent linked stack of
-``(term, cut_barrier, rest)`` tuples and the choice points in a Python
-list.  A choice point is a tuple ``(mark, goals)`` for an alternative,
-which resumes the goal node ``goals``, or a list ``[mark, goal, clauses,
-next_idx, cont, barrier]`` for the clauses of a call not yet tried; a call
-gets one only when the index leaves it more than one candidate clause.  A
-cut barrier is the choice-point stack height at entry to the predicate the
-goal belongs to; ``!`` truncates the stack down to it.  No construct
-re-enters the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and
-``(C -> T)`` as ``(C -> T ; fail)``, whose else branch is a choice point
-that a ``!`` carrying the construct's height drops when ``C`` succeeds;
-findall/3 copies each solution of its goal at a marker goal, called as
+One generator, ``Engine.solve``, runs a whole query and backtracks inline.
+It keeps the current goal list as a persistent linked stack of ``(term,
+cut_barrier, rest)`` tuples and the choice points in a Python list.  A
+choice point is a tuple ``(mark, young, goals)`` for an alternative, which
+resumes the goal node ``goals``, or a list ``[mark, young, goal, clauses,
+next_idx, cont, barrier]`` for the clauses of a call not yet tried, where
+``mark`` is a trail mark and ``young`` the allocation mark when it was
+pushed; a call gets one only when the index leaves it more than one
+candidate clause, and it is popped before its last clause is tried.  A cut
+barrier is the choice-point stack height at entry to the predicate the goal
+belongs to; ``!`` truncates the stack down to it.  No construct re-enters
+the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and ``(C -> T)`` as
+``(C -> T ; fail)``, whose else branch is a choice point that a ``!``
+carrying the construct's height drops when ``C`` succeeds; findall/3
+copies each solution of its goal at a marker goal, called as
 ``marker(engine)``, that then fails, and a choice point below the goal
-unifies the collected list.  A variable goal is the metacall case: it
-gets a fresh cut barrier.  ``CONTROL`` lists the control constructs and
-their goal arguments; the transpiler rewrites goals through the same
-table.  Every binding is trailed, so
-abandoning or exhausting a query undoes all of its work, including
-bindings of ``~Name`` variables; that reset is what makes them
-reusable between queries.
+unifies the collected list.
+A variable goal is the metacall case: it gets a fresh cut barrier.
+``CONTROL`` lists the control constructs and their goal arguments; the
+transpiler rewrites goals through the same table.  Every binding of a cell
+older than the store's young mark is trailed (Warren's conditional
+trailing): ``solve`` keeps the mark at the allocation mark of the newest
+choice point, or of the query's start when none is left, so a binding the
+next backtrack must undo is always trailed, and every cell made before the
+query, the ``~Name`` cells among them, is always old.  So abandoning or
+exhausting a query undoes all of its work, including bindings of ``~Name``
+variables; that reset is what makes them reusable between queries.  A cut
+that drops choice points also drops the trail entries above them that the
+lowered mark no longer asks for.
 
 A goal is checked for callability once, where it enters the machine, not
 at each step: ``check_clauses`` checks each clause body at consult (and
@@ -35,16 +43,21 @@ found.  Every goal ``solve`` dispatches is then a variable, which takes the
 checked metacall branch, or a part of a checked control skeleton.
 
 A cell lives as long as the query that made it.  The store's registry
-keeps the cells made before ``solve`` starts (the ``~Name`` and clause
-cells, and the variables of a goal its caller read), because their owners
-hold them.  When the query ends its own cells are unbound again, and
-nothing outside it can reach them: clause records hold read terms, and
-answers are rendered text.  So ``solve`` drops them from the registry, and
-``query``, which read the goal itself, drops the goal's variables too, even
-when the query is closed before its first answer; a read that raises, of a
+keeps the cells made outside a query (the ``~Name`` and clause cells, and
+the variables of a goal its caller read), because their owners hold them.
+A cell made while a query runs is young, so it is not registered, and it
+is trailed only while a choice point made after it is left: a
+deterministic loop's cells die as it leaves them, and one long query runs
+in flat memory.  Nothing outside the query can reach them: clause records
+hold read terms, and answers are rendered text.  Between two answers, and
+once the query ends, the store is back in its outside-query state, so a
+consult between answers registers its cells.  A ``~Name`` it interns is
+younger than the query's marks, but ``Store.bind`` trails every ``~Name``
+cell.  ``query``, which read the goal itself, drops the goal's variables
+when it ends (and any clause cell registered since, which no query binds),
+even when it is closed before its first answer; a read that raises, of a
 query or of a program, drops the cells and ``~Name`` interns it made.  An
-engine's memory stays flat across queries, and a query suspended between
-answers keeps its cells.
+engine's memory stays flat across queries.
 Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
@@ -98,6 +111,7 @@ from .errors import (
     TypeMismatchError,
 )
 from .kernel import (
+    OUTSIDE,
     TRUE,
     Atom,
     EVar,
@@ -315,8 +329,8 @@ class Engine:
             yield
             yield from solutions  # closing this closes solutions first
         finally:
-            # as solve drops its own: keep a cell the reset missed, and a
-            # ~Name the query named first, which the store keeps interned
+            # keep a cell the reset missed, and a ~Name: one the query named
+            # first, or a consult between its answers read, stays interned
             cells = self.store.cells
             cells[born:] = [
                 c for c in cells[born:] if c.ref is not None or type(c) is EVar
@@ -326,24 +340,28 @@ class Engine:
         """Run a goal term; yields eagerly rendered Solutions.
 
         When the sequence is exhausted or abandoned the trail is undone to
-        the query-start mark, so every variable bound by this query (the
-        program-wide ones included) is unbound again, and the cells it made
-        leave the store's registry.  A goal that is not callable raises
-        before the first step.
+        the query-start mark, so every variable older than the query that
+        it bound (the program-wide ones included) is unbound again; the
+        cells it made itself were never registered, and nothing holds them
+        once it ends.  A goal that is not callable raises before the first
+        step.
         """
         check_goal(goal)
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
-        # A choice point is either an alternative, the tuple (mark, goals)
-        # whose goals node resumes after undoing to mark, or a clause choice
-        # point, the list [mark, goal, clauses, next_idx, cont, barrier].
+        # A choice point is either an alternative, the tuple (mark, young,
+        # goals) whose goals node resumes after undoing to mark, or a clause
+        # choice point, the list [mark, young, goal, clauses, next_idx, cont,
+        # barrier]; the store's young mark is the newest one's young, or
+        # base when there is none.
         cps = []
         goals = (goal, 0, None)
         failing = False
         steps = 0  # the frame budget covers the whole solution sequence
-        start = store.mark()
-        born = len(store.cells)
+        trail = store.trail
+        start = len(trail)
+        base = store.young = store.allocated
         try:
             while True:
                 if failing:
@@ -353,29 +371,31 @@ class Engine:
                     store.undo_to(cp[0])
                     if type(cp) is tuple:
                         cps.pop()
-                        goals = cp[1]
-                        failing = False
-                        continue
-                    _, goal, clauses, idx, cont, barrier = cp
-                    while idx < len(clauses):
-                        body = try_clause(clauses[idx], goal, store)
-                        idx += 1
-                        if body is not None:
-                            break
+                        store.young = cps[-1][1] if cps else base
+                        goals = cp[2]
                     else:
-                        cps.pop()
-                        continue
-                    if idx < len(clauses):
-                        cp[3] = idx
-                    else:
-                        cps.pop()
+                        _, _, goal, clauses, idx, cont, barrier = cp
+                        last = len(clauses) - 1
+                        while True:
+                            if idx == last:  # it runs under the choice point below
+                                cps.pop()
+                                store.young = cps[-1][1] if cps else base
+                            body = try_clause(clauses[idx], goal, store)
+                            idx += 1
+                            if body is not None or idx > last:
+                                break
+                        if body is None:
+                            continue
+                        if idx <= last:
+                            cp[4] = idx
+                        if isinstance(body, Atom) and body.name == "true":
+                            goals = cont
+                        else:
+                            goals = (body, barrier, cont)
                     failing = False
-                    if isinstance(body, Atom) and body.name == "true":
-                        goals = cont
-                    else:
-                        goals = (body, barrier, cont)
                     continue
                 if goals is None:
+                    store.young = OUTSIDE  # between answers, as after the query
                     yield Solution(
                         {
                             # argument priority: bare control operators like
@@ -384,6 +404,7 @@ class Engine:
                             for name, v in shown
                         }
                     )
+                    store.young = cps[-1][1] if cps else base
                     failing = True
                     continue
                 term, barrier, rest = goals
@@ -415,7 +436,11 @@ class Engine:
                     failing = True
                     continue
                 if name == "!" and arity == 0:
-                    del cps[barrier:]
+                    if len(cps) > barrier:
+                        mark = cps[barrier][0]
+                        del cps[barrier:]
+                        store.young = cps[-1][1] if cps else base
+                        store.tidy(mark)
                     continue
                 ite = None
                 if name == ";" and arity == 2:
@@ -429,7 +454,8 @@ class Engine:
                             check_goal(first)
                         ite = first.args + (args[1],)
                     else:
-                        cps.append((store.mark(), (args[1], barrier, goals)))
+                        store.young = store.allocated
+                        cps.append((len(trail), store.young, (args[1], barrier, goals)))
                         goals = (args[0], barrier, goals)
                         continue
                 elif name == "->" and arity == 2:
@@ -439,7 +465,8 @@ class Engine:
                 if ite is not None:
                     cond, then, otherwise = ite
                     h = len(cps)
-                    cps.append((store.mark(), (otherwise, barrier, goals)))
+                    store.young = store.allocated
+                    cps.append((len(trail), store.young, (otherwise, barrier, goals)))
                     goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                     continue
                 if name == "call" and arity == 1:
@@ -451,7 +478,8 @@ class Engine:
                     check_goal(subgoal)
                     acc = []
                     found = partial(_found_all, acc, result)
-                    cps.append((store.mark(), (found, 0, goals)))
+                    store.young = store.allocated
+                    cps.append((len(trail), store.young, (found, 0, goals)))
                     collect = partial(_collect, template, acc)
                     goals = (deref(subgoal), len(cps), (collect, 0, None))
                     continue
@@ -483,14 +511,12 @@ class Engine:
                 if not clauses:
                     failing = True
                     continue
-                cps.append([store.mark(), goal, clauses, 0, goals, len(cps)])
+                store.young = store.allocated
+                cps.append([len(trail), store.young, goal, clauses, 0, goals, len(cps)])
                 failing = True  # backtracking drives clause selection
         finally:
             store.undo_to(start)
-            # a cell made here is unbound again and unreachable, unless the
-            # reset missed it: keep that one, so bound_cells() reports it
-            cells = store.cells
-            cells[born:] = [c for c in cells[born:] if c.ref is not None]
+            store.young = OUTSIDE
 
     def _candidates(self, name, arity, args, clauses):
         """The clauses a call with ``args`` can match, as far as the index
@@ -585,12 +611,15 @@ def _bi_unify(e: Engine, args):
 
 
 def _bi_not_unify(e: Engine, args):
+    # the one builtin that undoes a unify itself: it raises the young mark
+    # so that the unify trails every binding it makes, even on failure
     store = e.store
+    young, store.young = store.young, store.allocated
     mark = store.mark()
-    if unify(args[0], args[1], store):
-        store.undo_to(mark)
-        return False
-    return True
+    unified = unify(args[0], args[1], store)
+    store.undo_to(mark)
+    store.young = young
+    return not unified
 
 
 def _bi_var(e: Engine, args):

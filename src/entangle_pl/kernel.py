@@ -3,13 +3,16 @@ and the standard order of terms.
 
 Terms are immutable except for variable cells.  A ``Var`` is a single
 assignment cell: ``ref`` is None while unbound and is written exactly once
-per binding epoch (every write is trailed, so backtracking resets it to
-None).  ``EVar`` cells behave identically under unification but are global
-to a program: the reader interns them by name, and the engine's clause
-templates keep them as cells instead of freshening them, which is what lets
-one binding travel across clause boundaries until the query that produced
-it is undone.  The store also holds the occurs-check policy, so every
-``unify`` on one store follows the same rule, and it alone assigns serials.
+per binding epoch.  Every write to a cell older than the store's young
+mark, or to an ``EVar``, is trailed, so backtracking resets it to None; a
+younger cell was made after the newest choice point, and backtracking
+discards it with that choice point, so its write needs no undo.  ``EVar``
+cells behave identically under unification but are global to a program:
+the reader interns them by name, and the engine's clause templates keep
+them as cells instead of freshening them, which is what lets one binding
+travel across clause boundaries until the query that produced it is
+undone.  The store also holds the occurs-check policy, so every ``unify``
+on one store follows the same rule, and it alone assigns serials.
 
 ``copy_term`` dereferences first, so an unbound ``EVar`` comes back as
 itself but a bound one is copied by value, its variables renamed.  That is
@@ -75,16 +78,27 @@ class Struct(Term):
         return f"Struct({self.name!r}, {self.args!r})"
 
 
+OUTSIDE = float("inf")  # the young mark outside a query: every cell is old
+
+
 class Store:
     """Owns the cell registry, the trail, the EVar intern table, and the
     occurs-check policy that ``unify`` follows on this store.
 
-    ``cells`` registers every cell that can outlive the running query (the
-    engine drops a query's cells when it ends); ``allocated`` counts every
-    cell ever made, and is the next serial; ``new_var`` and ``new_vars``
-    are the only places that assign one."""
+    ``allocated`` counts every cell ever made, and is the next serial;
+    ``new_var`` and ``new_vars`` are the only places that assign one.
+    ``young`` is the young mark: a cell whose serial is below it is old,
+    and every other cell is young.  A bound cell is trailed only if it is
+    old or an ``EVar``, and a new cell is registered in ``cells`` only if
+    it is old.  Outside a query the mark is infinite, so every cell is old;
+    while a query runs, the engine keeps it at the allocation mark of its
+    newest choice point, or of its start when it has none.  A young cell
+    was made after the newest choice point, so backtracking discards it
+    rather than undoing it, and it dies with the query.  An ``EVar`` is
+    trailed however young, since one interned by a consult between two
+    answers is younger than the suspended query's marks, yet outlives it."""
 
-    __slots__ = ("cells", "trail", "evars", "occurs_check", "allocated")
+    __slots__ = ("cells", "trail", "evars", "occurs_check", "allocated", "young")
 
     def __init__(self, occurs_check: bool = False):
         self.cells = []
@@ -92,12 +106,14 @@ class Store:
         self.evars = {}
         self.occurs_check = occurs_check
         self.allocated = 0
+        self.young = OUTSIDE
 
     def new_var(self, name=None, cls=Var) -> Var:
         """Allocate a cell, with the next serial."""
         v = cls(self.allocated, name)
         self.allocated += 1
-        self.cells.append(v)
+        if v.serial < self.young:
+            self.cells.append(v)
         return v
 
     def new_vars(self, n: int) -> list:
@@ -106,7 +122,8 @@ class Store:
         start = self.allocated
         self.allocated = start + n
         cells = list(map(Var, range(start, start + n)))
-        self.cells += cells
+        if start < self.young:
+            self.cells += cells
         return cells
 
     def evar(self, name: str) -> EVar:
@@ -122,13 +139,25 @@ class Store:
     def bind(self, cell: Var, value: Term):
         assert cell.ref is None, "attempt to rebind a bound cell"
         cell.ref = value
-        self.trail.append(cell)
+        if cell.serial < self.young or type(cell) is EVar:
+            self.trail.append(cell)
 
     def undo_to(self, mark: int):
         trail = self.trail
         assert mark <= len(trail), "undo past an invalidated trail mark"
         while len(trail) > mark:
             trail.pop().ref = None
+
+    def tidy(self, mark: int):
+        """Drop the trail entries above ``mark`` that the young mark, since
+        lowered by a cut, no longer asks for: a loop that binds in the
+        condition of an if-then-else keeps a trail of constant length."""
+        trail = self.trail
+        if len(trail) > mark:
+            young = self.young
+            trail[mark:] = [
+                c for c in trail[mark:] if c.serial < young or type(c) is EVar
+            ]
 
     def bound_cells(self):
         """Scan of the registry, so of every cell a later query can see;
@@ -157,10 +186,13 @@ def occurs(v: Var, t: Term) -> bool:
 
 
 def unify(a: Term, b: Term, store: Store) -> bool:
-    """Unify two terms, with the store's occurs-check policy; on failure the
-    store is exactly as it was before.  It dispatches on exact types, since
-    no term class but ``EVar`` is subclassed, and binds through
-    ``Store.bind``."""
+    """Unify two terms, with the store's occurs-check policy; on failure
+    every ``EVar`` and every cell older than the store's young mark is as
+    it was before.  A
+    young cell may be left bound: failure backtracks, which discards it, and
+    a caller that goes on instead raises the mark to ``allocated`` first.
+    It dispatches on exact types, since no term class but ``EVar`` is
+    subclassed, and binds through ``Store.bind``."""
     occurs_check = store.occurs_check
     bind = store.bind
     start = len(store.trail)

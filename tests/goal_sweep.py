@@ -5,7 +5,8 @@ call/1, findall/3 and ``phrase({...}, [])``, puts integers and variables
 in goal positions, passes goals through ``q(G) :- G.`` and
 ``r(X) :- (X ; true).``, and binds variables to goals such as
 ``(a -> 1)`` before or after they are called.  Every query must answer or
-raise a ``PrologError``, and leave every cell unbound.  The engine runs
+raise a ``PrologError``, and leave every cell unbound, the trail empty and
+the registry as long as it was before the query.  The engine runs
 with the occurs check, so no query can build a cyclic term, and with a
 frame budget, so none runs away.
 
@@ -27,8 +28,8 @@ from entangle_pl import Engine
 from entangle_pl.errors import PrologError
 
 SEEDS = range(50_000)
-# An engine keeps each query's variables in its store's registry, which
-# ``bound_cells()`` scans, so one engine per block keeps the sweep linear.
+# A cell that a faulty reset leaves bound is reported again at every later
+# seed on its engine, so a fresh engine for each block bounds the echo.
 BLOCK = 2_000
 
 PROGRAM = """
@@ -93,6 +94,7 @@ def sweep(seeds):
             engine = Engine(occurs_check=True, max_frames=2_000)
             engine.consult_text(PROGRAM)
         text = query(seed)
+        registered = len(engine.store.cells)
         try:
             answers, error = outcome(engine, text)
         except Exception as e:  # anything but a PrologError is a fault
@@ -102,6 +104,10 @@ def sweep(seeds):
         left = engine.store.bound_cells()
         if left:
             faults.append((seed, text, f"{len(left)} cell(s) left bound"))
+        if engine.store.trail:
+            faults.append((seed, text, "trail entries left"))
+        if len(engine.store.cells) != registered:
+            faults.append((seed, text, "the registry changed length"))
     return tally, faults
 
 

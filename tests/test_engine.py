@@ -1,5 +1,6 @@
 """Solver behavior: control constructs, builtins, errors, store hygiene."""
 
+import gc
 import itertools
 import os
 import re
@@ -23,7 +24,7 @@ from entangle_pl import (
 )
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
-from entangle_pl.kernel import Store, Struct, deref
+from entangle_pl.kernel import Store, Struct, Var, deref
 from conftest import answers
 
 
@@ -741,15 +742,124 @@ def test_query_closed_before_its_first_answer_leaves_nothing(eng):
     assert len(cells) == before
 
 
-def test_reset_check_sees_the_cells_a_query_made(eng, monkeypatch):
+def test_reset_check_sees_the_old_cells_that_hold_young_ones(eng, monkeypatch):
     # with a reset that undoes nothing, the clause's renamed A and B stay
-    # bound; the registry keeps them, so the check still sees them
-    eng.consult_text("p(f(A,B)) :- A = 1, B = 2.")
+    # bound.  They are young, so neither trailed nor registered, but they
+    # survive only through old cells, the query's X and ~E, which were
+    # trailed and are registered, so the check sees those
+    eng.consult_text("p(f(A,B)) :- ~E = g(B), A = 1, B = 2.")
     gen = eng.query("p(X).")
     born = eng.store.allocated
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = f(1,2)"]
-    assert any(c.serial >= born for c in eng.store.bound_cells())
+    left = {c.name: c.ref for c in eng.store.bound_cells()}
+    assert sorted(left) == ["X", "~E"]
+    for value in left.values():
+        young = [a for a in value.args if isinstance(a, Var)]
+        assert young and all(a.serial >= born for a in young)
+
+
+def _alive_since(born, old):
+    """The ``Var`` cells alive now, other than those in ``old``, whose
+    serials are ``born`` or above."""
+    gc.collect()
+    return [
+        o for o in gc.get_objects()
+        if type(o) is Var and o.serial >= born and id(o) not in old
+    ]
+
+
+@pytest.mark.parametrize("end", ["exhausted", "closed", "raised"])
+def test_no_cell_a_query_made_outlives_it(end):
+    e = Engine(max_frames=2_000)
+    e.consult_text(COUNT + " n(1). n(2).")
+    gc.collect()
+    kept = [o for o in gc.get_objects() if type(o) is Var]  # ids stay unique
+    old = set(map(id, kept))
+    born = e.store.allocated
+    if end == "exhausted":
+        assert answers(e, "count(0,100), n(Y).") == ["Y = 1", "Y = 2"]
+    elif end == "closed":
+        gen = e.query("n(Y), count(0,100).")
+        assert str(next(gen)) == "Y = 1"
+        assert _alive_since(born, old)  # a suspended query keeps its cells
+        gen.close()
+    else:
+        try:
+            list(e.query("n(Y), count(0,100000)."))
+        except ResourceLimitError:
+            pass
+        else:
+            pytest.fail("the frame budget did not run out")
+    assert _alive_since(born, old) == []
+    assert e.store.trail == [] and e.store.bound_cells() == []
+
+
+def test_a_name_bound_to_young_cells_is_reset(eng):
+    # ~E holds A, made by the clause's renaming; A is bound under the
+    # choice point of ;, so it is trailed, and the next branch sees it free
+    eng.consult_text("p(Z) :- ~E = f(A, B), (A = 1 ; A = 2), B = A, Z = ~E.")
+    for _ in range(2):
+        assert answers(eng, "p(Z).") == ["Z = f(1,1)", "Z = f(2,2)"]
+        assert eng.store.bound_cells() == []
+    gen = eng.query("p(Z).")
+    assert str(next(gen)) == "Z = f(1,1)"
+    gen.close()
+    assert eng.store.bound_cells() == [] and eng.store.trail == []
+
+
+LOOP = """
+m(1). m(2).
+s(no, _). s(_, yes).
+loop(N, N) :- !.
+loop(I, N) :-
+    findall(X, m(X), L), \\+ L = [], (L = [1|_] -> true ; fail),
+    (I < 0 ; true), !, s(I, Y), Y == yes, I1 is I + 1, loop(I1, N).
+"""
+
+
+def test_control_in_a_long_loop_keeps_the_trail_short():
+    # about 27 steps a turn, so 5,000 turns run past 10**5 steps; s/2's
+    # last clause binds Y with no choice point left, so Y is not trailed
+    e = Engine(max_frames=10**6)
+    e.consult_text(LOOP)
+    gen = e.query("loop(0, 5000), m(Y).")
+    assert str(next(gen)) == "Y = 1"
+    # Y, under m's choice point; the loop's bindings were young, or were
+    # trailed under a choice point that a cut then dropped with them
+    assert len(e.store.trail) == 1
+    assert [str(s) for s in gen] == ["Y = 2"]
+    assert e.store.trail == [] and e.store.bound_cells() == []
+
+
+def test_not_unify_in_a_loop_leaves_nothing_bound(eng):
+    # each \= unifies young cells before it fails; it must undo them too
+    eng.consult_text("""
+        l(N, N) :- !.
+        l(I, N) :-
+            f(A, b) \\= f(1, c), var(A), g(B, B) \\= g(1, 2), var(B),
+            I1 is I + 1, l(I1, N).
+    """)
+    assert answers(eng, "l(0, 1000), f(X, Y) \\= f(1, 2).") == []
+    [answer] = answers(eng, "l(0, 1000), f(X, b) \\= f(1, c).")
+    assert answer.startswith("X = _G")  # X is left unbound
+    assert eng.store.bound_cells() == [] and eng.store.trail == []
+
+
+def test_a_consult_between_answers_registers_its_cells(eng):
+    eng.consult_text("n(1).")
+    cells = eng.store.cells
+    gen = eng.query("n(X), (true ; t).")
+    assert str(next(gen)) == "X = 1"
+    before = len(cells)
+    eng.consult_text("t :- ~New = f(Y).")
+    assert len(cells) == before + 2  # ~New and Y
+    new = eng.store.evars["~New"]
+    # ~New is younger than the suspended query's marks, yet it is
+    # trailed when t binds it, so the query's end unbinds it
+    assert [str(s) for s in gen] == ["X = 1"]
+    assert new.ref is None and eng.store.bound_cells() == []
+    assert new in cells
 
 
 def test_many_queries_leave_the_registry_as_it_was(eng):
@@ -777,20 +887,16 @@ def test_reset_check_sees_a_query_variable_left_bound(eng, monkeypatch):
     assert [c.name for c in eng.store.bound_cells()] == ["X"]
 
 
-def test_memory_stays_flat_across_queries():
-    # in a child, so the peak resident size is this engine's alone
-    script = textwrap.dedent(f"""
+def _peaks_mib(body):
+    """Run ``body`` in a child, so the peak resident size is its engine's
+    alone; ``peak()`` there reads it in MiB.  Returns what it prints."""
+    script = textwrap.dedent("""
         import resource, sys
         from entangle_pl import Engine
-        e = Engine()
-        e.consult_text({COUNT!r})
-        peaks = []
-        for _ in range(10):
-            assert [str(s) for s in e.query("count(0,20000).")] == ["true"]
-            peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
         unit = 2**20 if sys.platform == "darwin" else 2**10  # bytes or KiB
-        print(peaks[1] / unit, peaks[9] / unit)
-    """)
+        def peak():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+    """) + textwrap.dedent(body)
     src = str(Path(engine_module.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -801,5 +907,30 @@ def test_memory_stays_flat_across_queries():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    second, tenth = map(float, proc.stdout.split())
+    return list(map(float, proc.stdout.split()))
+
+
+def test_memory_stays_flat_across_queries():
+    second, tenth = _peaks_mib(f"""
+        e = Engine()
+        e.consult_text({COUNT!r})
+        peaks = []
+        for _ in range(10):
+            assert [str(s) for s in e.query("count(0,20000).")] == ["true"]
+            peaks.append(peak())
+        print(peaks[1], peaks[9])
+    """)
     assert tenth - second <= 5, (second, tenth)  # MiB
+
+
+def test_one_long_query_runs_in_flat_memory():
+    # a deterministic loop's own cells die young: the trail and the
+    # registry hold none of them, so ten times the steps take no more room
+    short, long = _peaks_mib(f"""
+        e = Engine(max_frames=10**7)
+        e.consult_text({COUNT!r})
+        for n in (30_000, 300_000):
+            assert [str(s) for s in e.query(f"count(0,{{n}}).")] == ["true"]
+            print(peak())
+    """)
+    assert long - short <= 5, (short, long)  # MiB

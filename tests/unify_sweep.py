@@ -6,16 +6,21 @@ the pair is read through chains of bindings.  The atoms and functors are
 chosen to hold traps: the atom ``'1'`` against the integer ``1``, ``f/1``
 against ``f/2``, ``'.'/2`` against ``[]``.  The pair is unified on a store
 with the occurs check and on one without, each built from the same seed,
-and must keep three rules:
+each once with the young mark outside a query, where every cell is old,
+and once with it inside the pool's serials, as in a running query.  Each
+run must keep three rules:
 
 - a success makes the two terms equal in the standard order
   (``compare_terms`` returns 0), unless the store has no occurs check and
   the binding made them cyclic, which only that store may do;
-- a failure leaves the trail as long as it was and every cell's ``ref`` as
-  it was;
+- a failure leaves the trail as long as it was and the ``ref`` of every
+  cell older than the young mark, and of every ``EVar``, as it was (a
+  younger cell may stay bound: backtracking would discard it, and the
+  sweep puts it back by hand);
 - unifying the pair the other way round gives the same result.
 
-A pair that unifies with the occurs check also unifies without it.
+A pair that unifies with the occurs check also unifies without it, and the
+young mark changes no result.
 
     PYTHONPATH=src python tests/unify_sweep.py
 
@@ -31,7 +36,9 @@ import time
 from collections import Counter
 
 from entangle_pl.kernel import (
+    OUTSIDE,
     Atom,
+    EVar,
     Int,
     Store,
     Struct,
@@ -98,18 +105,21 @@ def cyclic(t) -> bool:
     return False
 
 
-def check(seed: int, occurs_check: bool):
-    """Unify the pair of ``seed`` both ways round on a new store.  Returns
-    the outcome, ``"unified"``, ``"cyclic"`` or ``"failed"``, and a list
-    of faults."""
+def check(seed: int, occurs_check: bool, young=OUTSIDE):
+    """Unify the pair of ``seed`` both ways round on a new store, with its
+    young mark at ``young`` once the pair is built.  Returns the outcome,
+    ``"unified"``, ``"cyclic"`` or ``"failed"``, and a list of faults."""
     store = Store(occurs_check)
     a, b = pair(seed, store)
+    store.young = young
     mark = len(store.trail)
     refs = [c.ref for c in store.cells]
 
     def unchanged():
         return len(store.trail) == mark and all(
-            c.ref is r for c, r in zip(store.cells, refs)
+            c.ref is r
+            for c, r in zip(store.cells, refs)
+            if c.serial < young or type(c) is EVar
         )
 
     faults = []
@@ -130,15 +140,18 @@ def check(seed: int, occurs_check: bool):
         store.undo_to(mark)
         if not unchanged():
             faults.append("undoing the unify left the store changed")
+        for cell, ref in zip(store.cells, refs):  # what backtracking discards
+            cell.ref = ref
     if (outcomes[0] == "failed") != (outcomes[1] == "failed"):
         faults.append(f"unify {outcomes[0]} one way round, {outcomes[1]} the other")
     return outcomes[0], faults
 
 
 def sweep(seeds):
-    """Check each seed's pair with and without the occurs check.  Returns a
-    tally of the outcomes by store and the faults, as ``(seed, occurs_check,
-    fault)`` triples."""
+    """Check each seed's pair with and without the occurs check, and with
+    the young mark outside a query and at one of the pool's serials 1 to 5.
+    Returns a tally of the outcomes by store and the faults, as ``(seed,
+    occurs_check, fault)`` triples."""
     tally = Counter()
     faults = []
     for seed in seeds:
@@ -148,6 +161,12 @@ def sweep(seeds):
             outcomes[occurs_check] = outcome
             tally[("occurs check" if occurs_check else "plain", outcome)] += 1
             faults += [(seed, occurs_check, fault) for fault in found]
+            young = 1 + seed % 5
+            outcome, found = check(seed, occurs_check, young)
+            if outcome != outcomes[occurs_check]:
+                found.append(f"young mark {young} changed the outcome")
+            faults += [(seed, occurs_check, f"{fault} (young mark {young})")
+                       for fault in found]
         if outcomes[True] != "failed" and outcomes[False] == "failed":
             faults.append((seed, False, "failed where the occurs check unified"))
     return tally, faults
@@ -157,8 +176,10 @@ def main() -> int:
     started = time.perf_counter()
     tally, faults = sweep(SEEDS)
     seconds = time.perf_counter() - started
-    print(f"{len(SEEDS)} pairs, each on two stores, in {seconds:.1f} s: " + ", ".join(
-        f"{store} {outcome} {n}" for (store, outcome), n in sorted(tally.items())))
+    outcomes = ", ".join(
+        f"{store} {outcome} {n}" for (store, outcome), n in sorted(tally.items()))
+    print(f"{len(SEEDS)} pairs, each on two stores at two young marks, "
+          f"in {seconds:.1f} s: {outcomes}")
     for seed, occurs_check, fault in faults[:20]:
         print(f"FAULT seed {seed}, occurs check {occurs_check}: {fault}")
     print(f"{len(faults)} fault(s)")
