@@ -3,13 +3,15 @@ builtins, and the per-query reset of program-wide variables.
 
 One generator, ``Engine.solve``, runs a whole query and backtracks inline.
 It keeps the current goal list as a persistent linked stack of ``(term,
-cut_barrier, rest)`` tuples and the choice points in a Python list.  A
-choice point is a tuple ``(mark, young, goals)`` for an alternative, which
-resumes the goal node ``goals``, or a list ``[mark, young, goal, clauses,
-next_idx, cont, barrier]`` for the clauses of a call not yet tried, where
-``mark`` is a trail mark and ``young`` the allocation mark when it was
-pushed; a call gets one only when the index leaves it more than one
-candidate clause, and it is popped before its last clause is tried.  A cut
+cut_barrier, rest)`` tuples and the choice points in a Python list.  Every
+choice point is the tuple ``(mark, young, goals)``: backtracking pops it,
+undoes the trail to ``mark`` and resumes the goal node ``goals``, and
+``young`` is the allocation mark when it was pushed.  The clauses of a
+call not yet tried resume as a retry node, a goal node whose term is the
+tuple ``(goal, clauses, i)``.  A call's first try and a retry reach the
+one clause try, which, before clause ``i`` runs, pushes the retry node of
+clause ``i + 1`` if there is one: Warren's try, retry and trust as one
+rule, so a call's last clause runs under no choice point of its own.  A cut
 barrier is the choice-point stack height at entry to the predicate the goal
 belongs to; ``!`` truncates the stack down to it.  No construct re-enters
 the loop: ``\\+ G`` runs as ``(G -> fail ; true)`` and ``(C -> T)`` as
@@ -54,10 +56,10 @@ once the query ends, the store is back in its outside-query state, so a
 consult between answers registers its cells.  A ``~Name`` it interns is
 younger than the query's marks, but ``Store.bind`` trails every ``~Name``
 cell.  ``query``, which read the goal itself, drops the goal's variables
-when it ends (and any clause cell registered since, which no query binds),
-even when it is closed before its first answer; a read that raises, of a
-query or of a program, drops the cells and ``~Name`` interns it made.  An
-engine's memory stays flat across queries.
+when it ends, and only those, even when it is closed before its first
+answer; a read that raises, of a query or of a program, drops the cells
+and ``~Name`` interns it made.  An engine's memory stays flat across
+queries.
 Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
@@ -67,12 +69,9 @@ call to a predicate of several clauses looks up its first argument that is
 bound at an indexable position, one where no clause head holds a variable
 (a ``~Name`` cell counts: a query may bind it and the reset unbinds it),
 and tries only the clauses with the same principal functor there, in
-source order.  The lookup is exact, so the clause choice point goes at the
-last candidate and a deterministic call leaves none.  A call left with one
-candidate pushes no choice point at all: ``solve`` tries that clause at
-once, and its body runs with the current stack height as its cut barrier,
-as it would under a choice point already popped (Warren's rule that only a
-call with alternatives gets one); a call left with none fails at once.
+source order.  The lookup is exact, so a call left with one candidate
+pushes no choice point at all (Warren's rule that only a call with
+alternatives gets one), and a call left with none fails at once.
 Queries never change the clause database, so each ``(name, arity, pos)``
 table stays valid until the next consult drops them all.
 
@@ -86,7 +85,8 @@ sees that binding and every later one.  A clause record is the list
 ``[head, body, template]``; the template is stored there at the first try
 and kept across consults.  ``try_clause`` calls the module-level
 ``copy_terms`` and then the head ``unify``: that pair is where the
-benchmark's tracer counts clause tries.
+benchmark's tracer counts clause tries, and ``solve`` calls it from one
+place.
 
 The prelude is read once per process, into a store of its own, and every
 engine appends the same clause records, templates included, to its own
@@ -98,6 +98,7 @@ bound: each try renames it from a template.  The prelude is read with
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import cmp_to_key, lru_cache, partial
 from importlib import resources
 
@@ -130,6 +131,7 @@ from .reader import read_program, read_query, write_clause, write_term
 
 _FAIL_GOAL = Atom("fail")
 _CUT = Atom("!")
+_SERIAL = operator.attrgetter("serial")
 
 
 class Solution(dict):
@@ -318,22 +320,28 @@ class Engine:
         """Parse a query and return its lazy solution sequence; when the
         sequence ends, even unstarted, the query's variables leave the
         registry too.  A query that fails to parse leaves nothing."""
-        born = len(self.store.cells)
+        store = self.store
+        first = store.allocated
         goal, varmap = self._read(read_query, text)
-        solutions = self._drop_cells(self.solve(goal, varmap), born)
+        solutions = self._drop_cells(self.solve(goal, varmap), first, store.allocated)
         next(solutions)  # into its try, so that closing it runs the finally
         return solutions
 
-    def _drop_cells(self, solutions, born):
+    def _drop_cells(self, solutions, first, end):
+        """Run ``solutions``, then drop the cells with serials from ``first``
+        up to ``end``, the ones the query's read made, from the registry."""
         try:
             yield
             yield from solutions  # closing this closes solutions first
         finally:
-            # keep a cell the reset missed, and a ~Name: one the query named
-            # first, or a consult between its answers read, stays interned
+            # the registry is in serial order, so the read's cells are one
+            # slice of it.  Keep a cell the reset missed, and a ~Name the
+            # query named first, which stays interned
             cells = self.store.cells
-            cells[born:] = [
-                c for c in cells[born:] if c.ref is not None or type(c) is EVar
+            lo = bisect_left(cells, first, key=_SERIAL)
+            hi = bisect_left(cells, end, lo, key=_SERIAL)
+            cells[lo:hi] = [
+                c for c in cells[lo:hi] if c.ref is not None or type(c) is EVar
             ]
 
     def solve(self, goal, varmap):
@@ -350,11 +358,11 @@ class Engine:
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
-        # A choice point is either an alternative, the tuple (mark, young,
-        # goals) whose goals node resumes after undoing to mark, or a clause
-        # choice point, the list [mark, young, goal, clauses, next_idx, cont,
-        # barrier]; the store's young mark is the newest one's young, or
-        # base when there is none.
+        # A choice point is the tuple (mark, young, goals): its goals node
+        # resumes after undoing to mark.  The clauses of a call not yet
+        # tried come back as a retry node, a goal node whose term is the
+        # tuple (goal, clauses, i); the store's young mark is the newest
+        # choice point's young, or base when there is none.
         cps = []
         goals = (goal, 0, None)
         failing = False
@@ -367,33 +375,10 @@ class Engine:
                 if failing:
                     if not cps:
                         return
-                    cp = cps[-1]
-                    store.undo_to(cp[0])
-                    if type(cp) is tuple:
-                        cps.pop()
-                        store.young = cps[-1][1] if cps else base
-                        goals = cp[2]
-                    else:
-                        _, _, goal, clauses, idx, cont, barrier = cp
-                        last = len(clauses) - 1
-                        while True:
-                            if idx == last:  # it runs under the choice point below
-                                cps.pop()
-                                store.young = cps[-1][1] if cps else base
-                            body = try_clause(clauses[idx], goal, store)
-                            idx += 1
-                            if body is not None or idx > last:
-                                break
-                        if body is None:
-                            continue
-                        if idx <= last:
-                            cp[4] = idx
-                        if isinstance(body, Atom) and body.name == "true":
-                            goals = cont
-                        else:
-                            goals = (body, barrier, cont)
+                    mark, _, goals = cps.pop()
+                    store.undo_to(mark)
+                    store.young = cps[-1][1] if cps else base
                     failing = False
-                    continue
                 if goals is None:
                     store.young = OUTSIDE  # between answers, as after the query
                     yield Solution(
@@ -407,113 +392,122 @@ class Engine:
                     store.young = cps[-1][1] if cps else base
                     failing = True
                     continue
-                term, barrier, rest = goals
-                steps += 1
-                if steps > max_frames:
-                    raise ResourceLimitError(f"frame budget exceeded ({max_frames})")
-                goals = rest
-                if type(term) is partial:
-                    if not term(self):
-                        failing = True
-                    continue
-                goal = term
-                if isinstance(goal, Var):  # a metacall, with a fresh barrier
-                    goal = deref(goal)
-                    if isinstance(goal, Var):
-                        raise InstantiationError("unbound variable called as a goal")
-                    check_goal(goal)
-                    barrier = len(cps)
-                name = goal.name
-                args = goal.args
-                arity = len(args)
+                term, barrier, goals = goals
+                kind = type(term)
+                if kind is tuple:  # a retry node costs no frame
+                    goal, clauses, i = term
+                else:
+                    steps += 1
+                    if steps > max_frames:
+                        raise ResourceLimitError(f"frame budget exceeded ({max_frames})")
+                    if kind is partial:
+                        if not term(self):
+                            failing = True
+                        continue
+                    goal = term
+                    if isinstance(goal, Var):  # a metacall, with a fresh barrier
+                        goal = deref(goal)
+                        if isinstance(goal, Var):
+                            raise InstantiationError("unbound variable called as a goal")
+                        check_goal(goal)
+                        barrier = len(cps)
+                    name = goal.name
+                    args = goal.args
+                    arity = len(args)
 
-                if name == "," and arity == 2:
-                    goals = (args[0], barrier, (args[1], barrier, goals))
-                    continue
-                if name == "true" and arity == 0:
-                    continue
-                if name == "fail" and arity == 0:
-                    failing = True
-                    continue
-                if name == "!" and arity == 0:
-                    if len(cps) > barrier:
-                        mark = cps[barrier][0]
-                        del cps[barrier:]
-                        store.young = cps[-1][1] if cps else base
-                        store.tidy(mark)
-                    continue
-                ite = None
-                if name == ";" and arity == 2:
-                    first = deref(args[0])
-                    if (
-                        isinstance(first, Struct)
-                        and first.name == "->"
-                        and len(first.args) == 2
-                    ):
-                        if first is not args[0]:  # bound since it was checked
-                            check_goal(first)
-                        ite = first.args + (args[1],)
-                    else:
+                    if name == "," and arity == 2:
+                        goals = (args[0], barrier, (args[1], barrier, goals))
+                        continue
+                    if name == "true" and arity == 0:
+                        continue
+                    if name == "fail" and arity == 0:
+                        failing = True
+                        continue
+                    if name == "!" and arity == 0:
+                        if len(cps) > barrier:
+                            mark = cps[barrier][0]
+                            del cps[barrier:]
+                            store.young = cps[-1][1] if cps else base
+                            store.tidy(mark)
+                        continue
+                    ite = None
+                    if name == ";" and arity == 2:
+                        first = deref(args[0])
+                        if (
+                            isinstance(first, Struct)
+                            and first.name == "->"
+                            and len(first.args) == 2
+                        ):
+                            if first is not args[0]:  # bound since it was checked
+                                check_goal(first)
+                            ite = first.args + (args[1],)
+                        else:
+                            store.young = store.allocated
+                            cps.append(
+                                (len(trail), store.young, (args[1], barrier, goals))
+                            )
+                            goals = (args[0], barrier, goals)
+                            continue
+                    elif name == "->" and arity == 2:
+                        ite = args + (_FAIL_GOAL,)
+                    elif name == "\\+" and arity == 1:
+                        ite = (args[0], _FAIL_GOAL, TRUE)
+                    if ite is not None:
+                        cond, then, otherwise = ite
+                        h = len(cps)
                         store.young = store.allocated
-                        cps.append((len(trail), store.young, (args[1], barrier, goals)))
-                        goals = (args[0], barrier, goals)
+                        cps.append((len(trail), store.young, (otherwise, barrier, goals)))
+                        goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                         continue
-                elif name == "->" and arity == 2:
-                    ite = args + (_FAIL_GOAL,)
-                elif name == "\\+" and arity == 1:
-                    ite = (args[0], _FAIL_GOAL, TRUE)
-                if ite is not None:
-                    cond, then, otherwise = ite
-                    h = len(cps)
-                    store.young = store.allocated
-                    cps.append((len(trail), store.young, (otherwise, barrier, goals)))
-                    goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
-                    continue
-                if name == "call" and arity == 1:
-                    check_goal(args[0])
-                    goals = (deref(args[0]), len(cps), goals)
-                    continue
-                if name == "findall" and arity == 3:
-                    template, subgoal, result = args
-                    check_goal(subgoal)
-                    acc = []
-                    found = partial(_found_all, acc, result)
-                    store.young = store.allocated
-                    cps.append((len(trail), store.young, (found, 0, goals)))
-                    collect = partial(_collect, template, acc)
-                    goals = (deref(subgoal), len(cps), (collect, 0, None))
-                    continue
-                if name == "phrase" and arity in (2, 3):
-                    g = translate_goal(args, store)
-                    check_goal(g)
-                    goals = (g, len(cps), goals)
-                    continue
-                builtin = _BUILTINS.get((name, arity))
-                if builtin is not None:
-                    if not builtin(self, args):
-                        failing = True
-                    continue
-                clauses = self.db.get((name, arity))
-                if clauses is None:
-                    if self.unknown_fail:
-                        failing = True
+                    if name == "call" and arity == 1:
+                        check_goal(args[0])
+                        goals = (deref(args[0]), len(cps), goals)
                         continue
-                    raise ExistenceError(name, arity)
-                if len(clauses) > 1:
-                    clauses = self._candidates(name, arity, args, clauses)
-                if len(clauses) == 1:
-                    body = try_clause(clauses[0], goal, store)
-                    if body is None:
-                        failing = True
-                    elif not (isinstance(body, Atom) and body.name == "true"):
-                        goals = (body, len(cps), goals)
-                    continue
-                if not clauses:
+                    if name == "findall" and arity == 3:
+                        template, subgoal, result = args
+                        check_goal(subgoal)
+                        acc = []
+                        found = partial(_found_all, acc, result)
+                        store.young = store.allocated
+                        cps.append((len(trail), store.young, (found, 0, goals)))
+                        collect = partial(_collect, template, acc)
+                        goals = (deref(subgoal), len(cps), (collect, 0, None))
+                        continue
+                    if name == "phrase" and arity in (2, 3):
+                        g = translate_goal(args, store)
+                        check_goal(g)
+                        goals = (g, len(cps), goals)
+                        continue
+                    builtin = _BUILTINS.get((name, arity))
+                    if builtin is not None:
+                        if not builtin(self, args):
+                            failing = True
+                        continue
+                    clauses = self.db.get((name, arity))
+                    if clauses is None:
+                        if self.unknown_fail:
+                            failing = True
+                            continue
+                        raise ExistenceError(name, arity)
+                    if len(clauses) > 1:
+                        clauses = self._candidates(name, arity, args, clauses)
+                        if not clauses:
+                            failing = True
+                            continue
+                    i = 0
+                # The one clause try, for a call's first clause and for each
+                # retry: clause i's body cuts back to the height below the
+                # alternative that clause i + 1 leaves, if there is one.
+                barrier = len(cps)
+                if i < len(clauses) - 1:
+                    store.young = store.allocated
+                    retry = ((goal, clauses, i + 1), 0, goals)
+                    cps.append((len(trail), store.young, retry))
+                body = try_clause(clauses[i], goal, store)
+                if body is None:
                     failing = True
-                    continue
-                store.young = store.allocated
-                cps.append([len(trail), store.young, goal, clauses, 0, goals, len(cps)])
-                failing = True  # backtracking drives clause selection
+                elif not (isinstance(body, Atom) and body.name == "true"):
+                    goals = (body, barrier, goals)
         finally:
             store.undo_to(start)
             store.young = OUTSIDE

@@ -12,9 +12,11 @@ frame budget, so none runs away.
 
     PYTHONPATH=src python tests/goal_sweep.py
 
-runs seeds 0 to 49,999, prints a tally and exits 1 on any fault;
+runs seeds 0 to 49,999, prints a tally and exits 1 on any fault, or when
+the tally or the number of answers differs from the pinned ``EXPECTED``,
+so a change to the engine that changes any outcome fails it too;
 ``tests/test_goal_sweep.py`` runs the first block, 2,000 seeds on one
-engine.
+engine, against pinned figures of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ SEEDS = range(50_000)
 # A cell that a faulty reset leaves bound is reported again at every later
 # seed on its engine, so a fresh engine for each block bounds the echo.
 BLOCK = 2_000
+# The outcomes of all of SEEDS, and the number of answers they gave.
+EXPECTED = (
+    {"failed": 17758, "answered": 14167, "TypeMismatchError": 9906,
+     "InstantiationError": 8169},
+    18859,
+)
 
 PROGRAM = """
 a. b. m(1). m(2).
@@ -85,9 +93,10 @@ def outcome(engine: Engine, text: str, limit: int = 20):
 
 def sweep(seeds):
     """Run the query of each seed, on one engine for each block of
-    ``BLOCK`` seeds.  Returns a tally of the outcomes and the faults, as
-    ``(seed, query, fault)`` triples."""
+    ``BLOCK`` seeds.  Returns a tally of the outcomes, the number of
+    answers and the faults, as ``(seed, query, fault)`` triples."""
     tally = Counter()
+    total = 0
     faults = []
     for i, seed in enumerate(seeds):
         if i % BLOCK == 0:
@@ -101,6 +110,7 @@ def sweep(seeds):
             faults.append((seed, text, f"{type(e).__name__}: {e}"))
         else:
             tally[error or ("answered" if answers else "failed")] += 1
+            total += len(answers)
         left = engine.store.bound_cells()
         if left:
             faults.append((seed, text, f"{len(left)} cell(s) left bound"))
@@ -108,19 +118,22 @@ def sweep(seeds):
             faults.append((seed, text, "trail entries left"))
         if len(engine.store.cells) != registered:
             faults.append((seed, text, "the registry changed length"))
-    return tally, faults
+    return tally, total, faults
 
 
 def main() -> int:
     started = time.perf_counter()
-    tally, faults = sweep(SEEDS)
+    tally, total, faults = sweep(SEEDS)
     seconds = time.perf_counter() - started
     print(f"{len(SEEDS)} goals in {seconds:.1f} s: " + ", ".join(
-        f"{kind} {n}" for kind, n in tally.most_common()))
+        f"{kind} {n}" for kind, n in tally.most_common()) + f"; {total} answers")
     for seed, text, fault in faults[:20]:
         print(f"FAULT seed {seed}: {fault}\n  ?- {text}")
     print(f"{len(faults)} fault(s)")
-    return 1 if faults else 0
+    drift = (dict(tally), total) != EXPECTED
+    if drift:
+        print(f"DRIFT: expected {EXPECTED[0]}; {EXPECTED[1]} answers")
+    return 1 if faults or drift else 0
 
 
 if __name__ == "__main__":

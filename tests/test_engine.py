@@ -129,6 +129,16 @@ def test_cut_through_one_candidate_predicates(eng):
     assert answers(eng, "m(Y), one(X).") == ["Y = 1, X = 1", "Y = 2, X = 1"]
 
 
+def test_cut_in_a_clause_reached_by_a_retry(eng):
+    # c(2) runs after c(1)'s head matched and its body failed, so it is
+    # reached by a retry; its cut must drop c(3)'s alternative and nothing
+    # below the call
+    eng.consult_text("c(1) :- fail. c(2) :- !. c(3). m(1). m(2).")
+    assert answers(eng, "c(X).") == ["X = 2"]
+    assert answers(eng, "(c(X) ; X = 9).") == ["X = 2", "X = 9"]
+    assert answers(eng, "m(Y), c(X).") == ["Y = 1, X = 2", "Y = 2, X = 2"]
+
+
 def test_cut_is_local_to_call_and_naf(eng):
     eng.consult_text("t(1). t(2). w(X) :- call((t(X), !)). n :- \\+((t(_), !, fail)).")
     assert answers(eng, "w(X).") == ["X = 1"]
@@ -739,6 +749,17 @@ def test_query_closed_before_its_first_answer_leaves_nothing(eng):
         eng.query("X = f(Y).").close()
     assert len(cells) == before
     eng.query("X = f(Y).")  # dropped unstarted, so closed when collected
+    assert len(cells) == before
+
+
+def test_closing_a_query_leaves_a_later_query_registered(eng):
+    cells = eng.store.cells
+    before = len(cells)
+    g1 = eng.query("X = 1.")
+    g2 = eng.query("Y = f(Z).")
+    g1.close()
+    assert [c.name for c in cells[before:]] == ["Y", "Z"]
+    assert len(list(g2)) == 1
     assert len(cells) == before
 
 
