@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Engine
+from .engine import MAX_FRAMES, Engine
 from .errors import PrologError
 from .oracle import check_directory
 from .transpiler import transpile
@@ -65,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-frames",
         type=int,
-        default=1_000_000,
+        default=MAX_FRAMES,
         metavar="N",
-        help="resource limit on engine frames (default 1,000,000)",
+        help=f"resource limit on engine frames (default {MAX_FRAMES:,})",
     )
     return parser
 

@@ -44,22 +44,22 @@ variable was bound after any of these checks, so it is checked where it is
 found.  Every goal ``solve`` dispatches is then a variable, which takes the
 checked metacall branch, or a part of a checked control skeleton.
 
-A cell lives as long as the query that made it.  The store's registry
-keeps the cells made outside a query (the ``~Name`` and clause cells, and
-the variables of a goal its caller read), because their owners hold them.
-A cell made while a query runs is young, so it is not registered, and it
-is trailed only while a choice point made after it is left: a
-deterministic loop's cells die as it leaves them, and one long query runs
-in flat memory.  Nothing outside the query can reach them: clause records
-hold read terms, and answers are rendered text.  Between two answers, and
-once the query ends, the store is back in its outside-query state, so a
-consult between answers registers its cells.  A ``~Name`` it interns is
-younger than the query's marks, but ``Store.bind`` trails every ``~Name``
-cell.  ``query``, which read the goal itself, drops the goal's variables
-when it ends, and only those, even when it is closed before its first
-answer; a read that raises, of a query or of a program, drops the cells
-and ``~Name`` interns it made.  An engine's memory stays flat across
-queries.
+A cell lives as long as whoever holds it.  The store's registry holds
+only the cells whose owners outlive a query: clause cells, ``~Name``
+cells, and the variables of a goal its caller read itself, as the oracle
+does.  ``query`` reads its goal and takes the goal's variables straight
+out of the registry again, since only the query reaches them; a ``~Name``
+it names first stays, as the store keeps it interned.  A cell made while
+a query runs is young, so it is not registered, and it is trailed only
+while a choice point made after it is left: a deterministic loop's cells
+die as it leaves them, and one long query runs in flat memory.  Nothing
+outside the query can reach them: clause records hold read terms, and
+answers are rendered text.  Between two answers, and once the query ends,
+the store is back in its outside-query state, so a consult between
+answers registers its cells.  A ``~Name`` it interns is younger than the
+query's marks, but ``Store.bind`` trails every ``~Name`` cell.  A read
+that raises, of a query or of a program, drops the cells and ``~Name``
+interns it made.  An engine's memory stays flat across queries.
 Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
@@ -98,7 +98,6 @@ bound: each try renames it from a template.  The prelude is read with
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from functools import cmp_to_key, lru_cache, partial
 from importlib import resources
 
@@ -129,9 +128,11 @@ from .kernel import (
 )
 from .reader import read_program, read_query, write_clause, write_term
 
+# the default frame budget of a query, for the engine and the CLI alike
+MAX_FRAMES = 1_000_000
+
 _FAIL_GOAL = Atom("fail")
 _CUT = Atom("!")
-_SERIAL = operator.attrgetter("serial")
 
 
 class Solution(dict):
@@ -259,8 +260,7 @@ def prelude_text() -> str:
 @lru_cache(maxsize=1)
 def _prelude_clauses() -> tuple:
     """The prelude's clause records, shared by every engine."""
-    pairs = read_program(prelude_text(), Store(), allow_evar=False)
-    check_clauses(pairs)
+    pairs = _read_checked(prelude_text(), Store(), allow_evars=False)
     return tuple([head, body, None] for head, body in pairs)
 
 
@@ -271,7 +271,7 @@ class Engine:
         unknown_fail: bool = False,
         allow_evars: bool = True,
         load_prelude: bool = True,
-        max_frames: int = 1_000_000,
+        max_frames: int = MAX_FRAMES,
     ):
         self.store = Store(occurs_check)
         # (name, arity) -> [[head, body, template], ...] in source order;
@@ -317,32 +317,15 @@ class Engine:
     # --- queries ---------------------------------------------------------
 
     def query(self, text: str):
-        """Parse a query and return its lazy solution sequence; when the
-        sequence ends, even unstarted, the query's variables leave the
-        registry too.  A query that fails to parse leaves nothing."""
-        store = self.store
-        first = store.allocated
+        """Parse a query and return its lazy solution sequence.  The goal's
+        variables are the query's own, so they leave the registry at once:
+        only a ``~Name`` the query named first stays.  A query that fails to
+        parse leaves nothing."""
+        cells = self.store.cells
+        born = len(cells)
         goal, varmap = self._read(read_query, text)
-        solutions = self._drop_cells(self.solve(goal, varmap), first, store.allocated)
-        next(solutions)  # into its try, so that closing it runs the finally
-        return solutions
-
-    def _drop_cells(self, solutions, first, end):
-        """Run ``solutions``, then drop the cells with serials from ``first``
-        up to ``end``, the ones the query's read made, from the registry."""
-        try:
-            yield
-            yield from solutions  # closing this closes solutions first
-        finally:
-            # the registry is in serial order, so the read's cells are one
-            # slice of it.  Keep a cell the reset missed, and a ~Name the
-            # query named first, which stays interned
-            cells = self.store.cells
-            lo = bisect_left(cells, first, key=_SERIAL)
-            hi = bisect_left(cells, end, lo, key=_SERIAL)
-            cells[lo:hi] = [
-                c for c in cells[lo:hi] if c.ref is not None or type(c) is EVar
-            ]
+        cells[born:] = [c for c in cells[born:] if type(c) is EVar]
+        return self.solve(goal, varmap)
 
     def solve(self, goal, varmap):
         """Run a goal term; yields eagerly rendered Solutions.

@@ -85,6 +85,11 @@ class Store:
     """Owns the cell registry, the trail, the EVar intern table, and the
     occurs-check policy that ``unify`` follows on this store.
 
+    The registry ``cells`` holds only the cells whose owners outlive a
+    query: clause cells, ``~Name`` cells, and the variables of a goal its
+    caller read itself.  ``Engine.query`` takes the variables of the goal
+    it reads out again, since only the query holds them.
+
     ``allocated`` counts every cell ever made, and is the next serial;
     ``new_var`` and ``new_vars`` are the only places that assign one.
     ``young`` is the young mark: a cell whose serial is below it is old,

@@ -4,9 +4,12 @@ Each seed makes one query that nests ``,``, ``;``, ``->``, ``\\+``,
 call/1, findall/3 and ``phrase({...}, [])``, puts integers and variables
 in goal positions, passes goals through ``q(G) :- G.`` and
 ``r(X) :- (X ; true).``, and binds variables to goals such as
-``(a -> 1)`` before or after they are called.  Every query must answer or
-raise a ``PrologError``, and leave every cell unbound, the trail empty and
-the registry as long as it was before the query.  The engine runs
+``(a -> 1)`` before or after they are called.  The sweep reads each query
+itself and runs it with ``Engine.solve``, as the oracle does, so it holds
+the query's variables and the registry keeps them: a reset that misses one
+is seen.  Every query must answer or raise a ``PrologError``, and leave
+every registered cell unbound, the trail empty and the registry as long as
+the read left it.  The engine runs
 with the occurs check, so no query can build a cyclic term, and with a
 frame budget, so none runs away.
 
@@ -28,6 +31,7 @@ from collections import Counter
 
 from entangle_pl import Engine
 from entangle_pl.errors import PrologError
+from entangle_pl.reader import read_query
 
 SEEDS = range(50_000)
 # A cell that a faulty reset leaves bound is reported again at every later
@@ -73,11 +77,11 @@ def query(seed: int) -> str:
     return ", ".join(parts) + "."
 
 
-def outcome(engine: Engine, text: str, limit: int = 20):
-    """Up to ``limit`` answers of a query, and the class name of the
-    ``PrologError`` that ended it, or None.  Any other exception escapes,
-    a syntax error too, since the generator writes only valid text."""
-    gen = engine.query(text)
+def outcome(engine: Engine, goal, varmap, limit: int = 20):
+    """Up to ``limit`` answers of a query read beforehand, and the class
+    name of the ``PrologError`` that ended it, or None.  Any other
+    exception escapes."""
+    gen = engine.solve(goal, varmap)
     answers = []
     try:
         for solution in gen:
@@ -103,9 +107,11 @@ def sweep(seeds):
             engine = Engine(occurs_check=True, max_frames=2_000)
             engine.consult_text(PROGRAM)
         text = query(seed)
+        # the generator writes only valid text, so the read cannot raise
+        goal, varmap = read_query(text, engine.store)
         registered = len(engine.store.cells)
         try:
-            answers, error = outcome(engine, text)
+            answers, error = outcome(engine, goal, varmap)
         except Exception as e:  # anything but a PrologError is a fault
             faults.append((seed, text, f"{type(e).__name__}: {e}"))
         else:

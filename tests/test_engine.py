@@ -25,6 +25,7 @@ from entangle_pl import (
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
 from entangle_pl.kernel import Store, Struct, Var, deref
+from entangle_pl.reader import read_query
 from conftest import answers
 
 
@@ -672,7 +673,7 @@ def test_frame_budget_spans_the_solution_sequence():
     with pytest.raises(ResourceLimitError):
         for solution in e.query(query):
             seen.append(str(solution))
-            assert e.store.bound_cells() != []
+            assert e.store.trail != []  # X, old and bound under n's choice point
     assert seen == ["X = 1, Y = 2", "X = 2, Y = 3", "X = 3, Y = 4"]
     assert e.store.bound_cells() == []
     # the next query on the same engine starts with a fresh budget
@@ -697,7 +698,7 @@ def test_query_cells_leave_the_registry_when_it_ends():
     e = Engine(max_frames=100)
     e.consult_text(COUNT + " n(1). n(2).")
     cells = e.store.cells
-    # exhausted; the query's own variables leave with the cells it made
+    # exhausted; the query's own variables never stay registered
     before = len(cells)
     gen = e.query("count(0,10), n(Y).")
     assert [str(s) for s in gen] == ["Y = 1", "Y = 2"]
@@ -706,7 +707,7 @@ def test_query_cells_leave_the_registry_when_it_ends():
     before = len(cells)
     gen = e.query("n(Y), count(0,10).")
     next(gen)
-    assert len(cells) > before  # a suspended query keeps its cells
+    assert len(cells) == before  # a suspended query holds its cells itself
     gen.close()
     assert len(cells) == before
     # raised
@@ -748,18 +749,7 @@ def test_query_closed_before_its_first_answer_leaves_nothing(eng):
     for _ in range(1000):
         eng.query("X = f(Y).").close()
     assert len(cells) == before
-    eng.query("X = f(Y).")  # dropped unstarted, so closed when collected
-    assert len(cells) == before
-
-
-def test_closing_a_query_leaves_a_later_query_registered(eng):
-    cells = eng.store.cells
-    before = len(cells)
-    g1 = eng.query("X = 1.")
-    g2 = eng.query("Y = f(Z).")
-    g1.close()
-    assert [c.name for c in cells[before:]] == ["Y", "Z"]
-    assert len(list(g2)) == 1
+    eng.query("X = f(Y).")  # dropped unstarted
     assert len(cells) == before
 
 
@@ -767,9 +757,10 @@ def test_reset_check_sees_the_old_cells_that_hold_young_ones(eng, monkeypatch):
     # with a reset that undoes nothing, the clause's renamed A and B stay
     # bound.  They are young, so neither trailed nor registered, but they
     # survive only through old cells, the query's X and ~E, which were
-    # trailed and are registered, so the check sees those
+    # trailed and are registered, so the check sees those.  The test reads
+    # the query itself, so X is its own and stays registered
     eng.consult_text("p(f(A,B)) :- ~E = g(B), A = 1, B = 2.")
-    gen = eng.query("p(X).")
+    gen = eng.solve(*read_query("p(X).", eng.store))
     born = eng.store.allocated
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = f(1,2)"]
@@ -900,9 +891,9 @@ def test_many_queries_leave_the_registry_as_it_was(eng):
 
 
 def test_reset_check_sees_a_query_variable_left_bound(eng, monkeypatch):
-    # with a reset that undoes nothing, the query's X stays bound; the
-    # registry keeps it, so the check still sees it
-    gen = eng.query("X = 1.")
+    # with a reset that undoes nothing, the query's X stays bound; the test
+    # read the query itself, so the registry keeps X and the check sees it
+    gen = eng.solve(*read_query("X = 1.", eng.store))
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = 1"]
     assert [c.name for c in eng.store.bound_cells()] == ["X"]
