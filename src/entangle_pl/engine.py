@@ -5,8 +5,8 @@ One generator, ``Engine.solve``, runs a whole query and backtracks inline.
 It keeps the current goal list as a persistent linked stack of ``(term,
 cut_barrier, rest)`` tuples and the choice points in a Python list.  Every
 choice point is the tuple ``(mark, young, goals)``: backtracking pops it,
-undoes the trail to ``mark`` and resumes the goal node ``goals``, and
-``young`` is the allocation mark when it was pushed.  The clauses of a
+undoes the trail to ``mark``, restores the young mark ``young`` that it
+found when pushed, and resumes the goal node ``goals``.  The clauses of a
 call not yet tried resume as a retry node, a goal node whose term is the
 tuple ``(goal, clauses, i)``.  A call's first try and a retry reach the
 one clause try, which, before clause ``i`` runs, pushes the retry node of
@@ -44,22 +44,19 @@ variable was bound after any of these checks, so it is checked where it is
 found.  Every goal ``solve`` dispatches is then a variable, which takes the
 checked metacall branch, or a part of a checked control skeleton.
 
-A cell lives as long as whoever holds it.  The store's registry holds
-only the cells whose owners outlive a query: clause cells, ``~Name``
-cells, and the variables of a goal its caller read itself, as the oracle
-does.  ``query`` reads its goal and takes the goal's variables straight
-out of the registry again, since only the query reaches them; a ``~Name``
-it names first stays, as the store keeps it interned.  A cell made while
-a query runs is young, so it is not registered, and it is trailed only
-while a choice point made after it is left: a deterministic loop's cells
-die as it leaves them, and one long query runs in flat memory.  Nothing
-outside the query can reach them: clause records hold read terms, and
-answers are rendered text.  Between two answers, and once the query ends,
-the store is back in its outside-query state, so a consult between
-answers registers its cells.  A ``~Name`` it interns is younger than the
-query's marks, but ``Store.bind`` trails every ``~Name`` cell.  A read
-that raises, of a query or of a program, drops the cells and ``~Name``
-interns it made.  An engine's memory stays flat across queries.
+A cell lives as long as whoever holds it.  The store keeps no list of
+cells; it holds only the ``~Name`` cells it interns.  Clause records hold
+their clauses' cells, the solution sequence ``query`` returns holds its
+goal's, and a caller that reads a goal itself, as the oracle does, holds
+that goal's.  A cell made while a query runs is young, and it is trailed
+only while a choice point made after it is left: a deterministic loop's
+cells die as it leaves them, and one long query runs in flat memory.
+Nothing outside the query can reach them: clause records hold read terms,
+and answers are rendered text.  A consult between two answers may intern
+a ``~Name`` younger than the query's marks, but ``Store.bind`` trails
+every ``~Name`` cell.  A read that raises, of a query or of a program,
+drops the ``~Name`` interns it made.  An engine's memory stays flat
+across queries.
 Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
@@ -296,14 +293,13 @@ class Engine:
         return pairs
 
     def _read(self, read, text):
-        """``read(text, store, allow_evars)``; when it raises, the cells and
-        ``~Name`` interns it made leave the store again."""
+        """``read(text, store, allow_evars)``; when it raises, the ``~Name``
+        interns it made leave the store again."""
         store = self.store
-        born, interned = len(store.cells), len(store.evars)
+        interned = len(store.evars)
         try:
             return read(text, store, self.allow_evars)
         except BaseException:
-            del store.cells[born:]
             for name in list(store.evars)[interned:]:
                 del store.evars[name]
             raise
@@ -317,14 +313,10 @@ class Engine:
     # --- queries ---------------------------------------------------------
 
     def query(self, text: str):
-        """Parse a query and return its lazy solution sequence.  The goal's
-        variables are the query's own, so they leave the registry at once:
-        only a ``~Name`` the query named first stays.  A query that fails to
-        parse leaves nothing."""
-        cells = self.store.cells
-        born = len(cells)
+        """Parse a query and return its lazy solution sequence; only the
+        sequence holds the goal's variables.  A query that fails to parse
+        leaves nothing."""
         goal, varmap = self._read(read_query, text)
-        cells[born:] = [c for c in cells[born:] if type(c) is EVar]
         return self.solve(goal, varmap)
 
     def solve(self, goal, varmap):
@@ -332,38 +324,35 @@ class Engine:
 
         When the sequence is exhausted or abandoned the trail is undone to
         the query-start mark, so every variable older than the query that
-        it bound (the program-wide ones included) is unbound again; the
-        cells it made itself were never registered, and nothing holds them
-        once it ends.  A goal that is not callable raises before the first
-        step.
+        it bound (the program-wide ones included) is unbound again; nothing
+        holds the cells it made itself once it ends.  A goal that is not
+        callable raises before the first step.
         """
         check_goal(goal)
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
         # A choice point is the tuple (mark, young, goals): its goals node
-        # resumes after undoing to mark.  The clauses of a call not yet
-        # tried come back as a retry node, a goal node whose term is the
-        # tuple (goal, clauses, i); the store's young mark is the newest
-        # choice point's young, or base when there is none.
+        # resumes after undoing to mark, under the young mark it found.
+        # The clauses of a call not yet tried come back as a retry node, a
+        # goal node whose term is the tuple (goal, clauses, i).
         cps = []
         goals = (goal, 0, None)
         failing = False
         steps = 0  # the frame budget covers the whole solution sequence
         trail = store.trail
         start = len(trail)
-        base = store.young = store.allocated
+        store.young = store.allocated
         try:
             while True:
                 if failing:
                     if not cps:
                         return
-                    mark, _, goals = cps.pop()
+                    mark, young, goals = cps.pop()
                     store.undo_to(mark)
-                    store.young = cps[-1][1] if cps else base
+                    store.young = young
                     failing = False
                 if goals is None:
-                    store.young = OUTSIDE  # between answers, as after the query
                     yield Solution(
                         {
                             # argument priority: bare control operators like
@@ -372,7 +361,6 @@ class Engine:
                             for name, v in shown
                         }
                     )
-                    store.young = cps[-1][1] if cps else base
                     failing = True
                     continue
                 term, barrier, goals = goals
@@ -408,9 +396,8 @@ class Engine:
                         continue
                     if name == "!" and arity == 0:
                         if len(cps) > barrier:
-                            mark = cps[barrier][0]
+                            mark, store.young, _ = cps[barrier]
                             del cps[barrier:]
-                            store.young = cps[-1][1] if cps else base
                             store.tidy(mark)
                         continue
                     ite = None
@@ -425,10 +412,8 @@ class Engine:
                                 check_goal(first)
                             ite = first.args + (args[1],)
                         else:
+                            cps.append((len(trail), store.young, (args[1], barrier, goals)))
                             store.young = store.allocated
-                            cps.append(
-                                (len(trail), store.young, (args[1], barrier, goals))
-                            )
                             goals = (args[0], barrier, goals)
                             continue
                     elif name == "->" and arity == 2:
@@ -438,8 +423,8 @@ class Engine:
                     if ite is not None:
                         cond, then, otherwise = ite
                         h = len(cps)
-                        store.young = store.allocated
                         cps.append((len(trail), store.young, (otherwise, barrier, goals)))
+                        store.young = store.allocated
                         goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                         continue
                     if name == "call" and arity == 1:
@@ -451,8 +436,8 @@ class Engine:
                         check_goal(subgoal)
                         acc = []
                         found = partial(_found_all, acc, result)
-                        store.young = store.allocated
                         cps.append((len(trail), store.young, (found, 0, goals)))
+                        store.young = store.allocated
                         collect = partial(_collect, template, acc)
                         goals = (deref(subgoal), len(cps), (collect, 0, None))
                         continue
@@ -483,9 +468,9 @@ class Engine:
                 # alternative that clause i + 1 leaves, if there is one.
                 barrier = len(cps)
                 if i < len(clauses) - 1:
-                    store.young = store.allocated
                     retry = ((goal, clauses, i + 1), 0, goals)
                     cps.append((len(trail), store.young, retry))
+                    store.young = store.allocated
                 body = try_clause(clauses[i], goal, store)
                 if body is None:
                     failing = True

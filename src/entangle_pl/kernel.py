@@ -82,54 +82,50 @@ OUTSIDE = float("inf")  # the young mark outside a query: every cell is old
 
 
 class Store:
-    """Owns the cell registry, the trail, the EVar intern table, and the
-    occurs-check policy that ``unify`` follows on this store.
-
-    The registry ``cells`` holds only the cells whose owners outlive a
-    query: clause cells, ``~Name`` cells, and the variables of a goal its
-    caller read itself.  ``Engine.query`` takes the variables of the goal
-    it reads out again, since only the query holds them.
+    """Owns the trail, the EVar intern table, and the occurs-check policy
+    that ``unify`` follows on this store.  It keeps no list of the cells it
+    makes: a cell lives as long as whoever holds it.
 
     ``allocated`` counts every cell ever made, and is the next serial;
     ``new_var`` and ``new_vars`` are the only places that assign one.
     ``young`` is the young mark: a cell whose serial is below it is old,
     and every other cell is young.  A bound cell is trailed only if it is
-    old or an ``EVar``, and a new cell is registered in ``cells`` only if
-    it is old.  Outside a query the mark is infinite, so every cell is old;
-    while a query runs, the engine keeps it at the allocation mark of its
-    newest choice point, or of its start when it has none.  A young cell
-    was made after the newest choice point, so backtracking discards it
-    rather than undoing it, and it dies with the query.  An ``EVar`` is
-    trailed however young, since one interned by a consult between two
-    answers is younger than the suspended query's marks, yet outlives it."""
+    old or an ``EVar``.  Outside a query the mark is infinite, so every
+    cell is old; while a query runs, the engine keeps it at the allocation
+    mark of its newest choice point, or of its start when it has none.  A
+    young cell was made after the newest choice point, so backtracking
+    discards it rather than undoing it.  An ``EVar`` is trailed however
+    young, since one interned by a consult between two answers is younger
+    than the suspended query's marks, yet outlives it."""
 
-    __slots__ = ("cells", "trail", "evars", "occurs_check", "allocated", "young")
+    __slots__ = ("trail", "evars", "occurs_check", "allocated", "young")
 
     def __init__(self, occurs_check: bool = False):
-        self.cells = []
         self.trail = []
         self.evars = {}
         self.occurs_check = occurs_check
         self.allocated = 0
         self.young = OUTSIDE
 
+    @property
+    def cells(self) -> list:
+        """The ``~Name`` cells, the only cells the store itself holds.  Kept
+        only because the benchmark's cell counts read ``len(store.cells)``;
+        it goes once they stop."""
+        return list(self.evars.values())
+
     def new_var(self, name=None, cls=Var) -> Var:
         """Allocate a cell, with the next serial."""
         v = cls(self.allocated, name)
         self.allocated += 1
-        if v.serial < self.young:
-            self.cells.append(v)
         return v
 
     def new_vars(self, n: int) -> list:
-        """Allocate ``n`` unnamed cells at once, with the serials and
-        registry order that ``n`` calls of ``new_var()`` would give."""
+        """Allocate ``n`` unnamed cells at once, with the serials that ``n``
+        calls of ``new_var()`` would give."""
         start = self.allocated
         self.allocated = start + n
-        cells = list(map(Var, range(start, start + n)))
-        if start < self.young:
-            self.cells += cells
-        return cells
+        return list(map(Var, range(start, start + n)))
 
     def evar(self, name: str) -> EVar:
         """Return the one cell for ``name`` (e.g. ``~X``), creating it once."""
@@ -164,10 +160,21 @@ class Store:
                 c for c in trail[mark:] if c.serial < young or type(c) is EVar
             ]
 
-    def bound_cells(self):
-        """Scan of the registry, so of every cell a later query can see;
-        used by the reset invariant and by tests."""
-        return [c for c in self.cells if c.ref is not None]
+    def bound_cells(self, *held):
+        """The bound cells a later query can see: the bound ``~Name`` cells,
+        and the bound cells reachable from the terms ``held`` that the
+        caller keeps.  A bound cell's value is not walked, so a young cell
+        that only an old cell holds is not reported.  Used by the reset
+        invariant and by tests."""
+        found = {v: None for v in self.evars.values() if v.ref is not None}
+        stack = list(reversed(held))  # walked left to right
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Struct):
+                stack.extend(reversed(t.args))
+            elif isinstance(t, Var) and t.ref is not None:
+                found[t] = None
+        return list(found)
 
 
 def deref(t: Term) -> Term:

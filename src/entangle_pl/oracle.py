@@ -6,11 +6,12 @@ runs each query on both (the transformed query on the second) and compares
 the two solution multisets.  The program and each query are read once, by
 the native engine; the transpiled engine runs the rewritten clauses
 themselves, the ones ``--transpile`` writes, and a copy of each rewritten
-query.  After each query both engines must have every cell unbound again,
-since the next query reuses them.  Solutions are compared after
-alpha-normalising machine-generated variable names, since the two runs
-allocate different serial numbers; a query that raises counts its error's
-class as one more outcome.
+query.  After each query's run each engine must have its ``~Name`` cells
+and every cell of the goal it ran unbound again, since the next query
+reuses them.  Solutions are compared after alpha-normalising
+machine-generated variable names, since the two runs allocate different
+serial numbers; a query that raises counts its error's class as one more
+outcome.
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def check_program(
             continue  # output inspection, not a solution set
         goal, varmap = _engine.read_query(query, native.store)
         native_set = solution_multiset(native, (goal, varmap), limit)
+        # both engines serve the next query, so each must end this one with
+        # its ~Name cells and the cells of the goal it holds unbound again
+        left = [("native", len(native.store.bound_cells(goal)))]
         # A query's variables are bound at run time, and compare_terms
         # orders unbound cells by a serial unique only within one store, so
         # the rewritten query moves into the transpiled store, as one term
@@ -132,6 +136,7 @@ def check_program(
         copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
         goal, *values = copied.args
         oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
+        left.append(("transpiled", len(oracle.store.bound_cells(goal))))
 
         ok = native_set == oracle_set
         bits = []
@@ -142,13 +147,10 @@ def check_program(
                 bits.append(f"native-only e.g. {missing[0]}")
             if extra:
                 bits.append(f"transpiled-only e.g. {extra[0]}")
-        # both engines serve the next query, so each must end this one
-        # with every cell unbound again
-        for side, engine in (("native", native), ("transpiled", oracle)):
-            left = len(engine.store.bound_cells())
-            if left:
+        for side, n in left:
+            if n:
                 ok = False
-                bits.append(f"{side} left {left} cell(s) bound")
+                bits.append(f"{side} left {n} cell(s) bound")
         out.append(
             PairResult(
                 label,

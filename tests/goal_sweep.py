@@ -6,12 +6,12 @@ in goal positions, passes goals through ``q(G) :- G.`` and
 ``r(X) :- (X ; true).``, and binds variables to goals such as
 ``(a -> 1)`` before or after they are called.  The sweep reads each query
 itself and runs it with ``Engine.solve``, as the oracle does, so it holds
-the query's variables and the registry keeps them: a reset that misses one
-is seen.  Every query must answer or raise a ``PrologError``, and leave
-every registered cell unbound, the trail empty and the registry as long as
-the read left it.  The engine runs
-with the occurs check, so no query can build a cyclic term, and with a
-frame budget, so none runs away.
+the query's goal, and the reset check walks it: a reset that misses one of
+its variables is seen.  Every query must answer or raise a ``PrologError``,
+and leave the cells of its goal and the ``~Name`` cells unbound, the trail
+empty and the ``~Name`` intern table as large as the read left it.  The
+engine runs with the occurs check, so no query can build a cyclic term,
+and with a frame budget, so none runs away.
 
     PYTHONPATH=src python tests/goal_sweep.py
 
@@ -109,7 +109,7 @@ def sweep(seeds):
         text = query(seed)
         # the generator writes only valid text, so the read cannot raise
         goal, varmap = read_query(text, engine.store)
-        registered = len(engine.store.cells)
+        interned = len(engine.store.evars)
         try:
             answers, error = outcome(engine, goal, varmap)
         except Exception as e:  # anything but a PrologError is a fault
@@ -117,13 +117,13 @@ def sweep(seeds):
         else:
             tally[error or ("answered" if answers else "failed")] += 1
             total += len(answers)
-        left = engine.store.bound_cells()
+        left = engine.store.bound_cells(goal)
         if left:
             faults.append((seed, text, f"{len(left)} cell(s) left bound"))
         if engine.store.trail:
             faults.append((seed, text, "trail entries left"))
-        if len(engine.store.cells) != registered:
-            faults.append((seed, text, "the registry changed length"))
+        if len(engine.store.evars) != interned:
+            faults.append((seed, text, "the ~Name intern table changed size"))
     return tally, total, faults
 
 

@@ -26,7 +26,7 @@ import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
 from entangle_pl.kernel import Store, Struct, Var, deref
 from entangle_pl.reader import read_query
-from conftest import answers
+from conftest import answers, checked_answers
 
 
 @pytest.fixture
@@ -73,13 +73,11 @@ def test_solutions_are_rendered_eagerly(eng):
 
 def test_query_reset_on_exhaustion_and_abandon(eng):
     eng.consult_text("e(~X).")
-    assert answers(eng, "e(5), e(V).") == ["V = 5"]
-    assert eng.store.bound_cells() == []  # exhausted: reset
-    gen = eng.query("e(6), e(V).")
+    assert list(checked_answers(eng, "e(5), e(V).")) == ["V = 5"]  # exhausted
+    gen = checked_answers(eng, "e(6), e(V).")
     next(gen)
     assert eng.store.bound_cells() != []  # mid-enumeration: still bound
-    gen.close()
-    assert eng.store.bound_cells() == []  # abandoned: reset
+    gen.close()  # abandoned: the helper checks the reset
 
 
 def test_consult_is_atomic(eng):
@@ -186,15 +184,14 @@ def test_negation_scopes_bindings(eng):
     eng.consult_text("t(1).")
     assert answers(eng, "\\+(t(2)).") == ["true"]
     assert answers(eng, "\\+(t(1)).") == []
-    sol = next(iter(eng.query("\\+(X = 1), Y = 2 ; Y = 3.")))
+    gen = checked_answers(eng, "\\+(X = 1), Y = 2 ; Y = 3.")
     # \+ succeeded-goal bindings must not leak... the inner X=1 succeeds,
     # so the first branch fails and Y comes from the second branch
-    assert sol["Y"] == "3"
-    assert eng.store.bound_cells() == []
+    assert next(gen).endswith(", Y = 3")
+    gen.close()
     eng.consult_text("e(~C).")
     with pytest.raises(EvaluationError):
-        list(eng.query("e(1), \\+ (t(X), e(X), X is foo)."))
-    assert eng.store.bound_cells() == []
+        list(checked_answers(eng, "e(1), \\+ (t(X), e(X), X is foo)."))
 
 
 def test_deep_recursion_through_negation_and_findall(eng):
@@ -259,17 +256,15 @@ def test_clause_body_that_is_not_callable_is_refused(eng):
     "fail, 1.", "true ; 1.", "phrase({1}, L).", "phrase(({true} ; {1}), L).",
 ])
 def test_query_that_is_not_callable_raises_before_any_answer(eng, query):
-    solutions = eng.query(query)
+    solutions = checked_answers(eng, query)
     with pytest.raises(TypeMismatchError, match="goal is not callable"):
         next(solutions)
-    assert eng.store.bound_cells() == []
 
 
 def test_if_then_found_through_a_variable_is_checked_where_it_is_found(eng):
     # the query-start check saw X unbound; ; finds (C -> T) through it
     with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
-        list(eng.query("X = (true -> 1), (X ; true)."))
-    assert eng.store.bound_cells() == []
+        list(checked_answers(eng, "X = (true -> 1), (X ; true)."))
     # ; still runs the (C -> T) it finds through a variable as if-then-else
     assert answers(eng, "X = (true -> fail), call((X ; true)).") == []
     assert answers(eng, "X = (fail -> fail), (X ; Y = e).") == [
@@ -283,13 +278,11 @@ def test_findall(eng):
     assert len(sols) == 1 and "L = [1,2,3]" in sols[0]
     assert "L = []" in answers(eng, "findall(X, t(9), L).")[0]
     assert "L = [1-a,2-a]" in answers(eng, "findall(X-Y, (t(X), X < 3, Y = a), L).")[0]
-    assert answers(eng, "findall(_Y, (t(_Y), !), L).") == ["L = [1]"]  # local cut
-    # inner bindings are undone afterwards, after an error as well
-    assert eng.store.bound_cells() == []
+    # a local cut; inner bindings are undone afterwards, after an error too
+    assert list(checked_answers(eng, "findall(_Y, (t(_Y), !), L).")) == ["L = [1]"]
     eng.consult_text("e(~C).")
     with pytest.raises(EvaluationError):
-        list(eng.query("e(1), findall(X, (t(X), e(X), X is foo), L)."))
-    assert eng.store.bound_cells() == []
+        list(checked_answers(eng, "e(1), findall(X, (t(X), e(X), X is foo), L)."))
 
 
 def test_findall_copies_but_shares_program_variables(eng):
@@ -452,8 +445,7 @@ def test_goal_argument_bound_to_program_variable_uses_index(eng, monkeypatch):
 def test_program_variable_in_head_is_not_indexed(eng):
     eng.consult_text("v(a, ~C). v(b, red). v(c, ~C).")
     # the second call builds the index on argument 2 while ~C is bound
-    assert answers(eng, "v(a, green), v(X, green).") == ["X = a", "X = c"]
-    assert eng.store.bound_cells() == []
+    assert list(checked_answers(eng, "v(a, green), v(X, green).")) == ["X = a", "X = c"]
     assert answers(eng, "v(X, blue).") == ["X = a", "X = c"]
     assert answers(eng, "v(X, red).") == ["X = a", "X = b", "X = c"]
 
@@ -483,16 +475,14 @@ def test_program_variable_binding_reaches_later_clauses(eng):
     # once ~C holds f(Y), later clauses see that same Y, not a renamed copy
     eng.consult_text("p :- ~C = f(_). q(Z) :- ~C = f(Z). r(W) :- ~C = f(W).")
     assert answers(eng, "p, q(a), r(W).") == ["W = a"]
-    assert len(answers(eng, "p, q(Z), r(W), Z == W.")) == 1
-    assert eng.store.bound_cells() == []
+    assert len(list(checked_answers(eng, "p, q(Z), r(W), Z == W."))) == 1
 
 
 def test_template_compiled_while_program_variable_bound(eng):
     eng.consult_text("k(V) :- ~S = V. g(X) :- X = ~S. h(t(~S, a)).")
     # g/1 and h/1 are first tried while ~S holds a term with a variable
-    assert answers(eng, "k(m(A)), g(X), h(T).") == [
+    assert list(checked_answers(eng, "k(m(A)), g(X), h(T).")) == [
         "A = _G3, X = m(_G3), T = t(m(_G3),a)"]
-    assert eng.store.bound_cells() == []
     # their templates still hold the cell, unbound again after the reset
     assert len(answers(eng, "g(X), var(X), h(t(Y, a)), X == Y.")) == 1
     assert answers(eng, "k(2), g(X), h(T).") == ["X = 2, T = t(2,a)"]
@@ -671,16 +661,14 @@ def test_frame_budget_spans_the_solution_sequence():
     query = "n(X), Y is X + 1, Y > 0."
     seen = []
     with pytest.raises(ResourceLimitError):
-        for solution in e.query(query):
-            seen.append(str(solution))
+        for solution in checked_answers(e, query):
+            seen.append(solution)
             assert e.store.trail != []  # X, old and bound under n's choice point
     assert seen == ["X = 1, Y = 2", "X = 2, Y = 3", "X = 3, Y = 4"]
-    assert e.store.bound_cells() == []
     # the next query on the same engine starts with a fresh budget
-    gen = e.query(query)
-    assert [str(s) for s in itertools.islice(gen, 3)] == seen
+    gen = checked_answers(e, query)
+    assert list(itertools.islice(gen, 3)) == seen
     gen.close()
-    assert e.store.bound_cells() == []
 
 
 def test_evars_reset_between_queries_but_not_within(eng):
@@ -694,116 +682,93 @@ def test_evars_reset_between_queries_but_not_within(eng):
 COUNT = "count(N,N) :- !. count(I,N) :- I1 is I+1, count(I1,N)."
 
 
-def test_query_cells_leave_the_registry_when_it_ends():
-    e = Engine(max_frames=100)
-    e.consult_text(COUNT + " n(1). n(2).")
-    cells = e.store.cells
-    # exhausted; the query's own variables never stay registered
-    before = len(cells)
-    gen = e.query("count(0,10), n(Y).")
-    assert [str(s) for s in gen] == ["Y = 1", "Y = 2"]
-    assert len(cells) == before
-    # suspended between answers, then abandoned
-    before = len(cells)
-    gen = e.query("n(Y), count(0,10).")
-    next(gen)
-    assert len(cells) == before  # a suspended query holds its cells itself
-    gen.close()
-    assert len(cells) == before
-    # raised
-    for query, error in (("count(0,1000).", ResourceLimitError),
-                         ("count(0,10), nope.", ExistenceError)):
-        before = len(cells)
-        gen = e.query(query)
-        with pytest.raises(error):
-            list(gen)
-        assert len(cells) == before
-    assert e.store.bound_cells() == []
+def _alive_since(store):
+    """A watch on the ``Var`` cells that ``store`` makes from now on: calling
+    it lists those still alive."""
+    gc.collect()
+    # holding the cells alive now keeps their ids from being reused
+    old = {id(o): o for o in gc.get_objects() if type(o) is Var}
+    born = store.allocated
+
+    def alive():
+        gc.collect()
+        return [
+            o for o in gc.get_objects()
+            if type(o) is Var and o.serial >= born and id(o) not in old
+        ]
+
+    return alive
 
 
 def test_failed_reads_leave_nothing_behind(eng):
-    cells, evars = eng.store.cells, eng.store.evars
-    before = len(cells)
+    evars = eng.store.evars
+    alive = _alive_since(eng.store)
     for _ in range(1000):
         with pytest.raises(PrologSyntaxError):
             eng.query("f(X, Y, Z) = .")
     with pytest.raises(PrologSyntaxError):
         eng.query("f(X, ~Q) = .")
-    assert len(cells) == before and evars == {}
+    assert evars == {}
     for program, error in (("a(X, ~P). b(Y). c $.", PrologSyntaxError),
                            ("a(X, ~P). b(Y). c :- 1.", TypeMismatchError),
                            ("a(X, ~P). b(Y) :- true. ! :- b(Y).", PrologError)):
         with pytest.raises(error):
             eng.consult_text(program)
-        assert len(cells) == before and evars == {}
+        assert evars == {}
+    assert alive() == []  # no read that raised left a cell held
     # a ~Name the store knew before the failed read stays interned
     eng.consult_text("k(~P).")
+    p = evars["~P"]
     with pytest.raises(PrologSyntaxError):
         eng.consult_text("a(~P, ~Q). b $.")
-    assert list(evars) == ["~P"] and cells[-1] is evars["~P"]
+    assert evars == {"~P": p}
 
 
 def test_query_closed_before_its_first_answer_leaves_nothing(eng):
-    cells = eng.store.cells
-    before = len(cells)
+    alive = _alive_since(eng.store)
     for _ in range(1000):
         eng.query("X = f(Y).").close()
-    assert len(cells) == before
+    assert alive() == []
     eng.query("X = f(Y).")  # dropped unstarted
-    assert len(cells) == before
+    assert alive() == [] and eng.store.evars == {}
 
 
 def test_reset_check_sees_the_old_cells_that_hold_young_ones(eng, monkeypatch):
     # with a reset that undoes nothing, the clause's renamed A and B stay
-    # bound.  They are young, so neither trailed nor registered, but they
-    # survive only through old cells, the query's X and ~E, which were
-    # trailed and are registered, so the check sees those.  The test reads
-    # the query itself, so X is its own and stays registered
+    # bound.  They are young, so not trailed, but they survive only through
+    # old cells, the query's X and ~E, which were trailed, and the check,
+    # given the goal the test read, sees those
     eng.consult_text("p(f(A,B)) :- ~E = g(B), A = 1, B = 2.")
-    gen = eng.solve(*read_query("p(X).", eng.store))
+    goal, varmap = read_query("p(X).", eng.store)
+    gen = eng.solve(goal, varmap)
     born = eng.store.allocated
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = f(1,2)"]
-    left = {c.name: c.ref for c in eng.store.bound_cells()}
+    left = {c.name: c.ref for c in eng.store.bound_cells(goal)}
     assert sorted(left) == ["X", "~E"]
     for value in left.values():
         young = [a for a in value.args if isinstance(a, Var)]
         assert young and all(a.serial >= born for a in young)
 
 
-def _alive_since(born, old):
-    """The ``Var`` cells alive now, other than those in ``old``, whose
-    serials are ``born`` or above."""
-    gc.collect()
-    return [
-        o for o in gc.get_objects()
-        if type(o) is Var and o.serial >= born and id(o) not in old
-    ]
-
-
 @pytest.mark.parametrize("end", ["exhausted", "closed", "raised"])
 def test_no_cell_a_query_made_outlives_it(end):
     e = Engine(max_frames=2_000)
     e.consult_text(COUNT + " n(1). n(2).")
-    gc.collect()
-    kept = [o for o in gc.get_objects() if type(o) is Var]  # ids stay unique
-    old = set(map(id, kept))
-    born = e.store.allocated
+    alive = _alive_since(e.store)
     if end == "exhausted":
         assert answers(e, "count(0,100), n(Y).") == ["Y = 1", "Y = 2"]
     elif end == "closed":
         gen = e.query("n(Y), count(0,100).")
         assert str(next(gen)) == "Y = 1"
-        assert _alive_since(born, old)  # a suspended query keeps its cells
+        assert alive()  # a suspended query keeps its cells
         gen.close()
     else:
-        try:
-            list(e.query("n(Y), count(0,100000)."))
-        except ResourceLimitError:
-            pass
-        else:
-            pytest.fail("the frame budget did not run out")
-    assert _alive_since(born, old) == []
+        for query, error in (("n(Y), count(0,100000).", ResourceLimitError),
+                             ("count(0,10), nope.", ExistenceError)):
+            with pytest.raises(error):
+                list(e.query(query))
+    assert alive() == []
     assert e.store.trail == [] and e.store.bound_cells() == []
 
 
@@ -812,12 +777,11 @@ def test_a_name_bound_to_young_cells_is_reset(eng):
     # choice point of ;, so it is trailed, and the next branch sees it free
     eng.consult_text("p(Z) :- ~E = f(A, B), (A = 1 ; A = 2), B = A, Z = ~E.")
     for _ in range(2):
-        assert answers(eng, "p(Z).") == ["Z = f(1,1)", "Z = f(2,2)"]
-        assert eng.store.bound_cells() == []
-    gen = eng.query("p(Z).")
-    assert str(next(gen)) == "Z = f(1,1)"
+        assert list(checked_answers(eng, "p(Z).")) == ["Z = f(1,1)", "Z = f(2,2)"]
+    gen = checked_answers(eng, "p(Z).")
+    assert next(gen) == "Z = f(1,1)"
     gen.close()
-    assert eng.store.bound_cells() == [] and eng.store.trail == []
+    assert eng.store.trail == []
 
 
 LOOP = """
@@ -835,13 +799,13 @@ def test_control_in_a_long_loop_keeps_the_trail_short():
     # last clause binds Y with no choice point left, so Y is not trailed
     e = Engine(max_frames=10**6)
     e.consult_text(LOOP)
-    gen = e.query("loop(0, 5000), m(Y).")
-    assert str(next(gen)) == "Y = 1"
+    gen = checked_answers(e, "loop(0, 5000), m(Y).")
+    assert next(gen) == "Y = 1"
     # Y, under m's choice point; the loop's bindings were young, or were
     # trailed under a choice point that a cut then dropped with them
     assert len(e.store.trail) == 1
-    assert [str(s) for s in gen] == ["Y = 2"]
-    assert e.store.trail == [] and e.store.bound_cells() == []
+    assert list(gen) == ["Y = 2"]
+    assert e.store.trail == []
 
 
 def test_not_unify_in_a_loop_leaves_nothing_bound(eng):
@@ -852,38 +816,35 @@ def test_not_unify_in_a_loop_leaves_nothing_bound(eng):
             f(A, b) \\= f(1, c), var(A), g(B, B) \\= g(1, 2), var(B),
             I1 is I + 1, l(I1, N).
     """)
-    assert answers(eng, "l(0, 1000), f(X, Y) \\= f(1, 2).") == []
-    [answer] = answers(eng, "l(0, 1000), f(X, b) \\= f(1, c).")
+    assert list(checked_answers(eng, "l(0, 1000), f(X, Y) \\= f(1, 2).")) == []
+    [answer] = checked_answers(eng, "l(0, 1000), f(X, b) \\= f(1, c).")
     assert answer.startswith("X = _G")  # X is left unbound
-    assert eng.store.bound_cells() == [] and eng.store.trail == []
+    assert eng.store.trail == []
 
 
 def test_a_consult_between_answers_registers_its_cells(eng):
     eng.consult_text("n(1).")
-    cells = eng.store.cells
-    gen = eng.query("n(X), (true ; t).")
-    assert str(next(gen)) == "X = 1"
-    before = len(cells)
+    gen = checked_answers(eng, "n(X), (true ; t).")
+    assert next(gen) == "X = 1"
+    alive = _alive_since(eng.store)
     eng.consult_text("t :- ~New = f(Y).")
-    assert len(cells) == before + 2  # ~New and Y
     new = eng.store.evars["~New"]
     # ~New is younger than the suspended query's marks, yet it is
     # trailed when t binds it, so the query's end unbinds it
-    assert [str(s) for s in gen] == ["X = 1"]
-    assert new.ref is None and eng.store.bound_cells() == []
-    assert new in cells
+    assert list(gen) == ["X = 1"]
+    assert new.ref is None
+    # the clause keeps its Y; the cells of t's renaming died with the query
+    assert [c.name for c in alive()] == ["Y"]
 
 
 def test_many_queries_leave_the_registry_as_it_was(eng):
-    cells = eng.store.cells
-    before = len(cells)
+    alive = _alive_since(eng.store)
     for _ in range(10_000):
         assert [str(s) for s in eng.query("X = f(Y), Y = 1.")] == ["X = f(1), Y = 1"]
-    assert len(cells) == before
+    assert alive() == []
     # a ~Name a query names first stays: the store keeps it interned
     assert len(list(eng.query("~New = 1, X = 2."))) == 1
-    assert len(cells) == before + 1
-    assert eng.store.evars["~New"] is cells[-1]
+    assert alive() == [] and list(eng.store.evars) == ["~New"]
     assert eng.store.bound_cells() == []
     # query() still reads eagerly: a parse error raises from the call itself
     with pytest.raises(PrologSyntaxError):
@@ -892,11 +853,13 @@ def test_many_queries_leave_the_registry_as_it_was(eng):
 
 def test_reset_check_sees_a_query_variable_left_bound(eng, monkeypatch):
     # with a reset that undoes nothing, the query's X stays bound; the test
-    # read the query itself, so the registry keeps X and the check sees it
-    gen = eng.solve(*read_query("X = 1.", eng.store))
+    # read the query itself, so it holds X and the check, given the goal,
+    # sees it
+    goal, varmap = read_query("X = 1.", eng.store)
+    gen = eng.solve(goal, varmap)
     monkeypatch.setattr(Store, "undo_to", lambda store, mark: None)
     assert [str(s) for s in gen] == ["X = 1"]
-    assert [c.name for c in eng.store.bound_cells()] == ["X"]
+    assert [c.name for c in eng.store.bound_cells(goal)] == ["X"]
 
 
 def _peaks_mib(body):

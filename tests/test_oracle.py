@@ -72,21 +72,46 @@ def test_check_program_reports_per_query():
     assert [(r.ok, r.native) for r in results] == [(True, 1), (True, 1)]
 
 
-def test_cell_left_bound_fails_the_pair(monkeypatch):
-    from entangle_pl import oracle
-
+def _leak(monkeypatch, native, cell):
+    """Make each run on one side, native or transpiled, end with
+    ``cell(engine, goal, varmap)`` bound."""
     real = oracle.solution_multiset
 
     def leaky(engine, query, limit=None):
         counter = real(engine, query, limit)
-        if engine.allow_evars:
-            engine.store.bind(engine.store.evars["~X"], Atom("leak"))
+        if engine.allow_evars == native:
+            engine.store.bind(cell(engine, *query), Atom("leak"))
         return counter
 
     monkeypatch.setattr(oracle, "solution_multiset", leaky)
+
+
+def test_cell_left_bound_fails_the_pair(monkeypatch):
+    _leak(monkeypatch, True, lambda engine, goal, varmap: engine.store.evars["~X"])
     (result,) = check_program("a(~X).", ["a(1)."], "demo")
     assert not result.ok
     assert result.detail == "native left 1 cell(s) bound"
+
+
+def test_query_variable_left_bound_fails_the_pair(monkeypatch):
+    _leak(monkeypatch, True, lambda engine, goal, varmap: varmap["Y"])
+    (result,) = check_program("a(~X).", ["a(Y)."], "demo")
+    assert not result.ok
+    # the transpiled query is copied from the leaked goal, so it differs too
+    assert result.detail.endswith("; native left 1 cell(s) bound")
+
+
+def test_transpiled_env_left_bound_fails_the_pair(monkeypatch):
+    def env(engine, goal, varmap):
+        # the rewritten goal is (_Env = evs(...), a(1, _Env))
+        cell = goal.args[0].args[0]
+        assert isinstance(cell, Var) and cell.ref is None
+        return cell
+
+    _leak(monkeypatch, False, env)
+    (result,) = check_program("a(~X).", ["a(1)."], "demo")
+    assert not result.ok
+    assert result.detail == "transpiled left 1 cell(s) bound"
 
 
 def test_listing_queries_are_skipped():
@@ -178,7 +203,7 @@ def test_check_program_reads_each_text_once(monkeypatch, oracle_engines):
 
     def multiset(engine, query, limit=None):
         if engine.allow_evars:
-            bound_at_start.append(engine.store.bound_cells())
+            bound_at_start.append(engine.store.bound_cells(query[0]))
         return real_multiset(engine, query, limit)
 
     monkeypatch.setattr(oracle, "solution_multiset", multiset)

@@ -68,10 +68,10 @@ def _term(rng, cells, depth):
 
 
 def pair(seed: int, store: Store):
-    """The pair of terms of one seed, built in ``store``: a pool of four
-    ``Var`` and two ``EVar`` cells, allocated in a random order, some bound
-    to terms over the cells after them (so no binding is cyclic), then two
-    terms over the pool."""
+    """The pool of cells and the pair of terms of one seed, built in
+    ``store``: a pool of four ``Var`` and two ``EVar`` cells, allocated in
+    a random order, some bound to terms over the cells after them (so no
+    binding is cyclic), then two terms over the pool."""
     rng = random.Random(seed)
     kinds = ["var"] * 4 + ["~A", "~B"]
     rng.shuffle(kinds)
@@ -81,7 +81,7 @@ def pair(seed: int, store: Store):
     for i, cell in enumerate(order):
         if rng.random() < 0.3:
             store.bind(cell, _term(rng, order[i + 1:], 2))
-    return _term(rng, cells, 3), _term(rng, cells, 3)
+    return cells, _term(rng, cells, 3), _term(rng, cells, 3)
 
 
 def cyclic(t) -> bool:
@@ -110,15 +110,15 @@ def check(seed: int, occurs_check: bool, young=OUTSIDE):
     young mark at ``young`` once the pair is built.  Returns the outcome,
     ``"unified"``, ``"cyclic"`` or ``"failed"``, and a list of faults."""
     store = Store(occurs_check)
-    a, b = pair(seed, store)
+    cells, a, b = pair(seed, store)
     store.young = young
     mark = len(store.trail)
-    refs = [c.ref for c in store.cells]
+    refs = [c.ref for c in cells]
 
     def unchanged():
         return len(store.trail) == mark and all(
             c.ref is r
-            for c, r in zip(store.cells, refs)
+            for c, r in zip(cells, refs)
             if c.serial < young or type(c) is EVar
         )
 
@@ -140,7 +140,7 @@ def check(seed: int, occurs_check: bool, young=OUTSIDE):
         store.undo_to(mark)
         if not unchanged():
             faults.append("undoing the unify left the store changed")
-        for cell, ref in zip(store.cells, refs):  # what backtracking discards
+        for cell, ref in zip(cells, refs):  # what backtracking discards
             cell.ref = ref
     if (outcomes[0] == "failed") != (outcomes[1] == "failed"):
         faults.append(f"unify {outcomes[0]} one way round, {outcomes[1]} the other")
