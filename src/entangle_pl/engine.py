@@ -72,23 +72,32 @@ alternatives gets one), and a call left with none fails at once.
 Queries never change the clause database, so each ``(name, arity, pos)``
 table stays valid until the next consult drops them all.
 
-A clause is renamed from a template compiled at its first try, not by a
-generic copy.  The template is postfix code for ``[head, body]``: one slot
-per ordinary variable, numbered by first occurrence, so fresh cells get
-the serials a copy would give them; subterms without variables are shared,
-not rebuilt; and a ``~Name`` cell is kept as the cell itself, read without
-``deref``, so a template compiled while a query has the cell bound still
-sees that binding and every later one.  A clause record is the list
-``[head, body, template]``; the template is stored there at the first try
-and kept across consults.  ``try_clause`` calls the module-level
+A clause is renamed by a builder made at its first try, not by a generic
+copy.  ``_compile`` writes the clause's ``[head, body]`` as postfix code:
+one slot per ordinary variable, numbered by first occurrence, so fresh
+cells get the serials a copy would give them; subterms without variables
+are shared, not rebuilt; and a ``~Name`` cell is kept as the cell itself,
+read without ``deref``, so a builder made while a query has the cell bound
+still sees that binding and every later one.  Atoms, integers, shared
+subterms and ``~Name`` cells are then lifted out as constants, and the
+rest of the code is the clause's shape.  Each shape has one factory,
+generated as Python source and made once per process, in a bounded cache
+(see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on specializing a
+Prolog written in Python); called with a clause's constants, it returns
+the clause's builder, straight-line code that takes the frame's serials
+from the store and builds one compound per statement.  So 10k facts of
+one form share one factory, and a term of any depth compiles to code of
+no depth.  A clause record is the
+list ``[head, body, builder]``; the builder is stored there at the first
+try and kept across consults.  ``try_clause`` calls the module-level
 ``copy_terms`` and then the head ``unify``: that pair is where the
 benchmark's tracer counts clause tries, and ``solve`` calls it from one
 place.
 
 The prelude is read once per process, into a store of its own, and every
-engine appends the same clause records, templates included, to its own
+engine appends the same clause records, builders included, to its own
 predicate lists.  That sharing is safe because a stored clause is never
-bound: each try renames it from a template.  The prelude is read with
+bound: each try renames it with its builder.  The prelude is read with
 ``~`` syntax off, so no ``~Name`` cell can be shared between engines.
 """
 
@@ -179,12 +188,16 @@ def _arg_table(clauses, pos):
 
 
 def _compile(clause):
-    """Template code for a stored ``[head, body, _]`` clause: its terms in
-    postfix, where an int is a slot (one per ordinary variable, numbered by
-    first occurrence), ``(name, n)`` builds a Struct from the last ``n``
-    values, and anything else is used as it is.  The stored terms are read
-    without ``deref``, so a ``~Name`` cell stays a cell even while a query
-    has it bound."""
+    """The builder of a stored ``[head, body, _]`` clause.  The front end
+    writes its terms in postfix, where an int is a slot (one per ordinary
+    variable, numbered by first occurrence), ``(name, n)`` builds a Struct
+    from the last ``n`` values, and anything else is a constant: an atom,
+    an integer, a ``~Name`` cell or a subterm with no slot below it, which
+    is shared, not rebuilt.  The stored terms are read without ``deref``,
+    so a ``~Name`` cell stays a cell even while a query has it bound.  The
+    constants are then lifted out of the code, and what is left is the
+    clause's shape: the builder comes from the shape's factory, called
+    with the constants."""
     slots = {}
     code = []
     todo = [clause[1], clause[0]]
@@ -206,38 +219,67 @@ def _compile(clause):
             todo.extend(reversed(t.args))
         else:
             code.append(t)
-    return code, len(slots)
+    shape = tuple(op if type(op) is int or type(op) is tuple else None for op in code)
+    consts = [op for op in code if type(op) is not int and type(op) is not tuple]
+    return _factory(shape, len(slots))(*consts)
 
 
-def copy_terms(template, store):
-    """Instantiate a clause template as a fresh ``[head, body]``; the slot
-    cells are made in slot order, in one ``Store.new_vars`` call, so their
-    serials match a generic copy's."""
-    code, nslots = template
-    frame = store.new_vars(nslots)
-    vals = []
-    push = vals.append
-    for op in code:
-        kind = type(op)
-        if kind is int:
-            push(frame[op])
-        elif kind is tuple:
-            n = op[1]
-            args = tuple(vals[-n:])
-            del vals[-n:]
-            push(Struct(op[0], args))
+def _source(shape, nslots):
+    """Python source of a shape's factory, ``make(c0, c1, ...)``, which
+    returns ``build(store)``: straight-line code that takes ``nslots``
+    serials from the store, makes slot ``k``'s cell ``vk`` with the
+    ``k``-th of them, and builds one Struct per statement, so no term depth
+    nests in the source.  Only integers and the ``repr`` of functor names
+    enter it; the constants are the factory's arguments."""
+    lines = []
+    if nslots:
+        lines += ["a = store.allocated", f"store.allocated = a + {nslots}", "v0 = Var(a)"]
+        lines += [f"v{k} = Var(a + {k})" for k in range(1, nslots)]
+    stack = []
+    nconsts = 0
+    for op in shape:
+        if op is None:
+            stack.append(f"c{nconsts}")
+            nconsts += 1
+        elif type(op) is int:
+            stack.append(f"v{op}")
         else:
-            push(op)
-    return vals
+            name, n = op
+            args = "".join(a + ", " for a in stack[len(stack) - n :])
+            del stack[len(stack) - n :]
+            stack.append(f"t{len(lines)}")
+            lines.append(f"{stack[-1]} = Struct({name!r}, ({args}))")
+    params = ", ".join(f"c{j}" for j in range(nconsts))
+    return "".join(
+        [f"def make({params}):\n    def build(store):\n"]
+        + [f"        {line}\n" for line in lines]
+        + [f"        return [{stack[0]}, {stack[1]}]\n    return build\n"]
+    )
+
+
+@lru_cache(maxsize=1024)
+def _factory(shape, nslots):
+    """The factory of a clause shape, made once per process; the cache is
+    bounded, and a clause keeps the builder it was given."""
+    scope = {"Var": Var, "Struct": Struct}
+    exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
+    return scope["make"]
+
+
+def copy_terms(build, store):
+    """A fresh ``[head, body]`` of a clause, from its builder: the slot
+    cells get serials ``allocated`` onward in slot order, the ones a
+    generic copy would give them."""
+    return build(store)
 
 
 def try_clause(clause, goal, store):
-    """Rename a clause, compiling its template at the first try, and unify
-    its head with ``goal``: the renamed body, or None on a mismatch."""
-    template = clause[2]
-    if template is None:
-        template = clause[2] = _compile(clause)
-    head, body = copy_terms(template, store)
+    """Rename a clause, making its builder at the first try, and unify its
+    head with ``goal``: the renamed body, or None on a mismatch."""
+    build = clause[2]
+    if build is None:
+        build = clause[2] = _compile(clause)
+    head, body = copy_terms(build, store)
     return body if unify(head, goal, store) else None
 
 
@@ -271,7 +313,7 @@ class Engine:
         max_frames: int = MAX_FRAMES,
     ):
         self.store = Store(occurs_check)
-        # (name, arity) -> [[head, body, template], ...] in source order;
+        # (name, arity) -> [[head, body, builder], ...] in source order;
         # the dict's insertion order is the order listing/1 prints them in
         self.db = {}
         # (name, arity, pos) -> _arg_table(...), built at first use

@@ -8,7 +8,7 @@ mark, or to an ``EVar``, is trailed, so backtracking resets it to None; a
 younger cell was made after the newest choice point, and backtracking
 discards it with that choice point, so its write needs no undo.  ``EVar``
 cells behave identically under unification but are global to a program:
-the reader interns them by name, and the engine's clause templates keep
+the reader interns them by name, and the engine's clause builders keep
 them as cells instead of freshening them, which is what lets one binding
 travel across clause boundaries until the query that produced it is
 undone.  The store also holds the occurs-check policy, so every ``unify``
@@ -87,7 +87,8 @@ class Store:
     makes: a cell lives as long as whoever holds it.
 
     ``allocated`` counts every cell ever made, and is the next serial;
-    ``new_var`` and ``new_vars`` are the only places that assign one.
+    ``new_var`` and the engine's clause builders are the only places that
+    assign one.
     ``young`` is the young mark: a cell whose serial is below it is old,
     and every other cell is young.  A bound cell is trailed only if it is
     old or an ``EVar``.  Outside a query the mark is infinite, so every
@@ -119,13 +120,6 @@ class Store:
         v = cls(self.allocated, name)
         self.allocated += 1
         return v
-
-    def new_vars(self, n: int) -> list:
-        """Allocate ``n`` unnamed cells at once, with the serials that ``n``
-        calls of ``new_var()`` would give."""
-        start = self.allocated
-        self.allocated = start + n
-        return list(map(Var, range(start, start + n)))
 
     def evar(self, name: str) -> EVar:
         """Return the one cell for ``name`` (e.g. ``~X``), creating it once."""

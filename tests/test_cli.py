@@ -252,12 +252,20 @@ def test_max_frames_flag(tmp_path, capsys):
 
 def test_deep_input_under_low_recursion_limit(tmp_path):
     # Nothing recurses on term depth: the reader, the DCG translation, the
-    # transpiler, the engine and the writer all keep explicit stacks, so
-    # the oracle checks these programs with almost no Python stack.
+    # transpiler, the engine and the writer all keep explicit stacks, and a
+    # clause builder is generated with one statement per compound, so the
+    # oracle checks these programs with almost no Python stack.  ``deep``
+    # is ground, so its builder only returns the stored term; ``dv`` and
+    # ``wide`` run generated code that builds a 10^4-deep term and makes
+    # 3,000 cells.
     deep = "f(" * 10_000 + "a" + ")" * 10_000
+    dv = deep.replace("a", "X")
+    names = ",".join(f"X{i}" for i in range(3000))
     programs = {
-        "deep": ("deep(" + deep + ").", ["deep(" + deep.replace("a", "X") + ").",
-                                         "deep(X)."]),
+        "deep": ("deep(" + deep + ").", ["deep(" + dv + ").", "deep(X)."]),
+        "dv": (f"dv({dv}, X).", [f"dv({deep}, Y).", "dv(T, c), dv(T, Z)."]),
+        "wide": (f"w(f({names}), [{names}], X0, X2999).",
+                 ["w(F, [P|_], 1, Q), Q = 2, arg(3000, F, R)."]),
         "ite": ("a.\np :- " + " -> ".join(["a"] * 3000) + ".", ["p."]),
         "neg": ("a.\np :- " + "\\+ " * 3000 + "a.", ["p."]),
         "conj": ("a.\nq(~X).\np :- " + "(a, " * 3000 + "~X = 1" + ")" * 3000 + ".",
@@ -285,7 +293,7 @@ def test_deep_input_under_low_recursion_limit(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert len(lines) == 7 and all(l.startswith("OK") for l in lines)
+    assert len(lines) == 10 and all(l.startswith("OK") for l in lines)
 
 
 # --- usage validation -----------------------------------------------------------

@@ -24,8 +24,8 @@ from entangle_pl import (
 )
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
-from entangle_pl.kernel import Store, Struct, Var, deref
-from entangle_pl.reader import read_query
+from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref
+from entangle_pl.reader import read_query, write_term
 from conftest import answers, checked_answers
 
 
@@ -508,6 +508,96 @@ def test_ground_subterms_are_shared(eng):
     assert body.args[1] is clause[1].args[1]
     # the clause variable is a fresh cell, bound to the goal's
     assert deref(body.args[0]) is x and body.args[0] is not clause[0].args[1]
+
+
+def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
+    # the builder is the only place but new_var that assigns serials: a
+    # frame's n fresh cells take allocated ... allocated + n - 1, in the
+    # order their variables first occur, and a ~Name cell takes none
+    eng.consult_text("fr(X, f(Y, ~P, X), Z) :- t(Z, W, Y).")
+    clause = eng.db[("fr", 3)][0]
+    store = eng.store
+    start = store.allocated
+    head, body = engine_module.copy_terms(engine_module._compile(clause), store)
+    x, (y, p, x2), z = head.args[0], head.args[1].args, head.args[2]
+    w = body.args[1]
+    assert store.allocated == start + 4
+    assert [c.serial for c in (x, y, z, w)] == [start, start + 1, start + 2, start + 3]
+    assert all(type(c) is Var and c.name is None and c.ref is None for c in (x, y, z, w))
+    assert x2 is x and body.args[2] is y and body.args[0] is z
+    assert p is store.evar("~P")
+    # a clause with no ordinary variable takes no serial
+    eng.consult_text("gr(a, ~P).")
+    engine_module.copy_terms(engine_module._compile(eng.db[("gr", 2)][0]), store)
+    assert store.allocated == start + 4
+
+
+def test_shape_cache_is_bounded():
+    # a long-lived process that consults ever-new programs keeps at most
+    # the bound of shape factories; a clause keeps the builder it was given
+    factory = engine_module._factory
+    bound = factory.cache_info().maxsize
+    n = bound + 100
+    program = " ".join(f"s({i}, f{i}(X), X)." for i in range(n))
+    eng = Engine(load_prelude=False)
+    eng.consult_text(program)
+    factory.cache_clear()
+    for i in range(n):
+        assert answers(eng, f"s({i}, T, a).") == [f"T = f{i}(a)"]
+        assert factory.cache_info().currsize <= bound
+    # the first shapes were evicted: their clauses still answer, and a
+    # fresh engine makes their factories again
+    for i in range(100):
+        assert answers(eng, f"s({i}, f{i}(b), V).") == ["V = b"]
+    fresh = Engine(load_prelude=False)
+    fresh.consult_text(program)
+    misses = factory.cache_info().misses
+    for i in range(100):
+        assert answers(fresh, f"s({i}, T, c).") == [f"T = f{i}(c)"]
+    assert factory.cache_info().misses == misses + 100
+    assert factory.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("name", [
+    "it's", 'a"""b', "back\\slash", "new\nline", "héllo wörld", "__import__",
+    "'), __import__('os'), ('", "def",
+])
+def test_functor_names_enter_generated_code_safely(eng, name):
+    q = write_term(Atom(name))
+    eng.consult_text(f"{q}(X, {q}(X, Y), Y) :- {q}(X) = {q}(X).")
+    expected = write_term(Struct(name, (Int(1), Atom("b"))), priority=999)
+    assert answers(eng, f"{q}(1, T, b).") == [f"T = {expected}"]
+    assert answers(eng, f"{q}(1, {q}(2, b), V).") == []
+
+
+def test_clauses_of_one_shape_share_one_factory(eng):
+    # atoms, integers, ground subterms and ~Name cells are constants of a
+    # shape, not part of it
+    eng.consult_text("sh(a, 1, g(b), ~P, X, f(X)). sh(zz, 22, [1,2], c, Y, f(Y)). "
+                     "sh(~Q, k(m), 3, ~P, Z, f(Z)). sh(a, 1, g(b), ~P, X, h(X)).")
+    assert len(answers(eng, "sh(A, B, C, D, E, F).")) == 4
+    codes = [record[2].__code__ for record in eng.db[("sh", 6)]]
+    assert codes[0] is codes[1] is codes[2]
+    assert codes[3] is not codes[0]
+
+
+def test_generated_source_holds_no_constant_text(eng, monkeypatch):
+    sources = []
+    source = engine_module._source
+    monkeypatch.setattr(engine_module, "_source",
+                        lambda *shape: sources.append(source(*shape)) or sources[-1])
+    engine_module._factory.cache_clear()
+    eng.consult_text("lit(secretatom, 987654, w(hiddenatom, 4242), X, 'quoted text') "
+                     ":- X = pair(31337, ~Cell).")
+    assert answers(eng, "lit(A, B, C, D, E).") == [
+        "A = secretatom, B = 987654, C = w(hiddenatom,4242), D = pair(31337,~Cell), "
+        "E = 'quoted text'"]
+    (text,) = sources
+    for literal in ("secretatom", "987654", "hiddenatom", "4242", "quoted", "31337",
+                    "Cell", "'w'", "'pair'"):
+        assert literal not in text
+    # only the compounds with a variable below them are built
+    assert "Struct('lit', (" in text and "Struct('=', (" in text
 
 
 def templates(records):

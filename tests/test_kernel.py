@@ -112,19 +112,6 @@ def test_unify_dispatches_on_exact_types(kernel):
     assert len(s.trail) == 2
 
 
-def test_new_vars_matches_new_var_calls(kernel):
-    one_by_one, at_once = kernel.Store(), kernel.Store()
-    for s in (one_by_one, at_once):
-        s.evar("~X")
-    made = [one_by_one.new_var() for _ in range(3)]
-    frame = at_once.new_vars(3)
-    assert [c.serial for c in frame] == [c.serial for c in made] == [1, 2, 3]
-    assert [type(c) for c in frame] == [kernel.Var] * 3
-    assert all(c.name is None and c.ref is None for c in frame)
-    assert at_once.allocated == one_by_one.allocated
-    assert at_once.new_var().serial == 4 and at_once.new_vars(0) == []
-
-
 def test_var_var_binding_direction(kernel):
     # the younger variable must point at the older one, so that undoing a
     # query never leaves an older cell referencing a recycled younger cell
