@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .engine import MAX_FRAMES, Engine
 from .errors import PrologError
-from .oracle import check_directory
+from .oracle import check_directory, read_source
 from .transpiler import transpile
 
 _CORPUS_DEFAULT = object()
@@ -86,7 +86,7 @@ def _engine_options(args) -> dict:
 def _make_engine(args) -> Engine:
     engine = Engine(allow_evars=not args.no_evar, **_engine_options(args))
     for name in args.files:
-        engine.consult_text(Path(name).read_text(encoding="utf-8"))
+        engine.consult_text(read_source(name))
     return engine
 
 
@@ -158,7 +158,7 @@ def _run_repl(engine: Engine) -> int:
 
 
 def _run_transpile(args) -> int:
-    texts = [Path(name).read_text(encoding="utf-8") for name in args.files]
+    texts = [read_source(name) for name in args.files]
     result = transpile(*texts)
     if args.transpile == "-":
         sys.stdout.write(result.text)

@@ -283,14 +283,8 @@ def copy_term(t: Term, store: Store) -> Term:
     return out[0]
 
 
-def _rank(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    if isinstance(t, Int):
-        return 1
-    if isinstance(t, Atom):
-        return 2
-    return 3
+# standard-order rank of each term type; a ``~Name`` cell orders as a cell
+_RANK = {Var: 0, EVar: 0, Int: 1, Atom: 2, Struct: 3}
 
 
 def compare_terms(a: Term, b: Term) -> int:
@@ -302,8 +296,8 @@ def compare_terms(a: Term, b: Term) -> int:
         y = deref(y)
         if x is y:
             continue
-        rx = _rank(x)
-        ry = _rank(y)
+        rx = _RANK[type(x)]
+        ry = _RANK[type(y)]
         if rx != ry:
             return -1 if rx < ry else 1
         if rx == 0:

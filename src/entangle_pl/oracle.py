@@ -164,9 +164,18 @@ def check_program(
     return out
 
 
+def read_source(path) -> str:
+    """The UTF-8 text of the file ``path``.  A file that is not UTF-8 raises
+    an ``OSError`` that names it, as a missing file does."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_queries(path: Path) -> list:
     queries = []
-    for line in path.read_text().splitlines():
+    for line in read_source(path).splitlines():
         line = line.strip()
         if not line or line.startswith("%"):
             continue
@@ -211,7 +220,7 @@ def check_directory(
             continue
         results.extend(
             check_program(
-                program_path.read_text(),
+                read_source(program_path),
                 read_queries(queries_path),
                 label=program_path.name,
                 limit=limit,

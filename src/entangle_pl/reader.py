@@ -6,8 +6,9 @@ below (no user-defined operators), integers, atoms, lists, ``~Name``
 variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
 bodies only.  A token is a plain ``(kind, text, start, end)`` tuple that
 keeps only its offsets in the source; a syntax error turns its offset into
-a line and column.  A program is read one clause at a time: the tokenizer
-lexes up to the clause's end token, the parser reports whether it built a
+a line and column.  A program is read one clause at a time: each tokenizer
+call lexes from the last end token up to the next one (a call with only
+layout left returns just ``eof``), the parser reports whether it built a
 ``{}``/1, and the clause and DCG rule head checks run on the term it
 returns, all before the next clause is lexed.  So reading holds one
 clause's tokens, not the whole program's, and the first error in the text
@@ -76,16 +77,13 @@ PREFIX_OPS = {
 # A quoted atom up to its closing quote, which is the first quote not
 # doubled: the token pattern adds it as '(?!').
 _QATOM_BODY = r"""'(?:[^'\\\n]|''|\\[\\'"ntrabfv0\n])*"""
-# Layout: blanks, a line comment, a block comment closed at its first */.
-_LAYOUT = r"[ \t\r\n]+|%[^\n]*|/\*.*?\*/"
-# One alternative per token kind, tried in order.  Every character matches
-# some group, ``error`` last, so the loop never skips text; an ``error``
-# match only marks where the slow path must name the syntax error.
+# One alternative per token kind, tried in order.  Layout is blanks, a
+# line comment or a block comment closed at its first */.  Every character
+# matches some group, ``error`` last, so the loop never skips text; an
+# ``error`` match only marks where the slow path must name the syntax error.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<layout>"""
-    + _LAYOUT
-    + r""")
+    (?P<layout>[ \t\r\n]+|%[^\n]*|/\*.*?\*/)
   | (?P<atom>[a-z][A-Za-z0-9_]*|[!;]|(?!/\*)[-+*/\\^<>=:?@#&]+)
   | (?P<var>[A-Z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\]{},|])
@@ -100,9 +98,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _QATOM_PREFIX_RE = re.compile(_QATOM_BODY)
-# Greedy and not anchored at the end, so it never backtracks: the text
-# after an end token is only layout when this match reaches the end.
-_LAYOUT_RE = re.compile(f"(?:{_LAYOUT})*", re.DOTALL)
 _QUOTE_ESCAPE_RE = re.compile(r"''|\\(.)", re.DOTALL)
 
 
@@ -140,15 +135,15 @@ def _syntax_error(text: str, i: int, allow_evar: bool):
 
 def tokenize(text: str, allow_evar: bool = True, start: int = 0) -> list:
     """Longest-match tokenization of one clause: the tokens of ``text`` from
-    offset ``start`` up to and including the first ``end`` token.
+    offset ``start`` up to and including the first ``end`` token, or, when
+    no ``end`` token is left, up to one ``eof`` token at ``len(text)``.
 
     Each token is a plain ``(kind, text, start, end)`` tuple: ``kind`` is
     atom, qatom, var, evar, int, punct, end or eof, ``text`` is the token's
     text (a quoted atom's unescaped name) and ``start``/``end`` are offsets
-    into the source.  An ``eof`` token ends the list when nothing but layout
-    is left after it, so a text without an ``end`` token, such as a query,
-    is read whole; a list that stops at its ``end`` token leaves the rest to
-    a call from that token's ``end`` offset."""
+    into the source.  Nothing past the ``end`` token is looked at: the next
+    clause is a call from that token's ``end`` offset, and a call where only
+    layout is left returns ``[eof]``."""
     tokens = []
     append = tokens.append
     for m in _TOKEN_RE.finditer(text, start):
@@ -163,9 +158,7 @@ def tokenize(text: str, allow_evar: bool = True, start: int = 0) -> list:
             tok = _QUOTE_ESCAPE_RE.sub(_unescape, tok[1:-1])
         append((kind, tok, s, e))
         if kind == "end":
-            if _LAYOUT_RE.match(text, e).end() < len(text):
-                return tokens
-            break
+            return tokens
     n = len(text)
     append(("eof", "", n, n))
     return tokens
@@ -177,8 +170,8 @@ _CLOSERS = {"(": ")", "{": "}", "args": ")", "[": "]", "|": "]"}
 _OPERAND_KINDS = frozenset(("atom", "qatom", "var", "evar", "int"))
 
 
-def _parse(text, tokens, pos, store, varmap):
-    """Read one term of priority at most 1200 from ``tokens[pos]``.
+def _parse(text, tokens, store, varmap):
+    """Read one term of priority at most 1200 from the start of ``tokens``.
 
     Returns ``(term, pos, braces)``: ``pos`` is the first token after the
     term, and ``braces`` tells whether the term holds a ``{}``/1, written
@@ -195,6 +188,7 @@ def _parse(text, tokens, pos, store, varmap):
     frames = []
     maxp = 1200
     braces = False
+    pos = 0
     while True:
         # a primary term, or a frame opened before its first operand
         kind, tok, start, end = tokens[pos]
@@ -318,10 +312,13 @@ def read_program(text: str, store, allow_evar: bool = True):
     from .dcg import dcg_translate
 
     clauses = []
-    tokens = tokenize(text, allow_evar)
-    while tokens[0][0] != "eof":
-        start = tokens[0][2]
-        term, pos, braces = _parse(text, tokens, 0, store, {})
+    end = 0
+    while True:
+        tokens = tokenize(text, allow_evar, end)
+        kind, _, start, _ = tokens[0]
+        if kind == "eof":
+            return clauses
+        term, pos, braces = _parse(text, tokens, store, {})
         kind, tok, at, end = tokens[pos]
         if kind != "end":
             raise _error(f"expected '.' to end the clause but found {tok!r}", text, at)
@@ -338,9 +335,6 @@ def read_program(text: str, store, allow_evar: bool = True):
         if braces:
             raise _error("braces {} are only allowed inside DCG rule bodies", text, start)
         clauses.append((head, body))
-        # the eof after this clause, or the next clause's tokens
-        tokens = tokens[pos + 1:] or tokenize(text, allow_evar, end)
-    return clauses
 
 
 def read_query(text: str, store, allow_evar: bool = True):
@@ -349,12 +343,10 @@ def read_query(text: str, store, allow_evar: bool = True):
     if tokens[0][0] == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
     varmap = {}
-    goal, pos, _ = _parse(text, tokens, 0, store, varmap)
+    goal, pos, _ = _parse(text, tokens, store, varmap)
     kind, tok, start, end = tokens[pos]
     if kind == "end":
-        # the list stops at its end token when text follows: lex on from there
-        rest = tokens[pos + 1:] or tokenize(text, allow_evar, end)
-        kind, tok, start, _ = rest[0]
+        kind, tok, start, _ = tokenize(text, allow_evar, end)[0]
     if kind != "eof":
         raise _error(f"unexpected text after query: {tok!r}", text, start)
     return goal, varmap

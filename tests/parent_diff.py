@@ -8,7 +8,12 @@ process that has only that tree's ``src`` on its path.  The queries are
 every corpus ``.queries`` file against its program, the ``det`` benchmark
 program's ``nrev`` of lengths 0 to 60 and ``count(0,N)`` queries, and the
 goal sweep's first 5,000 seeded goals, run one engine per sweep block as
-the sweep runs them.  The rendered answers are compared with their ``_G``
+the sweep runs them.  A block of reader inputs, most of them malformed
+(the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
+missing final ``.``, comment-only tails, text after a query), is read with
+``read_program`` or ``read_query`` on both trees, and each prints its
+clause count or its error's class and message, line and column included.
+The rendered answers are compared with their ``_G``
 serials, so a change that renames a clause's cells in another order shows
 here even where the oracle, whose two sides share the engine, agrees.  It
 prints ``DIFF:`` and the first differing line, and exits 1, on any
@@ -35,15 +40,63 @@ from entangle_pl.oracle import read_queries  # noqa: E402
 
 SWEEP_SEEDS = range(5_000)
 
+# (reader, allow_evar, text): texts for read_program ("program") or
+# read_query ("query"), each read on its own store
+READS = [
+    ("program", True, text) for text in (
+        # errors and positions from the reader and DCG tests
+        "% line comment\na /* block\ncomment */ b.\n", "'bad\natom'.",
+        "~foo.", "a.b.", "a :-\n  'unterminated.", "x /* open", "p(\u0663).",
+        "'a\\q'.", "p(.\nq.\nr $.\n", "p.\nq.\nr $.\n", "a. b. c $.",
+        "(a,b) :- c.", "(a ; b).", "3 :- a.", "X :- a.", "\\+(a) :- b.",
+        "[] :- a.", "X --> [a].", "3 --> [a].", "(a,b) --> [c].",
+        "a.\n'{}'(x) --> -.", "a.\n; --> -.", "a.\n:- --> -.",
+        "f({a}).", "f(X) :- X = {a}.", "g --> {a}, [b].",
+        # a missing final '.'
+        "a. b", "a. b(X) :- c(X)", "p", "a. b(\n", "a. b. c",
+        # comment-only and layout-only tails, and texts with no clause
+        "a. % c", "a. % c\n", "a. /* c */", "a. /* c */ % d\n  \n",
+        "a.\n\n\n", "a. /* open", "a. /* c */ $", "", "  \n", "% only\n",
+        "/* only */", "/* open",
+    )
+] + [("program", False, text) for text in ("~X.", "a. ~X.", "a. % ~X\n")] + [
+    ("query", True, text) for text in (
+        "a = b = c", "- a", "f (a)", "1 '+' 2", "a(1). b(2).", "a(X), b(Y)",
+        # text after a query
+        "a. b. $", "a. $", "a. b", "a.", "a. ", "a. % c", "a. /* c */",
+        "a. /* c */ b", "a. /* open", "a. ~x", "a .b", "", "  ", "% c\n",
+        "a(", "a. .",
+    )
+]
+
 # Runs in a child process: reads the jobs as JSON from standard input, and
-# writes each query, its answers and the error that ended it, if any.
+# writes each read's outcome, then each query, its answers and the error
+# that ended it, if any.
 WORKER = """
 import json, sys
 from entangle_pl import Engine
+from entangle_pl.kernel import Store
+from entangle_pl.reader import read_program, read_query
 for job in json.load(sys.stdin):
     print("== " + job["name"])
+    for reader, allow_evar, text in job.get("reads", ()):
+        print(f"read {reader} {allow_evar} {text!r}")
+        try:
+            if reader == "program":
+                print(len(read_program(text, Store(), allow_evar)), "clauses")
+            else:
+                read_query(text, Store(), allow_evar)
+                print("a query")
+        except Exception as e:
+            print(f"! {type(e).__name__}: {e}")
+    if "program" not in job:
+        continue
     engine = Engine(**job["options"])
-    engine.consult_text(job["program"])
+    try:
+        engine.consult_text(job["program"])
+    except Exception as e:
+        print(f"! {type(e).__name__}: {e}")
+        continue
     for text in job["queries"]:
         print("?- " + text)
         solutions = engine.query(text)
@@ -60,7 +113,7 @@ for job in json.load(sys.stdin):
 
 
 def jobs() -> list:
-    found = []
+    found = [{"name": "reader", "reads": READS}]
     for program in sorted(corpus_dir().glob("*.pl")):
         found.append({
             "name": f"corpus {program.stem}", "options": {}, "limit": None,
@@ -111,7 +164,9 @@ def main() -> int:
         print(f"DIFF: HEAD wrote {len(before)} lines, the working tree {len(after)}")
         return 1
     queries = sum(line.startswith("?- ") for line in after)
-    print(f"{queries} queries, {len(after)} lines: no difference from HEAD")
+    reads = sum(line.startswith("read ") for line in after)
+    print(f"{reads} reads, {queries} queries, {len(after)} lines: "
+          "no difference from HEAD")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 ``pytest -v`` prints one pass/fail line per criterion.  Derived quantities
 are never taken from the engine on faith: the coloring solution count is
-checked against a brute-force enumerator of all 3^6 color assignments, and
-the spanning-tree cost against a brute-force enumerator of all 4-edge
-subsets of the benchmark graph.  Both enumerators live in this module and
+checked against a brute-force enumerator of all 3^n color assignments, and
+the spanning-tree cost against a brute-force enumerator of all (n-1)-edge
+subsets and against Kruskal's algorithm, on the benchmark graphs and on
+seeded random connected graphs.  The references live in this module and
 share no code with the engine.
 """
 
@@ -56,14 +57,26 @@ COLORING_EDGES = [
 COLORS = ("red", "green", "blue")
 
 
-def brute_force_colorings():
-    """All proper 3-colorings of the 6-vertex benchmark graph."""
+def brute_force_colorings(n, edges):
+    """All proper 3-colorings of the graph on vertices 1..n."""
     valid = []
-    for combo in itertools.product(COLORS, repeat=6):
-        assign = dict(zip(range(1, 7), combo))
-        if all(assign[u] != assign[v] for u, v in COLORING_EDGES):
+    for combo in itertools.product(COLORS, repeat=n):
+        assign = dict(zip(range(1, n + 1), combo))
+        if all(assign[u] != assign[v] for u, v in edges):
             valid.append(combo)
     return valid
+
+
+def random_connected_graph(rng, n, extra):
+    """A connected graph on vertices 1..n: a random spanning tree plus up
+    to ``extra`` more edges, as (u, v) pairs in random order and direction."""
+    pairs = {frozenset((v, rng.randrange(1, v))) for v in range(2, n + 1)}
+    others = [frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)]
+    others = [p for p in others if p not in pairs]
+    pairs.update(rng.sample(others, min(extra, len(others))))
+    edges = [tuple(rng.sample(sorted(p), 2)) for p in sorted(pairs, key=sorted)]
+    rng.shuffle(edges)
+    return edges
 
 
 def test_02_graph_coloring_first_last_and_count():
@@ -77,7 +90,7 @@ def test_02_graph_coloring_first_last_and_count():
         "Vs = [vertex(1,blue),vertex(2,green),vertex(3,red),"
         "vertex(4,blue),vertex(5,red),vertex(6,green)]"
     )
-    oracle = brute_force_colorings()
+    oracle = brute_force_colorings(6, COLORING_EDGES)
     assert len(sols) == len(oracle) == 12
     # same assignments, not merely the same number of them
     engine_assignments = {
@@ -107,30 +120,51 @@ MST_EDGES = [
 ]
 
 
-def brute_force_min_spanning_cost():
-    """Minimum spanning-tree cost over all 4-edge subsets of the graph."""
-    best = None
-    for subset in itertools.combinations(MST_EDGES, 4):
-        parent = {v: v for v in range(1, 6)}
+def _spans(n, edges):
+    """Whether ``edges``, (cost, u, v) triples, hold no cycle and connect
+    vertices 1..n."""
+    parent = {v: v for v in range(1, n + 1)}
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-        acyclic = True
-        for _, u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
+    for _, u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return len({find(v) for v in range(1, n + 1)}) == 1
+
+
+def brute_force_min_spanning_cost(n, edges):
+    """Minimum spanning-tree cost over all (n-1)-edge subsets of the graph."""
+    return min(
+        sum(c for c, _, _ in subset)
+        for subset in itertools.combinations(edges, n - 1)
+        if _spans(n, subset)
+    )
+
+
+def kruskal_cost(n, edges):
+    """Minimum spanning-tree cost by Kruskal: cheapest edges first, each
+    kept unless it closes a cycle."""
+    parent = {v: v for v in range(1, n + 1)}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    cost = 0
+    for c, u, v in sorted(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
             parent[ru] = rv
-        if acyclic and len({find(v) for v in range(1, 6)}) == 1:
-            cost = sum(c for c, _, _ in subset)
-            if best is None or cost < best:
-                best = cost
-    return best
+            cost += c
+    return cost
 
 
 def test_04_minimum_spanning_tree_answer_and_cost():
@@ -138,7 +172,82 @@ def test_04_minimum_spanning_tree_answer_and_cost():
     sols = answers(eng, "test_mst(M).")
     assert sols == ["M = [edge(10,1,2),edge(20,4,5),edge(30,1,4),edge(50,3,5)]"]
     engine_cost = sum(int(c) for c in re.findall(r"edge\((\d+),", sols[0]))
-    assert engine_cost == brute_force_min_spanning_cost() == 110
+    assert engine_cost == brute_force_min_spanning_cost(5, MST_EDGES) == 110
+    assert kruskal_cost(5, MST_EDGES) == 110
+
+
+# --- criteria 2 and 4 on seeded random connected graphs ----------------------
+
+COLORING_RULES = """
+color(red). color(green). color(blue).
+coloring(Vs):-
+  E=edge(_,_),findall(E,E,Es),
+  color_all(Es),
+  V=vertex(_,_),findall(V,V,Vs).
+color_all([]).
+color_all([edge(X,Y)|Es]):-
+   vertex(X,C), color(C),
+   vertex(Y,D), color(D),
+   \\+(C=D),
+   color_all(Es).
+"""
+
+MST_RULES = """
+mst(NbOfVertices,Edges,MinSpanTree):-
+  sort(Edges,SortedEdges),
+  mst0(NbOfVertices,SortedEdges,MinSpanTree).
+mst0(1,_,[]).
+mst0(N,[E|Es],T):- N>1,
+  E=edge(_Cost,V1,V2),
+  vertex(V1,C1),
+  vertex(V2,C2),
+  mst1(C1,C2,E,T,NewT,N,NewN),
+  mst0(NewN,Es,NewT).
+mst1(C1,C2,_,T,T,N,N):-C1==C2.
+mst1(C1,C2,E,T,NewT,N,NewN):-C1\\==C2,C1=C2,
+  T=[E|NewT],
+  NewN is N-1.
+"""
+
+
+def _vertex_facts(n):
+    return "".join(f"vertex({i},~C{i}).\n" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_graph_coloring_against_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(3, 7)
+    edges = random_connected_graph(rng, n, rng.randrange(0, 4))
+    eng = Engine()
+    eng.consult_text(
+        _vertex_facts(n)
+        + "".join(f"edge({u},{v}).\n" for u, v in edges)
+        + COLORING_RULES
+    )
+    sols = list(checked_answers(eng, "coloring(Vs)."))
+    oracle = brute_force_colorings(n, edges)
+    assert len(sols) == len(oracle), (n, edges)
+    assert {tuple(re.findall(r"vertex\(\d,(\w+)\)", s)) for s in sols} == set(oracle)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_spanning_tree_against_kruskal(seed):
+    rng = random.Random(1000 + seed)
+    n = rng.randrange(2, 7)
+    edges = [
+        (rng.randrange(1, 20), u, v)
+        for u, v in random_connected_graph(rng, n, rng.randrange(0, 4))
+    ]
+    eng = Engine()
+    eng.consult_text(_vertex_facts(n) + MST_RULES)
+    listed = ",".join(f"edge({c},{u},{v})" for c, u, v in edges)
+    sols = list(checked_answers(eng, f"mst({n},[{listed}],T)."))
+    assert len(sols) == 1, (n, edges)
+    tree = [tuple(map(int, t)) for t in re.findall(r"edge\((\d+),(\d+),(\d+)\)", sols[0])]
+    assert len(tree) == n - 1 and set(tree) <= set(edges) and _spans(n, tree)
+    cost = sum(c for c, _, _ in tree)
+    assert cost == kruskal_cost(n, edges) == brute_force_min_spanning_cost(n, edges)
 
 
 # --- criterion 5: goal injection through an interclausal gate --------------

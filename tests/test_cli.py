@@ -211,6 +211,25 @@ def test_clause_body_that_is_not_callable_exit_2(tmp_path, mode, capsys):
     assert err == "error: goal is not callable: 1\n"
 
 
+@pytest.mark.parametrize("mode, bad", [
+    (["-q", "p(X).", "{dir}/p.pl"], "p.pl"),
+    (["--transpile", "-", "{dir}/p.pl"], "p.pl"),
+    (["--oracle-check", "{dir}"], "p.pl"),
+    (["--oracle-check", "{dir}"], "p.queries"),
+], ids=["query", "transpile", "oracle-check", "oracle-check-queries"])
+def test_input_that_is_not_utf8_exit_2(tmp_path, mode, bad, capsys):
+    (tmp_path / "p.pl").write_text("p(a).\n")
+    (tmp_path / "p.queries").write_text("p(X).\n")
+    (tmp_path / bad).write_bytes(b"p(\xff).\n")
+    argv = [arg.format(dir=tmp_path) for arg in mode]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {tmp_path / bad}: not UTF-8 text (invalid start byte at byte 2)\n"
+    )
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_main(["/nonexistent/prog.pl", "-q", "a"], capsys)
     assert code == 2

@@ -38,7 +38,7 @@ def test_token_kinds():
     kinds = [kind for kind, _, _, _ in toks]
     assert kinds == [
         "atom", "punct", "var", "punct", "evar", "punct", "int",
-        "punct", "qatom", "punct", "atom", "atom", "end", "eof",
+        "punct", "qatom", "punct", "atom", "atom", "end",
     ]
 
 
@@ -94,17 +94,25 @@ def test_error_coordinates():
 
 
 def test_tokenize_lexes_one_clause():
+    # each list stops at its first end token and never looks past it
     text = "a. b(X).  % the last\n"
     first = tokenize(text)
     assert [kind for kind, _, _, _ in first] == ["atom", "end"]
     rest = tokenize(text, True, first[-1][3])
     assert [kind for kind, _, _, _ in rest] == [
-        "atom", "punct", "var", "punct", "end", "eof",
+        "atom", "punct", "var", "punct", "end",
     ]
-    assert rest[-1][2] == len(text)
-    # layout alone is left after the first end: the list ends in eof
-    assert [kind for kind, _, _, _ in tokenize("a. /* x */ % y\n")] == [
-        "atom", "end", "eof",
+    # layout alone is left after the last end: the next call is [eof]
+    n = len(text)
+    assert tokenize(text, True, rest[-1][3]) == [("eof", "", n, n)]
+    tail = "a. /* x */ % y\n"
+    assert [kind for kind, _, _, _ in tokenize(tail)] == ["atom", "end"]
+    assert tokenize(tail, True, 2) == [("eof", "", len(tail), len(tail))]
+    # no text left at all
+    assert tokenize(text, True, n) == [("eof", "", n, n)]
+    # no end token left: the list ends in one eof
+    assert [kind for kind, _, _, _ in tokenize("p(X)  ")] == [
+        "atom", "punct", "var", "punct", "eof",
     ]
 
 
