@@ -37,12 +37,13 @@ A goal is checked for callability once, where it enters the machine, not
 at each step: ``check_clauses`` checks each clause body at consult (and
 the prelude's), ``solve`` checks its query before the first step, and a
 metacall, call/1, findall/3 and phrase/2,3 check their goal when they
-start (the transpiler, which expands phrase/2,3 in place, wraps an
-expansion that fails the check in call/1, and leaves a grammar it cannot
-expand to phrase).  A ``(C -> T)`` that ``;`` finds through a bound
-variable was bound after any of these checks, so it is checked where it is
-found.  Every goal ``solve`` dispatches is then a variable, which takes the
-checked metacall branch, or a part of a checked control skeleton.
+start.  A phrase/2,3 goal is a call of its grammar's expansion: it shares
+call/1's branch, so a ``!`` in the grammar cuts only the expansion, and
+the transpiler writes it as ``call(Expansion)``.  A ``(C -> T)`` that
+``;`` finds through a bound variable was bound after any of these checks,
+so it is checked where it is found.  Every goal ``solve`` dispatches is
+then a variable, which takes the checked metacall branch, or a part of a
+checked control skeleton.
 
 A cell lives as long as whoever holds it.  The store keeps no list of
 cells; it holds only the ``~Name`` cells it interns.  Clause records hold
@@ -73,26 +74,25 @@ Queries never change the clause database, so each ``(name, arity, pos)``
 table stays valid until the next consult drops them all.
 
 A clause is renamed by a builder made at its first try, not by a generic
-copy.  ``_compile`` writes the clause's ``[head, body]`` as postfix code:
-one slot per ordinary variable, numbered by first occurrence, so fresh
-cells get the serials a copy would give them; subterms without variables
-are shared, not rebuilt; and a ``~Name`` cell is kept as the cell itself,
-read without ``deref``, so a builder made while a query has the cell bound
-still sees that binding and every later one.  Atoms, integers, shared
-subterms and ``~Name`` cells are then lifted out as constants, and the
-rest of the code is the clause's shape.  Each shape has one factory,
-generated as Python source and made once per process, in a bounded cache
-(see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on specializing a
-Prolog written in Python); called with a clause's constants, it returns
-the clause's builder, straight-line code that takes the frame's serials
-from the store and builds one compound per statement.  So 10k facts of
-one form share one factory, and a term of any depth compiles to code of
-no depth.  A clause record is the
-list ``[head, body, builder]``; the builder is stored there at the first
-try and kept across consults.  ``try_clause`` calls the module-level
-``copy_terms`` and then the head ``unify``: that pair is where the
-benchmark's tracer counts clause tries, and ``solve`` calls it from one
-place.
+copy.  ``_compile`` walks the clause's ``[head, body]`` once, in postfix,
+and writes its shape and its constants as it goes: one slot per ordinary
+variable, numbered by first occurrence, so fresh cells get the serials a
+copy would give them; subterms without variables are shared, not rebuilt;
+and a ``~Name`` cell is kept as the cell itself, read without ``deref``,
+so a builder made while a query has the cell bound still sees that binding
+and every later one.  Atoms, integers, shared subterms and ``~Name`` cells
+are the constants, and the rest is the clause's shape.  Each shape has one
+factory, generated as Python source and made once per process, in a
+bounded cache (see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on
+specializing a Prolog written in Python); called with a clause's
+constants, it returns the clause's builder, straight-line code that takes
+the frame's serials from the store and builds one compound per statement.
+So 10k facts of one form share one factory, and a term of any depth
+compiles to code of no depth.  A clause record is the list ``[head, body,
+builder]``; the builder is stored there at the first try and kept across
+consults.  ``try_clause`` calls the module-level ``copy_terms`` and then
+the head ``unify``: that pair is where the benchmark's tracer counts
+clause tries, and ``solve`` calls it from one place.
 
 The prelude is read once per process, into a store of its own, and every
 engine appends the same clause records, builders included, to its own
@@ -120,7 +120,6 @@ from .kernel import (
     OUTSIDE,
     TRUE,
     Atom,
-    EVar,
     Int,
     Store,
     Struct,
@@ -188,40 +187,37 @@ def _arg_table(clauses, pos):
 
 
 def _compile(clause):
-    """The builder of a stored ``[head, body, _]`` clause.  The front end
-    writes its terms in postfix, where an int is a slot (one per ordinary
-    variable, numbered by first occurrence), ``(name, n)`` builds a Struct
-    from the last ``n`` values, and anything else is a constant: an atom,
-    an integer, a ``~Name`` cell or a subterm with no slot below it, which
-    is shared, not rebuilt.  The stored terms are read without ``deref``,
-    so a ``~Name`` cell stays a cell even while a query has it bound.  The
-    constants are then lifted out of the code, and what is left is the
-    clause's shape: the builder comes from the shape's factory, called
-    with the constants."""
+    """The builder of a stored ``[head, body, _]`` clause.  One postfix walk
+    writes the clause's shape and its constants side by side: in the shape
+    an int is a slot (one per ordinary variable, numbered by first
+    occurrence), ``(name, n)`` builds a Struct from the last ``n`` values,
+    and None takes the next constant, which is an atom, an integer, a
+    ``~Name`` cell or a subterm with no slot below it, shared, not rebuilt.
+    The stored terms are read without ``deref``, so a ``~Name`` cell stays
+    a cell even while a query has it bound.  The builder comes from the
+    shape's factory, called with the constants."""
     slots = {}
-    code = []
+    shape = []
+    consts = []
     todo = [clause[1], clause[0]]
     while todo:
         t = todo.pop()
-        if type(t) is tuple:  # (compound, start): its arguments' code ends here
-            t, start = t
-            n = len(t.args)
-            if len(code) - start == n and not any(type(c) is int for c in code[start:]):
-                code[start:] = (t,)  # no slot below: share the stored subterm
+        if type(t) is tuple:  # (compound, start, cstart): its arguments end here
+            t, start, cstart = t
+            if len(consts) - cstart == len(shape) - start:  # no slot below: share it
+                shape[start:] = (None,)
+                consts[cstart:] = (t,)
             else:
-                code.append((t.name, n))
-        elif isinstance(t, EVar):
-            code.append(t)
-        elif isinstance(t, Var):
-            code.append(slots.setdefault(t, len(slots)))
+                shape.append((t.name, len(t.args)))
+        elif type(t) is Var:  # an ordinary variable; a ~Name cell is a constant
+            shape.append(slots.setdefault(t, len(slots)))
         elif isinstance(t, Struct):
-            todo.append((t, len(code)))
+            todo.append((t, len(shape), len(consts)))
             todo.extend(reversed(t.args))
         else:
-            code.append(t)
-    shape = tuple(op if type(op) is int or type(op) is tuple else None for op in code)
-    consts = [op for op in code if type(op) is not int and type(op) is not tuple]
-    return _factory(shape, len(slots))(*consts)
+            shape.append(None)
+            consts.append(t)
+    return _factory(tuple(shape), len(slots))(*consts)
 
 
 def _source(shape, nslots):
@@ -469,9 +465,10 @@ class Engine:
                         store.young = store.allocated
                         goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
                         continue
-                    if name == "call" and arity == 1:
-                        check_goal(args[0])
-                        goals = (deref(args[0]), len(cps), goals)
+                    if name == "call" and arity == 1 or name == "phrase" and arity in (2, 3):
+                        g = args[0] if arity == 1 else translate_goal(args, store)
+                        check_goal(g)
+                        goals = (deref(g), len(cps), goals)
                         continue
                     if name == "findall" and arity == 3:
                         template, subgoal, result = args
@@ -482,11 +479,6 @@ class Engine:
                         store.young = store.allocated
                         collect = partial(_collect, template, acc)
                         goals = (deref(subgoal), len(cps), (collect, 0, None))
-                        continue
-                    if name == "phrase" and arity in (2, 3):
-                        g = translate_goal(args, store)
-                        check_goal(g)
-                        goals = (g, len(cps), goals)
                         continue
                     builtin = _BUILTINS.get((name, arity))
                     if builtin is not None:

@@ -112,6 +112,11 @@ def _error(msg: str, text: str, offset: int) -> PrologSyntaxError:
     return PrologSyntaxError(msg, line, offset - text.rfind("\n", 0, offset))
 
 
+def _found(kind: str, tok: str) -> str:
+    """A token as a syntax error names it; a quoted ``''`` is a real token."""
+    return "end of text" if kind == "eof" else repr(tok)
+
+
 def _syntax_error(text: str, i: int, allow_evar: bool):
     """Raise the lexical error at ``text[i]``, where no token kind matched."""
     c = text[i]
@@ -235,6 +240,8 @@ def _parse(text, tokens, store, varmap):
                 frames.append((tok, maxp, []))
                 maxp = 999 if tok == "[" else 1200
                 continue
+        elif kind == "eof":
+            raise _error("unexpected end of text", text, start)
         else:
             raise _error(f"unexpected token {tok!r}", text, start)
         # infix operators after the term, and the frames it completes
@@ -270,7 +277,8 @@ def _parse(text, tokens, store, varmap):
                     break
             close = _CLOSERS[tag]
             if kind != "punct" or tok != close:
-                raise _error(f"expected {close!r} but found {tok!r}", text, start)
+                msg = f"expected {close!r} but found {_found(kind, tok)}"
+                raise _error(msg, text, start)
             pos += 1
             if tag == "args":
                 args = frame[2]
@@ -321,7 +329,8 @@ def read_program(text: str, store, allow_evar: bool = True):
         term, pos, braces = _parse(text, tokens, store, {})
         kind, tok, at, end = tokens[pos]
         if kind != "end":
-            raise _error(f"expected '.' to end the clause but found {tok!r}", text, at)
+            msg = f"expected '.' to end the clause but found {_found(kind, tok)}"
+            raise _error(msg, text, at)
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
             head, body = term.args
         elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:

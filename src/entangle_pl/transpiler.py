@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import CONTROL, check_clauses, check_goal
+from .engine import CONTROL, check_clauses
 from .errors import TranspileError, TypeMismatchError
 from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
@@ -87,7 +87,10 @@ def _substitute(store: Store, slots: dict, terms):
 def rewrite_goal(g, env, predset, store):
     """Thread ``env`` into every user-predicate call of a goal, on one
     stack of goals and ``(term, positions)`` markers that rebuild a
-    control construct from its rewritten goal arguments.  Returns the
+    control construct from its rewritten goal arguments.  A phrase/2,3
+    goal is expanded and called, ``call(Expansion)``, as ``solve`` runs
+    it, so a ``!`` in the grammar cuts only the expansion; a variable
+    grammar, or one the expansion refuses, is left to phrase.  Returns the
     goal and whether it dispatches through the runtime helper."""
     uses_helper = False
     todo = [g]
@@ -118,18 +121,10 @@ def rewrite_goal(g, env, predset, store):
                 # must be library-only
                 if not isinstance(deref(args[0]), Var):
                     try:
-                        g = translate_goal(args, store)
+                        todo.append(Struct("call", (translate_goal(args, store),)))
+                        continue
                     except TypeMismatchError:
                         pass  # left to phrase, which raises it when it starts
-                    else:
-                        try:
-                            check_goal(g)
-                        except TypeMismatchError:
-                            # phrase checks its goal when it starts; so
-                            # does call/1, before any part of it runs
-                            g = Struct("call", (g,))
-                        todo.append(g)
-                        continue
             elif key in predset:
                 t = Struct(name, args + (env,))
         if isinstance(t, Var):

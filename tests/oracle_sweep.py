@@ -1,0 +1,200 @@
+"""A seeded sweep of small ``~Name`` programs through the oracle.
+
+Each seed writes one program and a few queries, and ``oracle.check_program``
+runs each query natively and on the transpiled program and compares the
+answers (McKeeman's differential testing).  A program holds the facts
+``m(1). m(2). e(~A, ~B).`` and a chain of predicates ``p<i>/1`` and grammar
+nonterminals ``g<i>//1``; a body nests ``,``, ``;``, ``->``, ``\\+``,
+``!``, call/1 and findall/3 around calls, unifications and type tests over
+two ``~Name`` cells, and a clause body calls phrase/2,3, some of them with
+a ``!`` in the grammar.  Recursion is well-founded: a predicate or
+nonterminal calls only lower-numbered ones, so every query ends.  Three
+classes the two implementations are known to answer differently are left
+out by construction: no ``~Name`` reaches a findall/3 template (each
+template is a fresh variable that only ``m/1`` binds) and copy_term/2 is
+not used; no goal is a variable, so no control construct is called
+through a ``~Name`` cell and no ``;`` has a variable left operand.  Both
+engines run with the occurs check, so no query builds a cyclic term, and
+with a frame budget.
+
+    PYTHONPATH=src python tests/oracle_sweep.py
+
+runs seeds 0 to 4,999, prints a tally and exits 1 on any ``MISMATCH``, or
+when the tally or the number of native answers differs from the pinned
+``EXPECTED``, so a change to either side that changes any outcome fails
+it too; ``tests/test_oracle_sweep.py`` runs the first ``BLOCK`` seeds
+against pinned figures of its own.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from collections import Counter
+
+from entangle_pl.oracle import check_program
+
+SEEDS = range(5_000)
+BLOCK = 1_000  # the seeds the tier-1 test runs
+OPTIONS = {"occurs_check": True, "max_frames": 20_000}
+LIMIT = 20  # answers compared per query
+# The outcomes of all of SEEDS' queries, and the native answers they gave.
+EXPECTED = ({"answered": 3939, "failed": 6078}, 6692)
+
+_VARS = ("X", "Y", "Z")
+_TERMS = _VARS + ("~A", "~B", "1", "2", "a", "f(X)", "f(Y)")
+_LISTS = ("[]", "[a]", "[b]", "[a,b]", "[a,a]") + _VARS
+
+
+class _Writer:
+    """The text of one seed's program: each predicate and nonterminal is
+    numbered, and a body calls only lower numbers."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.fresh = 0
+
+    def term(self):
+        return self.rng.choice(_TERMS)
+
+    def call(self, below):
+        """A call of a predicate or of a nonterminal through phrase, below
+        number ``below``, or of m/1."""
+        rng = self.rng
+        k = rng.randrange(below) if below else None
+        if k is None or rng.random() < 0.25:
+            return f"m({rng.choice(_VARS)})"
+        if self.kinds[k] == "p":
+            return f"p{k}({self.term()})"
+        grammar = f"g{k}({self.term()})"
+        if rng.random() < 0.6:  # a ! in the grammar, cutting only the grammar
+            grammar = rng.choice(("({0}, !)", "(!, {0})", "({0}, ! ; [b])"))
+            grammar = grammar.format(f"g{k}({self.term()})")
+        if rng.random() < 0.5:
+            return f"phrase({grammar}, {rng.choice(_LISTS)})"
+        return f"phrase({grammar}, {rng.choice(_LISTS)}, {rng.choice(_LISTS)})"
+
+    def leaf(self, below):
+        rng = self.rng
+        r = rng.random()
+        if r < 0.15:
+            return rng.choice(("true", "fail", "!"))
+        if r < 0.35:
+            return f"{self.term()} = {self.term()}"
+        if r < 0.45:
+            return f"{rng.choice(('var', 'nonvar'))}({self.term()})"
+        if r < 0.5:
+            return f"{self.term()} == {self.term()}"
+        if r < 0.55:
+            return f"e({self.term()}, {self.term()})"
+        return self.call(below)
+
+    def goal(self, below, depth):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.4:
+            return self.leaf(below)
+        form = rng.randrange(8)
+        g = [self.goal(below, depth - 1) for _ in range(3)]
+        if form < 2:
+            return f"({g[0]}, {g[1]})"
+        if form == 2:
+            return f"({g[0]} ; {g[1]})"
+        if form == 3:
+            return f"({g[0]} -> {g[1]})"
+        if form == 4:
+            return f"({g[0]} -> {g[1]} ; {g[2]})"
+        if form == 5:
+            return f"\\+ {g[0]}"
+        if form == 6:
+            return f"call(({g[0]}))"
+        self.fresh += 1
+        template = f"F{self.fresh}"
+        return f"findall({template}, (m({template}), {g[0]}), {rng.choice(_VARS)})"
+
+    def body(self, k, depth):
+        """A clause body of number ``k``: at most three goals."""
+        goals = [self.goal(k, depth) for _ in range(self.rng.randint(1, 3))]
+        return ", ".join(goals)
+
+    def grammar_body(self, k):
+        """A grammar rule body of nonterminal ``k``."""
+        rng = self.rng
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.3:
+                items.append(rng.choice(("[a]", "[b]", "[]", "!")))
+            elif r < 0.5 and k:
+                j = rng.randrange(k)
+                if self.kinds[j] == "g":
+                    items.append(f"g{j}({self.term()})")
+                else:
+                    items.append(f"{{{self.call(k)}}}")
+            elif r < 0.7:
+                items.append(f"{{{self.goal(k, 1)}}}")
+            elif r < 0.8:
+                items.append(f"([a] ; [b], {{{self.leaf(k)}}})")
+            elif r < 0.9:
+                items.append(f"({{{self.leaf(k)}}} -> [a] ; [b])")
+            else:
+                items.append(f"\\+ [{rng.choice(('a', 'b'))}]")
+        return ", ".join(items)
+
+    def program(self):
+        rng = self.rng
+        n = rng.randint(2, 5)
+        self.kinds = ["p"] + [rng.choice("pg") for _ in range(n - 1)]
+        lines = ["m(1).", "m(2).", "e(~A, ~B)."]
+        for k, kind in enumerate(self.kinds):
+            for _ in range(rng.randint(1, 2)):
+                if kind == "g":
+                    lines.append(f"g{k}({self.term()}) --> {self.grammar_body(k)}.")
+                elif rng.random() < 0.3:
+                    lines.append(f"p{k}({self.term()}).")
+                else:
+                    lines.append(f"p{k}({self.term()}) :- {self.body(k, 2)}.")
+        queries = [f"{self.body(n, 1)}." for _ in range(rng.randint(1, 3))]
+        return "\n".join(lines) + "\n", queries
+
+
+def program(seed: int):
+    """The program text and the queries of one seed."""
+    return _Writer(random.Random(seed)).program()
+
+
+def sweep(seeds):
+    """Check the program of each seed.  Returns a tally of the native
+    outcomes (``answered`` or ``failed``), the number of native answers and
+    the mismatches, as ``(seed, report line)`` pairs."""
+    tally = Counter()
+    total = 0
+    mismatches = []
+    for seed in seeds:
+        text, queries = program(seed)
+        for result in check_program(text, queries, f"seed {seed}", LIMIT, OPTIONS):
+            tally["answered" if result.native else "failed"] += 1
+            total += result.native
+            if not result.ok:
+                mismatches.append((seed, str(result)))
+    return tally, total, mismatches
+
+
+def main() -> int:
+    started = time.perf_counter()
+    tally, total, mismatches = sweep(SEEDS)
+    seconds = time.perf_counter() - started
+    print(f"{len(SEEDS)} programs in {seconds:.1f} s: " + ", ".join(
+        f"{kind} {n}" for kind, n in tally.most_common()) + f"; {total} answers")
+    for seed, line in mismatches[:20]:
+        print(line)
+        print("  " + program(seed)[0].replace("\n", "\n  ").rstrip())
+    print(f"{len(mismatches)} mismatch(es)")
+    drift = (dict(tally), total) != EXPECTED
+    if drift:
+        print(f"DRIFT: expected {EXPECTED[0]}; {EXPECTED[1]} answers")
+    return 1 if mismatches or drift else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

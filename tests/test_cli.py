@@ -446,6 +446,19 @@ def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
     ]
 
 
+def test_transpile_calls_a_phrase_expansion(tmp_path, capsys):
+    # the expansion is wrapped in call/1, so the grammar's ! is local to it
+    (tmp_path / "cut.pl").write_text(
+        "m(1). m(2).\nc(X) --> {m(X)}.\np(X, Y) :- m(Y), phrase((c(X), !), _, _).\n")
+    (tmp_path / "cut.queries").write_text("p(X, Y).\n")
+    code, out, err = run_main([str(tmp_path / "cut.pl"), "--transpile", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "p(X,Y,_Env) :- m(Y,_Env),call(((c(X,_,_G10,_Env),!),_G10=_)).")
+    code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert (code, out) == (0, "OK        cut.pl :: p(X, Y).\n")
+
+
 def test_phrase_the_transpiler_cannot_expand_is_left_for_run_time(tmp_path, capsys):
     # natively the grammar is refused only when g runs; so it is transpiled
     (tmp_path / "g.pl").write_text("g --> {phrase(1, L)}.\n")

@@ -2,7 +2,13 @@
 
 import pytest
 
-from entangle_pl import Engine, InstantiationError, PrologSyntaxError, TypeMismatchError
+from entangle_pl import (
+    Engine,
+    InstantiationError,
+    PrologSyntaxError,
+    ResourceLimitError,
+    TypeMismatchError,
+)
 from entangle_pl.kernel import Store
 from entangle_pl.reader import read_program, write_clause
 from conftest import answers
@@ -153,6 +159,22 @@ def test_phrase_errors(gram):
         list(gram.query("phrase(X, [a])."))
     with pytest.raises(TypeMismatchError):
         list(gram.query("phrase(7, [a])."))
+
+
+def test_phrase_cut_is_local_to_the_grammar():
+    # phrase/2,3 calls its expansion as call/1 does, behind a cut barrier of
+    # its own: the grammar's ! keeps m(Y)'s alternatives
+    e = Engine()
+    e.consult_text("m(1). m(2). c(X) --> {m(X)}. p(X, Y) :- m(Y), phrase((c(X), !), _, _).")
+    assert answers(e, "p(X, Y).") == ["X = 1, Y = 1", "X = 1, Y = 2"]
+
+
+def test_phrase_costs_one_frame():
+    # phrase([a], [a]) is four frames: phrase itself, then the expansion
+    # ([a] = [a|S], S = []), a conjunction of two unifications
+    assert answers(Engine(max_frames=4), "phrase([a], [a]).") == ["true"]
+    with pytest.raises(ResourceLimitError):
+        list(Engine(max_frames=3).query("phrase([a], [a])."))
 
 
 def test_phrase_shared_body_is_no_cycle(gram):

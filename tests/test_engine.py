@@ -20,6 +20,7 @@ from entangle_pl import (
     PrologSyntaxError,
     ResourceLimitError,
     TypeMismatchError,
+    corpus_dir,
     transpile,
 )
 import entangle_pl.engine as engine_module
@@ -579,6 +580,20 @@ def test_clauses_of_one_shape_share_one_factory(eng):
     codes = [record[2].__code__ for record in eng.db[("sh", 6)]]
     assert codes[0] is codes[1] is codes[2]
     assert codes[3] is not codes[0]
+
+
+def test_corpus_and_prelude_compile_to_pinned_shapes():
+    # pinned, so a change to the clause compiler that splits one shape into
+    # two, or merges two, fails here
+    factory = engine_module._factory
+    factory.cache_clear()
+    for path in sorted(corpus_dir().glob("*.pl")):
+        e = Engine()
+        e.consult_text(path.read_text(encoding="utf-8"))
+        for clauses in e.db.values():
+            for clause in clauses:
+                engine_module._compile(clause)
+    assert factory.cache_info().currsize == 40
 
 
 def test_generated_source_holds_no_constant_text(eng, monkeypatch):

@@ -284,3 +284,12 @@ def test_query_variables_stay_in_their_own_store():
     queries = ["Y = Y, p0(X), X \\== Y.", "Y = Y, p0(X), sort([X,Y], L)."]
     results = check_program("p0(_).", queries)
     assert [r.ok for r in results] == [True, True], [str(r) for r in results]
+
+
+def test_a_cut_in_a_phrase_grammar_is_local_on_both_sides():
+    # the transpiled program calls the expansion, so its ! cuts only the
+    # grammar there too, not the clause around the phrase goal
+    program = "m(1). m(2). c(X) --> {m(X)}. p(X, Y) :- m(Y), phrase((c(X), !), _, _)."
+    (result,) = check_program(program, ["p(X, Y)."], "cut.pl")
+    assert str(result) == "OK        cut.pl :: p(X, Y)."
+    assert (result.native, result.transpiled) == (2, 2)

@@ -137,6 +137,22 @@ def test_errors_are_reported_in_text_order():
         read_query("a. $", Store())
 
 
+@pytest.mark.parametrize("read, text, message", [
+    # the three places the parser meets eof: an operand, a closing bracket
+    # and a clause's end
+    (read_program, "a. b(\n", "unexpected end of text (line 2, column 1)"),
+    (read_query, "f(a", "expected ')' but found end of text (line 1, column 4)"),
+    (read_program, "a. b",
+     "expected '.' to end the clause but found end of text (line 1, column 5)"),
+    # a quoted '' is a real token, named by its text
+    (read_program, "f(a '')", "expected ')' but found '' (line 1, column 5)"),
+], ids=["operand", "closer", "clause-end", "quoted-empty"])
+def test_syntax_errors_name_eof_as_end_of_text(read, text, message):
+    with pytest.raises(PrologSyntaxError) as err:
+        read(text, Store())
+    assert str(err.value) == message
+
+
 def test_consult_holds_one_clauses_tokens_at_a_time():
     # reading the whole text's tokens first peaked at about 3.5 times
     # what the engine keeps; one clause's tokens at a time add little
