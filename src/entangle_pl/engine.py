@@ -88,10 +88,19 @@ specializing a Prolog written in Python); called with a clause's
 constants, it returns the clause's builder, straight-line code that takes
 the frame's serials from the store and builds one compound per statement.
 So 10k facts of one form share one factory, and a term of any depth
-compiles to code of no depth.  A clause record is the list ``[head, body,
-builder]``; the builder is stored there at the first try and kept across
-consults.  ``try_clause`` calls the module-level ``copy_terms`` and then
-the head ``unify``: that pair is where the benchmark's tracer counts
+compiles to code of no depth.  The builder reads the goal, as a WAM head
+reads its argument registers (Aït-Kaci, *Warren's Abstract Machine: A
+Tutorial Reconstruction*, 1991): a head variable is the goal's own
+argument, or its own subterm where the goal holds the head's functor
+(read mode), and otherwise a fresh cell with the serial a copy would give
+it.  A variable the body calls as a goal is always a fresh cell, and one
+that a built compound also holds takes the goal's term only when that
+term runs as a goal the way a cell bound to it would.  ``_source`` gives
+the rules.  A clause
+record is the list ``[head, body, builder]``; the builder is stored there
+at the first try and kept across consults.  ``try_clause`` calls the
+module-level ``copy_terms`` and then the head ``unify``, which decides
+every match and binding: that pair is where the benchmark's tracer counts
 clause tries, and ``solve`` calls it from one place.
 
 The prelude is read once per process, into a store of its own, and every
@@ -220,17 +229,47 @@ def _compile(clause):
     return _factory(tuple(shape), len(slots))(*consts)
 
 
+def _expr(node):
+    """The expression ``_source`` names a node of a clause's tree by: a
+    slot's ``vk``, a constant's ``cj`` or a compound's ``ti``."""
+    if type(node) is int:
+        return f"v{node}"
+    if type(node) is str:
+        return node
+    return f"t{node[2]}"
+
+
 def _source(shape, nslots):
     """Python source of a shape's factory, ``make(c0, c1, ...)``, which
-    returns ``build(store)``: straight-line code that takes ``nslots``
-    serials from the store, makes slot ``k``'s cell ``vk`` with the
-    ``k``-th of them, and builds one Struct per statement, so no term depth
-    nests in the source.  Only integers and the ``repr`` of functor names
-    enter it; the constants are the factory's arguments."""
-    lines = []
-    if nslots:
-        lines += ["a = store.allocated", f"store.allocated = a + {nslots}", "v0 = Var(a)"]
-        lines += [f"v{k} = Var(a + {k})" for k in range(1, nslots)]
+    returns ``build(goal, store)``: straight-line code that reserves
+    ``nslots`` serials, gives each slot ``k`` its term ``vk``, and builds
+    one Struct per statement, so no term depth nests in the source.
+
+    The head reads the goal.  Walking the head's arguments left to right,
+    the first place where a slot stands as head argument ``i`` or as an
+    argument of it gives the slot its term.  As head argument ``i`` it is
+    the goal's argument ``i`` itself.  As an argument of a compound head
+    argument ``i`` it depends on the mode local ``ri``, which is true when
+    the goal's argument, dereferenced to ``di``, has the compound's functor
+    (read mode): the slot is then ``di``'s argument, and the compound is
+    ``di`` itself when such slots are all of its arguments; otherwise
+    (write mode) the slot is a fresh cell and the compound is built.  Every
+    other slot is a fresh cell with serial ``allocated + k``, so a slot
+    reserves its serial whether or not it takes a cell, and ``unify``
+    still decides every match.
+
+    The goal's own term must run as the fresh cell bound to it would, and
+    a cell run as a goal is a metacall: checked, and opaque to cut.  So a
+    slot at a goal position of the body (see ``CONTROL``) is always a
+    fresh cell.  A slot that also stands inside a compound the builder
+    makes can reach a goal position as data, through call/1, so it takes
+    the goal's term only when that term is not one of ``_CUTS``; otherwise
+    it is a fresh cell, and its compound head argument is read in write
+    mode.  Only integers and the ``repr`` of functor names enter the
+    source; the constants are the factory's arguments."""
+    # the clause's tree, rebuilt from the postfix shape: slot k is k,
+    # constant j is "cj", and a compound is (name, args, its index in builds)
+    builds = []
     stack = []
     nconsts = 0
     for op in shape:
@@ -238,18 +277,65 @@ def _source(shape, nslots):
             stack.append(f"c{nconsts}")
             nconsts += 1
         elif type(op) is int:
-            stack.append(f"v{op}")
+            stack.append(op)
         else:
             name, n = op
-            args = "".join(a + ", " for a in stack[len(stack) - n :])
+            node = (name, stack[len(stack) - n :], len(builds))
             del stack[len(stack) - n :]
-            stack.append(f"t{len(lines)}")
-            lines.append(f"{stack[-1]} = Struct({name!r}, ({args}))")
+            stack.append(node)
+            args = "".join(_expr(a) + ", " for a in node[1])
+            builds.append(f"Struct({name!r}, ({args}))")
+    head, body = stack
+    head_args = head[1] if type(head) is tuple else ()
+    # where the slots stand: level 0 is a goal position of the body, 1 a
+    # head argument or an argument of a body goal, 2 inside a compound
+    at_goal = set()
+    inside = [0] * nslots
+    todo = [(body, 0)] + [(t, 1) for t in head_args]
+    while todo:
+        t, level = todo.pop()
+        if type(t) is int:
+            if level == 0:
+                at_goal.add(t)
+            elif level == 2:
+                inside[t] += 1
+        elif type(t) is tuple:
+            goals = () if level else CONTROL.get((t[0], len(t[1])), ())
+            todo += [(x, 2 if level else 0 if p in goals else 1) for p, x in enumerate(t[1])]
+    ok = "(type({0}) not in NAMED or {0}.name not in CUTS)"
+    reads = []
+    terms = {}  # slot -> its term when it is the goal's, or may be
+    for i, arg in enumerate(head_args):
+        if type(arg) is int:
+            if arg not in at_goal and arg not in terms:
+                g = f"g[{i}]"
+                terms[arg] = f"{g} if {ok.format(g)} else Var(a + {arg})" if inside[arg] else g
+        elif type(arg) is tuple:
+            name, args, b = arg
+            mode = [f"type(d{i}) is Struct", f"d{i}.name == {name!r}",
+                    f"len(d{i}.args) == {len(args)}"]
+            own = 0
+            for j, k in enumerate(args):
+                if type(k) is int and k not in at_goal and k not in terms:
+                    terms[k] = f"d{i}.args[{j}] if r{i} else Var(a + {k})"
+                    own += 1
+                    if inside[k] > 1:  # it stands inside a compound elsewhere too
+                        mode.append(ok.format(f"d{i}.args[{j}]"))
+            if own:
+                reads += [f"d{i} = deref(g[{i}])", f"r{i} = " + " and ".join(mode)]
+            if own == len(args):
+                builds[b] = f"d{i} if r{i} else {builds[b]}"
+    lines = ["a = store.allocated", f"store.allocated = a + {nslots}"] if nslots else []
+    if terms:
+        lines.append("g = goal.args")
+    lines += reads
+    lines += [f"v{k} = {terms.get(k, f'Var(a + {k})')}" for k in range(nslots)]
+    lines += [f"t{b} = {build}" for b, build in enumerate(builds)]
     params = ", ".join(f"c{j}" for j in range(nconsts))
     return "".join(
-        [f"def make({params}):\n    def build(store):\n"]
+        [f"def make({params}):\n    def build(goal, store):\n"]
         + [f"        {line}\n" for line in lines]
-        + [f"        return [{stack[0]}, {stack[1]}]\n    return build\n"]
+        + [f"        return [{_expr(head)}, {_expr(body)}]\n    return build\n"]
     )
 
 
@@ -257,25 +343,28 @@ def _source(shape, nslots):
 def _factory(shape, nslots):
     """The factory of a clause shape, made once per process; the cache is
     bounded, and a clause keeps the builder it was given."""
-    scope = {"Var": Var, "Struct": Struct}
+    scope = {"Var": Var, "Struct": Struct, "deref": deref, "NAMED": _NAMED, "CUTS": _CUTS}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
 
 
-def copy_terms(build, store):
-    """A fresh ``[head, body]`` of a clause, from its builder: the slot
-    cells get serials ``allocated`` onward in slot order, the ones a
-    generic copy would give them."""
-    return build(store)
+def copy_terms(build, goal, store):
+    """A renamed ``[head, body]`` of a clause, from its builder, for a try
+    on ``goal``: the head variables the builder reads from the goal are the
+    goal's own terms, and every other slot is a fresh cell with serial
+    ``allocated + k``, the one a generic copy would give it."""
+    return build(goal, store)
 
 
 def try_clause(clause, goal, store):
-    """Rename a clause, making its builder at the first try, and unify its
-    head with ``goal``: the renamed body, or None on a mismatch."""
+    """Rename a clause for ``goal``, making its builder at the first try,
+    and unify its head with ``goal``: the renamed body, or None on a
+    mismatch.  ``unify`` decides every match and binding; where the head
+    holds the goal's own term, it meets the same term on both sides."""
     build = clause[2]
     if build is None:
         build = clause[2] = _compile(clause)
-    head, body = copy_terms(build, store)
+    head, body = copy_terms(build, goal, store)
     return body if unify(head, goal, store) else None
 
 
@@ -749,6 +838,13 @@ CONTROL = {
 # reach into call/1 and findall/3, but their goals are checked when they
 # start, so ``call((fail, call(1)))`` fails, as in ISO.
 _SKELETON = frozenset({(",", 2), (";", 2), ("->", 2), ("\\+", 1)})
+
+# The cut and the constructs that run a goal argument under their caller's
+# cut barrier: the terms that run otherwise as a metacall, whose barrier is
+# its own.  A clause builder gives a slot such a term of the goal only where
+# no compound it makes holds the slot (see ``_source``).
+_CUTS = frozenset({"!", ",", ";", "->"})
+_NAMED = frozenset({Atom, Struct})
 
 
 def check_goal(goal):

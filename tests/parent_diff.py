@@ -8,23 +8,29 @@ process that has only that tree's ``src`` on its path.  The queries are
 every corpus ``.queries`` file against its program, the ``det`` benchmark
 program's ``nrev`` of lengths 0 to 60 and ``count(0,N)`` queries, and the
 goal sweep's first 5,000 seeded goals, run one engine per sweep block as
-the sweep runs them.  A block of reader inputs, most of them malformed
+the sweep runs them, and clause variables whose goal terms are run as
+goals, some of them passed to call/1 as data.  A block of reader inputs, most of them malformed
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
 ``read_program`` or ``read_query`` on both trees, and each prints its
 clause count or its error's class and message, line and column included.
 The rendered answers are compared with their ``_G``
 serials, so a change that renames a clause's cells in another order shows
-here even where the oracle, whose two sides share the engine, agrees.  It
-prints ``DIFF:`` and the first differing line, and exits 1, on any
-difference.  Run it before committing a change to the engine; it is not
-part of the tier-1 suite.
+here even where the oracle, whose two sides share the engine, agrees.  On
+any difference it prints, for each job that differs, ``DIFF:``, how many
+of its lines differ and the first 5 of them, then the total and how many
+lines still differ once each line's ``_G`` serials are renumbered by first
+appearance (as the oracle's ``normalize_solution`` does), and exits 1.
+Run it before committing a change to the engine; it is not part of the
+tier-1 suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,6 +74,20 @@ READS = [
         "a(", "a. .",
     )
 ]
+
+# Clause variables whose goal terms are run: at a goal position of the
+# clause, or as data through call/1, passed literally or through a variable.
+GOALS_AS_DATA = """
+m(1). m(2).
+mk(X, (m(_), X)). mk2(f(X), (m(_), X)). mkc(X, (X ; true)).
+w(X, G) :- G = (m(_), X).
+p(X) :- X. p(_). r(X) :- (X ; true). s(f(X)) :- X. s(_).
+"""
+DATA_GOALS = ["!", "(m(Y), !)", "2", "true", "fail", "(true -> fail)",
+              "(m(Y) -> !)", "(! ; true)", "V", "call(!)"]
+DATA_QUERIES = ["mk(A, G), call(G).", "X = A, mk(X, G), call(G).",
+                "mk2(f(A), G), call(G).", "w(A, G), call(G).", "mkc(A, G), call(G).",
+                "p(A).", "r(A).", "s(f(A)).", "findall(Y-G, (mk(A, G), call(G), m(Y)), L)."]
 
 # Runs in a child process: reads the jobs as JSON from standard input, and
 # writes each read's outcome, then each query, its answers and the error
@@ -125,6 +145,10 @@ def jobs() -> list:
     det += ["app(X,Y,[1,2,3]).", "app(X,[a],Z)."]
     found.append({"name": "det", "options": {}, "limit": 20,
                   "program": gen.DET_PROGRAM, "queries": det})
+    found.append({"name": "goals as data", "options": {}, "limit": 20,
+                  "program": GOALS_AS_DATA, "queries": [
+                      template.replace("A", arg)
+                      for template in DATA_QUERIES for arg in DATA_GOALS]})
     for first in range(SWEEP_SEEDS.start, SWEEP_SEEDS.stop, goal_sweep.BLOCK):
         seeds = range(first, min(first + goal_sweep.BLOCK, SWEEP_SEEDS.stop))
         found.append({
@@ -147,6 +171,27 @@ def answers(tree: Path, work: str) -> list:
     return proc.stdout.splitlines()
 
 
+def by_job(lines: list) -> dict:
+    """The worker's output lines under each ``== name`` line, by name."""
+    jobs = {}
+    for line in lines:
+        if line.startswith("== "):
+            job = jobs[line[3:]] = []
+        else:
+            job.append(line)
+    return jobs
+
+
+def renumbered(line: str) -> str:
+    """``line`` with its ``_G`` serials numbered by first appearance."""
+    mapping = {}
+    return re.sub(r"_G\d+", lambda m: mapping.setdefault(m.group(0), f"_G{len(mapping)}"),
+                  line)
+
+
+SHOWN = 5  # differing lines printed per job
+
+
 def main() -> int:
     work = json.dumps(jobs())
     with tempfile.TemporaryDirectory() as parent:
@@ -155,13 +200,25 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
         before = answers(Path(parent), work)
     after = answers(ROOT, work)
-    for i, (old, new) in enumerate(zip(before, after)):
-        if old != new:
-            print(f"DIFF: line {i + 1}\n  HEAD:         {old[:200]}\n"
-                  f"  working tree: {new[:200]}")
-            return 1
-    if len(before) != len(after):
-        print(f"DIFF: HEAD wrote {len(before)} lines, the working tree {len(after)}")
+    old_jobs = by_job(before)
+    differing = still = 0
+    for name, lines in by_job(after).items():
+        pairs = itertools.zip_longest(old_jobs[name], lines, fillvalue="")
+        rows = [(i, old, new) for i, (old, new) in enumerate(pairs, 1) if old != new]
+        if not rows:
+            continue
+        renamed = sum(renumbered(old) != renumbered(new) for _, old, new in rows)
+        print(f"DIFF: {name}: {len(rows)} lines differ, {renamed} after renumbering")
+        for i, old, new in rows[:SHOWN]:
+            print(f"  line {i}\n    HEAD:         {old[:200]}\n"
+                  f"    working tree: {new[:200]}")
+        if len(rows) > SHOWN:
+            print(f"  and {len(rows) - SHOWN} more")
+        differing += len(rows)
+        still += renamed
+    if differing:
+        print(f"DIFF: {differing} lines differ; {still} still differ once _G serials "
+              "are renumbered by first appearance")
         return 1
     queries = sum(line.startswith("?- ") for line in after)
     reads = sum(line.startswith("read ") for line in after)

@@ -507,30 +507,112 @@ def test_ground_subterms_are_shared(eng):
     # the ground head argument and body argument are the stored subterms
     assert deref(g) is clause[0].args[0]
     assert body.args[1] is clause[1].args[1]
-    # the clause variable is a fresh cell, bound to the goal's
-    assert deref(body.args[0]) is x and body.args[0] is not clause[0].args[1]
+    # the clause variable is the goal's own cell
+    assert body.args[0] is x
 
 
 def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     # the builder is the only place but new_var that assigns serials: a
-    # frame's n fresh cells take allocated ... allocated + n - 1, in the
-    # order their variables first occur, and a ~Name cell takes none
+    # frame reserves allocated ... allocated + n - 1 for its n variables,
+    # in the order they first occur, a variable read from the goal leaves
+    # its serial unused, every other one is a fresh cell with its serial,
+    # and a ~Name cell takes none
     eng.consult_text("fr(X, f(Y, ~P, X), Z) :- t(Z, W, Y).")
     clause = eng.db[("fr", 3)][0]
     store = eng.store
+    a, b, c = store.new_var(), store.new_var(), store.new_var()
     start = store.allocated
-    head, body = engine_module.copy_terms(engine_module._compile(clause), store)
+    build = engine_module._compile(clause)
+    head, body = engine_module.copy_terms(build, Struct("fr", (a, b, c)), store)
     x, (y, p, x2), z = head.args[0], head.args[1].args, head.args[2]
     w = body.args[1]
     assert store.allocated == start + 4
-    assert [c.serial for c in (x, y, z, w)] == [start, start + 1, start + 2, start + 3]
-    assert all(type(c) is Var and c.name is None and c.ref is None for c in (x, y, z, w))
+    assert (x, z) == (a, c) and [y.serial, w.serial] == [start + 1, start + 3]
+    assert all(type(v) is Var and v.name is None and v.ref is None for v in (y, w))
     assert x2 is x and body.args[2] is y and body.args[0] is z
     assert p is store.evar("~P")
+    # the goal holds f/3 there: Y is the goal's own subterm
+    q = store.new_var()
+    start = store.allocated
+    head, body = engine_module.copy_terms(
+        build, Struct("fr", (a, Struct("f", (q, Atom("k"), a)), c)), store)
+    assert head.args[1].args[0] is q and body.args[2] is q
+    assert store.allocated == start + 4 and body.args[1].serial == start + 3
     # a clause with no ordinary variable takes no serial
     eng.consult_text("gr(a, ~P).")
-    engine_module.copy_terms(engine_module._compile(eng.db[("gr", 2)][0]), store)
+    engine_module.copy_terms(engine_module._compile(eng.db[("gr", 2)][0]),
+                             Struct("gr", (a, b)), store)
     assert store.allocated == start + 4
+
+
+def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
+    eng.consult_text("rd([H|T], L) :- q(H, T, L, N).")
+    clause = eng.db[("rd", 2)][0]
+    store = eng.store
+    tail, lv = store.new_var(), store.new_var()
+    goal = Struct("rd", (Struct(".", (Atom("a"), tail)), lv))
+    start = store.allocated
+    head, body = engine_module.copy_terms(engine_module._compile(clause), goal, store)
+    # read mode: the head's list is the goal's own, the body holds the
+    # goal's own subterms, and only N is new
+    assert head.args[0] is goal.args[0] and head.args[1] is lv
+    h, t, l, n = body.args
+    assert h is goal.args[0].args[0] and t is tail and l is lv
+    assert n.serial == start + 3 and store.allocated == start + 4
+    # write mode: the list is built from fresh cells, bound by unify
+    v = store.new_var()
+    start = store.allocated
+    body = engine_module.try_clause(clause, Struct("rd", (v, lv)), store)
+    h, t, l, n = body.args
+    assert [c.serial for c in (h, t, n)] == [start, start + 1, start + 3]
+    assert l is lv and store.allocated == start + 4
+    assert deref(v).args == (h, t)
+
+
+def test_goal_position_variables_are_never_the_goals_own_terms(eng):
+    # a variable the body runs as a goal stays a fresh cell bound to the
+    # goal's term, so it runs as a metacall, opaque to cut and checked for
+    # callability, whether the head holds it directly or in read mode
+    eng.consult_text("p(X) :- X. p(_). r(X) :- (X ; true). m(1). m(2). "
+                     "s(f(X)) :- X. s(_). u(f(X)) :- (X ; true).")
+    assert answers(eng, "p(!).") == ["true", "true"]
+    assert len(answers(eng, "p((m(Y), !)).")) == 2
+    assert answers(eng, "s(f(!)).") == ["true", "true"]
+    assert len(answers(eng, "s(f((m(Y), !))).")) == 2
+    for query in ("r(2).", "s(f(2)).", "u(f(2))."):
+        with pytest.raises(TypeMismatchError):
+            list(eng.query(query))
+
+
+def test_goal_terms_reached_as_data_run_as_their_cells_would(eng):
+    # a head variable that also stands inside a compound the clause makes
+    # can reach a goal position through call/1; there it must run as the
+    # cell bound to the goal's term would, as a metacall opaque to cut, so
+    # a cut passed literally answers as one passed through a variable
+    eng.consult_text(
+        "m(1). m(2). mk(X, (m(_), X)). mk2(f(X), (m(_), X)). "
+        "w(X, G) :- G = (m(_), X). mkc(X, (X ; true)). "
+        "q :- mk(!, G), call(G). q2 :- X = !, mk(X, G), call(G). "
+        "q3 :- mk2(f(!), G), call(G). q4 :- w(!, G), call(G). "
+        "q5 :- mkc((true -> fail), G), call(G)."
+    )
+    assert len(answers(eng, "q2.")) == 2
+    for query in ("q.", "q3.", "q4."):
+        assert len(answers(eng, query)) == 2, query
+    assert answers(eng, "q5.") == []
+    for query in ("mk(2, G), call(G).", "w(2, G), call(G).", "mk2(f(2), G), call(G)."):
+        with pytest.raises(TypeMismatchError):
+            list(eng.query(query))
+    # a term that runs alike either way is still the goal's own; a cut
+    # sends the compound to write mode, with a fresh cell that unify binds
+    build = engine_module._compile(eng.db[("mk2", 2)][0])
+    store = eng.store
+    for arg, own in ((store.new_var(), True), (Atom("!"), False)):
+        goal = Struct("mk2", (Struct("f", (arg,)), store.new_var()))
+        head, _ = engine_module.copy_terms(build, goal, store)
+        x = head.args[1].args[1]
+        assert (head.args[0] is goal.args[0]) is own and (x is arg) is own
+        assert own or (type(x) is Var and x.ref is None and x.serial == store.allocated - 2)
 
 
 def test_shape_cache_is_bounded():

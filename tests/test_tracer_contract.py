@@ -48,3 +48,34 @@ def test_reading_and_dcg_translation_are_traced():
     assert tracer.counts["reader.tokens"] == (8 + 6 + 1) + (11 + 1)
     assert tracer.counts["reader.clauses"] == 2
     assert tracer.calls["dcg.translate"] == 2 + 1  # two rules, one phrase/2
+
+
+def traced(program, query):
+    """Answers to ``query`` after consulting ``program``, and the tracer."""
+    eng = Engine(load_prelude=False)
+    eng.consult_text(program)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = answers(eng, query)
+    finally:
+        tracer.uninstall()
+    return result, tracer
+
+
+def test_read_mode_try_is_one_traced_clause_try():
+    # the head takes the goal's list apart without building it, and the
+    # tracer still sees one copy_terms and one head unify
+    result, tracer = traced("app([H|T],L,[H|R]).", "app([1,2],x,[A|_]).")
+    assert result == ["A = 1"]
+    assert tracer.counts["engine.clause_tries"] == 1
+    assert tracer.counts["engine.head_matches"] == 1
+    assert tracer.calls["kernel.unify"] == tracer.calls["kernel.copy"] == 1
+
+
+def test_head_miss_is_one_traced_clause_try():
+    result, tracer = traced("count(N,N) :- !.", "count(1,5).")
+    assert result == []
+    assert tracer.counts["engine.clause_tries"] == 1
+    assert tracer.counts["engine.head_matches"] == 0
+    assert tracer.calls["kernel.unify"] == tracer.calls["kernel.copy"] == 1
