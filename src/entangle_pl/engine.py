@@ -20,7 +20,6 @@ carrying the construct's height drops when ``C`` succeeds; findall/3
 copies each solution of its goal at a marker goal, called as
 ``marker(engine)``, that then fails, and a choice point below the goal
 unifies the collected list.
-A variable goal is the metacall case: it gets a fresh cut barrier.
 ``CONTROL`` lists the control constructs and their goal arguments; the
 transpiler rewrites goals through the same table.  Every binding of a cell
 older than the store's young mark is trailed (Warren's conditional
@@ -33,17 +32,20 @@ variables; that reset is what makes them reusable between queries.  A cut
 that drops choice points also drops the trail entries above them that the
 lowered mark no longer asks for.
 
-A goal is checked for callability once, where it enters the machine, not
-at each step: ``check_clauses`` checks each clause body at consult (and
-the prelude's), ``solve`` checks its query before the first step, and a
-metacall, call/1, findall/3 and phrase/2,3 check their goal when they
-start.  A phrase/2,3 goal is a call of its grammar's expansion: it shares
-call/1's branch, so a ``!`` in the grammar cuts only the expansion, and
-the transpiler writes it as ``call(Expansion)``.  A ``(C -> T)`` that
-``;`` finds through a bound variable was bound after any of these checks,
-so it is checked where it is found.  Every goal ``solve`` dispatches is
-then a variable, which takes the checked metacall branch, or a part of a
-checked control skeleton.
+A goal is converted once, where it enters the machine, as ISO/IEC
+13211-1 §7.6.2 converts a term to a goal (``convert_goal``): each variable
+of its control skeleton (``,``, ``;`` and ``->``) becomes ``call(V)``, and
+a leaf that is not callable raises.  ``check_clauses`` converts each clause
+body at consult (and the prelude's), where a ``~Name`` cell stays a cell,
+so ``p :- ~Gate.`` is stored as ``p :- call(~Gate).``; ``solve`` converts
+its query before the first step; and call/1, findall/3, phrase/2,3 and
+``\\+``, a built-in predicate outside the skeleton, convert their goal
+when they start, following bindings.  A phrase/2,3 goal is a call of its
+grammar's expansion: it shares call/1's branch, so a ``!`` in the grammar
+cuts only the expansion, and the transpiler writes it as
+``call(Expansion)``.  No variable then reaches ``solve``'s dispatch, and a
+bound cell runs exactly as its value does, under the cut barrier of the
+construct that started it.
 
 A cell lives as long as whoever holds it.  The store keeps no list of
 cells; it holds only the ``~Name`` cells it interns.  Clause records hold
@@ -93,12 +95,9 @@ reads its argument registers (Aït-Kaci, *Warren's Abstract Machine: A
 Tutorial Reconstruction*, 1991): a head variable is the goal's own
 argument, or its own subterm where the goal holds the head's functor
 (read mode), and otherwise a fresh cell with the serial a copy would give
-it.  A variable the body calls as a goal is always a fresh cell, and one
-that a built compound also holds takes the goal's term only when that
-term runs as a goal the way a cell bound to it would.  ``_source`` gives
-the rules.  A clause
-record is the list ``[head, body, builder]``; the builder is stored there
-at the first try and kept across consults.  ``try_clause`` calls the
+it.  ``_source`` gives the rules.  A clause record is the list ``[head,
+body, builder]``; the builder is stored there at the first try and kept
+across consults.  ``try_clause`` calls the
 module-level ``copy_terms`` and then the head ``unify``, which decides
 every match and binding: that pair is where the benchmark's tracer counts
 clause tries, and ``solve`` calls it from one place.
@@ -256,17 +255,11 @@ def _source(shape, nslots):
     (write mode) the slot is a fresh cell and the compound is built.  Every
     other slot is a fresh cell with serial ``allocated + k``, so a slot
     reserves its serial whether or not it takes a cell, and ``unify``
-    still decides every match.
-
-    The goal's own term must run as the fresh cell bound to it would, and
-    a cell run as a goal is a metacall: checked, and opaque to cut.  So a
-    slot at a goal position of the body (see ``CONTROL``) is always a
-    fresh cell.  A slot that also stands inside a compound the builder
-    makes can reach a goal position as data, through call/1, so it takes
-    the goal's term only when that term is not one of ``_CUTS``; otherwise
-    it is a fresh cell, and its compound head argument is read in write
-    mode.  Only integers and the ``repr`` of functor names enter the
-    source; the constants are the factory's arguments."""
+    still decides every match.  The goal's own term is always safe to
+    take: a body's control skeleton holds no variable once converted (see
+    ``convert_goal``), and a goal converts as its bound cell would.  Only
+    integers and the ``repr`` of functor names enter the source; the
+    constants are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
     # constant j is "cj", and a compound is (name, args, its index in builds)
     builds = []
@@ -286,43 +279,21 @@ def _source(shape, nslots):
             args = "".join(_expr(a) + ", " for a in node[1])
             builds.append(f"Struct({name!r}, ({args}))")
     head, body = stack
-    head_args = head[1] if type(head) is tuple else ()
-    # where the slots stand: level 0 is a goal position of the body, 1 a
-    # head argument or an argument of a body goal, 2 inside a compound
-    at_goal = set()
-    inside = [0] * nslots
-    todo = [(body, 0)] + [(t, 1) for t in head_args]
-    while todo:
-        t, level = todo.pop()
-        if type(t) is int:
-            if level == 0:
-                at_goal.add(t)
-            elif level == 2:
-                inside[t] += 1
-        elif type(t) is tuple:
-            goals = () if level else CONTROL.get((t[0], len(t[1])), ())
-            todo += [(x, 2 if level else 0 if p in goals else 1) for p, x in enumerate(t[1])]
-    ok = "(type({0}) not in NAMED or {0}.name not in CUTS)"
     reads = []
     terms = {}  # slot -> its term when it is the goal's, or may be
-    for i, arg in enumerate(head_args):
+    for i, arg in enumerate(head[1] if type(head) is tuple else ()):
         if type(arg) is int:
-            if arg not in at_goal and arg not in terms:
-                g = f"g[{i}]"
-                terms[arg] = f"{g} if {ok.format(g)} else Var(a + {arg})" if inside[arg] else g
+            terms.setdefault(arg, f"g[{i}]")
         elif type(arg) is tuple:
             name, args, b = arg
-            mode = [f"type(d{i}) is Struct", f"d{i}.name == {name!r}",
-                    f"len(d{i}.args) == {len(args)}"]
             own = 0
             for j, k in enumerate(args):
-                if type(k) is int and k not in at_goal and k not in terms:
+                if type(k) is int and k not in terms:
                     terms[k] = f"d{i}.args[{j}] if r{i} else Var(a + {k})"
                     own += 1
-                    if inside[k] > 1:  # it stands inside a compound elsewhere too
-                        mode.append(ok.format(f"d{i}.args[{j}]"))
             if own:
-                reads += [f"d{i} = deref(g[{i}])", f"r{i} = " + " and ".join(mode)]
+                reads += [f"d{i} = deref(g[{i}])", f"r{i} = type(d{i}) is Struct and "
+                          f"d{i}.name == {name!r} and len(d{i}.args) == {len(args)}"]
             if own == len(args):
                 builds[b] = f"d{i} if r{i} else {builds[b]}"
     lines = ["a = store.allocated", f"store.allocated = a + {nslots}"] if nslots else []
@@ -343,7 +314,7 @@ def _source(shape, nslots):
 def _factory(shape, nslots):
     """The factory of a clause shape, made once per process; the cache is
     bounded, and a clause keeps the builder it was given."""
-    scope = {"Var": Var, "Struct": Struct, "deref": deref, "NAMED": _NAMED, "CUTS": _CUTS}
+    scope = {"Var": Var, "Struct": Struct, "deref": deref}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
 
@@ -370,9 +341,7 @@ def try_clause(clause, goal, store):
 
 def _read_checked(text, store, allow_evars):
     """Read a program and check its clauses: what a consult reads."""
-    pairs = read_program(text, store, allow_evars)
-    check_clauses(pairs)
-    return pairs
+    return check_clauses(read_program(text, store, allow_evars))
 
 
 def prelude_text() -> str:
@@ -452,10 +421,11 @@ class Engine:
         When the sequence is exhausted or abandoned the trail is undone to
         the query-start mark, so every variable older than the query that
         it bound (the program-wide ones included) is unbound again; nothing
-        holds the cells it made itself once it ends.  A goal that is not
-        callable raises before the first step.
+        holds the cells it made itself once it ends.  The goal is converted
+        (``convert_goal``) before the first step, so one that is not
+        callable raises before any answer.
         """
-        check_goal(goal)
+        goal = convert_goal(goal, True)
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
@@ -503,12 +473,6 @@ class Engine:
                             failing = True
                         continue
                     goal = term
-                    if isinstance(goal, Var):  # a metacall, with a fresh barrier
-                        goal = deref(goal)
-                        if isinstance(goal, Var):
-                            raise InstantiationError("unbound variable called as a goal")
-                        check_goal(goal)
-                        barrier = len(cps)
                     name = goal.name
                     args = goal.args
                     arity = len(args)
@@ -529,14 +493,8 @@ class Engine:
                         continue
                     ite = None
                     if name == ";" and arity == 2:
-                        first = deref(args[0])
-                        if (
-                            isinstance(first, Struct)
-                            and first.name == "->"
-                            and len(first.args) == 2
-                        ):
-                            if first is not args[0]:  # bound since it was checked
-                                check_goal(first)
+                        first = args[0]
+                        if type(first) is Struct and first.name == "->" and len(first.args) == 2:
                             ite = first.args + (args[1],)
                         else:
                             cps.append((len(trail), store.young, (args[1], barrier, goals)))
@@ -546,7 +504,7 @@ class Engine:
                     elif name == "->" and arity == 2:
                         ite = args + (_FAIL_GOAL,)
                     elif name == "\\+" and arity == 1:
-                        ite = (args[0], _FAIL_GOAL, TRUE)
+                        ite = (convert_goal(args[0], True), _FAIL_GOAL, TRUE)
                     if ite is not None:
                         cond, then, otherwise = ite
                         h = len(cps)
@@ -556,18 +514,17 @@ class Engine:
                         continue
                     if name == "call" and arity == 1 or name == "phrase" and arity in (2, 3):
                         g = args[0] if arity == 1 else translate_goal(args, store)
-                        check_goal(g)
-                        goals = (deref(g), len(cps), goals)
+                        goals = (convert_goal(g, True), len(cps), goals)
                         continue
                     if name == "findall" and arity == 3:
                         template, subgoal, result = args
-                        check_goal(subgoal)
+                        subgoal = convert_goal(subgoal, True)
                         acc = []
                         found = partial(_found_all, acc, result)
                         cps.append((len(trail), store.young, (found, 0, goals)))
                         store.young = store.allocated
                         collect = partial(_collect, template, acc)
-                        goals = (deref(subgoal), len(cps), (collect, 0, None))
+                        goals = (subgoal, len(cps), (collect, 0, None))
                         continue
                     builtin = _BUILTINS.get((name, arity))
                     if builtin is not None:
@@ -834,44 +791,67 @@ CONTROL = {
     ("!", 0): (), ("phrase", 2): (), ("phrase", 3): (),
 }
 
-# The constructs a metacall's check walks into.  CONTROL's positions also
-# reach into call/1 and findall/3, but their goals are checked when they
-# start, so ``call((fail, call(1)))`` fails, as in ISO.
-_SKELETON = frozenset({(",", 2), (";", 2), ("->", 2), ("\\+", 1)})
-
-# The cut and the constructs that run a goal argument under their caller's
-# cut barrier: the terms that run otherwise as a metacall, whose barrier is
-# its own.  A clause builder gives a slot such a term of the goal only where
-# no compound it makes holds the slot (see ``_source``).
-_CUTS = frozenset({"!", ",", ";", "->"})
-_NAMED = frozenset({Atom, Struct})
+# ISO's control skeleton: the constructs a goal's conversion walks into.
+# ``\+`` is a built-in predicate, and call/1 and findall/3 convert their
+# goals when they start, so ``fail, \+ 1`` and ``call((fail, call(1)))``
+# fail, as in ISO.
+SKELETON = frozenset({(",", 2), (";", 2), ("->", 2)})
 
 
-def check_goal(goal):
-    """The one callability rule: raise a type error at the first leaf of a
-    goal's control skeleton that is neither a variable nor callable.  It
-    runs where a goal enters ``solve`` (see the module docstring), so
-    ``solve`` itself tests no goal; a compound already walked is skipped,
-    so a cyclic goal is walked once."""
+def convert_goal(goal, run):
+    """ISO's conversion of a term to a goal (13211-1 §7.6.2), the one rule
+    where a goal enters the machine: each variable of the goal's control
+    skeleton becomes ``call(V)``, and a leaf that is not callable, or a
+    skeleton that contains itself, is a type error.  With ``run`` the goal
+    is about to start: bindings are followed, so a bound cell runs exactly
+    as its value does, and an unbound goal is an instantiation error.
+    Without it (a clause body at consult) a ``~Name`` cell stays a cell.
+    Returns ``goal`` itself when nothing changes; a compound met twice is
+    converted once."""
+    if run:
+        goal = deref(goal)
+        if isinstance(goal, Var):
+            raise InstantiationError("unbound variable called as a goal")
+    if type(goal) is Atom or type(goal) is Struct and (goal.name, len(goal.args)) not in SKELETON:
+        return goal
     todo = [goal]
-    seen = set()
+    done = []
+    made = {}  # compound -> its conversion, or None until its arguments have theirs
     while todo:
-        t = deref(todo.pop())
-        if isinstance(t, Struct) and (t.name, len(t.args)) in _SKELETON:
-            if t not in seen:
-                seen.add(t)
-                todo.extend(reversed(t.args))
-        elif not isinstance(t, (Var, Atom, Struct)):
+        t = todo.pop()
+        if type(t) is tuple:  # (compound,): its two converted arguments end done
+            t = t[0]
+            a, b = done[-2:]
+            new = made[t] = t if a is t.args[0] and b is t.args[1] else Struct(t.name, (a, b))
+            done[-2:] = (new,)
+            continue
+        if run:
+            t = deref(t)
+        if isinstance(t, Var):
+            done.append(Struct("call", (t,)))
+        elif type(t) is Struct and (t.name, len(t.args)) in SKELETON:
+            if t not in made:
+                made[t] = None
+                todo += ((t,), t.args[1], t.args[0])
+            elif made[t] is None:
+                raise TypeMismatchError("goal is cyclic")
+            else:
+                done.append(made[t])
+        elif type(t) is Atom or type(t) is Struct:
+            done.append(t)
+        else:
             raise TypeMismatchError(f"goal is not callable: {write_term(t)}")
+    return done[0]
 
 
 def check_clauses(pairs):
-    """Refuse a ``(head, body)`` clause for a predicate ``solve`` would
-    never look up, or one whose body is not callable; a fact's body is the
-    shared ``TRUE``, which needs no walk."""
+    """The ``(head, body)`` clauses with their bodies converted; a clause
+    for a predicate ``solve`` would never look up, or one whose body is not
+    callable, raises."""
+    out = []
     for head, body in pairs:
         key = (head.name, len(head.args))
         if key in CONTROL or key in _BUILTINS:
             raise PrologError(f"cannot redefine {key[0]}/{key[1]}")
-        if body is not TRUE:
-            check_goal(body)
+        out.append((head, convert_goal(body, False)))
+    return out

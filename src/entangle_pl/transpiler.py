@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import CONTROL, check_clauses
+from .engine import CONTROL, SKELETON, check_clauses
 from .errors import TranspileError, TypeMismatchError
 from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 HELPER = "$call_ev"
+CONVERT = "$conv_ev"
 _RESERVED = ("_Env", "_IV", "_G")
 
 
@@ -84,14 +85,40 @@ def _substitute(store: Store, slots: dict, terms):
     return out, env, [Struct("arg", (Int(slot), env, iv)) for slot, iv in ivs]
 
 
+def _open(goal):
+    """Whether ``goal``'s control skeleton holds a variable, so that the
+    goal converts only when it starts."""
+    todo = [goal]
+    while todo:
+        t = deref(todo.pop())
+        if isinstance(t, Var):
+            return True
+        if isinstance(t, Struct) and (t.name, len(t.args)) in SKELETON:
+            todo += t.args
+    return False
+
+
+def _deferred(t, env):
+    """The call/1, findall/3 or ``\\+`` goal ``t`` with its goal argument
+    run through the runtime helper, which converts it when it starts;
+    call/1 is the helper's call itself."""
+    (i,) = CONTROL[(t.name, len(t.args))]
+    goal = Struct(HELPER, (t.args[i], env))
+    return goal if t.name == "call" else Struct(t.name, t.args[:i] + (goal,) + t.args[i + 1 :])
+
+
 def rewrite_goal(g, env, predset, store):
     """Thread ``env`` into every user-predicate call of a goal, on one
     stack of goals and ``(term, positions)`` markers that rebuild a
-    control construct from its rewritten goal arguments.  A phrase/2,3
-    goal is expanded and called, ``call(Expansion)``, as ``solve`` runs
-    it, so a ``!`` in the grammar cuts only the expansion; a variable
-    grammar, or one the expansion refuses, is left to phrase.  Returns the
-    goal and whether it dispatches through the runtime helper."""
+    control construct from its rewritten goal arguments.  A goal that a
+    call/1, findall/3 or ``\\+`` starts, and whose skeleton holds a
+    variable, runs through the runtime helper, which converts it when it
+    starts, as ``solve`` does; a variable goal of a query is ``call(V)``,
+    as conversion makes it.  A phrase/2,3 goal is expanded and called,
+    ``call(Expansion)``, as ``solve`` runs it, so a ``!`` in the grammar
+    cuts only the expansion; a variable grammar, or one the expansion
+    refuses, is left to phrase.  Returns the goal and whether it
+    dispatches through the runtime helper."""
     uses_helper = False
     todo = [g]
     done = []
@@ -105,13 +132,16 @@ def rewrite_goal(g, env, predset, store):
             done.append(Struct(t.name, tuple(args)))
             continue
         t = deref(t)
+        if isinstance(t, Var):
+            t = Struct("call", (t,))
         if isinstance(t, (Atom, Struct)):
             name = t.name
             args = t.args
             key = (name, len(args))
             positions = CONTROL.get(key)
-            if key == ("call", 1) and isinstance(deref(args[0]), Var):
-                t = deref(args[0])
+            if positions and key not in SKELETON and _open(args[positions[0]]):
+                uses_helper = True
+                t = _deferred(t, env)
             elif positions:
                 todo.append((t, positions))
                 todo.extend(args[i] for i in reversed(positions))
@@ -127,10 +157,6 @@ def rewrite_goal(g, env, predset, store):
                         pass  # left to phrase, which raises it when it starts
             elif key in predset:
                 t = Struct(name, args + (env,))
-        if isinstance(t, Var):
-            # injected goal: dispatched through the runtime helper
-            uses_helper = True
-            t = Struct(HELPER, (t, env))
         done.append(t)
     return done[0], uses_helper
 
@@ -143,8 +169,7 @@ def transpile(*texts: str) -> TranspileResult:
     pairs = []
     for text in texts:
         pairs += read_program(text, store, allow_evar=True)
-    check_clauses(pairs)
-    result, clauses = rewrite_program(pairs, list(store.evars), store)
+    result, clauses = rewrite_program(check_clauses(pairs), list(store.evars), store)
     result.text = "".join(write_clause(h, b) + "\n" for h, b in clauses)
     return result
 
@@ -172,23 +197,40 @@ def rewrite_program(pairs, layout, store: Store):
 
 
 def helper_clauses(store: Store, predicates):
-    """Yield the dispatch clauses for goals injected at run time.
+    """Yield the clauses that run a goal injected at run time:
+    ``'$call_ev'(G, Env)`` converts ``G`` with ``'$conv_ev'`` as
+    ``engine.convert_goal`` would, threading ``Env`` into the program's
+    predicates, then calls the result once, so a cut in it is local.
+    ``'$conv_ev'`` has a clause per control construct of ``CONTROL`` that
+    has goal arguments: a construct of ``SKELETON`` converts them in turn,
+    and call/1, findall/3 and ``\\+`` run theirs through ``'$call_ev'``
+    when they start.
 
     An unbound goal must keep raising an instantiation error (a clause-head
     match would quietly enumerate the bridged predicates instead), hence
-    the leading var/1 guard.
+    the leading var/1 guards.
     """
-    g = store.new_var("G")
-    guard = _conj_fold([Struct("var", (g,)), Atom("!"), Struct("call", (g,))])
-    yield Struct(HELPER, (g, store.new_var("_"))), guard
+    g, e, c = store.new_var("G"), store.new_var("E"), store.new_var("C")
+    yield Struct(HELPER, (g, store.new_var("_"))), _conj_fold(
+        [Struct("var", (g,)), Atom("!"), Struct("call", (g,))])
+    yield Struct(HELPER, (g, e)), Struct(",", (Struct(CONVERT, (g, e, c)), Struct("call", (c,))))
+    yield Struct(CONVERT, (g, e, Struct(HELPER, (g, e)))), Struct(",", (Struct("var", (g,)), Atom("!")))
+    for (name, arity), positions in CONTROL.items():
+        if not positions:
+            continue
+        vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
+        t = Struct(name, vs)
+        if (name, arity) in SKELETON:
+            cs = tuple(store.new_var(f"C{i + 1}") for i in range(arity))
+            convs = [Struct(CONVERT, (v, e, w)) for v, w in zip(vs, cs)]
+            yield Struct(CONVERT, (t, e, Struct(name, cs))), _conj_fold([Atom("!")] + convs)
+        else:
+            yield Struct(CONVERT, (t, e, _deferred(t, e))), Atom("!")
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
-        env = store.new_var("E")
         inner = Atom(name) if arity == 0 else Struct(name, vs)
-        target = Struct(name, vs + (env,))
-        yield Struct(HELPER, (inner, env)), Struct(",", (Atom("!"), target))
-    g2 = store.new_var("G")
-    yield Struct(HELPER, (g2, store.new_var("_"))), Struct("call", (g2,))
+        yield Struct(CONVERT, (inner, e, Struct(name, vs + (e,)))), Atom("!")
+    yield Struct(CONVERT, (g, store.new_var("_"), g)), TRUE
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):

@@ -39,9 +39,9 @@ SEEDS = range(50_000)
 BLOCK = 2_000
 # The outcomes of all of SEEDS, and the number of answers they gave.
 EXPECTED = (
-    {"failed": 17758, "answered": 14167, "TypeMismatchError": 9906,
-     "InstantiationError": 8169},
-    18859,
+    {"failed": 17857, "answered": 14189, "TypeMismatchError": 9730,
+     "InstantiationError": 8224},
+    18937,
 )
 
 PROGRAM = """

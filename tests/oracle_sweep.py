@@ -11,19 +11,23 @@ a ``!`` in the grammar.  Recursion is well-founded: a predicate or
 nonterminal calls only lower-numbered ones, so every query ends.  Three
 classes the two implementations are known to answer differently are left
 out by construction: no ``~Name`` reaches a findall/3 template (each
-template is a fresh variable that only ``m/1`` binds) and copy_term/2 is
-not used; no goal is a variable, so no control construct is called
-through a ``~Name`` cell and no ``;`` has a variable left operand.  Both
-engines run with the occurs check, so no query builds a cyclic term, and
-with a frame budget.
+template is a fresh variable that only ``m/1`` binds); copy_term/2 is not
+used; and no goal injected at run time holds a phrase/2,3 call, since the
+transpiled program cannot expand a grammar at run time.  A second class
+of queries, from a second generator keyed on the seed, injects generated
+goals into each program: through a ``~Name`` cell (``gate :- ~G.``),
+through a clause variable (``via(X) :- X.``), bound before call/1 starts,
+and as data (``wrap(X, (m(_), X)).``).  Both engines run with the occurs
+check, so no query builds a cyclic term, and with a frame budget.
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
-runs seeds 0 to 4,999, prints a tally and exits 1 on any ``MISMATCH``, or
-when the tally or the number of native answers differs from the pinned
-``EXPECTED``, so a change to either side that changes any outcome fails
-it too; ``tests/test_oracle_sweep.py`` runs the first ``BLOCK`` seeds
-against pinned figures of its own.
+runs seeds 0 to 4,999, each class in turn, prints a tally and exits 1 on
+any ``MISMATCH``, or when a class's tally or number of native answers
+differs from the pinned ``EXPECTED`` or ``EXPECTED_INJECTED``, so a change
+to either side that changes any outcome fails it too;
+``tests/test_oracle_sweep.py`` runs the first ``BLOCK`` seeds against
+pinned figures of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ OPTIONS = {"occurs_check": True, "max_frames": 20_000}
 LIMIT = 20  # answers compared per query
 # The outcomes of all of SEEDS' queries, and the native answers they gave.
 EXPECTED = ({"answered": 3939, "failed": 6078}, 6692)
+# The same for the injected goals of SEEDS.
+EXPECTED_INJECTED = ({"answered": 9658, "failed": 5342}, 22115)
 
 _VARS = ("X", "Y", "Z")
 _TERMS = _VARS + ("~A", "~B", "1", "2", "a", "f(X)", "f(Y)")
@@ -54,6 +60,7 @@ class _Writer:
     def __init__(self, rng):
         self.rng = rng
         self.fresh = 0
+        self.phrases = True  # whether a call may be a phrase/2,3 goal
 
     def term(self):
         return self.rng.choice(_TERMS)
@@ -63,7 +70,7 @@ class _Writer:
         number ``below``, or of m/1."""
         rng = self.rng
         k = rng.randrange(below) if below else None
-        if k is None or rng.random() < 0.25:
+        if k is None or rng.random() < 0.25 or not self.phrases and self.kinds[k] == "g":
             return f"m({rng.choice(_VARS)})"
         if self.kinds[k] == "p":
             return f"p{k}({self.term()})"
@@ -158,20 +165,39 @@ class _Writer:
         return "\n".join(lines) + "\n", queries
 
 
-def program(seed: int):
-    """The program text and the queries of one seed."""
-    return _Writer(random.Random(seed)).program()
+# The four ways an injected goal runs: through a ~Name cell, through a
+# clause variable, bound before call/1 starts, and as data.
+_INJECTED = "gate :- ~G.\nvia(X) :- X.\nwrap(X, (m(_), X)).\n"
+_WAYS = ("~G = ({0}), gate.", "via(({0})).", "I = ({0}), call((m(J), I)).",
+         "wrap(({0}), W), call(W).")
 
 
-def sweep(seeds):
-    """Check the program of each seed.  Returns a tally of the native
-    outcomes (``answered`` or ``failed``), the number of native answers and
-    the mismatches, as ``(seed, report line)`` pairs."""
+def program(seed: int, injected: bool = False):
+    """The program text and the queries of one seed; or, ``injected``,
+    that program with the clauses that run a goal given as data, and three
+    queries that each run a generated goal one of ``_WAYS``, drawn from a
+    second generator keyed on the seed.  An injected goal holds no
+    phrase/2,3 call."""
+    writer = _Writer(random.Random(seed))
+    text, queries = writer.program()
+    if not injected:
+        return text, queries
+    rng = writer.rng = random.Random(f"injected {seed}")
+    writer.phrases = False
+    below = len(writer.kinds)
+    return text + _INJECTED, [rng.choice(_WAYS).format(writer.goal(below, 2)) for _ in range(3)]
+
+
+def sweep(seeds, injected: bool = False):
+    """Check the program of each seed, or its injected goals.  Returns a
+    tally of the native outcomes (``answered`` or ``failed``), the number
+    of native answers and the mismatches, as ``(seed, report line)``
+    pairs."""
     tally = Counter()
     total = 0
     mismatches = []
     for seed in seeds:
-        text, queries = program(seed)
+        text, queries = program(seed, injected)
         for result in check_program(text, queries, f"seed {seed}", LIMIT, OPTIONS):
             tally["answered" if result.native else "failed"] += 1
             total += result.native
@@ -181,19 +207,23 @@ def sweep(seeds):
 
 
 def main() -> int:
-    started = time.perf_counter()
-    tally, total, mismatches = sweep(SEEDS)
-    seconds = time.perf_counter() - started
-    print(f"{len(SEEDS)} programs in {seconds:.1f} s: " + ", ".join(
-        f"{kind} {n}" for kind, n in tally.most_common()) + f"; {total} answers")
-    for seed, line in mismatches[:20]:
-        print(line)
-        print("  " + program(seed)[0].replace("\n", "\n  ").rstrip())
-    print(f"{len(mismatches)} mismatch(es)")
-    drift = (dict(tally), total) != EXPECTED
-    if drift:
-        print(f"DRIFT: expected {EXPECTED[0]}; {EXPECTED[1]} answers")
-    return 1 if mismatches or drift else 0
+    failed = False
+    for injected, expected in ((False, EXPECTED), (True, EXPECTED_INJECTED)):
+        started = time.perf_counter()
+        tally, total, mismatches = sweep(SEEDS, injected)
+        seconds = time.perf_counter() - started
+        print(f"{len(SEEDS)} programs{', injected goals,' if injected else ''} in "
+              f"{seconds:.1f} s: " + ", ".join(
+                  f"{kind} {n}" for kind, n in tally.most_common()) + f"; {total} answers")
+        for seed, line in mismatches[:20]:
+            print(line)
+            print("  " + program(seed, injected)[0].replace("\n", "\n  ").rstrip())
+        print(f"{len(mismatches)} mismatch(es)")
+        if (dict(tally), total) != expected:
+            print(f"DRIFT: expected {expected[0]}; {expected[1]} answers")
+            failed = True
+        failed |= bool(mismatches)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -16,24 +16,27 @@ missing final ``.``, comment-only tails, text after a query), is read with
 clause count or its error's class and message, line and column included.
 The rendered answers are compared with their ``_G``
 serials, so a change that renames a clause's cells in another order shows
-here even where the oracle, whose two sides share the engine, agrees.  On
-any difference it prints, for each job that differs, ``DIFF:``, how many
-of its lines differ and the first 5 of them, then the total and how many
-lines still differ once each line's ``_G`` serials are renumbered by first
-appearance (as the oracle's ``normalize_solution`` does), and exits 1.
+here even where the oracle, whose two sides share the engine, agrees.
+Each query's outcome, its answers and the error that ended it, is paired
+with the outcome of the same query on ``HEAD``, so a query whose answer
+count changes does not shift the rest of its job.  On any difference it
+prints, for each job that differs, ``DIFF:``, how many of its queries'
+outcomes differ, raw and once each outcome's ``_G`` serials are
+renumbered by first appearance (as the oracle's ``normalize_solution``
+does), and the first 5 of them, then the totals, and exits 1.
 Run it before committing a change to the engine; it is not part of the
 tier-1 suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,25 +174,38 @@ def answers(tree: Path, work: str) -> list:
     return proc.stdout.splitlines()
 
 
-def by_job(lines: list) -> dict:
-    """The worker's output lines under each ``== name`` line, by name."""
+def by_query(lines: list) -> dict:
+    """The worker's output lines by job name, then by query: each ``?- ``
+    or ``read`` line, with the number of times it came before in its job,
+    keys the lines that follow it, and ``("", 0)`` keys what the job
+    prints before its first query."""
     jobs = {}
     for line in lines:
         if line.startswith("== "):
-            job = jobs[line[3:]] = []
+            job = jobs[line[3:]] = {}
+            seen = Counter()
+            outcome = job[("", 0)] = []
+        elif line.startswith(("?- ", "read ")):
+            outcome = job[(line, seen[line])] = []
+            seen[line] += 1
         else:
-            job.append(line)
+            outcome.append(line)
     return jobs
 
 
-def renumbered(line: str) -> str:
-    """``line`` with its ``_G`` serials numbered by first appearance."""
+def renumbered(outcome: list) -> list:
+    """``outcome``'s lines with their ``_G`` serials numbered by first
+    appearance in all of them."""
     mapping = {}
-    return re.sub(r"_G\d+", lambda m: mapping.setdefault(m.group(0), f"_G{len(mapping)}"),
-                  line)
+    return [re.sub(r"_G\d+", lambda m: mapping.setdefault(m.group(0), f"_G{len(mapping)}"),
+                   line) for line in outcome]
 
 
-SHOWN = 5  # differing lines printed per job
+SHOWN = 5  # differing queries printed per job
+
+
+def shown(outcome) -> str:
+    return "(none)" if outcome is None else " | ".join(outcome)[:200]
 
 
 def main() -> int:
@@ -200,24 +216,28 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
         before = answers(Path(parent), work)
     after = answers(ROOT, work)
-    old_jobs = by_job(before)
+    old_jobs = by_query(before)
     differing = still = 0
-    for name, lines in by_job(after).items():
-        pairs = itertools.zip_longest(old_jobs[name], lines, fillvalue="")
-        rows = [(i, old, new) for i, (old, new) in enumerate(pairs, 1) if old != new]
+    for name, job in by_query(after).items():
+        old = old_jobs[name]
+        rows = [(key, old.get(key), outcome) for key, outcome in job.items()
+                if old.get(key) != outcome]
+        rows += [(key, outcome, None) for key, outcome in old.items() if key not in job]
         if not rows:
             continue
-        renamed = sum(renumbered(old) != renumbered(new) for _, old, new in rows)
-        print(f"DIFF: {name}: {len(rows)} lines differ, {renamed} after renumbering")
-        for i, old, new in rows[:SHOWN]:
-            print(f"  line {i}\n    HEAD:         {old[:200]}\n"
-                  f"    working tree: {new[:200]}")
+        renamed = sum(a is None or b is None or renumbered(a) != renumbered(b)
+                      for _, a, b in rows)
+        print(f"DIFF: {name}: {len(rows)} of {len(job) - 1} queries differ, "
+              f"{renamed} after renumbering")
+        for (line, _), a, b in rows[:SHOWN]:
+            print(f"  {line or '(before the first query)'}\n    HEAD:         {shown(a)}\n"
+                  f"    working tree: {shown(b)}")
         if len(rows) > SHOWN:
             print(f"  and {len(rows) - SHOWN} more")
         differing += len(rows)
         still += renamed
     if differing:
-        print(f"DIFF: {differing} lines differ; {still} still differ once _G serials "
+        print(f"DIFF: {differing} queries differ; {still} still differ once _G serials "
               "are renumbered by first appearance")
         return 1
     queries = sum(line.startswith("?- ") for line in after)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,15 @@ def test_cyclic_list_is_a_type_error(query, error):
     # cyclic arithmetic expression or grammar body is a type error too
     proc = repl(["-q", query], "", timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_cyclic_goal_is_a_type_error_when_it_converts():
+    # in a child with a timeout: conversion meets the skeleton again while
+    # it converts it, and stops there
+    started = time.perf_counter()
+    proc = repl(["-q", "X = (a, X), call(X)."], "", timeout=10)
+    assert time.perf_counter() - started < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: goal is cyclic\n")
 
 
 def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):

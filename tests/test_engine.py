@@ -222,6 +222,11 @@ def test_metavariable_goals(eng):
     "call((fail -> \\+ 2 ; fail)).",
 ])
 def test_metacall_checks_its_goal_before_running_it(eng, query):
+    if "\\+" in query:
+        # \+ is a built-in predicate, not a part of the skeleton: its goal
+        # converts when it starts, and this one never does
+        assert answers(eng, query) == []
+        return
     with pytest.raises(TypeMismatchError, match="goal is not callable"):
         list(eng.query(query))
 
@@ -233,13 +238,13 @@ def test_metacall_raises_before_any_answer(eng):
 
 
 def test_metacall_check_stops_at_call_and_at_cycles():
-    # the check walks , ; -> and \+ only: call/1 checks its own goal when
+    # conversion walks , ; and -> only: call/1 converts its own goal when
     # it starts, so this fails before it gets there, as in ISO
     assert answers(Engine(), "call((fail, call(1))).") == []
-    # a cyclic goal is walked once, then runs into the frame budget
+    # a skeleton that contains itself is a type error when it converts
     e = Engine(max_frames=10_000)
     e.consult_text("a.")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(TypeMismatchError, match="^goal is cyclic$"):
         list(e.query("X = (a, X), call(X)."))
 
 
@@ -262,15 +267,40 @@ def test_query_that_is_not_callable_raises_before_any_answer(eng, query):
         next(solutions)
 
 
-def test_if_then_found_through_a_variable_is_checked_where_it_is_found(eng):
-    # the query-start check saw X unbound; ; finds (C -> T) through it
+def test_if_then_bound_before_its_goal_starts_runs_as_its_value(eng):
+    # the query converts X, unbound, to call(X), which converts (C -> T)
     with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
         list(checked_answers(eng, "X = (true -> 1), (X ; true)."))
-    # ; still runs the (C -> T) it finds through a variable as if-then-else
+    # call/1 converts X as bound, so ; runs the (C -> T) as if-then-else
     assert answers(eng, "X = (true -> fail), call((X ; true)).") == []
     assert answers(eng, "X = (fail -> fail), (X ; Y = e).") == [
         "X = (fail->fail), Y = e"
     ]
+
+
+def test_a_goal_converts_as_iso_does_where_it_starts(eng):
+    # ISO 13211-1 7.6.2: a variable of a goal's skeleton becomes call(V)
+    # when the goal starts, following its binding if it has one
+    eng.consult_text("m(1). m(2). r(X) :- (X ; true).")
+    # the cut is bound before call/1 starts, so it is call/1's own
+    assert answers(eng, "X = !, call((m(Y), X)).") == ["X = !, Y = 1"]
+    # the body is (call(X) ; true), and call(X) is opaque
+    assert answers(eng, "r((true -> fail)).") == ["true"]
+    # \+ is a built-in predicate: its goal converts only if it starts
+    assert answers(eng, "fail, \\+ 1.") == []
+    eng.consult_text("p :- fail, \\+ 1.")
+    assert answers(eng, "p.") == []
+    with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
+        list(eng.query("\\+ 1."))
+    eng.consult_text("a. b. g :- ~Gate.")
+    assert answers(eng, "~Gate = (a, b), g.") == ["true"]
+
+
+def test_a_variable_body_goal_is_listed_as_its_call(eng, capsys):
+    eng.consult_text("p(X) :- X. q(X) :- (X ; \\+ X).")
+    list(eng.query("listing(p)."))
+    list(eng.query("listing(q)."))
+    assert capsys.readouterr().out == "p(X) :- call(X).\nq(X) :- call(X);\\+(X).\n"
 
 
 def test_findall(eng):
@@ -570,9 +600,9 @@ def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
 
 
 def test_goal_position_variables_are_never_the_goals_own_terms(eng):
-    # a variable the body runs as a goal stays a fresh cell bound to the
-    # goal's term, so it runs as a metacall, opaque to cut and checked for
-    # callability, whether the head holds it directly or in read mode
+    # a variable the body runs as a goal is stored as call(X), so the
+    # goal's own term runs opaque to cut and converted when it starts,
+    # whether the head holds it directly or in read mode
     eng.consult_text("p(X) :- X. p(_). r(X) :- (X ; true). m(1). m(2). "
                      "s(f(X)) :- X. s(_). u(f(X)) :- (X ; true).")
     assert answers(eng, "p(!).") == ["true", "true"]
@@ -586,9 +616,9 @@ def test_goal_position_variables_are_never_the_goals_own_terms(eng):
 
 def test_goal_terms_reached_as_data_run_as_their_cells_would(eng):
     # a head variable that also stands inside a compound the clause makes
-    # can reach a goal position through call/1; there it must run as the
-    # cell bound to the goal's term would, as a metacall opaque to cut, so
-    # a cut passed literally answers as one passed through a variable
+    # can reach a goal position through call/1, which converts the goal as
+    # it finds it, so a cut passed literally answers as one passed through
+    # a variable: as call/1's own cut
     eng.consult_text(
         "m(1). m(2). mk(X, (m(_), X)). mk2(f(X), (m(_), X)). "
         "w(X, G) :- G = (m(_), X). mkc(X, (X ; true)). "
@@ -596,23 +626,12 @@ def test_goal_terms_reached_as_data_run_as_their_cells_would(eng):
         "q3 :- mk2(f(!), G), call(G). q4 :- w(!, G), call(G). "
         "q5 :- mkc((true -> fail), G), call(G)."
     )
-    assert len(answers(eng, "q2.")) == 2
-    for query in ("q.", "q3.", "q4."):
-        assert len(answers(eng, query)) == 2, query
+    for query in ("q.", "q2.", "q3.", "q4."):
+        assert len(answers(eng, query)) == 1, query
     assert answers(eng, "q5.") == []
     for query in ("mk(2, G), call(G).", "w(2, G), call(G).", "mk2(f(2), G), call(G)."):
         with pytest.raises(TypeMismatchError):
             list(eng.query(query))
-    # a term that runs alike either way is still the goal's own; a cut
-    # sends the compound to write mode, with a fresh cell that unify binds
-    build = engine_module._compile(eng.db[("mk2", 2)][0])
-    store = eng.store
-    for arg, own in ((store.new_var(), True), (Atom("!"), False)):
-        goal = Struct("mk2", (Struct("f", (arg,)), store.new_var()))
-        head, _ = engine_module.copy_terms(build, goal, store)
-        x = head.args[1].args[1]
-        assert (head.args[0] is goal.args[0]) is own and (x is arg) is own
-        assert own or (type(x) is Var and x.ref is None and x.serial == store.allocated - 2)
 
 
 def test_shape_cache_is_bounded():

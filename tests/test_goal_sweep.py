@@ -11,10 +11,10 @@ def test_seeded_goals_answer_or_raise_a_prolog_error():
     # pinned, so a change to the engine that changes any outcome fails
     # here, not only one that leaves a cell bound
     assert dict(tally) == {
-        "failed": 741, "answered": 533, "TypeMismatchError": 400,
-        "InstantiationError": 326,
+        "failed": 746, "answered": 535, "TypeMismatchError": 392,
+        "InstantiationError": 327,
     }
-    assert total == 696
+    assert total == 699
 
 
 def test_the_sweep_sees_a_reset_that_misses_a_query_variable(monkeypatch):

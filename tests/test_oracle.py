@@ -259,6 +259,8 @@ def test_a_query_may_call_a_variable_goal_where_no_clause_does():
     results = check_program("m(1). m(2).", ["G = m(Y), G.", "X = !, call((m(Y), X))."])
     assert [r.ok for r in results] == [True, True]
     assert (results[0].native, results[0].transpiled) == (2, 2)
+    # the cut is bound before call/1 starts, so it is the call's own
+    assert (results[1].native, results[1].transpiled) == (1, 1)
     assert "$call_ev" not in transpile("m(1). m(2).").text
 
 
@@ -274,7 +276,10 @@ def test_rewriting_binds_nothing(monkeypatch):
     )
     program, clauses = rewrite_program(pairs, list(store.evars), store)
     rewrite_query(goal, store, program)
-    assert len(clauses) == len(pairs) + 2 + len(program.predicates)  # helper too
+    # the helper too: two '$call_ev' clauses, and '$conv_ev' for a variable,
+    # each of the six control constructs with goal arguments, each
+    # predicate and any other goal
+    assert len(clauses) == len(pairs) + 2 + 1 + 6 + len(program.predicates) + 1
     assert binds == []
 
 
@@ -293,3 +298,27 @@ def test_a_cut_in_a_phrase_grammar_is_local_on_both_sides():
     (result,) = check_program(program, ["p(X, Y)."], "cut.pl")
     assert str(result) == "OK        cut.pl :: p(X, Y)."
     assert (result.native, result.transpiled) == (2, 2)
+
+
+def test_the_iso_conversion_probes_answer_alike_on_both_sides():
+    probes = [
+        ("m(1). m(2).", "X = !, call((m(Y), X)).", 1),
+        ("r(X) :- (X ; true).", "r((true -> fail)).", 1),
+        ("a.", "fail, \\+ 1.", 0),
+        ("a. b. p :- ~Gate.", "~Gate = (a, b), p.", 1),
+    ]
+    for program, query, n in probes:
+        (result,) = check_program(program, [query], "probe.pl")
+        assert str(result) == f"OK        probe.pl :: {query}"
+        assert (result.native, result.transpiled) == (n, n), query
+    results = check_program("p :- fail, \\+ 1.", ["p."])
+    assert [(r.ok, r.native) for r in results] == [(True, 0)]
+
+
+@pytest.mark.parametrize("gate, n", [
+    ("(a, b)", 1), ("(a ; b)", 2), ("(a -> b)", 1), ("(\\+ a)", 0),
+])
+def test_a_control_construct_injected_through_a_cell_runs_on_both_sides(gate, n):
+    (result,) = check_program("a. b. p :- ~Gate.", [f"~Gate = {gate}, p."], "gate.pl")
+    assert result.ok, str(result)
+    assert (result.native, result.transpiled) == (n, n)

@@ -15,6 +15,24 @@ def test_seeded_programs_answer_alike_natively_and_transpiled():
     assert total == 1367
 
 
+def test_seeded_injected_goals_answer_alike_natively_and_transpiled():
+    tally, total, mismatches = sweep(SEEDS[:BLOCK], injected=True)
+    assert mismatches == []
+    assert dict(tally) == {"answered": 1954, "failed": 1046}
+    assert total == 4396
+
+
+def test_the_injected_goals_run_four_ways_and_hold_no_phrase():
+    queries = [q for seed in SEEDS[:BLOCK] for q in program(seed, injected=True)[1]]
+    assert len(queries) == 3 * BLOCK
+    for way in ("~G = (", "via((", "I = (", "wrap(("):
+        assert any(q.startswith(way) for q in queries), way
+    assert not any("phrase" in q for q in queries)
+    # the programs themselves are the ones the first class checks
+    text, _ = program(7)
+    assert program(7, injected=True)[0].startswith(text)
+
+
 def test_the_programs_hold_every_construct_the_sweep_names():
     texts = []
     for seed in SEEDS[:BLOCK]:

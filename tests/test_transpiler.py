@@ -72,8 +72,21 @@ def test_dynamic_call_uses_helper():
     r = transpile("p(G) :- call(G). q :- ~V. r(1).")
     assert "p(G,_Env) :- '$call_ev'(G,_Env)." in r.text
     assert "'$call_ev'(G,_) :- var(G),!,call(G)." in r.text
-    assert "'$call_ev'(r(V1),E) :- !,r(V1,E)." in r.text
-    assert r.text.rstrip().endswith("'$call_ev'(G,_) :- call(G).")
+    assert "'$call_ev'(G,E) :- '$conv_ev'(G,E,C),call(C)." in r.text
+    assert "'$conv_ev'(r(V1),E,r(V1,E)) :- !." in r.text
+    assert r.text.rstrip().endswith("'$conv_ev'(G,_,G).")
+
+
+def test_a_goal_whose_skeleton_holds_a_variable_converts_at_run_time():
+    # the helper converts the whole goal when it starts, as call/1 does, so
+    # a cut bound to X is the call's own; findall/3 and \+ start their goals
+    r = transpile("m(1). p(X) :- call((m(_), X)), findall(Y, (m(Y), X), _), \\+ X.")
+    assert ("p(X,_Env) :- '$call_ev'((m(_),X),_Env),"
+            "findall(Y,'$call_ev'((m(Y),X),_Env),_),\\+('$call_ev'(X,_Env)).") in r.text
+    assert ("'$conv_ev'((V1;V2),E,(C1;C2)) :- "
+            "!,'$conv_ev'(V1,E,C1),'$conv_ev'(V2,E,C2).") in r.text
+    assert "'$conv_ev'(\\+(V1),E,\\+('$call_ev'(V1,E))) :- !." in r.text
+    assert "'$conv_ev'(call(V1),E,'$call_ev'(V1,E)) :- !." in r.text
 
 
 def test_no_helper_when_not_needed():
