@@ -27,7 +27,6 @@ from .engine import Engine
 from .errors import PrologError
 from .kernel import Struct
 from .transpiler import (
-    HELPER,
     helper_clauses,
     rewrite_program,
     rewrite_query,
@@ -129,10 +128,11 @@ def check_program(
         # the rewritten query moves into the transpiled store, as one term
         # so that the goal and the answer variables share their copies.
         rewritten, uses_helper = rewrite_query(goal, native.store, program)
-        if uses_helper and (HELPER, 2) not in oracle.db:
+        if uses_helper and not program.helper:
             # the query calls a variable goal, though no clause does
             helper = helper_clauses(native.store, program.predicates)
             oracle._add([[head, body, None] for head, body in helper])
+            program.helper = True
         copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
         goal, *values = copied.args
         oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)

@@ -2,17 +2,18 @@
 the term writer.
 
 The accepted syntax is a fixed subset of Prolog: the operator tables
-below (no user-defined operators), integers, atoms, lists, ``~Name``
-variables shared program-wide, and ``{Goal}`` escapes inside DCG rule
-bodies only.  A token is a plain ``(kind, text, start, end)`` tuple that
-keeps only its offsets in the source; a syntax error turns its offset into
-a line and column.  A program is read one clause at a time: each tokenizer
-call lexes from the last end token up to the next one (a call with only
-layout left returns just ``eof``), the parser reports whether it built a
-``{}``/1, and the clause and DCG rule head checks run on the term it
-returns, all before the next clause is lexed.  So reading holds one
-clause's tokens, not the whole program's, and the first error in the text
-is the one reported.  The parser and the writer walk terms with explicit
+below (no user-defined operators), integers, atoms, lists, curly terms
+and ``~Name`` variables shared program-wide.  A token is a plain ``(kind,
+text, start, end)`` tuple that keeps only its offsets in the source; a
+syntax error turns its offset into a line and column.  A program is read
+one clause at a time: each tokenizer call lexes from the last end token up
+to the next one (a call with only layout left returns just ``eof``), and
+the clause and DCG rule head checks run on the term the parser returns,
+all before the next clause is lexed.  So reading holds one clause's
+tokens, not the whole program's, and the first error in the text is the
+one reported.  The reader refuses only text that is not a term or not a
+clause; which predicates a clause may not define is the one rule of
+``engine.check_clauses``.  The parser and the writer walk terms with explicit
 stacks, so a term may nest as deeply as memory allows.  The writer prints
 every term whole, in a form that reads back as the same term; only a cyclic
 binding, which unification without the occurs check can make, prints
@@ -178,10 +179,8 @@ _OPERAND_KINDS = frozenset(("atom", "qatom", "var", "evar", "int"))
 def _parse(text, tokens, store, varmap):
     """Read one term of priority at most 1200 from the start of ``tokens``.
 
-    Returns ``(term, pos, braces)``: ``pos`` is the first token after the
-    term, and ``braces`` tells whether the term holds a ``{}``/1, written
-    ``{G}`` or ``'{}'(G)``.  Named variables are looked up in and added to
-    ``varmap``.
+    Returns ``(term, pos)``: ``pos`` is the first token after the term.
+    Named variables are looked up in and added to ``varmap``.
 
     One loop over a stack of frames, each a construct waiting for an
     operand: an operator (infix, with its left operand, or prefix), ``(``,
@@ -192,7 +191,6 @@ def _parse(text, tokens, store, varmap):
     """
     frames = []
     maxp = 1200
-    braces = False
     pos = 0
     while True:
         # a primary term, or a frame opened before its first operand
@@ -258,7 +256,7 @@ def _parse(text, tokens, store, varmap):
                         maxp = p if typ == "xfy" else p - 1
                         break
             if not frames:
-                return term, pos, braces
+                return term, pos
             frame = frames.pop()
             tag = frame[0]
             maxp = frame[1]
@@ -281,22 +279,17 @@ def _parse(text, tokens, store, varmap):
                 raise _error(msg, text, start)
             pos += 1
             if tag == "args":
-                args = frame[2]
-                if frame[3] == "{}" and len(args) == 1:
-                    braces = True
-                term = Struct(frame[3], tuple(args))
+                term = Struct(frame[3], tuple(frame[2]))
             elif tag == "[":
                 term = make_list(frame[2])
             elif tag == "|":
                 term = make_list(frame[2], term)
             elif tag == "{":
-                braces = True
                 term = Struct("{}", (term,))
 
 
-# Functors that cannot head a clause, and those that cannot head a DCG rule
-_NOT_CLAUSE_HEADS = frozenset((",", ";", "->", ":-", "-->", "\\+"))
-_NOT_DCG_HEADS = _NOT_CLAUSE_HEADS | {"{}", "."}
+# Functors whose terms are not nonterminals, so cannot head a DCG rule
+_NOT_DCG_HEADS = frozenset((",", ";", "->", ":-", "-->", "\\+", "{}", "."))
 
 
 def _check_head(head, label: str, forbidden, text: str, offset: int):
@@ -326,7 +319,7 @@ def read_program(text: str, store, allow_evar: bool = True):
         kind, _, start, _ = tokens[0]
         if kind == "eof":
             return clauses
-        term, pos, braces = _parse(text, tokens, store, {})
+        term, pos = _parse(text, tokens, store, {})
         kind, tok, at, end = tokens[pos]
         if kind != "end":
             msg = f"expected '.' to end the clause but found {_found(kind, tok)}"
@@ -336,13 +329,9 @@ def read_program(text: str, store, allow_evar: bool = True):
         elif isinstance(term, Struct) and term.name == "-->" and len(term.args) == 2:
             _check_head(deref(term.args[0]), "DCG rule", _NOT_DCG_HEADS, text, start)
             head, body = dcg_translate(term.args[0], term.args[1], store)
-            braces = False  # a rule may hold {} anywhere
         else:
             head, body = term, TRUE
-        # a translated DCG head is checked too: the atom head ';' becomes ;/2
-        _check_head(head, "clause", _NOT_CLAUSE_HEADS, text, start)
-        if braces:
-            raise _error("braces {} are only allowed inside DCG rule bodies", text, start)
+        _check_head(head, "clause", (), text, start)
         clauses.append((head, body))
 
 
@@ -352,7 +341,7 @@ def read_query(text: str, store, allow_evar: bool = True):
     if tokens[0][0] == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
     varmap = {}
-    goal, pos, _ = _parse(text, tokens, store, varmap)
+    goal, pos = _parse(text, tokens, store, varmap)
     kind, tok, start, end = tokens[pos]
     if kind == "end":
         kind, tok, start, _ = tokenize(text, allow_evar, end)[0]

@@ -1,11 +1,12 @@
 """Source-level elimination of ``~Name`` variables.
 
 Every user-defined predicate p/k becomes p/(k+1) with a hidden environment
-argument appended; the environment is one compound ``evs/N`` holding a slot
-per distinct ``~Name`` of the program (first-occurrence order).  Each
-clause reads the slots it uses with arg/3 and threads the environment into
-every user-predicate call.  The output is plain syntax (no ``~`` tokens)
-and serves as an independent oracle for the native engine.
+argument appended (``'$ev_p'``/(k+1) where the engine runs p/(k+1) itself);
+the environment is one compound ``evs/N`` holding a slot per distinct
+``~Name`` of the program (first-occurrence order).  Each clause reads the
+slots it uses with arg/3 and threads the environment into every
+user-predicate call.  The output is plain syntax (no ``~`` tokens) and
+serves as an independent oracle for the native engine.
 
 Substitution works by building, not binding: one postfix walk over a clause
 (or query) returns it with each ``~Name`` cell replaced by a fresh
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dcg import translate_goal
-from .engine import CONTROL, SKELETON, check_clauses
+from .engine import _BUILTINS, CONTROL, SKELETON, check_clauses
 from .errors import TranspileError, TypeMismatchError
 from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
@@ -39,6 +40,7 @@ class TranspileResult:
     text: str  # the written clauses; empty when the caller takes the terms
     layout: list  # EVar names (with ~) in first-occurrence order
     predicates: list  # (name, arity) of source predicates, definition order
+    helper: bool  # whether the clauses include the runtime helper's
 
 
 def _conj_fold(goals):
@@ -83,6 +85,12 @@ def _substitute(store: Store, slots: dict, terms):
     env = store.new_var("_Env")
     ivs = sorted((slots[c.name], v) for c, v in new.items() if isinstance(c, EVar))
     return out, env, [Struct("arg", (Int(slot), env, iv)) for slot, iv in ivs]
+
+
+def _threaded(name, args, env):
+    """``name(*args, env)``, prefixed ``$ev_`` if ``solve`` runs that key first."""
+    key = (name, len(args) + 1)
+    return Struct("$ev_" + name if key in CONTROL or key in _BUILTINS else name, args + (env,))
 
 
 def _open(goal):
@@ -156,7 +164,7 @@ def rewrite_goal(g, env, predset, store):
                     except TypeMismatchError:
                         pass  # left to phrase, which raises it when it starts
             elif key in predset:
-                t = Struct(name, args + (env,))
+                t = _threaded(name, args, env)
         done.append(t)
     return done[0], uses_helper
 
@@ -190,10 +198,10 @@ def rewrite_program(pairs, layout, store: Store):
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else TRUE
-        out.append((Struct(head.name, head.args + (env,)), new_body))
+        out.append((_threaded(head.name, head.args, env), new_body))
     if uses_helper:
         out += helper_clauses(store, predicates)
-    return TranspileResult("", layout, predicates), out
+    return TranspileResult("", layout, predicates, uses_helper), out
 
 
 def helper_clauses(store: Store, predicates):
@@ -229,7 +237,7 @@ def helper_clauses(store: Store, predicates):
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
         inner = Atom(name) if arity == 0 else Struct(name, vs)
-        yield Struct(CONVERT, (inner, e, Struct(name, vs + (e,)))), Atom("!")
+        yield Struct(CONVERT, (inner, e, _threaded(name, vs, e))), Atom("!")
     yield Struct(CONVERT, (g, store.new_var("_"), g)), TRUE
 
 
@@ -251,4 +259,7 @@ def transform_query(text: str, result: TranspileResult) -> str:
     """Rewrite a query for a transpiled program; returns plain query text."""
     store = Store()
     goal, _ = read_query(text, store, allow_evar=True)
-    return write_term(rewrite_query(goal, store, result)[0])
+    goal, uses_helper = rewrite_query(goal, store, result)
+    if uses_helper and not result.helper:
+        raise TranspileError(f"query needs the {HELPER} clauses the program lacks: {text}")
+    return write_term(goal)

@@ -13,7 +13,10 @@ goals, some of them passed to call/1 as data.  A block of reader inputs, most of
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
 ``read_program`` or ``read_query`` on both trees, and each prints its
-clause count or its error's class and message, line and column included.
+clause count or its error's class and message, line and column included;
+each program text is also consulted on a fresh ``Engine``, which prints
+its clause count or its error, so a refusal that moves from the reader to
+the consult's clause check shows as a changed message.
 The rendered answers are compared with their ``_G``
 serials, so a change that renames a clause's cells in another order shows
 here even where the oracle, whose two sides share the engine, agrees.
@@ -61,6 +64,7 @@ READS = [
         "[] :- a.", "X --> [a].", "3 --> [a].", "(a,b) --> [c].",
         "a.\n'{}'(x) --> -.", "a.\n; --> -.", "a.\n:- --> -.",
         "f({a}).", "f(X) :- X = {a}.", "g --> {a}, [b].",
+        "p(L) :- phrase(({true}, [a]), L).", ";(a) :- true.",
         # a missing final '.'
         "a. b", "a. b(X) :- c(X)", "p", "a. b(\n", "a. b. c",
         # comment-only and layout-only tails, and texts with no clause
@@ -112,6 +116,12 @@ for job in json.load(sys.stdin):
                 print("a query")
         except Exception as e:
             print(f"! {type(e).__name__}: {e}")
+        if reader == "program":
+            try:
+                pairs = Engine(allow_evars=allow_evar).consult_text(text)
+                print(f"consult: {len(pairs)} clauses")
+            except Exception as e:
+                print(f"consult ! {type(e).__name__}: {e}")
     if "program" not in job:
         continue
     engine = Engine(**job["options"])

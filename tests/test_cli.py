@@ -68,6 +68,13 @@ def test_query_mode_true_for_ground_query(pair_file, capsys):
     assert out == "true.\n"
 
 
+def test_query_mode_runs_a_grammar_escape_in_a_clause_body(tmp_path, capsys):
+    f = tmp_path / "p.pl"
+    f.write_text("p(L) :- phrase(({true}, [a]), L).\n")
+    code, out, err = run_main([str(f), "-q", "p(L)."], capsys)
+    assert (code, out, err) == (0, "L = [a]\n", "")
+
+
 def test_runtime_error_exit_2(pair_file, capsys):
     code, out, err = run_main([pair_file, "-q", "nosuch(1)"], capsys)
     assert code == 2

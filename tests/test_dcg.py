@@ -5,6 +5,7 @@ import pytest
 from entangle_pl import (
     Engine,
     InstantiationError,
+    PrologError,
     PrologSyntaxError,
     ResourceLimitError,
     TypeMismatchError,
@@ -88,9 +89,6 @@ def test_bad_grammar_heads_and_bodies():
         ("X", "DCG rule head is a variable"),
         ("3", "DCG rule head is not callable"),
         ("'{}'(x)", "DCG rule head cannot be '{}'"),
-        # atom heads that pass as nonterminals but translate to ;/2 and :-/2
-        (";", "clause head cannot be ';'"),
-        (":-", "clause head cannot be ':-'"),
     ],
 )
 def test_bad_grammar_head_errors_carry_position(head, message):
@@ -99,11 +97,36 @@ def test_bad_grammar_head_errors_carry_position(head, message):
     assert str(err.value) == f"{message} (line 2, column 1)"
 
 
-def test_braces_rejected_outside_rules():
-    with pytest.raises(PrologSyntaxError, match="DCG rule bodies"):
-        translate("f({a}).")
-    with pytest.raises(PrologSyntaxError, match="DCG rule bodies"):
-        translate("f(X) :- X = {a}.")
+def test_grammar_head_translating_to_a_control_construct_is_refused():
+    # the atom head ';' passes as a nonterminal, but its clause is for ;/2,
+    # which the consult refuses as it does `true :- fail.`
+    head = read_program("a.\n; --> -.", Store(), True)[1][0]
+    assert (head.name, len(head.args)) == (";", 2)
+    with pytest.raises(PrologError) as err:
+        Engine().consult_text("a.\n; --> -.")
+    assert str(err.value) == "cannot redefine ;/2"
+
+
+def test_grammar_head_translating_to_a_plain_operator_consults():
+    # :-/2 is neither a control construct nor a builtin
+    e = Engine()
+    e.consult_text("a.\n:- --> -.")
+    assert (":-", 2) in e.db
+
+
+def test_braces_are_ordinary_terms_outside_rules():
+    assert translate("f({a}).") == ["f({a})."]
+    e = Engine()
+    e.consult_text("f(X) :- X = {a}.")
+    assert answers(e, "f(X).") == ["X = {a}"]
+
+
+def test_a_grammar_escape_in_a_clause_body_binds_an_interclausal_variable():
+    e = Engine()
+    e.consult_text(
+        "q(L) :- phrase(('#<'([a,b]), {~V = 1}, '#:'(a), '#>'(R)), _, _), L = R."
+    )
+    assert answers(e, "q(L), ~V = W.") == ["L = [b], W = 1"]
 
 
 # --- running grammars --------------------------------------------------------

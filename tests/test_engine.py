@@ -371,6 +371,24 @@ def test_arithmetic(eng):
     assert answers(eng, "X = 1+1, Y is X+X.") == ["X = 1+1, Y = 4"]
 
 
+@pytest.mark.parametrize("query, error, message", [
+    ("arg(N, f(a), X).", InstantiationError, "arg/3: underinstantiated"),
+    ("arg(1, a, X).", TypeMismatchError, "arg/3: second argument must be compound"),
+    ("functor(T, f, -1).", TypeMismatchError,
+     "functor/3: arity must be a non-negative integer"),
+    ("functor(T, f(a), 0).", TypeMismatchError, "functor/3: name must be atomic"),
+    ("functor(T, 1, 2).", TypeMismatchError, "functor/3: name must be an atom"),
+    ("listing(X).", InstantiationError, "listing/1: unbound argument"),
+    ("listing(1).", TypeMismatchError, "listing/1: expected Name or Name/Arity"),
+    ("listing(f/x).", TypeMismatchError, "listing/1: expected Name or Name/Arity"),
+    ("X is foo(1,2).", EvaluationError, "unknown arithmetic expression: foo(1,2)"),
+])
+def test_builtin_error_branches(eng, query, error, message):
+    with pytest.raises(error) as err:
+        list(eng.query(query))
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_functor_and_arg(eng):
     assert answers(eng, "functor(foo(a,b), N, A).") == ["N = foo, A = 2"]
     assert answers(eng, "functor(baz, N, A).") == ["N = baz, A = 0"]

@@ -322,3 +322,16 @@ def test_a_control_construct_injected_through_a_cell_runs_on_both_sides(gate, n)
     (result,) = check_program("a. b. p :- ~Gate.", [f"~Gate = {gate}, p."], "gate.pl")
     assert result.ok, str(result)
     assert (result.native, result.transpiled) == (n, n)
+
+
+@pytest.mark.parametrize("program, query", [
+    ("p(L) :- phrase(({true}, [a]), L).", "p(L)."),
+    ("q(L) :- phrase(('#<'([a,b]), {~V = 1}, '#:'(a), '#>'(R)), _, _), L = R.",
+     "q(L), ~V = W."),
+    (";(a) :- true.", ";(a)."),
+    ("f(X) :- X = {a}.", "f(X)."),
+], ids=["phrase-escape", "phrase-evar", "semicolon-1", "braces"])
+def test_clauses_the_reader_used_to_refuse_answer_alike_on_both_sides(program, query):
+    (result,) = check_program(program, [query], "read.pl")
+    assert str(result) == f"OK        read.pl :: {query}"
+    assert (result.native, result.transpiled) == (1, 1)

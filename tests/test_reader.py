@@ -6,9 +6,9 @@ import tracemalloc
 
 import pytest
 
-from entangle_pl import Engine, corpus_dir
+from entangle_pl import Engine, corpus_dir, transpile
 from entangle_pl.engine import prelude_text
-from entangle_pl.errors import PrologSyntaxError
+from entangle_pl.errors import PrologError, PrologSyntaxError
 from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var, deref, make_list
 from entangle_pl.reader import (
     INFIX_OPS,
@@ -19,6 +19,7 @@ from entangle_pl.reader import (
     write_clause,
     write_term,
 )
+from conftest import answers
 
 
 def parse_one(text):
@@ -137,6 +138,17 @@ def test_errors_are_reported_in_text_order():
         read_query("a. $", Store())
 
 
+@pytest.mark.parametrize("text, message", [
+    ("X = 'a\\qb'.", "unknown escape sequence \\q (line 1, column 7)"),
+    ("", "empty query (line 1, column 1)"),
+    ("  \n ", "empty query (line 1, column 1)"),
+], ids=["escape", "empty", "blank"])
+def test_query_syntax_errors(text, message):
+    with pytest.raises(PrologSyntaxError) as err:
+        read_query(text, Store())
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("read, text, message", [
     # the three places the parser meets eof: an operand, a closing bracket
     # and a clause's end
@@ -251,11 +263,24 @@ def test_evars_interned_across_clauses():
 
 def test_read_program_head_validation():
     store = Store()
-    for bad in ["(a,b) :- c.", "(a ; b).", "3 :- a.", "X :- a.", "\\+(a) :- b."]:
+    for bad in ["3 :- a.", "X :- a."]:
         with pytest.raises(PrologSyntaxError):
             read_program(bad, store, True)
     # '[]' is an ordinary (if odd) callable atom, so it may head a clause
     assert read_program("[] :- a.", store, True)
+    # a clause for a control construct reads; the consult refuses it
+    for text, key in [("(a,b) :- c.", ",/2"), ("(a ; b).", ";/2"), ("\\+(a) :- b.", "\\+/1")]:
+        assert read_program(text, store, True)
+        for check in (Engine().consult_text, transpile):
+            with pytest.raises(PrologError) as err:
+                check(text)
+            assert str(err.value) == f"cannot redefine {key}"
+
+
+def test_a_clause_for_an_operator_that_is_no_control_construct_consults():
+    e = Engine()
+    e.consult_text(";(a) :- true.")
+    assert answers(e, ";(a).") == ["true"]
 
 
 def test_read_query_forms():

@@ -228,6 +228,35 @@ def test_transform_query_reads_used_slots():
     assert q == "_Env=evs(_),arg(1,_Env,_IV1),_IV1=true,run(_Env)"
 
 
+def test_a_predicate_whose_threaded_key_the_engine_runs_first_is_renamed():
+    # call/0 and is/1 would become call/1 and is/2, which solve runs
+    # before it looks at the database
+    program = "call. is(a). p :- call, is(a)."
+    assert transpile(program).text == (
+        "'$ev_call'(_Env).\n'$ev_is'(a,_Env).\n"
+        "p(_Env) :- '$ev_call'(_Env),'$ev_is'(a,_Env).\n"
+    )
+    results = check_program(program, ["p.", "call.", "is(X).", "G = call, G."])
+    assert [(r.ok, r.native) for r in results] == [(True, 1)] * 4, [str(r) for r in results]
+
+
+def test_transform_query_refuses_a_query_its_program_cannot_run():
+    # the query calls a variable goal, and no clause brings the helper
+    r = transpile("m(1). m(2).")
+    assert not r.helper
+    with pytest.raises(TranspileError, match=r"G = m\(Y\), G\.$"):
+        transform_query("G = m(Y), G.", r)
+
+
+def test_transform_query_calls_a_variable_goal_through_the_programs_helper():
+    r = transpile("m(1). m(2). p(G) :- G.")
+    assert r.helper
+    q = transform_query("G = m(Y), G.", r)
+    oracle = Engine(allow_evars=False)
+    oracle.consult_text(r.text)
+    assert answers(oracle, q) == ["G = m(1), Y = 1", "G = m(2), Y = 2"]
+
+
 def test_transform_query_unknown_evar_errors():
     r = transpile("a(~X).")
     with pytest.raises(TranspileError, match="~Zed"):
