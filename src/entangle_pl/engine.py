@@ -42,10 +42,10 @@ its query before the first step; and call/1, findall/3, phrase/2,3 and
 ``\\+``, a built-in predicate outside the skeleton, convert their goal
 when they start, following bindings.  A phrase/2,3 goal is a call of its
 grammar's expansion: it shares call/1's branch, so a ``!`` in the grammar
-cuts only the expansion, and the transpiler writes it as
-``call(Expansion)``.  No variable then reaches ``solve``'s dispatch, and a
-bound cell runs exactly as its value does, under the cut barrier of the
-construct that started it.
+cuts only the expansion, and the transpiler's helper calls the expansion
+that the ``'$dcg_body'`` builtin gives it.  No variable then reaches
+``solve``'s dispatch, and a bound cell runs exactly as its value does,
+under the cut barrier of the construct that started it.
 
 A cell lives as long as whoever holds it.  The store keeps no list of
 cells; it holds only the ``~Name`` cells it interns.  Clause records hold
@@ -73,7 +73,9 @@ source order.  The lookup is exact, so a call left with one candidate
 pushes no choice point at all (Warren's rule that only a call with
 alternatives gets one), and a call left with none fails at once.
 Queries never change the clause database, so each ``(name, arity, pos)``
-table stays valid until the next consult drops them all.
+table stays valid until the next consult drops them all.  A consult gives
+each predicate it touches a new list, so a call suspended between answers
+keeps the clauses it started with (ISO's logical update view).
 
 A clause is renamed by a builder made at its first try, not by a generic
 copy.  ``_compile`` walks the clause's ``[head, body]`` once, in postfix,
@@ -401,9 +403,12 @@ class Engine:
             raise
 
     def _add(self, clauses):
+        groups = {}  # a new list per predicate: the logical update view
         for clause in clauses:
             head = clause[0]
-            self.db.setdefault((head.name, len(head.args)), []).append(clause)
+            groups.setdefault((head.name, len(head.args)), []).append(clause)
+        for key, group in groups.items():
+            self.db[key] = self.db.get(key, []) + group
         self._index.clear()
 
     # --- queries ---------------------------------------------------------
@@ -741,6 +746,11 @@ def _bi_sort(e: Engine, args):
     return unify(args[1], make_list(deduped), e.store)
 
 
+def _bi_dcg_body(e: Engine, args):
+    # phrase/3's grammar expansion as a term, for the transpiler's helper
+    return unify(args[3], translate_goal(args[:3], e.store), e.store)
+
+
 def _bi_listing(e: Engine, args):
     a = deref(args[0])
     if isinstance(a, Var):
@@ -780,6 +790,7 @@ _BUILTINS = {
     ("copy_term", 2): _bi_copy_term,
     ("sort", 2): _bi_sort,
     ("listing", 1): _bi_listing,
+    ("$dcg_body", 4): _bi_dcg_body,
 }
 
 # (name, arity) of each control construct ``solve`` runs before the database

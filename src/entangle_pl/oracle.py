@@ -129,7 +129,7 @@ def check_program(
         # so that the goal and the answer variables share their copies.
         rewritten, uses_helper = rewrite_query(goal, native.store, program)
         if uses_helper and not program.helper:
-            # the query calls a variable goal, though no clause does
+            # the query calls a variable goal or a phrase, though no clause does
             helper = helper_clauses(native.store, program.predicates)
             oracle._add([[head, body, None] for head, body in helper])
             program.helper = True

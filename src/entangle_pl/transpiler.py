@@ -18,21 +18,45 @@ clauses and the oracle runs them as they are.  Bodies are rewritten with
 one explicit stack, so the oracle and ``--transpile`` take programs of any
 body length or term depth.  The goal arguments of a control construct are
 the positions ``engine.CONTROL`` gives, the table the engine dispatches on.
+A goal that converts only when it starts, and every phrase/2,3 goal, runs
+through a helper that converts it, and expands a grammar, at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .dcg import translate_goal
+# perfbench's tracer patches translate_goal here, though nothing calls it
+from .dcg import translate_goal  # noqa: F401
 from .engine import _BUILTINS, CONTROL, SKELETON, check_clauses
-from .errors import TranspileError, TypeMismatchError
-from .kernel import TRUE, Atom, EVar, Int, Store, Struct, Var, deref
+from .errors import TranspileError
+from .kernel import NIL, TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 HELPER = "$call_ev"
-CONVERT = "$conv_ev"
 _RESERVED = ("_Env", "_IV", "_G")
+
+# The runtime helper's fixed clauses.  '$call_ev' converts a goal when it
+# starts, as engine.convert_goal does, and calls it once, so a cut in it is
+# local; an unbound goal is called as it is, so it raises.  '$conv1_ev'
+# converts one construct, and defers the goals of call/1, findall/3, \+ and
+# phrase/2,3 to when they start.  No '$conv1_ev' head has a variable first
+# argument, so the index picks the one clause a goal can match; a goal that
+# none matches is left as it is.
+_HELPER_TEXT = """
+'$call_ev'(G, E) :- (var(G) -> C = G ; '$conv1_ev'(G, E, C) -> true ; C = G), call(C).
+'$conv_ev'(G, E, C) :- var(G) -> C = '$call_ev'(G, E) ; '$conv1_ev'(G, E, C) -> true ; C = G.
+'$phrase_ev'(G, S0, S, E) :- '$dcg_body'(G, S0, S, B), '$call_ev'(B, E).
+'$conv1_ev'((A, B), E, (C, D)) :- '$conv_ev'(A, E, C), '$conv_ev'(B, E, D).
+'$conv1_ev'((A ; B), E, (C ; D)) :- '$conv_ev'(A, E, C), '$conv_ev'(B, E, D).
+'$conv1_ev'((A -> B), E, (C -> D)) :- '$conv_ev'(A, E, C), '$conv_ev'(B, E, D).
+'$conv1_ev'(\\+ A, E, \\+ '$call_ev'(A, E)).
+'$conv1_ev'(call(A), E, '$call_ev'(A, E)).
+'$conv1_ev'(findall(T, A, L), E, findall(T, '$call_ev'(A, E), L)).
+'$conv1_ev'(phrase(G, L), E, '$phrase_ev'(G, L, [], E)).
+'$conv1_ev'(phrase(G, S0, S), E, '$phrase_ev'(G, S0, S, E)).
+"""
 
 
 @dataclass
@@ -106,27 +130,17 @@ def _open(goal):
     return False
 
 
-def _deferred(t, env):
-    """The call/1, findall/3 or ``\\+`` goal ``t`` with its goal argument
-    run through the runtime helper, which converts it when it starts;
-    call/1 is the helper's call itself."""
-    (i,) = CONTROL[(t.name, len(t.args))]
-    goal = Struct(HELPER, (t.args[i], env))
-    return goal if t.name == "call" else Struct(t.name, t.args[:i] + (goal,) + t.args[i + 1 :])
-
-
-def rewrite_goal(g, env, predset, store):
+def rewrite_goal(g, env, predset):
     """Thread ``env`` into every user-predicate call of a goal, on one
     stack of goals and ``(term, positions)`` markers that rebuild a
     control construct from its rewritten goal arguments.  A goal that a
     call/1, findall/3 or ``\\+`` starts, and whose skeleton holds a
     variable, runs through the runtime helper, which converts it when it
     starts, as ``solve`` does; a variable goal of a query is ``call(V)``,
-    as conversion makes it.  A phrase/2,3 goal is expanded and called,
-    ``call(Expansion)``, as ``solve`` runs it, so a ``!`` in the grammar
-    cuts only the expansion; a variable grammar, or one the expansion
-    refuses, is left to phrase.  Returns the goal and whether it
-    dispatches through the runtime helper."""
+    as conversion makes it.  A phrase/2,3 goal runs through the helper's
+    ``'$phrase_ev'``, which expands the grammar when it starts, as
+    ``solve`` does.  Returns the goal and whether it dispatches through
+    the runtime helper."""
     uses_helper = False
     todo = [g]
     done = []
@@ -149,20 +163,16 @@ def rewrite_goal(g, env, predset, store):
             positions = CONTROL.get(key)
             if positions and key not in SKELETON and _open(args[positions[0]]):
                 uses_helper = True
-                t = _deferred(t, env)
+                (i,) = positions
+                goal = Struct(HELPER, (args[i], env))
+                t = goal if name == "call" else Struct(name, args[:i] + (goal,) + args[i + 1 :])
             elif positions:
                 todo.append((t, positions))
                 todo.extend(args[i] for i in reversed(positions))
                 continue
             elif name == "phrase" and len(args) in (2, 3):
-                # a variable grammar is expanded at run time, so it
-                # must be library-only
-                if not isinstance(deref(args[0]), Var):
-                    try:
-                        todo.append(Struct("call", (translate_goal(args, store),)))
-                        continue
-                    except TypeMismatchError:
-                        pass  # left to phrase, which raises it when it starts
+                uses_helper = True
+                t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
             elif key in predset:
                 t = _threaded(name, args, env)
         done.append(t)
@@ -193,7 +203,7 @@ def rewrite_program(pairs, layout, store: Store):
     uses_helper = False
     for head, body in pairs:
         (head, body), env, goals = _substitute(store, slots, (head, body))
-        rewritten, helper = rewrite_goal(body, env, predset, store)
+        rewritten, helper = rewrite_goal(body, env, predset)
         uses_helper |= helper
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
@@ -204,41 +214,21 @@ def rewrite_program(pairs, layout, store: Store):
     return TranspileResult("", layout, predicates, uses_helper), out
 
 
-def helper_clauses(store: Store, predicates):
-    """Yield the clauses that run a goal injected at run time:
-    ``'$call_ev'(G, Env)`` converts ``G`` with ``'$conv_ev'`` as
-    ``engine.convert_goal`` would, threading ``Env`` into the program's
-    predicates, then calls the result once, so a cut in it is local.
-    ``'$conv_ev'`` has a clause per control construct of ``CONTROL`` that
-    has goal arguments: a construct of ``SKELETON`` converts them in turn,
-    and call/1, findall/3 and ``\\+`` run theirs through ``'$call_ev'``
-    when they start.
+@lru_cache(maxsize=1)
+def _fixed_helper():
+    # shared, as the prelude's clauses are: a stored clause is never bound
+    return tuple(read_program(_HELPER_TEXT, Store()))
 
-    An unbound goal must keep raising an instantiation error (a clause-head
-    match would quietly enumerate the bridged predicates instead), hence
-    the leading var/1 guards.
-    """
-    g, e, c = store.new_var("G"), store.new_var("E"), store.new_var("C")
-    yield Struct(HELPER, (g, store.new_var("_"))), _conj_fold(
-        [Struct("var", (g,)), Atom("!"), Struct("call", (g,))])
-    yield Struct(HELPER, (g, e)), Struct(",", (Struct(CONVERT, (g, e, c)), Struct("call", (c,))))
-    yield Struct(CONVERT, (g, e, Struct(HELPER, (g, e)))), Struct(",", (Struct("var", (g,)), Atom("!")))
-    for (name, arity), positions in CONTROL.items():
-        if not positions:
-            continue
-        vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
-        t = Struct(name, vs)
-        if (name, arity) in SKELETON:
-            cs = tuple(store.new_var(f"C{i + 1}") for i in range(arity))
-            convs = [Struct(CONVERT, (v, e, w)) for v, w in zip(vs, cs)]
-            yield Struct(CONVERT, (t, e, Struct(name, cs))), _conj_fold([Atom("!")] + convs)
-        else:
-            yield Struct(CONVERT, (t, e, _deferred(t, e))), Atom("!")
+
+def helper_clauses(store: Store, predicates):
+    """Yield the runtime helper's clauses: those of ``_HELPER_TEXT``, then a
+    ``'$conv1_ev'`` clause per predicate, which threads ``Env`` into it."""
+    yield from _fixed_helper()
+    e = store.new_var("E")
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
         inner = Atom(name) if arity == 0 else Struct(name, vs)
-        yield Struct(CONVERT, (inner, e, _threaded(name, vs, e))), Atom("!")
-    yield Struct(CONVERT, (g, store.new_var("_"), g)), TRUE
+        yield Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):
@@ -250,7 +240,7 @@ def rewrite_query(goal, store: Store, program: TranspileResult):
     if program.layout:
         slots_vars = tuple(store.new_var("_") for _ in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
-    goal, uses_helper = rewrite_goal(goal, env, set(program.predicates), store)
+    goal, uses_helper = rewrite_goal(goal, env, set(program.predicates))
     goals.append(goal)
     return _conj_fold(goals), uses_helper
 

@@ -464,31 +464,49 @@ def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
 
 
 def test_transpile_calls_a_phrase_expansion(tmp_path, capsys):
-    # the expansion is wrapped in call/1, so the grammar's ! is local to it
+    # the helper expands the grammar when the goal starts and calls the
+    # expansion through call/1, so the grammar's ! is local to it
     (tmp_path / "cut.pl").write_text(
         "m(1). m(2).\nc(X) --> {m(X)}.\np(X, Y) :- m(Y), phrase((c(X), !), _, _).\n")
     (tmp_path / "cut.queries").write_text("p(X, Y).\n")
     code, out, err = run_main([str(tmp_path / "cut.pl"), "--transpile", "-"], capsys)
     assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == (
-        "p(X,Y,_Env) :- m(Y,_Env),call(((c(X,_,_G10,_Env),!),_G10=_)).")
+    lines = out.splitlines()
+    assert lines[3] == "p(X,Y,_Env) :- m(Y,_Env),'$phrase_ev'((c(X),!),_,_,_Env)."
+    assert "'$phrase_ev'(G,S0,S,E) :- '$dcg_body'(G,S0,S,B),'$call_ev'(B,E)." in lines
     code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
     assert (code, out) == (0, "OK        cut.pl :: p(X, Y).\n")
 
 
-def test_phrase_the_transpiler_cannot_expand_is_left_for_run_time(tmp_path, capsys):
-    # natively the grammar is refused only when g runs; so it is transpiled
+def test_phrase_of_a_grammar_that_is_not_callable_raises_when_it_starts(tmp_path, capsys):
+    # natively the grammar is refused only when g runs; so it is transpiled,
+    # and the transpiled expansion raises the same type error when it starts
     (tmp_path / "g.pl").write_text("g --> {phrase(1, L)}.\n")
     (tmp_path / "g.queries").write_text("g(S,S0).\nfail, g(S,S0).\n")
     code, out, err = run_main([str(tmp_path / "g.pl"), "--transpile", "-"], capsys)
     assert (code, err) == (0, "")
-    assert "phrase(1,L" in out
+    assert "'$phrase_ev'(1,L,[],_Env)" in out
+    transpiled = tmp_path / "t.pl"
+    transpiled.write_text(out)
+    code, out, err = run_main(["--no-evar", str(transpiled), "-q", "g(S, S0, _)."], capsys)
+    assert (code, out, err) == (2, "", "error: DCG body item is not callable: 1\n")
     code, out, _ = run_main(["--oracle-check", str(tmp_path)], capsys)
     assert code == 0
     assert out.splitlines() == [
         "OK        g.pl :: g(S,S0).",
         "OK        g.pl :: fail, g(S,S0).",
     ]
+
+
+def test_transpiled_grammar_runs_from_its_text_as_natively(tmp_path, capsys):
+    # the written program calls the engine's '$dcg_body' builtin, so it
+    # must run from its text alone, not only as the oracle's terms
+    program = str(corpus_dir() / "dcg_demo.pl")
+    transpiled = str(tmp_path / "dcg_demo.pl")
+    assert run_main([program, "--transpile", transpiled], capsys)[:2] == (0, "")
+    native = run_main([program, "-q", "parse_greeting(Xs)."], capsys)
+    assert native == (0, "Xs = [hello,world]\nXs = [hello,friend]\n", "")
+    assert run_main(["--no-evar", transpiled, "-q", "parse_greeting(Xs, _)."], capsys) == native
 
 
 def test_oracle_check_empty_directory(tmp_path, capsys):

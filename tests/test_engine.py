@@ -1061,6 +1061,22 @@ def test_a_consult_between_answers_registers_its_cells(eng):
     assert [c.name for c in alive()] == ["Y"]
 
 
+@pytest.mark.parametrize("program, query, added", [
+    ("r(1). r(2).", "r(X).", "r(3)."),
+    ("s(a,1). s(a,2). s(b,9).", "s(a,X).", "s(a,3)."),
+], ids=["scan", "index"])
+def test_a_suspended_call_keeps_the_clauses_it_started_with(program, query, added):
+    # ISO's logical update view: a clause consulted between two answers is
+    # not seen by a call made before it, whether or not the call was indexed
+    e = Engine()
+    e.consult_text(program)
+    gen = checked_answers(e, query)
+    assert next(gen) == "X = 1"
+    e.consult_text(added)
+    assert list(gen) == ["X = 2"]
+    assert answers(e, query) == ["X = 1", "X = 2", "X = 3"]
+
+
 def test_many_queries_leave_the_registry_as_it_was(eng):
     alive = _alive_since(eng.store)
     for _ in range(10_000):

@@ -276,10 +276,10 @@ def test_rewriting_binds_nothing(monkeypatch):
     )
     program, clauses = rewrite_program(pairs, list(store.evars), store)
     rewrite_query(goal, store, program)
-    # the helper too: two '$call_ev' clauses, and '$conv_ev' for a variable,
-    # each of the six control constructs with goal arguments, each
-    # predicate and any other goal
-    assert len(clauses) == len(pairs) + 2 + 1 + 6 + len(program.predicates) + 1
+    # the helper too: '$call_ev', '$conv_ev' and '$phrase_ev', and
+    # '$conv1_ev' for each of the six control constructs with goal
+    # arguments, phrase/2 and phrase/3, and each predicate
+    assert len(clauses) == len(pairs) + 3 + 6 + 2 + len(program.predicates)
     assert binds == []
 
 
@@ -335,3 +335,21 @@ def test_clauses_the_reader_used_to_refuse_answer_alike_on_both_sides(program, q
     (result,) = check_program(program, [query], "read.pl")
     assert str(result) == f"OK        read.pl :: {query}"
     assert (result.native, result.transpiled) == (1, 1)
+
+
+@pytest.mark.parametrize("program, query, n", [
+    ("g --> [a]. p :- ~Gate.", "~Gate = phrase(g, [a]), p.", 1),
+    ("g --> [a]. p(X, L) :- call((X, phrase(g, L))).", "p(true, L).", 1),
+    ("c --> [a]. c --> [a]. p(X, L) :- phrase((c, X), L).", "p(!, [a]).", 1),
+    ("c --> [a]. c --> [a]. q(X, L) :- phrase(X, L).", "q((c, !), [a]).", 1),
+    ("g --> [a]. p(X, L) :- call((X = g, phrase(X, L))).", "p(_, L).", 1),
+    ("c --> [a]. c --> [a]. p(L) :- phrase((c, !), L).", "p([a]).", 1),
+], ids=["through-a-cell", "beside-a-variable", "variable-in-grammar",
+        "variable-grammar", "grammar-bound-later", "cut-in-grammar"])
+def test_a_phrase_goal_expands_when_it_starts_on_both_sides(program, query, n):
+    # the transpiled program expands every grammar at run time, so the
+    # program's own nonterminals get their environment and a ! in the
+    # grammar cuts only the grammar, as natively
+    (result,) = check_program(program, [query], "phrase.pl")
+    assert str(result) == f"OK        phrase.pl :: {query}"
+    assert (result.native, result.transpiled) == (n, n)

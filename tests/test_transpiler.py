@@ -71,10 +71,15 @@ def test_control_constructs_rewritten():
 def test_dynamic_call_uses_helper():
     r = transpile("p(G) :- call(G). q :- ~V. r(1).")
     assert "p(G,_Env) :- '$call_ev'(G,_Env)." in r.text
-    assert "'$call_ev'(G,_) :- var(G),!,call(G)." in r.text
-    assert "'$call_ev'(G,E) :- '$conv_ev'(G,E,C),call(C)." in r.text
-    assert "'$conv_ev'(r(V1),E,r(V1,E)) :- !." in r.text
-    assert r.text.rstrip().endswith("'$conv_ev'(G,_,G).")
+    assert ("'$call_ev'(G,E) :- "
+            "(var(G)->C=G;'$conv1_ev'(G,E,C)->true;C=G),call(C).") in r.text
+    assert ("'$conv_ev'(G,E,C) :- "
+            "var(G)->C='$call_ev'(G,E);'$conv1_ev'(G,E,C)->true;C=G.") in r.text
+    assert r.text.rstrip().endswith("'$conv1_ev'(r(V1),E,r(V1,E)).")
+    # no '$conv1_ev' head has a variable first argument, so the index
+    # picks the one clause a goal can match
+    conv1 = [h for h, _ in read_program(r.text, Store()) if h.name == "$conv1_ev"]
+    assert conv1 and not any(isinstance(h.args[0], Var) for h in conv1)
 
 
 def test_a_goal_whose_skeleton_holds_a_variable_converts_at_run_time():
@@ -83,10 +88,9 @@ def test_a_goal_whose_skeleton_holds_a_variable_converts_at_run_time():
     r = transpile("m(1). p(X) :- call((m(_), X)), findall(Y, (m(Y), X), _), \\+ X.")
     assert ("p(X,_Env) :- '$call_ev'((m(_),X),_Env),"
             "findall(Y,'$call_ev'((m(Y),X),_Env),_),\\+('$call_ev'(X,_Env)).") in r.text
-    assert ("'$conv_ev'((V1;V2),E,(C1;C2)) :- "
-            "!,'$conv_ev'(V1,E,C1),'$conv_ev'(V2,E,C2).") in r.text
-    assert "'$conv_ev'(\\+(V1),E,\\+('$call_ev'(V1,E))) :- !." in r.text
-    assert "'$conv_ev'(call(V1),E,'$call_ev'(V1,E)) :- !." in r.text
+    assert "'$conv1_ev'((A;B),E,(C;D)) :- '$conv_ev'(A,E,C),'$conv_ev'(B,E,D)." in r.text
+    assert "'$conv1_ev'(\\+(A),E,\\+('$call_ev'(A,E)))." in r.text
+    assert "'$conv1_ev'(call(A),E,'$call_ev'(A,E))." in r.text
 
 
 def test_no_helper_when_not_needed():
@@ -94,17 +98,24 @@ def test_no_helper_when_not_needed():
     assert "$call_ev" not in r.text
 
 
-def test_phrase_expanded_statically():
-    r = transpile("g --> [x]. p(L) :- phrase(g, L).")
-    assert "phrase" not in r.text
-    assert "g(L," in r.text
+def test_phrase_runs_through_the_helper_at_run_time():
+    # one path for every phrase/2,3 goal: the helper expands the grammar
+    # when the goal starts, and its conversion threads the environment
+    # into the program's own nonterminals
+    r = transpile("g --> [x]. p(L) :- phrase(g, L). q(S) :- phrase(g, S, []).")
+    assert "p(L,_Env) :- '$phrase_ev'(g,L,[],_Env)." in r.text
+    assert "q(S,_Env) :- '$phrase_ev'(g,S,[],_Env)." in r.text
+    assert "'$conv1_ev'(phrase(G,L),E,'$phrase_ev'(G,L,[],E))." in r.text
+    assert "'$conv1_ev'(g(V1,V2),E,g(V1,V2,E))." in r.text
+    assert r.helper
+    assert transform_query("phrase(g, L).", r) == "'$phrase_ev'(g,L,[],_Env)"
 
 
 def test_phrase_with_a_goal_that_is_not_callable_raises_when_it_starts():
     # expanded inline, `fail` would run before the check met `1`
     src = "g --> {phrase(({fail}, {1}), L)}."
     r = transpile(src)
-    assert "call(" in r.text
+    assert "'$phrase_ev'(({fail},{1}),L,[],_Env)" in r.text
     oracle = Engine(allow_evars=False)
     oracle.consult_text(r.text)  # the expansion does not refuse the program
     with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):
