@@ -26,13 +26,7 @@ from . import engine as _engine
 from .engine import Engine
 from .errors import PrologError
 from .kernel import Struct
-from .transpiler import (
-    helper_clauses,
-    rewrite_program,
-    rewrite_query,
-    transform_query,
-    transpile,
-)
+from .transpiler import rewrite_program, rewrite_query, transform_query, transpile
 
 # Unbound cells render as _G<serial>; an unbound interclausal variable
 # renders as its ~Name.  Both stand for "some unconstrained variable" and
@@ -127,12 +121,7 @@ def check_program(
         # orders unbound cells by a serial unique only within one store, so
         # the rewritten query moves into the transpiled store, as one term
         # so that the goal and the answer variables share their copies.
-        rewritten, uses_helper = rewrite_query(goal, native.store, program)
-        if uses_helper and not program.helper:
-            # the query calls a variable goal or a phrase, though no clause does
-            helper = helper_clauses(native.store, program.predicates)
-            oracle._add([[head, body, None] for head, body in helper])
-            program.helper = True
+        rewritten = rewrite_query(goal, native.store, program)
         copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
         goal, *values = copied.args
         oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)

@@ -176,6 +176,11 @@ _CLOSERS = {"(": ")", "{": "}", "args": ")", "[": "]", "|": "]"}
 _OPERAND_KINDS = frozenset(("atom", "qatom", "var", "evar", "int"))
 
 
+def _starts_term(token) -> bool:
+    kind, tok = token[0], token[1]
+    return kind in _OPERAND_KINDS or kind == "punct" and tok in "([{"
+
+
 def _parse(text, tokens, store, varmap):
     """Read one term of priority at most 1200 from the start of ``tokens``.
 
@@ -216,8 +221,14 @@ def _parse(text, tokens, store, varmap):
                 maxp = 999
                 continue
             op = PREFIX_OPS.get(tok) if kind == "atom" else None
-            starts = nkind in _OPERAND_KINDS or nkind == "punct" and ntok in "([{"
-            if op is None or op[0] > maxp or not starts:
+            if op and nkind == "atom" and ntok in INFIX_OPS and ntok not in PREFIX_OPS:
+                # ISO 6.3.4: the atom is the left operand of the infix
+                # operator next, if a term follows that operator; an
+                # operator name right before '(' is a functor instead
+                after = tokens[pos + 1]
+                functor = after[:2] == ("punct", "(") and after[2] == tokens[pos][3]
+                op = None if _starts_term(after) and not functor else op
+            if op is None or op[0] > maxp or not _starts_term(tokens[pos]):
                 term = Atom(tok)
             elif tok == "-":
                 if nkind != "int":

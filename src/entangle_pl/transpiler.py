@@ -19,7 +19,8 @@ one explicit stack, so the oracle and ``--transpile`` take programs of any
 body length or term depth.  The goal arguments of a control construct are
 the positions ``engine.CONTROL`` gives, the table the engine dispatches on.
 A goal that converts only when it starts, and every phrase/2,3 goal, runs
-through a helper that converts it, and expands a grammar, at run time.
+through a helper that converts it, and expands a grammar, at run time; the
+helper's clauses end every transpiled program, so any query can call it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import TranspileError
 from .kernel import NIL, TRUE, Atom, EVar, Int, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
-HELPER = "$call_ev"
 _RESERVED = ("_Env", "_IV", "_G")
 
 # The runtime helper's fixed clauses.  '$call_ev' converts a goal when it
@@ -64,7 +64,6 @@ class TranspileResult:
     text: str  # the written clauses; empty when the caller takes the terms
     layout: list  # EVar names (with ~) in first-occurrence order
     predicates: list  # (name, arity) of source predicates, definition order
-    helper: bool  # whether the clauses include the runtime helper's
 
 
 def _conj_fold(goals):
@@ -139,9 +138,7 @@ def rewrite_goal(g, env, predset):
     starts, as ``solve`` does; a variable goal of a query is ``call(V)``,
     as conversion makes it.  A phrase/2,3 goal runs through the helper's
     ``'$phrase_ev'``, which expands the grammar when it starts, as
-    ``solve`` does.  Returns the goal and whether it dispatches through
-    the runtime helper."""
-    uses_helper = False
+    ``solve`` does.  Returns the rewritten goal."""
     todo = [g]
     done = []
     while todo:
@@ -162,21 +159,19 @@ def rewrite_goal(g, env, predset):
             key = (name, len(args))
             positions = CONTROL.get(key)
             if positions and key not in SKELETON and _open(args[positions[0]]):
-                uses_helper = True
                 (i,) = positions
-                goal = Struct(HELPER, (args[i], env))
+                goal = Struct("$call_ev", (args[i], env))
                 t = goal if name == "call" else Struct(name, args[:i] + (goal,) + args[i + 1 :])
             elif positions:
                 todo.append((t, positions))
                 todo.extend(args[i] for i in reversed(positions))
                 continue
             elif name == "phrase" and len(args) in (2, 3):
-                uses_helper = True
                 t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
             elif key in predset:
                 t = _threaded(name, args, env)
         done.append(t)
-    return done[0], uses_helper
+    return done[0]
 
 
 def transpile(*texts: str) -> TranspileResult:
@@ -195,23 +190,27 @@ def transpile(*texts: str) -> TranspileResult:
 def rewrite_program(pairs, layout, store: Store):
     """Rewrite the program ``pairs``, read into ``store``, whose ``~Name``
     cells are ``layout`` in first-occurrence order.  Returns its result,
-    text empty, and the rewritten ``(head, body)`` clauses."""
+    text empty, and the rewritten ``(head, body)`` clauses, which end with
+    the runtime helper's: those of ``_HELPER_TEXT``, then a ``'$conv1_ev'``
+    clause per predicate, which threads ``Env`` into it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
     predset = set(predicates)
     out = []
-    uses_helper = False
     for head, body in pairs:
         (head, body), env, goals = _substitute(store, slots, (head, body))
-        rewritten, helper = rewrite_goal(body, env, predset)
-        uses_helper |= helper
+        rewritten = rewrite_goal(body, env, predset)
         if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else TRUE
         out.append((_threaded(head.name, head.args, env), new_body))
-    if uses_helper:
-        out += helper_clauses(store, predicates)
-    return TranspileResult("", layout, predicates, uses_helper), out
+    out += _fixed_helper()
+    e = store.new_var("E")
+    for name, arity in predicates:
+        vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
+        inner = Atom(name) if arity == 0 else Struct(name, vs)
+        out.append((Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE))
+    return TranspileResult("", layout, predicates), out
 
 
 @lru_cache(maxsize=1)
@@ -220,36 +219,20 @@ def _fixed_helper():
     return tuple(read_program(_HELPER_TEXT, Store()))
 
 
-def helper_clauses(store: Store, predicates):
-    """Yield the runtime helper's clauses: those of ``_HELPER_TEXT``, then a
-    ``'$conv1_ev'`` clause per predicate, which threads ``Env`` into it."""
-    yield from _fixed_helper()
-    e = store.new_var("E")
-    for name, arity in predicates:
-        vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
-        inner = Atom(name) if arity == 0 else Struct(name, vs)
-        yield Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE
-
-
 def rewrite_query(goal, store: Store, program: TranspileResult):
     """Rewrite a query goal read into ``store`` for ``program``.  Returns
-    the goal and whether it dispatches through the runtime helper, whose
-    clauses the program has only if one of its own clauses does."""
+    the rewritten goal."""
     slots = {name: i + 1 for i, name in enumerate(program.layout)}
     (goal,), env, goals = _substitute(store, slots, (goal,))
     if program.layout:
         slots_vars = tuple(store.new_var("_") for _ in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
-    goal, uses_helper = rewrite_goal(goal, env, set(program.predicates))
-    goals.append(goal)
-    return _conj_fold(goals), uses_helper
+    goals.append(rewrite_goal(goal, env, set(program.predicates)))
+    return _conj_fold(goals)
 
 
 def transform_query(text: str, result: TranspileResult) -> str:
     """Rewrite a query for a transpiled program; returns plain query text."""
     store = Store()
     goal, _ = read_query(text, store, allow_evar=True)
-    goal, uses_helper = rewrite_query(goal, store, result)
-    if uses_helper and not result.helper:
-        raise TranspileError(f"query needs the {HELPER} clauses the program lacks: {text}")
-    return write_term(goal)
+    return write_term(rewrite_query(goal, store, result))

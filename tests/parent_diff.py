@@ -16,7 +16,10 @@ missing final ``.``, comment-only tails, text after a query), is read with
 clause count or its error's class and message, line and column included;
 each program text is also consulted on a fresh ``Engine``, which prints
 its clause count or its error, so a refusal that moves from the reader to
-the consult's clause check shows as a changed message.
+the consult's clause check shows as a changed message.  Each corpus
+program and the oracle sweep's first 500 seed programs are transpiled on
+both trees, and the ``--transpile`` text of each is compared line by line,
+so a transpiler change shows its text outside the golden files too.
 The rendered answers are compared with their ``_G``
 serials, so a change that renames a clause's cells in another order shows
 here even where the oracle, whose two sides share the engine, agrees.
@@ -26,7 +29,8 @@ count changes does not shift the rest of its job.  On any difference it
 prints, for each job that differs, ``DIFF:``, how many of its queries'
 outcomes differ, raw and once each outcome's ``_G`` serials are
 renumbered by first appearance (as the oracle's ``normalize_solution``
-does), and the first 5 of them, then the totals, and exits 1.
+does), and the first 5 of them, each from its first differing line, then
+the totals, and exits 1.
 Run it before committing a change to the engine; it is not part of the
 tier-1 suite.
 """
@@ -47,10 +51,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402  (perfbench/gen.py: the det program)
 import goal_sweep  # noqa: E402  (this script's own directory)
+import oracle_sweep  # noqa: E402
 from entangle_pl import corpus_dir  # noqa: E402
 from entangle_pl.oracle import read_queries  # noqa: E402
 
 SWEEP_SEEDS = range(5_000)
+TRANSPILED_SEEDS = range(500)
 
 # (reader, allow_evar, text): texts for read_program ("program") or
 # read_query ("query"), each read on its own store
@@ -97,11 +103,11 @@ DATA_QUERIES = ["mk(A, G), call(G).", "X = A, mk(X, G), call(G).",
                 "p(A).", "r(A).", "s(f(A)).", "findall(Y-G, (mk(A, G), call(G), m(Y)), L)."]
 
 # Runs in a child process: reads the jobs as JSON from standard input, and
-# writes each read's outcome, then each query, its answers and the error
-# that ended it, if any.
+# writes each read's outcome and each program's transpiled text, then each
+# query, its answers and the error that ended it, if any.
 WORKER = """
 import json, sys
-from entangle_pl import Engine
+from entangle_pl import Engine, transpile
 from entangle_pl.kernel import Store
 from entangle_pl.reader import read_program, read_query
 for job in json.load(sys.stdin):
@@ -122,6 +128,12 @@ for job in json.load(sys.stdin):
                 print(f"consult: {len(pairs)} clauses")
             except Exception as e:
                 print(f"consult ! {type(e).__name__}: {e}")
+    for label, text in job.get("transpiles", ()):
+        print("transpile " + label)
+        try:
+            print(transpile(text).text, end="")
+        except Exception as e:
+            print(f"! {type(e).__name__}: {e}")
     if "program" not in job:
         continue
     engine = Engine(**job["options"])
@@ -146,8 +158,14 @@ for job in json.load(sys.stdin):
 
 
 def jobs() -> list:
-    found = [{"name": "reader", "reads": READS}]
-    for program in sorted(corpus_dir().glob("*.pl")):
+    corpus = sorted(corpus_dir().glob("*.pl"))
+    found = [{"name": "reader", "reads": READS}, {
+        "name": "transpiled text",
+        "transpiles": [(p.name, p.read_text(encoding="utf-8")) for p in corpus]
+        + [(f"oracle sweep seed {seed}", oracle_sweep.program(seed)[0])
+           for seed in TRANSPILED_SEEDS],
+    }]
+    for program in corpus:
         found.append({
             "name": f"corpus {program.stem}", "options": {}, "limit": None,
             "program": program.read_text(encoding="utf-8"),
@@ -185,8 +203,8 @@ def answers(tree: Path, work: str) -> list:
 
 
 def by_query(lines: list) -> dict:
-    """The worker's output lines by job name, then by query: each ``?- ``
-    or ``read`` line, with the number of times it came before in its job,
+    """The worker's output lines by job name, then by query: each ``?- ``,
+    ``read`` or ``transpile`` line, with the number of times it came before in its job,
     keys the lines that follow it, and ``("", 0)`` keys what the job
     prints before its first query."""
     jobs = {}
@@ -195,7 +213,7 @@ def by_query(lines: list) -> dict:
             job = jobs[line[3:]] = {}
             seen = Counter()
             outcome = job[("", 0)] = []
-        elif line.startswith(("?- ", "read ")):
+        elif line.startswith(("?- ", "read ", "transpile ")):
             outcome = job[(line, seen[line])] = []
             seen[line] += 1
         else:
@@ -214,8 +232,17 @@ def renumbered(outcome: list) -> list:
 SHOWN = 5  # differing queries printed per job
 
 
-def shown(outcome) -> str:
-    return "(none)" if outcome is None else " | ".join(outcome)[:200]
+def first_difference(a, b) -> int:
+    """The index of the first line where two outcomes differ."""
+    if a is None or b is None:
+        return 0
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def shown(outcome, start: int) -> str:
+    if outcome is None:
+        return "(none)"
+    return (f"(from line {start + 1}) " if start else "") + " | ".join(outcome[start:])[:200]
 
 
 def main() -> int:
@@ -240,8 +267,10 @@ def main() -> int:
         print(f"DIFF: {name}: {len(rows)} of {len(job) - 1} queries differ, "
               f"{renamed} after renumbering")
         for (line, _), a, b in rows[:SHOWN]:
-            print(f"  {line or '(before the first query)'}\n    HEAD:         {shown(a)}\n"
-                  f"    working tree: {shown(b)}")
+            start = first_difference(a, b)
+            print(f"  {line or '(before the first query)'}\n"
+                  f"    HEAD:         {shown(a, start)}\n"
+                  f"    working tree: {shown(b, start)}")
         if len(rows) > SHOWN:
             print(f"  and {len(rows) - SHOWN} more")
         differing += len(rows)
@@ -252,7 +281,8 @@ def main() -> int:
         return 1
     queries = sum(line.startswith("?- ") for line in after)
     reads = sum(line.startswith("read ") for line in after)
-    print(f"{reads} reads, {queries} queries, {len(after)} lines: "
+    texts = sum(line.startswith("transpile ") for line in after)
+    print(f"{reads} reads, {texts} transpiled texts, {queries} queries, {len(after)} lines: "
           "no difference from HEAD")
     return 0
 

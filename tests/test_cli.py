@@ -104,7 +104,8 @@ def test_long_clause_body_runs(tmp_path, capsys):
     assert (code, out, err) == (0, "true.\n", "")
     code, out, err = run_main([str(f), "--transpile", "-"], capsys)
     assert (code, err) == (0, "")
-    assert out.startswith("p(_Env) :- true,") and out.count("true") == 3000
+    # the helper's clauses follow the program's one clause
+    assert out.startswith("p(_Env) :- true,") and out.splitlines()[0].count("true") == 3000
 
 
 def test_deep_sum_answers(pair_file, capsys):
@@ -184,7 +185,7 @@ def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     f.write_text(text)
     code, out, err = run_main([str(f), "--transpile", "-"], capsys)
     assert (code, err) == (0, "")
-    assert out.count(";") == 2999
+    assert out.splitlines()[1].count(";") == 2999
     results = check_program(text, ["p.", "a, p."])
     assert [r.ok for r in results] == [True, True]
     # so is ->/2 nesting
@@ -192,7 +193,7 @@ def test_transpile_long_disjunction_and_deep_if_then(tmp_path, capsys):
     f.write_text(text)
     code, out, err = run_main([str(f), "--transpile", "-"], capsys)
     assert (code, err) == (0, "")
-    assert out.count("->") == 2999
+    assert out.splitlines()[1].count("->") == 2999
     results = check_program(text, ["p.", "a, p."])
     assert [r.ok for r in results] == [True, True]
 

@@ -201,6 +201,33 @@ def test_precedences():
     assert t.name == "\\+" and t.args[0].name == "="
 
 
+def test_a_prefix_operator_atom_before_an_infix_operator_is_its_operand():
+    # ISO 6.3.4: an infix operator that is not also prefix, with a term
+    # after it, takes the operator atom before it as its left operand
+    e = Engine()
+    assert answers(e, "X = (\\+ = a).") == ["X = (\\+)=a"]
+    assert answers(e, "X = (- = a).") == ["X = (-)=a"]
+    t, _ = parse_one("X = (\\+ = a)")
+    eq = t.args[1]
+    assert eq.name == "=" and [a.name for a in eq.args] == ["\\+", "a"]
+    assert all(type(a) is Atom for a in eq.args)
+    # no term after the infix operator: the prefix reading stands
+    assert answers(e, "X = (\\+ is).") == ["X = \\+(is)"]
+    assert answers(e, "X = f(\\+ =).") == ["X = f(\\+(=))"]
+    # an operator that is prefix too starts the prefix operator's operand
+    assert answers(e, "X = (\\+ - 1).") == ["X = \\+(-1)"]
+    assert answers(e, "X = (- 1).") == ["X = -1"]
+    # an operator name right before '(' is a functor, not an operator
+    assert answers(e, "X = (\\+ =(a, b)).") == ["X = \\+(a=b)"]
+    assert answers(e, "X = (\\+ mod(x, 2) =:= 0).") == ["X = \\+(x mod 2=:=0)"]
+    assert answers(e, "X = (\\+ is(x, 1)).") == ["X = \\+(x is 1)"]
+    assert answers(e, "X = (\\+ <(a, b)).") == ["X = \\+(a<b)"]
+    assert answers(e, "X = (\\+ = (a)).") == ["X = (\\+)=a"]
+    assert answers(e, "X = (\\+ = '(').") == ["X = (\\+)='('"]
+    e.consult_text("\\+ :- true.")
+    assert answers(e, "call(\\+).") == ["true"]
+
+
 def test_xfx_is_not_associative():
     with pytest.raises(PrologSyntaxError):
         parse_one("a = b = c")

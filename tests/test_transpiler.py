@@ -11,6 +11,10 @@ from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
 from conftest import answers
 
+# the helper's fixed clauses, with which every transpiled program ends
+# before a '$conv1_ev' clause per predicate
+FIXED_HELPER = transpile().text
+
 
 def test_layout_first_occurrence_order():
     r = transpile("a(~B, ~A). b(~C) :- c(~A).")
@@ -21,7 +25,11 @@ def test_layout_first_occurrence_order():
 
 def test_simple_fact_transform():
     r = transpile("a(~X).")
-    assert r.text == "a(_IV1,_Env) :- arg(1,_Env,_IV1).\n"
+    assert r.text == (
+        "a(_IV1,_Env) :- arg(1,_Env,_IV1).\n"
+        + FIXED_HELPER
+        + "'$conv1_ev'(a(V1),E,a(V1,E)).\n"
+    )
     assert r.predicates == [("a", 1)]
 
 
@@ -93,9 +101,14 @@ def test_a_goal_whose_skeleton_holds_a_variable_converts_at_run_time():
     assert "'$conv1_ev'(call(A),E,'$call_ev'(A,E))." in r.text
 
 
-def test_no_helper_when_not_needed():
+def test_every_program_ends_with_the_helper():
+    # no clause calls a variable goal, and the helper is still appended
     r = transpile("p :- q. q.")
-    assert "$call_ev" not in r.text
+    assert r.text == (
+        "p(_Env) :- q(_Env).\nq(_Env).\n"
+        + FIXED_HELPER
+        + "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(q,E,q(E)).\n"
+    )
 
 
 def test_phrase_runs_through_the_helper_at_run_time():
@@ -107,7 +120,6 @@ def test_phrase_runs_through_the_helper_at_run_time():
     assert "q(S,_Env) :- '$phrase_ev'(g,S,[],_Env)." in r.text
     assert "'$conv1_ev'(phrase(G,L),E,'$phrase_ev'(G,L,[],E))." in r.text
     assert "'$conv1_ev'(g(V1,V2),E,g(V1,V2,E))." in r.text
-    assert r.helper
     assert transform_query("phrase(g, L).", r) == "'$phrase_ev'(g,L,[],_Env)"
 
 
@@ -246,22 +258,32 @@ def test_a_predicate_whose_threaded_key_the_engine_runs_first_is_renamed():
     assert transpile(program).text == (
         "'$ev_call'(_Env).\n'$ev_is'(a,_Env).\n"
         "p(_Env) :- '$ev_call'(_Env),'$ev_is'(a,_Env).\n"
+        + FIXED_HELPER
+        + "'$conv1_ev'(call,E,'$ev_call'(E)).\n'$conv1_ev'(is(V1),E,'$ev_is'(V1,E)).\n"
+        "'$conv1_ev'(p,E,p(E)).\n"
     )
     results = check_program(program, ["p.", "call.", "is(X).", "G = call, G."])
     assert [(r.ok, r.native) for r in results] == [(True, 1)] * 4, [str(r) for r in results]
 
 
-def test_transform_query_refuses_a_query_its_program_cannot_run():
-    # the query calls a variable goal, and no clause brings the helper
-    r = transpile("m(1). m(2).")
-    assert not r.helper
-    with pytest.raises(TranspileError, match=r"G = m\(Y\), G\.$"):
-        transform_query("G = m(Y), G.", r)
+def test_any_query_may_call_a_variable_goal_as_natively():
+    # no clause calls a variable goal, and the program still ends with the
+    # helper, so the query runs on the transpiled engine
+    program, query = "m(1). m(2).", "G = m(Y), G."
+    r = transpile(program)
+    assert r.text.endswith("'$conv1_ev'(m(V1),E,m(V1,E)).\n")
+    native = Engine()
+    native.consult_text(program)
+    oracle = Engine(allow_evars=False)
+    oracle.consult_text(r.text)
+    assert answers(oracle, transform_query(query, r)) == answers(native, query) == [
+        "G = m(1), Y = 1",
+        "G = m(2), Y = 2",
+    ]
 
 
 def test_transform_query_calls_a_variable_goal_through_the_programs_helper():
     r = transpile("m(1). m(2). p(G) :- G.")
-    assert r.helper
     q = transform_query("G = m(Y), G.", r)
     oracle = Engine(allow_evars=False)
     oracle.consult_text(r.text)
