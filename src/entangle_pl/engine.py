@@ -21,7 +21,11 @@ copies each solution of its goal at a marker goal, called as
 ``marker(engine)``, that then fails, and a choice point below the goal
 unifies the collected list.
 ``CONTROL`` lists the control constructs and their goal arguments; the
-transpiler rewrites goals through the same table.  Every binding of a cell
+transpiler rewrites goals through the same table.  A call's name is
+tested once against the names in ``CONTROL``; any other call, and a
+control name at another arity (``call/2``, ``true/1``), goes on to one
+``(name, arity)`` key, looked up in the builtins and then the database, so
+a user call costs one set test and one key.  Every binding of a cell
 older than the store's young mark is trailed (Warren's conditional
 trailing): ``solve`` keeps the mark at the allocation mark of the newest
 choice point, or of the query's start when none is left, so a binding the
@@ -64,16 +68,19 @@ Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
 
-Clauses are selected through an argument index built at first use.  A
+Clauses are selected through an argument index built at first use: a
+predicate's index is a list with one slot per argument position, whose
+table is built the first time a call has that position bound.  A
 call to a predicate of several clauses looks up its first argument that is
 bound at an indexable position, one where no clause head holds a variable
 (a ``~Name`` cell counts: a query may bind it and the reset unbinds it),
-and tries only the clauses with the same principal functor there, in
-source order.  The lookup is exact, so a call left with one candidate
-pushes no choice point at all (Warren's rule that only a call with
-alternatives gets one), and a call left with none fails at once.
-Queries never change the clause database, so each ``(name, arity, pos)``
-table stays valid until the next consult drops them all.  A consult gives
+and tries only the clauses with the same principal functor there, read by
+exact type (``_functor_key``), in source order.  The lookup is exact, so a
+call left with one candidate pushes no choice point at all (Warren's rule
+that only a call with alternatives gets one), and a call left with none
+fails at once.
+Queries never change the clause database, so a predicate's tables stay
+valid until the next consult drops every predicate's.  A consult gives
 each predicate it touches a new list, so a call suspended between answers
 keeps the clauses it started with (ISO's logical update view).
 
@@ -130,6 +137,7 @@ from .kernel import (
     OUTSIDE,
     TRUE,
     Atom,
+    EVar,
     Int,
     Store,
     Struct,
@@ -175,12 +183,18 @@ def _found_all(acc, result, e):
 
 
 def _functor_key(t):
-    """Principal functor of a non-variable term, as an index key."""
-    if isinstance(t, Atom):
+    """Principal functor of a non-variable term, as an index key, by exact
+    type: an atom's name, an integer's value, a compound's ``(name,
+    arity)``.  ``Engine._candidates`` inlines this rule for the call."""
+    kind = type(t)
+    if kind is Atom:
         return t.name
-    if isinstance(t, Int):
+    if kind is Int:
         return t.value
     return t.name, len(t.args)
+
+
+_UNBUILT = object()  # an index slot whose table is not built yet
 
 
 def _arg_table(clauses, pos):
@@ -372,7 +386,8 @@ class Engine:
         # (name, arity) -> [[head, body, builder], ...] in source order;
         # the dict's insertion order is the order listing/1 prints them in
         self.db = {}
-        # (name, arity, pos) -> _arg_table(...), built at first use
+        # (name, arity) -> one slot per argument position: _UNBUILT, or
+        # _arg_table(clauses, pos), built the first time a call binds pos
         self._index = {}
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
@@ -434,6 +449,7 @@ class Engine:
         store = self.store
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
+        db = self.db
         # A choice point is the tuple (mark, young, goals): its goals node
         # resumes after undoing to mark, under the young mark it found.
         # The clauses of a call not yet tried come back as a retry node, a
@@ -481,69 +497,70 @@ class Engine:
                     name = goal.name
                     args = goal.args
                     arity = len(args)
-
-                    if name == "," and arity == 2:
-                        goals = (args[0], barrier, (args[1], barrier, goals))
-                        continue
-                    if name == "true" and arity == 0:
-                        continue
-                    if name == "fail" and arity == 0:
-                        failing = True
-                        continue
-                    if name == "!" and arity == 0:
-                        if len(cps) > barrier:
-                            mark, store.young, _ = cps[barrier]
-                            del cps[barrier:]
-                            store.tidy(mark)
-                        continue
-                    ite = None
-                    if name == ";" and arity == 2:
-                        first = args[0]
-                        if type(first) is Struct and first.name == "->" and len(first.args) == 2:
-                            ite = first.args + (args[1],)
-                        else:
-                            cps.append((len(trail), store.young, (args[1], barrier, goals)))
-                            store.young = store.allocated
-                            goals = (args[0], barrier, goals)
+                    if name in _CONTROL_NAMES:
+                        if name == "," and arity == 2:
+                            goals = (args[0], barrier, (args[1], barrier, goals))
                             continue
-                    elif name == "->" and arity == 2:
-                        ite = args + (_FAIL_GOAL,)
-                    elif name == "\\+" and arity == 1:
-                        ite = (convert_goal(args[0], True), _FAIL_GOAL, TRUE)
-                    if ite is not None:
-                        cond, then, otherwise = ite
-                        h = len(cps)
-                        cps.append((len(trail), store.young, (otherwise, barrier, goals)))
-                        store.young = store.allocated
-                        goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
-                        continue
-                    if name == "call" and arity == 1 or name == "phrase" and arity in (2, 3):
-                        g = args[0] if arity == 1 else translate_goal(args, store)
-                        goals = (convert_goal(g, True), len(cps), goals)
-                        continue
-                    if name == "findall" and arity == 3:
-                        template, subgoal, result = args
-                        subgoal = convert_goal(subgoal, True)
-                        acc = []
-                        found = partial(_found_all, acc, result)
-                        cps.append((len(trail), store.young, (found, 0, goals)))
-                        store.young = store.allocated
-                        collect = partial(_collect, template, acc)
-                        goals = (subgoal, len(cps), (collect, 0, None))
-                        continue
-                    builtin = _BUILTINS.get((name, arity))
+                        if name == "true" and arity == 0:
+                            continue
+                        if name == "fail" and arity == 0:
+                            failing = True
+                            continue
+                        if name == "!" and arity == 0:
+                            if len(cps) > barrier:
+                                mark, store.young, _ = cps[barrier]
+                                del cps[barrier:]
+                                store.tidy(mark)
+                            continue
+                        ite = None
+                        if name == ";" and arity == 2:
+                            first = args[0]
+                            if type(first) is Struct and first.name == "->" and len(first.args) == 2:
+                                ite = first.args + (args[1],)
+                            else:
+                                cps.append((len(trail), store.young, (args[1], barrier, goals)))
+                                store.young = store.allocated
+                                goals = (args[0], barrier, goals)
+                                continue
+                        elif name == "->" and arity == 2:
+                            ite = args + (_FAIL_GOAL,)
+                        elif name == "\\+" and arity == 1:
+                            ite = (convert_goal(args[0], True), _FAIL_GOAL, TRUE)
+                        if ite is not None:
+                            cond, then, otherwise = ite
+                            h = len(cps)
+                            cps.append((len(trail), store.young, (otherwise, barrier, goals)))
+                            store.young = store.allocated
+                            goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
+                            continue
+                        if name == "call" and arity == 1 or name == "phrase" and arity in (2, 3):
+                            g = args[0] if arity == 1 else translate_goal(args, store)
+                            goals = (convert_goal(g, True), len(cps), goals)
+                            continue
+                        if name == "findall" and arity == 3:
+                            template, subgoal, result = args
+                            subgoal = convert_goal(subgoal, True)
+                            acc = []
+                            found = partial(_found_all, acc, result)
+                            cps.append((len(trail), store.young, (found, 0, goals)))
+                            store.young = store.allocated
+                            collect = partial(_collect, template, acc)
+                            goals = (subgoal, len(cps), (collect, 0, None))
+                            continue
+                    key = (name, arity)
+                    builtin = _BUILTINS.get(key)
                     if builtin is not None:
                         if not builtin(self, args):
                             failing = True
                         continue
-                    clauses = self.db.get((name, arity))
+                    clauses = db.get(key)
                     if clauses is None:
                         if self.unknown_fail:
                             failing = True
                             continue
                         raise ExistenceError(name, arity)
                     if len(clauses) > 1:
-                        clauses = self._candidates(name, arity, args, clauses)
+                        clauses = self._candidates(key, args, clauses)
                         if not clauses:
                             failing = True
                             continue
@@ -559,26 +576,37 @@ class Engine:
                 body = try_clause(clauses[i], goal, store)
                 if body is None:
                     failing = True
-                elif not (isinstance(body, Atom) and body.name == "true"):
+                elif type(body) is not Atom or body.name != "true":
                     goals = (body, barrier, goals)
         finally:
             store.undo_to(start)
             store.young = OUTSIDE
 
-    def _candidates(self, name, arity, args, clauses):
-        """The clauses a call with ``args`` can match, as far as the index
-        on its first bound, indexable argument tells."""
-        index = self._index
+    def _candidates(self, key, args, clauses):
+        """The clauses of predicate ``key`` that a call with ``args`` can
+        match, as far as the index on its first bound, indexable argument
+        tells.  The predicate's tables are a list with one slot per
+        argument position, each built the first time a call has that
+        position bound; ``_functor_key``'s rule, inlined, reads the key."""
+        tables = self._index.get(key)
+        if tables is None:
+            tables = self._index[key] = [_UNBUILT] * len(args)
         for pos, arg in enumerate(args):
-            arg = deref(arg)
-            if isinstance(arg, Var):
+            kind = type(arg)
+            while kind is Var or kind is EVar:
+                arg = arg.ref
+                kind = type(arg)
+            if arg is None:  # an unbound cell
                 continue
-            key = (name, arity, pos)
-            if key not in index:
-                index[key] = _arg_table(clauses, pos)
-            table = index[key]
+            table = tables[pos]
+            if table is _UNBUILT:
+                table = tables[pos] = _arg_table(clauses, pos)
             if table is not None:
-                return table.get(_functor_key(arg), ())
+                if kind is Atom:
+                    return table.get(arg.name, ())
+                if kind is Int:
+                    return table.get(arg.value, ())
+                return table.get((arg.name, len(arg.args)), ())
         return clauses
 
     # --- builtin helpers ---------------------------------------------------
@@ -801,6 +829,9 @@ CONTROL = {
     ("call", 1): (0,), ("findall", 3): (1,), ("true", 0): (), ("fail", 0): (),
     ("!", 0): (), ("phrase", 2): (), ("phrase", 3): (),
 }
+# the names ``solve`` tests before anything else; a call to any other name
+# goes straight to the builtins and the database
+_CONTROL_NAMES = frozenset(name for name, _ in CONTROL)
 
 # ISO's control skeleton: the constructs a goal's conversion walks into.
 # ``\+`` is a built-in predicate, and call/1 and findall/3 convert their

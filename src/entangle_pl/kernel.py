@@ -197,6 +197,8 @@ def unify(a: Term, b: Term, store: Store) -> bool:
     it was before.  A
     young cell may be left bound: failure backtracks, which discards it, and
     a caller that goes on instead raises the mark to ``allocated`` first.
+    Each pair is first tested for identity, before any dereference: a
+    clause head that holds the goal's own argument meets it in one test.
     It dispatches on exact types, since no term class but ``EVar`` is
     subclassed, and binds through ``Store.bind``."""
     occurs_check = store.occurs_check
@@ -206,6 +208,8 @@ def unify(a: Term, b: Term, store: Store) -> bool:
     pop = stack.pop
     while stack:
         x, y = pop()
+        if x is y:
+            continue
         tx = type(x)
         while tx is Var or tx is EVar:
             r = x.ref

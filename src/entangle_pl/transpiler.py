@@ -2,7 +2,9 @@
 
 Every user-defined predicate p/k becomes p/(k+1) with a hidden environment
 argument appended (``'$ev_p'``/(k+1) where the engine runs p/(k+1) itself);
-the environment is one compound ``evs/N`` holding a slot per distinct
+a call of a p/(k+1) that the program leaves undefined becomes
+``'$ev_p'``/(k+1), which stays undefined, so it cannot reach the threaded
+p/k.  The environment is one compound ``evs/N`` holding a slot per distinct
 ``~Name`` of the program (first-occurrence order).  Each clause reads the
 slots it uses with arg/3 and threads the environment into every
 user-predicate call.  The output is plain syntax (no ``~`` tokens) and
@@ -116,6 +118,21 @@ def _threaded(name, args, env):
     return Struct("$ev_" + name if key in CONTROL or key in _BUILTINS else name, args + (env,))
 
 
+def _shadowed(key, predset):
+    """Whether a call to ``key``, which the program leaves undefined, has
+    the key of a program predicate once threaded: one argument more than
+    one, and not run by ``solve`` itself.  Such a call takes the ``$ev_``
+    name, which stays undefined, so it does not reach the threaded
+    clauses."""
+    name, arity = key
+    return (
+        (name, arity - 1) in predset
+        and key not in predset
+        and key not in CONTROL
+        and key not in _BUILTINS
+    )
+
+
 def _open(goal):
     """Whether ``goal``'s control skeleton holds a variable, so that the
     goal converts only when it starts."""
@@ -138,7 +155,9 @@ def rewrite_goal(g, env, predset):
     starts, as ``solve`` does; a variable goal of a query is ``call(V)``,
     as conversion makes it.  A phrase/2,3 goal runs through the helper's
     ``'$phrase_ev'``, which expands the grammar when it starts, as
-    ``solve`` does.  Returns the rewritten goal."""
+    ``solve`` does.  A call of a key the program leaves undefined, one
+    argument longer than one of its predicates, takes the ``$ev_`` name.
+    Returns the rewritten goal."""
     todo = [g]
     done = []
     while todo:
@@ -170,6 +189,8 @@ def rewrite_goal(g, env, predset):
                 t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
             elif key in predset:
                 t = _threaded(name, args, env)
+            elif _shadowed(key, predset):
+                t = Struct("$ev_" + name, args)
         done.append(t)
     return done[0]
 
@@ -192,7 +213,9 @@ def rewrite_program(pairs, layout, store: Store):
     cells are ``layout`` in first-occurrence order.  Returns its result,
     text empty, and the rewritten ``(head, body)`` clauses, which end with
     the runtime helper's: those of ``_HELPER_TEXT``, then a ``'$conv1_ev'``
-    clause per predicate, which threads ``Env`` into it."""
+    clause per predicate, which threads ``Env`` into it, each followed, when
+    the key one argument longer is ``_shadowed``, by one that gives such a
+    goal the ``$ev_`` name, as ``rewrite_goal`` does."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
     predset = set(predicates)
@@ -210,6 +233,9 @@ def rewrite_program(pairs, layout, store: Store):
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
         inner = Atom(name) if arity == 0 else Struct(name, vs)
         out.append((Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE))
+        if _shadowed((name, arity + 1), predset):
+            vs += (store.new_var(f"V{arity + 1}"),)
+            out.append((Struct("$conv1_ev", (Struct(name, vs), e, Struct("$ev_" + name, vs))), TRUE))
     return TranspileResult("", layout, predicates), out
 
 

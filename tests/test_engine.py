@@ -26,6 +26,7 @@ from entangle_pl import (
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
 from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref, unify
+from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_query, write_term
 from conftest import answers, checked_answers
 
@@ -510,11 +511,68 @@ def test_consult_after_query_drops_index(eng):
     assert answers(eng, "p(1).") == ["true", "true"]
 
 
-def test_mixed_position_keeps_every_answer(eng):
+def test_mixed_position_keeps_every_answer(eng, monkeypatch):
     eng.consult_text("m(a, 1). m(X, 2). m(b, 3).")
     assert answers(eng, "m(a, N).") == ["N = 1", "N = 2"]
     assert answers(eng, "m(b, N).") == ["N = 2", "N = 3"]
     assert answers(eng, "m(c, N).") == ["N = 2"]
+    # the first argument is bound but not indexable, so the next bound
+    # one selects
+    assert tried(eng, "m(a, 2).", monkeypatch) == (["true"], 1)
+
+
+# the det workload's program (perfbench/gen.py's DET_PROGRAM)
+DET_PROGRAM = """
+app([],L,L).
+app([H|T],L,[H|R]) :- app(T,L,R).
+nrev([],[]).
+nrev([H|T],R) :- nrev(T,RT), app(RT,[H],R).
+count(N,N) :- !.
+count(I,N) :- I1 is I+1, count(I1,N).
+"""
+
+
+def test_the_det_program_tries_a_pinned_number_of_clauses(eng, monkeypatch):
+    # the work a change to the call path must keep: nrev of n elements is
+    # (n + 1)(n + 2) / 2 calls, each of one clause; count/2 indexes no
+    # argument, so each of its 101 calls tries the first clause too
+    eng.consult_text(DET_PROGRAM)
+    items = ",".join(map(str, range(30)))
+    result = ",".join(map(str, reversed(range(30))))
+    assert tried(eng, f"nrev([{items}],R).", monkeypatch) == ([f"R = [{result}]"], 496)
+    assert tried(eng, "count(0,100).", monkeypatch) == (["true"], 201)
+
+
+CONTROL_NAMES_AT_OTHER_ARITIES = """
+call(a, 1). call(b, 2).
+true(x).
+fail(y).
+findall(a, b, c, d).
+;(a, b, c).
+!(z).
+->(a, b, c).
+\\+(a, b).
+"""
+
+
+@pytest.mark.parametrize("query, expected", [
+    ("call(X, N).", ["X = a, N = 1", "X = b, N = 2"]),
+    ("true(Z).", ["Z = x"]),
+    ("fail(Y).", ["Y = y"]),
+    ("findall(A, B, C, D).", ["A = a, B = b, C = c, D = d"]),
+    ("';'(A, B, C).", ["A = a, B = b, C = c"]),
+    ("'!'(Z).", ["Z = z"]),
+    ("'->'(A, B, C).", ["A = a, B = b, C = c"]),
+    ("\\+(A, B).", ["A = a, B = b"]),
+    ("G = true(Z), call(G).", ["G = true(x), Z = x"]),
+])
+def test_a_control_name_at_another_arity_answers_from_the_database(query, expected):
+    eng = Engine()
+    eng.consult_text(CONTROL_NAMES_AT_OTHER_ARITIES)
+    assert answers(eng, query) == expected
+    (result,) = check_program(CONTROL_NAMES_AT_OTHER_ARITIES, [query], "names.pl")
+    assert str(result) == f"OK        names.pl :: {query}"
+    assert result.transpiled == len(expected)
 
 
 # --- clause templates ------------------------------------------------------

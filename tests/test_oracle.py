@@ -276,8 +276,9 @@ def test_rewriting_binds_nothing(monkeypatch):
     rewrite_query(goal, store, program)
     # the helper too: '$call_ev', '$conv_ev' and '$phrase_ev', and
     # '$conv1_ev' for each of the six control constructs with goal
-    # arguments, phrase/2 and phrase/3, and each predicate
-    assert len(clauses) == len(pairs) + 3 + 6 + 2 + len(program.predicates)
+    # arguments, phrase/2 and phrase/3, and each predicate, at its own
+    # arity and at one argument more (p/3, q/3 and g/3 are undefined)
+    assert len(clauses) == len(pairs) + 3 + 6 + 2 + 2 * len(program.predicates)
     assert binds == []
 
 
@@ -351,3 +352,17 @@ def test_a_phrase_goal_expands_when_it_starts_on_both_sides(program, query, n):
     (result,) = check_program(program, [query], "phrase.pl")
     assert str(result) == f"OK        phrase.pl :: {query}"
     assert (result.native, result.transpiled) == (n, n)
+
+
+@pytest.mark.parametrize("unknown_fail", [False, True], ids=["raise", "fail"])
+def test_a_call_one_argument_longer_than_a_predicate_is_undefined_on_both_sides(
+    unknown_fail,
+):
+    # p/1 is threaded to p/2, so an undefined p/2 call, written in a clause
+    # or made at run time, must not reach it on the transpiled side
+    queries = ["p(X, Y).", "q.", "G = p(X, Y), call(G).", "findall(X, p(X, _), L)."]
+    results = check_program("p(1). q :- p(_, _).", queries, "arity.pl",
+                            engine_options={"unknown_fail": unknown_fail})
+    assert [str(r) for r in results] == [f"OK        arity.pl :: {q}" for q in queries]
+    # raised, each query counts its error as one outcome
+    assert [r.native for r in results] == ([0, 0, 0, 1] if unknown_fail else [1] * 4)

@@ -28,7 +28,7 @@ def test_simple_fact_transform():
     assert r.text == (
         "a(_IV1,_Env) :- arg(1,_Env,_IV1).\n"
         + FIXED_HELPER
-        + "'$conv1_ev'(a(V1),E,a(V1,E)).\n"
+        + "'$conv1_ev'(a(V1),E,a(V1,E)).\n'$conv1_ev'(a(V1,V2),E,'$ev_a'(V1,V2)).\n"
     )
     assert r.predicates == [("a", 1)]
 
@@ -83,7 +83,8 @@ def test_dynamic_call_uses_helper():
             "(var(G)->C=G;'$conv1_ev'(G,E,C)->true;C=G),call(C).") in r.text
     assert ("'$conv_ev'(G,E,C) :- "
             "var(G)->C='$call_ev'(G,E);'$conv1_ev'(G,E,C)->true;C=G.") in r.text
-    assert r.text.rstrip().endswith("'$conv1_ev'(r(V1),E,r(V1,E)).")
+    assert r.text.rstrip().endswith(
+        "'$conv1_ev'(r(V1),E,r(V1,E)).\n'$conv1_ev'(r(V1,V2),E,'$ev_r'(V1,V2)).")
     # no '$conv1_ev' head has a variable first argument, so the index
     # picks the one clause a goal can match
     conv1 = [h for h, _ in read_program(r.text, Store()) if h.name == "$conv1_ev"]
@@ -107,7 +108,8 @@ def test_every_program_ends_with_the_helper():
     assert r.text == (
         "p(_Env) :- q(_Env).\nq(_Env).\n"
         + FIXED_HELPER
-        + "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(q,E,q(E)).\n"
+        + "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(p(V1),E,'$ev_p'(V1)).\n"
+        "'$conv1_ev'(q,E,q(E)).\n'$conv1_ev'(q(V1),E,'$ev_q'(V1)).\n"
     )
 
 
@@ -260,10 +262,26 @@ def test_a_predicate_whose_threaded_key_the_engine_runs_first_is_renamed():
         "p(_Env) :- '$ev_call'(_Env),'$ev_is'(a,_Env).\n"
         + FIXED_HELPER
         + "'$conv1_ev'(call,E,'$ev_call'(E)).\n'$conv1_ev'(is(V1),E,'$ev_is'(V1,E)).\n"
-        "'$conv1_ev'(p,E,p(E)).\n"
+        "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(p(V1),E,'$ev_p'(V1)).\n"
     )
     results = check_program(program, ["p.", "call.", "is(X).", "G = call, G."])
     assert [(r.ok, r.native) for r in results] == [(True, 1)] * 4, [str(r) for r in results]
+
+
+def test_a_call_one_argument_longer_than_a_predicate_takes_the_reserved_name():
+    # p/1 becomes p/2, so an undefined p/2 call becomes '$ev_p'/2, which
+    # stays undefined; a control construct or a builtin is never renamed
+    r = transpile("p(1). q :- p(_, _). call. var. r :- call(a), var(b).")
+    assert r.text == (
+        "p(1,_Env).\nq(_Env) :- '$ev_p'(_,_).\n'$ev_call'(_Env).\n'$ev_var'(_Env).\n"
+        "r(_Env) :- call(a),var(b).\n"
+        + FIXED_HELPER
+        + "'$conv1_ev'(p(V1),E,p(V1,E)).\n'$conv1_ev'(p(V1,V2),E,'$ev_p'(V1,V2)).\n"
+        "'$conv1_ev'(q,E,q(E)).\n'$conv1_ev'(q(V1),E,'$ev_q'(V1)).\n"
+        "'$conv1_ev'(call,E,'$ev_call'(E)).\n'$conv1_ev'(var,E,'$ev_var'(E)).\n"
+        "'$conv1_ev'(r,E,r(E)).\n'$conv1_ev'(r(V1),E,'$ev_r'(V1)).\n"
+    )
+    assert transform_query("p(X, Y), p(X).", r) == "'$ev_p'(X,Y),p(X,_Env)"
 
 
 def test_any_query_may_call_a_variable_goal_as_natively():
@@ -271,7 +289,8 @@ def test_any_query_may_call_a_variable_goal_as_natively():
     # helper, so the query runs on the transpiled engine
     program, query = "m(1). m(2).", "G = m(Y), G."
     r = transpile(program)
-    assert r.text.endswith("'$conv1_ev'(m(V1),E,m(V1,E)).\n")
+    assert r.text.endswith(
+        "'$conv1_ev'(m(V1),E,m(V1,E)).\n'$conv1_ev'(m(V1,V2),E,'$ev_m'(V1,V2)).\n")
     native = Engine()
     native.consult_text(program)
     oracle = Engine(allow_evars=False)
