@@ -84,37 +84,46 @@ valid until the next consult drops every predicate's.  A consult gives
 each predicate it touches a new list, so a call suspended between answers
 keeps the clauses it started with (ISO's logical update view).
 
-A clause is renamed by a builder made at its first try, not by a generic
-copy.  ``_compile`` walks the clause's ``[head, body]`` once, in postfix,
-and writes its shape and its constants as it goes: one slot per ordinary
-variable, numbered by first occurrence, so fresh cells get the serials a
-copy would give them; subterms without variables are shared, not rebuilt;
-and a ``~Name`` cell is kept as the cell itself, read without ``deref``,
-so a builder made while a query has the cell bound still sees that binding
-and every later one.  Atoms, integers, shared subterms and ``~Name`` cells
-are the constants, and the rest is the clause's shape.  Each shape has one
-factory, generated as Python source and made once per process, in a
-bounded cache (see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on
-specializing a Prolog written in Python); called with a clause's
-constants, it returns the clause's builder, straight-line code that takes
-the frame's serials from the store and builds one compound per statement.
-So 10k facts of one form share one factory, and a term of any depth
-compiles to code of no depth.  The builder reads the goal, as a WAM head
-reads its argument registers (Aït-Kaci, *Warren's Abstract Machine: A
-Tutorial Reconstruction*, 1991): a head variable is the goal's own
-argument, or its own subterm where the goal holds the head's functor
-(read mode), and otherwise a fresh cell with the serial a copy would give
-it.  ``_source`` gives the rules.  A clause record is the list ``[head,
-body, builder]``; the builder is stored there at the first try and kept
-across consults.  ``try_clause`` calls the
-module-level ``copy_terms`` and then the head ``unify``, which decides
-every match and binding: that pair is where the benchmark's tracer counts
-clause tries, and ``solve`` calls it from one place.
+A clause is tried by head code made at its first try, not by a generic
+copy and unify.  ``_compile`` walks the clause's ``[head, body]`` once,
+in postfix, and writes its shape and its constants as it goes: one slot
+per ordinary variable, numbered by first occurrence, so fresh cells get
+the serials a copy would give them; subterms without variables are
+shared, not rebuilt; and a ``~Name`` cell is kept as the cell itself,
+read without ``deref``, so head code made while a query has the cell
+bound still sees that binding and every later one.  Atoms, integers,
+shared subterms and ``~Name`` cells are the constants, and the rest is the
+clause's shape.  Each shape has one factory, generated as Python source
+and made once per process, in a bounded cache (see Bolz, Leuschel and
+Schneider-Kamp, PPDP 2010, on specializing a Prolog written in Python);
+called with a clause's constants, it returns the clause's head code,
+straight-line code that takes the frame's serials from the store, matches
+the head against the goal, and builds one compound per statement.  So 10k
+facts of one form share one factory, and a term of any depth compiles to
+code of no depth.
+The head code reads the goal, as a WAM head reads its argument registers
+(Aït-Kaci, *Warren's Abstract Machine: A Tutorial Reconstruction*, 1991):
+a head variable is the goal's own argument, or its own subterm where the
+goal holds the head's functor (read mode), and otherwise a fresh cell with
+the serial a copy would give it (write mode).  Only once every head
+variable has its term does it bind, pair by pair in the order ``unify``
+would meet them, last argument first and depth first, so its answers,
+cyclic ones included, are those of a head built and then unified.  A head
+compound is built only in write mode, and the body only once the head has
+matched.  ``_source`` gives the rules.  A clause record is the list
+``[head, body, builder]``; the head code is stored there at the first try
+and kept across consults.  ``try_clause`` calls the module-level
+``copy_terms``, which runs the head code, and then the head ``unify``,
+which accepts the goal that the head code returns on a match in its first
+identity test: that pair is where the benchmark's tracer counts clause
+tries, and ``solve`` calls it from one place.  The head code's own
+unifications call ``kernel.unify``, which no tracer counts as a try.
 
 The prelude is read once per process, into a store of its own, and every
 engine appends the same clause records, builders included, to its own
 predicate lists.  That sharing is safe because a stored clause is never
-bound: each try renames it with its builder.  The prelude is read with
+bound: each try runs its head code, which binds only the goal's cells and
+the cells it makes.  The prelude is read with
 ``~`` syntax off, so no ``~Name`` cell can be shared between engines.
 """
 
@@ -124,6 +133,7 @@ import operator
 from functools import cmp_to_key, lru_cache, partial
 from importlib import resources
 
+from . import kernel
 from .dcg import translate_goal
 from .errors import (
     EvaluationError,
@@ -211,14 +221,14 @@ def _arg_table(clauses, pos):
 
 
 def _compile(clause):
-    """The builder of a stored ``[head, body, _]`` clause.  One postfix walk
+    """The head code of a stored ``[head, body, _]`` clause.  One postfix walk
     writes the clause's shape and its constants side by side: in the shape
     an int is a slot (one per ordinary variable, numbered by first
     occurrence), ``(name, n)`` builds a Struct from the last ``n`` values,
     and None takes the next constant, which is an atom, an integer, a
     ``~Name`` cell or a subterm with no slot below it, shared, not rebuilt.
     The stored terms are read without ``deref``, so a ``~Name`` cell stays
-    a cell even while a query has it bound.  The builder comes from the
+    a cell even while a query has it bound.  The head code comes from the
     shape's factory, called with the constants."""
     slots = {}
     shape = []
@@ -256,28 +266,36 @@ def _expr(node):
 
 def _source(shape, nslots):
     """Python source of a shape's factory, ``make(c0, c1, ...)``, which
-    returns ``build(goal, store)``: straight-line code that reserves
-    ``nslots`` serials, gives each slot ``k`` its term ``vk``, and builds
-    one Struct per statement, so no term depth nests in the source.
+    returns the clause's head code ``build(goal, store)``: straight-line
+    code that reserves ``nslots`` serials, matches the head against the
+    goal, and builds one Struct per statement, so no term depth nests in
+    the source.
 
-    The head reads the goal.  Walking the head's arguments left to right,
-    the first place where a slot stands as head argument ``i`` or as an
-    argument of it gives the slot its term.  As head argument ``i`` it is
-    the goal's argument ``i`` itself.  As an argument of a compound head
-    argument ``i`` it depends on the mode local ``ri``, which is true when
-    the goal's argument, dereferenced to ``di``, has the compound's functor
-    (read mode): the slot is then ``di``'s argument, and the compound is
-    ``di`` itself when such slots are all of its arguments; otherwise
-    (write mode) the slot is a fresh cell and the compound is built.  Every
-    other slot is a fresh cell with serial ``allocated + k``, so a slot
-    reserves its serial whether or not it takes a cell, and ``unify``
-    still decides every match.  The goal's own term is always safe to
-    take: a body's control skeleton holds no variable once converted (see
+    First, binding nothing, each slot ``k`` gets its term ``vk``.  Walking
+    the head's arguments left to right, a slot first met as head argument
+    ``i`` is the goal's argument ``i``.  A compound head argument ``i``
+    dereferences the goal's argument once, to ``di``, and sets ``ri`` when
+    ``di`` has its functor (read mode); a slot first met as its argument is
+    then ``di``'s argument, else (write mode) a fresh cell.  Every other
+    slot is a fresh cell with serial ``allocated + k``.  Then the pairs
+    ``unify`` would meet are matched in its order, last argument first and
+    depth first, and a slot meeting its own goal term is skipped.  An atom
+    or integer is compared by its key ``kj``, read when ``make`` runs, or
+    binds an unbound goal cell; a repeated slot, a ``~Name`` cell, a shared
+    subterm and a compound below a head argument go to ``unify``.  A read-
+    mode compound matches its arguments so; a write-mode one is built and
+    bound to the goal's argument dereferenced again, since an earlier pair
+    may have bound it, through ``unify`` where that is a term or the occurs
+    check is on.  A miss returns ``MISS``; a match builds the body and
+    returns ``[goal, body]``.  A head with no slot is a constant, returned
+    for ``unify`` to decide.  The goal's own term is always safe to take: a
+    body's control skeleton holds no variable once converted (see
     ``convert_goal``), and a goal converts as its bound cell would.  Only
     integers and the ``repr`` of functor names enter the source; the
     constants are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
-    # constant j is "cj", and a compound is (name, args, its index in builds)
+    # constant j is "cj", and a compound is (name, args, its index in
+    # builds, the index of the first build of its subtree)
     builds = []
     stack = []
     nconsts = 0
@@ -289,65 +307,115 @@ def _source(shape, nslots):
             stack.append(op)
         else:
             name, n = op
-            node = (name, stack[len(stack) - n :], len(builds))
+            args = stack[len(stack) - n :]
             del stack[len(stack) - n :]
-            stack.append(node)
-            args = "".join(_expr(a) + ", " for a in node[1])
-            builds.append(f"Struct({name!r}, ({args}))")
+            b = len(builds)
+            stack.append((name, args, b, next((a[3] for a in args if type(a) is tuple), b)))
+            builds.append(f"Struct({name!r}, ({''.join(_expr(a) + ', ' for a in args)}))")
     head, body = stack
+
+    def built(node):  # a compound's statements, its subterms' first
+        return [f"t{b} = {builds[b]}" for b in range(node[3], node[2] + 1)]
+
+    args = head[1] if type(head) is tuple else ()
+    terms = {}  # slot -> its term, where the goal gives it
+    home = {}  # slot -> the goal term it is, where it is one
     reads = []
-    terms = {}  # slot -> its term when it is the goal's, or may be
-    for i, arg in enumerate(head[1] if type(head) is tuple else ()):
-        if type(arg) is int:
-            terms.setdefault(arg, f"g[{i}]")
+    for i, arg in enumerate(args):
+        if type(arg) is int and arg not in terms:
+            terms[arg] = home[arg] = f"g[{i}]"
         elif type(arg) is tuple:
-            name, args, b = arg
-            own = 0
-            for j, k in enumerate(args):
+            reads += [f"d{i} = deref(g[{i}])", f"r{i} = type(d{i}) is Struct and "
+                      f"d{i}.name == {arg[0]!r} and len(d{i}.args) == {len(arg[1])}"]
+            for j, k in enumerate(arg[1]):
                 if type(k) is int and k not in terms:
-                    terms[k] = f"d{i}.args[{j}] if r{i} else Var(a + {k})"
-                    own += 1
-            if own:
-                reads += [f"d{i} = deref(g[{i}])", f"r{i} = type(d{i}) is Struct and "
-                          f"d{i}.name == {name!r} and len(d{i}.args) == {len(args)}"]
-            if own == len(args):
-                builds[b] = f"d{i} if r{i} else {builds[b]}"
+                    home[k] = f"d{i}.args[{j}]"
+                    terms[k] = f"{home[k]} if r{i} else Var(a + {k})"
+    keys = []
+    match = []
+
+    def pair(node, goal, pad):
+        if type(node) is int:
+            if home.get(node) != goal:
+                match.append(f"{pad}if not unify(v{node}, {goal}, store): return MISS")
+        elif type(node) is str:
+            k = "k" + node[1:]
+            keys.append(f"{k} = {node}.name if type({node}) is Atom else "
+                        f"{node}.value if type({node}) is Int else None")
+            match.extend(pad + line for line in (
+                f"x = deref({goal})",
+                f"if {k} is None:",
+                f"    if not unify({node}, x, store): return MISS",
+                f"elif isinstance(x, Var): store.bind(x, {node})",
+                "elif (x.name if type(x) is Atom else x.value if type(x) is Int else None)"
+                f" != {k}: return MISS"))
+        else:
+            match.extend(pad + line for line in built(node))
+            match.append(f"{pad}if not unify(t{node[2]}, {goal}, store): return MISS")
+
+    for i in reversed(range(len(args))):
+        arg = args[i]
+        if type(arg) is not tuple:
+            pair(arg, f"g[{i}]", "")
+            continue
+        start = len(match)
+        match.append(f"if r{i}:")
+        for j in reversed(range(len(arg[1]))):
+            pair(arg[1][j], f"d{i}.args[{j}]", "    ")
+        if len(match) == start + 1:
+            match[start] = f"if not r{i}:"
+        else:
+            match.append("else:")
+        match.extend("    " + line for line in built(arg))
+        match += [f"    x = deref(g[{i}])",
+                  f"    if isinstance(x, Var) and not store.occurs_check: store.bind(x, t{arg[2]})",
+                  f"    elif not unify(t{arg[2]}, x, store): return MISS"]
     lines = ["a = store.allocated", f"store.allocated = a + {nslots}"] if nslots else []
-    if terms:
+    if args:
         lines.append("g = goal.args")
     lines += reads
     lines += [f"v{k} = {terms.get(k, f'Var(a + {k})')}" for k in range(nslots)]
-    lines += [f"t{b} = {build}" for b, build in enumerate(builds)]
+    lines += match
+    lines += [f"t{b} = {builds[b]}" for b in range(head[2] + 1 if args else 0, len(builds))]
     params = ", ".join(f"c{j}" for j in range(nconsts))
     return "".join(
-        [f"def make({params}):\n    def build(goal, store):\n"]
+        [f"def make({params}):\n"]
+        + [f"    {line}\n" for line in keys]
+        + ["    def build(goal, store):\n"]
         + [f"        {line}\n" for line in lines]
-        + [f"        return [{_expr(head)}, {_expr(body)}]\n    return build\n"]
+        + [f"        return [{'goal' if args else _expr(head)}, {_expr(body)}]\n"
+           "    return build\n"]
     )
+
+
+# what head code returns on a miss: a head that ``unify`` refuses against
+# any callable goal in one type test
+_MISS = (Int(0), None)
 
 
 @lru_cache(maxsize=1024)
 def _factory(shape, nslots):
     """The factory of a clause shape, made once per process; the cache is
-    bounded, and a clause keeps the builder it was given."""
-    scope = {"Var": Var, "Struct": Struct, "deref": deref}
+    bounded, and a clause keeps the builder it was given.  Its head code
+    calls ``kernel.unify``, not this module's name, which a tracer wraps."""
+    scope = {"Atom": Atom, "Int": Int, "Var": Var, "Struct": Struct, "deref": deref,
+             "unify": kernel.unify, "MISS": _MISS}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
 
 
 def copy_terms(build, goal, store):
-    """A renamed ``[head, body]`` of a clause, from its builder, for a try
-    on ``goal``: the head variables the builder reads from the goal are the
-    goal's own terms, and every other slot is a fresh cell with serial
-    ``allocated + k``, the one a generic copy would give it."""
+    """Run a clause's head code on ``goal``: ``[goal, renamed body]`` with
+    the head's bindings made, a head with no variable as it is, or ``MISS``.
+    A fresh cell gets serial ``allocated + k``, as a generic copy would."""
     return build(goal, store)
 
 
 def try_clause(clause, goal, store):
-    """Rename a clause for ``goal``, making its builder at the first try,
-    and unify its head with ``goal``: the renamed body, or None on a
-    mismatch.  ``unify`` decides every match and binding; where the head
-    holds the goal's own term, it meets the same term on both sides."""
+    """Try a clause on ``goal``, making its head code at the first try:
+    the renamed body, or None on a mismatch.  The head ``unify`` accepts
+    the goal itself in one identity test, refuses ``MISS`` in one type
+    test, and decides a head with no variable."""
     build = clause[2]
     if build is None:
         build = clause[2] = _compile(clause)

@@ -197,8 +197,10 @@ def unify(a: Term, b: Term, store: Store) -> bool:
     it was before.  A
     young cell may be left bound: failure backtracks, which discards it, and
     a caller that goes on instead raises the mark to ``allocated`` first.
-    Each pair is first tested for identity, before any dereference: a
-    clause head that holds the goal's own argument meets it in one test.
+    Each pair is first tested for identity, before any dereference: the
+    engine's head code, which matches a clause head itself, hands back the
+    goal, which meets itself in one test, and a head variable that holds
+    the goal's own argument meets it in one test too.
     It dispatches on exact types, since no term class but ``EVar`` is
     subclassed, and binds through ``Store.bind``."""
     occurs_check = store.occurs_check

@@ -215,9 +215,15 @@ def rewrite_program(pairs, layout, store: Store):
     the runtime helper's: those of ``_HELPER_TEXT``, then a ``'$conv1_ev'``
     clause per predicate, which threads ``Env`` into it, each followed, when
     the key one argument longer is ``_shadowed``, by one that gives such a
-    goal the ``$ev_`` name, as ``rewrite_goal`` does."""
+    goal the ``$ev_`` name, as ``rewrite_goal`` does.  A program that
+    defines a predicate whose name begins with ``$ev_`` raises
+    ``TranspileError``: a renamed call could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
+    for name, arity in predicates:
+        if name.startswith("$ev_"):
+            raise TranspileError(f"cannot transpile {write_term(Atom(name))}/{arity}: names "
+                                 "that begin with $ev_ are reserved for renamed calls")
     predset = set(predicates)
     out = []
     for head, body in pairs:

@@ -9,7 +9,10 @@ every corpus ``.queries`` file against its program, the ``det`` benchmark
 program's ``nrev`` of lengths 0 to 60 and ``count(0,N)`` queries, and the
 goal sweep's first 5,000 seeded goals, run one engine per sweep block as
 the sweep runs them, and clause variables whose goal terms are run as
-goals, some of them passed to call/1 as data.  A block of reader inputs, most of them malformed
+goals, some of them passed to call/1 as data, and clause heads that a
+goal makes cyclic or whose bindings meet one another, with and without
+the occurs check, so a clause-try change that reorders bindings shows.
+A block of reader inputs, most of them malformed
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
 ``read_program`` or ``read_query`` on both trees, and each prints its
@@ -102,6 +105,18 @@ DATA_QUERIES = ["mk(A, G), call(G).", "X = A, mk(X, G), call(G).",
                 "mk2(f(A), G), call(G).", "w(A, G), call(G).", "mkc(A, G), call(G).",
                 "p(A).", "r(A).", "s(f(A)).", "findall(Y-G, (mk(A, G), call(G), m(Y)), L)."]
 
+# Heads whose answers depend on the order of their bindings: each query
+# makes a head cyclic, or binds a goal cell that a write-mode compound of
+# the same head then binds through.
+HEADS = """
+p(X, f(X)). q([H|T], H). r(f(X), X). s(A, [A|_]). k(g(A, B), B, A).
+p(f(Z), W, W). t(f(X), g(X), X). u(X, Y, f(X, Y), Y).
+"""
+HEAD_QUERIES = ["p(Y, Y).", "q(Z, Z).", "r(W, W).", "s(V, V).", "p(f(Y), Y).",
+                "X = X, k(Y, X, Y).", "k(Y, X, Y).", "p(Y, X, Y).", "X = X, p(Y, X, Y).",
+                "p(Y, f(1), Y).", "p(Y, X, X).", "t(A, B, A).", "t(A, A, B).",
+                "u(A, B, A, B).", "u(A, B, B, A).", "X = X, u(A, X, A, X)."]
+
 # Runs in a child process: reads the jobs as JSON from standard input, and
 # writes each read's outcome and each program's transpiled text, then each
 # query, its answers and the error that ended it, if any.
@@ -180,6 +195,10 @@ def jobs() -> list:
                   "program": GOALS_AS_DATA, "queries": [
                       template.replace("A", arg)
                       for template in DATA_QUERIES for arg in DATA_GOALS]})
+    for occurs_check in (False, True):
+        found.append({"name": f"heads, occurs check {occurs_check}",
+                      "options": {"occurs_check": occurs_check}, "limit": 20,
+                      "program": HEADS, "queries": HEAD_QUERIES})
     for first in range(SWEEP_SEEDS.start, SWEEP_SEEDS.stop, goal_sweep.BLOCK):
         seeds = range(first, min(first + goal_sweep.BLOCK, SWEEP_SEEDS.stop))
         found.append({

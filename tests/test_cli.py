@@ -452,6 +452,17 @@ def test_oracle_check_compares_errors(tmp_path, capsys):
     ]
 
 
+def test_oracle_check_of_a_reserved_ev_name_exit_2(tmp_path, capsys):
+    # a renamed call could reach the program's own '$ev_p', so the check
+    # refuses the program instead of reporting a false MISMATCH
+    (tmp_path / "r.pl").write_text("p(1). '$ev_p'(a). q :- p(_, _).\n")
+    (tmp_path / "r.queries").write_text("q.\n")
+    code, out, err = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot transpile '$ev_p'/1: names that begin with $ev_ "
+                   "are reserved for renamed calls\n")
+
+
 def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
     # both sides raise when phrase starts, before `fail` could run
     (tmp_path / "g.pl").write_text("g --> {phrase(({fail}, {1}), L)}.\n")

@@ -622,33 +622,39 @@ def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     # frame reserves allocated ... allocated + n - 1 for its n variables,
     # in the order they first occur, a variable read from the goal leaves
     # its serial unused, every other one is a fresh cell with its serial,
-    # and a ~Name cell takes none
+    # and a ~Name cell takes none.  The head code never builds the head
+    # compound: on a match it returns the goal itself, its cells bound
     eng.consult_text("fr(X, f(Y, ~P, X), Z) :- t(Z, W, Y).")
     clause = eng.db[("fr", 3)][0]
     store = eng.store
     a, b, c = store.new_var(), store.new_var(), store.new_var()
+    mark = store.mark()
     start = store.allocated
     build = engine_module._compile(clause)
-    head, body = engine_module.copy_terms(build, Struct("fr", (a, b, c)), store)
-    x, (y, p, x2), z = head.args[0], head.args[1].args, head.args[2]
-    w = body.args[1]
-    assert store.allocated == start + 4
-    assert (x, z) == (a, c) and [y.serial, w.serial] == [start + 1, start + 3]
+    goal = Struct("fr", (a, b, c))
+    head, body = engine_module.copy_terms(build, goal, store)
+    (y, p, x2), w = deref(b).args, body.args[1]
+    assert head is goal and store.allocated == start + 4
+    assert [y.serial, w.serial] == [start + 1, start + 3]
     assert all(type(v) is Var and v.name is None and v.ref is None for v in (y, w))
-    assert x2 is x and body.args[2] is y and body.args[0] is z
+    assert x2 is a and body.args[2] is y and body.args[0] is c
     assert p is store.evar("~P")
+    store.undo_to(mark)
     # the goal holds f/3 there: Y is the goal's own subterm
     q = store.new_var()
     start = store.allocated
-    head, body = engine_module.copy_terms(
-        build, Struct("fr", (a, Struct("f", (q, Atom("k"), a)), c)), store)
-    assert head.args[1].args[0] is q and body.args[2] is q
+    goal = Struct("fr", (a, Struct("f", (q, Atom("k"), a)), c))
+    head, body = engine_module.copy_terms(build, goal, store)
+    assert head is goal and body.args[2] is q
     assert store.allocated == start + 4 and body.args[1].serial == start + 3
-    # a clause with no ordinary variable takes no serial
+    store.undo_to(mark)
+    # a clause with no ordinary variable takes no serial, and its head is
+    # the stored one, for unify to decide
     eng.consult_text("gr(a, ~P).")
-    engine_module.copy_terms(engine_module._compile(eng.db[("gr", 2)][0]),
-                             Struct("gr", (a, b)), store)
-    assert store.allocated == start + 4
+    clause = eng.db[("gr", 2)][0]
+    head, _ = engine_module.copy_terms(engine_module._compile(clause),
+                                       Struct("gr", (a, b)), store)
+    assert head is clause[0] and store.allocated == start + 4
 
 
 def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
@@ -788,8 +794,9 @@ def test_generated_source_holds_no_constant_text(eng, monkeypatch):
     for literal in ("secretatom", "987654", "hiddenatom", "4242", "quoted", "31337",
                     "Cell", "'w'", "'pair'"):
         assert literal not in text
-    # only the compounds with a variable below them are built
-    assert "Struct('lit', (" in text and "Struct('=', (" in text
+    # only the body's compounds with a variable below them are built: the
+    # head code matches the head against the goal without building it
+    assert "Struct('lit'" not in text and "Struct('=', (" in text
 
 
 def templates(records):
@@ -861,6 +868,41 @@ def test_occurs_check_flag():
     assert answers(checked, "X = f(X).") == []
     rational = Engine()
     assert len(list(rational.query("X = f(X), Y = 1."))) == 1
+
+
+CYCLIC_HEADS = [
+    ("p(Y, Y).", "Y = f(...)"),
+    ("q(Z, Z).", "Z = [...|_G10]"),
+    ("r(W, W).", "W = f(...)"),
+    ("s(V, V).", "V = [...|_G15]"),
+    ("p(f(Y), Y).", "Y = f(f(...))"),
+]
+
+
+@pytest.mark.parametrize("occurs_check", [False, True])
+def test_clause_heads_keep_their_cyclic_answers(occurs_check):
+    # a head binds in the order unify meets its pairs, last argument first
+    # and depth first, so a goal that makes the head cyclic gets the same
+    # cycle, and serials, as a head built and then unified; left-to-right
+    # binding closes these cycles elsewhere
+    eng = Engine(load_prelude=False, occurs_check=occurs_check)
+    eng.consult_text("p(X, f(X)). q([H|T], H). r(f(X), X). s(A, [A|_]).")
+    for query, answer in CYCLIC_HEADS:
+        assert answers(eng, query) == ([] if occurs_check else [answer]), query
+    eng.consult_text("k(g(A, B), B, A).")
+    assert answers(eng, "X = X, k(Y, X, Y).") == (
+        [] if occurs_check else ["X = _G20, Y = g(...,_G20)"])
+
+
+@pytest.mark.parametrize("occurs_check", [False, True])
+def test_write_mode_head_binds_the_goal_argument_as_it_is_then(occurs_check):
+    # the pair W = W binds the goal's X and Y first; the write-mode f(Z)
+    # then binds what the goal's first argument has become, not the cell
+    # it was when the head code read it (with X older, Y is that cell)
+    eng = Engine(load_prelude=False, occurs_check=occurs_check)
+    eng.consult_text("p(f(Z), W, W).")
+    assert answers(eng, "p(Y, X, Y).") == ["Y = f(_G4), X = f(_G4)"]
+    assert answers(eng, "X = X, p(Y, X, Y).") == ["X = f(_G8), Y = f(_G8)"]
 
 
 def test_no_prelude_flag():

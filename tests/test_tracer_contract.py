@@ -4,13 +4,16 @@
 ``copy_terms`` call followed by ``unify`` in ``entangle_pl.engine``;
 ``try_clause`` makes that pair, looking both up as module globals.  A
 clause-selection change that bypasses either would silently blind the
-layer attribution.  ``perfbench/`` is put on the path only to import the
+layer attribution.  The head code that ``copy_terms`` runs calls
+``kernel.unify`` itself, so its own unifications are not clause tries,
+even in head code made while the tracer runs.  ``perfbench/`` is put on the path only to import the
 tracer.
 """
 
 import sys
 from pathlib import Path
 
+import entangle_pl.engine as engine_module
 from entangle_pl import Engine
 from conftest import answers
 
@@ -79,3 +82,31 @@ def test_head_miss_is_one_traced_clause_try():
     assert tracer.counts["engine.clause_tries"] == 1
     assert tracer.counts["engine.head_matches"] == 0
     assert tracer.calls["kernel.unify"] == tracer.calls["kernel.copy"] == 1
+
+
+def test_write_mode_try_is_one_traced_clause_try():
+    # the head builds both lists and binds them to the goal's cells itself
+    result, tracer = traced("app([H|T],L,[H|R]).", "app(X, x, Y).")
+    assert result == ["X = [_G6|_G7], Y = [_G6|_G9]"]
+    assert tracer.counts["engine.clause_tries"] == 1
+    assert tracer.counts["engine.head_matches"] == 1
+    assert tracer.calls["kernel.unify"] == tracer.calls["kernel.copy"] == 1
+
+
+def test_head_code_made_under_the_tracer_keeps_no_wrapper():
+    # eq/4's head code, made while the tracer runs, unifies its repeated
+    # variables through kernel.unify: one traced unify per try, and nothing
+    # reaches the tracer once it is uninstalled
+    program = "eq(X, f(X, Y), Y, X)."
+    engine_module._factory.cache_clear()
+    result, tracer = traced(program, "eq(1, f(1, 2), 2, 1).")
+    assert result == ["true"]
+    assert tracer.counts["engine.clause_tries"] == tracer.calls["kernel.unify"] == 1
+    seen = (dict(tracer.calls), dict(tracer.counts))
+    eng = Engine(load_prelude=False)
+    eng.consult_text(program)
+    misses = engine_module._factory.cache_info().misses
+    assert answers(eng, "eq(A, B, b, C).") == ["A = _G2, B = f(_G2,b), C = _G2"]
+    assert answers(eng, "eq(1, f(1, 2), 2, 3).") == []
+    assert engine_module._factory.cache_info().misses == misses
+    assert (dict(tracer.calls), dict(tracer.counts)) == seen

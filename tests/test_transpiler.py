@@ -352,3 +352,10 @@ def test_deep_fact_transpiles_whole():
     assert "..." not in transform_query(query, r)
     results = check_program(text, [query, "p(T, Z), q(Z)."])
     assert [res.ok for res in results] == [True, True]
+
+
+@pytest.mark.parametrize("program", ["'$ev_p'(a).", "p(1). '$ev_p'(X, Y) :- p(X).",
+                                     "'$ev_call'."])
+def test_a_reserved_ev_name_is_refused(program):
+    with pytest.raises(TranspileError, match="reserved"):
+        transpile(program)
