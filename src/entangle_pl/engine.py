@@ -84,23 +84,23 @@ valid until the next consult drops every predicate's.  A consult gives
 each predicate it touches a new list, so a call suspended between answers
 keeps the clauses it started with (ISO's logical update view).
 
-A clause is tried by head code made at its first try, not by a generic
-copy and unify.  ``_compile`` walks the clause's ``[head, body]`` once,
-in postfix, and writes its shape and its constants as it goes: one slot
-per ordinary variable, numbered by first occurrence, so fresh cells get
-the serials a copy would give them; subterms without variables are
-shared, not rebuilt; and a ``~Name`` cell is kept as the cell itself,
-read without ``deref``, so head code made while a query has the cell
-bound still sees that binding and every later one.  Atoms, integers,
-shared subterms and ``~Name`` cells are the constants, and the rest is the
-clause's shape.  Each shape has one factory, generated as Python source
-and made once per process, in a bounded cache (see Bolz, Leuschel and
-Schneider-Kamp, PPDP 2010, on specializing a Prolog written in Python);
-called with a clause's constants, it returns the clause's head code,
-straight-line code that takes the frame's serials from the store, matches
-the head against the goal, and builds one compound per statement.  So 10k
-facts of one form share one factory, and a term of any depth compiles to
-code of no depth.
+Every clause, facts and atom heads included, is tried by head code made
+at its first try, not by a generic copy and unify.  ``_compile`` walks
+the clause's ``[head, body]`` once, in postfix, and writes its shape and
+its constants as it goes: one slot per ordinary variable, numbered by
+first occurrence, so fresh cells get the serials a copy would give them;
+a subterm with no variable, unless it is the head, is shared; and a
+``~Name`` cell is kept as the cell itself, read without ``deref``, so
+head code made while a query has the cell bound still sees that binding
+and every later one.  Atoms, integers, shared subterms and ``~Name``
+cells are the constants, and the rest is the clause's shape.  Each shape
+has one factory, generated as Python source and made once per process,
+in a bounded cache (see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on
+specializing a Prolog written in Python); called with a clause's
+constants, it returns the clause's head code, straight-line code that
+takes the frame's serials from the store, matches the head against the
+goal, and builds one compound per statement.  So 10k facts of one form
+share one factory, and a term of any depth compiles to code of no depth.
 The head code reads the goal, as a WAM head reads its argument registers
 (Aït-Kaci, *Warren's Abstract Machine: A Tutorial Reconstruction*, 1991):
 a head variable is the goal's own argument, or its own subterm where the
@@ -226,7 +226,7 @@ def _compile(clause):
     an int is a slot (one per ordinary variable, numbered by first
     occurrence), ``(name, n)`` builds a Struct from the last ``n`` values,
     and None takes the next constant, which is an atom, an integer, a
-    ``~Name`` cell or a subterm with no slot below it, shared, not rebuilt.
+    ``~Name`` cell or a subterm other than the head with no slot below.
     The stored terms are read without ``deref``, so a ``~Name`` cell stays
     a cell even while a query has it bound.  The head code comes from the
     shape's factory, called with the constants."""
@@ -238,7 +238,8 @@ def _compile(clause):
         t = todo.pop()
         if type(t) is tuple:  # (compound, start, cstart): its arguments end here
             t, start, cstart = t
-            if len(consts) - cstart == len(shape) - start:  # no slot below: share it
+            # no slot below, and not the head, which head code matches: share it
+            if len(consts) - cstart == len(shape) - start and t is not clause[0]:
                 shape[start:] = (None,)
                 consts[cstart:] = (t,)
             else:
@@ -287,12 +288,12 @@ def _source(shape, nslots):
     bound to the goal's argument dereferenced again, since an earlier pair
     may have bound it, through ``unify`` where that is a term or the occurs
     check is on.  A miss returns ``MISS``; a match builds the body and
-    returns ``[goal, body]``.  A head with no slot is a constant, returned
-    for ``unify`` to decide.  The goal's own term is always safe to take: a
-    body's control skeleton holds no variable once converted (see
-    ``convert_goal``), and a goal converts as its bound cell would.  Only
-    integers and the ``repr`` of functor names enter the source; the
-    constants are the factory's arguments."""
+    returns ``[goal, body]``; an atom head, already matched by the call's
+    ``(name, arity)`` lookup, returns it at once.  The goal's own term is
+    always safe to take: a body's control skeleton holds no variable once
+    converted (see ``convert_goal``), and a goal converts as its bound cell
+    would.  Only integers and the ``repr`` of functor names enter the
+    source; the constants are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
     # constant j is "cj", and a compound is (name, args, its index in
     # builds, the index of the first build of its subtree)
@@ -383,7 +384,7 @@ def _source(shape, nslots):
         + [f"    {line}\n" for line in keys]
         + ["    def build(goal, store):\n"]
         + [f"        {line}\n" for line in lines]
-        + [f"        return [{'goal' if args else _expr(head)}, {_expr(body)}]\n"
+        + [f"        return [goal, {_expr(body)}]\n"
            "    return build\n"]
     )
 
@@ -406,16 +407,15 @@ def _factory(shape, nslots):
 
 def copy_terms(build, goal, store):
     """Run a clause's head code on ``goal``: ``[goal, renamed body]`` with
-    the head's bindings made, a head with no variable as it is, or ``MISS``.
-    A fresh cell gets serial ``allocated + k``, as a generic copy would."""
+    the head's bindings made, or ``MISS``.  A fresh cell gets serial
+    ``allocated + k``, as a generic copy would."""
     return build(goal, store)
 
 
 def try_clause(clause, goal, store):
     """Try a clause on ``goal``, making its head code at the first try:
     the renamed body, or None on a mismatch.  The head ``unify`` accepts
-    the goal itself in one identity test, refuses ``MISS`` in one type
-    test, and decides a head with no variable."""
+    the goal itself in one identity test and refuses ``MISS`` in one type test."""
     build = clause[2]
     if build is None:
         build = clause[2] = _compile(clause)

@@ -216,14 +216,17 @@ def rewrite_program(pairs, layout, store: Store):
     clause per predicate, which threads ``Env`` into it, each followed, when
     the key one argument longer is ``_shadowed``, by one that gives such a
     goal the ``$ev_`` name, as ``rewrite_goal`` does.  A program that
-    defines a predicate whose name begins with ``$ev_`` raises
-    ``TranspileError``: a renamed call could reach it."""
+    defines a predicate whose name begins with ``$ev_``, or is one of the
+    helper's, raises ``TranspileError``: a renamed call, or the helper's
+    own, could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
+    helper = {head.name for head, _ in _fixed_helper()}
     for name, arity in predicates:
-        if name.startswith("$ev_"):
-            raise TranspileError(f"cannot transpile {write_term(Atom(name))}/{arity}: names "
-                                 "that begin with $ev_ are reserved for renamed calls")
+        if name.startswith("$ev_") or name in helper:
+            raise TranspileError(f"cannot transpile {write_term(Atom(name))}/{arity}: " + (
+                "the run-time helper's names are reserved for it" if name in helper
+                else "names that begin with $ev_ are reserved for renamed calls"))
     predset = set(predicates)
     out = []
     for head, body in pairs:

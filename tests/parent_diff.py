@@ -10,8 +10,9 @@ program's ``nrev`` of lengths 0 to 60 and ``count(0,N)`` queries, and the
 goal sweep's first 5,000 seeded goals, run one engine per sweep block as
 the sweep runs them, and clause variables whose goal terms are run as
 goals, some of them passed to call/1 as data, and clause heads that a
-goal makes cyclic or whose bindings meet one another, with and without
-the occurs check, so a clause-try change that reorders bindings shows.
+goal makes cyclic or whose bindings meet one another, or that hold no
+variable, with and without the occurs check, so a clause-try change that
+reorders bindings or matches a head differently shows.
 A block of reader inputs, most of them malformed
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
@@ -107,15 +108,24 @@ DATA_QUERIES = ["mk(A, G), call(G).", "X = A, mk(X, G), call(G).",
 
 # Heads whose answers depend on the order of their bindings: each query
 # makes a head cyclic, or binds a goal cell that a write-mode compound of
-# the same head then binds through.
+# the same head then binds through.  Then heads with no variable: facts
+# with ~Name cells and shared ground subterms, atom heads, and '1' against
+# 1, through the index and without it.
 HEADS = """
 p(X, f(X)). q([H|T], H). r(f(X), X). s(A, [A|_]). k(g(A, B), B, A).
 p(f(Z), W, W). t(f(X), g(X), X). u(X, Y, f(X, Y), Y).
+fact(~T, f(g(b), [1, 2]), k). fact(~U, f(g(c), []), '1'). fact(1, ~T, 1).
+go. stop :- fail. key(1). key('1'). key(a, 1). key(a, '1'). one('1').
 """
 HEAD_QUERIES = ["p(Y, Y).", "q(Z, Z).", "r(W, W).", "s(V, V).", "p(f(Y), Y).",
                 "X = X, k(Y, X, Y).", "k(Y, X, Y).", "p(Y, X, Y).", "X = X, p(Y, X, Y).",
                 "p(Y, f(1), Y).", "p(Y, X, X).", "t(A, B, A).", "t(A, A, B).",
-                "u(A, B, A, B).", "u(A, B, B, A).", "X = X, u(A, X, A, X)."]
+                "u(A, B, A, B).", "u(A, B, B, A).", "X = X, u(A, X, A, X).",
+                "fact(A, B, C).", "fact(A, f(B, C), D).", "fact(X, Y, '1').",
+                "fact(1, f(g(b), [1, 2]), k), ~T == 1.", "~T = 2, fact(2, B, C).",
+                "fact(A, A, B).", "X = f(X), fact(A, X, B).", "fact(A, B, A).",
+                "go.", "stop.", "go(X).", "key(1).", "key('1').", "key(X).", "key(a, 1).",
+                "key(a, '1').", "key(A, B).", "one(1).", "one('1').", "one(X)."]
 
 # Runs in a child process: reads the jobs as JSON from standard input, and
 # writes each read's outcome and each program's transpiled text, then each

@@ -463,6 +463,23 @@ def test_oracle_check_of_a_reserved_ev_name_exit_2(tmp_path, capsys):
                    "are reserved for renamed calls\n")
 
 
+@pytest.mark.parametrize("program, query, key", [
+    ("'$call_ev'(a).", "'$call_ev'(X).", "'$call_ev'/1"),
+    ("'$conv_ev'(a, b).", "'$conv_ev'(X, Y).", "'$conv_ev'/2"),
+    ("'$phrase_ev'(a,b,c).", "'$phrase_ev'(X,Y,Z).", "'$phrase_ev'/3"),
+    ("'$conv1_ev'(a, b).", "'$conv1_ev'(X, Y).", "'$conv1_ev'/2"),
+])
+def test_oracle_check_of_a_helper_name_exit_2(tmp_path, capsys, program, query, key):
+    # threaded, the program's predicate would share the helper's key, and
+    # the check would report a false MISMATCH, so it refuses the program
+    (tmp_path / "h.pl").write_text(program + "\n")
+    (tmp_path / "h.queries").write_text(query + "\n")
+    code, out, err = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot transpile {key}: the run-time helper's names "
+                   "are reserved for it\n")
+
+
 def test_oracle_check_phrase_of_a_goal_that_is_not_callable(tmp_path, capsys):
     # both sides raise when phrase starts, before `fail` could run
     (tmp_path / "g.pl").write_text("g --> {phrase(({fail}, {1}), L)}.\n")

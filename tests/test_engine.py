@@ -26,7 +26,7 @@ from entangle_pl import (
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
 from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref, unify
-from entangle_pl.oracle import check_program
+from entangle_pl.oracle import check_program, read_queries
 from entangle_pl.reader import read_query, write_term
 from conftest import answers, checked_answers
 
@@ -648,13 +648,82 @@ def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     assert head is goal and body.args[2] is q
     assert store.allocated == start + 4 and body.args[1].serial == start + 3
     store.undo_to(mark)
-    # a clause with no ordinary variable takes no serial, and its head is
-    # the stored one, for unify to decide
+    # a clause with no ordinary variable takes no serial, and its head
+    # code, too, returns the goal it matched
     eng.consult_text("gr(a, ~P).")
     clause = eng.db[("gr", 2)][0]
-    head, _ = engine_module.copy_terms(engine_module._compile(clause),
-                                       Struct("gr", (a, b)), store)
-    assert head is clause[0] and store.allocated == start + 4
+    goal = Struct("gr", (a, b))
+    head, _ = engine_module.copy_terms(engine_module._compile(clause), goal, store)
+    assert head is goal and store.allocated == start + 4
+
+
+@pytest.mark.parametrize("occurs_check", [False, True])
+def test_heads_with_no_variable_run_head_code(occurs_check):
+    # a ground fact, an atom head and a fact whose only non-atomic constants
+    # are a ~Name cell and a shared ground subterm: each try runs head
+    # code, which returns the goal itself on a match and MISS otherwise,
+    # so no head is left to the generic unify
+    eng = Engine(occurs_check=occurs_check, load_prelude=False)
+    eng.consult_text("edge(a, 1). n('1'). go. db(~T, f(g(b), [2]), k).")
+    store = eng.store
+    miss = engine_module._MISS
+
+    def run(goal):
+        clause = eng.db[(goal.name, len(goal.args))][0]
+        return engine_module.copy_terms(engine_module._compile(clause), goal, store)
+
+    mark = store.mark()
+    x, y = store.new_var(), store.new_var()
+    goal = Struct("edge", (Atom("a"), x))
+    head, body = run(goal)
+    assert head is goal and body.name == "true" and deref(x).value == 1
+    store.undo_to(mark)
+    # the quoted atom '1' and the integer 1 differ, in either place
+    assert run(Struct("edge", (Atom("a"), Atom("1")))) is miss
+    assert run(Struct("n", (Int(1),))) is miss
+    goal = Struct("n", (Atom("1"),))
+    assert run(goal)[0] is goal
+    goal = Atom("go")
+    head, body = run(goal)
+    assert head is goal and body.name == "true"
+    # the ~Name cell is a constant operand, bound by the goal's integer;
+    # the shared ground subterm is the stored one, bound to the goal's cell
+    ground = eng.db[("db", 3)][0][0].args[1]
+    goal = Struct("db", (Int(5), y, Atom("k")))
+    head, body = run(goal)
+    assert head is goal and deref(y) is ground
+    assert deref(store.evar("~T")).value == 5
+    store.undo_to(mark)
+    assert deref(store.evar("~T")) is store.evar("~T")
+    assert run(Struct("db", (x, y, Atom("j")))) is miss
+    store.undo_to(mark)
+    assert answers(eng, "edge(A, B), n(C), go, db(D, E, F).") == [
+        "A = a, B = 1, C = '1', D = ~T, E = f(g(b),[2]), F = k"]
+    assert answers(eng, "db(3, f(g(b), [2]), k), ~T == 3.") == ["true"]
+
+
+def test_every_corpus_clause_try_returns_the_goal_or_miss(monkeypatch):
+    # head code decides every try of the corpus and the prelude: it hands
+    # try_clause's unify the goal itself or MISS, never a head to match
+    copy = engine_module.copy_terms
+    tries = []
+
+    def checked(build, goal, store):
+        found = copy(build, goal, store)
+        assert found is engine_module._MISS or found[0] is goal
+        tries.append(found is engine_module._MISS)
+        return found
+
+    monkeypatch.setattr(engine_module, "copy_terms", checked)
+    for path in sorted(corpus_dir().glob("*.pl")):
+        e = Engine()
+        e.consult_text(path.read_text(encoding="utf-8"))
+        for query in read_queries(path.with_suffix(".queries")):
+            try:
+                list(e.query(query))
+            except PrologError:
+                pass
+    assert tries.count(True) > 5 and tries.count(False) > 1000
 
 
 def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
@@ -776,7 +845,7 @@ def test_corpus_and_prelude_compile_to_pinned_shapes():
         for clauses in e.db.values():
             for clause in clauses:
                 engine_module._compile(clause)
-    assert factory.cache_info().currsize == 40
+    assert factory.cache_info().currsize == 46
 
 
 def test_generated_source_holds_no_constant_text(eng, monkeypatch):

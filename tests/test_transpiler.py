@@ -359,3 +359,18 @@ def test_deep_fact_transpiles_whole():
 def test_a_reserved_ev_name_is_refused(program):
     with pytest.raises(TranspileError, match="reserved"):
         transpile(program)
+
+
+@pytest.mark.parametrize("program, key", [
+    ("'$call_ev'(a).", "'$call_ev'/1"),
+    ("'$conv_ev'(a, b).", "'$conv_ev'/2"),
+    ("'$phrase_ev'(a,b,c).", "'$phrase_ev'/3"),
+    ("'$conv1_ev'(a, b).", "'$conv1_ev'/2"),
+])
+def test_a_helper_name_is_refused(program, key):
+    # the helper's own clauses and calls would reach the program's
+    # predicate of that name, so transpiling it is refused
+    with pytest.raises(TranspileError) as raised:
+        transpile(program)
+    assert str(raised.value) == (
+        f"cannot transpile {key}: the run-time helper's names are reserved for it")
