@@ -110,14 +110,18 @@ variable has its term does it bind, pair by pair in the order ``unify``
 would meet them, last argument first and depth first, so its answers,
 cyclic ones included, are those of a head built and then unified.  A head
 compound is built only in write mode, and the body only once the head has
-matched.  ``_source`` gives the rules.  A clause record is the list
-``[head, body, builder]``; the head code is stored there at the first try
-and kept across consults.  ``try_clause`` calls the module-level
-``copy_terms``, which runs the head code, and then the head ``unify``,
-which accepts the goal that the head code returns on a match in its first
-identity test: that pair is where the benchmark's tracer counts clause
-tries, and ``solve`` calls it from one place.  The head code's own
-unifications call ``kernel.unify``, which no tracer counts as a try.
+matched, never as one term: head code pushes one goal node per conjunct
+onto the goal list it is given, last first, as continuation passing runs
+a body (Tarau, BinProlog, PLILP 1992), so ``solve`` spends no step on a
+body's ``,``, and a ``true`` conjunct, a fact's body too, pushes nothing.
+``_source`` gives the rules.  A clause record is the list ``[head, body,
+builder]``; the head code is stored there at the first try and kept
+across consults.  ``try_clause`` calls the module-level ``copy_terms``,
+which runs the head code, and then the head ``unify``, which accepts the
+goal that the head code returns on a match in its first identity test:
+that pair is where the benchmark's tracer counts clause tries, and
+``solve`` calls it from one place.  The head code's own unifications call
+``kernel.unify``, which no tracer counts as a try.
 
 The prelude is read once per process, into a store of its own, and every
 engine appends the same clause records, builders included, to its own
@@ -221,8 +225,11 @@ def _arg_table(clauses, pos):
 
 
 def _compile(clause):
-    """The head code of a stored ``[head, body, _]`` clause.  One postfix walk
-    writes the clause's shape and its constants side by side: in the shape
+    """The head code of a stored ``[head, body, _]`` clause.  The body is
+    taken apart into its conjuncts, left to right, with its ``,`` skeleton
+    and its ``true`` conjuncts left out.  One postfix walk of the head and
+    the conjuncts writes the clause's shape and its constants side by
+    side: in the shape
     an int is a slot (one per ordinary variable, numbered by first
     occurrence), ``(name, n)`` builds a Struct from the last ``n`` values,
     and None takes the next constant, which is an atom, an integer, a
@@ -230,10 +237,18 @@ def _compile(clause):
     The stored terms are read without ``deref``, so a ``~Name`` cell stays
     a cell even while a query has it bound.  The head code comes from the
     shape's factory, called with the constants."""
+    conjuncts = []
+    todo = [clause[1]]
+    while todo:
+        t = todo.pop()
+        if type(t) is Struct and t.name == "," and len(t.args) == 2:
+            todo += t.args[::-1]
+        elif type(t) is not Atom or t.name != "true":
+            conjuncts.append(t)
     slots = {}
     shape = []
     consts = []
-    todo = [clause[1], clause[0]]
+    todo = conjuncts[::-1] + [clause[0]]
     while todo:
         t = todo.pop()
         if type(t) is tuple:  # (compound, start, cstart): its arguments end here
@@ -267,10 +282,11 @@ def _expr(node):
 
 def _source(shape, nslots):
     """Python source of a shape's factory, ``make(c0, c1, ...)``, which
-    returns the clause's head code ``build(goal, store)``: straight-line
-    code that reserves ``nslots`` serials, matches the head against the
-    goal, and builds one Struct per statement, so no term depth nests in
-    the source.
+    returns the clause's head code ``build(goal, store, bar, rest)``:
+    straight-line code that reserves ``nslots`` serials, matches the head
+    against the goal, and builds one Struct per statement, so no term depth
+    nests in the source.  The shape is the head's, then each body
+    conjunct's.
 
     First, binding nothing, each slot ``k`` gets its term ``vk``.  Walking
     the head's arguments left to right, a slot first met as head argument
@@ -287,9 +303,11 @@ def _source(shape, nslots):
     mode compound matches its arguments so; a write-mode one is built and
     bound to the goal's argument dereferenced again, since an earlier pair
     may have bound it, through ``unify`` where that is a term or the occurs
-    check is on.  A miss returns ``MISS``; a match builds the body and
-    returns ``[goal, body]``; an atom head, already matched by the call's
-    ``(name, arity)`` lookup, returns it at once.  The goal's own term is
+    check is on.  A miss returns ``MISS``.  A match builds the conjuncts
+    and pushes each onto the goal list ``rest`` as the goal node
+    ``(conjunct, bar, rest)``, last first and one statement each, and
+    returns ``[goal, rest]``; an atom head, already matched by the call's
+    ``(name, arity)`` lookup, does so at once.  The goal's own term is
     always safe to take: a body's control skeleton holds no variable once
     converted (see ``convert_goal``), and a goal converts as its bound cell
     would.  Only integers and the ``repr`` of functor names enter the
@@ -313,7 +331,7 @@ def _source(shape, nslots):
             b = len(builds)
             stack.append((name, args, b, next((a[3] for a in args if type(a) is tuple), b)))
             builds.append(f"Struct({name!r}, ({''.join(_expr(a) + ', ' for a in args)}))")
-    head, body = stack
+    head, *body = stack
 
     def built(node):  # a compound's statements, its subterms' first
         return [f"t{b} = {builds[b]}" for b in range(node[3], node[2] + 1)]
@@ -378,13 +396,14 @@ def _source(shape, nslots):
     lines += [f"v{k} = {terms.get(k, f'Var(a + {k})')}" for k in range(nslots)]
     lines += match
     lines += [f"t{b} = {builds[b]}" for b in range(head[2] + 1 if args else 0, len(builds))]
+    lines += [f"rest = ({_expr(node)}, bar, rest)" for node in reversed(body)]
     params = ", ".join(f"c{j}" for j in range(nconsts))
     return "".join(
         [f"def make({params}):\n"]
         + [f"    {line}\n" for line in keys]
-        + ["    def build(goal, store):\n"]
+        + ["    def build(goal, store, bar, rest):\n"]
         + [f"        {line}\n" for line in lines]
-        + [f"        return [goal, {_expr(body)}]\n"
+        + ["        return [goal, rest]\n"
            "    return build\n"]
     )
 
@@ -405,22 +424,25 @@ def _factory(shape, nslots):
     return scope["make"]
 
 
-def copy_terms(build, goal, store):
-    """Run a clause's head code on ``goal``: ``[goal, renamed body]`` with
-    the head's bindings made, or ``MISS``.  A fresh cell gets serial
-    ``allocated + k``, as a generic copy would."""
-    return build(goal, store)
+def copy_terms(build, goal, store, bar, rest):
+    """Run a clause's head code on ``goal``: ``[goal, goals]`` with the
+    head's bindings made, where ``goals`` is the goal list ``rest`` with
+    the renamed body's conjuncts pushed under cut barrier ``bar``, or
+    ``MISS``.  A fresh cell gets serial ``allocated + k``, as a generic
+    copy would."""
+    return build(goal, store, bar, rest)
 
 
-def try_clause(clause, goal, store):
+def try_clause(clause, goal, store, bar, rest):
     """Try a clause on ``goal``, making its head code at the first try:
-    the renamed body, or None on a mismatch.  The head ``unify`` accepts
-    the goal itself in one identity test and refuses ``MISS`` in one type test."""
+    the goal list ``rest`` with the renamed body's conjuncts pushed, or
+    ``MISS`` on a mismatch.  The head ``unify`` accepts the goal itself in
+    one identity test and refuses ``MISS`` in one type test."""
     build = clause[2]
     if build is None:
         build = clause[2] = _compile(clause)
-    head, body = copy_terms(build, goal, store)
-    return body if unify(head, goal, store) else None
+    head, goals = copy_terms(build, goal, store, bar, rest)
+    return goals if unify(head, goal, store) else _MISS
 
 
 def _read_checked(text, store, allow_evars):
@@ -641,11 +663,9 @@ class Engine:
                     retry = ((goal, clauses, i + 1), 0, goals)
                     cps.append((len(trail), store.young, retry))
                     store.young = store.allocated
-                body = try_clause(clauses[i], goal, store)
-                if body is None:
+                goals = try_clause(clauses[i], goal, store, barrier, goals)
+                if goals is _MISS:
                     failing = True
-                elif type(body) is not Atom or body.name != "true":
-                    goals = (body, barrier, goals)
         finally:
             store.undo_to(start)
             store.young = OUTSIDE

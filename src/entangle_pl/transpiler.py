@@ -156,8 +156,9 @@ def rewrite_goal(g, env, predset):
     as conversion makes it.  A phrase/2,3 goal runs through the helper's
     ``'$phrase_ev'``, which expands the grammar when it starts, as
     ``solve`` does.  A call of a key the program leaves undefined, one
-    argument longer than one of its predicates, takes the ``$ev_`` name.
-    Returns the rewritten goal."""
+    argument longer than one of its predicates or with one of the helper's
+    names, takes the ``$ev_`` name, so it stays undefined.  Returns the
+    rewritten goal."""
     todo = [g]
     done = []
     while todo:
@@ -189,7 +190,7 @@ def rewrite_goal(g, env, predset):
                 t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
             elif key in predset:
                 t = _threaded(name, args, env)
-            elif _shadowed(key, predset):
+            elif _shadowed(key, predset) or name in _helper_names():
                 t = Struct("$ev_" + name, args)
         done.append(t)
     return done[0]
@@ -221,7 +222,7 @@ def rewrite_program(pairs, layout, store: Store):
     own, could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
     predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
-    helper = {head.name for head, _ in _fixed_helper()}
+    helper = _helper_names()
     for name, arity in predicates:
         if name.startswith("$ev_") or name in helper:
             raise TranspileError(f"cannot transpile {write_term(Atom(name))}/{arity}: " + (
@@ -252,6 +253,11 @@ def rewrite_program(pairs, layout, store: Store):
 def _fixed_helper():
     # shared, as the prelude's clauses are: a stored clause is never bound
     return tuple(read_program(_HELPER_TEXT, Store()))
+
+
+@lru_cache(maxsize=1)
+def _helper_names():
+    return frozenset(head.name for head, _ in _fixed_helper())
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):

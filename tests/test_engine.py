@@ -448,9 +448,9 @@ def tried(eng, query, monkeypatch):
     calls = []
     real = engine_module.try_clause
 
-    def counting(clause, goal, store):
+    def counting(clause, goal, store, bar, rest):
         calls.append(clause)
-        return real(clause, goal, store)
+        return real(clause, goal, store, bar, rest)
 
     with monkeypatch.context() as m:
         m.setattr(engine_module, "try_clause", counting)
@@ -603,13 +603,31 @@ def test_repeated_head_variables(eng):
     assert len(answers(eng, "eq(A, B), A == B.")) == 1
 
 
+def head_and_body(build, goal, store):
+    """``engine.copy_terms`` on ``goal`` and an empty goal list: ``MISS``,
+    or ``[goal, body]``, the body being the conjunction of the goal nodes
+    the head code pushed, ``true`` for none."""
+    found = engine_module.copy_terms(build, goal, store, 0, None)
+    if found is engine_module._MISS:
+        return found
+    head, goals = found
+    conjuncts = []
+    while goals is not None:
+        term, _, goals = goals
+        conjuncts.append(term)
+    body = conjuncts.pop() if conjuncts else Atom("true")
+    for term in reversed(conjuncts):
+        body = Struct(",", (term, body))
+    return [head, body]
+
+
 def test_ground_subterms_are_shared(eng):
     eng.consult_text("gc(f(g(a), [1,2]), X) :- X = h(k).")
     assert answers(eng, "gc(f(G, L), X).") == ["G = g(a), L = [1,2], X = h(k)"]
     assert answers(eng, "gc(f(g(b), L), X).") == []
     clause = eng.db[("gc", 2)][0]
     g, x = eng.store.new_var(), eng.store.new_var()
-    body = engine_module.try_clause(clause, Struct("gc", (g, x)), eng.store)
+    body = engine_module.try_clause(clause, Struct("gc", (g, x)), eng.store, 0, None)[0]
     # the ground head argument and body argument are the stored subterms
     assert deref(g) is clause[0].args[0]
     assert body.args[1] is clause[1].args[1]
@@ -632,7 +650,7 @@ def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     start = store.allocated
     build = engine_module._compile(clause)
     goal = Struct("fr", (a, b, c))
-    head, body = engine_module.copy_terms(build, goal, store)
+    head, body = head_and_body(build, goal, store)
     (y, p, x2), w = deref(b).args, body.args[1]
     assert head is goal and store.allocated == start + 4
     assert [y.serial, w.serial] == [start + 1, start + 3]
@@ -644,7 +662,7 @@ def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     q = store.new_var()
     start = store.allocated
     goal = Struct("fr", (a, Struct("f", (q, Atom("k"), a)), c))
-    head, body = engine_module.copy_terms(build, goal, store)
+    head, body = head_and_body(build, goal, store)
     assert head is goal and body.args[2] is q
     assert store.allocated == start + 4 and body.args[1].serial == start + 3
     store.undo_to(mark)
@@ -653,7 +671,7 @@ def test_clause_builder_assigns_serials_in_first_occurrence_order(eng):
     eng.consult_text("gr(a, ~P).")
     clause = eng.db[("gr", 2)][0]
     goal = Struct("gr", (a, b))
-    head, _ = engine_module.copy_terms(engine_module._compile(clause), goal, store)
+    head, _ = head_and_body(engine_module._compile(clause), goal, store)
     assert head is goal and store.allocated == start + 4
 
 
@@ -670,7 +688,7 @@ def test_heads_with_no_variable_run_head_code(occurs_check):
 
     def run(goal):
         clause = eng.db[(goal.name, len(goal.args))][0]
-        return engine_module.copy_terms(engine_module._compile(clause), goal, store)
+        return head_and_body(engine_module._compile(clause), goal, store)
 
     mark = store.mark()
     x, y = store.new_var(), store.new_var()
@@ -708,8 +726,8 @@ def test_every_corpus_clause_try_returns_the_goal_or_miss(monkeypatch):
     copy = engine_module.copy_terms
     tries = []
 
-    def checked(build, goal, store):
-        found = copy(build, goal, store)
+    def checked(build, goal, store, bar, rest):
+        found = copy(build, goal, store, bar, rest)
         assert found is engine_module._MISS or found[0] is goal
         tries.append(found is engine_module._MISS)
         return found
@@ -733,7 +751,7 @@ def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
     tail, lv = store.new_var(), store.new_var()
     goal = Struct("rd", (Struct(".", (Atom("a"), tail)), lv))
     start = store.allocated
-    head, body = engine_module.copy_terms(engine_module._compile(clause), goal, store)
+    head, body = head_and_body(engine_module._compile(clause), goal, store)
     # read mode: the head's list is the goal's own, the body holds the
     # goal's own subterms, and only N is new
     assert head.args[0] is goal.args[0] and head.args[1] is lv
@@ -743,7 +761,7 @@ def test_head_reads_the_goal_in_read_mode_and_builds_in_write_mode(eng):
     # write mode: the list is built from fresh cells, bound by unify
     v = store.new_var()
     start = store.allocated
-    body = engine_module.try_clause(clause, Struct("rd", (v, lv)), store)
+    body = engine_module.try_clause(clause, Struct("rd", (v, lv)), store, 0, None)[0]
     h, t, l, n = body.args
     assert [c.serial for c in (h, t, n)] == [start, start + 1, start + 3]
     assert l is lv and store.allocated == start + 4
@@ -1048,6 +1066,24 @@ def test_frame_budget():
         list(e.query("findall(x, loop, L)."))
     # the budget is per query, not cumulative across queries
     assert answers(e, "X = 1.") == ["X = 1"]
+
+
+@pytest.mark.parametrize("program, frames", [
+    ("a. b. c. p :- a, b, c.", 4),
+    # a true conjunct pushes nothing
+    ("a. b. p :- a, true, b, true.", 3),
+    # a conjunction with no variable, below one that has one
+    ("a. b. p :- X = 1, (a, b), X == 1.", 5),
+])
+def test_a_clause_body_conjunction_costs_no_frame(program, frames):
+    # p.'s own frame, then one per conjunct: a clause try pushes the
+    # body's conjuncts, so the body's ',' is never a frame of its own
+    e = Engine(max_frames=frames)
+    e.consult_text(program)
+    assert answers(e, "p.") == ["true"]
+    e.max_frames = frames - 1
+    with pytest.raises(ResourceLimitError):
+        list(e.query("p."))
 
 
 def test_frame_budget_spans_the_solution_sequence():

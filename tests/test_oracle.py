@@ -262,6 +262,14 @@ def test_a_query_may_call_a_variable_goal_where_no_clause_does():
     assert (results[1].native, results[1].transpiled) == (1, 1)
 
 
+def test_a_call_of_a_helper_name_stays_undefined_on_both_sides():
+    # the program leaves '$call_ev'/2 undefined, so the query's call raises
+    # natively; transpiled, it takes the $ev_ name and does not reach the
+    # helper's own '$call_ev'/2
+    (result,) = check_program("p(1).", ["'$call_ev'(p(X), E)."], "helper.pl")
+    assert str(result) == "OK        helper.pl :: '$call_ev'(p(X), E)."
+
+
 def test_rewriting_binds_nothing(monkeypatch):
     store = Store()
     text = "p(_G1, X) :- ~A, q(X, ~B), phrase(g, X). q(_, _). g --> [a]."
