@@ -11,7 +11,7 @@ so bodies of any length or nesting translate.
 from __future__ import annotations
 
 from .errors import InstantiationError, TypeMismatchError
-from .kernel import NIL, Atom, Int, Struct, TRUE, Var, deref, list_parts, make_list
+from .kernel import NIL, Atom, Struct, TRUE, Var, deref, list_parts, make_list
 
 
 def _conj(a, b):
@@ -87,8 +87,8 @@ def _trans(body, s0, store):
             # variable nonterminal: expanded at call time
             s1 = store.new_var()
             g = Struct("phrase", (b, s, s1))
-        elif isinstance(b, Int):
-            raise TypeMismatchError(f"DCG body item is not callable: {b.value}")
+        elif type(b) is int:
+            raise TypeMismatchError(f"DCG body item is not callable: {b}")
         elif isinstance(b, Atom) and b.name == "[]":
             g, s1 = None, s
         elif isinstance(b, Atom) and b.name == "!":

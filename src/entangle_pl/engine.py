@@ -107,13 +107,17 @@ a head variable is the goal's own argument, or its own subterm where the
 goal holds the head's functor (read mode), and otherwise a fresh cell with
 the serial a copy would give it (write mode).  Only once every head
 variable has its term does it bind, pair by pair in the order ``unify``
-would meet them, last argument first and depth first, so its answers,
-cyclic ones included, are those of a head built and then unified.  A head
-compound is built only in write mode, and the body only once the head has
-matched, never as one term: head code pushes one goal node per conjunct
-onto the goal list it is given, last first, as continuation passing runs
-a body (Tarau, BinProlog, PLILP 1992), so ``solve`` spends no step on a
-body's ``,``, and a ``true`` conjunct, a fact's body too, pushes nothing.
+would meet them, last argument first and depth first, so it matches
+where a head built and then unified would, with the same answers as
+infinite terms.  A cyclic answer may print its ``...`` at another depth:
+head code holds the goal's own cell where a built head holds a fresh one,
+and a repeated head variable may bind the goal's cells in another order.
+A head compound is built only in write mode, and the body only once the
+head has matched, never as one term: head code pushes one goal node per
+conjunct onto the goal list it is given, last first, as continuation
+passing runs a body (Tarau, BinProlog, PLILP 1992), so ``solve`` spends no
+step on a body's ``,``, and a ``true`` conjunct, a fact's body too, pushes
+nothing.
 ``_source`` gives the rules.  A clause record is the list ``[head, body,
 builder]``; the head code is stored there at the first try and kept
 across consults.  ``try_clause`` calls the module-level ``copy_terms``,
@@ -152,7 +156,6 @@ from .kernel import (
     TRUE,
     Atom,
     EVar,
-    Int,
     Store,
     Struct,
     Var,
@@ -198,13 +201,13 @@ def _found_all(acc, result, e):
 
 def _functor_key(t):
     """Principal functor of a non-variable term, as an index key, by exact
-    type: an atom's name, an integer's value, a compound's ``(name,
-    arity)``.  ``Engine._candidates`` inlines this rule for the call."""
+    type: an atom's name, a ``str``; an integer itself, an ``int``; a
+    compound's ``(name, arity)``.  ``Engine._candidates`` inlines it."""
     kind = type(t)
     if kind is Atom:
         return t.name
-    if kind is Int:
-        return t.value
+    if kind is int:
+        return t
     return t.name, len(t.args)
 
 
@@ -298,20 +301,21 @@ def _source(shape, nslots):
     ``unify`` would meet are matched in its order, last argument first and
     depth first, and a slot meeting its own goal term is skipped.  An atom
     or integer is compared by its key ``kj``, read when ``make`` runs, or
-    binds an unbound goal cell; a repeated slot, a ``~Name`` cell, a shared
-    subterm and a compound below a head argument go to ``unify``.  A read-
-    mode compound matches its arguments so; a write-mode one is built and
-    bound to the goal's argument dereferenced again, since an earlier pair
-    may have bound it, through ``unify`` where that is a term or the occurs
-    check is on.  A miss returns ``MISS``.  A match builds the conjuncts
-    and pushes each onto the goal list ``rest`` as the goal node
-    ``(conjunct, bar, rest)``, last first and one statement each, and
-    returns ``[goal, rest]``; an atom head, already matched by the call's
-    ``(name, arity)`` lookup, does so at once.  The goal's own term is
-    always safe to take: a body's control skeleton holds no variable once
-    converted (see ``convert_goal``), and a goal converts as its bound cell
-    would.  Only integers and the ``repr`` of functor names enter the
-    source; the constants are the factory's arguments."""
+    binds an unbound goal cell; a key is an atom's name, a ``str``, or the
+    ``int`` itself, so ``'1'`` and ``1`` stay apart.  A repeated slot, a
+    ``~Name`` cell, a shared subterm and a compound below a head argument
+    go to ``unify``.  A read-mode compound matches its arguments so; a
+    write-mode one is built and bound to the goal's argument dereferenced
+    again, since an earlier pair may have bound it, through ``unify`` where
+    that is a term or the occurs check is on.  A miss returns ``MISS``.  A
+    match builds the conjuncts and pushes each onto the goal list ``rest``
+    as the goal node ``(conjunct, bar, rest)``, last first and one
+    statement each, and returns ``[goal, rest]``; an atom head, already
+    matched by the call's ``(name, arity)`` lookup, does so at once.  The
+    goal's own term is always safe to take: a body's control skeleton holds
+    no variable once converted (see ``convert_goal``), and a goal converts
+    as its bound cell would.  Only integers and the ``repr`` of functor
+    names enter the source; the constants are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
     # constant j is "cj", and a compound is (name, args, its index in
     # builds, the index of the first build of its subtree)
@@ -360,14 +364,13 @@ def _source(shape, nslots):
         elif type(node) is str:
             k = "k" + node[1:]
             keys.append(f"{k} = {node}.name if type({node}) is Atom else "
-                        f"{node}.value if type({node}) is Int else None")
+                        f"{node} if type({node}) is int else None")
             match.extend(pad + line for line in (
                 f"x = deref({goal})",
                 f"if {k} is None:",
                 f"    if not unify({node}, x, store): return MISS",
                 f"elif isinstance(x, Var): store.bind(x, {node})",
-                "elif (x.name if type(x) is Atom else x.value if type(x) is Int else None)"
-                f" != {k}: return MISS"))
+                f"elif (x.name if type(x) is Atom else x) != {k}: return MISS"))
         else:
             match.extend(pad + line for line in built(node))
             match.append(f"{pad}if not unify(t{node[2]}, {goal}, store): return MISS")
@@ -410,7 +413,7 @@ def _source(shape, nslots):
 
 # what head code returns on a miss: a head that ``unify`` refuses against
 # any callable goal in one type test
-_MISS = (Int(0), None)
+_MISS = (0, None)
 
 
 @lru_cache(maxsize=1024)
@@ -418,7 +421,7 @@ def _factory(shape, nslots):
     """The factory of a clause shape, made once per process; the cache is
     bounded, and a clause keeps the builder it was given.  Its head code
     calls ``kernel.unify``, not this module's name, which a tracer wraps."""
-    scope = {"Atom": Atom, "Int": Int, "Var": Var, "Struct": Struct, "deref": deref,
+    scope = {"Atom": Atom, "Var": Var, "Struct": Struct, "deref": deref,
              "unify": kernel.unify, "MISS": _MISS}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
@@ -692,8 +695,8 @@ class Engine:
             if table is not None:
                 if kind is Atom:
                     return table.get(arg.name, ())
-                if kind is Int:
-                    return table.get(arg.value, ())
+                if kind is int:
+                    return table.get(arg, ())
                 return table.get((arg.name, len(arg.args)), ())
         return clauses
 
@@ -721,8 +724,8 @@ class Engine:
                 vals[-n:] = (fn(*vals[-n:]),)
                 continue
             t = deref(t)
-            if isinstance(t, Int):
-                vals.append(t.value)
+            if type(t) is int:
+                vals.append(t)
             elif isinstance(t, Var):
                 raise InstantiationError("arithmetic: unbound variable")
             elif t in path:
@@ -794,7 +797,7 @@ def _bi_nonvar(e: Engine, args):
 
 
 def _bi_is(e: Engine, args):
-    return unify(args[0], Int(e._eval(args[1])), e.store)
+    return unify(args[0], e._eval(args[1]), e.store)
 
 
 def _bi_compare(op, e: Engine, args):
@@ -810,37 +813,34 @@ def _bi_arg(e: Engine, args):
     t = deref(args[1])
     if isinstance(n, Var) or isinstance(t, Var):
         raise InstantiationError("arg/3: underinstantiated")
-    if not isinstance(n, Int):
+    if type(n) is not int:
         raise TypeMismatchError("arg/3: index must be an integer")
     if not isinstance(t, Struct):
         raise TypeMismatchError("arg/3: second argument must be compound")
-    i = n.value
-    if 1 <= i <= len(t.args):
-        return unify(args[2], t.args[i - 1], e.store)
+    if 1 <= n <= len(t.args):
+        return unify(args[2], t.args[n - 1], e.store)
     return False
 
 
 def _bi_functor(e: Engine, args):
     t = deref(args[0])
     if isinstance(t, Struct):
-        return unify(args[1], Atom(t.name), e.store) and unify(
-            args[2], Int(len(t.args)), e.store
-        )
-    if isinstance(t, (Atom, Int)):
-        return unify(args[1], t, e.store) and unify(args[2], Int(0), e.store)
+        return unify(args[1], Atom(t.name), e.store) and unify(args[2], len(t.args), e.store)
+    if type(t) is Atom or type(t) is int:
+        return unify(args[1], t, e.store) and unify(args[2], 0, e.store)
     name = deref(args[1])
     arity = deref(args[2])
     if isinstance(name, Var) or isinstance(arity, Var):
         raise InstantiationError("functor/3: underinstantiated")
-    if not isinstance(arity, Int) or arity.value < 0:
+    if type(arity) is not int or arity < 0:
         raise TypeMismatchError("functor/3: arity must be a non-negative integer")
-    if arity.value == 0:
-        if isinstance(name, (Atom, Int)):
+    if arity == 0:
+        if type(name) is Atom or type(name) is int:
             return unify(t, name, e.store)
         raise TypeMismatchError("functor/3: name must be atomic")
     if not isinstance(name, Atom):
         raise TypeMismatchError("functor/3: name must be an atom")
-    fresh = tuple(e.store.new_var() for _ in range(arity.value))
+    fresh = tuple(e.store.new_var() for _ in range(arity))
     return unify(t, Struct(name.name, fresh), e.store)
 
 
@@ -876,9 +876,9 @@ def _bi_listing(e: Engine, args):
     elif isinstance(a, Struct) and a.name == "/" and len(a.args) == 2:
         nm = deref(a.args[0])
         ar = deref(a.args[1])
-        if not (isinstance(nm, Atom) and isinstance(ar, Int)):
+        if not (isinstance(nm, Atom) and type(ar) is int):
             raise TypeMismatchError("listing/1: expected Name or Name/Arity")
-        keys = [(nm.name, ar.value)] if (nm.name, ar.value) in e.db else []
+        keys = [(nm.name, ar)] if (nm.name, ar) in e.db else []
     else:
         raise TypeMismatchError("listing/1: expected Name or Name/Arity")
     for key in keys:

@@ -1,7 +1,10 @@
 """Term kernel: term types, binding store, trail, unification, term copying
 and the standard order of terms.
 
-Terms are immutable except for variable cells.  A ``Var`` is a single
+A term is an ``Atom``, a ``Struct``, a ``Var`` or ``EVar`` cell, or an
+integer, a plain ``int`` (the WAM's immediate constant), tested by exact
+type so that a ``bool`` is never a term.  Terms are immutable except for
+variable cells.  A ``Var`` is a single
 assignment cell: ``ref`` is None while unbound and is written exactly once
 per binding epoch.  Every write to a cell older than the store's young
 mark, or to an ``EVar``, is trailed, so backtracking resets it to None; a
@@ -23,11 +26,7 @@ through it.
 from __future__ import annotations
 
 
-class Term:
-    __slots__ = ()
-
-
-class Atom(Term):
+class Atom:
     __slots__ = ("name",)
     args = ()  # so every callable term has a name and an args tuple
 
@@ -38,17 +37,7 @@ class Atom(Term):
         return f"Atom({self.name!r})"
 
 
-class Int(Term):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __repr__(self):
-        return f"Int({self.value})"
-
-
-class Var(Term):
+class Var:
     __slots__ = ("ref", "serial", "name")
 
     def __init__(self, serial: int, name=None):
@@ -67,7 +56,7 @@ class EVar(Var):
     __slots__ = ()
 
 
-class Struct(Term):
+class Struct:
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple):
@@ -131,7 +120,7 @@ class Store:
     def mark(self) -> int:
         return len(self.trail)
 
-    def bind(self, cell: Var, value: Term):
+    def bind(self, cell: Var, value):
         assert cell.ref is None, "attempt to rebind a bound cell"
         cell.ref = value
         if cell.serial < self.young or type(cell) is EVar:
@@ -171,7 +160,7 @@ class Store:
         return list(found)
 
 
-def deref(t: Term) -> Term:
+def deref(t):
     while isinstance(t, Var):
         r = t.ref
         if r is None:
@@ -180,7 +169,7 @@ def deref(t: Term) -> Term:
     return t
 
 
-def occurs(v: Var, t: Term) -> bool:
+def occurs(v: Var, t) -> bool:
     stack = [t]
     while stack:
         x = deref(stack.pop())
@@ -191,7 +180,7 @@ def occurs(v: Var, t: Term) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, store: Store) -> bool:
+def unify(a, b, store: Store) -> bool:
     """Unify two terms, with the store's occurs-check policy; on failure
     every ``EVar`` and every cell older than the store's young mark is as
     it was before.  A
@@ -242,7 +231,7 @@ def unify(a: Term, b: Term, store: Store) -> bool:
                 elif tx is Atom:
                     if x.name == y.name:
                         continue
-                elif tx is Int and x.value == y.value:
+                elif tx is int and x == y:
                     continue
             store.undo_to(start)
             return False
@@ -253,7 +242,7 @@ def unify(a: Term, b: Term, store: Store) -> bool:
     return True
 
 
-def copy_term(t: Term, store: Store) -> Term:
+def copy_term(t, store: Store):
     """Copy a term with fresh variables.
 
     Plain variables are replaced by fresh cells, shared where the original
@@ -290,11 +279,11 @@ def copy_term(t: Term, store: Store) -> Term:
 
 
 # standard-order rank of each term type; a ``~Name`` cell orders as a cell
-_RANK = {Var: 0, EVar: 0, Int: 1, Atom: 2, Struct: 3}
+_RANK = {Var: 0, EVar: 0, int: 1, Atom: 2, Struct: 3}
 
 
-def compare_terms(a: Term, b: Term) -> int:
-    """Standard order: Var < Int < Atom < Compound; -1, 0 or 1."""
+def compare_terms(a, b) -> int:
+    """Standard order: Var < integer < Atom < Compound; -1, 0 or 1."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -310,8 +299,8 @@ def compare_terms(a: Term, b: Term) -> int:
             if x.serial != y.serial:
                 return -1 if x.serial < y.serial else 1
         elif rx == 1:
-            if x.value != y.value:
-                return -1 if x.value < y.value else 1
+            if x != y:
+                return -1 if x < y else 1
         elif rx == 2:
             if x.name != y.name:
                 return -1 if x.name < y.name else 1

@@ -26,14 +26,13 @@ from . import engine as _engine
 from .engine import Engine
 from .errors import PrologError
 from .kernel import Struct
-from .transpiler import rewrite_program, rewrite_query, transform_query, transpile
+from .transpiler import (
+    rewrite_program, rewrite_query, skeleton_leaves, transform_query, transpile)
 
 # Unbound cells render as _G<serial>; an unbound interclausal variable
 # renders as its ~Name.  Both stand for "some unconstrained variable" and
 # must compare equal across the two runs.
 _VAR_TOKEN = re.compile(r"_G\d+|~[A-Z_]\w*")
-
-_LISTING = re.compile(r"\blisting\b")
 
 
 def _renumber(pattern, text: str, prefix: str, mapping: dict) -> str:
@@ -110,9 +109,10 @@ def check_program(
     oracle._add([[head, body, None] for head, body in clauses])
     out = []
     for query in queries:
-        if _LISTING.search(query):
-            continue  # output inspection, not a solution set
         goal, varmap = _engine.read_query(query, native.store)
+        if any(type(t) is Struct and t.name == "listing" and len(t.args) == 1
+               for t in skeleton_leaves(goal)):
+            continue  # a listing/1 call: output inspection, not a solution set
         native_set = solution_multiset(native, (goal, varmap), limit)
         # both engines serve the next query, so each must end this one with
         # its ~Name cells and the cells of the goal it holds unbound again

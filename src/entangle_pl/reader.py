@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import PrologSyntaxError
-from .kernel import Atom, EVar, Int, Struct, TRUE, Var, deref, make_list
+from .kernel import Atom, EVar, Struct, TRUE, Var, deref, make_list
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=:?@#&")
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
@@ -203,7 +203,7 @@ def _parse(text, tokens, store, varmap):
         if kind != "eof":
             pos += 1
         if kind == "int":
-            term = Int(int(tok))
+            term = int(tok)
         elif kind == "var":
             if tok == "_":
                 term = store.new_var("_")
@@ -234,7 +234,7 @@ def _parse(text, tokens, store, varmap):
                 if nkind != "int":
                     raise _error("unary - expects an integer literal", text, nstart)
                 pos += 1
-                term = Int(-int(ntok))
+                term = -int(ntok)
             else:
                 p, typ = op
                 frames.append(("op", maxp, tok, (), p))
@@ -306,7 +306,7 @@ _NOT_DCG_HEADS = frozenset((",", ";", "->", ":-", "-->", "\\+", "{}", "."))
 def _check_head(head, label: str, forbidden, text: str, offset: int):
     if isinstance(head, Var):
         raise _error(f"{label} head is a variable", text, offset)
-    if isinstance(head, Int):
+    if type(head) is int:
         raise _error(f"{label} head is not callable", text, offset)
     if isinstance(head, Struct) and head.name in forbidden:
         raise _error(f"{label} head cannot be {head.name!r}", text, offset)
@@ -387,8 +387,6 @@ def _smart_join(pieces) -> str:
     out = []
     prev = ""
     for p in pieces:
-        if not p:
-            continue
         if prev and prev[-1] in _SYMBOL_CHARS and p[0] in _SYMBOL_CHARS:
             out.append(" ")
         out.append(p)
@@ -451,8 +449,8 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
             else:
                 pieces.append(f"_G{term.serial}")
             continue
-        if isinstance(term, Int):
-            pieces.append(str(term.value))
+        if type(term) is int:
+            pieces.append(str(term))
             continue
         if isinstance(term, Atom):
             pieces.append(_atom_text(term.name))

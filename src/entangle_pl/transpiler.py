@@ -34,7 +34,7 @@ from functools import lru_cache
 from .dcg import translate_goal  # noqa: F401
 from .engine import _BUILTINS, CONTROL, SKELETON, check_clauses
 from .errors import TranspileError
-from .kernel import NIL, TRUE, Atom, EVar, Int, Store, Struct, Var, deref
+from .kernel import NIL, TRUE, Atom, EVar, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _RESERVED = ("_Env", "_IV", "_G")
@@ -109,7 +109,7 @@ def _substitute(store: Store, slots: dict, terms):
         out.append(new.get(x, x))
     env = store.new_var("_Env")
     ivs = sorted((slots[c.name], v) for c, v in new.items() if isinstance(c, EVar))
-    return out, env, [Struct("arg", (Int(slot), env, iv)) for slot, iv in ivs]
+    return out, env, [Struct("arg", (slot, env, iv)) for slot, iv in ivs]
 
 
 def _threaded(name, args, env):
@@ -133,17 +133,21 @@ def _shadowed(key, predset):
     )
 
 
-def _open(goal):
-    """Whether ``goal``'s control skeleton holds a variable, so that the
-    goal converts only when it starts."""
+def skeleton_leaves(goal):
+    """The leaves of ``goal``'s control skeleton, bindings followed."""
     todo = [goal]
     while todo:
         t = deref(todo.pop())
-        if isinstance(t, Var):
-            return True
         if isinstance(t, Struct) and (t.name, len(t.args)) in SKELETON:
             todo += t.args
-    return False
+        else:
+            yield t
+
+
+def _open(goal):
+    """Whether ``goal``'s control skeleton holds a variable, so that the
+    goal converts only when it starts."""
+    return any(isinstance(t, Var) for t in skeleton_leaves(goal))
 
 
 def rewrite_goal(g, env, predset):

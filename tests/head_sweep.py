@@ -58,7 +58,7 @@ from collections import Counter
 
 from entangle_pl.engine import _MISS, try_clause
 from entangle_pl.kernel import (
-    Atom, EVar, Int, Store, Struct, Var, copy_term, make_list, unify)
+    Atom, EVar, Store, Struct, Var, copy_term, make_list, unify)
 
 SEEDS = range(20_000)
 BLOCK = 1_000
@@ -71,7 +71,7 @@ EXPECTED = {
 _ATOMS = ("a", "b", "1", "[]")
 _INTS = (1, 2)
 _FUNCTORS = (("f", 1), ("f", 2), ("g", 2), (".", 2), ("1", 1))
-_TRAPS = {("a", Atom): Atom("b"), ("1", Atom): Int(1), (1, Int): Atom("1")}
+_TRAPS = {("a", Atom): Atom("b"), ("1", Atom): 1, (1, int): Atom("1")}
 _BAR = 7  # the barrier the sweep's tries hand the head code
 _REST = (Atom("rest"), 0, None)  # and the goal list they push onto
 _DEPTH = 10  # the depth to which terms are compared, cyclic ones unrolled
@@ -80,7 +80,7 @@ _DEPTH = 10  # the depth to which terms are compared, cyclic ones unrolled
 def _constant(rng):
     if rng.random() < 0.6:
         return Atom(rng.choice(_ATOMS))
-    return Int(rng.choice(_INTS))
+    return rng.choice(_INTS)
 
 
 def _term(rng, leaves, depth):
@@ -145,7 +145,7 @@ def _goal_arg(rng, arg, cells, variables):
             return rng.choice(cells)  # write mode, or a bound cell's term
         return Struct(arg.name, tuple(
             _goal_arg(rng, a, cells, variables) for a in arg.args))
-    trap = _TRAPS.get((arg.name if type(arg) is Atom else arg.value, type(arg)))
+    trap = _TRAPS.get((arg.name if type(arg) is Atom else arg, type(arg)))
     return trap if trap is not None and rng.random() < 0.2 else arg
 
 
@@ -207,8 +207,8 @@ def _canonical(t, depth=_DEPTH):
         return f"{t.name!r}({','.join(_canonical(a, depth - 1) for a in t.args)})"
     if type(t) is Atom:
         return repr(t.name)
-    if type(t) is Int:
-        return str(t.value)
+    if type(t) is int:
+        return str(t)
     return t.name if type(t) is EVar else f"_G{t.serial}"
 
 

@@ -333,7 +333,7 @@ def _random_term(rng, vars_pool, depth=0):
         if leaf < 0.4:
             return rng.choice(vars_pool)
         if leaf < 0.7:
-            return kernel.Int(rng.randrange(4))
+            return rng.randrange(4)
         return kernel.Atom(rng.choice("abc"))
     name = rng.choice("fgh")
     arity = rng.randrange(1, 4)

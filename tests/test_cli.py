@@ -600,3 +600,24 @@ def test_repl_reports_errors_and_continues(pair_file):
 def test_repl_eof_exits_cleanly(pair_file):
     proc = repl([pair_file], "")
     assert proc.returncode == 0
+
+
+def test_repl_transcript_on_piped_stdin(tmp_path):
+    # stdin is a pipe, not a tty, so no prompt is printed: the output is the
+    # answers, the ";" replies, "false." and the errors, exactly
+    program = tmp_path / "p.pl"
+    program.write_text("p(1). p(2).\n")
+    proc = repl([str(program)], "p(X).\n;\n;\np(X).\n\nfoo(.\nq.\nhalt.\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "X = 1 ;\n"
+        "X = 2 ;\n"
+        "false.\n"
+        "X = 1.\n"
+        "error: unexpected token '.' (line 1, column 5)\n"
+        "error: unknown predicate q/0\n"
+    )
+    # end of input right after an answer takes it as the last one, then
+    # ends the session with an empty line
+    proc = repl([str(program)], "p(X).\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "X = 1.\n\n", "")

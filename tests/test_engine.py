@@ -25,9 +25,10 @@ from entangle_pl import (
 )
 import entangle_pl.engine as engine_module
 from entangle_pl.engine import _BUILTINS
-from entangle_pl.kernel import Atom, Int, Store, Struct, Var, deref, unify
+from entangle_pl.kernel import Atom, Store, Struct, Var, deref, unify
 from entangle_pl.oracle import check_program, read_queries
-from entangle_pl.reader import read_query, write_term
+from entangle_pl.reader import read_program, read_query, write_term
+from entangle_pl.transpiler import rewrite_program
 from conftest import answers, checked_answers
 
 
@@ -694,11 +695,11 @@ def test_heads_with_no_variable_run_head_code(occurs_check):
     x, y = store.new_var(), store.new_var()
     goal = Struct("edge", (Atom("a"), x))
     head, body = run(goal)
-    assert head is goal and body.name == "true" and deref(x).value == 1
+    assert head is goal and body.name == "true" and deref(x) == 1
     store.undo_to(mark)
     # the quoted atom '1' and the integer 1 differ, in either place
     assert run(Struct("edge", (Atom("a"), Atom("1")))) is miss
-    assert run(Struct("n", (Int(1),))) is miss
+    assert run(Struct("n", (1,))) is miss
     goal = Struct("n", (Atom("1"),))
     assert run(goal)[0] is goal
     goal = Atom("go")
@@ -707,10 +708,10 @@ def test_heads_with_no_variable_run_head_code(occurs_check):
     # the ~Name cell is a constant operand, bound by the goal's integer;
     # the shared ground subterm is the stored one, bound to the goal's cell
     ground = eng.db[("db", 3)][0][0].args[1]
-    goal = Struct("db", (Int(5), y, Atom("k")))
+    goal = Struct("db", (5, y, Atom("k")))
     head, body = run(goal)
     assert head is goal and deref(y) is ground
-    assert deref(store.evar("~T")).value == 5
+    assert deref(store.evar("~T")) == 5
     store.undo_to(mark)
     assert deref(store.evar("~T")) is store.evar("~T")
     assert run(Struct("db", (x, y, Atom("j")))) is miss
@@ -718,6 +719,31 @@ def test_heads_with_no_variable_run_head_code(occurs_check):
     assert answers(eng, "edge(A, B), n(C), go, db(D, E, F).") == [
         "A = a, B = 1, C = '1', D = ~T, E = f(g(b),[2]), F = k"]
     assert answers(eng, "db(3, f(g(b), [2]), k), ~T == 3.") == ["true"]
+
+
+def test_integer_terms_are_plain_ints(eng):
+    # an integer term is the Python int itself, in every layer
+    goal, varmap = read_query("X = f(5, -3), Y is 2 + 3, functor(f(a, b), _, A).", eng.store)
+    solutions = eng.solve(goal, varmap)
+    next(solutions)
+    x, y, a = (deref(varmap[name]) for name in "XYA")
+    assert [type(t) for t in (*x.args, y, a)] == [int] * 4
+    assert (x.args, y, a) == ((5, -3), 5, 2)
+    solutions.close()
+    store = Store()
+    pairs = engine_module.check_clauses(read_program("a(~X).", store))
+    _, [(_, body), *_] = rewrite_program(pairs, list(store.evars), store)
+    assert body.name == "arg" and type(body.args[0]) is int and body.args[0] == 1
+    # the quoted atom '1' and the integer 1 stay apart, in the head code of
+    # a one-clause predicate and in the index of k/2
+    eng.consult_text("h('1'). g(1). k('1', atom). k(1, int).")
+    assert answers(eng, "h(1).") == [] and answers(eng, "h('1').") == ["true"]
+    assert answers(eng, "g('1').") == [] and answers(eng, "g(1).") == ["true"]
+    clauses = eng.db[("k", 2)]
+    for first, clause in ((Atom("1"), clauses[0]), (1, clauses[1])):
+        assert eng._candidates(("k", 2), (first, eng.store.new_var()), clauses) == [clause]
+    assert answers(eng, "k(1, W).") == ["W = int"]
+    assert answers(eng, "k('1', W).") == ["W = atom"]
 
 
 def test_every_corpus_clause_try_returns_the_goal_or_miss(monkeypatch):
@@ -836,7 +862,7 @@ def test_shape_cache_is_bounded():
 def test_functor_names_enter_generated_code_safely(eng, name):
     q = write_term(Atom(name))
     eng.consult_text(f"{q}(X, {q}(X, Y), Y) :- {q}(X) = {q}(X).")
-    expected = write_term(Struct(name, (Int(1), Atom("b"))), priority=999)
+    expected = write_term(Struct(name, (1, Atom("b"))), priority=999)
     assert answers(eng, f"{q}(1, T, b).") == [f"T = {expected}"]
     assert answers(eng, f"{q}(1, {q}(2, b), V).") == []
 
@@ -1290,7 +1316,7 @@ def test_outside_a_query_every_cell_is_old(eng):
     store = eng.store
     cell = store.new_var()
     mark = store.mark()
-    assert unify(cell, Int(1), store)
+    assert unify(cell, 1, store)
     store.undo_to(mark)
     assert cell.ref is None
 

@@ -119,6 +119,16 @@ def test_listing_queries_are_skipped():
     assert len(results) == 1
 
 
+def test_only_a_goal_calling_listing_is_skipped():
+    # the word listing in a query's text skips nothing; a listing/1 call in
+    # the goal's control skeleton does
+    queries = ["p(X).", "X = listing.", "p(listing).", "listing(p).",
+               "(true, listing(p))."]
+    results = check_program("p(listing).", queries, "demo")
+    assert [(r.query, r.ok) for r in results] == [
+        ("p(X).", True), ("X = listing.", True), ("p(listing).", True)]
+
+
 def test_corpus_queries_files_parse():
     names = {p.name for p in corpus_dir().glob("*.queries")}
     assert {

@@ -9,7 +9,7 @@ import pytest
 from entangle_pl import Engine, corpus_dir, transpile
 from entangle_pl.engine import prelude_text
 from entangle_pl.errors import PrologError, PrologSyntaxError
-from entangle_pl.kernel import Atom, EVar, Int, Store, Struct, Var, deref, make_list
+from entangle_pl.kernel import Atom, EVar, Store, Struct, Var, deref, make_list
 from entangle_pl.reader import (
     INFIX_OPS,
     PREFIX_OPS,
@@ -235,9 +235,9 @@ def test_xfx_is_not_associative():
 
 def test_negative_literals():
     t, _ = parse_one("-5")
-    assert isinstance(t, Int) and t.value == -5
+    assert type(t) is int and t == -5
     t, _ = parse_one("3 - -2")
-    assert t.name == "-" and t.args[1].value == -2
+    assert t.name == "-" and t.args[1] == -2
     with pytest.raises(PrologSyntaxError, match="integer literal"):
         parse_one("- a")
 
@@ -370,7 +370,7 @@ def _random_term(rng, store, names, depth):
         if kind == 0:
             return Atom(rng.choice(_ATOM_NAMES))
         if kind == 1:
-            return Int(rng.randrange(-20, 20))
+            return rng.randrange(-20, 20)
         if kind == 2:
             return store.new_var("_")
         if kind == 3:
@@ -410,8 +410,8 @@ def _is_variant(a, b) -> bool:
         elif isinstance(x, EVar):
             if x is not y:
                 return False
-        elif isinstance(x, Int):
-            if x.value != y.value:
+        elif type(x) is int:
+            if x != y:
                 return False
         elif isinstance(x, Atom):
             if x.name != y.name:

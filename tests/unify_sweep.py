@@ -39,7 +39,6 @@ from entangle_pl.kernel import (
     OUTSIDE,
     Atom,
     EVar,
-    Int,
     Store,
     Struct,
     Var,
@@ -62,7 +61,7 @@ def _term(rng, cells, depth):
             return rng.choice(cells)
         if kind < 0.75:
             return Atom(rng.choice(_ATOMS))
-        return Int(rng.choice(_INTS))
+        return rng.choice(_INTS)
     name, arity = rng.choice(_FUNCTORS)
     return Struct(name, tuple(_term(rng, cells, depth - 1) for _ in range(arity)))
 
