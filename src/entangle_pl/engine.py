@@ -24,8 +24,8 @@ unifies the collected list.
 transpiler rewrites goals through the same table.  A call's name is
 tested once against the names in ``CONTROL``; any other call, and a
 control name at another arity (``call/2``, ``true/1``), goes on to one
-``(name, arity)`` key, looked up in the builtins and then the database, so
-a user call costs one set test and one key.  Every binding of a cell
+``(name, arity)`` key, looked up in the builtins and then the index, so a
+user call costs one set test and one key.  Every binding of a cell
 older than the store's young mark is trailed (Warren's conditional
 trailing): ``solve`` keeps the mark at the allocation mark of the newest
 choice point, or of the query's start when none is left, so a binding the
@@ -68,18 +68,18 @@ Two open ``solve`` generators on one store are unsupported: resuming one
 after the other has backtracked past its marks trips the assertion in
 ``Store.undo_to``.
 
-Clauses are selected through an argument index built at first use: a
-predicate's index is a list with one slot per argument position, whose
-table is built the first time a call has that position bound.  A
-call to a predicate of several clauses looks up its first argument that is
-bound at an indexable position, one where no clause head holds a variable
-(a ``~Name`` cell counts: a query may bind it and the reset unbinds it),
-and tries only the clauses with the same principal functor there, read by
-exact type (``_functor_key``), in source order.  The lookup is exact, so a
-call left with one candidate pushes no choice point at all (Warren's rule
-that only a call with alternatives gets one), and a call left with none
-fails at once.
-Queries never change the clause database, so a predicate's tables stay
+Clauses are selected by code made per predicate at its first call after a
+consult, as a WAM's ``switch_on_term`` is (Warren, SRI TN 309, 1983).  The
+index holds a predicate's clause list when it has one clause or no
+indexable position, one where no clause head holds a variable (a ``~Name``
+cell counts: a query may bind it and the reset unbinds it), and otherwise
+its generated ``select(args)``, which tests those positions in order and,
+at the first bound one, returns the clauses with the same principal
+functor there, read by exact type, in source order.  The lookup is exact,
+so a call left with one candidate pushes no choice point at all (Warren's
+rule that only a call with alternatives gets one), and a call left with
+none fails at once.
+Queries never change the clause database, so a predicate's entry stays
 valid until the next consult drops every predicate's.  A consult gives
 each predicate it touches a new list, so a call suspended between answers
 keeps the clauses it started with (ISO's logical update view).
@@ -155,7 +155,6 @@ from .kernel import (
     OUTSIDE,
     TRUE,
     Atom,
-    EVar,
     Store,
     Struct,
     Var,
@@ -199,32 +198,57 @@ def _found_all(acc, result, e):
     return unify(result, make_list(acc), e.store)
 
 
-def _functor_key(t):
-    """Principal functor of a non-variable term, as an index key, by exact
-    type: an atom's name, a ``str``; an integer itself, an ``int``; a
-    compound's ``(name, arity)``.  ``Engine._candidates`` inlines it."""
-    kind = type(t)
-    if kind is Atom:
-        return t.name
-    if kind is int:
-        return t
-    return t.name, len(t.args)
+def _selection(clauses):
+    """What ``Engine._index`` holds for a predicate's clauses: the list
+    itself when it has one clause or no indexable position, else its
+    ``select(args)``.  A position is indexable when no head holds a
+    variable there (``~Name`` cells included); its table maps a principal
+    functor, read by exact type, to the clauses with it, in source order."""
+    if len(clauses) == 1:
+        return clauses
+    heads = [clause[0].args for clause in clauses]
+    positions = tuple(pos for pos in range(len(heads[0]))
+                      if not any(isinstance(args[pos], Var) for args in heads))
+    if not positions:
+        return clauses
+    tables = []
+    for pos in positions:
+        table = {}
+        for clause, args in zip(clauses, heads):
+            t = args[pos]
+            kind = type(t)
+            key = t.name if kind is Atom else t if kind is int else (t.name, len(t.args))
+            table.setdefault(key, []).append(clause)
+        tables.append(table)
+    return _selector(positions)(clauses, *tables)
 
 
-_UNBUILT = object()  # an index slot whose table is not built yet
+def _deref(x, term):
+    """Source lines that set ``x`` to ``term`` dereferenced, inline."""
+    return [f"{x} = {term}", f"while isinstance({x}, Var) and {x}.ref is not None: {x} = {x}.ref"]
 
 
-def _arg_table(clauses, pos):
-    """Clauses by the principal functor of head argument ``pos``, in source
-    order; None when some head has a variable (``~Name`` cells included)
-    there."""
-    table = {}
-    for clause in clauses:
-        arg = clause[0].args[pos]
-        if isinstance(arg, Var):
-            return None
-        table.setdefault(_functor_key(arg), []).append(clause)
-    return table
+@lru_cache(maxsize=1024)
+def _selector(positions):
+    """The factory ``make(clauses, t0, t1, ...)`` of ``select(args)`` for
+    the indexable ``positions``, made once per process.  ``select`` derefs
+    each position inline, in order, and returns the first bound one's entry
+    in its table, or ``()``; ``clauses`` when none is bound.  A key is an
+    atom's name, an integer itself or a compound's ``(name, arity)``."""
+    lines = []
+    for j, pos in enumerate(positions):
+        lines += _deref("x", f"args[{pos}]") + [
+            "kind = type(x)",
+            f"if kind is Atom: return t{j}.get(x.name, ())",
+            f"if kind is int: return t{j}.get(x, ())",
+            f"if kind is Struct: return t{j}.get((x.name, len(x.args)), ())"]
+    params = "".join(f", t{j}" for j in range(len(positions)))
+    source = "".join([f"def make(clauses{params}):\n    def select(args):\n"]
+                     + [f"        {line}\n" for line in lines]
+                     + ["        return clauses\n    return select\n"])
+    scope = {"Atom": Atom, "Var": Var, "Struct": Struct}
+    exec(compile(source, "<selection>", "exec"), scope)
+    return scope["make"]
 
 
 def _compile(clause):
@@ -289,7 +313,7 @@ def _source(shape, nslots):
     straight-line code that reserves ``nslots`` serials, matches the head
     against the goal, and builds one Struct per statement, so no term depth
     nests in the source.  The shape is the head's, then each body
-    conjunct's.
+    conjunct's.  It calls no ``deref``: a goal term is followed inline.
 
     First, binding nothing, each slot ``k`` gets its term ``vk``.  Walking
     the head's arguments left to right, a slot first met as head argument
@@ -348,7 +372,7 @@ def _source(shape, nslots):
         if type(arg) is int and arg not in terms:
             terms[arg] = home[arg] = f"g[{i}]"
         elif type(arg) is tuple:
-            reads += [f"d{i} = deref(g[{i}])", f"r{i} = type(d{i}) is Struct and "
+            reads += _deref(f"d{i}", f"g[{i}]") + [f"r{i} = type(d{i}) is Struct and "
                       f"d{i}.name == {arg[0]!r} and len(d{i}.args) == {len(arg[1])}"]
             for j, k in enumerate(arg[1]):
                 if type(k) is int and k not in terms:
@@ -365,12 +389,11 @@ def _source(shape, nslots):
             k = "k" + node[1:]
             keys.append(f"{k} = {node}.name if type({node}) is Atom else "
                         f"{node} if type({node}) is int else None")
-            match.extend(pad + line for line in (
-                f"x = deref({goal})",
+            match.extend(pad + line for line in _deref("x", goal) + [
                 f"if {k} is None:",
                 f"    if not unify({node}, x, store): return MISS",
                 f"elif isinstance(x, Var): store.bind(x, {node})",
-                f"elif (x.name if type(x) is Atom else x) != {k}: return MISS"))
+                f"elif (x.name if type(x) is Atom else x) != {k}: return MISS"])
         else:
             match.extend(pad + line for line in built(node))
             match.append(f"{pad}if not unify(t{node[2]}, {goal}, store): return MISS")
@@ -389,8 +412,8 @@ def _source(shape, nslots):
         else:
             match.append("else:")
         match.extend("    " + line for line in built(arg))
-        match += [f"    x = deref(g[{i}])",
-                  f"    if isinstance(x, Var) and not store.occurs_check: store.bind(x, t{arg[2]})",
+        match += ["    " + line for line in _deref("x", f"g[{i}]")]
+        match += [f"    if isinstance(x, Var) and not store.occurs_check: store.bind(x, t{arg[2]})",
                   f"    elif not unify(t{arg[2]}, x, store): return MISS"]
     lines = ["a = store.allocated", f"store.allocated = a + {nslots}"] if nslots else []
     if args:
@@ -421,8 +444,7 @@ def _factory(shape, nslots):
     """The factory of a clause shape, made once per process; the cache is
     bounded, and a clause keeps the builder it was given.  Its head code
     calls ``kernel.unify``, not this module's name, which a tracer wraps."""
-    scope = {"Atom": Atom, "Var": Var, "Struct": Struct, "deref": deref,
-             "unify": kernel.unify, "MISS": _MISS}
+    scope = {"Atom": Atom, "Var": Var, "Struct": Struct, "unify": kernel.unify, "MISS": _MISS}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
 
@@ -479,8 +501,7 @@ class Engine:
         # (name, arity) -> [[head, body, builder], ...] in source order;
         # the dict's insertion order is the order listing/1 prints them in
         self.db = {}
-        # (name, arity) -> one slot per argument position: _UNBUILT, or
-        # _arg_table(clauses, pos), built the first time a call binds pos
+        # (name, arity) -> _selection(clauses), made at the first call
         self._index = {}
         self.unknown_fail = unknown_fail
         self.allow_evars = allow_evars
@@ -543,6 +564,7 @@ class Engine:
         shown = [(n, v) for n, v in varmap.items() if not n.startswith("_")]
         max_frames = self.max_frames
         db = self.db
+        index = self._index
         # A choice point is the tuple (mark, young, goals): its goals node
         # resumes after undoing to mark, under the young mark it found.
         # The clauses of a call not yet tried come back as a retry node, a
@@ -646,14 +668,17 @@ class Engine:
                         if not builtin(self, args):
                             failing = True
                         continue
-                    clauses = db.get(key)
+                    clauses = index.get(key)
                     if clauses is None:
-                        if self.unknown_fail:
-                            failing = True
-                            continue
-                        raise ExistenceError(name, arity)
-                    if len(clauses) > 1:
-                        clauses = self._candidates(key, args, clauses)
+                        clauses = db.get(key)
+                        if clauses is None:
+                            if self.unknown_fail:
+                                failing = True
+                                continue
+                            raise ExistenceError(name, arity)
+                        clauses = index[key] = _selection(clauses)
+                    if type(clauses) is not list:
+                        clauses = clauses(args)
                         if not clauses:
                             failing = True
                             continue
@@ -672,33 +697,6 @@ class Engine:
         finally:
             store.undo_to(start)
             store.young = OUTSIDE
-
-    def _candidates(self, key, args, clauses):
-        """The clauses of predicate ``key`` that a call with ``args`` can
-        match, as far as the index on its first bound, indexable argument
-        tells.  The predicate's tables are a list with one slot per
-        argument position, each built the first time a call has that
-        position bound; ``_functor_key``'s rule, inlined, reads the key."""
-        tables = self._index.get(key)
-        if tables is None:
-            tables = self._index[key] = [_UNBUILT] * len(args)
-        for pos, arg in enumerate(args):
-            kind = type(arg)
-            while kind is Var or kind is EVar:
-                arg = arg.ref
-                kind = type(arg)
-            if arg is None:  # an unbound cell
-                continue
-            table = tables[pos]
-            if table is _UNBUILT:
-                table = tables[pos] = _arg_table(clauses, pos)
-            if table is not None:
-                if kind is Atom:
-                    return table.get(arg.name, ())
-                if kind is int:
-                    return table.get(arg, ())
-                return table.get((arg.name, len(arg.args)), ())
-        return clauses
 
     # --- builtin helpers ---------------------------------------------------
 

@@ -186,12 +186,14 @@ def unify(a, b, store: Store) -> bool:
     it was before.  A
     young cell may be left bound: failure backtracks, which discards it, and
     a caller that goes on instead raises the mark to ``allocated`` first.
-    Each pair is first tested for identity, before any dereference: the
-    engine's head code, which matches a clause head itself, hands back the
-    goal, which meets itself in one test, and a head variable that holds
-    the goal's own argument meets it in one test too.
+    Identical terms return at once, before any set-up: the engine's head
+    code, which matches a clause head itself, hands back the goal itself.
+    Each pair is tested for identity before any dereference too, so a head
+    variable holding the goal's own argument meets it in one test.
     It dispatches on exact types, since no term class but ``EVar`` is
     subclassed, and binds through ``Store.bind``."""
+    if a is b:
+        return True
     occurs_check = store.occurs_check
     bind = store.bind
     start = len(store.trail)

@@ -16,8 +16,10 @@ outcome.
 
 from __future__ import annotations
 
+import io
 import re
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,19 +115,20 @@ def check_program(
         if any(type(t) is Struct and t.name == "listing" and len(t.args) == 1
                for t in skeleton_leaves(goal)):
             continue  # a listing/1 call: output inspection, not a solution set
-        native_set = solution_multiset(native, (goal, varmap), limit)
-        # both engines serve the next query, so each must end this one with
-        # its ~Name cells and the cells of the goal it holds unbound again
-        left = [("native", len(native.store.bound_cells(goal)))]
-        # A query's variables are bound at run time, and compare_terms
-        # orders unbound cells by a serial unique only within one store, so
-        # the rewritten query moves into the transpiled store, as one term
-        # so that the goal and the answer variables share their copies.
-        rewritten = rewrite_query(goal, native.store, program)
-        copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
-        goal, *values = copied.args
-        oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
-        left.append(("transpiled", len(oracle.store.bound_cells(goal))))
+        with redirect_stdout(io.StringIO()):  # a listing/1 under call/1 or \+ prints here
+            native_set = solution_multiset(native, (goal, varmap), limit)
+            # both engines serve the next query, so each must end this one
+            # with its ~Name cells and the cells of the goal it holds unbound
+            left = [("native", len(native.store.bound_cells(goal)))]
+            # A query's variables are bound at run time, and compare_terms
+            # orders unbound cells by a serial unique only within one store,
+            # so the rewritten query moves into the transpiled store, as one
+            # term so that the goal and the answer variables share copies.
+            rewritten = rewrite_query(goal, native.store, program)
+            copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
+            goal, *values = copied.args
+            oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
+            left.append(("transpiled", len(oracle.store.bound_cells(goal))))
 
         ok = native_set == oracle_set
         bits = []

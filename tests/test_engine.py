@@ -740,8 +740,9 @@ def test_integer_terms_are_plain_ints(eng):
     assert answers(eng, "h(1).") == [] and answers(eng, "h('1').") == ["true"]
     assert answers(eng, "g('1').") == [] and answers(eng, "g(1).") == ["true"]
     clauses = eng.db[("k", 2)]
+    select = engine_module._selection(clauses)
     for first, clause in ((Atom("1"), clauses[0]), (1, clauses[1])):
-        assert eng._candidates(("k", 2), (first, eng.store.new_var()), clauses) == [clause]
+        assert select((first, eng.store.new_var())) == [clause]
     assert answers(eng, "k(1, W).") == ["W = int"]
     assert answers(eng, "k('1', W).") == ["W = atom"]
 

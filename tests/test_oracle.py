@@ -129,6 +129,14 @@ def test_only_a_goal_calling_listing_is_skipped():
         ("p(X).", True), ("X = listing.", True), ("p(listing).", True)]
 
 
+def test_a_listing_reached_through_call_prints_nothing(capsys):
+    # it runs on both engines, but into a discarded buffer, so the report
+    # keeps one line per pair
+    (result,) = check_program("p(1).", ["call(listing(p))."], "demo")
+    assert capsys.readouterr().out == ""
+    assert result.ok and str(result).startswith("OK ")
+
+
 def test_corpus_queries_files_parse():
     names = {p.name for p in corpus_dir().glob("*.queries")}
     assert {
