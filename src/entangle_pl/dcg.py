@@ -11,7 +11,7 @@ so bodies of any length or nesting translate.
 from __future__ import annotations
 
 from .errors import InstantiationError, TypeMismatchError
-from .kernel import NIL, Atom, Struct, TRUE, Var, deref, list_parts, make_list
+from .kernel import NIL, Struct, TRUE, Var, deref, list_parts, make_list
 
 
 def _conj(a, b):
@@ -69,41 +69,41 @@ def _trans(body, s0, store):
         b = deref(b)
         if b in path:
             raise TypeMismatchError("DCG body is cyclic")
-        if isinstance(b, Struct):
-            name = b.name
-            args = b.args
-            if len(args) == 2 and name in (",", "->", ";"):
-                path.add(b)
-                todo += ((b, s), args[1])
-                if name == ";":
-                    todo.append((None, s))
-                todo.append(args[0])
-                continue
-            if name == "\\+" and len(args) == 1:
-                path.add(b)
-                todo += ((b, s), args[0])
-                continue
+        # an atom is its own name, with no arguments; a cell or an integer,
+        # read the same way, meets none of the constructs
+        name, args = (b.name, b.args) if type(b) is Struct else (b, ())
+        if len(args) == 2 and name in (",", "->", ";"):
+            path.add(b)
+            todo += ((b, s), args[1])
+            if name == ";":
+                todo.append((None, s))
+            todo.append(args[0])
+            continue
+        if name == "\\+" and len(args) == 1:
+            path.add(b)
+            todo += ((b, s), args[0])
+            continue
         if isinstance(b, Var):
             # variable nonterminal: expanded at call time
             s1 = store.new_var()
             g = Struct("phrase", (b, s, s1))
         elif type(b) is int:
             raise TypeMismatchError(f"DCG body item is not callable: {b}")
-        elif isinstance(b, Atom) and b.name == "[]":
+        elif b == "[]":
             g, s1 = None, s
-        elif isinstance(b, Atom) and b.name == "!":
+        elif b == "!":
             g, s1 = b, s
-        elif b.name == "{}" and len(b.args) == 1:
-            g, s1 = b.args[0], s
-        elif b.name == "." and len(b.args) == 2:
+        elif name == "{}" and len(args) == 1:
+            g, s1 = args[0], s
+        elif name == "." and len(args) == 2:
             items, tail = list_parts(b)
-            if not (isinstance(tail, Atom) and tail.name == "[]"):
+            if tail != "[]":
                 raise TypeMismatchError("DCG terminal list must be a proper list")
             s1 = store.new_var()
             g = Struct("=", (s, make_list(items, s1)))
         else:
             s1 = store.new_var()
-            g = Struct(b.name, b.args + (s, s1))
+            g = Struct(name, args + (s, s1))
         done.append((g, s1))
         s = s1
     return done[0]
@@ -114,9 +114,10 @@ def dcg_translate(head, body, store):
 
     The reader has already checked that ``head`` is a nonterminal."""
     h = deref(head)
+    name, args = (h.name, h.args) if type(h) is Struct else (h, ())
     s0 = store.new_var()
     goal, s_end = _trans(body, s0, store)
-    return Struct(h.name, h.args + (s0, s_end)), _or_true(goal)
+    return Struct(name, args + (s0, s_end)), _or_true(goal)
 
 
 def translate_goal(args, store):

@@ -153,7 +153,6 @@ from .errors import (
 )
 from .kernel import (
     OUTSIDE,
-    TRUE,
     Atom,
     Store,
     Struct,
@@ -169,10 +168,6 @@ from .reader import read_program, read_query, write_clause, write_term
 
 # the default frame budget of a query, for the engine and the CLI alike
 MAX_FRAMES = 1_000_000
-
-_FAIL_GOAL = Atom("fail")
-_CUT = Atom("!")
-
 
 class Solution(dict):
     """Ordered name -> rendered-term-text mapping for one answer; query
@@ -200,11 +195,13 @@ def _found_all(acc, result, e):
 
 def _selection(clauses):
     """What ``Engine._index`` holds for a predicate's clauses: the list
-    itself when it has one clause or no indexable position, else its
-    ``select(args)``.  A position is indexable when no head holds a
-    variable there (``~Name`` cells included); its table maps a principal
-    functor, read by exact type, to the clauses with it, in source order."""
-    if len(clauses) == 1:
+    itself when it has one clause, no arguments or no indexable position,
+    else its ``select(args)``.  A position is indexable when no head holds
+    a variable there (``~Name`` cells included); its table maps a principal
+    functor, read by exact type, to the clauses with it, in source order:
+    an atom or an integer is its own key, a compound's is ``(name,
+    arity)``."""
+    if len(clauses) == 1 or type(clauses[0][0]) is Atom:
         return clauses
     heads = [clause[0].args for clause in clauses]
     positions = tuple(pos for pos in range(len(heads[0]))
@@ -216,8 +213,7 @@ def _selection(clauses):
         table = {}
         for clause, args in zip(clauses, heads):
             t = args[pos]
-            kind = type(t)
-            key = t.name if kind is Atom else t if kind is int else (t.name, len(t.args))
+            key = (t.name, len(t.args)) if type(t) is Struct else t
             table.setdefault(key, []).append(clause)
         tables.append(table)
     return _selector(positions)(clauses, *tables)
@@ -234,14 +230,14 @@ def _selector(positions):
     the indexable ``positions``, made once per process.  ``select`` derefs
     each position inline, in order, and returns the first bound one's entry
     in its table, or ``()``; ``clauses`` when none is bound.  A key is an
-    atom's name, an integer itself or a compound's ``(name, arity)``."""
+    atom or an integer itself, a ``str`` or an ``int``, so ``'1'`` and ``1``
+    stay apart, or a compound's ``(name, arity)``."""
     lines = []
     for j, pos in enumerate(positions):
         lines += _deref("x", f"args[{pos}]") + [
             "kind = type(x)",
-            f"if kind is Atom: return t{j}.get(x.name, ())",
-            f"if kind is int: return t{j}.get(x, ())",
-            f"if kind is Struct: return t{j}.get((x.name, len(x.args)), ())"]
+            f"if kind is Struct: return t{j}.get((x.name, len(x.args)), ())",
+            f"if kind is Atom or kind is int: return t{j}.get(x, ())"]
     params = "".join(f", t{j}" for j in range(len(positions)))
     source = "".join([f"def make(clauses{params}):\n    def select(args):\n"]
                      + [f"        {line}\n" for line in lines]
@@ -270,7 +266,7 @@ def _compile(clause):
         t = todo.pop()
         if type(t) is Struct and t.name == "," and len(t.args) == 2:
             todo += t.args[::-1]
-        elif type(t) is not Atom or t.name != "true":
+        elif t != "true":
             conjuncts.append(t)
     slots = {}
     shape = []
@@ -324,9 +320,10 @@ def _source(shape, nslots):
     slot is a fresh cell with serial ``allocated + k``.  Then the pairs
     ``unify`` would meet are matched in its order, last argument first and
     depth first, and a slot meeting its own goal term is skipped.  An atom
-    or integer is compared by its key ``kj``, read when ``make`` runs, or
-    binds an unbound goal cell; a key is an atom's name, a ``str``, or the
-    ``int`` itself, so ``'1'`` and ``1`` stay apart.  A repeated slot, a
+    or an integer constant ``cj`` binds an unbound goal cell, or is
+    compared with one ``x != kj``: its key ``kj``, set when ``make`` runs,
+    is the constant itself, an atom's ``str`` or an ``int``, so ``'1'`` and
+    ``1`` stay apart, and None for any other constant.  A repeated slot, a
     ``~Name`` cell, a shared subterm and a compound below a head argument
     go to ``unify``.  A read-mode compound matches its arguments so; a
     write-mode one is built and bound to the goal's argument dereferenced
@@ -341,8 +338,9 @@ def _source(shape, nslots):
     as its bound cell would.  Only integers and the ``repr`` of functor
     names enter the source; the constants are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
-    # constant j is "cj", and a compound is (name, args, its index in
-    # builds, the index of the first build of its subtree)
+    # constant j is the str "cj" that names it, and a compound is (name,
+    # args, its index in builds, the index of the first build of its
+    # subtree); no term enters the tree, so a str node is never an atom
     builds = []
     stack = []
     nconsts = 0
@@ -387,13 +385,12 @@ def _source(shape, nslots):
                 match.append(f"{pad}if not unify(v{node}, {goal}, store): return MISS")
         elif type(node) is str:
             k = "k" + node[1:]
-            keys.append(f"{k} = {node}.name if type({node}) is Atom else "
-                        f"{node} if type({node}) is int else None")
+            keys.append(f"{k} = {node} if type({node}) is Atom or type({node}) is int else None")
             match.extend(pad + line for line in _deref("x", goal) + [
                 f"if {k} is None:",
                 f"    if not unify({node}, x, store): return MISS",
                 f"elif isinstance(x, Var): store.bind(x, {node})",
-                f"elif (x.name if type(x) is Atom else x) != {k}: return MISS"])
+                f"elif x != {k}: return MISS"])
         else:
             match.extend(pad + line for line in built(node))
             match.append(f"{pad}if not unify(t{node[2]}, {goal}, store): return MISS")
@@ -535,7 +532,8 @@ class Engine:
         groups = {}  # a new list per predicate: the logical update view
         for clause in clauses:
             head = clause[0]
-            groups.setdefault((head.name, len(head.args)), []).append(clause)
+            key = (head, 0) if type(head) is Atom else (head.name, len(head.args))
+            groups.setdefault(key, []).append(clause)
         for key, group in groups.items():
             self.db[key] = self.db.get(key, []) + group
         self._index.clear()
@@ -609,8 +607,12 @@ class Engine:
                             failing = True
                         continue
                     goal = term
-                    name = goal.name
-                    args = goal.args
+                    if kind is Struct:
+                        name = goal.name
+                        args = goal.args
+                    else:  # an atom
+                        name = goal
+                        args = ()
                     arity = len(args)
                     if name in _CONTROL_NAMES:
                         if name == "," and arity == 2:
@@ -638,15 +640,15 @@ class Engine:
                                 goals = (args[0], barrier, goals)
                                 continue
                         elif name == "->" and arity == 2:
-                            ite = args + (_FAIL_GOAL,)
+                            ite = args + ("fail",)
                         elif name == "\\+" and arity == 1:
-                            ite = (convert_goal(args[0], True), _FAIL_GOAL, TRUE)
+                            ite = (convert_goal(args[0], True), "fail", "true")
                         if ite is not None:
                             cond, then, otherwise = ite
                             h = len(cps)
                             cps.append((len(trail), store.young, (otherwise, barrier, goals)))
                             store.young = store.allocated
-                            goals = (cond, h + 1, (_CUT, h, (then, barrier, goals)))
+                            goals = (cond, h + 1, ("!", h, (then, barrier, goals)))
                             continue
                         if name == "call" and arity == 1 or name == "phrase" and arity in (2, 3):
                             g = args[0] if arity == 1 else translate_goal(args, store)
@@ -823,7 +825,7 @@ def _bi_arg(e: Engine, args):
 def _bi_functor(e: Engine, args):
     t = deref(args[0])
     if isinstance(t, Struct):
-        return unify(args[1], Atom(t.name), e.store) and unify(args[2], len(t.args), e.store)
+        return unify(args[1], t.name, e.store) and unify(args[2], len(t.args), e.store)
     if type(t) is Atom or type(t) is int:
         return unify(args[1], t, e.store) and unify(args[2], 0, e.store)
     name = deref(args[1])
@@ -836,10 +838,10 @@ def _bi_functor(e: Engine, args):
         if type(name) is Atom or type(name) is int:
             return unify(t, name, e.store)
         raise TypeMismatchError("functor/3: name must be atomic")
-    if not isinstance(name, Atom):
+    if type(name) is not Atom:
         raise TypeMismatchError("functor/3: name must be an atom")
     fresh = tuple(e.store.new_var() for _ in range(arity))
-    return unify(t, Struct(name.name, fresh), e.store)
+    return unify(t, Struct(name, fresh), e.store)
 
 
 def _bi_copy_term(e: Engine, args):
@@ -850,7 +852,7 @@ def _bi_sort(e: Engine, args):
     items, tail = list_parts(args[0])
     if isinstance(tail, Var):
         raise InstantiationError("sort/2: list is not fully instantiated")
-    if not (isinstance(tail, Atom) and tail.name == "[]"):
+    if tail != "[]":
         raise TypeMismatchError("sort/2: first argument must be a proper list")
     ordered = sorted(items, key=cmp_to_key(compare_terms))
     deduped = []
@@ -869,14 +871,14 @@ def _bi_listing(e: Engine, args):
     a = deref(args[0])
     if isinstance(a, Var):
         raise InstantiationError("listing/1: unbound argument")
-    if isinstance(a, Atom):
-        keys = [k for k in e.db if k[0] == a.name]
+    if type(a) is Atom:
+        keys = [k for k in e.db if k[0] == a]
     elif isinstance(a, Struct) and a.name == "/" and len(a.args) == 2:
         nm = deref(a.args[0])
         ar = deref(a.args[1])
-        if not (isinstance(nm, Atom) and type(ar) is int):
+        if not (type(nm) is Atom and type(ar) is int):
             raise TypeMismatchError("listing/1: expected Name or Name/Arity")
-        keys = [(nm.name, ar)] if (nm.name, ar) in e.db else []
+        keys = [(nm, ar)] if (nm, ar) in e.db else []
     else:
         raise TypeMismatchError("listing/1: expected Name or Name/Arity")
     for key in keys:
@@ -978,7 +980,7 @@ def check_clauses(pairs):
     callable, raises."""
     out = []
     for head, body in pairs:
-        key = (head.name, len(head.args))
+        key = (head, 0) if type(head) is Atom else (head.name, len(head.args))
         if key in CONTROL or key in _BUILTINS:
             raise PrologError(f"cannot redefine {key[0]}/{key[1]}")
         out.append((head, convert_goal(body, False)))

@@ -1,9 +1,11 @@
 """Term kernel: term types, binding store, trail, unification, term copying
 and the standard order of terms.
 
-A term is an ``Atom``, a ``Struct``, a ``Var`` or ``EVar`` cell, or an
-integer, a plain ``int`` (the WAM's immediate constant), tested by exact
-type so that a ``bool`` is never a term.  Terms are immutable except for
+A term is an atom, a ``Struct``, a ``Var`` or ``EVar`` cell, or an
+integer.  The constants are immediate, as a WAM's are: an atom is its
+name, a plain ``str`` (``Atom`` names the type), and an integer a plain
+``int``, each tested by exact type, so that a ``bool`` is never a term,
+and compared by value in one step.  Terms are immutable except for
 variable cells.  A ``Var`` is a single
 assignment cell: ``ref`` is None while unbound and is written exactly once
 per binding epoch.  Every write to a cell older than the store's young
@@ -26,15 +28,7 @@ through it.
 from __future__ import annotations
 
 
-class Atom:
-    __slots__ = ("name",)
-    args = ()  # so every callable term has a name and an args tuple
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return f"Atom({self.name!r})"
+Atom = str  # an atom term is its name
 
 
 class Var:
@@ -230,10 +224,7 @@ def unify(a, b, store: Store) -> bool:
                     if x.name == y.name and len(x.args) == len(y.args):
                         stack.extend(zip(x.args, y.args))
                         continue
-                elif tx is Atom:
-                    if x.name == y.name:
-                        continue
-                elif tx is int and x == y:
+                elif x == y:  # an atom or an integer: one value comparison
                     continue
             store.undo_to(start)
             return False
@@ -285,7 +276,8 @@ _RANK = {Var: 0, EVar: 0, int: 1, Atom: 2, Struct: 3}
 
 
 def compare_terms(a, b) -> int:
-    """Standard order: Var < integer < Atom < Compound; -1, 0 or 1."""
+    """Standard order: Var < integer < atom < compound; -1, 0 or 1.
+    Integers compare by value and atoms by name, both as Python values."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -300,12 +292,9 @@ def compare_terms(a, b) -> int:
         if rx == 0:
             if x.serial != y.serial:
                 return -1 if x.serial < y.serial else 1
-        elif rx == 1:
+        elif rx < 3:  # an integer or an atom: by value
             if x != y:
                 return -1 if x < y else 1
-        elif rx == 2:
-            if x.name != y.name:
-                return -1 if x.name < y.name else 1
         else:
             if len(x.args) != len(y.args):
                 return -1 if len(x.args) < len(y.args) else 1

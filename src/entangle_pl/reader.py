@@ -229,7 +229,7 @@ def _parse(text, tokens, store, varmap):
                 functor = after[:2] == ("punct", "(") and after[2] == tokens[pos][3]
                 op = None if _starts_term(after) and not functor else op
             if op is None or op[0] > maxp or not _starts_term(tokens[pos]):
-                term = Atom(tok)
+                term = tok
             elif tok == "-":
                 if nkind != "int":
                     raise _error("unary - expects an integer literal", text, nstart)
@@ -244,7 +244,7 @@ def _parse(text, tokens, store, varmap):
             nkind, ntok, _, _ = tokens[pos]
             if tok != "(" and nkind == "punct" and ntok == _CLOSERS[tok]:
                 pos += 1
-                term = Atom(tok + ntok)  # [] or {}
+                term = tok + ntok  # [] or {}
             else:
                 frames.append((tok, maxp, []))
                 maxp = 999 if tok == "[" else 1200
@@ -398,8 +398,8 @@ def _operand(t, maxp):
     """An operator's operand to write; a prefix operator atom goes in
     parentheses, or the reader would apply it to the term after it."""
     a = deref(t)
-    if isinstance(a, Atom) and a.name in PREFIX_OPS:
-        return f"({a.name})"
+    if type(a) is Atom and a in PREFIX_OPS:
+        return f"({a})"
     return (t, maxp)
 
 
@@ -416,9 +416,10 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
     """
     pieces = []
     inside = set()  # bound cells whose value is being written
-    # stack items: a str piece; (term, priority); (tail, None), the rest of
-    # a list whose "[" and earlier elements are out; or a bound cell, popped
-    # once its value is written
+    # stack items: a str piece of output; (term, priority); (tail, None),
+    # the rest of a list whose "[" and earlier elements are out; or a bound
+    # cell, popped once its value is written.  A term, an atom too, is
+    # pushed only inside a tuple, so a bare str is always a piece
     stack = [(t, priority)]
     while stack:
         item = stack.pop()
@@ -436,7 +437,7 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
         if maxp is None:
             if isinstance(term, Struct) and term.name == "." and len(term.args) == 2:
                 stack.extend(((term.args[1], None), (term.args[0], 999), ","))
-            elif isinstance(term, Atom) and term.name == "[]":
+            elif term == "[]":
                 pieces.append("]")
             else:
                 stack.extend(("]", (term, 999), "|"))
@@ -452,8 +453,8 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
         if type(term) is int:
             pieces.append(str(term))
             continue
-        if isinstance(term, Atom):
-            pieces.append(_atom_text(term.name))
+        if type(term) is Atom:
+            pieces.append(_atom_text(term))
             continue
         name = term.name
         args = term.args
@@ -486,6 +487,6 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
 
 def write_clause(head, body) -> str:
     body = deref(body)
-    if isinstance(body, Atom) and body.name == "true":
+    if body == "true":
         return write_term(head) + "."
     return write_term(Struct(":-", (head, body))) + "."

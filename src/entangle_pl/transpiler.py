@@ -177,25 +177,24 @@ def rewrite_goal(g, env, predset):
         t = deref(t)
         if isinstance(t, Var):
             t = Struct("call", (t,))
-        if isinstance(t, (Atom, Struct)):
-            name = t.name
-            args = t.args
-            key = (name, len(args))
-            positions = CONTROL.get(key)
-            if positions and key not in SKELETON and _open(args[positions[0]]):
-                (i,) = positions
-                goal = Struct("$call_ev", (args[i], env))
-                t = goal if name == "call" else Struct(name, args[:i] + (goal,) + args[i + 1 :])
-            elif positions:
-                todo.append((t, positions))
-                todo.extend(args[i] for i in reversed(positions))
-                continue
-            elif name == "phrase" and len(args) in (2, 3):
-                t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
-            elif key in predset:
-                t = _threaded(name, args, env)
-            elif _shadowed(key, predset) or name in _helper_names():
-                t = Struct("$ev_" + name, args)
+        # an atom is its own name; an integer meets no rule, and the run raises
+        name, args = (t.name, t.args) if type(t) is Struct else (t, ())
+        key = (name, len(args))
+        positions = CONTROL.get(key)
+        if positions and key not in SKELETON and _open(args[positions[0]]):
+            (i,) = positions
+            goal = Struct("$call_ev", (args[i], env))
+            t = goal if name == "call" else Struct(name, args[:i] + (goal,) + args[i + 1 :])
+        elif positions:
+            todo.append((t, positions))
+            todo.extend(args[i] for i in reversed(positions))
+            continue
+        elif name == "phrase" and len(args) in (2, 3):
+            t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
+        elif key in predset:
+            t = _threaded(name, args, env)
+        elif _shadowed(key, predset) or name in _helper_names():
+            t = Struct("$ev_" + name, args) if args else "$ev_" + name
         done.append(t)
     return done[0]
 
@@ -225,11 +224,12 @@ def rewrite_program(pairs, layout, store: Store):
     helper's, raises ``TranspileError``: a renamed call, or the helper's
     own, could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    predicates = list(dict.fromkeys((h.name, len(h.args)) for h, _ in pairs))
+    predicates = list(dict.fromkeys(
+        (h, 0) if type(h) is Atom else (h.name, len(h.args)) for h, _ in pairs))
     helper = _helper_names()
     for name, arity in predicates:
         if name.startswith("$ev_") or name in helper:
-            raise TranspileError(f"cannot transpile {write_term(Atom(name))}/{arity}: " + (
+            raise TranspileError(f"cannot transpile {write_term(name)}/{arity}: " + (
                 "the run-time helper's names are reserved for it" if name in helper
                 else "names that begin with $ev_ are reserved for renamed calls"))
     predset = set(predicates)
@@ -237,15 +237,16 @@ def rewrite_program(pairs, layout, store: Store):
     for head, body in pairs:
         (head, body), env, goals = _substitute(store, slots, (head, body))
         rewritten = rewrite_goal(body, env, predset)
-        if not (isinstance(rewritten, Atom) and rewritten.name == "true"):
+        if rewritten != "true":
             goals.append(rewritten)
         new_body = _conj_fold(goals) if goals else TRUE
-        out.append((_threaded(head.name, head.args, env), new_body))
+        name, args = (head, ()) if type(head) is Atom else (head.name, head.args)
+        out.append((_threaded(name, args, env), new_body))
     out += _fixed_helper()
     e = store.new_var("E")
     for name, arity in predicates:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
-        inner = Atom(name) if arity == 0 else Struct(name, vs)
+        inner = Struct(name, vs) if arity else name
         out.append((Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE))
         if _shadowed((name, arity + 1), predset):
             vs += (store.new_var(f"V{arity + 1}"),)

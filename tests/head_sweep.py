@@ -145,7 +145,7 @@ def _goal_arg(rng, arg, cells, variables):
             return rng.choice(cells)  # write mode, or a bound cell's term
         return Struct(arg.name, tuple(
             _goal_arg(rng, a, cells, variables) for a in arg.args))
-    trap = _TRAPS.get((arg.name if type(arg) is Atom else arg, type(arg)))
+    trap = _TRAPS.get((arg, type(arg)))
     return trap if trap is not None and rng.random() < 0.2 else arg
 
 
@@ -191,7 +191,7 @@ def _conjuncts(body):
         t = todo.pop()
         if type(t) is Struct and t.name == "," and len(t.args) == 2:
             todo += t.args[::-1]
-        elif type(t) is not Atom or t.name != "true":
+        elif type(t) is not Atom or t != "true":
             out.append(t)
     return out
 
@@ -206,7 +206,7 @@ def _canonical(t, depth=_DEPTH):
     if type(t) is Struct:
         return f"{t.name!r}({','.join(_canonical(a, depth - 1) for a in t.args)})"
     if type(t) is Atom:
-        return repr(t.name)
+        return repr(t)
     if type(t) is int:
         return str(t)
     return t.name if type(t) is EVar else f"_G{t.serial}"

@@ -20,14 +20,18 @@ variable (``via(X) :- X.``), bound before call/1 starts, and as data
 m/1 or a program predicate with one argument too many, which is
 undefined natively, and one argument short of the threaded predicate on
 the transpiled side.  Both engines run with the occurs
-check, so no query builds a cyclic term, and with a frame budget.
+check, so no query builds a cyclic term, and with a frame budget.  Each
+program's ``--transpile`` text is also read back: the oracle runs the
+rewritten clauses as terms, so only this shows that the text the writer
+makes reads as the same clauses.
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
 runs seeds 0 to 4,999, each class in turn, prints a tally and exits 1 on
-any ``MISMATCH``, or when a class's tally or number of native answers
-differs from the pinned ``EXPECTED`` or ``EXPECTED_INJECTED``, so a change
-to either side that changes any outcome fails it too;
+any ``MISMATCH`` or ``READ-BACK`` line, or when a class's tally or number
+of native answers differs from the pinned ``EXPECTED`` or
+``EXPECTED_INJECTED``, so a change to either side that changes any
+outcome fails it too;
 ``tests/test_oracle_sweep.py`` runs the first ``BLOCK`` seeds against
 pinned figures of its own.
 """
@@ -39,7 +43,12 @@ import sys
 import time
 from collections import Counter
 
+from entangle_pl.engine import check_clauses
+from entangle_pl.errors import PrologError
+from entangle_pl.kernel import Atom, Store, Struct, Var, deref
 from entangle_pl.oracle import check_program
+from entangle_pl.reader import read_program
+from entangle_pl.transpiler import rewrite_program, transpile
 
 SEEDS = range(5_000)
 BLOCK = 1_000  # the seeds the tier-1 test runs
@@ -202,11 +211,53 @@ def program(seed: int, injected: bool = False):
     return text + _INJECTED, [rng.choice(_WAYS).format(writer.goal(below, 2)) for _ in range(3)]
 
 
+def is_variant(a, b) -> bool:
+    """Whether two terms are equal up to a one-to-one renaming of their
+    variables."""
+    forward, back = {}, {}
+    todo = [(a, b)]
+    while todo:
+        x, y = map(deref, todo.pop())
+        if isinstance(x, Var) and isinstance(y, Var):
+            if forward.setdefault(x, y) is not y or back.setdefault(y, x) is not x:
+                return False
+        elif isinstance(x, Struct) and isinstance(y, Struct):
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif not (
+            isinstance(x, Atom) and isinstance(y, Atom) and x == y
+            or type(x) is int and type(y) is int and x == y
+        ):
+            return False
+    return True
+
+
+def read_back(text: str) -> str:
+    """Read back ``text``'s ``--transpile`` output; what differs from the
+    rewritten clauses the oracle runs, which ``check_program`` makes the
+    same way, or ``""``.  A clause differs unless it reads back as a
+    variant of the one the oracle runs."""
+    store = Store()
+    pairs = check_clauses(read_program(text, store))
+    _, ran = rewrite_program(pairs, list(store.evars), store)
+    try:
+        back = read_program(transpile(text).text, Store(), allow_evar=False)
+    except PrologError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if len(back) != len(ran):
+        return f"{len(back)} clauses read back, not {len(ran)}"
+    for i, (clause, clause_ran) in enumerate(zip(back, ran)):
+        if not is_variant(Struct("-", clause), Struct("-", clause_ran)):
+            return f"clause {i + 1} reads back as another clause"
+    return ""
+
+
 def sweep(seeds, injected: bool = False):
-    """Check the program of each seed, or its injected goals.  Returns a
-    tally of the native outcomes (``answered`` or ``failed``), the number
-    of native answers and the mismatches, as ``(seed, report line)``
-    pairs."""
+    """Check the program of each seed, or its injected goals, and read
+    back its transpiled text.  Returns a tally of the native outcomes
+    (``answered`` or ``failed``), the number of native answers and the
+    mismatches, as ``(seed, report line)`` pairs."""
     tally = Counter()
     total = 0
     mismatches = []
@@ -217,6 +268,9 @@ def sweep(seeds, injected: bool = False):
             total += result.native
             if not result.ok:
                 mismatches.append((seed, str(result)))
+        differs = read_back(text)
+        if differs:
+            mismatches.append((seed, f"READ-BACK seed {seed}: {differs}"))
     return tally, total, mismatches
 
 

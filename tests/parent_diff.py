@@ -34,7 +34,7 @@ prints, for each job that differs, ``DIFF:``, how many of its queries'
 outcomes differ, raw and once each outcome's ``_G`` serials are
 renumbered by first appearance (as the oracle's ``normalize_solution``
 does), and the first 5 of them, each from its first differing line, then
-the totals, and exits 1.
+the totals, and exits 1.  Outside a git checkout it says so and exits 2.
 Run it before committing a change to the engine; it is not part of the
 tier-1 suite.
 """
@@ -275,11 +275,14 @@ def shown(outcome, start: int) -> str:
 
 
 def main() -> int:
+    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        print("parent_diff.py needs a git checkout: it compares the tree with HEAD",
+              file=sys.stderr)
+        return 2
     work = json.dumps(jobs())
     with tempfile.TemporaryDirectory() as parent:
-        archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
         before = answers(Path(parent), work)
     after = answers(ROOT, work)
     old_jobs = by_query(before)

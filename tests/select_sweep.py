@@ -49,12 +49,9 @@ EXPECTED = {"select": 19_472, "list": 55_582, "calls": 2_129_634}
 
 def _functor_key(t):
     """Principal functor of a non-variable term, as an index key, by exact
-    type: an atom's name, an integer itself, a compound's ``(name,
-    arity)``."""
+    type: an atom or an integer itself, a compound's ``(name, arity)``."""
     kind = type(t)
-    if kind is Atom:
-        return t.name
-    if kind is int:
+    if kind is Atom or kind is int:
         return t
     return t.name, len(t.args)
 
@@ -89,14 +86,14 @@ def candidates(args, clauses):
 
 def _calls(clauses):
     """The argument tuples each predicate is asked about."""
-    arity = len(clauses[0][0].args)
+    heads = [() if type(clause[0]) is Atom else clause[0].args for clause in clauses]
+    arity = len(heads[0])
     fresh = tuple(Var(-1) for _ in range(arity))
     calls = [fresh]
     for pos in range(arity):
         for value in (Atom("1"), 1):
             calls.append(fresh[:pos] + (value,) + fresh[pos + 1:])
-    for clause in clauses:
-        args = clause[0].args
+    for args in heads:
         calls.append(args)
         for pos in range(arity):
             calls.append(args[:pos] + (fresh[pos],) + args[pos + 1:])

@@ -688,33 +688,34 @@ def test_heads_with_no_variable_run_head_code(occurs_check):
     miss = engine_module._MISS
 
     def run(goal):
-        clause = eng.db[(goal.name, len(goal.args))][0]
+        key = (goal, 0) if type(goal) is str else (goal.name, len(goal.args))
+        clause = eng.db[key][0]
         return head_and_body(engine_module._compile(clause), goal, store)
 
     mark = store.mark()
     x, y = store.new_var(), store.new_var()
-    goal = Struct("edge", (Atom("a"), x))
+    goal = Struct("edge", ("a", x))
     head, body = run(goal)
-    assert head is goal and body.name == "true" and deref(x) == 1
+    assert head is goal and body == "true" and deref(x) == 1
     store.undo_to(mark)
     # the quoted atom '1' and the integer 1 differ, in either place
-    assert run(Struct("edge", (Atom("a"), Atom("1")))) is miss
+    assert run(Struct("edge", ("a", "1"))) is miss
     assert run(Struct("n", (1,))) is miss
-    goal = Struct("n", (Atom("1"),))
+    goal = Struct("n", ("1",))
     assert run(goal)[0] is goal
-    goal = Atom("go")
+    goal = "go"
     head, body = run(goal)
-    assert head is goal and body.name == "true"
+    assert head is goal and body == "true"
     # the ~Name cell is a constant operand, bound by the goal's integer;
     # the shared ground subterm is the stored one, bound to the goal's cell
     ground = eng.db[("db", 3)][0][0].args[1]
-    goal = Struct("db", (5, y, Atom("k")))
+    goal = Struct("db", (5, y, "k"))
     head, body = run(goal)
     assert head is goal and deref(y) is ground
     assert deref(store.evar("~T")) == 5
     store.undo_to(mark)
     assert deref(store.evar("~T")) is store.evar("~T")
-    assert run(Struct("db", (x, y, Atom("j")))) is miss
+    assert run(Struct("db", (x, y, "j"))) is miss
     store.undo_to(mark)
     assert answers(eng, "edge(A, B), n(C), go, db(D, E, F).") == [
         "A = a, B = 1, C = '1', D = ~T, E = f(g(b),[2]), F = k"]
@@ -745,6 +746,33 @@ def test_integer_terms_are_plain_ints(eng):
         assert select((first, eng.store.new_var())) == [clause]
     assert answers(eng, "k(1, W).") == ["W = int"]
     assert answers(eng, "k('1', W).") == ["W = atom"]
+
+
+def test_atom_terms_are_plain_strs(eng):
+    # an atom term is its name, the Python str itself, in every layer
+    goal, varmap = read_query("X = f(a, '1', []), functor(g(b), N, _), Y = {}.", eng.store)
+    solutions = eng.solve(goal, varmap)
+    next(solutions)
+    x, n, y = (deref(varmap[name]) for name in "XNY")
+    assert [type(t) for t in (*x.args, n, y)] == [str] * 5
+    assert (x.args, n, y) == (("a", "1", "[]"), "g", "{}")
+    solutions.close()
+    # the quoted atom '1' and the integer 1 stay apart: in unify, in the
+    # head code of a one-clause predicate and in the select of k/2
+    store = eng.store
+    assert not unify("1", 1, store) and not unify(1, "1", store)
+    assert not unify(Struct("f", ("1",)), Struct("f", (1,)), store)
+    eng.consult_text("h('1', a). g(1, a). k('1', atom). k(1, int).")
+    for name, first, other in (("h", "1", 1), ("g", 1, "1")):
+        build = engine_module._compile(eng.db[(name, 2)][0])
+        goal = Struct(name, (first, "a"))
+        assert head_and_body(build, goal, store)[0] is goal
+        assert head_and_body(build, Struct(name, (other, "a")), store) is engine_module._MISS
+    clauses = eng.db[("k", 2)]
+    select = engine_module._selection(clauses)
+    for first, clause in (("1", clauses[0]), (1, clauses[1])):
+        assert select((first, store.new_var())) == [clause]
+    assert answers(eng, "k(X, W), X == '1'.") == ["X = '1', W = atom"]
 
 
 def test_every_corpus_clause_try_returns_the_goal_or_miss(monkeypatch):
