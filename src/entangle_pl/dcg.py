@@ -11,7 +11,7 @@ so bodies of any length or nesting translate.
 from __future__ import annotations
 
 from .errors import InstantiationError, TypeMismatchError
-from .kernel import NIL, Struct, TRUE, Var, deref, list_parts, make_list
+from .kernel import Struct, Var, deref, list_parts, make_list
 
 
 def _conj(a, b):
@@ -23,7 +23,7 @@ def _conj(a, b):
 
 
 def _or_true(g):
-    return TRUE if g is None else g
+    return "true" if g is None else g
 
 
 def _trans(body, s0, store):
@@ -126,7 +126,7 @@ def translate_goal(args, store):
     b = deref(args[0])
     if isinstance(b, Var):
         raise InstantiationError("phrase: unbound grammar body")
-    s = args[2] if len(args) == 3 else NIL
+    s = args[2] if len(args) == 3 else "[]"
     goal, s_end = _trans(b, args[1], store)
     if s_end is not s:
         goal = _conj(goal, Struct("=", (s_end, s)))

@@ -305,13 +305,9 @@ def compare_terms(a, b) -> int:
     return 0
 
 
-NIL = Atom("[]")
-TRUE = Atom("true")
-
-
 def make_list(items, tail=None):
     """Build a ``'.'/2`` chain from a Python sequence."""
-    t = NIL if tail is None else tail
+    t = "[]" if tail is None else tail
     for item in reversed(items):
         t = Struct(".", (item, t))
     return t

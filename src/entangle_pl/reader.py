@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import PrologSyntaxError
-from .kernel import Atom, EVar, Struct, TRUE, Var, deref, make_list
+from .kernel import Atom, EVar, Struct, Var, deref, make_list
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=:?@#&")
 _NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
@@ -341,7 +341,7 @@ def read_program(text: str, store, allow_evar: bool = True):
             _check_head(deref(term.args[0]), "DCG rule", _NOT_DCG_HEADS, text, start)
             head, body = dcg_translate(term.args[0], term.args[1], store)
         else:
-            head, body = term, TRUE
+            head, body = term, "true"
         _check_head(head, "clause", (), text, start)
         clauses.append((head, body))
 

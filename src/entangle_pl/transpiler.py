@@ -1,14 +1,16 @@
 """Source-level elimination of ``~Name`` variables.
 
 Every user-defined predicate p/k becomes p/(k+1) with a hidden environment
-argument appended (``'$ev_p'``/(k+1) where the engine runs p/(k+1) itself);
-a call of a p/(k+1) that the program leaves undefined becomes
-``'$ev_p'``/(k+1), which stays undefined, so it cannot reach the threaded
-p/k.  The environment is one compound ``evs/N`` holding a slot per distinct
-``~Name`` of the program (first-occurrence order).  Each clause reads the
-slots it uses with arg/3 and threads the environment into every
-user-predicate call.  The output is plain syntax (no ``~`` tokens) and
-serves as an independent oracle for the native engine.
+argument appended.  One table per program (``_names``) gives the name each
+call runs under: p/k runs as ``'$ev_p'``/(k+1) where the engine runs
+p/(k+1) itself, as a control construct, a builtin or a prelude predicate;
+a key the transpiled program defines and the source does not takes the
+``$ev_`` name, which stays undefined.  The environment is one compound
+``evs/N`` holding a slot per distinct ``~Name`` of the program
+(first-occurrence order).  Each clause reads the slots it uses with arg/3
+and threads the environment into every user-predicate call.  The output is
+plain syntax (no ``~`` tokens) and serves as an independent oracle for the
+native engine.
 
 Substitution works by building, not binding: one postfix walk over a clause
 (or query) returns it with each ``~Name`` cell replaced by a fresh
@@ -32,9 +34,9 @@ from functools import lru_cache
 
 # perfbench's tracer patches translate_goal here, though nothing calls it
 from .dcg import translate_goal  # noqa: F401
-from .engine import _BUILTINS, CONTROL, SKELETON, check_clauses
+from .engine import _BUILTINS, CONTROL, SKELETON, _prelude_clauses, check_clauses
 from .errors import TranspileError
-from .kernel import NIL, TRUE, Atom, EVar, Store, Struct, Var, deref
+from .kernel import Atom, EVar, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _RESERVED = ("_Env", "_IV", "_G")
@@ -112,25 +114,33 @@ def _substitute(store: Store, slots: dict, terms):
     return out, env, [Struct("arg", (slot, env, iv)) for slot, iv in ivs]
 
 
-def _threaded(name, args, env):
-    """``name(*args, env)``, prefixed ``$ev_`` if ``solve`` runs that key first."""
-    key = (name, len(args) + 1)
-    return Struct("$ev_" + name if key in CONTROL or key in _BUILTINS else name, args + (env,))
+def _key(head):
+    return (head, 0) if type(head) is Atom else (head.name, len(head.args))
 
 
-def _shadowed(key, predset):
-    """Whether a call to ``key``, which the program leaves undefined, has
-    the key of a program predicate once threaded: one argument more than
-    one, and not run by ``solve`` itself.  Such a call takes the ``$ev_``
-    name, which stays undefined, so it does not reach the threaded
-    clauses."""
-    name, arity = key
-    return (
-        (name, arity - 1) in predset
-        and key not in predset
-        and key not in CONTROL
-        and key not in _BUILTINS
-    )
+@lru_cache(maxsize=1)
+def _system():
+    """The keys the transpiled engine runs as they are: the control
+    constructs, the builtins and the prelude's predicates."""
+    return frozenset(CONTROL).union(_BUILTINS, (_key(c[0]) for c in _prelude_clauses()))
+
+
+def _names(predicates):
+    """The program's naming table: a source key -> the name its calls run
+    under and whether they take the environment.  Predicate p/k runs as p,
+    or as ``$ev_p`` where ``_system`` holds p/(k+1); the key it runs under
+    and each helper key, unless a predicate has it, take the ``$ev_`` name,
+    which stays undefined.  Any other call stays as it is."""
+    system, predset = _system(), set(predicates)
+    names = {}
+    for name, arity in predicates:
+        own = "$ev_" + name if (name, arity + 1) in system else name
+        names[name, arity] = (own, True)
+        if (own, arity + 1) not in predset:
+            names[own, arity + 1] = ("$ev_" + own, False)
+    for key in _helper_keys():
+        names.setdefault(key, ("$ev_" + key[0], False))
+    return names
 
 
 def skeleton_leaves(goal):
@@ -150,18 +160,16 @@ def _open(goal):
     return any(isinstance(t, Var) for t in skeleton_leaves(goal))
 
 
-def rewrite_goal(g, env, predset):
-    """Thread ``env`` into every user-predicate call of a goal, on one
-    stack of goals and ``(term, positions)`` markers that rebuild a
-    control construct from its rewritten goal arguments.  A goal that a
-    call/1, findall/3 or ``\\+`` starts, and whose skeleton holds a
-    variable, runs through the runtime helper, which converts it when it
-    starts, as ``solve`` does; a variable goal of a query is ``call(V)``,
-    as conversion makes it.  A phrase/2,3 goal runs through the helper's
-    ``'$phrase_ev'``, which expands the grammar when it starts, as
-    ``solve`` does.  A call of a key the program leaves undefined, one
-    argument longer than one of its predicates or with one of the helper's
-    names, takes the ``$ev_`` name, so it stays undefined.  Returns the
+def rewrite_goal(g, env, names):
+    """Rename every call of a goal that the naming table ``names`` holds,
+    threading ``env`` into a predicate's, on one stack of goals and
+    ``(term, positions)`` markers that rebuild a control construct from
+    its rewritten goal arguments.  A goal that a call/1, findall/3 or
+    ``\\+`` starts, and whose skeleton holds a variable, runs through the
+    runtime helper, which converts it when it starts, as ``solve`` does; a
+    variable goal of a query is ``call(V)``, as conversion makes it.  A
+    phrase/2,3 goal runs through the helper's ``'$phrase_ev'``, which
+    expands the grammar when it starts, as ``solve`` does.  Returns the
     rewritten goal."""
     todo = [g]
     done = []
@@ -190,11 +198,10 @@ def rewrite_goal(g, env, predset):
             todo.extend(args[i] for i in reversed(positions))
             continue
         elif name == "phrase" and len(args) in (2, 3):
-            t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else NIL, env))
-        elif key in predset:
-            t = _threaded(name, args, env)
-        elif _shadowed(key, predset) or name in _helper_names():
-            t = Struct("$ev_" + name, args) if args else "$ev_" + name
+            t = Struct("$phrase_ev", args[:2] + (args[2] if len(args) == 3 else "[]", env))
+        elif key in names:  # a renamed call without the environment has arguments
+            new, threaded = names[key]
+            t = Struct(new, args + (env,) if threaded else args)
         done.append(t)
     return done[0]
 
@@ -217,40 +224,33 @@ def rewrite_program(pairs, layout, store: Store):
     cells are ``layout`` in first-occurrence order.  Returns its result,
     text empty, and the rewritten ``(head, body)`` clauses, which end with
     the runtime helper's: those of ``_HELPER_TEXT``, then a ``'$conv1_ev'``
-    clause per predicate, which threads ``Env`` into it, each followed, when
-    the key one argument longer is ``_shadowed``, by one that gives such a
-    goal the ``$ev_`` name, as ``rewrite_goal`` does.  A program that
-    defines a predicate whose name begins with ``$ev_``, or is one of the
-    helper's, raises ``TranspileError``: a renamed call, or the helper's
+    clause per entry of the naming table, which renames the entry's goal as
+    ``rewrite_goal`` does.  A program that defines a predicate whose name
+    begins with ``$ev_``, or that would join the helper's clauses once
+    threaded, raises ``TranspileError``: a renamed call, or the helper's
     own, could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    predicates = list(dict.fromkeys(
-        (h, 0) if type(h) is Atom else (h.name, len(h.args)) for h, _ in pairs))
-    helper = _helper_names()
+    predicates = list(dict.fromkeys(_key(h) for h, _ in pairs))
     for name, arity in predicates:
-        if name.startswith("$ev_") or name in helper:
+        if name.startswith("$ev_") or (name, arity + 1) in _helper_keys():
             raise TranspileError(f"cannot transpile {write_term(name)}/{arity}: " + (
-                "the run-time helper's names are reserved for it" if name in helper
-                else "names that begin with $ev_ are reserved for renamed calls"))
-    predset = set(predicates)
+                "names that begin with $ev_ are reserved for renamed calls"
+                if name.startswith("$ev_") else "the run-time helper's names are reserved for it"))
+    names = _names(predicates)
     out = []
     for head, body in pairs:
         (head, body), env, goals = _substitute(store, slots, (head, body))
-        rewritten = rewrite_goal(body, env, predset)
+        rewritten = rewrite_goal(body, env, names)
         if rewritten != "true":
             goals.append(rewritten)
-        new_body = _conj_fold(goals) if goals else TRUE
-        name, args = (head, ()) if type(head) is Atom else (head.name, head.args)
-        out.append((_threaded(name, args, env), new_body))
+        # a head is renamed as a call of it is
+        out.append((rewrite_goal(head, env, names), _conj_fold(goals) if goals else "true"))
     out += _fixed_helper()
     e = store.new_var("E")
-    for name, arity in predicates:
+    for name, arity in names:
         vs = tuple(store.new_var(f"V{i + 1}") for i in range(arity))
-        inner = Struct(name, vs) if arity else name
-        out.append((Struct("$conv1_ev", (inner, e, _threaded(name, vs, e))), TRUE))
-        if _shadowed((name, arity + 1), predset):
-            vs += (store.new_var(f"V{arity + 1}"),)
-            out.append((Struct("$conv1_ev", (Struct(name, vs), e, Struct("$ev_" + name, vs))), TRUE))
+        goal = Struct(name, vs) if vs else name
+        out.append((Struct("$conv1_ev", (goal, e, rewrite_goal(goal, e, names))), "true"))
     return TranspileResult("", layout, predicates), out
 
 
@@ -261,8 +261,8 @@ def _fixed_helper():
 
 
 @lru_cache(maxsize=1)
-def _helper_names():
-    return frozenset(head.name for head, _ in _fixed_helper())
+def _helper_keys():
+    return tuple(dict.fromkeys(_key(head) for head, _ in _fixed_helper()))
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):
@@ -273,7 +273,7 @@ def rewrite_query(goal, store: Store, program: TranspileResult):
     if program.layout:
         slots_vars = tuple(store.new_var("_") for _ in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
-    goals.append(rewrite_goal(goal, env, set(program.predicates)))
+    goals.append(rewrite_goal(goal, env, _names(program.predicates)))
     return _conj_fold(goals)
 
 

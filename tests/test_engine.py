@@ -250,6 +250,17 @@ def test_metacall_check_stops_at_call_and_at_cycles():
         list(e.query("X = (a, X), call(X)."))
 
 
+@pytest.mark.parametrize("run", [True, False])
+def test_a_skeleton_compound_met_twice_is_converted_once(run):
+    x = Store().new_var("X")
+    g = Struct(",", (x, "b"))
+    converted = engine_module.convert_goal(Struct(";", (g, g)), run)
+    assert converted.name == ";"
+    left, right = converted.args
+    assert left is right and left is not g
+    assert left.args[0].name == "call" and left.args[0].args == (x,)
+
+
 def test_clause_body_that_is_not_callable_is_refused(eng):
     before = {k: list(v) for k, v in eng.db.items()}
     with pytest.raises(TypeMismatchError, match="^goal is not callable: 1$"):

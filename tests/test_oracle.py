@@ -288,6 +288,33 @@ def test_a_call_of_a_helper_name_stays_undefined_on_both_sides():
     assert str(result) == "OK        helper.pl :: '$call_ev'(p(X), E)."
 
 
+# one naming table renames every call, in a clause, a query or a metacall
+NAMING_PROBES = [
+    # a prelude predicate one argument longer than a program predicate
+    ("nonvar_member(a). q :- nonvar_member(X, [a]).", "q."),
+    ("nonvar_member(a). q :- nonvar_member(X, [a]).", "nonvar_member(X, [b])."),
+    # a program predicate that, threaded, would join a prelude predicate
+    ("new_assumption_db.", "new_assumption_db."),
+    ("new_assumption_db.", "new_assumption_db(X)."),
+    ("new_assumption_db.", "phrase(('#<'([]), '#>'(_)), _, _)."),
+    ("add_assumption(a, b).", "add_assumption(X, Y)."),
+    # the name a predicate runs under, called by the source
+    ("call. q :- '$ev_call'(x).", "q."),
+    ("call. q :- '$ev_call'(x).", "'$ev_call'(x)."),
+    ("call. q :- '$ev_call'(x).", "G = '$ev_call'(x), call(G)."),
+    # one of the helper's keys, called through a metacall and directly
+    ("p(1).", "G = '$call_ev'(p(X), E), call(G)."),
+    ("p(1).", "'$call_ev'(p(X), E)."),
+    ("p(1).", "G = p(X, Y), call(G)."),
+]
+
+
+@pytest.mark.parametrize("program, query", NAMING_PROBES)
+def test_a_renamed_call_answers_alike_on_both_sides(program, query):
+    (result,) = check_program(program, [query], "names.pl")
+    assert str(result) == f"OK        names.pl :: {query}"
+
+
 def test_rewriting_binds_nothing(monkeypatch):
     store = Store()
     text = "p(_G1, X) :- ~A, q(X, ~B), phrase(g, X). q(_, _). g --> [a]."
@@ -302,9 +329,10 @@ def test_rewriting_binds_nothing(monkeypatch):
     rewrite_query(goal, store, program)
     # the helper too: '$call_ev', '$conv_ev' and '$phrase_ev', and
     # '$conv1_ev' for each of the six control constructs with goal
-    # arguments, phrase/2 and phrase/3, and each predicate, at its own
-    # arity and at one argument more (p/3, q/3 and g/3 are undefined)
-    assert len(clauses) == len(pairs) + 3 + 6 + 2 + 2 * len(program.predicates)
+    # arguments, phrase/2 and phrase/3, each predicate, at its own arity
+    # and at one argument more (p/3, q/3 and g/3 are undefined), and each
+    # of the helper's four keys
+    assert len(clauses) == len(pairs) + 3 + 6 + 2 + 2 * len(program.predicates) + 4
     assert binds == []
 
 

@@ -10,14 +10,14 @@ from select_sweep import BLOCK, SEEDS, check_text, corpus, sweep
 def test_the_corpus_and_the_prelude_select_as_the_reference_rule():
     tally, faults = corpus()
     assert faults == []
-    assert dict(tally) == {"select": 23, "list": 62, "calls": 2769}
+    assert dict(tally) == {"select": 23, "list": 62, "calls": 3009}
 
 
 def test_seeded_programs_select_as_the_reference_rule():
     tally, faults = sweep(SEEDS[:BLOCK])
     assert faults == []
     # pinned, so a change to the programs or to the calls asked shows here
-    assert dict(tally) == {"select": 1930, "list": 5546, "calls": 212_206}
+    assert dict(tally) == {"select": 1930, "list": 5546, "calls": 232_206}
 
 
 def test_predicates_without_arguments_select_as_the_reference_rule():
@@ -26,7 +26,7 @@ def test_predicates_without_arguments_select_as_the_reference_rule():
     tally, faults = Counter(), []
     check_text("go. go. stop :- go.", tally, faults, "atom heads")
     assert faults == []
-    assert dict(tally) == {"select": 1, "list": 7, "calls": 201}
+    assert dict(tally) == {"select": 1, "list": 7, "calls": 241}
 
 
 def test_the_sweep_sees_a_select_that_skips_a_position(monkeypatch):

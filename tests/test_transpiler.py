@@ -12,9 +12,15 @@ from entangle_pl.reader import read_program
 from conftest import answers
 from oracle_sweep import is_variant
 
-# the helper's fixed clauses, with which every transpiled program ends
-# before a '$conv1_ev' clause per predicate
-FIXED_HELPER = transpile().text
+# every transpiled program ends with the helper's fixed clauses, then a
+# '$conv1_ev' clause per entry of its naming table, the helper's keys last
+HELPER_KEYS = (
+    "'$conv1_ev'('$call_ev'(V1,V2),E,'$ev_$call_ev'(V1,V2)).\n"
+    "'$conv1_ev'('$conv_ev'(V1,V2,V3),E,'$ev_$conv_ev'(V1,V2,V3)).\n"
+    "'$conv1_ev'('$phrase_ev'(V1,V2,V3,V4),E,'$ev_$phrase_ev'(V1,V2,V3,V4)).\n"
+    "'$conv1_ev'('$conv1_ev'(V1,V2,V3),E,'$ev_$conv1_ev'(V1,V2,V3)).\n"
+)
+FIXED_HELPER = transpile().text.removesuffix(HELPER_KEYS)
 
 
 def test_layout_first_occurrence_order():
@@ -30,6 +36,7 @@ def test_simple_fact_transform():
         "a(_IV1,_Env) :- arg(1,_Env,_IV1).\n"
         + FIXED_HELPER
         + "'$conv1_ev'(a(V1),E,a(V1,E)).\n'$conv1_ev'(a(V1,V2),E,'$ev_a'(V1,V2)).\n"
+        + HELPER_KEYS
     )
     assert r.predicates == [("a", 1)]
 
@@ -84,8 +91,9 @@ def test_dynamic_call_uses_helper():
             "(var(G)->C=G;'$conv1_ev'(G,E,C)->true;C=G),call(C).") in r.text
     assert ("'$conv_ev'(G,E,C) :- "
             "var(G)->C='$call_ev'(G,E);'$conv1_ev'(G,E,C)->true;C=G.") in r.text
-    assert r.text.rstrip().endswith(
-        "'$conv1_ev'(r(V1),E,r(V1,E)).\n'$conv1_ev'(r(V1,V2),E,'$ev_r'(V1,V2)).")
+    assert r.text.endswith(
+        "'$conv1_ev'(r(V1),E,r(V1,E)).\n'$conv1_ev'(r(V1,V2),E,'$ev_r'(V1,V2)).\n"
+        + HELPER_KEYS)
     # no '$conv1_ev' head has a variable first argument, so the index
     # picks the one clause a goal can match
     conv1 = [h for h, _ in read_program(r.text, Store()) if h.name == "$conv1_ev"]
@@ -111,6 +119,7 @@ def test_every_program_ends_with_the_helper():
         + FIXED_HELPER
         + "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(p(V1),E,'$ev_p'(V1)).\n"
         "'$conv1_ev'(q,E,q(E)).\n'$conv1_ev'(q(V1),E,'$ev_q'(V1)).\n"
+        + HELPER_KEYS
     )
 
 
@@ -189,8 +198,11 @@ def test_is_variant():
     "program",
     [pytest.param(p.read_text(), id=p.name) for p in sorted(corpus_dir().glob("*.pl"))]
     + [pytest.param(text, id=f"capture{i}") for i, (text, _) in enumerate(CAPTURE)]
-    # an atom call of a helper name is renamed to an atom, not to '$ev_…'()
-    + [pytest.param("q :- '$call_ev'. r :- '$conv1_ev', q.", id="helper-atom-call")],
+    # an atom call of a helper name stays an atom, not '$ev_…'()
+    + [pytest.param("q :- '$call_ev'. r :- '$conv1_ev', q.", id="helper-atom-call")]
+    # the renamed '$ev_$ev_call' and '$ev_new_assumption_db' read back quoted
+    + [pytest.param("new_assumption_db. call. q :- '$ev_call'(x), new_assumption_db(_).",
+                    id="renamed-system-keys")],
 )
 def test_transpiled_text_reads_back_as_the_clauses_the_oracle_runs(
     oracle_engines, program
@@ -242,8 +254,12 @@ def test_a_predicate_whose_threaded_key_the_engine_runs_first_is_renamed():
         "'$ev_call'(_Env).\n'$ev_is'(a,_Env).\n"
         "p(_Env) :- '$ev_call'(_Env),'$ev_is'(a,_Env).\n"
         + FIXED_HELPER
-        + "'$conv1_ev'(call,E,'$ev_call'(E)).\n'$conv1_ev'(is(V1),E,'$ev_is'(V1,E)).\n"
+        + "'$conv1_ev'(call,E,'$ev_call'(E)).\n"
+        "'$conv1_ev'('$ev_call'(V1),E,'$ev_$ev_call'(V1)).\n"
+        "'$conv1_ev'(is(V1),E,'$ev_is'(V1,E)).\n"
+        "'$conv1_ev'('$ev_is'(V1,V2),E,'$ev_$ev_is'(V1,V2)).\n"
         "'$conv1_ev'(p,E,p(E)).\n'$conv1_ev'(p(V1),E,'$ev_p'(V1)).\n"
+        + HELPER_KEYS
     )
     results = check_program(program, ["p.", "call.", "is(X).", "G = call, G."])
     assert [(r.ok, r.native) for r in results] == [(True, 1)] * 4, [str(r) for r in results]
@@ -259,8 +275,11 @@ def test_a_call_one_argument_longer_than_a_predicate_takes_the_reserved_name():
         + FIXED_HELPER
         + "'$conv1_ev'(p(V1),E,p(V1,E)).\n'$conv1_ev'(p(V1,V2),E,'$ev_p'(V1,V2)).\n"
         "'$conv1_ev'(q,E,q(E)).\n'$conv1_ev'(q(V1),E,'$ev_q'(V1)).\n"
-        "'$conv1_ev'(call,E,'$ev_call'(E)).\n'$conv1_ev'(var,E,'$ev_var'(E)).\n"
+        "'$conv1_ev'(call,E,'$ev_call'(E)).\n"
+        "'$conv1_ev'('$ev_call'(V1),E,'$ev_$ev_call'(V1)).\n"
+        "'$conv1_ev'(var,E,'$ev_var'(E)).\n'$conv1_ev'('$ev_var'(V1),E,'$ev_$ev_var'(V1)).\n"
         "'$conv1_ev'(r,E,r(E)).\n'$conv1_ev'(r(V1),E,'$ev_r'(V1)).\n"
+        + HELPER_KEYS
     )
     assert transform_query("p(X, Y), p(X).", r) == "'$ev_p'(X,Y),p(X,_Env)"
 
@@ -271,7 +290,8 @@ def test_any_query_may_call_a_variable_goal_as_natively():
     program, query = "m(1). m(2).", "G = m(Y), G."
     r = transpile(program)
     assert r.text.endswith(
-        "'$conv1_ev'(m(V1),E,m(V1,E)).\n'$conv1_ev'(m(V1,V2),E,'$ev_m'(V1,V2)).\n")
+        "'$conv1_ev'(m(V1),E,m(V1,E)).\n'$conv1_ev'(m(V1,V2),E,'$ev_m'(V1,V2)).\n"
+        + HELPER_KEYS)
     native = Engine()
     native.consult_text(program)
     oracle = Engine(allow_evars=False)
@@ -349,9 +369,16 @@ def test_a_reserved_ev_name_is_refused(program):
     ("'$conv1_ev'(a, b).", "'$conv1_ev'/2"),
 ])
 def test_a_helper_name_is_refused(program, key):
-    # the helper's own clauses and calls would reach the program's
-    # predicate of that name, so transpiling it is refused
+    # threaded, the program's predicate would share the helper's key, so
+    # the helper's own clauses and calls would reach it: it is refused
     with pytest.raises(TranspileError) as raised:
         transpile(program)
     assert str(raised.value) == (
         f"cannot transpile {key}: the run-time helper's names are reserved for it")
+
+
+def test_a_helper_name_at_a_key_of_its_own_is_a_program_predicate():
+    # threaded, '$call_ev'/2 is '$call_ev'/3, which the helper leaves free
+    queries = ["'$call_ev'(X, Y).", "G = '$call_ev'(X, Y), call(G)."]
+    results = check_program("'$call_ev'(a, b).", queries)
+    assert [(r.ok, r.native) for r in results] == [(True, 1), (True, 1)]
