@@ -531,9 +531,7 @@ class Engine:
     def _add(self, clauses):
         groups = {}  # a new list per predicate: the logical update view
         for clause in clauses:
-            head = clause[0]
-            key = (head, 0) if type(head) is Atom else (head.name, len(head.args))
-            groups.setdefault(key, []).append(clause)
+            groups.setdefault(head_key(clause[0]), []).append(clause)
         for key, group in groups.items():
             self.db[key] = self.db.get(key, []) + group
         self._index.clear()
@@ -974,13 +972,18 @@ def convert_goal(goal, run):
     return done[0]
 
 
+def head_key(head):
+    """The ``(name, arity)`` key of a clause head."""
+    return (head, 0) if type(head) is Atom else (head.name, len(head.args))
+
+
 def check_clauses(pairs):
     """The ``(head, body)`` clauses with their bodies converted; a clause
     for a predicate ``solve`` would never look up, or one whose body is not
     callable, raises."""
     out = []
     for head, body in pairs:
-        key = (head, 0) if type(head) is Atom else (head.name, len(head.args))
+        key = head_key(head)
         if key in CONTROL or key in _BUILTINS:
             raise PrologError(f"cannot redefine {key[0]}/{key[1]}")
         out.append((head, convert_goal(body, False)))

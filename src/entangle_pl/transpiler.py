@@ -17,14 +17,18 @@ Substitution works by building, not binding: one postfix walk over a clause
 ``_IV<slot>`` variable and each variable named ``_Env…``, ``_IV…`` or
 ``_G…`` by a fresh unnamed one, so no source variable captures a
 machine-made name; ordinary variables, and subterms holding neither kind,
-are shared.  Nothing is bound, so ``transpile`` writes the rewritten
-clauses and the oracle runs them as they are.  Bodies are rewritten with
-one explicit stack, so the oracle and ``--transpile`` take programs of any
-body length or term depth.  The goal arguments of a control construct are
-the positions ``engine.CONTROL`` gives, the table the engine dispatches on.
-A goal that converts only when it starts, and every phrase/2,3 goal, runs
-through a helper that converts it, and expands a grammar, at run time; the
-helper's clauses end every transpiled program, so any query can call it.
+are shared.  A query's ``~Name`` that no clause holds has no slot: it is a
+fresh variable of that query, as no clause can read its cell.  Nothing is
+bound, so ``transpile`` writes the rewritten clauses and the oracle runs
+them as they are.  Bodies are rewritten with one explicit stack, so the
+oracle and ``--transpile`` take programs of any body length or term
+depth.  The goal arguments of a control construct are the positions
+``engine.CONTROL`` gives, the table the engine dispatches on.  A goal that
+converts only when it starts, and every phrase/2,3 goal, runs through a
+helper that converts it, and expands a grammar, at run time; the helper
+first has call/1 convert the goal behind a fail, so a goal whose
+skeleton contains itself raises as it does natively.  The helper's
+clauses end every transpiled program, so any query can call it.
 """
 
 from __future__ import annotations
@@ -34,22 +38,24 @@ from functools import lru_cache
 
 # perfbench's tracer patches translate_goal here, though nothing calls it
 from .dcg import translate_goal  # noqa: F401
-from .engine import _BUILTINS, CONTROL, SKELETON, _prelude_clauses, check_clauses
+from .engine import _BUILTINS, CONTROL, SKELETON, _prelude_clauses, check_clauses, head_key
 from .errors import TranspileError
-from .kernel import Atom, EVar, Store, Struct, Var, deref
+from .kernel import EVar, Store, Struct, Var, deref
 from .reader import read_program, read_query, write_clause, write_term
 
 _RESERVED = ("_Env", "_IV", "_G")
 
-# The runtime helper's fixed clauses.  '$call_ev' converts a goal when it
-# starts, as engine.convert_goal does, and calls it once, so a cut in it is
-# local; an unbound goal is called as it is, so it raises.  '$conv1_ev'
-# converts one construct, and defers the goals of call/1, findall/3, \+ and
+# The runtime helper's fixed clauses.  '$call_ev' first has call/1 convert
+# the goal behind a fail, so a skeleton that contains itself, or a leaf that
+# is not callable, raises the engine's error before any of it runs; it then
+# converts the goal, as engine.convert_goal does, and calls it once, so a
+# cut in it is local; an unbound goal is called as it is, so it raises.
+# '$conv1_ev' converts one construct, and defers the goals of call/1, findall/3, \+ and
 # phrase/2,3 to when they start.  No '$conv1_ev' head has a variable first
 # argument, so the index picks the one clause a goal can match; a goal that
 # none matches is left as it is.
 _HELPER_TEXT = """
-'$call_ev'(G, E) :- (var(G) -> C = G ; '$conv1_ev'(G, E, C) -> true ; C = G), call(C).
+'$call_ev'(G, E) :- \\+ call((fail, G)), (var(G) -> C = G ; '$conv1_ev'(G, E, C) -> true ; C = G), call(C).
 '$conv_ev'(G, E, C) :- var(G) -> C = '$call_ev'(G, E) ; '$conv1_ev'(G, E, C) -> true ; C = G.
 '$phrase_ev'(G, S0, S, E) :- '$dcg_body'(G, S0, S, B), '$call_ev'(B, E).
 '$conv1_ev'((A, B), E, (C, D)) :- '$conv_ev'(A, E, C), '$conv_ev'(B, E, D).
@@ -80,10 +86,11 @@ def _conj_fold(goals):
 
 def _substitute(store: Store, slots: dict, terms):
     """Rewrite ``terms`` in one postfix walk, making each ``~Name`` cell a
-    fresh ``_IV<slot>`` variable and each variable with a reserved name a
-    fresh unnamed one, at first occurrence in preorder.  Returns the new
-    terms, a fresh ``_Env`` and the arg/3 goals reading the used slots from
-    it, in slot order."""
+    fresh ``_IV<slot>`` variable, or a fresh unnamed one if ``slots`` has
+    no slot for it, and each variable with a reserved name a fresh unnamed
+    one, at first occurrence in preorder.  Returns the new terms, a fresh
+    ``_Env`` and the arg/3 goals reading the used slots from it, in slot
+    order."""
     new = {}  # cell -> its replacement
     out = []
     todo = list(reversed(terms))
@@ -100,29 +107,21 @@ def _substitute(store: Store, slots: dict, terms):
             todo.extend(reversed(x.args))
             continue
         elif isinstance(x, Var) and x not in new:
-            if isinstance(x, EVar):
-                if x.name not in slots:
-                    raise TranspileError(
-                        f"{x.name} does not occur in the program layout"
-                    )
+            if x.name in slots:
                 new[x] = store.new_var(f"_IV{slots[x.name]}")
-            elif x.name and x.name.startswith(_RESERVED):
+            elif isinstance(x, EVar) or x.name and x.name.startswith(_RESERVED):
                 new[x] = store.new_var()
         out.append(new.get(x, x))
     env = store.new_var("_Env")
-    ivs = sorted((slots[c.name], v) for c, v in new.items() if isinstance(c, EVar))
+    ivs = sorted((slots[c.name], v) for c, v in new.items() if c.name in slots)
     return out, env, [Struct("arg", (slot, env, iv)) for slot, iv in ivs]
-
-
-def _key(head):
-    return (head, 0) if type(head) is Atom else (head.name, len(head.args))
 
 
 @lru_cache(maxsize=1)
 def _system():
     """The keys the transpiled engine runs as they are: the control
     constructs, the builtins and the prelude's predicates."""
-    return frozenset(CONTROL).union(_BUILTINS, (_key(c[0]) for c in _prelude_clauses()))
+    return frozenset(CONTROL).union(_BUILTINS, (head_key(c[0]) for c in _prelude_clauses()))
 
 
 def _names(predicates):
@@ -143,21 +142,17 @@ def _names(predicates):
     return names
 
 
-def skeleton_leaves(goal):
-    """The leaves of ``goal``'s control skeleton, bindings followed."""
+def _open(goal):
+    """Whether ``goal``'s control skeleton holds a variable, bindings
+    followed, so that the goal converts only when it starts."""
     todo = [goal]
     while todo:
         t = deref(todo.pop())
+        if isinstance(t, Var):
+            return True
         if isinstance(t, Struct) and (t.name, len(t.args)) in SKELETON:
             todo += t.args
-        else:
-            yield t
-
-
-def _open(goal):
-    """Whether ``goal``'s control skeleton holds a variable, so that the
-    goal converts only when it starts."""
-    return any(isinstance(t, Var) for t in skeleton_leaves(goal))
+    return False
 
 
 def rewrite_goal(g, env, names):
@@ -230,7 +225,7 @@ def rewrite_program(pairs, layout, store: Store):
     threaded, raises ``TranspileError``: a renamed call, or the helper's
     own, could reach it."""
     slots = {name: i + 1 for i, name in enumerate(layout)}
-    predicates = list(dict.fromkeys(_key(h) for h, _ in pairs))
+    predicates = list(dict.fromkeys(head_key(h) for h, _ in pairs))
     for name, arity in predicates:
         if name.startswith("$ev_") or (name, arity + 1) in _helper_keys():
             raise TranspileError(f"cannot transpile {write_term(name)}/{arity}: " + (
@@ -262,7 +257,7 @@ def _fixed_helper():
 
 @lru_cache(maxsize=1)
 def _helper_keys():
-    return tuple(dict.fromkeys(_key(head) for head, _ in _fixed_helper()))
+    return tuple(dict.fromkeys(head_key(head) for head, _ in _fixed_helper()))
 
 
 def rewrite_query(goal, store: Store, program: TranspileResult):

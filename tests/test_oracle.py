@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import entangle_pl.engine as engine_module
-from entangle_pl import Engine, TranspileError, corpus_dir, oracle
+from entangle_pl import Engine, corpus_dir, oracle
 from entangle_pl.kernel import Atom, EVar, Store, Struct, Var
 from entangle_pl.oracle import (
     check_directory,
@@ -114,27 +114,25 @@ def test_transpiled_env_left_bound_fails_the_pair(monkeypatch):
     assert result.detail == "transpiled left 1 cell(s) bound"
 
 
-def test_listing_queries_are_skipped():
+def test_listing_queries_are_checked():
     results = check_program("a(1).", ["a(X).", "listing(a)."], "demo")
-    assert len(results) == 1
+    assert [(r.query, r.ok) for r in results] == [("a(X).", True), ("listing(a).", True)]
 
 
-def test_only_a_goal_calling_listing_is_skipped():
-    # the word listing in a query's text skips nothing; a listing/1 call in
-    # the goal's control skeleton does
+def test_every_query_mentioning_listing_is_checked():
+    # a listing/1 call, in the goal's control skeleton or not, is one more pair
     queries = ["p(X).", "X = listing.", "p(listing).", "listing(p).",
                "(true, listing(p))."]
     results = check_program("p(listing).", queries, "demo")
-    assert [(r.query, r.ok) for r in results] == [
-        ("p(X).", True), ("X = listing.", True), ("p(listing).", True)]
+    assert [(r.query, r.ok) for r in results] == [(q, True) for q in queries]
 
 
 def test_a_listing_reached_through_call_prints_nothing(capsys):
     # it runs on both engines, but into a discarded buffer, so the report
     # keeps one line per pair
-    (result,) = check_program("p(1).", ["call(listing(p))."], "demo")
+    results = check_program("p(1).", ["listing(p).", "call(listing(p))."], "demo")
     assert capsys.readouterr().out == ""
-    assert result.ok and str(result).startswith("OK ")
+    assert [r.ok and str(r).startswith("OK ") for r in results] == [True, True]
 
 
 def test_corpus_queries_files_parse():
@@ -233,10 +231,10 @@ def test_check_program_reads_each_text_once(monkeypatch, oracle_engines):
     assert transpiled.added
     assert not any(_holds_evar(t) for clause in transpiled.added for t in clause[:2])
 
-    # a ~Name missing from the layout is found after the native run, and no
-    # cell is left bound
-    with pytest.raises(TranspileError, match="~Zed"):
-        check_program(program, ["a(1), ~X = 1, ~Zed = 2."])
+    # a ~Name missing from the layout runs as a query variable on the
+    # transpiled side, and no cell is left bound
+    (result,) = check_program(program, ["a(1), ~X = 1, ~Zed = 2."])
+    assert result.ok and (result.native, result.transpiled) == (1, 1)
     native = oracle_engines[2]
     assert len(bound_at_start) == 4
     assert native.store.bound_cells() == []
@@ -313,6 +311,49 @@ NAMING_PROBES = [
 def test_a_renamed_call_answers_alike_on_both_sides(program, query):
     (result,) = check_program(program, [query], "names.pl")
     assert str(result) == f"OK        names.pl :: {query}"
+
+
+# a goal whose control skeleton contains itself is a type error on both
+# sides, before any of it runs; the phrase/2 probe is a control
+CYCLIC_PROBES = [
+    ("p(1).", "X = (a, X), call(X)."),
+    ("p(1).", "X = (a ; X), call(X)."),
+    ("p(1).", "X = (p(Y), X), findall(Y, X, L)."),
+    ("p(1).", "X = (a, X), \\+ X."),
+    ("p :- ~G. a.", "X = (a, X), ~G = X, p."),
+    ("a.", "X = (a -> X ; a), call(X)."),
+    ("a.", "X = (a, X), G = call(X), call(G)."),
+    ("v(X) :- X.", "X = (a, X), v(X)."),
+    ("p(1).", "X = (a, X), phrase(X, L)."),
+]
+
+
+@pytest.mark.parametrize("program, query", CYCLIC_PROBES)
+def test_a_cyclic_goal_raises_alike_on_both_sides(program, query):
+    options = {"max_frames": 20_000}
+    (result,) = check_program(program, [query], "cyclic.pl", engine_options=options)
+    assert str(result) == f"OK        cyclic.pl :: {query}"
+
+
+QUERY_ONLY_EVARS = [
+    "a(1), ~X = 1, ~Zed = 2.",
+    "~Zed = f(Y), a(Y), b(V).",
+    "~Z = 1, ~Z = 2.",
+    "sort([~Z, Y, ~X], L).",
+    "~Q = Y, Y == ~Q.",
+    "findall(~Z, t(~Z), L).",
+]
+
+
+@pytest.mark.parametrize("query", QUERY_ONLY_EVARS)
+def test_a_query_only_evar_runs_as_a_query_variable(query, oracle_engines):
+    # no clause holds ~Zed, ~Z or ~Q: transpiled, each is a fresh variable
+    # of the query, and natively its cell is unbound again when it ends
+    program = "a(~X). b(~X). t(1). t(2)."
+    options = {"max_frames": 20_000}
+    (result,) = check_program(program, [query], "q.pl", engine_options=options)
+    assert str(result) == f"OK        q.pl :: {query}"
+    assert [e.store.bound_cells() for e in oracle_engines] == [[], []]
 
 
 def test_rewriting_binds_nothing(monkeypatch):

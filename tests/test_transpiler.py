@@ -87,7 +87,7 @@ def test_control_constructs_rewritten():
 def test_dynamic_call_uses_helper():
     r = transpile("p(G) :- call(G). q :- ~V. r(1).")
     assert "p(G,_Env) :- '$call_ev'(G,_Env)." in r.text
-    assert ("'$call_ev'(G,E) :- "
+    assert ("'$call_ev'(G,E) :- \\+(call((fail,G))),"
             "(var(G)->C=G;'$conv1_ev'(G,E,C)->true;C=G),call(C).") in r.text
     assert ("'$conv_ev'(G,E,C) :- "
             "var(G)->C='$call_ev'(G,E);'$conv1_ev'(G,E,C)->true;C=G.") in r.text
@@ -310,10 +310,13 @@ def test_transform_query_calls_a_variable_goal_through_the_programs_helper():
     assert answers(oracle, q) == ["G = m(1), Y = 1", "G = m(2), Y = 2"]
 
 
-def test_transform_query_unknown_evar_errors():
+def test_transform_query_runs_a_query_only_evar_as_a_variable():
     r = transpile("a(~X).")
-    with pytest.raises(TranspileError, match="~Zed"):
-        transform_query("a(1), ~Zed = 2.", r)
+    q = transform_query("a(1), ~Zed = 2.", r)
+    native, oracle = Engine(), Engine(allow_evars=False)
+    native.consult_text("a(~X).")
+    oracle.consult_text(r.text)
+    assert answers(oracle, q) == answers(native, "a(1), ~Zed = 2.") == ["true"]
 
 
 def test_transpiled_runs_equivalently():
