@@ -12,23 +12,28 @@ and threads the environment into every user-predicate call.  The output is
 plain syntax (no ``~`` tokens) and serves as an independent oracle for the
 native engine.
 
-Substitution works by building, not binding: one postfix walk over a clause
-(or query) returns it with each ``~Name`` cell replaced by a fresh
+Each clause is rewritten in one pass.  Substitution works by building, not
+binding: one postfix walk over a clause's head arguments and body (or a
+query) returns them with each ``~Name`` cell replaced by a fresh
 ``_IV<slot>`` variable and each variable named ``_Env…``, ``_IV…`` or
 ``_G…`` by a fresh unnamed one, so no source variable captures a
-machine-made name; ordinary variables, and subterms holding neither kind,
-are shared.  A query's ``~Name`` that no clause holds has no slot: it is a
-fresh variable of that query, as no clause can read its cell.  Nothing is
-bound, so ``transpile`` writes the rewritten clauses and the oracle runs
-them as they are.  Bodies are rewritten with one explicit stack, so the
-oracle and ``--transpile`` take programs of any body length or term
-depth.  The goal arguments of a control construct are the positions
-``engine.CONTROL`` gives, the table the engine dispatches on.  A goal that
-converts only when it starts, and every phrase/2,3 goal, runs through a
-helper that converts it, and expands a grammar, at run time; the helper
-first has call/1 convert the goal behind a fail, so a goal whose
-skeleton contains itself raises as it does natively.  The helper's
-clauses end every transpiled program, so any query can call it.
+machine-made name.  A compound is rebuilt only when one of its arguments
+changed, so ordinary variables, and subterms holding neither kind, are
+the source's own objects.  A query's ``~Name`` that no clause holds has no
+slot: it is a fresh variable of that query, as no clause can read its
+cell.  The renamed head is then built once from the substituted
+arguments, under the name the table gives its key, and a body that is
+``true`` is left as it is.  Nothing is bound, so ``transpile`` writes
+the rewritten clauses and the oracle runs them as they are.  Bodies are
+rewritten with one explicit stack, so the oracle and ``--transpile`` take
+programs of any body length or term depth.  The goal arguments of a
+control construct are the positions ``engine.CONTROL`` gives, the table
+the engine dispatches on.  A goal that converts only when it starts, and
+every phrase/2,3 goal, runs through a helper that converts it, and
+expands a grammar, at run time; the helper first has call/1 convert the
+goal behind a fail, so a goal whose skeleton contains itself raises as it
+does natively.  The helper's clauses end every transpiled program, so any
+query can call it.
 """
 
 from __future__ import annotations
@@ -88,32 +93,40 @@ def _substitute(store: Store, slots: dict, terms):
     """Rewrite ``terms`` in one postfix walk, making each ``~Name`` cell a
     fresh ``_IV<slot>`` variable, or a fresh unnamed one if ``slots`` has
     no slot for it, and each variable with a reserved name a fresh unnamed
-    one, at first occurrence in preorder.  Returns the new terms, a fresh
-    ``_Env`` and the arg/3 goals reading the used slots from it, in slot
-    order."""
+    one, at first occurrence in preorder.  A compound is rebuilt only when
+    one of its arguments changed; any other is the source's own object.
+    Returns the new terms, a fresh ``_Env`` and the arg/3 goals reading the
+    used slots from it, in slot order."""
     new = {}  # cell -> its replacement
+    ivs = []  # (slot, _IV variable), in first-occurrence order
     out = []
     todo = list(reversed(terms))
     while todo:
         x = todo.pop()
-        if type(x) is tuple:  # (compound, start): its arguments end here
+        kind = type(x)
+        if kind is Struct:
+            todo.append((x, len(out)))
+            todo += reversed(x.args)
+            continue
+        if kind is tuple:  # (compound, start): its arguments end here
             x, start = x
             args = tuple(out[start:])
             del out[start:]
-            if any(a is not b for a, b in zip(args, x.args)):
+            # identity first: neither Struct nor Var defines __eq__
+            if args != x.args:
                 x = Struct(x.name, args)
-        elif isinstance(x, Struct):
-            todo.append((x, len(out)))
-            todo.extend(reversed(x.args))
-            continue
-        elif isinstance(x, Var) and x not in new:
-            if x.name in slots:
-                new[x] = store.new_var(f"_IV{slots[x.name]}")
-            elif isinstance(x, EVar) or x.name and x.name.startswith(_RESERVED):
-                new[x] = store.new_var()
-        out.append(new.get(x, x))
+        elif kind is Var or kind is EVar:
+            if x not in new:
+                if x.name in slots:
+                    slot = slots[x.name]
+                    new[x] = store.new_var(f"_IV{slot}")
+                    ivs.append((slot, new[x]))
+                elif kind is EVar or x.name and x.name.startswith(_RESERVED):
+                    new[x] = store.new_var()
+            x = new.get(x, x)
+        out.append(x)
     env = store.new_var("_Env")
-    ivs = sorted((slots[c.name], v) for c, v in new.items() if c.name in slots)
+    ivs.sort()
     return out, env, [Struct("arg", (slot, env, iv)) for slot, iv in ivs]
 
 
@@ -234,12 +247,15 @@ def rewrite_program(pairs, layout, store: Store):
     names = _names(predicates)
     out = []
     for head, body in pairs:
-        (head, body), env, goals = _substitute(store, slots, (head, body))
-        rewritten = rewrite_goal(body, env, names)
-        if rewritten != "true":
-            goals.append(rewritten)
-        # a head is renamed as a call of it is
-        out.append((rewrite_goal(head, env, names), _conj_fold(goals) if goals else "true"))
+        # a head is renamed as a call of it is: check_clauses refuses every
+        # head that rewrite_goal treats otherwise, and names holds each key
+        name, args = (head.name, head.args) if type(head) is Struct else (head, ())
+        terms, env, goals = _substitute(store, slots, args + (body,))
+        body = terms.pop()
+        if body != "true":
+            goals.append(rewrite_goal(body, env, names))
+        head = Struct(names[name, len(args)][0], tuple(terms) + (env,))
+        out.append((head, _conj_fold(goals) if goals else "true"))
     out += _fixed_helper()
     e = store.new_var("E")
     for name, arity in names:

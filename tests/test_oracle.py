@@ -356,6 +356,18 @@ def test_a_query_only_evar_runs_as_a_query_variable(query, oracle_engines):
     assert [e.store.bound_cells() for e in oracle_engines] == [[], []]
 
 
+def test_a_rule_entangling_two_registry_cells_checks_ok(oracle_engines):
+    # each ~Name cell is read by its own fact, and a rule entangles two
+    # aliased cells: the shape of the oracle workload's registry programs
+    program = "reg(1,~R1). reg(2,~R2). reg(3,~R3). alias(1,3). " \
+              "same(I,J) :- alias(I,J), reg(I,V), reg(J,V)."
+    query = "same(1,3), reg(1,marked), reg(3,V)."
+    (result,) = check_program(program, [query], "registry.pl")
+    assert str(result) == f"OK        registry.pl :: {query}"
+    assert (result.native, result.transpiled) == (1, 1)
+    assert [e.store.bound_cells() for e in oracle_engines] == [[], []]
+
+
 def test_rewriting_binds_nothing(monkeypatch):
     store = Store()
     text = "p(_G1, X) :- ~A, q(X, ~B), phrase(g, X). q(_, _). g --> [a]."

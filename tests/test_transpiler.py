@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from entangle_pl import Engine, TranspileError, corpus_dir, transform_query, transpile
+from entangle_pl.engine import check_clauses
 from entangle_pl.errors import TypeMismatchError
 from entangle_pl.kernel import Store, Struct, Var, deref
 from entangle_pl.oracle import check_program
 from entangle_pl.reader import read_program
+from entangle_pl.transpiler import _substitute, rewrite_program
 from conftest import answers
 from oracle_sweep import is_variant
 
@@ -28,6 +30,33 @@ def test_layout_first_occurrence_order():
     assert r.layout == ["~B", "~A", "~C"]
     # ~A is read from slot 2 and ~C from slot 3
     assert "b(_IV3,_Env) :- arg(2,_Env,_IV2),arg(3,_Env,_IV3),c(_IV2)." in r.text
+
+
+def test_rewriting_rebuilds_only_what_holds_a_renamed_cell():
+    # every subterm that holds no ~Name cell and no reserved-name variable
+    # is the source clause's own object; only the compounds on a path to
+    # such a cell or variable are new
+    store = Store()
+    text = "p(f(a, g(b)), ~X, h(Y)) :- q(f(a, g(b)), Y), r(_Env)."
+    ((head, body),) = check_clauses(read_program(text, store, allow_evar=True))
+    f, x, h = head.args
+    q, r = body.args
+    (new_head, new_body), _, _ = _substitute(store, {"~X": 1}, (head, body))
+    assert new_head is not head and new_body is not body
+    assert new_head.args[0] is f and new_head.args[1] is not x and new_head.args[2] is h
+    assert new_body.args[0] is q and new_body.args[1] is not r
+    assert new_body.args[1].args[0] is not r.args[0]
+
+    _, [(new_head, new_body), *_] = rewrite_program([(head, body)], list(store.evars), store)
+    assert new_head.args[0] is f and new_head.args[2] is h
+    iv = new_head.args[1]
+    assert type(iv) is Var and iv.name == "_IV1"
+    # arg(1, _Env, _IV1), then q and r renamed, each with the environment
+    read, (new_q, new_r) = new_body.args[0], new_body.args[1].args
+    assert read.args[2] is iv
+    assert new_q.args[0] is q.args[0] and new_q.args[1] is q.args[1]
+    fresh = new_r.args[0]
+    assert type(fresh) is Var and fresh is not r.args[0] and fresh.name is None
 
 
 def test_simple_fact_transform():
