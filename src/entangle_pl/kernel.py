@@ -17,7 +17,7 @@ the reader interns them by name, and the engine's clause builders keep
 them as cells instead of freshening them, which is what lets one binding
 travel across clause boundaries until the query that produced it is
 undone.  The store also holds the occurs-check policy, so every ``unify``
-on one store follows the same rule, and it alone assigns serials.
+on one store follows the same rule, and it alone hands out serials.
 
 ``copy_term`` dereferences first, so an unbound ``EVar`` comes back as
 itself but a bound one is copied by value, its variables renamed.  That is
@@ -69,9 +69,12 @@ class Store:
     that ``unify`` follows on this store.  It keeps no list of the cells it
     makes: a cell lives as long as whoever holds it.
 
-    ``allocated`` counts every cell ever made, and is the next serial;
+    ``allocated`` counts the serials handed out, and is the next one;
     ``new_var`` and the engine's clause builders are the only places that
-    assign one.
+    hand one out.  A cell the transpiler renames keeps its serial: the
+    twin is old, so always trailed, and never meets its cell in one run,
+    as a rewritten goal holds no ``~Name`` cell and arg/3 unifies a query's
+    ``_IV<k>`` with its slot cell before the body runs.
     ``young`` is the young mark: a cell whose serial is below it is old,
     and every other cell is young.  A bound cell is trailed only if it is
     old or an ``EVar``.  Outside a query the mark is infinite, so every

@@ -4,14 +4,15 @@ For every program the checker builds two engines, one native (``~`` syntax
 enabled) and one holding the transpiled program (``~`` syntax disabled),
 runs each query on both (the transformed query on the second) and compares
 the two solution multisets.  The program and each query are read once, by
-the native engine; the transpiled engine runs the rewritten clauses
-themselves, the ones ``--transpile`` writes, and a copy of each rewritten
-query.  Every query is checked alike: both runs print into a discarded
-buffer, so a listing/1 query is one more pair.  After each query's run
-each engine must have its ``~Name`` cells and every cell of the goal it
-ran unbound again, since the next query reuses them.  Solutions are
-compared after alpha-normalising machine-generated variable names, since
-the two runs allocate different serial numbers; a query that raises
+the native engine, and both engines run on its store, so nothing is
+copied: the transpiled engine runs the rewritten clauses themselves, the
+ones ``--transpile`` writes, and each rewritten query on the read query's
+own variables.  ``solution_multiset`` closes each run before the next
+starts, so no two overlap on the store.  Both runs print into a discarded
+buffer, so a listing/1 query is one more pair.  After both runs the
+``~Name`` cells and every cell of the two goals must be unbound again,
+since the next query reuses them.  Solutions are compared after
+alpha-normalising machine-generated variable names; a query that raises
 counts its error's class as one more outcome.
 """
 
@@ -28,7 +29,6 @@ from pathlib import Path
 from . import engine as _engine
 from .engine import Engine
 from .errors import PrologError
-from .kernel import Struct
 from .transpiler import rewrite_program, rewrite_query, transform_query, transpile
 
 # Unbound cells render as _G<serial>; an unbound interclausal variable
@@ -104,9 +104,10 @@ def check_program(
     native = Engine(allow_evars=True, **options)
     pairs = native.consult_text(program_text)
     oracle = Engine(allow_evars=False, **options)
-    # The transpiled engine runs the rewritten clauses themselves, sharing
-    # the native store's variables: that is safe, as for the shared
+    # The transpiled engine runs the rewritten clauses themselves, on the
+    # native store, sharing its variables: that is safe, as for the shared
     # prelude, because a stored clause is never bound; each try renames it.
+    oracle.store = native.store
     program, clauses = rewrite_program(pairs, list(native.store.evars), native.store)
     oracle._add([[head, body, None] for head, body in clauses])
     out = []
@@ -114,20 +115,13 @@ def check_program(
         goal, varmap = _engine.read_query(query, native.store)
         with redirect_stdout(io.StringIO()):  # what a listing/1 prints goes here
             native_set = solution_multiset(native, (goal, varmap), limit)
-            # both engines serve the next query, so each must end this one
-            # with its ~Name cells and the cells of the goal it holds unbound
-            left = [("native", len(native.store.bound_cells(goal)))]
-            # A query's variables are bound at run time, and compare_terms
-            # orders unbound cells by a serial unique only within one store,
-            # so the rewritten query moves into the transpiled store, as one
-            # term so that the goal and the answer variables share copies.
             rewritten = rewrite_query(goal, native.store, program)
-            copied = _engine.copy_term(Struct("", (rewritten, *varmap.values())), oracle.store)
-            goal, *values = copied.args
-            oracle_set = solution_multiset(oracle, (goal, dict(zip(varmap, values))), limit)
-            left.append(("transpiled", len(oracle.store.bound_cells(goal))))
+            oracle_set = solution_multiset(oracle, (rewritten, varmap), limit)
+        # the next query reuses the store, so this one must end with its
+        # ~Name cells and the cells of both goals unbound
+        left = len(native.store.bound_cells(goal, rewritten))
 
-        ok = native_set == oracle_set
+        ok = native_set == oracle_set and not left
         bits = []
         if not ok:
             missing = list((native_set - oracle_set).keys())[:1]
@@ -136,10 +130,8 @@ def check_program(
                 bits.append(f"native-only e.g. {missing[0]}")
             if extra:
                 bits.append(f"transpiled-only e.g. {extra[0]}")
-        for side, n in left:
-            if n:
-                ok = False
-                bits.append(f"{side} left {n} cell(s) bound")
+        if left:
+            bits.append(f"left {left} cell(s) bound")
         out.append(
             PairResult(
                 label,

@@ -14,26 +14,27 @@ native engine.
 
 Each clause is rewritten in one pass.  Substitution works by building, not
 binding: one postfix walk over a clause's head arguments and body (or a
-query) returns them with each ``~Name`` cell replaced by a fresh
+query) returns them with each ``~Name`` cell replaced by a new
 ``_IV<slot>`` variable and each variable named ``_Env…``, ``_IV…`` or
-``_G…`` by a fresh unnamed one, so no source variable captures a
-machine-made name.  A compound is rebuilt only when one of its arguments
-changed, so ordinary variables, and subterms holding neither kind, are
-the source's own objects.  A query's ``~Name`` that no clause holds has no
-slot: it is a fresh variable of that query, as no clause can read its
-cell.  The renamed head is then built once from the substituted
-arguments, under the name the table gives its key, and a body that is
-``true`` is left as it is.  Nothing is bound, so ``transpile`` writes
-the rewritten clauses and the oracle runs them as they are.  Bodies are
-rewritten with one explicit stack, so the oracle and ``--transpile`` take
-programs of any body length or term depth.  The goal arguments of a
-control construct are the positions ``engine.CONTROL`` gives, the table
-the engine dispatches on.  A goal that converts only when it starts, and
-every phrase/2,3 goal, runs through a helper that converts it, and
-expands a grammar, at run time; the helper first has call/1 convert the
-goal behind a fail, so a goal whose skeleton contains itself raises as it
-does natively.  The helper's clauses end every transpiled program, so any
-query can call it.
+``_G…`` by a new unnamed one, so no source variable captures a
+machine-made name.  A renamed cell, and a query's slot cell, keeps the
+serial of the cell it stands for, so both runs order cells alike.  A
+compound is rebuilt only when one of its arguments changed, so ordinary
+variables, and subterms holding neither kind, are the source's own
+objects.  A query's ``~Name`` that no clause holds has no slot: it is a
+new variable of that query, as no clause can read its cell.  The renamed
+head is then built once from the substituted arguments, under the name
+the table gives its key, and a body that is ``true`` is left as it is.
+Nothing is bound, so ``transpile`` writes the rewritten clauses and the
+oracle runs them as they are.  Bodies are rewritten with one explicit
+stack, so the oracle and ``--transpile`` take programs of any body length
+or term depth.  The goal arguments of a control construct are the
+positions ``engine.CONTROL`` gives, the table the engine dispatches on.  A
+goal that converts only when it starts, and every phrase/2,3 goal, runs
+through a helper that converts it, and expands a grammar, at run time;
+the helper first has call/1 convert the goal behind a fail, so a goal
+whose skeleton contains itself raises as it does natively.  The helper's
+clauses end every transpiled program, so any query can call it.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ def _conj_fold(goals):
 
 def _substitute(store: Store, slots: dict, terms):
     """Rewrite ``terms`` in one postfix walk, making each ``~Name`` cell a
-    fresh ``_IV<slot>`` variable, or a fresh unnamed one if ``slots`` has
-    no slot for it, and each variable with a reserved name a fresh unnamed
-    one, at first occurrence in preorder.  A compound is rebuilt only when
+    new ``_IV<slot>`` variable, or a new unnamed one if ``slots`` has no
+    slot for it, and each variable with a reserved name a new unnamed one,
+    at first occurrence in preorder.  Each new variable has the serial of
+    the cell it replaces (see ``Store``).  A compound is rebuilt only when
     one of its arguments changed; any other is the source's own object.
     Returns the new terms, a fresh ``_Env`` and the arg/3 goals reading the
     used slots from it, in slot order."""
@@ -119,10 +121,10 @@ def _substitute(store: Store, slots: dict, terms):
             if x not in new:
                 if x.name in slots:
                     slot = slots[x.name]
-                    new[x] = store.new_var(f"_IV{slot}")
+                    new[x] = Var(x.serial, f"_IV{slot}")
                     ivs.append((slot, new[x]))
                 elif kind is EVar or x.name and x.name.startswith(_RESERVED):
-                    new[x] = store.new_var()
+                    new[x] = Var(x.serial)
             x = new.get(x, x)
         out.append(x)
     env = store.new_var("_Env")
@@ -278,11 +280,12 @@ def _helper_keys():
 
 def rewrite_query(goal, store: Store, program: TranspileResult):
     """Rewrite a query goal read into ``store`` for ``program``.  Returns
-    the rewritten goal."""
+    the rewritten goal.  Slot ``k`` of its ``evs/N`` environment has the
+    serial of the layout's ``k``-th ``~Name`` cell, interned if need be."""
     slots = {name: i + 1 for i, name in enumerate(program.layout)}
     (goal,), env, goals = _substitute(store, slots, (goal,))
     if program.layout:
-        slots_vars = tuple(store.new_var("_") for _ in program.layout)
+        slots_vars = tuple(Var(store.evar(name).serial, "_") for name in program.layout)
         goals.insert(0, Struct("=", (env, Struct("evs", slots_vars))))
     goals.append(rewrite_goal(goal, env, _names(program.predicates)))
     return _conj_fold(goals)
