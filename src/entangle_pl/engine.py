@@ -61,12 +61,14 @@ cells die as it leaves them, and one long query runs in flat memory.
 Nothing outside the query can reach them: clause records hold read terms,
 and answers are rendered text.  A consult between two answers may intern
 a ``~Name`` younger than the query's marks, but ``Store.bind`` trails
-every ``~Name`` cell.  A read that raises, of a query or of a program,
-drops the ``~Name`` interns it made.  An engine's memory stays flat
-across queries.
-Two open ``solve`` generators on one store are unsupported: resuming one
-after the other has backtracked past its marks trips the assertion in
-``Store.undo_to``.
+every ``~Name`` cell.  The store interns a ``~Name`` only when a consult
+that names it passes; a query's own ``~Name``, one the store has not
+interned, is a cell of that query alone.  So an engine's memory stays
+flat across queries.
+The open ``solve`` generators of one store nest last in, first out: one
+that resumes or ends while newer ones are open abandons them, as its
+undo removes their bindings, and an abandoned one raises when resumed
+and undoes nothing when closed.
 
 Clauses are selected by code made per predicate at its first call after a
 consult, as a WAM's ``switch_on_term`` is (Warren, SRI TN 309, 1983).  The
@@ -468,8 +470,12 @@ def try_clause(clause, goal, store, bar, rest):
 
 
 def _read_checked(text, store, allow_evars):
-    """Read a program and check its clauses: what a consult reads."""
-    return check_clauses(read_program(text, store, allow_evars))
+    """Read a program and check its clauses: what a consult reads.  The
+    ``~Name`` cells new to the store are interned only once both pass."""
+    evars = {}
+    pairs = check_clauses(read_program(text, store, allow_evars, evars))
+    store.evars.update(evars)
+    return pairs
 
 
 def prelude_text() -> str:
@@ -512,21 +518,9 @@ class Engine:
         """Parse, add and return ``(head, body)`` clauses; a parse error, a
         clause for a predicate the engine runs itself, or a body that is not
         callable adds nothing at all, not even a cell or a ``~Name``."""
-        pairs = self._read(_read_checked, text)
+        pairs = _read_checked(text, self.store, self.allow_evars)
         self._add([[head, body, None] for head, body in pairs])
         return pairs
-
-    def _read(self, read, text):
-        """``read(text, store, allow_evars)``; when it raises, the ``~Name``
-        interns it made leave the store again."""
-        store = self.store
-        interned = len(store.evars)
-        try:
-            return read(text, store, self.allow_evars)
-        except BaseException:
-            for name in list(store.evars)[interned:]:
-                del store.evars[name]
-            raise
 
     def _add(self, clauses):
         groups = {}  # a new list per predicate: the logical update view
@@ -542,13 +536,13 @@ class Engine:
         """Parse a query and return its lazy solution sequence; only the
         sequence holds the goal's variables.  A query that fails to parse
         leaves nothing."""
-        goal, varmap = self._read(read_query, text)
+        goal, varmap = read_query(text, self.store, self.allow_evars)
         return self.solve(goal, varmap)
 
     def solve(self, goal, varmap):
         """Run a goal term; yields eagerly rendered Solutions.
 
-        When the sequence is exhausted or abandoned the trail is undone to
+        When the sequence is exhausted or closed the trail is undone to
         the query-start mark, so every variable older than the query that
         it bound (the program-wide ones included) is unbound again; nothing
         holds the cells it made itself once it ends.  The goal is converted
@@ -572,6 +566,9 @@ class Engine:
         trail = store.trail
         start = len(trail)
         store.young = store.allocated
+        queries = store.queries
+        query = object()
+        queries.append(query)
         try:
             while True:
                 if failing:
@@ -590,6 +587,10 @@ class Engine:
                             for name, v in shown
                         }
                     )
+                    if not queries or queries[-1] is not query:  # not the newest open query
+                        if query not in queries:
+                            raise PrologError("query abandoned: an older one resumed or ended")
+                        del queries[queries.index(query) + 1:]
                     failing = True
                     continue
                 term, barrier, goals = goals
@@ -695,8 +696,10 @@ class Engine:
                 if goals is _MISS:
                     failing = True
         finally:
-            store.undo_to(start)
-            store.young = OUTSIDE
+            if query in queries:  # an abandoned query undoes nothing
+                del queries[queries.index(query):]
+                store.undo_to(start)
+                store.young = OUTSIDE
 
     # --- builtin helpers ---------------------------------------------------
 

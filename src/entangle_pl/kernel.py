@@ -13,7 +13,7 @@ mark, or to an ``EVar``, is trailed, so backtracking resets it to None; a
 younger cell was made after the newest choice point, and backtracking
 discards it with that choice point, so its write needs no undo.  ``EVar``
 cells behave identically under unification but are global to a program:
-the reader interns them by name, and the engine's clause builders keep
+a consult interns them by name, and the engine's clause builders keep
 them as cells instead of freshening them, which is what lets one binding
 travel across clause boundaries until the query that produced it is
 undone.  The store also holds the occurs-check policy, so every ``unify``
@@ -65,9 +65,9 @@ OUTSIDE = float("inf")  # the young mark outside a query: every cell is old
 
 
 class Store:
-    """Owns the trail, the EVar intern table, and the occurs-check policy
-    that ``unify`` follows on this store.  It keeps no list of the cells it
-    makes: a cell lives as long as whoever holds it.
+    """Owns the trail, the EVar intern table, the open queries and the
+    occurs-check policy that ``unify`` follows on this store.  It keeps no
+    list of the cells it makes: a cell lives as long as whoever holds it.
 
     ``allocated`` counts the serials handed out, and is the next one;
     ``new_var`` and the engine's clause builders are the only places that
@@ -85,11 +85,12 @@ class Store:
     young, since one interned by a consult between two answers is younger
     than the suspended query's marks, yet outlives it."""
 
-    __slots__ = ("trail", "evars", "occurs_check", "allocated", "young")
+    __slots__ = ("trail", "evars", "occurs_check", "allocated", "young", "queries")
 
     def __init__(self, occurs_check: bool = False):
         self.trail = []
         self.evars = {}
+        self.queries = []  # the engine's open queries on this store, oldest first
         self.occurs_check = occurs_check
         self.allocated = 0
         self.young = OUTSIDE

@@ -13,7 +13,8 @@ buffer, so a listing/1 query is one more pair.  After both runs the
 ``~Name`` cells and every cell of the two goals must be unbound again,
 since the next query reuses them.  Solutions are compared after
 alpha-normalising machine-generated variable names; a query that raises
-counts its error's class as one more outcome.
+counts its error's class as one more outcome, and one that cannot be read
+fails its pair with the reader's message.
 """
 
 from __future__ import annotations
@@ -112,7 +113,11 @@ def check_program(
     oracle._add([[head, body, None] for head, body in clauses])
     out = []
     for query in queries:
-        goal, varmap = _engine.read_query(query, native.store)
+        try:
+            goal, varmap = _engine.read_query(query, native.store)
+        except PrologError as e:  # one unreadable query fails its own pair
+            out.append(PairResult(label, query, False, 0, 0, f"unreadable: {e}"))
+            continue
         with redirect_stdout(io.StringIO()):  # what a listing/1 prints goes here
             native_set = solution_multiset(native, (goal, varmap), limit)
             rewritten = rewrite_query(goal, native.store, program)

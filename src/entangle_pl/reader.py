@@ -181,11 +181,12 @@ def _starts_term(token) -> bool:
     return kind in _OPERAND_KINDS or kind == "punct" and tok in "([{"
 
 
-def _parse(text, tokens, store, varmap):
+def _parse(text, tokens, store, varmap, evars):
     """Read one term of priority at most 1200 from the start of ``tokens``.
 
     Returns ``(term, pos)``: ``pos`` is the first token after the term.
-    Named variables are looked up in and added to ``varmap``.
+    Named variables are looked up in and added to ``varmap``, and a
+    ``~Name`` the store has not interned in and to ``evars``.
 
     One loop over a stack of frames, each a construct waiting for an
     operand: an operator (infix, with its left operand, or prefix), ``(``,
@@ -212,7 +213,9 @@ def _parse(text, tokens, store, varmap):
                 if term is None:
                     term = varmap[tok] = store.new_var(tok)
         elif kind == "evar":
-            term = store.evar(tok)
+            term = store.evars.get(tok) or evars.get(tok)
+            if term is None:
+                term = evars[tok] = store.new_var(tok, EVar)
         elif kind == "atom" or kind == "qatom":
             nkind, ntok, nstart, _ = tokens[pos]
             if nkind == "punct" and ntok == "(" and nstart == end:
@@ -312,17 +315,19 @@ def _check_head(head, label: str, forbidden, text: str, offset: int):
         raise _error(f"{label} head cannot be {head.name!r}", text, offset)
 
 
-def read_program(text: str, store, allow_evar: bool = True):
+def read_program(text: str, store, allow_evar: bool = True, evars=None):
     """Read a whole program; returns a list of (head, body) pairs.
 
     Each clause is lexed, parsed and checked before the next is lexed.
     `H :- B` splits; a bare term is a fact with body `true`; `H --> B` is
-    routed through the DCG translation before storage.  Raises on the first
-    error in the text, leaving the caller free to treat the consult as
-    atomic.
+    routed through the DCG translation before storage.  The ``~Name``
+    cells the store has not interned go into ``evars``, by default the
+    store's own table.  Raises on the first error in the text, leaving the
+    caller free to treat the consult as atomic.
     """
     from .dcg import dcg_translate
 
+    evars = store.evars if evars is None else evars
     clauses = []
     end = 0
     while True:
@@ -330,7 +335,7 @@ def read_program(text: str, store, allow_evar: bool = True):
         kind, _, start, _ = tokens[0]
         if kind == "eof":
             return clauses
-        term, pos = _parse(text, tokens, store, {})
+        term, pos = _parse(text, tokens, store, {}, evars)
         kind, tok, at, end = tokens[pos]
         if kind != "end":
             msg = f"expected '.' to end the clause but found {_found(kind, tok)}"
@@ -347,12 +352,13 @@ def read_program(text: str, store, allow_evar: bool = True):
 
 
 def read_query(text: str, store, allow_evar: bool = True):
-    """Read one query; the trailing `.` is optional.  Returns (goal, varmap)."""
+    """Read one query; the trailing `.` is optional.  Returns (goal, varmap).
+    A ``~Name`` the store has not interned is the query's own cell."""
     tokens = tokenize(text, allow_evar)
     if tokens[0][0] == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
     varmap = {}
-    goal, pos = _parse(text, tokens, store, varmap)
+    goal, pos = _parse(text, tokens, store, varmap, {})
     kind, tok, start, end = tokens[pos]
     if kind == "end":
         kind, tok, start, _ = tokenize(text, allow_evar, end)[0]

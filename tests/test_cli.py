@@ -229,6 +229,21 @@ def test_clause_body_that_is_not_callable_exit_2(tmp_path, mode, capsys):
     assert err == "error: goal is not callable: 1\n"
 
 
+def test_an_unreadable_query_fails_its_own_pair_exit_1(tmp_path, capsys):
+    # the other queries are still checked, and the store interns no ~Q
+    (tmp_path / "b.pl").write_text("a(~X).\n")
+    (tmp_path / "b.queries").write_text("a(1).\n~Q = 1, a(\na(2).\n")
+    code, out, err = run_main(["--oracle-check", str(tmp_path)], capsys)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "OK        b.pl :: a(1).",
+        "MISMATCH  b.pl :: ~Q = 1, a( (native 0, transpiled 0)"
+        " unreadable: unexpected end of text (line 1, column 11)",
+        "OK        b.pl :: a(2).",
+    ]
+
+
 @pytest.mark.parametrize("mode, bad", [
     (["-q", "p(X).", "{dir}/p.pl"], "p.pl"),
     (["--transpile", "-", "{dir}/p.pl"], "p.pl"),

@@ -1382,13 +1382,82 @@ def test_many_queries_leave_the_registry_as_it_was(eng):
     for _ in range(10_000):
         assert [str(s) for s in eng.query("X = f(Y), Y = 1.")] == ["X = f(1), Y = 1"]
     assert alive() == []
-    # a ~Name a query names first stays: the store keeps it interned
+    # a ~Name only a query names is that query's: the store does not intern it
     assert len(list(eng.query("~New = 1, X = 2."))) == 1
-    assert alive() == [] and list(eng.store.evars) == ["~New"]
+    assert alive() == [] and list(eng.store.evars) == []
     assert eng.store.bound_cells() == []
     # query() still reads eagerly: a parse error raises from the call itself
     with pytest.raises(PrologSyntaxError):
         eng.query("X = .")
+
+
+def test_a_query_own_names_die_with_it():
+    e = Engine(load_prelude=False)
+    e.consult_text("a(~X). b(~Y).")
+    for i in range(50_000):
+        assert answers(e, f"a(~Z{i}).") == ["true"]
+    assert list(e.store.evars) == ["~X", "~Y"]
+
+
+def test_a_query_answers_alike_whenever_it_runs(eng):
+    # the second run once met the ~Zed cell the first had interned, older
+    # than its Y, so sort/2 put it first
+    runs = [answers(eng, "sort([Y, ~Zed], L).") for _ in range(2)]
+    assert [re.sub(r"_G\d+", "_G", a) for run in runs for a in run] == [
+        "Y = _G, L = [_G,~Zed]"] * 2
+
+
+def test_a_consult_between_answers_interns_its_own_cell_for_a_query_name(eng):
+    # the query's ~Own is its own variable; the consulted clause's is the
+    # program's, so the query's binding never reaches k's new clause
+    eng.consult_text("n(1). n(2). k(0).")
+    gen = checked_answers(eng, "n(X), k(K), ~Own = X.")
+    assert next(gen) == "X = 1, K = 0"
+    eng.consult_text("k(~Own).")
+    own = eng.store.evars["~Own"]
+    # K is left unbound: the query's ~Own = 2 does not bind k's cell
+    assert [re.sub(r"_G\d+", "_G", a) for a in gen] == ["X = 2, K = 0", "X = 2, K = _G"]
+    assert own.ref is None
+
+
+def test_a_nested_query_own_name_is_not_the_outer_one(eng):
+    eng.consult_text("n(1). n(2).")
+    outer = checked_answers(eng, "~Z = 1, n(X).")
+    assert next(outer) == "X = 1"
+    assert answers(eng, "~Z = V.") == ["V = ~Z"]
+    assert list(outer) == ["X = 2"]
+    assert eng.store.evars == {}
+
+
+@pytest.mark.parametrize("older_then", ["nothing", "close", "resume"])
+def test_queries_of_one_store_nest_last_in_first_out(older_then):
+    e = Engine()
+    e.consult_text("m(1). m(2). m(3). p(~A).")
+    store = e.store
+    older = e.query("m(X), (X > 1 -> m(Y) ; Y = 0).")
+    assert str(next(older)) == "X = 1, Y = 0"
+    newer = e.query("~A = 5, m(W), p(Z).")
+    assert str(next(newer)) == "W = 1, Z = 5"
+    if older_then == "nothing":  # the newer query ends first: both answer
+        assert [str(s) for s in newer] == ["W = 2, Z = 5", "W = 3, Z = 5"]
+    else:
+        # the older query abandons the newer one, whose bindings its undo
+        # removes: resuming the newer one raises, and it undoes nothing
+        if older_then == "close":
+            older.close()
+        else:
+            assert str(next(older)) == "X = 2, Y = 1"
+        trail = list(store.trail)
+        with pytest.raises(PrologError, match="abandoned"):
+            next(newer)
+        newer.close()
+        assert store.trail == trail
+    rest = ["X = 2, Y = 1", "X = 2, Y = 2", "X = 2, Y = 3"] + [
+        "X = 3, Y = 1", "X = 3, Y = 2", "X = 3, Y = 3"]
+    if older_then == "resume":
+        rest = rest[1:]
+    assert [str(s) for s in older] == ([] if older_then == "close" else rest)
+    assert store.trail == [] and store.bound_cells() == [] and store.queries == []
 
 
 def test_reset_check_sees_a_query_variable_left_bound(eng, monkeypatch):
