@@ -23,7 +23,6 @@ from .errors import (
     TranspileError,
     TypeMismatchError,
 )
-from .transpiler import TranspileResult, transform_query, transpile
 
 __version__ = "0.1.0"
 # name of the term kernel, which is pure Python; perfbench records it
@@ -47,6 +46,16 @@ __all__ = [
     "corpus_dir",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # served from the transpiler on first use (PEP 562), so that importing
+    # the package and running an engine does not import it
+    if name in ("TranspileResult", "transform_query", "transpile"):
+        from . import transpiler
+
+        return getattr(transpiler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def corpus_dir() -> Path:

@@ -11,13 +11,16 @@ to the next one (a call with only layout left returns just ``eof``), and
 the clause and DCG rule head checks run on the term the parser returns,
 all before the next clause is lexed.  So reading holds one clause's
 tokens, not the whole program's, and the first error in the text is the
-one reported.  The reader refuses only text that is not a term or not a
-clause; which predicates a clause may not define is the one rule of
-``engine.check_clauses``.  The parser and the writer walk terms with explicit
-stacks, so a term may nest as deeply as memory allows.  The writer prints
-every term whole, in a form that reads back as the same term; only a cyclic
-binding, which unification without the occurs check can make, prints
-``...`` where it closes.
+one reported.  A flat fact, a name with arguments that are each one
+integer, atom, variable or ``~Name``, is read with one regex match and no
+tokens, exactly as the tokenizer and the parser would read it; every other
+clause, and every error, is theirs.  The reader refuses only text that is
+not a term or not a clause; which predicates a clause may not define is the
+one rule of ``engine.check_clauses``.  The parser and the writer walk terms
+with explicit stacks, so a term may nest as deeply as memory allows.  The
+writer prints every term whole, in a form that reads back as the same term;
+only a cyclic binding, which unification without the occurs check can make,
+prints ``...`` where it closes.
 """
 
 from __future__ import annotations
@@ -99,6 +102,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _QATOM_PREFIX_RE = re.compile(_QATOM_BODY)
+# A flat fact from where the tokenizer would start its clause, with no
+# layout after its name: each argument is one integer, atom, variable or
+# ``~Name`` token that ends at a ``,`` or ``)``, so ``12ab`` or ``g(a)`` is
+# no match.
+_ARG = r"(?:[0-9]+|[A-Za-z_][A-Za-z0-9_]*|~[A-Z_][A-Za-z0-9_]*)"
+_FACT_RE = re.compile(
+    rf"[ \t\r\n]*([a-z][A-Za-z0-9_]*)(?:\(({_ARG}(?:,{_ARG})*)\))?\.(?![^ \t\r\n%])")
 _QUOTE_ESCAPE_RE = re.compile(r"''|\\(.)", re.DOTALL)
 
 
@@ -315,6 +325,33 @@ def _check_head(head, label: str, forbidden, text: str, offset: int):
         raise _error(f"{label} head cannot be {head.name!r}", text, offset)
 
 
+def _fact_head(name, args, store, evars):
+    """The head of a flat fact whose arguments' text is ``args`` (None for
+    an atom), its cells made in argument order as ``_parse`` makes them."""
+    if args is None:
+        return name
+    varmap = {}
+    terms = []
+    for tok in args.split(","):
+        c = tok[0]  # a digit, "~", a lowercase letter, an uppercase one or "_"
+        if c <= "9":
+            term = int(tok)
+        elif c == "~":
+            term = store.evars.get(tok) or evars.get(tok)
+            if term is None:
+                term = evars[tok] = store.new_var(tok, EVar)
+        elif c >= "a":
+            term = tok
+        elif tok == "_":
+            term = store.new_var("_")
+        else:
+            term = varmap.get(tok)
+            if term is None:
+                term = varmap[tok] = store.new_var(tok)
+        terms.append(term)
+    return Struct(name, tuple(terms))
+
+
 def read_program(text: str, store, allow_evar: bool = True, evars=None):
     """Read a whole program; returns a list of (head, body) pairs.
 
@@ -324,6 +361,12 @@ def read_program(text: str, store, allow_evar: bool = True, evars=None):
     cells the store has not interned go into ``evars``, by default the
     store's own table.  Raises on the first error in the text, leaving the
     caller free to treat the consult as atomic.
+
+    A flat fact, such as ``fact(12,v3,X,~T)``, is read with one match of
+    ``_FACT_RE`` instead: no tokens, no parse.  It reads exactly as the
+    tokenizer and the parser read it, the same terms with the same cells
+    and serials.  A clause that regex does not take, a fact with a ``~Name``
+    while ``~`` is off, and so every error, is theirs, from the same offset.
     """
     from .dcg import dcg_translate
 
@@ -331,6 +374,13 @@ def read_program(text: str, store, allow_evar: bool = True, evars=None):
     clauses = []
     end = 0
     while True:
+        m = _FACT_RE.match(text, end)
+        if m is not None:
+            name, args = m.groups()
+            if allow_evar or args is None or "~" not in args:
+                clauses.append((_fact_head(name, args, store, evars), "true"))
+                end = m.end()
+                continue
         tokens = tokenize(text, allow_evar, end)
         kind, _, start, _ = tokens[0]
         if kind == "eof":

@@ -1481,6 +1481,12 @@ def _peaks_mib(body):
         def peak():
             return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
     """) + textwrap.dedent(body)
+    return list(map(float, _child(script).split()))
+
+
+def _child(script):
+    """Run ``script`` in a fresh interpreter with this ``src`` on its path;
+    returns what it prints."""
     src = str(Path(engine_module.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -1491,7 +1497,7 @@ def _peaks_mib(body):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return list(map(float, proc.stdout.split()))
+    return proc.stdout
 
 
 def test_memory_stays_flat_across_queries():
@@ -1518,3 +1524,17 @@ def test_one_long_query_runs_in_flat_memory():
             print(peak())
     """)
     assert long - short <= 5, (short, long)  # MiB
+
+
+def test_an_engine_runs_without_importing_the_transpiler():
+    out = _child(textwrap.dedent("""
+        import sys
+        import entangle_pl
+        e = entangle_pl.Engine()
+        e.consult_text("p(~X). q(X) :- p(X).")
+        print("entangle_pl.transpiler" in sys.modules)
+        from entangle_pl import TranspileResult, transform_query, transpile
+        print(transpile("p(~X).").__class__ is TranspileResult, callable(transform_query))
+        print(all(hasattr(entangle_pl, name) for name in entangle_pl.__all__))
+    """))
+    assert out.split() == ["False", "True", "True", "True"]

@@ -70,6 +70,17 @@ def test_evar_tokens():
         tokenize("~X.", allow_evar=False)
 
 
+def test_flat_facts_read_with_evars_off():
+    # an atom fact has no arguments to look for a ~ in; a fact with a
+    # ~Name is the tokenizer's, which names the error where it is
+    assert read_program("foo.", Store(), allow_evar=False) == [("foo", "true")]
+    with pytest.raises(PrologSyntaxError) as err:
+        read_program("p(~X).", Store(), allow_evar=False)
+    assert str(err.value) == ("interclausal variable syntax (~Name) is disabled"
+                              " (line 1, column 3)")
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
 def test_end_token_requires_whitespace():
     toks = tokenize("a. ")
     assert toks[0][0] == "atom" and toks[1][0] == "end"
