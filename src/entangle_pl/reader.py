@@ -11,16 +11,17 @@ to the next one (a call with only layout left returns just ``eof``), and
 the clause and DCG rule head checks run on the term the parser returns,
 all before the next clause is lexed.  So reading holds one clause's
 tokens, not the whole program's, and the first error in the text is the
-one reported.  A flat fact, a name with arguments that are each one
-integer, atom, variable or ``~Name``, is read with one regex match and no
-tokens, exactly as the tokenizer and the parser would read it; every other
-clause, and every error, is theirs.  The reader refuses only text that is
-not a term or not a clause; which predicates a clause may not define is the
-one rule of ``engine.check_clauses``.  The parser and the writer walk terms
-with explicit stacks, so a term may nest as deeply as memory allows.  The
-writer prints every term whole, in a form that reads back as the same term;
-only a cyclic binding, which unification without the occurs check can make,
-prints ``...`` where it closes.
+one reported.  A flat fact or query, a name with arguments that are each
+one integer, atom, variable or ``~Name``, is read with one regex match and
+no tokens, exactly as the tokenizer and the parser would read it; every
+other clause and query, and every error, is theirs.  The reader refuses
+only text that is not a term or not a clause; which predicates a clause may
+not define is the one rule of ``engine.check_clauses``.  The parser and the
+writer walk terms with explicit stacks, so a term may nest as deeply as
+memory allows.  The writer prints every term whole, in a form that reads
+back as the same term (an integer or an atom without a walk); only a cyclic
+binding, which unification without the occurs check can make, prints
+``...`` where it closes.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ _QATOM_PREFIX_RE = re.compile(_QATOM_BODY)
 # A flat fact from where the tokenizer would start its clause, with no
 # layout after its name: each argument is one integer, atom, variable or
 # ``~Name`` token that ends at a ``,`` or ``)``, so ``12ab`` or ``g(a)`` is
-# no match.
-_ARG = r"(?:[0-9]+|[A-Za-z_][A-Za-z0-9_]*|~[A-Z_][A-Za-z0-9_]*)"
+# no match.  An integer has at most 640 digits, the fewest Python may be set
+# to convert, so a longer one meets ``_parse``'s ``_int`` and its error.
+_ARG = r"(?:[0-9]{1,640}|[A-Za-z_][A-Za-z0-9_]*|~[A-Z_][A-Za-z0-9_]*)"
 _FACT_RE = re.compile(
     rf"[ \t\r\n]*([a-z][A-Za-z0-9_]*)(?:\(({_ARG}(?:,{_ARG})*)\))?\.(?![^ \t\r\n%])")
 _QUOTE_ESCAPE_RE = re.compile(r"''|\\(.)", re.DOTALL)
@@ -121,6 +123,15 @@ def _error(msg: str, text: str, offset: int) -> PrologSyntaxError:
     """The syntax error ``msg`` at ``text[offset]``, with its line and column."""
     line = text.count("\n", 0, offset) + 1
     return PrologSyntaxError(msg, line, offset - text.rfind("\n", 0, offset))
+
+
+def _int(tok: str, text: str, offset: int) -> int:
+    """The integer literal ``tok`` at ``text[offset]``; one with more digits
+    than Python converts is a syntax error there, not a ``ValueError``."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise _error("integer literal too long", text, offset) from None
 
 
 def _found(kind: str, tok: str) -> str:
@@ -214,7 +225,7 @@ def _parse(text, tokens, store, varmap, evars):
         if kind != "eof":
             pos += 1
         if kind == "int":
-            term = int(tok)
+            term = _int(tok, text, start)
         elif kind == "var":
             if tok == "_":
                 term = store.new_var("_")
@@ -247,7 +258,7 @@ def _parse(text, tokens, store, varmap, evars):
                 if nkind != "int":
                     raise _error("unary - expects an integer literal", text, nstart)
                 pos += 1
-                term = -int(ntok)
+                term = -_int(ntok, text, nstart)
             else:
                 p, typ = op
                 frames.append(("op", maxp, tok, (), p))
@@ -325,11 +336,12 @@ def _check_head(head, label: str, forbidden, text: str, offset: int):
         raise _error(f"{label} head cannot be {head.name!r}", text, offset)
 
 
-def _fact_head(name, args, store, evars):
-    """The head of a flat fact whose arguments' text is ``args`` (None for
-    an atom), its cells made in argument order as ``_parse`` makes them."""
+def _fact_head(m, store, evars):
+    """The term a ``_FACT_RE`` match ``m`` reads and its varmap, the term's
+    cells made in argument order as ``_parse`` makes them."""
+    name, args = m.groups()
     if args is None:
-        return name
+        return name, {}
     varmap = {}
     terms = []
     for tok in args.split(","):
@@ -349,7 +361,7 @@ def _fact_head(name, args, store, evars):
             if term is None:
                 term = varmap[tok] = store.new_var(tok)
         terms.append(term)
-    return Struct(name, tuple(terms))
+    return Struct(name, tuple(terms)), varmap
 
 
 def read_program(text: str, store, allow_evar: bool = True, evars=None):
@@ -375,12 +387,10 @@ def read_program(text: str, store, allow_evar: bool = True, evars=None):
     end = 0
     while True:
         m = _FACT_RE.match(text, end)
-        if m is not None:
-            name, args = m.groups()
-            if allow_evar or args is None or "~" not in args:
-                clauses.append((_fact_head(name, args, store, evars), "true"))
-                end = m.end()
-                continue
+        if m is not None and (allow_evar or "~" not in m.group()):
+            clauses.append((_fact_head(m, store, evars)[0], "true"))
+            end = m.end()
+            continue
         tokens = tokenize(text, allow_evar, end)
         kind, _, start, _ = tokens[0]
         if kind == "eof":
@@ -402,8 +412,14 @@ def read_program(text: str, store, allow_evar: bool = True, evars=None):
 
 
 def read_query(text: str, store, allow_evar: bool = True):
-    """Read one query; the trailing `.` is optional.  Returns (goal, varmap).
-    A ``~Name`` the store has not interned is the query's own cell."""
+    """Read one query; the trailing `.` is optional.  Returns (goal, varmap),
+    the varmap's names in first-occurrence order.  A ``~Name`` the store has
+    not interned is the query's own cell.  A flat query with only blanks
+    after its ``.`` is read as ``read_program`` reads a flat fact."""
+    m = _FACT_RE.match(text)
+    if (m is not None and (allow_evar or "~" not in m.group())
+            and not text[m.end():].strip(" \t\r\n")):
+        return _fact_head(m, store, {})
     tokens = tokenize(text, allow_evar)
     if tokens[0][0] == "eof":
         raise PrologSyntaxError("empty query", 1, 1)
@@ -468,8 +484,14 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
     infix with minimal parenthesization.  A bound cell met again while its
     own value is still being written closes a cycle (unification without
     the occurs check makes such terms) and prints as `...`; a cell shared
-    by two arguments prints whole in both.
+    by two arguments prints whole in both.  An integer or an atom, bound or
+    not, takes no walk.
     """
+    a = deref(t)
+    if type(a) is int:
+        return str(a)
+    if type(a) is Atom:
+        return _atom_text(a)
     pieces = []
     inside = set()  # bound cells whose value is being written
     # stack items: a str piece of output; (term, priority); (tail, None),

@@ -1,16 +1,17 @@
-"""A sweep of ``read_program``'s flat-fact path against the tokenizer and
-the parser.
+"""A sweep of the reader's flat-fact path against the tokenizer and the
+parser.
 
 ``read_program`` reads a flat fact, such as ``fact(12,v3,X,~T)``, with one
 match of ``reader._FACT_RE`` and hands every other clause to ``tokenize``
-and ``_parse``.  Each seeded text below is read twice, plainly and with
-``_FACT_RE`` swapped for a pattern that never matches, so that every clause
-goes the general way; both with ``~`` on and with ``~`` off.  The texts mix
-flat facts of arity 0 to 5 (repeated variables, ``_``, ``~Name`` cells,
-leading layout) with near misses the fact path must leave alone (layout
-inside a fact, ``12ab``, ``f(a).b``, ``f()``, a quoted or negative or
-compound argument, a fact that ends the text without its ``.``, ...),
-rules, DCG rules and comments.
+and ``_parse``; ``read_query`` reads a flat query, one followed by nothing
+but blanks, the same way.  Each seeded text below is read twice, plainly
+and with ``_FACT_RE`` swapped for a pattern that never matches, so that
+every clause goes the general way; both with ``~`` on and with ``~`` off.
+The texts mix flat facts of arity 0 to 5 (repeated variables, ``_``,
+``~Name`` cells, leading layout) with near misses the fact path must leave
+alone (layout inside a fact, ``12ab``, ``f(a).b``, ``f()``, a quoted or
+negative or compound argument, a fact that ends the text without its
+``.``, ...), rules, DCG rules and comments.
 
 The two reads must both raise the same error text, or both return the
 same clauses: the same terms, each cell with the same class, serial and
@@ -18,12 +19,20 @@ name, the same ``store.allocated`` and the same new ``~Name`` cells.  The
 store has ``~A`` interned before each read, so a ``~Name`` is looked up
 in the store and in the read's own table.
 
+Each clause of a text, with its leading layout and its comment, is also
+read as a query the same two ways, and after each text one of
+``QUERY_NEAR_MISSES`` (a form feed or a no-break space after the ``.``,
+two queries, no ``.``, a comment after it, ...).  Both reads must raise
+the same error text, or give the same goal, the same varmap (its names in
+order, each cell's class, serial and name) and the same
+``store.allocated``.
+
     PYTHONPATH=src python tests/read_sweep.py
 
-reads the texts of seeds 0 to 19,999, prints a tally and exits 1 on any
-fault, or when the tally differs from the pinned ``EXPECTED``;
-``tests/test_read_sweep.py`` reads the corpus, the prelude and the first
-``BLOCK`` seeds.
+reads the texts of seeds 0 to 19,999 and their clauses as queries, prints
+two tallies and exits 1 on any fault, or when a tally differs from the
+pinned ``EXPECTED`` or ``EXPECTED_QUERIES``; ``tests/test_read_sweep.py``
+reads the corpus, the prelude and the first ``BLOCK`` seeds.
 """
 
 from __future__ import annotations
@@ -46,8 +55,20 @@ BLOCK = 2_000
 # the texts read whole, the texts that raised, and the clauses the fact
 # path read (each one a tokenizer call fewer)
 EXPECTED = {"texts": 40_000, "clauses": 97_868, "errors": 17_875, "fact_path": 81_735}
+# the same texts' clauses and near misses read as queries, both modes
+# together: queries read, those that raised, and those the fact path read
+EXPECTED_QUERIES = {"queries": 262_432, "query_errors": 61_343, "query_fact_path": 129_630}
 
 NEVER = re.compile(r"(?!)")
+
+# queries read after the texts' own clauses, one a text in turn: the
+# reader refuses the first four, whatever the fact regex takes; the last
+# two hold an integer as long as the fact regex takes, and one digit longer
+QUERY_NEAR_MISSES = [
+    "p(X). \f", "p(X).\n\u00a0", "a. b.", "p(" + "9" * 5000 + ").", "p(X)", "p(X).%c",
+    "p(~B).", "p(~A).", "p(_,_).", "p(X,Y,X).", " p(X,~B,_,~A,X). \n", "p(X).\t\r\n",
+    "p(X," + "9" * 640 + ").", "p(X," + "9" * 641 + ").",
+]
 
 NAMES = ["f", "p", "fact", "link", "is", "mod", "a1_B"]
 ARGS = ["0", "7", "007", "a", "v42", "is", "X", "Y", "X", "_", "_", "_1", "_Z",
@@ -75,9 +96,10 @@ def fact(rng, args) -> str:
     return f"{name}({','.join(rng.choice(args) for _ in range(arity))})"
 
 
-def text(seed: int) -> str:
-    """The seeded text: 1 to 10 clauses, nearly all after some layout;
-    half the texts have no ``~Name``, so read whole with ``~`` off too."""
+def clauses(seed: int) -> list:
+    """The seeded text's clauses, 1 to 10, nearly all after some layout,
+    each with the comment that follows it; half the texts have no
+    ``~Name``, so read whole with ``~`` off too."""
     rng = random.Random(seed)
     if rng.random() < 0.5:
         args, others = ARGS, OTHERS
@@ -87,19 +109,25 @@ def text(seed: int) -> str:
     parts = []
     for k in range(rng.randint(1, 10)):
         # a clause right after the last one's "." makes that "." no end
-        parts.append("" if rng.random() < (0.5 if k == 0 else 0.01) else rng.choice(BLANKS))
+        part = "" if rng.random() < (0.5 if k == 0 else 0.01) else rng.choice(BLANKS)
         roll = rng.random()
         if roll < 0.6:
-            parts.append(fact(rng, args) + ".")
+            part += fact(rng, args) + "."
         elif roll < 0.7:
-            parts.append(rng.choice(NEAR_MISSES))
+            part += rng.choice(NEAR_MISSES)
         else:
-            parts.append(rng.choice(others))
+            part += rng.choice(others)
         if rng.random() < 0.05:
-            parts.append(rng.choice(["%c\n", " %c\n", " /*c*/", "/*c*/"]))
+            part += rng.choice(["%c\n", " %c\n", " /*c*/", "/*c*/"])
+        parts.append(part)
     if rng.random() < 0.05:
         parts.append(rng.choice(BLANKS) + fact(rng, args))  # no final end
-    return "".join(parts)
+    return parts
+
+
+def text(seed: int) -> str:
+    """The seeded text, its clauses one after another."""
+    return "".join(clauses(seed))
 
 
 def _data(term):
@@ -162,6 +190,49 @@ def check_text(text: str, tally, faults, label: str):
                           f"read {plain!r}, not {general!r}")
 
 
+def _read_query(text: str, allow_evar: bool):
+    """What reading ``text`` as a query gives: its goal, its varmap's names
+    in order with their cells, and the store's count of serials; or the
+    error raised, as a string."""
+    store = Store()
+    store.evar("~A")
+    try:
+        goal, varmap = reader.read_query(text, store, allow_evar)
+    except PrologError as err:
+        return f"{type(err).__name__}: {err}"
+    return (_data(goal), [(name, _data(cell)) for name, cell in varmap.items()],
+            store.allocated)
+
+
+def check_query(text: str, tally, faults, label: str):
+    """Read ``text`` as a query with the fact path and without, ``~`` on
+    and off."""
+    for allow_evar in (True, False):
+        with _tokenizer_calls(reader._FACT_RE) as plain_calls:
+            plain = _read_query(text, allow_evar)
+        with _tokenizer_calls(NEVER):
+            general = _read_query(text, allow_evar)
+        tally["queries"] += 1
+        tally["query_errors"] += type(plain) is str
+        tally["query_fact_path"] += plain_calls[0] == 0
+        if plain != general:
+            faults.append(f"{label} (~ {'on' if allow_evar else 'off'}) {text!r}: "
+                          f"read {plain!r}, not {general!r}")
+
+
+def query_sweep(seeds):
+    """Read each clause of the texts of ``seeds`` as a query, and after each
+    text the next of ``QUERY_NEAR_MISSES``; returns the tally and the
+    faults."""
+    tally = Counter()
+    faults = []
+    for seed in seeds:
+        near_miss = QUERY_NEAR_MISSES[seed % len(QUERY_NEAR_MISSES)]
+        for k, query in enumerate(clauses(seed) + [near_miss]):
+            check_query(query, tally, faults, f"seed {seed} query {k}")
+    return tally, faults
+
+
 def sweep(seeds):
     """Read the texts of ``seeds``; returns the tally and the faults."""
     tally = Counter()
@@ -183,18 +254,22 @@ def corpus():
 
 
 def main() -> int:
-    started = time.perf_counter()
-    tally, faults = sweep(SEEDS)
-    seconds = time.perf_counter() - started
-    print(f"{len(SEEDS)} texts, ~ on and off, in {seconds:.1f} s: "
-          + ", ".join(f"{kind} {n}" for kind, n in sorted(tally.items())))
-    for fault in faults[:20]:
-        print(f"FAULT {fault}")
-    print(f"{len(faults)} fault(s)")
-    drift = dict(tally) != EXPECTED
-    if drift:
-        print(f"DRIFT: expected {EXPECTED}")
-    return 1 if faults or drift else 0
+    failed = False
+    for label, run, expected in (("texts", sweep, EXPECTED),
+                                 ("texts' clauses as queries", query_sweep, EXPECTED_QUERIES)):
+        started = time.perf_counter()
+        tally, faults = run(SEEDS)
+        seconds = time.perf_counter() - started
+        print(f"{len(SEEDS)} {label}, ~ on and off, in {seconds:.1f} s: "
+              + ", ".join(f"{kind} {n}" for kind, n in sorted(tally.items())))
+        for fault in faults[:20]:
+            print(f"FAULT {fault}")
+        print(f"{len(faults)} fault(s)")
+        drift = dict(tally) != expected
+        if drift:
+            print(f"DRIFT: expected {expected}")
+        failed = failed or faults or drift
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

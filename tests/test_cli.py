@@ -97,6 +97,11 @@ def test_non_ascii_digit_is_a_syntax_error_exit_2(tmp_path, capsys):
     assert err.startswith("error: unexpected character")
 
 
+def test_an_integer_literal_too_long_is_a_syntax_error_exit_2(capsys):
+    code, out, err = run_main(["-q", "X = " + "9" * 5000 + "."], capsys)
+    assert (code, out, err) == (2, "", "error: integer literal too long (line 1, column 5)\n")
+
+
 def test_long_clause_body_runs(tmp_path, capsys):
     f = tmp_path / "long.pl"
     f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")

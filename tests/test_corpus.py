@@ -11,13 +11,39 @@ byte-level diff here.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
-from entangle_pl import corpus_dir
-from entangle_pl.oracle import canonical_transcript, read_queries
+from entangle_pl import Engine, corpus_dir
+from entangle_pl.oracle import _renumber, read_queries
 
 CORPUS = corpus_dir()
 PROGRAMS = sorted(CORPUS.glob("*.pl"))
+_GSERIAL = re.compile(r"_G\d+")
+
+
+def canonical_transcript(program_text: str, queries) -> str:
+    """Replayable expected-output text for a program and its queries.
+
+    One block per query: the query line prefixed ``?- ``, then one line per
+    solution (``true.`` when variable-free), or ``false.`` if there are
+    none.  Generated variable serials are renumbered per block so the text
+    is stable across unrelated engine changes.
+    """
+    engine = Engine()
+    engine.consult_text(program_text)
+    blocks = []
+    for query in queries:
+        lines = []
+        for sol in engine.query(query):
+            text = str(sol)
+            lines.append("true." if text == "true" else text)
+        if not lines:
+            lines.append("false.")
+        body = _renumber(_GSERIAL, "\n".join(lines), "_G", {})
+        blocks.append(f"?- {query}\n{body}\n")
+    return "\n".join(blocks)
 
 
 def test_corpus_is_complete():

@@ -253,6 +253,33 @@ def test_negative_literals():
         parse_one("- a")
 
 
+LONG = "9" * 5000  # more digits than Python converts to an int
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("a.\nf(1, " + LONG + ").", (2, 6)),
+        ("a.\nf(1," + LONG + ").", (2, 5)),  # flat, but too long for the fact path
+        ("a.\nf(X) :- X = -" + LONG + ".", (2, 14)),
+    ],
+    ids=["fact", "flat-fact", "rule"],
+)
+def test_an_integer_literal_too_long_is_a_syntax_error_where_it_stands(text, at):
+    engine = Engine()
+    with pytest.raises(PrologSyntaxError, match="^integer literal too long") as err:
+        engine.consult_text(text)
+    assert (err.value.line, err.value.col) == at
+
+
+@pytest.mark.parametrize("query, col", [("p(1," + LONG + ").", 5), ("X = " + LONG + ".", 5)],
+                         ids=["flat", "general"])
+def test_an_integer_literal_too_long_in_a_query_is_a_syntax_error(query, col):
+    with pytest.raises(PrologSyntaxError, match="^integer literal too long") as err:
+        answers(Engine(), query)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_functional_notation_requires_attached_paren():
     t, _ = parse_one("f(a,b)")
     assert t.name == "f" and len(t.args) == 2
@@ -485,6 +512,32 @@ def test_writer_prints_deep_terms_whole():
     for _ in range(10_001):
         deep = Struct("f", (deep,))
     assert write_term(deep) == "f(" * 10_001 + "x" + ")" * 10_001
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [("[]", "[]"), ("{}", "{}"), ("a b", "'a b'"), ("\n", "'\\n'"), ("-", "-"),
+     (":-", ":-"), ("mod", "mod"), (-7, "-7"), (0, "0")],
+)
+def test_an_atomic_answer_renders_as_the_walk_renders_it(value, text):
+    # the same text bound behind a chain of cells, at any priority, and it
+    # reads back as the same value
+    store = Store()
+    x, y = store.new_var("X"), store.new_var()
+    x.ref, y.ref = y, value
+    for term in (value, x):
+        for use_names, priority in ((True, 1200), (False, 1200), (False, 0)):
+            assert write_term(term, use_names, priority) == text
+    assert read_query(text, Store())[0] == value
+
+
+def test_an_unbound_answer_still_renders_by_serial_and_reads_back():
+    store = Store()
+    x, y = store.new_var("X"), store.new_var()
+    x.ref = y
+    assert write_term(x, use_names=False) == f"_G{y.serial}"
+    back, varmap = read_query(write_term(x, use_names=False), Store())
+    assert isinstance(back, Var) and list(varmap) == [f"_G{y.serial}"]
 
 
 def test_unnamed_vars_render_by_serial():

@@ -31,9 +31,10 @@ def test_oracle_reads_program_and_queries_once_under_the_tracer():
         tracer.uninstall()
     assert [r.ok for r in results] == [True, True]
     # counted by hand, each text's tokens and its one eof: the program's
-    # flat facts a(~X) and b(~X) are read without tokens, so it has
-    # 15 + 1, the queries 10 + 1 and 5 + 1, so 16 + 11 + 6
-    assert tracer.counts["reader.tokens"] == 33
+    # flat facts a(~X) and b(~X) and the flat query c(Z) are read without
+    # tokens, so the program has 15 + 1 and the query a(1), b(V) 10 + 1,
+    # so 16 + 11
+    assert tracer.counts["reader.tokens"] == 27
     assert tracer.counts["reader.clauses"] == 3
     assert tracer.calls["reader.read_program"] == 1
     assert tracer.calls["reader.read_query"] == 2
