@@ -94,15 +94,17 @@ first occurrence, so fresh cells get the serials a copy would give them;
 a subterm with no variable, unless it is the head, is shared; and a
 ``~Name`` cell is kept as the cell itself, read without ``deref``, so
 head code made while a query has the cell bound still sees that binding
-and every later one.  Atoms, integers, shared subterms and ``~Name``
-cells are the constants, and the rest is the clause's shape.  Each shape
-has one factory, generated as Python source and made once per process,
-in a bounded cache (see Bolz, Leuschel and Schneider-Kamp, PPDP 2010, on
-specializing a Prolog written in Python); called with a clause's
-constants, it returns the clause's head code, straight-line code that
-takes the frame's serials from the store, matches the head against the
-goal, and builds one compound per statement.  So 10k facts of one form
-share one factory, and a term of any depth compiles to code of no depth.
+and every later one.  Atoms, integers, functor names (operands, as in a
+WAM's ``get_structure``), shared subterms and ``~Name`` cells are the
+constants, and the rest, the clause's structure, is its shape.  Each shape
+has one factory, generated as Python source that holds only integers and
+made once per process, in a bounded cache (see Bolz, Leuschel and
+Schneider-Kamp, PPDP 2010, on specializing a Prolog written in Python);
+called with a clause's constants, it returns the clause's head code,
+straight-line code that takes the frame's serials from the store, matches
+the head against the goal, and builds one compound per statement.  So 10k
+facts of one form, or clauses of one structure whatever their names, share
+one factory, and a term of any depth compiles to code of no depth.
 The head code reads the goal, as a WAM head reads its argument registers
 (Aït-Kaci, *Warren's Abstract Machine: A Tutorial Reconstruction*, 1991):
 a head variable is the goal's own argument, or its own subterm where the
@@ -254,14 +256,14 @@ def _compile(clause):
     taken apart into its conjuncts, left to right, with its ``,`` skeleton
     and its ``true`` conjuncts left out.  One postfix walk of the head and
     the conjuncts writes the clause's shape and its constants side by
-    side: in the shape
-    an int is a slot (one per ordinary variable, numbered by first
-    occurrence), ``(name, n)`` builds a Struct from the last ``n`` values,
-    and None takes the next constant, which is an atom, an integer, a
-    ``~Name`` cell or a subterm other than the head with no slot below.
-    The stored terms are read without ``deref``, so a ``~Name`` cell stays
-    a cell even while a query has it bound.  The head code comes from the
-    shape's factory, called with the constants."""
+    side: in the shape an int is a slot (one per ordinary variable,
+    numbered by first occurrence), ``(n,)`` builds a Struct named by the
+    next constant from the last ``n`` values, and None takes the next
+    constant, which is a name, an atom, an integer, a ``~Name`` cell or a
+    subterm other than the head with no slot below.  The stored terms are
+    read without ``deref``, so a ``~Name`` cell stays a cell even while a
+    query has it bound.  The head code comes from the shape's factory,
+    called with the constants."""
     conjuncts = []
     todo = [clause[1]]
     while todo:
@@ -282,8 +284,9 @@ def _compile(clause):
             if len(consts) - cstart == len(shape) - start and t is not clause[0]:
                 shape[start:] = (None,)
                 consts[cstart:] = (t,)
-            else:
-                shape.append((t.name, len(t.args)))
+            else:  # its name is the constant after its arguments
+                shape.append((len(t.args),))
+                consts.append(t.name)
         elif type(t) is Var:  # an ordinary variable; a ~Name cell is a constant
             shape.append(slots.setdefault(t, len(slots)))
         elif isinstance(t, Struct):
@@ -337,28 +340,29 @@ def _source(shape, nslots):
     matched by the call's ``(name, arity)`` lookup, does so at once.  The
     goal's own term is always safe to take: a body's control skeleton holds
     no variable once converted (see ``convert_goal``), and a goal converts
-    as its bound cell would.  Only integers and the ``repr`` of functor
-    names enter the source; the constants are the factory's arguments."""
+    as its bound cell would.  Only integers enter the source; the
+    constants, functor names among them, are the factory's arguments."""
     # the clause's tree, rebuilt from the postfix shape: slot k is k,
-    # constant j is the str "cj" that names it, and a compound is (name,
-    # args, its index in builds, the index of the first build of its
-    # subtree); no term enters the tree, so a str node is never an atom
+    # constant j is the str "cj" that names it, and a compound is (its
+    # name's "cj", args, its index in builds, the index of the first build
+    # of its subtree); no term enters the tree, so a str node is never an atom
     builds = []
     stack = []
     nconsts = 0
     for op in shape:
-        if op is None:
+        if type(op) is int:
+            stack.append(op)
+        elif op is None:
             stack.append(f"c{nconsts}")
             nconsts += 1
-        elif type(op) is int:
-            stack.append(op)
-        else:
-            name, n = op
+        else:  # a compound (n,), whose name is the constant after its arguments
+            name, n = f"c{nconsts}", op[0]
+            nconsts += 1
             args = stack[len(stack) - n :]
             del stack[len(stack) - n :]
             b = len(builds)
             stack.append((name, args, b, next((a[3] for a in args if type(a) is tuple), b)))
-            builds.append(f"Struct({name!r}, ({''.join(_expr(a) + ', ' for a in args)}))")
+            builds.append(f"Struct({name}, ({''.join(_expr(a) + ', ' for a in args)}))")
     head, *body = stack
 
     def built(node):  # a compound's statements, its subterms' first
@@ -373,7 +377,7 @@ def _source(shape, nslots):
             terms[arg] = home[arg] = f"g[{i}]"
         elif type(arg) is tuple:
             reads += _deref(f"d{i}", f"g[{i}]") + [f"r{i} = type(d{i}) is Struct and "
-                      f"d{i}.name == {arg[0]!r} and len(d{i}.args) == {len(arg[1])}"]
+                      f"d{i}.name == {arg[0]} and len(d{i}.args) == {len(arg[1])}"]
             for j, k in enumerate(arg[1]):
                 if type(k) is int and k not in terms:
                     home[k] = f"d{i}.args[{j}]"
@@ -440,9 +444,10 @@ _MISS = (0, None)
 
 @lru_cache(maxsize=1024)
 def _factory(shape, nslots):
-    """The factory of a clause shape, made once per process; the cache is
-    bounded, and a clause keeps the builder it was given.  Its head code
-    calls ``kernel.unify``, not this module's name, which a tracer wraps."""
+    """The factory of a clause shape, made once per process from source
+    that holds only integers; the cache is bounded, and a clause keeps the
+    builder it was given.  Its head code calls ``kernel.unify``, not this
+    module's name, which a tracer wraps."""
     scope = {"Atom": Atom, "Var": Var, "Struct": Struct, "unify": kernel.unify, "MISS": _MISS}
     exec(compile(_source(shape, nslots), "<clause shape>", "exec"), scope)
     return scope["make"]
@@ -841,6 +846,8 @@ def _bi_functor(e: Engine, args):
         raise TypeMismatchError("functor/3: name must be atomic")
     if type(name) is not Atom:
         raise TypeMismatchError("functor/3: name must be an atom")
+    if arity > e.max_frames:  # one cell per argument: bounded by the frame budget
+        raise ResourceLimitError(f"functor/3: arity exceeds the frame budget ({e.max_frames})")
     fresh = tuple(e.store.new_var() for _ in range(arity))
     return unify(t, Struct(name, fresh), e.store)
 

@@ -12,7 +12,9 @@ the sweep runs them, and clause variables whose goal terms are run as
 goals, some of them passed to call/1 as data, and clause heads that a
 goal makes cyclic or whose bindings meet one another, or that hold no
 variable, with and without the occurs check, so a clause-try change that
-reorders bindings or matches a head differently shows.
+reorders bindings or matches a head differently shows, and a program of
+300 predicates of a few shared clause structures and names of their own,
+so a name a shared factory takes from the wrong clause shows.
 A block of reader inputs, most of them malformed
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
@@ -127,6 +129,36 @@ HEAD_QUERIES = ["p(Y, Y).", "q(Z, Z).", "r(W, W).", "s(V, V).", "p(f(Y), Y).",
                 "go.", "stop.", "go(X).", "key(1).", "key('1').", "key(X).", "key(a, 1).",
                 "key(a, '1').", "key(A, B).", "one(1).", "one('1').", "one(X)."]
 
+# A few hundred predicates of a few clause structures, each with names of
+# its own, so a name that a factory shared by clauses of one structure
+# takes from the wrong clause shows: heads matched in read mode (a goal
+# compound) and in write mode (an unbound goal argument), nested head
+# compounds, ground head subterms shared as constants, and bodies that
+# build compounds.  Each predicate is also called with the next one's names.
+# Each argument of ``h<i>`` and ``b<i>`` is a variable in some clause, so
+# neither is indexed and every head code meets every goal; ``d<i>`` is.
+MANY_NAMES = 300
+
+
+def many_names() -> tuple:
+    """The many-names program and its queries."""
+    program, queries = [], []
+    for i in range(MANY_NAMES):
+        j = (i + 1) % MANY_NAMES
+        program += [f"h{i}(f{i}(X, g{i}(Y)), Y, X) :- b{i}(X, k{i}(Y)).",
+                    f"h{i}(f{i}(a, k), g{i}(s{i}(1)), z{i}).",
+                    f"h{i}(e{i}(X), [X|T], e{i}(T)) :- T = n{i}(X). h{i}(X, Y, o{i}(X, Y)).",
+                    f"b{i}(X, k{i}(X)). b{i}(c{i}, k{i}(w{i})). b{i}(m{i}(X, Y), k{i}(p{i}(Y, X))).",
+                    f"b{i}(Y, Y).",
+                    f"d{i}(u{i}). d{i}(v{i}(1)) :- b{i}(c{i}, K), b{i}(m{i}(1, K), L)."]
+        queries += [f"h{i}(f{i}(A, g{i}(B)), C, D).", f"h{i}(T, U, V).",
+                    f"h{i}(f{i}(A, B), g{i}(C), D).", f"h{i}(e{i}(1), U, V).",
+                    f"h{i}(f{j}(A, g{j}(B)), C, D).", f"h{i}(e{j}(1), U, V).",
+                    f"b{i}(c{i}, K).", f"b{i}(X, k{j}(Y)).", f"b{i}(m{i}(A, B), K).",
+                    f"d{i}(X).", f"d{i}(v{j}(1)).", f"d{i}(u{j})."]
+    return "\n".join(program), queries
+
+
 # Runs in a child process: reads the jobs as JSON from standard input, and
 # writes each read's outcome and each program's transpiled text, then each
 # query, its answers and the error that ended it, if any.
@@ -209,6 +241,9 @@ def jobs() -> list:
         found.append({"name": f"heads, occurs check {occurs_check}",
                       "options": {"occurs_check": occurs_check}, "limit": 20,
                       "program": HEADS, "queries": HEAD_QUERIES})
+    program, queries = many_names()
+    found.append({"name": "many names", "options": {}, "limit": 20,
+                  "program": program, "queries": queries})
     for first in range(SWEEP_SEEDS.start, SWEEP_SEEDS.stop, goal_sweep.BLOCK):
         seeds = range(first, min(first + goal_sweep.BLOCK, SWEEP_SEEDS.stop))
         found.append({

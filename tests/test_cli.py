@@ -307,6 +307,12 @@ def test_max_frames_flag(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: frame budget exceeded (100)\n")
 
 
+def test_max_frames_bounds_functor_arity(pair_file, capsys):
+    code, out, err = run_main([pair_file, "--max-frames", "100", "-q", "functor(T,f,101)."],
+                              capsys)
+    assert (code, out, err) == (2, "", "error: functor/3: arity exceeds the frame budget (100)\n")
+
+
 def test_deep_input_under_low_recursion_limit(tmp_path):
     # Nothing recurses on term depth: the reader, the DCG translation, the
     # transpiler, the engine and the writer all keep explicit stacks, and a

@@ -30,6 +30,7 @@ from entangle_pl.oracle import check_program, read_queries
 from entangle_pl.reader import read_program, read_query, write_term
 from entangle_pl.transpiler import rewrite_program
 from conftest import answers, checked_answers
+import first_calls
 
 
 @pytest.fixture
@@ -869,28 +870,35 @@ def test_goal_terms_reached_as_data_run_as_their_cells_would(eng):
             list(eng.query(query))
 
 
+def pattern_term(i, x="X"):
+    """``f/11`` with ``x`` at the positions of the set bits of ``i`` and
+    ``a`` at the rest: for each ``i`` from 1 to 2,047 a head argument of a
+    shape of its own."""
+    return f"f({','.join(x if i >> b & 1 else 'a' for b in range(11))})"
+
+
 def test_shape_cache_is_bounded():
     # a long-lived process that consults ever-new programs keeps at most
     # the bound of shape factories; a clause keeps the builder it was given
     factory = engine_module._factory
     bound = factory.cache_info().maxsize
     n = bound + 100
-    program = " ".join(f"s({i}, f{i}(X), X)." for i in range(n))
+    program = " ".join(f"s({i}, {pattern_term(i)}, X)." for i in range(1, n + 1))
     eng = Engine(load_prelude=False)
     eng.consult_text(program)
     factory.cache_clear()
-    for i in range(n):
-        assert answers(eng, f"s({i}, T, a).") == [f"T = f{i}(a)"]
+    for i in range(1, n + 1):
+        assert answers(eng, f"s({i}, T, b).") == [f"T = {pattern_term(i, 'b')}"]
         assert factory.cache_info().currsize <= bound
     # the first shapes were evicted: their clauses still answer, and a
     # fresh engine makes their factories again
-    for i in range(100):
-        assert answers(eng, f"s({i}, f{i}(b), V).") == ["V = b"]
+    for i in range(1, 101):
+        assert answers(eng, f"s({i}, {pattern_term(i, 'c')}, V).") == ["V = c"]
     fresh = Engine(load_prelude=False)
     fresh.consult_text(program)
     misses = factory.cache_info().misses
-    for i in range(100):
-        assert answers(fresh, f"s({i}, T, c).") == [f"T = f{i}(c)"]
+    for i in range(1, 101):
+        assert answers(fresh, f"s({i}, T, c).") == [f"T = {pattern_term(i, 'c')}"]
     assert factory.cache_info().misses == misses + 100
     assert factory.cache_info().currsize == bound
 
@@ -908,14 +916,33 @@ def test_functor_names_enter_generated_code_safely(eng, name):
 
 
 def test_clauses_of_one_shape_share_one_factory(eng):
-    # atoms, integers, ground subterms and ~Name cells are constants of a
-    # shape, not part of it
+    # atoms, integers, functor names, ground subterms and ~Name cells are
+    # constants of a shape, not part of it
     eng.consult_text("sh(a, 1, g(b), ~P, X, f(X)). sh(zz, 22, [1,2], c, Y, f(Y)). "
-                     "sh(~Q, k(m), 3, ~P, Z, f(Z)). sh(a, 1, g(b), ~P, X, h(X)).")
-    assert len(answers(eng, "sh(A, B, C, D, E, F).")) == 4
+                     "sh(~Q, k(m), 3, ~P, Z, f(Z)). sh(a, 1, g(b), ~P, X, h(X)). "
+                     "sh(a, 1, g(b), ~P, X, f(X, X)).")
+    assert len(answers(eng, "sh(A, B, C, D, E, F).")) == 5
     codes = [record[2].__code__ for record in eng.db[("sh", 6)]]
-    assert codes[0] is codes[1] is codes[2]
-    assert codes[3] is not codes[0]
+    assert codes[0] is codes[1] is codes[2] is codes[3]
+    assert codes[4] is not codes[0]
+    # the shared factory keeps each clause's own name.  Where the goal holds
+    # a compound, clause 1 reads f(2) and refuses h(2), and clause 4 the
+    # other way round; where it holds a cell, each builds its own name.  A
+    # bound second argument selects clauses 1, 4 and 5 alike
+    assert answers(eng, "sh(_, 1, _, _, E, f(2)).") == ["E = 2"]
+    assert answers(eng, "sh(_, 1, _, _, E, h(2)).") == ["E = 2"]
+    assert answers(eng, "sh(_, 1, _, _, 2, F).") == ["F = f(2)", "F = h(2)", "F = f(2,2)"]
+
+
+def compile_corpus_and_prelude():
+    """Compile every clause of each corpus program and of the prelude: that
+    makes every factory their queries could run."""
+    for path in sorted(corpus_dir().glob("*.pl")):
+        e = Engine()
+        e.consult_text(path.read_text(encoding="utf-8"))
+        for clauses in e.db.values():
+            for clause in clauses:
+                engine_module._compile(clause)
 
 
 def test_corpus_and_prelude_compile_to_pinned_shapes():
@@ -923,13 +950,8 @@ def test_corpus_and_prelude_compile_to_pinned_shapes():
     # two, or merges two, fails here
     factory = engine_module._factory
     factory.cache_clear()
-    for path in sorted(corpus_dir().glob("*.pl")):
-        e = Engine()
-        e.consult_text(path.read_text(encoding="utf-8"))
-        for clauses in e.db.values():
-            for clause in clauses:
-                engine_module._compile(clause)
-    assert factory.cache_info().currsize == 46
+    compile_corpus_and_prelude()
+    assert factory.cache_info().currsize == 34
 
 
 def test_generated_source_holds_no_constant_text(eng, monkeypatch):
@@ -945,11 +967,34 @@ def test_generated_source_holds_no_constant_text(eng, monkeypatch):
         "E = 'quoted text'"]
     (text,) = sources
     for literal in ("secretatom", "987654", "hiddenatom", "4242", "quoted", "31337",
-                    "Cell", "'w'", "'pair'"):
+                    "Cell", "lit", "pair", "'", '"'):
         assert literal not in text
-    # only the body's compounds with a variable below them are built: the
-    # head code matches the head against the goal without building it
-    assert "Struct('lit'" not in text and "Struct('=', (" in text
+    # only the body's compounds with a variable below them are built, here
+    # the '=': the head code matches the head against the goal without
+    # building it, and pair(31337, ~Cell) is a shared constant
+    assert text.count("Struct(") == 1
+
+
+def test_generated_source_holds_no_program_text(monkeypatch):
+    # a shape is only a clause's structure: first_calls.py's 2,000
+    # predicates of distinct names compile to two factories, and no source
+    # made for them, the corpus or the prelude holds a string literal
+    sources = []
+    source = engine_module._source
+    monkeypatch.setattr(engine_module, "_source",
+                        lambda *shape: sources.append(source(*shape)) or sources[-1])
+    factory = engine_module._factory
+    factory.cache_clear()
+    eng = Engine(load_prelude=False)
+    eng.consult_text(first_calls.program())
+    for i in range(first_calls.PREDICATES):
+        assert answers(eng, f"p{i}(a,Y).") == [f"Y = c{i}"]
+    assert factory.cache_info().currsize == len(sources) == 2
+    factory.cache_clear()
+    compile_corpus_and_prelude()
+    assert len(sources) == 2 + 34
+    for text in sources:
+        assert "'" not in text and '"' not in text
 
 
 def templates(records):
@@ -1132,6 +1177,19 @@ def test_frame_budget():
         list(e.query("findall(x, loop, L)."))
     # the budget is per query, not cumulative across queries
     assert answers(e, "X = 1.") == ["X = 1"]
+
+
+def test_functor_arity_is_bounded_by_the_frame_budget():
+    # functor/3 makes one cell per argument, so the frame budget bounds its
+    # arity, and an arity above it raises before any cell is made
+    e = Engine(max_frames=1000)
+    assert answers(e, "functor(_T, f, 1000), functor(_T, N, A).") == ["N = f, A = 1000"]
+    goal = e.query("functor(T, f, 1001).")
+    allocated = e.store.allocated
+    with pytest.raises(ResourceLimitError) as err:
+        next(goal)
+    assert str(err.value) == "functor/3: arity exceeds the frame budget (1000)"
+    assert e.store.allocated == allocated
 
 
 @pytest.mark.parametrize("program, frames", [
