@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import InstantiationError, TypeMismatchError
 from .kernel import Struct, Var, deref, list_parts, make_list
+from .reader import write_term
 
 
 def _conj(a, b):
@@ -88,7 +89,7 @@ def _trans(body, s0, store):
             s1 = store.new_var()
             g = Struct("phrase", (b, s, s1))
         elif type(b) is int:
-            raise TypeMismatchError(f"DCG body item is not callable: {b}")
+            raise TypeMismatchError(f"DCG body item is not callable: {write_term(b)}")
         elif b == "[]":
             g, s1 = None, s
         elif b == "!":

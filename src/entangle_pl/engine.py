@@ -70,21 +70,21 @@ that resumes or ends while newer ones are open abandons them, as its
 undo removes their bindings, and an abandoned one raises when resumed
 and undoes nothing when closed.
 
-Clauses are selected by code made per predicate at its first call after a
-consult, as a WAM's ``switch_on_term`` is (Warren, SRI TN 309, 1983).  The
-index holds a predicate's clause list when it has one clause or no
+Clauses are selected through an index entry per predicate, made at its
+first call, as a WAM's ``switch_on_term`` selects (Warren, SRI TN 309,
+1983).  The entry is the clause list when it has one clause or no
 indexable position, one where no clause head holds a variable (a ``~Name``
 cell counts: a query may bind it and the reset unbinds it), and otherwise
-its generated ``select(args)``, which tests those positions in order and,
-at the first bound one, returns the clauses with the same principal
-functor there, read by exact type, in source order.  The lookup is exact,
-so a call left with one candidate pushes no choice point at all (Warren's
-rule that only a call with alternatives gets one), and a call left with
-none fails at once.
-Queries never change the clause database, so a predicate's entry stays
-valid until the next consult drops every predicate's.  A consult gives
-each predicate it touches a new list, so a call suspended between answers
-keeps the clauses it started with (ISO's logical update view).
+``select(args)``, one closure over a table per such position, which tests
+them in order and, at the first bound one, returns the clauses with the
+same principal functor there, read by exact type, in source order.  The
+lookup is exact, so a call left with one candidate pushes no choice point
+(Warren's rule that only a call with alternatives gets one), and a call
+left with none fails at once.  An entry depends only on its predicate's
+clause list, which queries never change, so it stays valid until a consult
+adds to that predicate and drops it.  A consult gives each predicate it
+touches a new list, so a call suspended between answers keeps the clauses
+it started with (ISO's logical update view).
 
 Every clause, facts and atom heads included, is tried by head code made
 at its first try, not by a generic copy and unify.  ``_compile`` walks
@@ -158,6 +158,7 @@ from .errors import (
 from .kernel import (
     OUTSIDE,
     Atom,
+    EVar,
     Store,
     Struct,
     Var,
@@ -203,52 +204,43 @@ def _selection(clauses):
     else its ``select(args)``.  A position is indexable when no head holds
     a variable there (``~Name`` cells included); its table maps a principal
     functor, read by exact type, to the clauses with it, in source order:
-    an atom or an integer is its own key, a compound's is ``(name,
-    arity)``."""
+    an atom (a ``str``) or an integer is its own key, so ``'1'`` and ``1``
+    stay apart, and a compound's is ``(name, arity)``.  ``select`` returns
+    the first bound position's entry, or ``()``; ``clauses`` if none is."""
     if len(clauses) == 1 or type(clauses[0][0]) is Atom:
         return clauses
     heads = [clause[0].args for clause in clauses]
-    positions = tuple(pos for pos in range(len(heads[0]))
-                      if not any(isinstance(args[pos], Var) for args in heads))
-    if not positions:
-        return clauses
     tables = []
-    for pos in positions:
+    for pos in range(len(heads[0])):
+        if any(isinstance(args[pos], Var) for args in heads):
+            continue
         table = {}
         for clause, args in zip(clauses, heads):
             t = args[pos]
             key = (t.name, len(t.args)) if type(t) is Struct else t
             table.setdefault(key, []).append(clause)
-        tables.append(table)
-    return _selector(positions)(clauses, *tables)
+        tables.append((pos, table))
+    if not tables:
+        return clauses
+
+    def select(args):
+        for pos, table in tables:
+            x = args[pos]
+            kind = type(x)
+            while (kind is Var or kind is EVar) and x.ref is not None:
+                x = x.ref
+                kind = type(x)
+            if kind is Struct:
+                return table.get((x.name, len(x.args)), ())
+            if kind is Atom or kind is int:
+                return table.get(x, ())
+        return clauses
+    return select
 
 
 def _deref(x, term):
     """Source lines that set ``x`` to ``term`` dereferenced, inline."""
     return [f"{x} = {term}", f"while isinstance({x}, Var) and {x}.ref is not None: {x} = {x}.ref"]
-
-
-@lru_cache(maxsize=1024)
-def _selector(positions):
-    """The factory ``make(clauses, t0, t1, ...)`` of ``select(args)`` for
-    the indexable ``positions``, made once per process.  ``select`` derefs
-    each position inline, in order, and returns the first bound one's entry
-    in its table, or ``()``; ``clauses`` when none is bound.  A key is an
-    atom or an integer itself, a ``str`` or an ``int``, so ``'1'`` and ``1``
-    stay apart, or a compound's ``(name, arity)``."""
-    lines = []
-    for j, pos in enumerate(positions):
-        lines += _deref("x", f"args[{pos}]") + [
-            "kind = type(x)",
-            f"if kind is Struct: return t{j}.get((x.name, len(x.args)), ())",
-            f"if kind is Atom or kind is int: return t{j}.get(x, ())"]
-    params = "".join(f", t{j}" for j in range(len(positions)))
-    source = "".join([f"def make(clauses{params}):\n    def select(args):\n"]
-                     + [f"        {line}\n" for line in lines]
-                     + ["        return clauses\n    return select\n"])
-    scope = {"Atom": Atom, "Var": Var, "Struct": Struct}
-    exec(compile(source, "<selection>", "exec"), scope)
-    return scope["make"]
 
 
 def _compile(clause):
@@ -533,7 +525,7 @@ class Engine:
             groups.setdefault(head_key(clause[0]), []).append(clause)
         for key, group in groups.items():
             self.db[key] = self.db.get(key, []) + group
-        self._index.clear()
+            self._index.pop(key, None)
 
     # --- queries ---------------------------------------------------------
 

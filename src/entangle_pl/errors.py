@@ -40,7 +40,7 @@ class EvaluationError(PrologError):
 
 
 class ResourceLimitError(PrologError):
-    """The engine exceeded its frame budget."""
+    """A goal exceeded the engine's frame budget, or an integer is too long to write."""
 
 
 class TranspileError(PrologError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PrologSyntaxError
+from .errors import PrologSyntaxError, ResourceLimitError
 from .kernel import Atom, EVar, Struct, Var, deref, make_list
 
 _SYMBOL_CHARS = frozenset("+-*/\\^<>=:?@#&")
@@ -134,6 +134,15 @@ def _int(tok: str, text: str, offset: int) -> int:
         raise _error("integer literal too long", text, offset) from None
 
 
+def _int_text(n: int) -> str:
+    """An integer's decimal text; one with more digits than Python converts
+    is a ``ResourceLimitError``, not a ``ValueError``."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ResourceLimitError("integer too long to write") from None
+
+
 def _found(kind: str, tok: str) -> str:
     """A token as a syntax error names it; a quoted ``''`` is a real token."""
     return "end of text" if kind == "eof" else repr(tok)
@@ -197,6 +206,23 @@ _CLOSERS = {"(": ")", "{": "}", "args": ")", "[": "]", "|": "]"}
 _OPERAND_KINDS = frozenset(("atom", "qatom", "var", "evar", "int"))
 
 
+def _cell(tok, store, varmap, evars):
+    """The cell variable token ``tok`` reads as: a fresh one for ``_``, a
+    named variable's from ``varmap``, a ``~Name``'s as the store interned
+    it or else from ``evars``; made and added where missing."""
+    if tok == "_":
+        return store.new_var("_")
+    if tok[0] == "~":
+        term = store.evars.get(tok) or evars.get(tok)
+        if term is None:
+            term = evars[tok] = store.new_var(tok, EVar)
+        return term
+    term = varmap.get(tok)
+    if term is None:
+        term = varmap[tok] = store.new_var(tok)
+    return term
+
+
 def _starts_term(token) -> bool:
     kind, tok = token[0], token[1]
     return kind in _OPERAND_KINDS or kind == "punct" and tok in "([{"
@@ -226,17 +252,8 @@ def _parse(text, tokens, store, varmap, evars):
             pos += 1
         if kind == "int":
             term = _int(tok, text, start)
-        elif kind == "var":
-            if tok == "_":
-                term = store.new_var("_")
-            else:
-                term = varmap.get(tok)
-                if term is None:
-                    term = varmap[tok] = store.new_var(tok)
-        elif kind == "evar":
-            term = store.evars.get(tok) or evars.get(tok)
-            if term is None:
-                term = evars[tok] = store.new_var(tok, EVar)
+        elif kind == "var" or kind == "evar":
+            term = _cell(tok, store, varmap, evars)
         elif kind == "atom" or kind == "qatom":
             nkind, ntok, nstart, _ = tokens[pos]
             if nkind == "punct" and ntok == "(" and nstart == end:
@@ -348,18 +365,10 @@ def _fact_head(m, store, evars):
         c = tok[0]  # a digit, "~", a lowercase letter, an uppercase one or "_"
         if c <= "9":
             term = int(tok)
-        elif c == "~":
-            term = store.evars.get(tok) or evars.get(tok)
-            if term is None:
-                term = evars[tok] = store.new_var(tok, EVar)
-        elif c >= "a":
+        elif "a" <= c <= "z":  # "~" sorts above "z"
             term = tok
-        elif tok == "_":
-            term = store.new_var("_")
         else:
-            term = varmap.get(tok)
-            if term is None:
-                term = varmap[tok] = store.new_var(tok)
+            term = _cell(tok, store, varmap, evars)
         terms.append(term)
     return Struct(name, tuple(terms)), varmap
 
@@ -489,7 +498,7 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
     """
     a = deref(t)
     if type(a) is int:
-        return str(a)
+        return _int_text(a)
     if type(a) is Atom:
         return _atom_text(a)
     pieces = []
@@ -529,7 +538,7 @@ def write_term(t, use_names: bool = True, priority: int = 1200) -> str:
                 pieces.append(f"_G{term.serial}")
             continue
         if type(term) is int:
-            pieces.append(str(term))
+            pieces.append(_int_text(term))
             continue
         if type(term) is Atom:
             pieces.append(_atom_text(term))

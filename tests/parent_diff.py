@@ -14,7 +14,8 @@ goal makes cyclic or whose bindings meet one another, or that hold no
 variable, with and without the occurs check, so a clause-try change that
 reorders bindings or matches a head differently shows, and a program of
 300 predicates of a few shared clause structures and names of their own,
-so a name a shared factory takes from the wrong clause shows.
+so a name a shared factory takes from the wrong clause shows, and
+queries with consults between their answers, so a stale index entry shows.
 A block of reader inputs, most of them malformed
 (the error texts of ``tests/test_reader.py`` and ``tests/test_dcg.py``,
 missing final ``.``, comment-only tails, text after a query), is read with
@@ -199,6 +200,20 @@ for job in json.load(sys.stdin):
     except Exception as e:
         print(f"! {type(e).__name__}: {e}")
         continue
+    for opened, added in job.get("between", ()):
+        # one answer, a consult, then the rest of the answers
+        print("?- " + opened)
+        solutions = engine.query(opened)
+        try:
+            print(str(next(solutions)))
+            engine.consult_text(added)
+            print("consulted " + added)
+            for solution in solutions:
+                print(str(solution))
+        except Exception as e:
+            print(f"! {type(e).__name__}: {e}")
+        finally:
+            solutions.close()
     for text in job["queries"]:
         print("?- " + text)
         solutions = engine.query(text)
@@ -212,6 +227,26 @@ for job in json.load(sys.stdin):
         finally:
             solutions.close()
 """
+
+
+# Consults between the answers of one query: each round opens a query on
+# indexed predicates, takes one answer, consults clauses for one of them and
+# for an unrelated predicate, and drains the query; the queries after the
+# rounds call them all again.  A stale index entry, or a suspended call that
+# sees a clause consulted after it started, shows as a difference.
+BETWEEN = """
+col(red, 1). col(green, 2). col(blue, 3). col(red, 4). col(f(x), 5). col(f(y, z), 6).
+shade(dark, black). shade(light, white). shade(dark, grey).
+"""
+BETWEEN_ROUNDS = [
+    ("shade(dark, S), col(red, N).", "col(red, 7). col(f(w), 8). other(a). other(b)."),
+    ("col(red, N), shade(L, white).", "shade(dark, navy). other2(c)."),
+    ("col(K, N), other(O).", "col(_, 9). other(c)."),
+    ("col(red, N), shade(dark, S).", "other3(d). other3(e)."),
+]
+BETWEEN_QUERIES = ["col(red, N).", "col(green, N).", "col(f(A), N).", "col(f(A, B), N).",
+                   "col(K, 9).", "col(K, N).", "shade(dark, S).", "shade(L, white).",
+                   "other(O).", "other2(O).", "other3(O)."]
 
 
 def jobs() -> list:
@@ -241,6 +276,9 @@ def jobs() -> list:
         found.append({"name": f"heads, occurs check {occurs_check}",
                       "options": {"occurs_check": occurs_check}, "limit": 20,
                       "program": HEADS, "queries": HEAD_QUERIES})
+    found.append({"name": "consults between answers", "options": {}, "limit": 20,
+                  "program": BETWEEN, "between": BETWEEN_ROUNDS,
+                  "queries": BETWEEN_QUERIES})
     program, queries = many_names()
     found.append({"name": "many names", "options": {}, "limit": 20,
                   "program": program, "queries": queries})

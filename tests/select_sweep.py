@@ -1,9 +1,9 @@
-"""A sweep of each predicate's generated ``select`` against the rule it
-replaced.
+"""A sweep of each predicate's clause selection against a plain
+per-position rule.
 
 ``engine._selection`` gives a predicate's entry in the engine's index: its
-clause list, or a ``select(args)`` generated for its indexable positions.
-``candidates`` below is the rule the engine followed before: one table per
+clause list, or a ``select(args)`` closure over one table per indexable
+position.  ``candidates`` below is the reference rule: one table per
 argument position, made the first time a call has that position bound, and
 looked up at the first bound position whose table exists.  For each
 predicate of a program, natively read and transpiled, both are asked the

@@ -102,6 +102,15 @@ def test_an_integer_literal_too_long_is_a_syntax_error_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: integer literal too long (line 1, column 5)\n")
 
 
+@pytest.mark.parametrize("rest", ["", ", X > 0", ", call(X)", ", phrase(X, L)"],
+                         ids=["answer", "test", "call", "phrase"])
+def test_an_integer_too_long_to_write_is_one_error_line_exit_2(rest):
+    n = "9" * 3000
+    proc = repl(["-q", f"X is {n} * {n}{rest}."], "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: integer too long to write\n")
+
+
 def test_long_clause_body_runs(tmp_path, capsys):
     f = tmp_path / "long.pl"
     f.write_text("p :- " + ", ".join(["true"] * 3000) + ".\n")

@@ -1192,6 +1192,18 @@ def test_functor_arity_is_bounded_by_the_frame_budget():
     assert e.store.allocated == allocated
 
 
+@pytest.mark.parametrize("rest", ["", ", X > 0", ", call(X)", ", phrase(X, L)"],
+                         ids=["answer", "test", "call", "phrase"])
+def test_an_integer_too_long_to_write_is_a_resource_error(eng, rest):
+    # a 6,000-digit product has more digits than Python writes: shown as an
+    # answer or named in a "not callable" error, it raises a PrologError
+    n = "9" * 3000
+    with pytest.raises(ResourceLimitError, match="^integer too long to write$"):
+        answers(eng, f"X is {n} * {n}{rest}.")
+    # unwritten, it computes as before
+    assert answers(eng, f"_X is {n} * {n}, _X > 0, Y is _X - _X.") == ["Y = 0"]
+
+
 @pytest.mark.parametrize("program, frames", [
     ("a. b. c. p :- a, b, c.", 4),
     # a true conjunct pushes nothing
@@ -1435,6 +1447,32 @@ def test_a_suspended_call_keeps_the_clauses_it_started_with(program, query, adde
     assert answers(e, query) == ["X = 1", "X = 2", "X = 3"]
 
 
+def test_a_consult_rebuilds_only_the_index_entries_of_what_it_adds_to(monkeypatch):
+    # an index entry depends only on its predicate's clause list, so a
+    # consult of another predicate costs a large predicate's next call no
+    # rebuild; one that adds to it rebuilds it, and a call made before
+    # that consult keeps its old clauses
+    made = []
+    real = engine_module._selection
+    monkeypatch.setattr(engine_module, "_selection",
+                        lambda clauses: made.append(len(clauses)) or real(clauses))
+    e = Engine()
+    e.consult_text(" ".join(f"big({i}, v{i % 7})." for i in range(1000)))
+    assert answers(e, "big(3, V).") == ["V = v3"]
+    gen = checked_answers(e, "big(K, v2).")
+    assert next(gen) == "K = 2"
+    for r in range(20):
+        e.consult_text(f"other{r}(x).")
+        assert answers(e, f"big({r}, V).") == [f"V = v{r % 7}"]
+    assert made == [1000]
+    e.consult_text("big(1000, v2).")
+    assert answers(e, "big(1000, V).") == ["V = v2"]
+    assert made == [1000, 1001]
+    assert len(list(gen)) == 142
+    assert len(answers(e, "big(K, v2).")) == 144
+    assert made == [1000, 1001]
+
+
 def test_many_queries_leave_the_registry_as_it_was(eng):
     alive = _alive_since(eng.store)
     for _ in range(10_000):
@@ -1596,3 +1634,28 @@ def test_an_engine_runs_without_importing_the_transpiler():
         print(all(hasattr(entangle_pl, name) for name in entangle_pl.__all__))
     """))
     assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_clause_shapes_are_the_only_generated_python():
+    # the corpus runs with every compile the engine makes recorded: each is
+    # a clause shape's factory, and the index is plain data and a closure
+    out = _child(textwrap.dedent("""
+        import entangle_pl.engine as engine
+        from entangle_pl import Engine, corpus_dir
+        from entangle_pl.oracle import read_queries
+        names = []
+        def recording(source, name, mode):
+            names.append(name)
+            return compile(source, name, mode)
+        engine.compile = recording
+        for path in sorted(corpus_dir().glob("*.pl")):
+            e = Engine()
+            e.consult_text(path.read_text(encoding="utf-8"))
+            for query in read_queries(path.with_suffix(".queries")):
+                for _ in e.query(query):
+                    pass
+        print(sorted(set(names)), len(names), engine._factory.cache_info().misses)
+    """))
+    names, compiles, factories = out.rsplit(maxsplit=2)
+    assert names == "['<clause shape>']"
+    assert int(compiles) == int(factories) > 0

@@ -1,9 +1,10 @@
-"""Each predicate's generated ``select`` returns the clause lists the rule
-it replaced returns.  ``select_sweep.py`` runs the longer sweep."""
+"""Each predicate's ``select`` returns the clause lists a plain
+per-position rule returns.  ``select_sweep.py`` runs the longer sweep."""
 
 from collections import Counter
 
-import entangle_pl.engine as engine_module
+import select_sweep
+from entangle_pl.kernel import Var
 from select_sweep import BLOCK, SEEDS, check_text, corpus, sweep
 
 
@@ -30,11 +31,18 @@ def test_predicates_without_arguments_select_as_the_reference_rule():
 
 
 def test_the_sweep_sees_a_select_that_skips_a_position(monkeypatch):
-    # a select made for all indexable positions but the first sees a first
+    # a select that is never shown its first indexable argument sees that
     # argument's key no more
-    real = engine_module._selector
-    monkeypatch.setattr(engine_module, "_selector",
-                        lambda positions: lambda clauses, first, *rest:
-                        real(positions[1:])(clauses, *rest))
+    real = select_sweep._selection
+
+    def skipping(clauses):
+        select = real(clauses)
+        if select is clauses:
+            return select
+        first = next(pos for pos in range(len(clauses[0][0].args))
+                     if not any(isinstance(c[0].args[pos], Var) for c in clauses))
+        return lambda args: select(args[:first] + (Var(-1),) + args[first + 1:])
+
+    monkeypatch.setattr(select_sweep, "_selection", skipping)
     _, faults = sweep(SEEDS[:50])
     assert faults
